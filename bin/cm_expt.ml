@@ -103,7 +103,7 @@ let scale_cmd =
     "Many-flow scalability: a web-server-like workload at N concurrent flows across N/32 \
      macroflows, run under both schedulers.  Reports virtual-time metrics (grants, events, \
      request-to-grant latency percentiles) as deterministic JSON — byte-identical for a \
-     fixed seed; wall-clock events/sec lives in the bench JSON instead."
+     fixed seed."
   in
   let flows_arg =
     let doc =

@@ -36,12 +36,6 @@ let feedback_flow ~from_host ~to_host =
 let feedback_wire_bytes = 40
 let control_wire_bytes = 16
 
-(* Escape hatch for the bench harness only: with hardening off the sender
-   agent applies feedback deltas without the duplicate/stale/epoch/echo
-   guards, which is what the overhead measurement compares against. *)
-let hardening = ref true
-let set_hardening b = hardening := b
-
 (* ------------------------------------------------------------------ *)
 
 module Receiver_agent = struct
@@ -272,18 +266,7 @@ module Sender_agent = struct
 
   let deliver t ent ~epoch ~fb_seq ~max_seq ~total_count ~total_bytes ~ts_echo =
     let g = ent.guard in
-    if not !hardening then begin
-      (* bench baseline: raw delta application, no defenses *)
-      let count = Stdlib.max 0 (total_count - g.g_count) in
-      let bytes = Stdlib.max 0 (total_bytes - g.g_bytes) in
-      g.g_epoch <- epoch;
-      g.g_fb_seq <- fb_seq;
-      g.g_max_seq <- Stdlib.max g.g_max_seq max_seq;
-      g.g_count <- total_count;
-      g.g_bytes <- total_bytes;
-      ent.on_feedback ~max_seq ~count ~bytes ~ts_echo
-    end
-    else if epoch < g.g_epoch then t.stale <- t.stale + 1
+    if epoch < g.g_epoch then t.stale <- t.stale + 1
     else begin
       if epoch > g.g_epoch then
         (* the receiver agent restarted and its first announcement was the

@@ -70,11 +70,6 @@ val feedback_wire_bytes : int
 val control_wire_bytes : int
 (** Wire size of a Resync / Solicit control packet. *)
 
-val set_hardening : bool -> unit
-(** Bench escape hatch: with hardening off the sender agent applies
-    feedback without the duplicate/stale/epoch/echo guards.  On by
-    default; only the overhead benchmark should ever turn it off. *)
-
 (** Receiving host: strips CM headers, generates feedback. *)
 module Receiver_agent : sig
   type t

@@ -5,9 +5,7 @@ open Cm_util
    within a few RTTs — insert and cancel in O(1) wheel slots, while
    far-future events overflow into a heap and migrate forward as the
    wheel turns.  The wheel's pop order is exactly the (time, seq) order
-   of a single heap, so engine behaviour is bit-identical across
-   backends; [CM_ENGINE=heap] in the environment (or [~wheel:false])
-   selects the pure-heap reference, which CI diffs against the wheel.
+   of a single heap over the same keys.
 
    The callback is stored directly as the wheel entry's value — no event
    record between the queue entry and the closure, so the pop path
@@ -88,15 +86,10 @@ type t = {
   mutable escape : (exn -> unit) option;
 }
 
-let wheel_default =
-  match Sys.getenv_opt "CM_ENGINE" with
-  | Some "heap" -> false
-  | Some "wheel" | Some _ | None -> true
-
-let create ?(start = Time.zero) ?(wheel = wheel_default) () =
+let create ?(start = Time.zero) () =
   {
     clock = start;
-    queue = (if wheel then Wheel.create ~start () else Wheel.create ~slots:0 ~start ());
+    queue = Wheel.create ~start ();
     pool = Array.make 64 null_entry;
     pool_len = 0;
     pool_hw = 0;

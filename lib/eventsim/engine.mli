@@ -19,15 +19,10 @@ type handle
     an event that already ran simply return [false], even if its cell has
     since been reused for a newer event. *)
 
-val create : ?start:Time.t -> ?wheel:bool -> unit -> t
+val create : ?start:Time.t -> unit -> t
 (** [create ()] is a fresh engine with the clock at [start]
-    (default {!Time.zero}).  [wheel] selects the queue backend: the
-    hashed timing wheel (default) or, when [false], the pure-heap
-    reference.  Both pop in identical (time, FIFO) order — the wheel is
-    a performance structure, not a semantic one — so the choice is
-    observable only through speed.  The default can be forced to the
-    heap by setting [CM_ENGINE=heap] in the environment (used by CI to
-    diff the two backends). *)
+    (default {!Time.zero}).  Events queue in a hashed timing wheel
+    ({!Cm_util.Wheel}), which pops in exact (time, FIFO) order. *)
 
 val now : t -> Time.t
 (** Current virtual time. *)

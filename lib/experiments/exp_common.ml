@@ -48,7 +48,7 @@ let attach_recorder params ~engine ?(tag = "recorder") ?(links = []) ?cm () =
 
 (* Every experiment builds its CM through here so the endpoint-fault
    defenses (feedback watchdog + misbehaviour auditor) can be toggled
-   uniformly — the bench measures their overhead this way. *)
+   uniformly. *)
 let create_cm params engine ?mtu ?scheduler ?grant_reclaim_after () =
   if params.defenses then
     Cm.create engine ?mtu ?scheduler ?grant_reclaim_after

@@ -20,11 +20,5 @@ type row = {
 val run : Exp_common.params -> row list
 (** Buffered (application feedback) vs CM protocol. *)
 
-val run_cmproto : Exp_common.params -> n:int -> float * Libcm.Ops.meter
-(** The CM-protocol half alone: [n] windowed 168-byte packets over the
-    100 Mbps pipe with kernel-to-kernel feedback.  Exposed so the bench
-    can measure the feedback-plane hardening overhead on exactly the
-    workload the hardening sits on. *)
-
 val print : row list -> unit
 (** Print the comparison. *)

@@ -275,8 +275,7 @@ let measure_variant params variant ~size ~n = run_variant variant params ~size ~
 
 (* ------------------------------------------------------------------ *)
 (* Simulator-level diagnostics of a Fig. 6 run: the event-core macro
-   workload used by bench/ for the events-per-second trajectory and by the
-   determinism regression test. *)
+   workload behind the determinism regression test. *)
 
 type macro_stats = {
   m_us_per_packet : float;

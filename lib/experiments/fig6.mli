@@ -58,5 +58,5 @@ type macro_stats = {
 
 val measure_macro : Exp_common.params -> variant -> size:int -> n:int -> macro_stats
 (** One variant run reported as event-core diagnostics — the macro workload
-    behind the bench events-per-second figure and the determinism
-    regression test (same seed ⇒ identical [macro_stats]). *)
+    behind the determinism regression test (same seed ⇒ identical
+    [macro_stats]). *)

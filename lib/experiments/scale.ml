@@ -11,8 +11,8 @@ open Netsim
    [rounds] request → grant → notify → update cycles against a synthetic
    2 ms path, a slice of flows closes and reopens mid-run to exercise the
    teardown path, and everything is closed at the end.  Sub-linear
-   per-grant cost shows up as events/sec (bench) and events-per-grant
-   (deterministic JSON) staying flat as N grows. *)
+   per-grant cost shows up as events-per-grant (deterministic JSON)
+   staying flat as N grows. *)
 
 type sched = Rr | Stride
 
@@ -31,7 +31,6 @@ type point = {
   p_lat_p50_us : float;  (** request → grant latency, virtual time *)
   p_lat_p99_us : float;
   p_teardown_probes : int;
-  p_wall_s : float;  (** host wall clock — NOT part of the deterministic JSON *)
 }
 
 (* one flow's closed-loop state, a single small record (see [run_point]) *)
@@ -56,7 +55,7 @@ let percentile sorted q =
   if n = 0 then 0.
   else sorted.(Stdlib.min (n - 1) (int_of_float (q *. float_of_int n)))
 
-let run_point ?(rounds = rounds) params ~sched ~flows =
+let run_point params ~sched ~flows =
   let engine = Exp_common.create_engine params () in
   let cm =
     Exp_common.create_cm params engine ~mtu ~scheduler:(sched_factory sched) ()
@@ -133,7 +132,6 @@ let run_point ?(rounds = rounds) params ~sched ~flows =
           request f
         end)
   done;
-  let wall0 = Unix.gettimeofday () in
   for i = 0 to flows - 1 do
     open_one i ~gen:0
   done;
@@ -148,7 +146,6 @@ let run_point ?(rounds = rounds) params ~sched ~flows =
   for i = 0 to flows - 1 do
     Cm.close_flow cm st.(i).fs_fid
   done;
-  let wall = Unix.gettimeofday () -. wall0 in
   let c = Cm.counters cm in
   let lat = Array.sub lats 0 !n_lats in
   Array.sort Stdlib.compare lat;
@@ -164,7 +161,6 @@ let run_point ?(rounds = rounds) params ~sched ~flows =
     p_lat_p50_us = percentile lat 0.50;
     p_lat_p99_us = percentile lat 0.99;
     p_teardown_probes = Cm.teardown_probes cm;
-    p_wall_s = wall;
   }
 
 let run ?(sizes = family) params =
@@ -174,9 +170,8 @@ let run ?(sizes = family) params =
 
 (* ---- JSON output -------------------------------------------------------- *)
 
-(* Wall-clock figures are deliberately absent: this document is diffed
-   byte-for-byte by the CI determinism gate.  bench/ reports the wall-side
-   view (events/sec) in BENCH_PR5.json. *)
+(* Only virtual-time figures: this document is diffed byte-for-byte by
+   the CI determinism gate. *)
 let point_json p =
   let open Exp_common.Json in
   Obj

@@ -11,14 +11,9 @@
     The deterministic JSON ({!to_json}) reports virtual-time metrics only
     — grant counts, engine events, events-per-grant, request→grant
     latency percentiles, teardown probes — and is byte-identical for a
-    fixed seed (the CI scale determinism gate diffs it).  Host wall-clock
-    throughput (events/sec) is reported separately by [bench/] in
-    BENCH_PR5.json, where sub-linear per-grant cost appears as events/sec
-    staying within 2× between N=64 and N=4096. *)
+    fixed seed (the CI scale determinism gate diffs it). *)
 
 type sched = Rr | Stride
-
-val sched_name : sched -> string
 
 type point = {
   p_sched : sched;
@@ -32,20 +27,17 @@ type point = {
   p_lat_p50_us : float;  (** request → grant latency (virtual time) *)
   p_lat_p99_us : float;
   p_teardown_probes : int;  (** {!Cm.teardown_probes} after close-all *)
-  p_wall_s : float;  (** host wall clock; excluded from {!to_json} *)
 }
 
 val family : int list
 (** The standard flow counts: [64; 512; 4096; 16384]. *)
 
 val rounds : int
-(** Grant cycles per flow (fixed, so events/sec is comparable across N). *)
+(** Grant cycles per flow (fixed, so events-per-grant is comparable
+    across N). *)
 
-val run_point : ?rounds:int -> Exp_common.params -> sched:sched -> flows:int -> point
-(** One (scheduler, N) cell.  [rounds] defaults to {!rounds}; the bench
-    raises it at small N so every sample covers a comparable wall-clock
-    window (a ~1 ms N=64 run with the standard 24 rounds would dodge its
-    share of GC and scheduler noise). *)
+val run_point : Exp_common.params -> sched:sched -> flows:int -> point
+(** One (scheduler, N) cell. *)
 
 val run : ?sizes:int list -> Exp_common.params -> point list
 (** Every (scheduler, N) cell; [sizes] defaults to {!family}. *)

@@ -27,7 +27,6 @@ type t = {
   mutable up : bool;
   mutable extra_delay : Time.span;
   mutable jitter : Time.span;
-  mutable on_drop : drop_why -> Packet.t -> unit;
   (* telemetry: Trace.nil unless attach_telemetry installed a live sink,
      so the transmit path pays one boolean test per drop *)
   mutable trace : Telemetry.Trace.t;
@@ -74,8 +73,8 @@ let deliver t (pkt : Packet.t) =
 
 let drop_cause = function Channel -> "channel" | Queue -> "queue" | Down -> "down"
 
-(* every drop funnel: trace event (when telemetry is attached) then the
-   caller-installed hook; cause counters stay with each call site *)
+(* every drop funnel: a trace event when telemetry is attached; cause
+   counters stay with each call site *)
 let note_drop t why (pkt : Packet.t) =
   if Telemetry.Trace.on t.trace then
     Telemetry.Trace.instant t.trace ~cat:"net" "link.drop"
@@ -84,8 +83,7 @@ let note_drop t why (pkt : Packet.t) =
         ("cause", Telemetry.Trace.Str (drop_cause why));
         ("size", Telemetry.Trace.Int pkt.Packet.size);
         ("packet", Telemetry.Trace.Int pkt.Packet.id);
-      ];
-  t.on_drop why pkt
+      ]
 
 let drop_down t pkt =
   t.down_drops <- t.down_drops + 1;
@@ -140,7 +138,6 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
       up = true;
       extra_delay = 0;
       jitter = 0;
-      on_drop = (fun _ _ -> ());
       trace = Telemetry.Trace.nil;
       trace_name = "link";
       enqueued_pkts = 0;
@@ -268,7 +265,6 @@ let set_jitter t j =
   if j > 0 && t.rng = None then invalid_arg "Link.set_jitter: jitter needs an rng";
   t.jitter <- j
 
-let set_drop_hook t f = t.on_drop <- f
 let qdisc t = t.qdisc
 
 let set_trace t ~name tr =

@@ -18,12 +18,6 @@ open Eventsim
 type t
 (** A link. *)
 
-type drop_why =
-  | Channel  (** Lost by the random channel-loss process. *)
-  | Queue  (** Rejected by the queueing discipline. *)
-  | Down  (** Killed by a link outage (offered or in flight while down). *)
-(** Why a packet died at this link (see {!set_drop_hook}). *)
-
 type stats = {
   enqueued_pkts : int;  (** Packets accepted into the queue. *)
   delivered_pkts : int;  (** Packets handed to the sink. *)
@@ -102,11 +96,6 @@ val set_jitter : t -> Time.span -> unit
     (needs the link's [rng]); 0 clears it.  Delivery times vary but packet
     order stays FIFO. *)
 
-val set_drop_hook : t -> (drop_why -> Packet.t -> unit) -> unit
-(** Observe every packet this link kills, with the reason — the probe
-    point used by [Tracer.probe_link_drops] to attribute losses in
-    scenario post-mortems. *)
-
 val set_trace : t -> name:string -> Telemetry.Trace.t -> unit
 (** Route this link's trace instants ([link.drop] with cause attribution)
     into [tr] without registering any gauges — how the flight recorder's
@@ -117,8 +106,8 @@ val attach_telemetry : t -> name:string -> Telemetry.t -> unit
 (** Wire this link into a telemetry instance: queue depth/bytes, per-cause
     drop counters, ECN marks, and bandwidth become sampled gauges (columns
     [link.<name>.qlen] …), and every drop emits a [link.drop] trace
-    instant with its cause attribution ([channel] / [queue] / [down] — the
-    same classification {!Tracer} records).  Until this is called the
+    instant with its cause attribution ([channel] / [queue] / [down], the
+    same split as the [stats] drop counters).  Until this is called the
     link holds the nil trace and the data path pays one branch per drop. *)
 
 val qdisc : t -> Queue_disc.t

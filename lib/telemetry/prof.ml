@@ -1,50 +1,6 @@
 open Cm_util
 open Eventsim
 
-let enabled = Engine.prof_enabled
-
-let report_json (r : Engine.prof_report) =
-  let open Json in
-  let q = r.Engine.pr_queue in
-  Obj
-    [
-      ( "categories",
-        Obj
-          (List.map
-             (fun (c : Engine.prof_category) ->
-               ( c.Engine.pc_name,
-                 Obj
-                   [
-                     ("dispatches", Int c.Engine.pc_dispatches);
-                     ("wall_s", Float c.Engine.pc_wall_s);
-                   ] ))
-             r.Engine.pr_categories) );
-      ("dispatches", Int r.Engine.pr_dispatches);
-      ("samples", Int r.Engine.pr_samples);
-      ("wall_s", Float r.Engine.pr_wall_s);
-      ( "gc",
-        Obj
-          [
-            ("minor_words", Float r.Engine.pr_minor_words);
-            ("major_words", Float r.Engine.pr_major_words);
-            ("promoted_words", Float r.Engine.pr_promoted_words);
-            ("minor_collections", Int r.Engine.pr_minor_collections);
-            ("major_collections", Int r.Engine.pr_major_collections);
-          ] );
-      ("pool_hw", Int r.Engine.pr_pool_hw);
-      ( "queue",
-        Obj
-          [
-            ("overflow_inserts", Int q.Wheel.overflow_inserts);
-            ("overflow_migrations", Int q.Wheel.overflow_migrations);
-            ("hw_size", Int q.Wheel.hw_size);
-            ("hw_cur", Int q.Wheel.hw_cur);
-          ] );
-    ]
-
-let to_json engine =
-  match Engine.prof_report engine with None -> Json.Null | Some r -> report_json r
-
 let summary engine =
   match Engine.prof_report engine with
   | None -> "profiler: off"

@@ -7,10 +7,9 @@ type 'a entry = {
 
 type 'a handle = 'a entry
 
-(* Same raw-array layout as [Heap]: empty slots hold a shared sentinel
-   entry instead of [None], so the hot path never allocates or matches an
-   option.  The sentinel's [value] is never read — every access is guarded
-   by [len]. *)
+(* Empty slots hold a shared sentinel entry instead of [None], so the hot
+   path never allocates or matches an option.  The sentinel's [value] is
+   never read — every access is guarded by [len]. *)
 let sentinel_block : unit entry = { prio = infinity; seq = max_int; value = (); pos = -1 }
 let sentinel () : 'a entry = Obj.magic sentinel_block
 

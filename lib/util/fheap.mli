@@ -1,9 +1,8 @@
 (** Removable binary min-heap keyed by {b float} priority.
 
-    The float twin of {!Heap} (which backs the event queue with integer
-    deadlines): O(log n) insert and extract-min, O(log n) removal or
-    re-keying of an arbitrary element through its handle, FIFO among equal
-    priorities.  Built for the stride scheduler, whose pass values are
+    O(log n) insert and extract-min, O(log n) removal or re-keying of an
+    arbitrary element through its handle, FIFO among equal priorities.
+    Built for the stride scheduler, whose pass values are
     rationals of the flow weights and cannot be integer-keyed without
     losing the weight semantics. *)
 

@@ -27,9 +27,8 @@
    layout.  [slots = 0] degenerates to a single binary heap over the same
    keys — the reference the property tests compare against.
 
-   Entry blocks are reusable via {!reinsert} (same pooling contract as
-   {!Heap.reinsert}): a re-inserted entry takes a fresh seq, so FIFO
-   tie-breaking treats it as the newest arrival. *)
+   Entry blocks are reusable via {!reinsert}: a re-inserted entry takes a
+   fresh seq, so FIFO tie-breaking treats it as the newest arrival. *)
 
 type 'a entry = {
   mutable time : int;
@@ -45,8 +44,8 @@ let w_out = -1
 let w_cur = -2
 let w_over = -3
 
-(* Shared sentinel for empty array cells, as in Heap: every access is
-   guarded by a length, so the dummy's value is never read. *)
+(* Shared sentinel for empty array cells: every access is guarded by a
+   length, so the dummy's value is never read. *)
 let sentinel_block : unit entry =
   { time = max_int; seq = max_int; value = (); where = w_out; pos = -1 }
 
@@ -54,10 +53,9 @@ let sentinel () : 'a entry = Obj.magic sentinel_block
 
 (* ---- internal binary heap over (time, seq) ----------------------------- *)
 
-(* Same layout trick as Heap: the key of slot [i] is mirrored into a flat
-   int array at [pkey.(2i)] / [pkey.(2i+1)], so sift comparisons read
-   cache-line-local unboxed ints; entry blocks are touched only when a
-   slot actually moves. *)
+(* The key of slot [i] is mirrored into a flat int array at [pkey.(2i)] /
+   [pkey.(2i+1)], so sift comparisons read cache-line-local unboxed ints;
+   entry blocks are touched only when a slot actually moves. *)
 type 'a pq = {
   mutable parr : 'a entry array;
   mutable pkey : int array;

@@ -45,7 +45,7 @@ val remove : 'a t -> 'a handle -> bool
 
 val update : 'a t -> 'a handle -> time:int -> bool
 (** Move a queued entry to a new time with a fresh sequence number
-    (remove + reinsert semantics, matching {!Heap.update_prio}).
+    (remove + reinsert semantics).
     [false] if the handle was not queued. *)
 
 val mem : 'a t -> 'a handle -> bool

@@ -375,58 +375,6 @@ let prop_engine_order =
       Engine.run e;
       List.rev !out = List.stable_sort Stdlib.compare delays)
 
-(* The wheel backend must be observationally identical to the heap
-   backend: drive both engines through the same randomized program —
-   schedules on both sides of the ~16.8 ms wheel horizon (so entries
-   land in the current slot, wheel slots, and the overflow heap, and
-   migrate across on cursor advance), cancels, reschedules, bounded runs
-   (which exercise cell reuse/reinsertion from the pool) — and require
-   identical execution sequences, identical cancel/reschedule results,
-   and identical clocks. *)
-let prop_wheel_matches_heap =
-  QCheck.Test.make ~name:"wheel engine pop sequence = heap engine pop sequence" ~count:80
-    QCheck.(list (triple (int_bound 5) (int_bound 3_000) small_nat))
-    (fun ops ->
-      let ew = Engine.create ~wheel:true () in
-      let eh = Engine.create ~wheel:false () in
-      let logw = ref [] and logh = ref [] in
-      let hs = ref [] in
-      let nth k = match !hs with [] -> None | l -> List.nth_opt l (k mod List.length l) in
-      let id = ref 0 in
-      List.iter
-        (fun (op, t, k) ->
-          match op with
-          | 0 | 1 | 2 ->
-              (* offsets up to 60 ms: ~3.6x the horizon *)
-              let when_ = Time.add (Engine.now ew) (Time.us (t * 20)) in
-              let i = !id in
-              incr id;
-              let hw = Engine.schedule_at ew when_ (fun () -> logw := i :: !logw) in
-              let hh = Engine.schedule_at eh when_ (fun () -> logh := i :: !logh) in
-              hs := (hw, hh) :: !hs
-          | 3 -> (
-              match nth k with
-              | Some (hw, hh) ->
-                  if Engine.cancel ew hw <> Engine.cancel eh hh then
-                    failwith "cancel result mismatch"
-              | None -> ())
-          | 4 -> (
-              match nth k with
-              | Some (hw, hh) ->
-                  let when_ = Time.add (Engine.now ew) (Time.us (t * 20)) in
-                  if Engine.reschedule ew hw when_ <> Engine.reschedule eh hh when_ then
-                    failwith "reschedule result mismatch"
-              | None -> ())
-          | _ ->
-              let d = Time.us (t * 5) in
-              Engine.run_for ew d;
-              Engine.run_for eh d;
-              if Engine.now ew <> Engine.now eh then failwith "clock mismatch")
-        ops;
-      Engine.run ew;
-      Engine.run eh;
-      List.rev !logw = List.rev !logh && Engine.now ew = Engine.now eh)
-
 let test_pool_shrinks_after_burst () =
   let e = Engine.create () in
   (* burst: 10k simultaneously-outstanding events *)
@@ -464,7 +412,6 @@ let () =
           Alcotest.test_case "lazy cancel pending" `Quick test_lazy_cancel_pending;
           Alcotest.test_case "run_for windows" `Quick test_run_for;
           QCheck_alcotest.to_alcotest prop_engine_order;
-          QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
           Alcotest.test_case "pool shrinks after burst" `Quick test_pool_shrinks_after_burst;
         ] );
       ( "timer",

@@ -427,63 +427,12 @@ let test_poisson_mean_rate () =
   "poisson mean within 10%" => (abs (!got - 2000) < 200)
 
 
-(* ---- Tracer ------------------------------------------------------------- *)
+(* ---- Drop attribution --------------------------------------------------- *)
 
-let test_tracer_records_tx_and_rx () =
-  let e = Engine.create () in
-  let tr = Tracer.create e () in
-  let a = Host.create e ~id:0 () in
-  let b = Host.create e ~id:1 () in
-  let link =
-    Link.create e ~bandwidth_bps:1e7 ~delay:(Time.ms 5)
-      ~sink:(Tracer.probe_sink tr ~name:"link-b" (fun p -> Host.deliver b p))
-      ()
-  in
-  Host.attach_route a (Link.send link);
-  Tracer.probe_host tr ~name:"host-a" a;
-  Host.bind b Addr.Udp ~port:20 (fun _ -> ());
-  Host.ip_output a (mk_pkt ());
-  Engine.run e;
-  let evs = Tracer.events tr in
-  Alcotest.(check int) "two events" 2 (List.length evs);
-  (match evs with
-  | [ tx; rx ] ->
-      "tx first" => (tx.Tracer.direction = Tracer.Tx && tx.Tracer.point = "host-a");
-      "rx second" => (rx.Tracer.direction = Tracer.Rx && rx.Tracer.point = "link-b");
-      "same packet" => (tx.Tracer.packet_id = rx.Tracer.packet_id);
-      "rx later than tx" => (rx.Tracer.at > tx.Tracer.at)
-  | _ -> Alcotest.fail "unexpected events");
-  Alcotest.(check int) "total observed" 2 (Tracer.total_observed tr)
-
-let test_tracer_ring_bounds () =
-  let e = Engine.create () in
-  let tr = Tracer.create e ~capacity:5 () in
-  for _ = 1 to 12 do
-    Tracer.observe tr ~name:"p" Tracer.Tx (mk_pkt ())
-  done;
-  Alcotest.(check int) "holds capacity" 5 (Tracer.count tr);
-  Alcotest.(check int) "saw all" 12 (Tracer.total_observed tr);
-  let ids = List.map (fun ev -> ev.Tracer.packet_id) (Tracer.events tr) in
-  "oldest first, newest kept" => (List.sort Stdlib.compare ids = ids);
-  Tracer.clear tr;
-  Alcotest.(check int) "cleared" 0 (Tracer.count tr)
-
-let test_tracer_filter () =
-  let e = Engine.create () in
-  let tr =
-    Tracer.create e ~filter:(fun pkt -> pkt.Packet.flow.Addr.proto = Addr.Tcp) ()
-  in
-  Tracer.observe tr ~name:"p" Tracer.Tx (mk_pkt ());
-  Tracer.observe tr ~name:"p" Tracer.Tx (mk_pkt ~flow:(mk_flow ~proto:Addr.Tcp ()) ());
-  Alcotest.(check int) "only tcp recorded" 1 (Tracer.count tr);
-  match Tracer.find tr (fun ev -> ev.Tracer.direction = Tracer.Tx) with
-  | Some ev -> "found the tcp event" => (ev.Tracer.flow.Addr.proto = Addr.Tcp)
-  | None -> Alcotest.fail "expected an event"
-
-let test_tracer_attributes_drops () =
+let test_link_drop_causes_traced () =
   let e = Engine.create () in
   let rng = Rng.create ~seed:21 in
-  let tr = Tracer.create e () in
+  let tr = Telemetry.Trace.create e in
   (* a slow link with a 2-packet queue and heavy channel loss: both queue
      and channel drops occur, and the trace must tell them apart *)
   let link =
@@ -491,20 +440,22 @@ let test_tracer_attributes_drops () =
       ~qdisc:(Queue_disc.droptail ~limit_pkts:2 ())
       ~sink:ignore ()
   in
-  Tracer.probe_link_drops tr ~name:"bottleneck" link;
+  Link.set_trace link ~name:"bottleneck" tr;
   for _ = 1 to 50 do
     Link.send link (mk_pkt ~bytes:(1000 - Packet.header_bytes) ())
   done;
   Engine.run e;
   let stats = Link.stats link in
-  let count why =
-    List.length
-      (List.filter (fun ev -> ev.Tracer.direction = Tracer.Drop why) (Tracer.events tr))
+  let count cause =
+    let is_drop (ev : Telemetry.Trace.event) =
+      ev.name = "link.drop" && List.assoc_opt "cause" ev.args = Some (Telemetry.Trace.Str cause)
+    in
+    List.length (List.filter is_drop (Telemetry.Trace.events tr))
   in
   "both kinds occurred" => (stats.Link.channel_drops > 0 && stats.Link.queue_drops > 0);
-  Alcotest.(check int) "channel drops attributed" stats.Link.channel_drops (count Link.Channel);
-  Alcotest.(check int) "queue drops attributed" stats.Link.queue_drops (count Link.Queue);
-  Alcotest.(check int) "no outage drops" 0 (count Link.Down)
+  Alcotest.(check int) "channel drops attributed" stats.Link.channel_drops (count "channel");
+  Alcotest.(check int) "queue drops attributed" stats.Link.queue_drops (count "queue");
+  Alcotest.(check int) "no outage drops" 0 (count "down")
 
 (* ---- Background determinism --------------------------------------------- *)
 
@@ -573,6 +524,7 @@ let () =
           Alcotest.test_case "bandwidth change" `Quick test_link_bandwidth_change;
           Alcotest.test_case "reordering" `Quick test_link_reordering;
           Alcotest.test_case "probability validation" `Quick test_link_probability_validation;
+          Alcotest.test_case "drop causes traced" `Quick test_link_drop_causes_traced;
         ] );
       ( "cpu",
         [
@@ -592,13 +544,6 @@ let () =
         [
           Alcotest.test_case "pipe roundtrip" `Quick test_pipe_roundtrip;
           Alcotest.test_case "star connectivity" `Quick test_star_connectivity;
-        ] );
-      ( "tracer",
-        [
-          Alcotest.test_case "records tx and rx" `Quick test_tracer_records_tx_and_rx;
-          Alcotest.test_case "ring bounds" `Quick test_tracer_ring_bounds;
-          Alcotest.test_case "filter" `Quick test_tracer_filter;
-          Alcotest.test_case "drop attribution" `Quick test_tracer_attributes_drops;
         ] );
       ( "background",
         [

@@ -1,4 +1,5 @@
-(* Tests for cm_util: time, rng, heap, stats, ewma, timeline, byte_queue. *)
+(* Tests for cm_util: time, json, rng, wheel, fheap, stats, ewma, timeline,
+   byte_queue. *)
 
 open Cm_util
 
@@ -127,127 +128,132 @@ let test_rng_split_independent () =
   let ys = List.init 20 (fun _ -> Rng.int b 1000) in
   "split streams differ" => (xs <> ys)
 
-(* ---- Heap ------------------------------------------------------------ *)
+(* ---- Heap (the wheel's pure-heap mode) ------------------------------ *)
+
+(* [Wheel.create ~slots:0] is a single binary heap over (time, seq): the
+   reference the timing wheel is checked against, so it is itself checked
+   against a sorted-list model here. *)
+let heap () = Wheel.create ~slots:0 ()
+
+let pop h =
+  if Wheel.is_empty h then None
+  else
+    let e = Wheel.pop_min h in
+    Some (Wheel.handle_time e, Wheel.handle_value e)
+
+let pop_all h n = List.init n (fun _ -> pop h) |> List.filter_map Fun.id
 
 let test_heap_orders () =
-  let h = Heap.create () in
-  List.iter (fun p -> ignore (Heap.insert h ~prio:p p)) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let out = List.init 7 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id in
+  let h = heap () in
+  List.iter (fun p -> ignore (Wheel.insert h ~time:p p)) [ 5; 1; 4; 1; 3; 9; 0 ];
   Alcotest.(check (list (pair int int)))
     "sorted output"
     [ (0, 0); (1, 1); (1, 1); (3, 3); (4, 4); (5, 5); (9, 9) ]
-    out
+    (pop_all h 7)
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  ignore (Heap.insert h ~prio:7 "first");
-  ignore (Heap.insert h ~prio:7 "second");
-  ignore (Heap.insert h ~prio:7 "third");
-  let order = List.init 3 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id |> List.map snd in
-  Alcotest.(check (list string)) "FIFO among equal priorities" [ "first"; "second"; "third" ] order
+  let h = heap () in
+  List.iter (fun v -> ignore (Wheel.insert h ~time:7 v)) [ "first"; "second"; "third" ];
+  Alcotest.(check (list string))
+    "FIFO among equal priorities" [ "first"; "second"; "third" ]
+    (List.map snd (pop_all h 3))
 
 let test_heap_remove () =
-  let h = Heap.create () in
-  let _a = Heap.insert h ~prio:1 "a" in
-  let b = Heap.insert h ~prio:2 "b" in
-  let _c = Heap.insert h ~prio:3 "c" in
-  "remove succeeds" => Heap.remove h b;
-  "second remove fails" => not (Heap.remove h b);
-  let out = List.init 3 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id |> List.map snd in
-  Alcotest.(check (list string)) "b removed" [ "a"; "c" ] out
+  let h = heap () in
+  let _a = Wheel.insert h ~time:1 "a" in
+  let b = Wheel.insert h ~time:2 "b" in
+  let _c = Wheel.insert h ~time:3 "c" in
+  "remove succeeds" => Wheel.remove h b;
+  "second remove fails" => not (Wheel.remove h b);
+  Alcotest.(check (list string)) "b removed" [ "a"; "c" ] (List.map snd (pop_all h 3))
 
 let test_heap_clear_and_size () =
-  let h = Heap.create () in
+  let h = heap () in
   for i = 1 to 100 do
-    ignore (Heap.insert h ~prio:i i)
+    ignore (Wheel.insert h ~time:i i)
   done;
-  Alcotest.(check int) "size" 100 (Heap.size h);
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.size h);
-  "extract on empty" => (Heap.extract_min h = None)
+  Alcotest.(check int) "size" 100 (Wheel.size h);
+  Wheel.filter_in_place h (fun _ -> false);
+  Alcotest.(check int) "cleared" 0 (Wheel.size h);
+  "pop on empty" => (pop h = None)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap extracts in priority order" ~count:200
     QCheck.(list small_int)
     (fun prios ->
-      let h = Heap.create () in
-      List.iter (fun p -> ignore (Heap.insert h ~prio:p p)) prios;
-      let out = List.init (List.length prios) (fun _ -> Heap.extract_min h) in
-      let out = List.filter_map Fun.id out |> List.map fst in
-      out = List.sort Stdlib.compare prios)
+      let h = heap () in
+      List.iter (fun p -> ignore (Wheel.insert h ~time:p p)) prios;
+      List.map fst (pop_all h (List.length prios)) = List.sort Stdlib.compare prios)
 
 let prop_heap_removal_consistent =
   QCheck.Test.make ~name:"heap removal keeps order" ~count:100
     QCheck.(pair (list small_int) (list bool))
     (fun (prios, removes) ->
-      let h = Heap.create () in
-      let handles = List.map (fun p -> (p, Heap.insert h ~prio:p p)) prios in
+      let h = heap () in
+      let handles = List.map (fun p -> (p, Wheel.insert h ~time:p p)) prios in
       let kept =
         List.filteri
           (fun i (_, hd) ->
             let remove = List.nth_opt removes i = Some true in
-            if remove then ignore (Heap.remove h hd);
+            if remove then ignore (Wheel.remove h hd);
             not remove)
           handles
         |> List.map fst
       in
-      let out = List.init (List.length kept) (fun _ -> Heap.extract_min h) in
-      let out = List.filter_map Fun.id out |> List.map fst in
-      out = List.sort Stdlib.compare kept)
+      List.map fst (pop_all h (List.length kept)) = List.sort Stdlib.compare kept)
 
 let test_heap_update_prio () =
-  let h = Heap.create () in
-  let a = Heap.insert h ~prio:10 "a" in
-  let _b = Heap.insert h ~prio:20 "b" in
-  let c = Heap.insert h ~prio:30 "c" in
-  "decrease-key succeeds" => Heap.update_prio h c ~prio:5;
-  "increase-key succeeds" => Heap.update_prio h a ~prio:40;
-  let out = List.init 3 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id in
+  let h = heap () in
+  let a = Wheel.insert h ~time:10 "a" in
+  let _b = Wheel.insert h ~time:20 "b" in
+  let c = Wheel.insert h ~time:30 "c" in
+  "decrease-key succeeds" => Wheel.update h c ~time:5;
+  "increase-key succeeds" => Wheel.update h a ~time:40;
   Alcotest.(check (list (pair int string)))
-    "re-keyed order" [ (5, "c"); (20, "b"); (40, "a") ] out;
-  "update after extraction fails" => not (Heap.update_prio h c ~prio:1)
+    "re-keyed order" [ (5, "c"); (20, "b"); (40, "a") ] (pop_all h 3);
+  "update after extraction fails" => not (Wheel.update h c ~time:1)
 
 let test_heap_update_prio_refreshes_fifo () =
   (* a re-keyed element behaves like a fresh insert among equal priorities *)
-  let h = Heap.create () in
-  let a = Heap.insert h ~prio:7 "rekeyed" in
-  ignore (Heap.insert h ~prio:7 "second");
-  "same-prio update" => Heap.update_prio h a ~prio:7;
-  let order = List.init 2 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id |> List.map snd in
-  Alcotest.(check (list string)) "re-keyed element moved behind" [ "second"; "rekeyed" ] order
+  let h = heap () in
+  let a = Wheel.insert h ~time:7 "rekeyed" in
+  ignore (Wheel.insert h ~time:7 "second");
+  "same-prio update" => Wheel.update h a ~time:7;
+  Alcotest.(check (list string))
+    "re-keyed element moved behind" [ "second"; "rekeyed" ]
+    (List.map snd (pop_all h 2))
 
 let test_heap_reinsert () =
   (* an extracted entry can be recycled: same value, fresh key, and FIFO
      behaviour identical to a fresh insert among equal priorities *)
-  let h = Heap.create () in
-  let a = Heap.insert h ~prio:10 "recycled" in
-  ignore (Heap.extract_min h);
-  "extracted handle is dead" => not (Heap.mem h a);
-  ignore (Heap.insert h ~prio:7 "tie-first");
-  Heap.reinsert h a ~prio:7;
-  "reinserted handle is live" => Heap.mem h a;
-  let out = List.init 2 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id in
+  let h = heap () in
+  let a = Wheel.insert h ~time:10 "recycled" in
+  ignore (pop h);
+  "extracted handle is dead" => not (Wheel.mem h a);
+  ignore (Wheel.insert h ~time:7 "tie-first");
+  Wheel.reinsert h a ~time:7;
+  "reinserted handle is live" => Wheel.mem h a;
   Alcotest.(check (list (pair int string)))
     "reinserted entry behaves like a fresh insert"
     [ (7, "tie-first"); (7, "recycled") ]
-    out;
+    (pop_all h 2);
   (try
-     Heap.reinsert h (Heap.insert h ~prio:1 "live") ~prio:2;
+     Wheel.reinsert h (Wheel.insert h ~time:1 "live") ~time:2;
      Alcotest.fail "reinsert of a live handle must raise"
    with Invalid_argument _ -> ())
 
 (* Model-based randomized test: drive the heap and a sorted-list reference
-   with the same operation stream (insert / extract_min / remove /
-   update_prio) and require identical observable behaviour, including the
-   FIFO tie-break among equal priorities.  The reference mirrors the heap's
-   sequence numbering: one fresh seq per insert *and* per update_prio. *)
+   with the same operation stream (insert / pop_min / remove / update) and
+   require identical observable behaviour, including the FIFO tie-break
+   among equal priorities.  The reference mirrors the heap's sequence
+   numbering: one fresh seq per insert *and* per update. *)
 let prop_heap_model =
   let open QCheck in
   let op = triple (int_bound 3) (int_bound 20) (int_bound 100) in
-  Test.make ~name:"heap matches reference model (insert/extract/remove/update_prio, FIFO)"
+  Test.make ~name:"heap matches reference model (insert/pop_min/remove/update, FIFO)"
     ~count:300 (list op)
     (fun ops ->
-      let h = Heap.create () in
+      let h = heap () in
       let seq = ref 0 in
       let next_id = ref 0 in
       (* model: association list id -> (prio, seq); handles: id -> handle *)
@@ -273,21 +279,21 @@ let prop_heap_model =
           | 0 ->
               let id = !next_id in
               incr next_id;
-              Hashtbl.replace handles id (Heap.insert h ~prio id);
+              Hashtbl.replace handles id (Wheel.insert h ~time:prio id);
               model := (id, (prio, !seq)) :: !model;
               incr seq
           | 1 -> (
               match expected_min () with
-              | None -> check (Heap.extract_min h = None)
+              | None -> check (pop h = None)
               | Some (id, (p, _)) ->
                   model := List.remove_assoc id !model;
-                  check (Heap.extract_min h = Some (p, id)))
+                  check (pop h = Some (p, id)))
           | 2 -> (
               match pick_id k with
               | None -> ()
               | Some id ->
                   let live = List.mem_assoc id !model in
-                  let r = Heap.remove h (Hashtbl.find handles id) in
+                  let r = Wheel.remove h (Hashtbl.find handles id) in
                   check (r = live);
                   if live then model := List.remove_assoc id !model)
           | _ -> (
@@ -295,7 +301,7 @@ let prop_heap_model =
               | None -> ()
               | Some id ->
                   let live = List.mem_assoc id !model in
-                  let r = Heap.update_prio h (Hashtbl.find handles id) ~prio in
+                  let r = Wheel.update h (Hashtbl.find handles id) ~time:prio in
                   check (r = live);
                   if live then begin
                     model := (id, (prio, !seq)) :: List.remove_assoc id !model;
@@ -303,16 +309,69 @@ let prop_heap_model =
                   end))
         ops;
       (* drain: remaining elements must come out in (prio, seq) order *)
-      check (Heap.size h = List.length !model);
+      check (Wheel.size h = List.length !model);
       let rec drain () =
         match expected_min () with
-        | None -> check (Heap.extract_min h = None)
+        | None -> check (pop h = None)
         | Some (id, (p, _)) ->
             model := List.remove_assoc id !model;
-            check (Heap.extract_min h = Some (p, id));
+            check (pop h = Some (p, id));
             drain ()
       in
       drain ();
+      !ok)
+
+(* ---- Wheel ----------------------------------------------------------- *)
+
+(* The timing wheel must be observationally identical to its pure-heap
+   mode: drive both through one randomized program — inserts and
+   re-keys up to ~60 ms ahead (3.6x the default ~16.8 ms horizon, so
+   entries land in the current slot, wheel slots and the overflow heap,
+   and migrate on cursor advance), ties at the current time, recycled
+   entries, removals, filters and pops — and require the same pop
+   sequence, the same return values and the same sizes throughout. *)
+let prop_wheel_matches_heap =
+  QCheck.Test.make ~name:"wheel pop sequence = pure-heap pop sequence" ~count:200
+    QCheck.(list (triple (int_bound 6) (int_bound 3_000) small_nat))
+    (fun ops ->
+      let w = Wheel.create () and h = heap () in
+      let now = ref 0 and next_id = ref 0 and hs = ref [] in
+      let nth k = match !hs with [] -> None | l -> List.nth_opt l (k mod List.length l) in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let at t = !now + if t mod 7 = 0 then 0 else t * 20_000 in
+      let pop_both () =
+        let pw = pop w and ph = pop h in
+        check (pw = ph);
+        Option.iter (fun (t, _) -> now := t) pw
+      in
+      List.iter
+        (fun (op, t, k) ->
+          (match (op, nth k) with
+          | (0 | 1), _ ->
+              let id = !next_id in
+              incr next_id;
+              hs := (Wheel.insert w ~time:(at t) id, Wheel.insert h ~time:(at t) id) :: !hs
+          | 2, Some (ew, eh) ->
+              check (Wheel.mem w ew = Wheel.mem h eh);
+              if not (Wheel.mem w ew) then begin
+                Wheel.reinsert w ew ~time:(at t);
+                Wheel.reinsert h eh ~time:(at t)
+              end
+          | 3, Some (ew, eh) -> check (Wheel.remove w ew = Wheel.remove h eh)
+          | 4, Some (ew, eh) ->
+              check (Wheel.update w ew ~time:(at t) = Wheel.update h eh ~time:(at t))
+          | 5, _ -> pop_both ()
+          | 6, _ when k mod 8 = 0 ->
+              let keep v = v mod 5 <> t mod 5 in
+              Wheel.filter_in_place w keep;
+              Wheel.filter_in_place h keep
+          | _ -> ());
+          check (Wheel.size w = Wheel.size h))
+        ops;
+      while not (Wheel.is_empty w && Wheel.is_empty h) do
+        pop_both ()
+      done;
       !ok)
 
 (* ---- Stats ----------------------------------------------------------- *)
@@ -568,6 +627,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_removal_consistent;
           QCheck_alcotest.to_alcotest prop_heap_model;
         ] );
+      ("wheel", [ QCheck_alcotest.to_alcotest prop_wheel_matches_heap ]);
       ( "fheap",
         [
           Alcotest.test_case "orders by priority" `Quick test_fheap_orders;
