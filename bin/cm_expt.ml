@@ -1,7 +1,8 @@
 (* cm_expt — command-line runner for the paper-reproduction experiments.
 
-   One subcommand per table/figure (fig3 … fig10, table1), plus the §4.1
-   microbenchmark and the three ablation benches, plus [all]. *)
+   One subcommand per registered family ({!Experiments.Family.all}: the
+   paper's tables and figures, ablations, extensions and workload
+   families), plus [all], [trace], [report], [spec], [scale] and [soak]. *)
 
 open Cmdliner
 
@@ -29,74 +30,29 @@ let prof_arg =
 let recorder_arg =
   let doc =
     "Attach an always-on bounded flight recorder (ring of the last 4096 trace events) to \
-     families that support it and dump the ring as JSONL into $(docv) when a defense fires, \
-     an audit breach appears, or an exception escapes the event loop."
+     each simulated system and dump the ring as JSONL into $(docv) when an exception escapes \
+     the event loop, or, in app_faults, when a defense fires or an audit breach appears."
   in
   Arg.(value & opt (some string) None & info [ "recorder" ] ~docv:"DIR" ~doc)
 
-let run_fig3 p = Experiments.Fig3.print (Experiments.Fig3.run p)
-let run_fig4_5 p = Experiments.Fig4_5.print (Experiments.Fig4_5.run p)
-let run_fig6 p = Experiments.Fig6.print (Experiments.Fig6.run p)
-let run_table1 p = Experiments.Fig6.print_table1 (Experiments.Fig6.run_table1 p)
-let run_fig7 p = Experiments.Fig7.print (Experiments.Fig7.run p)
-let run_fig8 p = Experiments.Fig8_10.print (Experiments.Fig8_10.run_fig8 p)
-let run_fig9 p = Experiments.Fig8_10.print (Experiments.Fig8_10.run_fig9 p)
-let run_fig10 p = Experiments.Fig8_10.print (Experiments.Fig8_10.run_fig10 p)
-let run_micro p = Experiments.Micro.print (Experiments.Micro.run p)
+module Family = Experiments.Family
+module Capture = Experiments.Capture
 
-let run_abl_sched p =
-  Experiments.Ablations.print_scheduler (Experiments.Ablations.run_scheduler p)
-
-let run_abl_ctrl p =
-  Experiments.Ablations.print_controller (Experiments.Ablations.run_controller p)
-
-let run_abl_share p = Experiments.Ablations.print_sharing (Experiments.Ablations.run_sharing p)
-let run_phttp p = Experiments.Sec6_phttp.print (Experiments.Sec6_phttp.run p)
-let run_cmproto p = Experiments.Ext_cmproto.print (Experiments.Ext_cmproto.run p)
-let run_content p = Experiments.Content_adapt.print (Experiments.Content_adapt.run p)
-let run_merge p = Experiments.Ext_merge.print (Experiments.Ext_merge.run p)
-let run_fair p = Experiments.Ablations.print_fairness (Experiments.Ablations.run_fairness p)
-let run_scenarios p = Experiments.Scenarios.print p (Experiments.Scenarios.run p)
-let run_app_faults p = Experiments.App_faults.print p (Experiments.App_faults.run p)
-let run_fattree p = Experiments.Fattree.print p (Experiments.Fattree.run p)
-let run_cdn_edge p = Experiments.Cdn_edge.print p (Experiments.Cdn_edge.run p)
-let run_cellular p = Experiments.Cellular.print p (Experiments.Cellular.run p)
-
-let run_feedback_faults p =
-  Experiments.Feedback_faults.print p (Experiments.Feedback_faults.run p)
-
-let experiments =
-  [
-    ("fig3", "Throughput vs loss: TCP/CM vs TCP/Linux", run_fig3);
-    ("fig4", "100 Mbps throughput vs buffers transmitted (also prints Fig. 5)", run_fig4_5);
-    ("fig5", "Sender CPU utilization vs buffers transmitted (also prints Fig. 4)", run_fig4_5);
-    ("fig6", "Per-packet API overhead vs packet size", run_fig6);
-    ("table1", "Boundary crossings per packet per API", run_table1);
-    ("fig7", "Sequential fetches: congestion-state sharing", run_fig7);
-    ("fig8", "ALF layered streaming over a varying path", run_fig8);
-    ("fig9", "Rate-callback layered streaming", run_fig9);
-    ("fig10", "Rate callback with delayed feedback", run_fig10);
-    ("micro", "Connection-establishment microbenchmark", run_micro);
-    ("ablation_sched", "Round-robin vs weighted scheduler", run_abl_sched);
-    ("ablation_ctrl", "AIMD vs binomial controllers", run_abl_ctrl);
-    ("ablation_share", "Independent vs shared congestion state", run_abl_share);
-    ("phttp", "Sec. 6: P-HTTP multiplexing vs CM concurrent connections", run_phttp);
-    ("cmproto", "Extension: CM protocol (kernel feedback) vs app feedback", run_cmproto);
-    ("content", "Content adaptation: fixed vs cm_query-chosen encodings", run_content);
-    ("merge", "Extension: merged macroflows behind a shared bottleneck", run_merge);
-    ("ablation_fairness", "Jain fairness across flow ensembles", run_fair);
-    ("scenarios", "Fault-injection scenarios: burst loss, outage, sawtooth (JSON)", run_scenarios);
-    ("app_faults", "Endpoint faults: crash/silence/lie/hoard defenses & reclamation (JSON)", run_app_faults);
-    ("fattree", "Fat-tree k=4 incast + cross-pod shuffle, spec-DSL authored (JSON)", run_fattree);
-    ("cdn_edge", "CDN edge flash crowd: 2x1024 clients, spec-DSL authored (JSON)", run_cdn_edge);
-    ("cellular", "Cellular last mile: layered app vs ramps and handoff flaps, spec-DSL authored (JSON)", run_cellular);
-    ("feedback_faults", "Feedback-plane faults: blackout, degraded control plane, receiver restart (JSON)", run_feedback_faults);
-  ]
-
-let make_cmd (name, doc, runner) =
-  let action seed full prof recorder = runner (params ~prof ?recorder seed full) in
-  Cmd.v (Cmd.info name ~doc)
+let family_cmd (f : Family.t) =
+  let action seed full prof recorder = f.run (params ~prof ?recorder seed full) in
+  Cmd.v (Cmd.info f.name ~doc:f.doc)
     Term.(const action $ seed_arg $ full_arg $ prof_arg $ recorder_arg)
+
+(* [--expt] for trace and report: any registered family *)
+let family_arg ~doc =
+  let names = List.map (fun (f : Family.t) -> f.name) Family.all in
+  let doc = doc ^ ": " ^ String.concat ", " names ^ "." in
+  Arg.(
+    value
+    & opt (enum (List.map (fun n -> (n, n)) names)) "fig6"
+    & info [ "e"; "expt" ] ~docv:"EXPT" ~doc)
+
+let find_family name = Option.get (Family.find name)
 
 let scale_cmd =
   let doc =
@@ -120,27 +76,22 @@ let scale_cmd =
 
 let trace_cmd =
   let doc =
-    "Run one experiment instrumented and export telemetry artifacts: a JSONL event trace, a \
-     Chrome trace_event file (open in Perfetto), the CM-internals time series as CSV, and a \
-     metrics snapshot.  Byte-identical for a fixed seed."
-  in
-  let expt_arg =
-    let doc =
-      "Experiment to trace: " ^ String.concat ", " Experiments.Trace_run.experiments ^ "."
-    in
-    Arg.(
-      value
-      & opt (enum (List.map (fun e -> (e, e)) Experiments.Trace_run.experiments)) "fig6"
-      & info [ "e"; "expt" ] ~docv:"EXPT" ~doc)
+    "Run one experiment family instrumented and export telemetry artifacts for every \
+     simulated system it builds: a JSONL event trace, a Chrome trace_event file (open in \
+     Perfetto), the CM-internals time series as CSV, and a metrics snapshot.  Byte-identical \
+     for a fixed seed."
   in
   let out_arg =
     let doc = "Directory for the artifacts (created if missing)." in
     Arg.(value & opt string "traces" & info [ "o"; "out" ] ~docv:"DIR" ~doc)
   in
   let action expt seed out_dir =
-    Experiments.Trace_run.print (Experiments.Trace_run.run ~out_dir ~expt ~seed ())
+    let artifacts = Capture.trace ~out_dir ~seed (find_family expt) in
+    Experiments.Exp_common.print_header "Trace artifacts";
+    Capture.print_artifacts stdout artifacts
   in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const action $ expt_arg $ seed_arg $ out_arg)
+  Cmd.v (Cmd.info "trace" ~doc)
+    Term.(const action $ family_arg ~doc:"Family to trace" $ seed_arg $ out_arg)
 
 let report_cmd =
   let doc =
@@ -150,15 +101,6 @@ let report_cmd =
      <expt>.report.json and <expt>.report.md; the JSON also goes to stdout and is \
      byte-identical for a fixed seed.  With [--check-dump FILE] instead validates a flight- \
      recorder dump (every line must parse as JSON; exit 1 otherwise)."
-  in
-  let expt_arg =
-    let doc =
-      "Family to report on: " ^ String.concat ", " Experiments.Report_run.experiments ^ "."
-    in
-    Arg.(
-      value
-      & opt (enum (List.map (fun e -> (e, e)) Experiments.Report_run.experiments)) "fig6"
-      & info [ "e"; "expt" ] ~docv:"EXPT" ~doc)
   in
   let out_arg =
     let doc = "Directory for the report files (created if missing)." in
@@ -199,11 +141,11 @@ let report_cmd =
   let action expt seed out_dir dump =
     match dump with
     | Some path -> exit (check_dump path)
-    | None ->
-        Experiments.Report_run.print (Experiments.Report_run.run ~out_dir ~expt ~seed ())
+    | None -> Capture.print_artifacts stderr (Capture.report ~out_dir ~seed (find_family expt))
   in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(const action $ expt_arg $ seed_arg $ out_arg $ check_dump_arg)
+    Term.(
+      const action $ family_arg ~doc:"Family to report on" $ seed_arg $ out_arg $ check_dump_arg)
 
 let spec_cmd =
   let doc =
@@ -223,40 +165,35 @@ let spec_cmd =
     let doc = "Print a JSON summary of $(docv)'s compiled topology." in
     Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"FAMILY" ~doc)
   in
-  let module R = Experiments.Spec_registry in
   let module Check = Cm_spec.Check in
   let list_families () =
-    let all = List.map (fun (n, _, _) -> n) experiments @ [ "scale" ] in
-    List.iter (fun n -> Printf.printf "%-18s %s\n" n (R.provenance_of n)) all
+    let provenance (f : Family.t) = if f.specs = [] then "handwritten" else "dsl" in
+    List.map (fun (f : Family.t) -> (f.name, provenance f)) Family.all
+    @ [ ("scale", "handwritten") ]
+    |> List.iter (fun (name, provenance) -> Printf.printf "%-18s %s\n" name provenance)
   in
-  let with_entry family k =
-    match R.find family with
-    | Some e -> k e
-    | None ->
-        let known = List.exists (fun (n, _, _) -> n = family) experiments in
-        if known then (
-          Printf.eprintf
-            "cm_expt spec: family %s is handwritten OCaml — no spec to inspect.\n" family;
-          1)
-        else (
-          Printf.eprintf "cm_expt spec: unknown family %s (try --list).\n" family;
-          1)
+  let with_specs family k =
+    match Family.find family with
+    | Some { specs = _ :: _ as specs; _ } -> k specs
+    | _ ->
+        Printf.eprintf "cm_expt spec: no spec-DSL family %s (try --list).\n" family;
+        1
   in
   let check_family family =
-    with_entry family (fun e ->
-        List.fold_left
-          (fun rc (sub, spec) ->
-            match Check.check spec with
-            | [] ->
-                Printf.printf "%s: ok\n" sub;
-                rc
-            | diags ->
-                List.iter (fun d -> Printf.eprintf "%s: %s\n" sub (Check.diag_str d)) diags;
-                1)
-          0 e.R.specs)
+    with_specs family
+      (List.fold_left
+         (fun rc (sub, spec) ->
+           match Check.check spec with
+           | [] ->
+               Printf.printf "%s: ok\n" sub;
+               rc
+           | diags ->
+               List.iter (fun d -> Printf.eprintf "%s: %s\n" sub (Check.diag_str d)) diags;
+               1)
+         0)
   in
   let dump_family family =
-    with_entry family (fun e ->
+    with_specs family (fun specs ->
         let summaries =
           List.filter_map
             (fun (sub, spec) ->
@@ -265,9 +202,9 @@ let spec_cmd =
               | Error diags ->
                   List.iter (fun d -> Printf.eprintf "%s: %s\n" sub (Check.diag_str d)) diags;
                   None)
-            e.R.specs
+            specs
         in
-        if List.length summaries <> List.length e.R.specs then 1
+        if List.length summaries <> List.length specs then 1
         else begin
           let json =
             match summaries with [ (_, j) ] -> j | l -> Experiments.Exp_common.Json.Obj l
@@ -333,8 +270,8 @@ let all_cmd =
   let doc = "Run every experiment in order." in
   let action seed full =
     let p = params seed full in
-    List.iter (fun (_, _, runner) -> runner p)
-      (List.filter (fun (n, _, _) -> n <> "fig5") experiments)
+    (* fig4 prints Fig. 5 as well *)
+    List.iter (fun (f : Family.t) -> if f.name <> "fig5" then f.run p) Family.all
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const action $ seed_arg $ full_arg)
 
@@ -344,6 +281,6 @@ let () =
   let group =
     Cmd.group info
       (all_cmd :: trace_cmd :: report_cmd :: scale_cmd :: spec_cmd :: soak_cmd
-      :: List.map make_cmd experiments)
+      :: List.map family_cmd Family.all)
   in
   exit (Cmd.eval group)

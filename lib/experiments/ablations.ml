@@ -13,11 +13,13 @@ type sched_row = {
 }
 
 let run_one_sched params ~name ~scheduler ~weight_a =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net = Topology.pipe engine ~bandwidth_bps:4e6 ~delay:(Time.ms 20) ~rng () in
   let cm = Cm.create engine ~mtu:1000 ~scheduler () in
   Cm.attach cm net.Topology.a;
+  Exp_common.watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
   let _r1 = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7001 () in
   let _r2 = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7002 () in
   let sock_a = Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
@@ -61,13 +63,15 @@ let run_scheduler params =
 type ctrl_row = { controller : string; mean_kbps : float; cv : float }
 
 let run_one_ctrl params ~name ~controller =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net =
     Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 25) ~qdisc_limit:30 ~rng ()
   in
   let cm = Cm.create engine ~mtu:1000 ~controller () in
   Cm.attach cm net.Topology.a;
+  Exp_common.watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
   let receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7001 () in
   ignore receiver;
   let sock = Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
@@ -116,18 +120,17 @@ type share_row = {
 }
 
 let run_one_share params ~name ~use_cm =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net =
     Topology.pipe engine ~bandwidth_bps:6e6 ~delay:(Time.ms 25) ~qdisc_limit:40 ~rng ()
   in
+  let cm = if use_cm then Some (Cm.create engine ()) else None in
+  Option.iter (fun cm -> Cm.attach cm net.Topology.b) cm;
+  Exp_common.watch sys ~links:[ ("ba", net.Topology.ba); ("ab", net.Topology.ab) ] ?cm ();
   let server_driver =
-    if use_cm then begin
-      let cm = Cm.create engine () in
-      Cm.attach cm net.Topology.b;
-      Tcp.Conn.Cm_driven cm
-    end
-    else Tcp.Conn.Native
+    match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native
   in
   let retransmits = ref 0 in
   let _server =
@@ -217,7 +220,8 @@ let jain_index xs =
   if s2 = 0. then 1. else s *. s /. (n *. s2)
 
 let run_one_fairness params ~name ~cm_flows ~native_flows =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net =
     Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:60
@@ -225,6 +229,7 @@ let run_one_fairness params ~name ~cm_flows ~native_flows =
   in
   let cm = Cm.create engine () in
   Cm.attach cm net.Topology.a;
+  Exp_common.watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
   let totals = ref [] in
   let start_flow ~port ~driver =
     let delivered = ref 0 in

@@ -220,27 +220,23 @@ let window_bps tl ~from_ ~until =
   bytes *. 8. /. Time.to_float_s (Time.diff until from_)
 
 let run_case params case =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net = Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:50 ~rng () in
   (* this family always runs defended — measuring the defenses is its point *)
-  let cm = Exp_common.create_cm { params with Exp_common.defenses = true } engine () in
-  Cm.attach cm net.Topology.a;
-  let tel =
-    Exp_common.instrument params ~engine
-      ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ]
-      ~cm ()
+  let cm =
+    Cm.create engine ~feedback_watchdog:Cm.Macroflow.default_watchdog ~auditor:Cm.default_auditor ()
   in
+  Cm.attach cm net.Topology.a;
+  Exp_common.watch sys
+    ~tag:("app_faults-" ^ case_name case)
+    ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ]
+    ~cm ();
   (* flight recorder: the last events before each defense firing / audit
      breach, dumped as JSONL (exercised by the CI crash-dump smoke) *)
-  let recorder =
-    Exp_common.attach_recorder params ~engine
-      ~tag:("app_faults-" ^ case_name case)
-      ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ]
-      ~cm ()
-  in
   let record_dump reason =
-    match recorder with
+    match Exp_common.recorder sys with
     | Some r -> ignore (Telemetry.Recorder.dump r ~reason : string)
     | None -> ()
   in
@@ -325,8 +321,6 @@ let run_case params case =
   in
   ignore (Engine.schedule_at engine (Time.ms 100) probe);
   Engine.run_for engine duration;
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
   let open_flows = Cm.flows cm in
   let offender_reports =
     List.map

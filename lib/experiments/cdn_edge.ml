@@ -87,16 +87,13 @@ let cohort_of (r : Launch.running) =
   }
 
 let run params =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let ir = Check.elaborate_exn spec in
   let net = Build.instantiate ~rng engine ir in
   let trunk_names = List.mapi (fun i s -> Printf.sprintf "%s->cr%d" s i) servers in
-  let tel =
-    Exp_common.instrument params ~engine
-      ~links:(List.map (fun n -> (n, Build.link net n)) trunk_names)
-      ()
-  in
+  Exp_common.watch sys ~links:(List.map (fun n -> (n, Build.link net n)) trunk_names) ();
   (* CMs live at the data senders: the edge servers *)
   let cms = Hashtbl.create 4 in
   let driver_for host =
@@ -105,7 +102,7 @@ let run params =
     | Some cm -> Some (Tcp.Conn.Cm_driven cm)
     | None ->
         if List.exists (fun s -> Build.host net s == host) servers then begin
-          let cm = Exp_common.create_cm params engine () in
+          let cm = Cm.create engine () in
           Cm.attach cm host;
           Hashtbl.replace cms id cm;
           Some (Tcp.Conn.Cm_driven cm)
@@ -114,7 +111,6 @@ let run params =
   in
   let running = Launch.run net ~driver_for () in
   Engine.run_for engine duration;
-  Option.iter Telemetry.stop tel;
   {
     r_cohorts = List.map cohort_of running;
     r_trunks = List.map (fun n -> (n, Link.stats (Build.link net n))) trunk_names;

@@ -65,22 +65,20 @@ type result = {
 }
 
 let run params =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let ir = Check.elaborate_exn spec in
   let net = Build.instantiate ~rng engine ir in
-  let tel =
-    Exp_common.instrument params ~engine ~links:[ ("cell.down", Build.link net "cell.down") ] ()
-  in
+  Exp_common.watch sys ~links:[ ("cell.down", Build.link net "cell.down") ] ();
   let srv = Build.host net "srv" in
-  let cm = Exp_common.create_cm params engine ~mtu:1000 () in
+  let cm = Cm.create engine ~mtu:1000 () in
   Cm.attach cm srv;
   let lib = Libcm.create srv cm () in
   let running = Launch.run net ~driver_for:(fun _ -> None) ~libcm_for:(fun _ -> lib) () in
   let sc = Build.scenario ~name:"cellular" ir in
   Cm_dynamics.Scenario.compile engine ~rng ~links:(Build.links_alist net) sc;
   Engine.run_for engine duration;
-  Option.iter Telemetry.stop tel;
   let source =
     match (Launch.find running "stream").Launch.outcomes.(0) with
     | Launch.Streaming s -> s

@@ -11,11 +11,13 @@ let target_latency = Time.sec 1.
 let requests = 5
 
 let run_side params ~adaptive ~bandwidth_bps =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net = Topology.pipe engine ~bandwidth_bps ~delay:(Time.ms 40) ~rng () in
   let cm = Cm.create engine () in
   Cm.attach cm net.Topology.b;
+  Exp_common.watch sys ~links:[ ("ba", net.Topology.ba); ("ab", net.Topology.ab) ] ~cm ();
   let driver = Tcp.Conn.Cm_driven cm in
   let _server =
     if adaptive then

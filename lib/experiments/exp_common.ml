@@ -8,67 +8,60 @@ type params = {
   seed : int;
   full : bool;
   telemetry : telemetry_request option;
-  defenses : bool;
   prof : bool;
   recorder : string option;
 }
 
-let default_params =
-  { seed = 42; full = false; telemetry = None; defenses = false; prof = false; recorder = None }
+let default_params = { seed = 42; full = false; telemetry = None; prof = false; recorder = None }
 
 let request_telemetry ?(period = Time.ms 100) () = { period; captured = [] }
 
-(* Every experiment builds its engine through here so the event-core
-   profiler can be armed before any component closure exists —
-   [Engine.prof_tag] is identity on an unprofiled engine, so tagging must
-   happen after [enable_prof]. *)
-let create_engine params () =
+type system = {
+  params : params;
+  engine : Engine.t;
+  mutable tel : Telemetry.t option;
+  mutable recorder : Telemetry.Recorder.t option;
+}
+
+(* The profiler is armed before the body runs, so before any component
+   closure exists: [Engine.prof_tag] is identity on an unprofiled engine.
+   The profile goes to stderr, where it cannot contaminate a seeded stdout
+   channel — wall-clock figures are nondeterministic by nature. *)
+let with_system params body =
   let engine = Engine.create () in
   if params.prof then Engine.enable_prof engine;
-  engine
+  let sys = { params; engine; tel = None; recorder = None } in
+  let result = body sys in
+  Option.iter Telemetry.stop sys.tel;
+  if params.prof then prerr_endline (Telemetry.Prof.summary engine);
+  result
 
-(* Print the profile where it cannot contaminate a seeded-JSON stdout
-   channel: wall-clock figures are nondeterministic by nature. *)
-let maybe_report_prof params engine =
-  if params.prof then prerr_endline (Telemetry.Prof.summary engine)
+let engine sys = sys.engine
+let telemetry sys = sys.tel
+let recorder sys = sys.recorder
 
-(* Honor [params.recorder] for one simulated system: a bounded flight
-   ring on [engine], tapped into the links and the CM via their
-   [set_trace] entry points.  Skipped when full telemetry is on — the
-   growable telemetry trace already keeps everything the ring would. *)
-let attach_recorder params ~engine ?(tag = "recorder") ?(links = []) ?cm () =
-  match params.recorder with
-  | Some dir when params.telemetry = None ->
-      let rec_ = Telemetry.Recorder.create engine ~out_dir:dir ~tag () in
-      let tr = Telemetry.Recorder.trace rec_ in
-      List.iter (fun (name, link) -> Link.set_trace link ~name tr) links;
-      (match cm with Some c -> Cm.set_trace c tr | None -> ());
-      Some rec_
-  | _ -> None
-
-(* Every experiment builds its CM through here so the endpoint-fault
-   defenses (feedback watchdog + misbehaviour auditor) can be toggled
-   uniformly. *)
-let create_cm params engine ?mtu ?scheduler ?grant_reclaim_after () =
-  if params.defenses then
-    Cm.create engine ?mtu ?scheduler ?grant_reclaim_after
-      ~feedback_watchdog:Cm.Macroflow.default_watchdog ~auditor:Cm.default_auditor ()
-  else Cm.create engine ?mtu ?scheduler ?grant_reclaim_after ()
-
-(* One call per simulated system inside an experiment: builds the
-   telemetry instance (when the run asked for one), wires the interesting
-   components, and captures it so the trace driver can export artifacts
-   after the run.  Experiments that were not asked to trace pay nothing —
-   this returns [None] and every component keeps its nil sink. *)
-let instrument params ~engine ?(links = []) ?cm () =
-  match params.telemetry with
-  | None -> None
-  | Some req ->
+(* The telemetry instance is created here rather than with the engine: its
+   sampler's first tick must be scheduled after whatever the body set up
+   before watching (e.g. a bandwidth schedule at the same instants).  The
+   flight ring is skipped under full telemetry, whose growable trace
+   already keeps everything the ring would. *)
+let watch sys ?tag ?(links = []) ?cm () =
+  let engine = sys.engine in
+  match (sys.params.telemetry, sys.params.recorder) with
+  | Some req, _ ->
       let tel = Telemetry.create engine ~period:req.period () in
       req.captured <- tel :: req.captured;
+      sys.tel <- Some tel;
       List.iter (fun (name, link) -> Link.attach_telemetry link ~name tel) links;
-      (match cm with Some c -> Cm.attach_telemetry c tel | None -> ());
-      Some tel
+      Option.iter (fun c -> Cm.attach_telemetry c tel) cm
+  | None, Some dir ->
+      let rec_ = Telemetry.Recorder.create engine ~out_dir:dir ?tag () in
+      let tr = Telemetry.Recorder.trace rec_ in
+      sys.recorder <- Some rec_;
+      List.iter (fun (name, link) -> Link.set_trace link ~name tr) links;
+      Option.iter (fun c -> Cm.set_trace c tr) cm
+  | None, None -> ()
+
 let kbps bits_per_s = bits_per_s /. 8. /. 1000.
 
 let print_header name =
@@ -83,11 +76,13 @@ module Json = Cm_util.Json
 
 let measured_bulk params ~driver ~bandwidth_bps ~delay ?(loss = 0.) ?(qdisc_limit = 100)
     ?(costs = Costs.zero) ?(duration = Time.sec 30.) ?bytes () =
-  let engine = create_engine params () in
+  with_system params @@ fun sys ->
+  let engine = sys.engine in
   let rng = Rng.create ~seed:params.seed in
   let net = Topology.pipe engine ~bandwidth_bps ~delay ~loss_rate:loss ~qdisc_limit ~rng ~costs () in
   let cm = Cm.create engine () in
   Cm.attach cm net.Topology.a;
+  watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
   let drv = driver (Some cm) in
   let delivered = ref 0 in
   let finished_at = ref None in

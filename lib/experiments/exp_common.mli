@@ -13,73 +13,50 @@ type params = {
   seed : int;
   full : bool;
   telemetry : telemetry_request option;
-  defenses : bool;
   prof : bool;
   recorder : string option;
 }
 (** [seed] drives every RNG; [full] enables the long variants (e.g. the
-    10^6-buffer point of Figs. 4–5); [telemetry] (default [None]) makes
-    instrumented experiments wire up metrics / time series / tracing;
-    [defenses] turns on the endpoint-fault defenses (feedback watchdog +
-    misbehaviour auditor) in experiments built via {!create_cm} — off by
-    default, matching the paper's trusting CM; [prof] arms the event-core
-    profiler on engines built via {!create_engine} (summary goes to
-    stderr — wall clock is nondeterministic); [recorder] (a directory)
-    attaches a bounded flight ring via {!attach_recorder} in the families
-    that support it, dumping the last events on faults. *)
+    10^6-buffer point of Figs. 4–5).  The other three ask every simulated
+    system for observation, honoured by {!with_system} and {!watch}:
+    [telemetry] (default [None]) wires metrics / time series / tracing;
+    [prof] arms the event-core profiler (summary to stderr — wall clock is
+    nondeterministic); [recorder] (a directory) attaches a bounded flight
+    ring that dumps the last events on faults. *)
 
 val default_params : params
 (** [seed = 42], [full = false], everything else off. *)
 
-val create_engine : params -> unit -> Eventsim.Engine.t
-(** The engine factory every experiment uses: arms the profiler (before
-    any component closures exist, so [Engine.prof_tag] wraps them) when
-    [params.prof]. *)
-
-val maybe_report_prof : params -> Eventsim.Engine.t -> unit
-(** Print the profiler summary to {e stderr} when [params.prof] — never
-    to stdout, which carries the seeded byte-diffed JSON. *)
-
-val attach_recorder :
-  params ->
-  engine:Eventsim.Engine.t ->
-  ?tag:string ->
-  ?links:(string * Link.t) list ->
-  ?cm:Cm.t ->
-  unit ->
-  Telemetry.Recorder.t option
-(** Honor [params.recorder] for one simulated system: create a flight
-    recorder on [engine] (ring of the last 4096 trace events + crash
-    escape hook) and tap the [links] and [cm] into its ring.  [None]
-    when no recorder was requested or full telemetry is on (the growable
-    telemetry trace already keeps everything). *)
-
-val create_cm :
-  params ->
-  Eventsim.Engine.t ->
-  ?mtu:int ->
-  ?scheduler:Cm.Scheduler.factory ->
-  ?grant_reclaim_after:Time.span ->
-  unit ->
-  Cm.t
-(** Build a CM honoring [params.defenses] ({!Cm.default_auditor} and
-    {!Cm.Macroflow.default_watchdog} when on).  [scheduler] passes
-    through to {!Cm.create} (the scale family runs both). *)
-
 val request_telemetry : ?period:Time.span -> unit -> telemetry_request
 (** A fresh request sampling every [period] (default 100 ms virtual). *)
 
-val instrument :
-  params ->
-  engine:Eventsim.Engine.t ->
-  ?links:(string * Link.t) list ->
-  ?cm:Cm.t ->
-  unit ->
-  Telemetry.t option
-(** Honor [params.telemetry] for one simulated system: create a telemetry
-    instance on [engine], attach the named [links] and the [cm], record it
-    in the request's [captured] list, and return it.  [None] (and zero
-    work) when the run was not asked to trace. *)
+type system
+(** One simulated system: an engine plus the observation [params] asked
+    for. *)
+
+val with_system : params -> (system -> 'a) -> 'a
+(** [with_system params body] builds a fresh engine (profiler armed when
+    [params.prof]) and runs [body] on it.  When [body] returns, the
+    telemetry sampler {!watch} started is stopped and, when [params.prof],
+    the profiler summary is printed to {e stderr} — never to stdout, which
+    carries the seeded byte-diffed output. *)
+
+val engine : system -> Eventsim.Engine.t
+
+val watch :
+  system -> ?tag:string -> ?links:(string * Link.t) list -> ?cm:Cm.t -> unit -> unit
+(** Call once per system, after building the components to observe: wires
+    the named [links] and the [cm] to a telemetry instance (created here,
+    recorded in the request's [captured] list) when [params.telemetry] is
+    set, else to a flight recorder tagged [tag] (ring of the last 4096
+    trace events + crash escape hook) when [params.recorder] is set.  Zero
+    work when neither is. *)
+
+val telemetry : system -> Telemetry.t option
+(** The telemetry instance {!watch} created, if any. *)
+
+val recorder : system -> Telemetry.Recorder.t option
+(** The flight recorder {!watch} created, if any. *)
 
 val kbps : float -> float
 (** Bits/s to the paper's KBytes/s. *)

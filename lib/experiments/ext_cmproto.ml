@@ -22,7 +22,8 @@ let ops_of meter n =
 (* The CM-protocol sender: same windowed workload as Fig. 6's Buffered
    variant, but acknowledgment happens kernel-to-kernel. *)
 let run_cmproto params ~n =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net =
     Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 50) ~qdisc_limit:500
@@ -31,6 +32,7 @@ let run_cmproto params ~n =
   let costs = Host.costs net.Topology.a in
   let cm = Cm.create engine ~mtu:(size + Cmproto.header_bytes) () in
   Cm.attach cm net.Topology.a;
+  Exp_common.watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
   let lib = Libcm.create net.Topology.a cm () in
   let meter = Libcm.meter lib in
   (* kernel costs of the protocol itself, charged before the agents run:

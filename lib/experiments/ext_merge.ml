@@ -10,7 +10,8 @@ type row = {
 }
 
 let run_side params ~merged =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   (* hosts 1, 2 and 3 all live behind the same 6 Mbit/s bottleneck from
      the sender's point of view (sender is the star's "server" side) *)
@@ -21,6 +22,9 @@ let run_side params ~merged =
   let sender = net.Topology.server in
   let cm = Cm.create engine ~mtu:1000 () in
   Cm.attach cm sender;
+  Exp_common.watch sys
+    ~links:[ ("from_server", net.Topology.from_server); ("to_server", net.Topology.to_server) ]
+    ~cm ();
   (* two CC-UDP flows to two different destination hosts *)
   let _r1 = Udp.Cc_socket.run_echo_receiver net.Topology.clients.(0) ~port:7001 () in
   let _r2 = Udp.Cc_socket.run_echo_receiver net.Topology.clients.(1) ~port:7001 () in

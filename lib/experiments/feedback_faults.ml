@@ -73,24 +73,23 @@ let window_bps tl ~from_ ~until =
   bytes *. 8. /. Time.to_float_s (Time.diff until from_)
 
 let run_case params case =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net = Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:50 ~rng () in
   (* this family always runs defended — it measures the defenses *)
-  let cm = Exp_common.create_cm { params with Exp_common.defenses = true } engine () in
-  Cm.attach cm net.Topology.a;
-  let tel =
-    Exp_common.instrument params ~engine
-      ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ]
-      ~cm ()
+  let cm =
+    Cm.create engine ~feedback_watchdog:Cm.Macroflow.default_watchdog ~auditor:Cm.default_auditor ()
   in
+  Cm.attach cm net.Topology.a;
+  Exp_common.watch sys ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ] ~cm ();
   (* control-plane injectors go on first: host receive filters run in
      registration order, and the agents' filters must see what survives
      injection, not the other way around *)
   let snd_inj = Control_faults.install net.Topology.a ~classify:Cmproto.is_control in
   let rcv_inj = Control_faults.install net.Topology.b ~classify:Cmproto.is_control in
   let agent = Cmproto.Sender_agent.install net.Topology.a cm in
-  Option.iter (fun t -> Cmproto.Sender_agent.register_gauges agent t) tel;
+  Option.iter (Cmproto.Sender_agent.register_gauges agent) (Exp_common.telemetry sys);
   let receiver = Cmproto.Receiver_agent.install net.Topology.b ~ack_every:2 () in
   (* receiver-side goodput: whatever reaches the application after the
      agent strips the CM header (registered after the receiver agent, so
@@ -170,8 +169,6 @@ let run_case params case =
   ignore (Engine.schedule_at engine fault_at probe);
   Engine.run_for engine duration;
   Timer.stop pump;
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
   let injected =
     match case with
     | Baseline | Crash_restart -> None

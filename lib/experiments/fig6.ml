@@ -20,34 +20,27 @@ type table1_row = { t1_variant : variant; ops_per_packet : (string * float) list
 let sizes = [ 64; 168; 256; 512; 768; 1024; 1448 ]
 let window = 32
 
-let make_net params =
-  let engine = Exp_common.create_engine params () in
+(* One system on a fresh 100 Mbit/s LAN pipe, its CM reserving one
+   [size]-byte packet per grant and watched as [tag]. *)
+let with_net params ~tag ~size body =
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net =
     Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 50) ~qdisc_limit:500
       ~reverse_qdisc_limit:500 ~rng ~costs:Costs.pentium3 ()
   in
-  (engine, net)
+  let cm = Cm.create engine ~mtu:size () in
+  Cm.attach cm net.Topology.a;
+  Exp_common.watch sys ~tag ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
+  body engine net cm
 
 (* ------------------------------------------------------------------ *)
 (* UDP-based variants: a windowed stop-and-go sender whose per-packet
    boundary crossings follow Table 1, with per-packet acknowledgments. *)
 
 let run_udp variant params ~size ~n =
-  let engine, net = make_net params in
-  (* the app's packets are [size] bytes; grants reserve one packet each *)
-  let cm = Exp_common.create_cm params engine ~mtu:size () in
-  Cm.attach cm net.Topology.a;
-  let tel =
-    Exp_common.instrument params ~engine
-      ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ]
-      ~cm ()
-  in
-  ignore
-    (Exp_common.attach_recorder params ~engine ~tag:"fig6-udp"
-       ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ]
-       ~cm ()
-      : Telemetry.Recorder.t option);
+  with_net params ~tag:"fig6-udp" ~size @@ fun engine net cm ->
   let lib = Libcm.create net.Topology.a cm () in
   let meter = Libcm.meter lib in
   let costs = Host.costs net.Topology.a in
@@ -132,27 +125,13 @@ let run_udp variant params ~size ~n =
   done;
   let finish = match !t_end with Some t -> t | None -> Engine.now engine in
   let us = Time.to_float_us (Time.diff finish t0) /. float_of_int n in
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
   (us, meter, engine, net)
 
 (* ------------------------------------------------------------------ *)
 (* TCP-based variants *)
 
 let run_tcp variant params ~size ~n =
-  let engine, net = make_net params in
-  let cm = Exp_common.create_cm params engine ~mtu:size () in
-  Cm.attach cm net.Topology.a;
-  let tel =
-    Exp_common.instrument params ~engine
-      ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ]
-      ~cm ()
-  in
-  ignore
-    (Exp_common.attach_recorder params ~engine ~tag:"fig6-tcp"
-       ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ]
-       ~cm ()
-      : Telemetry.Recorder.t option);
+  with_net params ~tag:"fig6-tcp" ~size @@ fun engine net cm ->
   let lib = Libcm.create net.Topology.a cm () in
   let meter = Libcm.meter lib in
   let delayed = variant <> Tcp_cm_nodelay in
@@ -197,8 +176,6 @@ let run_tcp variant params ~size ~n =
   done;
   let finish = match !t_end with Some t -> t | None -> Engine.now engine in
   let us = Time.to_float_us (Time.diff finish t0) /. float_of_int n in
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
   (us, meter, engine, net)
 
 let run_variant_full variant params ~size ~n =

@@ -5,7 +5,8 @@ open Netsim
 type row = { request : int; linux_ms : float; cm_ms : float }
 
 let run_side params ~use_cm ~count ~file_bytes =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   (* wide-area path: ~10 Mbps available, 75 ms RTT like the MIT-Utah vBNS
      path of the paper *)
@@ -13,17 +14,11 @@ let run_side params ~use_cm ~count ~file_bytes =
     Topology.pipe engine ~bandwidth_bps:10e6 ~delay:(Time.us 37_500) ~qdisc_limit:100 ~rng ()
   in
   (* the SERVER is the data sender: the CM (when enabled) lives on host b *)
+  let cm = if use_cm then Some (Cm.create engine ()) else None in
+  Option.iter (fun cm -> Cm.attach cm net.Topology.b) cm;
+  Exp_common.watch sys ~links:[ ("ba", net.Topology.ba); ("ab", net.Topology.ab) ] ?cm ();
   let server_driver =
-    if use_cm then begin
-      let cm = Cm.create engine () in
-      Cm.attach cm net.Topology.b;
-      ignore
-        (Exp_common.instrument params ~engine
-           ~links:[ ("ba", net.Topology.ba); ("ab", net.Topology.ab) ]
-           ~cm ());
-      Tcp.Conn.Cm_driven cm
-    end
-    else Tcp.Conn.Native
+    match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native
   in
   let _server =
     Cm_apps.Web.server net.Topology.b ~port:80 ~file_bytes ~driver:server_driver ()

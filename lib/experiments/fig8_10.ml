@@ -31,7 +31,8 @@ let schedule duration =
   extend [] 0
 
 let run_one params ~label ~mode ~duration ~batch =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net =
     Topology.pipe engine ~bandwidth_bps:18e6 ~delay:(Time.ms 20) ~qdisc_limit:50
@@ -43,11 +44,7 @@ let run_one params ~label ~mode ~duration ~batch =
        (schedule duration));
   let cm = Cm.create engine ~mtu:1000 () in
   Cm.attach cm net.Topology.a;
-  let tel =
-    Exp_common.instrument params ~engine
-      ~links:[ ("wan", net.Topology.ab); ("rev", net.Topology.ba) ]
-      ~cm ()
-  in
+  Exp_common.watch sys ~links:[ ("wan", net.Topology.ab); ("rev", net.Topology.ba) ] ~cm ();
   let lib = Libcm.create net.Topology.a cm () in
   let _receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:5004 ?batch () in
   let feedback_timeout =
@@ -63,7 +60,6 @@ let run_one params ~label ~mode ~duration ~batch =
   Cm_apps.Layered.start source;
   Engine.run_for engine duration;
   Cm_apps.Layered.stop source;
-  Option.iter Telemetry.stop tel;
   let bin = Time.sec 1. in
   let tx = Timeline.rate_series (Cm_apps.Layered.tx_timeline source) ~bin ~until:duration in
   let cmr =

@@ -5,19 +5,16 @@ open Netsim
 type result = { linux_setup_us : float; cm_setup_us : float; cm_open_close_ns : float }
 
 let setup_time params ~use_cm =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net =
     Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 100) ~rng ~costs:Costs.pentium3 ()
   in
-  let driver =
-    if use_cm then begin
-      let cm = Cm.create engine () in
-      Cm.attach cm net.Topology.a;
-      Tcp.Conn.Cm_driven cm
-    end
-    else Tcp.Conn.Native
-  in
+  let cm = if use_cm then Some (Cm.create engine ()) else None in
+  Option.iter (fun cm -> Cm.attach cm net.Topology.a) cm;
+  Exp_common.watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ?cm ();
+  let driver = match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native in
   let _l = Tcp.Conn.listen net.Topology.b ~port:80 ~on_accept:(fun _ -> ()) () in
   let established_at = ref None in
   let t0 = Engine.now engine in

@@ -56,10 +56,9 @@ let percentile sorted q =
   else sorted.(Stdlib.min (n - 1) (int_of_float (q *. float_of_int n)))
 
 let run_point params ~sched ~flows =
-  let engine = Exp_common.create_engine params () in
-  let cm =
-    Exp_common.create_cm params engine ~mtu ~scheduler:(sched_factory sched) ()
-  in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
+  let cm = Cm.create engine ~mtu ~scheduler:(sched_factory sched) () in
   let dests = Stdlib.max 1 (flows / flows_per_mf) in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   (* All of a flow's loop state lives in one record — one cache line per

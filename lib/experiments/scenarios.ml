@@ -104,13 +104,14 @@ let make_net via engine rng id =
 
 (* goodput timeline (value = bytes) + layer switches + forward-link stats *)
 let run_bulk params via id =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let a, b, ab, ba, scenario = make_net via engine rng id in
   let links = [ ("fwd", ab); ("rev", ba) ] in
   let cm = Cm.create engine () in
   Cm.attach cm a;
-  let tel = Exp_common.instrument params ~engine ~links ~cm () in
+  Exp_common.watch sys ~links ~cm ();
   let tl = Timeline.create () in
   let _listener =
     Tcp.Conn.listen b ~port:80
@@ -124,18 +125,17 @@ let run_bulk params via id =
   Tcp.Conn.send conn (1 lsl 34);
   Scenario.compile engine ~rng ~links scenario;
   Engine.run_for engine duration;
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
   (tl, None, Link.stats ab)
 
 let run_layered params via id =
-  let engine = Exp_common.create_engine params () in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let a, b, ab, ba, scenario = make_net via engine rng id in
   let links = [ ("fwd", ab); ("rev", ba) ] in
   let cm = Cm.create engine ~mtu:1000 () in
   Cm.attach cm a;
-  let tel = Exp_common.instrument params ~engine ~links ~cm () in
+  Exp_common.watch sys ~links ~cm ();
   let lib = Libcm.create a cm () in
   let _receiver = Udp.Cc_socket.run_echo_receiver b ~port:5004 () in
   let source =
@@ -148,8 +148,6 @@ let run_layered params via id =
   Scenario.compile engine ~rng ~links scenario;
   Engine.run_for engine duration;
   Cm_apps.Layered.stop source;
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
   let switches =
     match Timeline.points (Cm_apps.Layered.layer_timeline source) with
     | [] -> 0

@@ -39,8 +39,9 @@ let drop_listed ~drops inner =
   in
   { inner with Queue_disc.enqueue; name = "drop-listed" }
 
-let run_side _params ~use_cm ~drops =
-  let engine = Exp_common.create_engine _params () in
+let run_side params ~use_cm ~drops =
+  Exp_common.with_system params @@ fun sys ->
+  let engine = Exp_common.engine sys in
   let a = Host.create engine ~id:0 () in
   let b = Host.create engine ~id:1 () in
   let qdisc = drop_listed ~drops (Queue_disc.droptail ~limit_pkts:100 ()) in
@@ -56,18 +57,18 @@ let run_side _params ~use_cm ~drops =
   in
   Host.attach_route a (Link.send ab);
   Host.attach_route b (Link.send ba);
+  let cm = if use_cm then Some (Cm.create engine ()) else None in
+  Option.iter (fun cm -> Cm.attach cm a) cm;
+  Exp_common.watch sys ~links:[ ("ab", ab); ("ba", ba) ] ?cm ();
   let result = ref None in
-  if use_cm then begin
-    let cm = Cm.create engine () in
-    Cm.attach cm a;
-    Cm_apps.Phttp.cm_transfer ~src:a ~dst_host:b ~base_port:8000 ~cm ~objects ~object_bytes
-      ~on_done:(fun r -> result := Some r)
-      ()
-  end
-  else
-    Cm_apps.Phttp.phttp_transfer ~src:a ~dst_host:b ~port:8000 ~objects ~object_bytes
-      ~on_done:(fun r -> result := Some r)
-      ();
+  let on_done r = result := Some r in
+  (match cm with
+  | Some cm ->
+      Cm_apps.Phttp.cm_transfer ~src:a ~dst_host:b ~base_port:8000 ~cm ~objects ~object_bytes
+        ~on_done ()
+  | None ->
+      Cm_apps.Phttp.phttp_transfer ~src:a ~dst_host:b ~port:8000 ~objects ~object_bytes ~on_done
+        ());
   Engine.run_for engine (Time.sec 60.);
   match !result with
   | Some r ->

@@ -405,6 +405,46 @@ let test_fairness_jain () =
       "cm macroflow perfectly fair" => (cm_only.Experiments.Ablations.jain > 0.999)
   | _ -> Alcotest.fail "expected three rows"
 
+(* ------------------------------------------------------------------ *)
+(* The family registry behind cm_expt, trace, report and spec *)
+
+module Family = Experiments.Family
+module Capture = Experiments.Capture
+
+let test_registry_names_and_specs () =
+  let names = List.map (fun (f : Family.t) -> f.name) Family.all in
+  "family names unique" => (List.length (List.sort_uniq compare names) = List.length names);
+  List.iter
+    (fun fixed -> (fixed ^ " is a fixed subcommand") => not (List.mem fixed names))
+    [ "all"; "trace"; "report"; "scale"; "spec"; "soak" ];
+  List.iter
+    (fun (f : Family.t) ->
+      List.iter
+        (fun (sub, spec) ->
+          Alcotest.(check (list string))
+            (f.name ^ "/" ^ sub ^ " elaborates cleanly")
+            []
+            (List.map Cm_spec.Check.diag_str (Cm_spec.Check.check spec)))
+        f.specs)
+    Family.all
+
+let test_newly_traceable_family () =
+  (* micro builds two small systems; writing into fresh nested directories
+     also checks that missing parents are created *)
+  let micro = Option.get (Family.find "micro") in
+  let root = Filename.temp_dir "cm-capture" "" in
+  let trace sub = Capture.trace ~out_dir:(Filename.concat root (sub ^ "/nested")) ~seed:1 micro in
+  let a = trace "a" and b = trace "b" in
+  "at least one system captured" => (List.length a >= 4);
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  List.iter2
+    (fun (x : Capture.artifact) (y : Capture.artifact) ->
+      Alcotest.(check string) (x.a_name ^ " byte-identical") (read x.a_path) (read y.a_path))
+    a b;
+  List.iter (fun (x : Capture.artifact) -> Sys.remove x.a_path) (a @ b);
+  List.iter Sys.rmdir
+    (List.map (Filename.concat root) [ "a/nested"; "b/nested"; "a"; "b" ] @ [ root ])
+
 let () =
   Alcotest.run "integration"
     [
@@ -435,5 +475,10 @@ let () =
           Alcotest.test_case "fig4/5 shape" `Slow test_fig4_5_shape;
           Alcotest.test_case "fig8 tracks schedule" `Slow test_fig8_tracks_schedule;
           Alcotest.test_case "fairness jain index" `Slow test_fairness_jain;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names and specs" `Quick test_registry_names_and_specs;
+          Alcotest.test_case "newly traceable family" `Quick test_newly_traceable_family;
         ] );
     ]

@@ -149,8 +149,12 @@ let test_rendering_deterministic_and_parseable () =
 
 let test_of_telemetry_smoke () =
   (* a real (tiny) instrumented run flows through the same pipeline *)
-  let tels = Experiments.Trace_run.capture ~expt:"scenario_outage" ~seed:7 in
-  let input = Analyze.of_telemetry (List.hd tels) in
+  let capture () =
+    let scenarios = Option.get (Experiments.Family.find "scenarios") in
+    let run = List.assoc "scenario_outage" scenarios.Experiments.Family.subruns in
+    snd (List.hd (Experiments.Capture.capture ~seed:7 [ ("scenario_outage", run) ]))
+  in
+  let input = Analyze.of_telemetry (capture ()) in
   "sampler ticks captured" => (Array.length input.Analyze.i_times > 10);
   "series captured" => (input.Analyze.i_series <> []);
   "duration positive" => (input.Analyze.i_duration_s > 0.);
@@ -160,7 +164,7 @@ let test_of_telemetry_smoke () =
   let s2 =
     Json.to_string
       (Analyze.to_json
-         (Analyze.analyze (Analyze.of_telemetry (List.hd (Experiments.Trace_run.capture ~expt:"scenario_outage" ~seed:7)))))
+         (Analyze.analyze (Analyze.of_telemetry (capture ()))))
   in
   Alcotest.(check string) "end-to-end byte-identical for the same seed" s1 s2
 

@@ -358,16 +358,19 @@ let test_telemetry_ring_mode () =
 
 (* ---- end-to-end determinism ------------------------------------------- *)
 
-let artifacts ~expt ~seed =
-  let tel = List.hd (Experiments.Trace_run.capture ~expt ~seed) in
+(* the scenarios family's outage sub-run: the richest single-system trace *)
+let artifacts ~seed =
+  let scenarios = Option.get (Experiments.Family.find "scenarios") in
+  let run = List.assoc "scenario_outage" scenarios.Experiments.Family.subruns in
+  let tel = snd (List.hd (Experiments.Capture.capture ~seed [ ("scenario_outage", run) ])) in
   ( Telemetry.export_jsonl tel,
     Telemetry.export_chrome tel,
     Telemetry.export_csv tel,
     Telemetry.export_metrics_json tel )
 
 let test_same_seed_byte_identical () =
-  let a1, c1, s1, m1 = artifacts ~expt:"scenario_outage" ~seed:7 in
-  let a2, c2, s2, m2 = artifacts ~expt:"scenario_outage" ~seed:7 in
+  let a1, c1, s1, m1 = artifacts ~seed:7 in
+  let a2, c2, s2, m2 = artifacts ~seed:7 in
   Alcotest.(check string) "jsonl identical" a1 a2;
   Alcotest.(check string) "chrome identical" c1 c2;
   Alcotest.(check string) "csv identical" s1 s2;
