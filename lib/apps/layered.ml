@@ -14,8 +14,6 @@ type t = {
   layers : float array;
   mode : mode;
   packet_bytes : int;
-  pipeline : int;
-  headroom : float;
   mutable running : bool;
   mutable layer : int;
   mutable requests_outstanding : int;
@@ -27,10 +25,15 @@ type t = {
   layer_tl : Timeline.t;
 }
 
+(* outstanding ALF requests kept open, and the fraction of the reported
+   rate the source dares to use *)
+let pipeline = 4
+let headroom = 0.9
+
 let layer_for t rate_bps =
   (* always keep at least the base layer flowing: a silent source gets no
      feedback and could never discover that bandwidth came back *)
-  let budget = rate_bps *. t.headroom in
+  let budget = rate_bps *. headroom in
   let chosen = ref 0 in
   Array.iteri (fun i r -> if r <= budget then chosen := i) t.layers;
   !chosen
@@ -68,7 +71,7 @@ let transmit_packet t =
 
 let alf_sync_requests t =
   if t.running then
-    while t.requests_outstanding < t.pipeline do
+    while t.requests_outstanding < pipeline do
       t.requests_outstanding <- t.requests_outstanding + 1;
       Libcm.request t.libcm t.fid
     done
@@ -106,8 +109,7 @@ let on_rate_update t (st : Cm.Cm_types.status) =
 
 (* ---- construction --------------------------------------------------- *)
 
-let create libcm ~host ~dst ~layers ~mode ?(packet_bytes = 1000) ?(pipeline = 4)
-    ?(headroom = 0.9) ?feedback_timeout () =
+let create libcm ~host ~dst ~layers ~mode ?(packet_bytes = 1000) ?feedback_timeout () =
   if Array.length layers = 0 then invalid_arg "Layered.create: need at least one layer";
   let engine = Host.engine host in
   let socket = Udp.Socket.create host () in
@@ -142,8 +144,6 @@ let create libcm ~host ~dst ~layers ~mode ?(packet_bytes = 1000) ?(pipeline = 4)
       layers;
       mode;
       packet_bytes;
-      pipeline;
-      headroom;
       running = false;
       layer = -1;
       requests_outstanding = 0;

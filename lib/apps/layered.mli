@@ -34,17 +34,14 @@ val create :
   layers:float array ->
   mode:mode ->
   ?packet_bytes:int ->
-  ?pipeline:int ->
-  ?headroom:float ->
   ?feedback_timeout:Time.span ->
   unit ->
   t
 (** [create libcm ~host ~dst ~layers ~mode ()] builds a source sending to
     [dst] (where a {!Udp.Cc_socket.run_echo_receiver}-style acknowledger
     must run).  [layers] are cumulative rates in bits/s, ascending.
-    [packet_bytes] is the frame size (default 1000); [pipeline] the number
-    of outstanding ALF requests kept open (default 4); [headroom] the
-    fraction of the reported rate the source dares to use (default 0.9);
+    [packet_bytes] is the frame size (default 1000).  The source keeps 4
+    ALF requests outstanding and dares to use 0.9 of the reported rate.
     [feedback_timeout] the silence interval after which outstanding data is
     declared lost (raise it when the receiver batches feedback). *)
 

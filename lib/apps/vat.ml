@@ -15,10 +15,7 @@ type t = {
   socket : Udp.Socket.t;
   fid : Cm.Cm_types.flow_id;
   fb : Udp.Feedback.Sender.t;
-  frame_bytes : int;
-  frame_interval : Time.span;
   app_buffer_frames : int;
-  headroom : float;
   buffer : int Byte_queue.t; (* frame sizes *)
   mutable clock : Timer.t;
   mutable running : bool;
@@ -33,13 +30,19 @@ type t = {
   mutable s_frames_sent : int;
 }
 
+(* 160-byte frames every 20 ms (64 kbit/s); the policer enforces 0.95 of
+   the CM-reported rate *)
+let frame_bytes = 160
+let frame_interval = Time.ms 20
+let headroom = 0.95
+
 let refill t =
   let now = Engine.now t.engine in
   let dt = Time.to_float_s (Time.diff now t.last_refill) in
   t.last_refill <- now;
   (* bucket depth: two frames of burst *)
   t.tokens <-
-    Float.min (float_of_int (2 * t.frame_bytes)) (t.tokens +. (dt *. t.policer_rate))
+    Float.min (float_of_int (2 * frame_bytes)) (t.tokens +. (dt *. t.policer_rate))
 
 let maybe_request t =
   if (not t.request_outstanding) && not (Byte_queue.is_empty t.buffer) then begin
@@ -63,7 +66,7 @@ let frame_tick t =
   if t.running then begin
     t.s_frames_in <- t.s_frames_in + 1;
     refill t;
-    let fb = float_of_int t.frame_bytes in
+    let fb = float_of_int frame_bytes in
     if t.tokens >= fb then begin
       t.tokens <- t.tokens -. fb;
       (* drop-from-head if the application buffer is full *)
@@ -71,20 +74,19 @@ let frame_tick t =
         ignore (Byte_queue.drop_head t.buffer);
         t.s_buffer_drops <- t.s_buffer_drops + 1
       end;
-      Byte_queue.push t.buffer ~size:t.frame_bytes t.frame_bytes;
+      Byte_queue.push t.buffer ~size:frame_bytes frame_bytes;
       maybe_request t
     end
     else t.s_policer_drops <- t.s_policer_drops + 1;
-    Timer.start t.clock t.frame_interval
+    Timer.start t.clock frame_interval
   end
 
 let on_rate_update t (st : Cm.Cm_types.status) =
   (* long-term adaptation: the policer enforces the CM's rate estimate *)
   refill t;
-  t.policer_rate <- Float.max 1_000. (st.Cm.Cm_types.rate_bps /. 8. *. t.headroom)
+  t.policer_rate <- Float.max 1_000. (st.Cm.Cm_types.rate_bps /. 8. *. headroom)
 
-let create libcm ~host ~dst ?(rate_bps = 64_000.) ?(frame_bytes = 160)
-    ?(frame_interval = Time.ms 20) ?(app_buffer_frames = 10) ?(headroom = 0.95) () =
+let create libcm ~host ~dst ?(rate_bps = 64_000.) ?(app_buffer_frames = 10) () =
   let engine = Host.engine host in
   let socket = Udp.Socket.create host () in
   Udp.Socket.connect socket dst;
@@ -111,10 +113,7 @@ let create libcm ~host ~dst ?(rate_bps = 64_000.) ?(frame_bytes = 160)
       socket;
       fid;
       fb;
-      frame_bytes;
-      frame_interval;
       app_buffer_frames;
-      headroom;
       buffer = Byte_queue.create ();
       clock = Timer.create engine ~callback:(fun () -> ());
       running = false;
@@ -169,17 +168,15 @@ module Receiver = struct
     engine : Engine.t;
     fb_recv : Udp.Feedback.Receiver.t;
     playout_delay : Time.span;
-    frame_interval : Time.span;
     mutable frames : int;
     mutable first_seq : int;
     mutable playout_base : Time.t; (* playout time of frame [first_seq] *)
     mutable on_time : int;
     mutable late : int;
     delays : Stats.t;
-    delivered : Timeline.t;
   }
 
-  let create host ~port ?(playout_delay = Time.ms 100) ?(frame_interval = Time.ms 20) () =
+  let create host ~port ?(playout_delay = Time.ms 100) () =
     let engine = Host.engine host in
     let socket = Udp.Socket.create host ~port () in
     let last_src = ref None in
@@ -199,14 +196,12 @@ module Receiver = struct
         engine;
         fb_recv;
         playout_delay;
-        frame_interval;
         frames = 0;
         first_seq = -1;
         playout_base = 0;
         on_time = 0;
         late = 0;
         delays = Stats.create ();
-        delivered = Timeline.create ();
       }
     in
     receiver := Some r;
@@ -217,7 +212,6 @@ module Receiver = struct
             r.frames <- r.frames + 1;
             let now = Engine.now engine in
             Stats.add r.delays (Time.to_float_ms (Time.diff now ts));
-            Timeline.record r.delivered now (float_of_int bytes);
             (* playout clock: the first frame anchors the schedule; frame k
                must arrive before its slot [base + (k - first)·interval] or
                it misses playout *)
@@ -226,7 +220,7 @@ module Receiver = struct
               r.playout_base <- Time.add now r.playout_delay
             end;
             let slot =
-              Time.add r.playout_base ((seq - r.first_seq) * r.frame_interval)
+              Time.add r.playout_base ((seq - r.first_seq) * frame_interval)
             in
             if now <= slot then r.on_time <- r.on_time + 1 else r.late <- r.late + 1;
             Udp.Feedback.Receiver.on_data fb_recv ~seq ~bytes ~ts
@@ -235,7 +229,6 @@ module Receiver = struct
 
   let frames_received r = r.frames
   let delay_stats r = r.delays
-  let delivered_timeline r = r.delivered
   let playout_on_time r = r.on_time
   let playout_late r = r.late
 end

@@ -26,15 +26,12 @@ val create :
   host:Host.t ->
   dst:Addr.endpoint ->
   ?rate_bps:float ->
-  ?frame_bytes:int ->
-  ?frame_interval:Time.span ->
   ?app_buffer_frames:int ->
-  ?headroom:float ->
   unit ->
   t
 (** [create libcm ~host ~dst ()] builds a 64 kbit/s source (160-byte
     frames every 20 ms) with a 10-frame drop-from-head application buffer.
-    [headroom] scales the CM rate fed to the policer (default 0.95). *)
+    The policer enforces 0.95 of the CM-reported rate. *)
 
 val start : t -> unit
 (** Start the audio clock. *)
@@ -54,11 +51,11 @@ module Receiver : sig
   (** A vat receiver bound to a port. *)
 
   val create :
-    Host.t -> port:int -> ?playout_delay:Time.span -> ?frame_interval:Time.span -> unit -> r
+    Host.t -> port:int -> ?playout_delay:Time.span -> unit -> r
   (** Listen for vat frames, acknowledge each one (providing the CM
       feedback), record one-way delays, and run a playout clock: the
-      first frame anchors a schedule of one slot per [frame_interval]
-      (default 20 ms) offset by [playout_delay] (default 100 ms); frames
+      first frame anchors a schedule of one slot per frame interval
+      (20 ms, the sender's) offset by [playout_delay] (default 100 ms); frames
       arriving after their slot miss playout. *)
 
   val frames_received : r -> int
@@ -66,9 +63,6 @@ module Receiver : sig
 
   val delay_stats : r -> Stats.t
   (** One-way frame delays, in milliseconds. *)
-
-  val delivered_timeline : r -> Timeline.t
-  (** Event log (value = frame bytes) for delivered-rate plots. *)
 
   val playout_on_time : r -> int
   (** Frames that arrived before their playout slot. *)

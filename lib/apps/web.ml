@@ -17,8 +17,10 @@ let server host ~port ~file_bytes ?(driver = Tcp.Conn.Native) ?(config = Tcp.Con
 
 type fetch_result = { started_at : Time.t; duration : Time.span; bytes : int }
 
+let request_bytes = 100
+
 let fetch host ~dst ~expect_bytes ?(driver = Tcp.Conn.Native) ?(config = Tcp.Conn.default_config)
-    ?(request_bytes = 100) ~on_done () =
+    ~on_done () =
   let engine = Host.engine host in
   let started_at = Engine.now engine in
   let conn = Tcp.Conn.connect host ~dst ~driver ~config () in
@@ -26,7 +28,6 @@ let fetch host ~dst ~expect_bytes ?(driver = Tcp.Conn.Native) ?(config = Tcp.Con
   let finished = ref false in
   let finish () =
     if not !finished then begin
-      !finished |> ignore;
       finished := true;
       Tcp.Conn.close conn;
       on_done

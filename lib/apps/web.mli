@@ -28,12 +28,11 @@ val fetch :
   expect_bytes:int ->
   ?driver:Tcp.Conn.driver ->
   ?config:Tcp.Conn.config ->
-  ?request_bytes:int ->
   on_done:(fetch_result -> unit) ->
   unit ->
   unit
-(** One fetch: connect, send a [request_bytes] request (default 100),
-    read until [expect_bytes] arrived, close, report. *)
+(** One fetch: connect, send a 100-byte request, read until
+    [expect_bytes] arrived, close, report. *)
 
 val sequential_fetches :
   Host.t ->

@@ -52,7 +52,6 @@ module Receiver_agent = struct
   type t = {
     host : Host.t;
     ack_every : int;
-    max_delay : Time.span;
     flows : flow_state Addr.Flow_table.t;
     mutable epoch : int; (* incarnation; bumped on restart *)
     mutable up : bool;
@@ -61,6 +60,9 @@ module Receiver_agent = struct
     mutable dropped_while_down : int;
     mutable resyncs_sent : int;
   }
+
+  (* the longest a received data packet waits for its feedback *)
+  let max_delay = Time.ms 100
 
   (* Feedback carries *cumulative* per-epoch totals under a per-flow
      feedback sequence number: any single feedback packet supersedes every
@@ -142,7 +144,7 @@ module Receiver_agent = struct
     if seq > st.max_seq then st.max_seq <- seq;
     st.ts_latest <- ts;
     if st.pending_count >= t.ack_every then flush t data_flow st
-    else if not (Timer.is_running st.timer) then Timer.start st.timer t.max_delay;
+    else if not (Timer.is_running st.timer) then Timer.start st.timer max_delay;
     (* hand the unwrapped packet to the unmodified application *)
     Some { pkt with Packet.payload = inner }
 
@@ -168,13 +170,12 @@ module Receiver_agent = struct
       t.epoch <- t.epoch + 1
     end
 
-  let install host ?(ack_every = 2) ?(max_delay = Time.ms 100) () =
+  let install host ?(ack_every = 2) () =
     if ack_every <= 0 then invalid_arg "Receiver_agent.install: ack_every must be positive";
     let t =
       {
         host;
         ack_every;
-        max_delay;
         flows = Addr.Flow_table.create 16;
         epoch = 0;
         up = true;
@@ -203,7 +204,6 @@ module Receiver_agent = struct
   let feedback_sent t = t.feedback_sent
   let data_seen t = t.data_seen
   let epoch t = t.epoch
-  let is_up t = t.up
   let dropped_while_down t = t.dropped_while_down
   let resyncs_sent t = t.resyncs_sent
 end

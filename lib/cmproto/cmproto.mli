@@ -67,19 +67,15 @@ val is_control : Packet.t -> bool
 val feedback_wire_bytes : int
 (** Wire size of a feedback packet (constant, 40 bytes). *)
 
-val control_wire_bytes : int
-(** Wire size of a Resync / Solicit control packet. *)
-
 (** Receiving host: strips CM headers, generates feedback. *)
 module Receiver_agent : sig
   type t
   (** One per receiving host. *)
 
-  val install : Host.t -> ?ack_every:int -> ?max_delay:Time.span -> unit -> t
+  val install : Host.t -> ?ack_every:int -> unit -> t
   (** Register the agent's receive filter on the host.  Feedback for a
       flow is emitted after [ack_every] data packets (default 2, like
-      delayed acks) or [max_delay] after the first unacknowledged packet
-      (default 100 ms). *)
+      delayed acks) or 100 ms after the first unacknowledged packet. *)
 
   val crash : t -> unit
   (** Simulate the agent's kernel state vanishing: all per-flow
@@ -100,9 +96,6 @@ module Receiver_agent : sig
 
   val epoch : t -> int
   (** Current incarnation (0 until the first restart). *)
-
-  val is_up : t -> bool
-  (** False between {!crash} and {!restart}. *)
 
   val dropped_while_down : t -> int
   (** Wrapped data packets discarded while crashed. *)
@@ -143,9 +136,6 @@ module Sender_agent : sig
       {!Udp.Feedback.Sender.on_ack} consumes.  [on_resync] fires when
       the receiver agent is found to have restarted (explicit [Resync]
       or an epoch advance observed on feedback). *)
-
-  val unregister : t -> Cm.Cm_types.flow_id -> unit
-  (** Drop a flow's subscription and guard state. *)
 
   val feedback_received : t -> int
   (** Feedback packets consumed. *)

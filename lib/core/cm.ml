@@ -400,8 +400,8 @@ let deliver_grant t mf m ~reserved =
    plain fields), and late wiring is fine: the sampler back-fills earlier
    ticks with blanks. *)
 let wire_macroflow_telemetry t mf =
-  (* the trace sink is wired even without a full telemetry instance — the
-     flight recorder installs a bounded ring through [set_trace] *)
+  (* [t.trace] is the attached instance's trace (a bounded ring under the
+     flight recorder) or nil before [attach_telemetry] *)
   Macroflow.set_trace mf t.trace;
   match t.telemetry with
   | None -> ()
@@ -821,14 +821,6 @@ let attach_telemetry t tel =
         (Hashtbl.fold (fun _ mf acc -> acc + Macroflow.watchdog_fires mf) t.all_mf 0));
   (* macroflows that already exist (e.g. the CM was attached mid-run) *)
   Hashtbl.iter (fun _ mf -> wire_macroflow_telemetry t mf) t.all_mf
-
-(* Route trace events into [tr] without gauges or a sampler: the flight
-   recorder's bounded ring taps the CM this way when full telemetry is
-   off.  New macroflows inherit the sink via [wire_macroflow_telemetry];
-   a later [attach_telemetry] overrides it. *)
-let set_trace t tr =
-  t.trace <- tr;
-  Hashtbl.iter (fun _ mf -> Macroflow.set_trace mf tr) t.all_mf
 
 let trace t = t.trace
 

@@ -240,15 +240,10 @@ val attach_telemetry : t -> Telemetry.t -> unit
     structured trace events: [cm.open] / [cm.close], [cm.congestion]
     (AIMD reaction with its ECN / transient / persistent attribution) and
     [cm.state] (slow-start ↔ congestion-avoidance transitions).
-    Macroflows created later are wired automatically.  Until this is
-    called the CM holds the nil trace and every hot path pays only a
-    branch. *)
-
-val set_trace : t -> Telemetry.Trace.t -> unit
-(** Route the CM's trace events (and every macroflow's, current and
-    future) into [tr] without registering gauges or a sampler — how the
-    flight recorder's bounded ring taps the CM when full telemetry is
-    off.  A later {!attach_telemetry} overrides it. *)
+    Macroflows created later are wired automatically.  This is the CM's
+    one instrumentation entry point: a bounded instance (the flight
+    recorder's ring) is attached the same way.  Until this is called the
+    CM holds the nil trace and every hot path pays only a branch. *)
 
 val trace : t -> Telemetry.Trace.t
 (** The structured trace sink this CM reports to ({!Telemetry.Trace.nil}

@@ -11,11 +11,13 @@ type t = {
 
 type factory = mtu:int -> t
 
-let aimd ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) ?initial_ssthresh () ~mtu =
+(* effectively infinite: the first loss sets the real threshold *)
+let initial_ssthresh = 1 lsl 30
+
+let aimd ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) () ~mtu =
   if mtu <= 0 then invalid_arg "Controller.aimd: mtu must be positive";
-  let init_ssthresh = Option.value initial_ssthresh ~default:(1 lsl 30) in
   let iw = initial_window_pkts * mtu in
-  let cwnd = ref iw and ssthresh = ref init_ssthresh in
+  let cwnd = ref iw and ssthresh = ref initial_ssthresh in
   (* accumulator for byte-counted congestion avoidance: grow by one MTU per
      cwnd bytes acked *)
   let acked_accum = ref 0 in
@@ -57,7 +59,7 @@ let aimd ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) ?initial_sst
   in
   let reset () =
     cwnd := iw;
-    ssthresh := init_ssthresh;
+    ssthresh := initial_ssthresh;
     acked_accum := 0
   in
   {
@@ -71,13 +73,15 @@ let aimd ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) ?initial_sst
     reset;
   }
 
-let binomial ~k ~l ?(alpha = 1.0) ?(beta = 0.5) ?(initial_window_pkts = 1)
-    ?(max_window = 4 * 1024 * 1024) () ~mtu =
+(* binomial increase and decrease scale factors *)
+let alpha = 1.0
+let beta = 0.5
+
+let binomial ~k ~l ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) () ~mtu =
   if mtu <= 0 then invalid_arg "Controller.binomial: mtu must be positive";
-  if beta <= 0. || beta >= 1. then invalid_arg "Controller.binomial: beta must be in (0,1)";
   let fmtu = float_of_int mtu in
   let iw = float_of_int (initial_window_pkts * mtu) in
-  let ssthresh_init = float_of_int (1 lsl 30) in
+  let ssthresh_init = float_of_int initial_ssthresh in
   let cwnd = ref iw and ssthresh = ref ssthresh_init in
   let clamp () = cwnd := Float.min (float_of_int max_window) (Float.max fmtu !cwnd) in
   let on_ack ~nbytes =

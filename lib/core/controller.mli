@@ -30,19 +30,17 @@ type t = {
 type factory = mtu:int -> t
 (** Builds a fresh controller for a macroflow with the given payload MTU. *)
 
-val aimd : ?initial_window_pkts:int -> ?max_window:int -> ?initial_ssthresh:int -> unit -> factory
+val aimd : ?initial_window_pkts:int -> ?max_window:int -> unit -> factory
 (** The paper's controller: slow start from [initial_window_pkts] MTUs
     (default 1, the CM's conservative choice — Linux used 2), byte-counted
     additive increase of one MTU per window, halving on {!Cm_types.Transient} /
     {!Cm_types.Ecn_echo}, collapse to one MTU plus slow start on
     {!Cm_types.Persistent}.  [max_window] caps the window
-    (default 4 MiB); [initial_ssthresh] defaults to effectively infinite. *)
+    (default 4 MiB); the initial ssthresh is effectively infinite (2^30). *)
 
 val binomial :
   k:float ->
   l:float ->
-  ?alpha:float ->
-  ?beta:float ->
   ?initial_window_pkts:int ->
   ?max_window:int ->
   unit ->
@@ -51,7 +49,7 @@ val binomial :
     on loss, [cwnd -= beta·cwnd^l·mtu^(1-l)].  [(k=0, l=1)] is AIMD;
     [(k=1, l=0)] is IIAD; [(k=0.5, l=0.5)] is SQRT — gentler rate
     oscillation for audio/video, the paper's motivating example.
-    Defaults: [alpha = 1.0], [beta = 0.5]. *)
+    Here [alpha = 1.0] and [beta = 0.5]. *)
 
 val iiad : unit -> factory
 (** [binomial ~k:1.0 ~l:0.0 ()], named for convenience. *)

@@ -595,11 +595,6 @@ let conservation_breaches t = t.conservation_breaches
 let watchdog_fires t = t.watchdog_fires
 let last_feedback t = t.last_feedback
 let alive t = Option.is_some !(t.maintenance)
-let controller_name t = t.ctrl.Controller.name
-
-let reset_congestion_state t =
-  t.ctrl.Controller.reset ();
-  refresh_cwnd t
 
 let shutdown t =
   match !(t.maintenance) with

@@ -199,13 +199,6 @@ val alive : t -> bool
 (** Whether the macroflow is live (maintenance timer running); [false]
     after {!shutdown}. *)
 
-val controller_name : t -> string
-(** Name of the active controller (diagnostics). *)
-
-val reset_congestion_state : t -> unit
-(** Return the controller to its initial state (used when constructing a
-    fresh macroflow for a split is undesirable). *)
-
 val shutdown : t -> unit
 (** Stop the maintenance timer (call when the macroflow is discarded). *)
 

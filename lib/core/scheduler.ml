@@ -124,9 +124,9 @@ type stride_entry = {
       (* live heap entry iff backlogged *)
 }
 
-(* empty-slot sentinel for the dense entry array: an immediate, never
-   dereferenced (every read is guarded by a physical-equality check) *)
-let no_entry : stride_entry = Obj.magic 0
+(* empty-slot sentinel for the dense entry array: a real record, only
+   ever compared by physical equality *)
+let no_entry = { s_count = 0; s_weight = 0.; s_pass = 0.; s_handle = None }
 
 let stride_k = 1_000_000.
 

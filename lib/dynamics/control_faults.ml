@@ -112,10 +112,6 @@ let install host ~classify =
       end);
   t
 
-let set_profile t prof =
-  t.engagement <- t.engagement + 1;
-  t.active <- (match prof with None -> None | Some (p, rng) -> Some (p, rng))
-
 let engage t ~rng ~at ~profile ~duration =
   check_profile ~ctx:"Control_faults.engage" profile;
   if duration < 0 then invalid_arg "Control_faults.engage: negative duration";

@@ -56,10 +56,6 @@ val engage : t -> rng:Rng.t -> at:Time.t -> profile:profile -> duration:Time.spa
     engagement supersedes an active one; the superseded window's clear
     event is inert. *)
 
-val set_profile : t -> (profile * Rng.t) option -> unit
-(** Imperatively set or clear the active profile (tests and ad-hoc
-    drivers; scheduled windows use {!engage}). *)
-
 val active : t -> bool
 (** Whether a profile is currently in force. *)
 

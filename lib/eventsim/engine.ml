@@ -32,8 +32,12 @@ type handle = { entry : (unit -> unit) Wheel.handle; mutable h_seq : int }
 
 let dead : unit -> unit = fun () -> ()
 
-(* a GC-safe hole for unused pool slots: an immediate, never dereferenced *)
-let null_entry : (unit -> unit) Wheel.handle = Obj.magic 0
+(* filler for unused pool slots: a real, never-queued entry of a
+   throwaway pure-heap wheel, never reused *)
+let null_entry : (unit -> unit) Wheel.handle =
+  let w = Wheel.create ~slots:0 () in
+  ignore (Wheel.insert w ~time:0 dead : (unit -> unit) Wheel.handle);
+  Wheel.pop_min w
 
 (* Sampling profiler state (see [enable_prof]).  Dispatch counters are
    exact per category; wall-clock is attributed by sampling: every
@@ -112,10 +116,9 @@ let category_index cat =
   let rec go i = if i >= Array.length categories then 0 else if categories.(i) = cat then i else go (i + 1) in
   go 0
 
-let default_sample_shift = 10 (* one gettimeofday per 1024 dispatches *)
+let sample_shift = 10 (* one gettimeofday per 1024 dispatches *)
 
-let enable_prof ?(sample_shift = default_sample_shift) t =
-  if sample_shift < 0 || sample_shift > 30 then invalid_arg "Engine.enable_prof: sample_shift";
+let enable_prof t =
   let now_w = Unix.gettimeofday () in
   t.prof <-
     Some

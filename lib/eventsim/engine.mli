@@ -84,12 +84,12 @@ val schedules_clamped : t -> int
     Both hooks are off by default; an un-hooked engine's dispatch path
     pays one extra load + branch over the bare call. *)
 
-val enable_prof : ?sample_shift:int -> t -> unit
+val enable_prof : t -> unit
 (** Turn on the event-core profiler.  Dispatch counts are exact per
-    category; wall-clock is attributed by sampling — every
-    [2^sample_shift] dispatches (default 10, i.e. every 1024) one
-    [Unix.gettimeofday] is taken and the interval since the previous
-    sample is charged to the category of the event that just ran.  GC
+    category; wall-clock is attributed by sampling — every 1024
+    dispatches one [Unix.gettimeofday] is taken and the interval since
+    the previous sample is charged to the category of the event that
+    just ran.  GC
     counters ({!Gc.quick_stat}) are snapshotted here and differenced by
     {!prof_report}.  Enable {e before} building the simulated system:
     {!prof_tag} is identity on an unprofiled engine, so closures created

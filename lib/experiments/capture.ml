@@ -15,14 +15,8 @@ let capture ~seed subruns =
 
 type artifact = { a_name : string; a_path : string; a_bytes : int }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Unix.mkdir dir 0o755
-  end
-
 let write ~out_dir files =
-  mkdir_p out_dir;
+  Telemetry.Recorder.mkdir_p out_dir;
   List.map
     (fun (name, contents) ->
       let path = Filename.concat out_dir name in

@@ -43,24 +43,31 @@ let recorder sys = sys.recorder
 (* The telemetry instance is created here rather than with the engine: its
    sampler's first tick must be scheduled after whatever the body set up
    before watching (e.g. a bandwidth schedule at the same instants).  The
-   flight ring is skipped under full telemetry, whose growable trace
-   already keeps everything the ring would. *)
+   flight recorder's sink is a bounded instance (a ring, no sampler); it
+   is skipped under full telemetry, whose growable trace already keeps
+   everything the ring would. *)
 let watch sys ?tag ?(links = []) ?cm () =
   let engine = sys.engine in
-  match (sys.params.telemetry, sys.params.recorder) with
-  | Some req, _ ->
-      let tel = Telemetry.create engine ~period:req.period () in
-      req.captured <- tel :: req.captured;
+  let tel =
+    match (sys.params.telemetry, sys.params.recorder) with
+    | Some req, _ ->
+        let tel = Telemetry.create engine ~period:req.period () in
+        req.captured <- tel :: req.captured;
+        Some tel
+    | None, Some out_dir ->
+        let tel =
+          Telemetry.create engine ~trace_capacity:Telemetry.Recorder.default_capacity ()
+        in
+        sys.recorder <- Some (Telemetry.Recorder.create engine ~out_dir ?tag (Telemetry.trace tel));
+        Some tel
+    | None, None -> None
+  in
+  Option.iter
+    (fun tel ->
       sys.tel <- Some tel;
       List.iter (fun (name, link) -> Link.attach_telemetry link ~name tel) links;
-      Option.iter (fun c -> Cm.attach_telemetry c tel) cm
-  | None, Some dir ->
-      let rec_ = Telemetry.Recorder.create engine ~out_dir:dir ?tag () in
-      let tr = Telemetry.Recorder.trace rec_ in
-      sys.recorder <- Some rec_;
-      List.iter (fun (name, link) -> Link.set_trace link ~name tr) links;
-      Option.iter (fun c -> Cm.set_trace c tr) cm
-  | None, None -> ()
+      Option.iter (fun c -> Cm.attach_telemetry c tel) cm)
+    tel
 
 let kbps bits_per_s = bits_per_s /. 8. /. 1000.
 

@@ -45,15 +45,18 @@ val engine : system -> Eventsim.Engine.t
 
 val watch :
   system -> ?tag:string -> ?links:(string * Link.t) list -> ?cm:Cm.t -> unit -> unit
-(** Call once per system, after building the components to observe: wires
-    the named [links] and the [cm] to a telemetry instance (created here,
-    recorded in the request's [captured] list) when [params.telemetry] is
-    set, else to a flight recorder tagged [tag] (ring of the last 4096
-    trace events + crash escape hook) when [params.recorder] is set.  Zero
-    work when neither is. *)
+(** Call once per system, after building the components to observe: picks
+    a telemetry instance and attaches the named [links] and the [cm] to it
+    ([attach_telemetry], the components' one entry point).  The instance
+    is a full one (recorded in the request's [captured] list) when
+    [params.telemetry] is set, else a bounded one (a ring of the last
+    {!Telemetry.Recorder.default_capacity} events, no sampler) handed to a
+    flight recorder tagged [tag] (dumps + crash escape hook) when
+    [params.recorder] is set.  Zero work when neither is. *)
 
 val telemetry : system -> Telemetry.t option
-(** The telemetry instance {!watch} created, if any. *)
+(** The telemetry instance {!watch} created, if any (bounded under
+    [params.recorder]). *)
 
 val recorder : system -> Telemetry.Recorder.t option
 (** The flight recorder {!watch} created, if any. *)

@@ -19,12 +19,6 @@
 
 type variant = Tcp_linux | Tcp_cm | Tcp_cm_nodelay | Buffered | Alf | Alf_noconnect
 
-val variant_name : variant -> string
-(** Display label matching the paper's legend. *)
-
-val all_variants : variant list
-(** In the paper's legend order. *)
-
 type point = { size : int; us_per_packet : float }
 
 type table1_row = { t1_variant : variant; ops_per_packet : (string * float) list }

@@ -5,11 +5,14 @@ module Ops = Ops
 
 type mode = Select_loop | Sigio | Poll of Time.span
 
+(* descriptors the app's select loop scans: its data socket plus the
+   control socket *)
+let select_nfds = 2
+
 type t = {
   host : Host.t;
   cm : Cm.t;
   mode : mode;
-  extra_fds : int;
   meter : Ops.meter;
   (* control socket state: flows whose write bit is set, and flows whose
      exception (status-changed) bit is set *)
@@ -77,7 +80,7 @@ let schedule_dispatch t =
         t.dispatch_pending <- true;
         (* the app returns from select — scanning its own descriptors plus
            the one extra control socket (the paper's Table 1 line item) *)
-        Ops.charge_deferred t.meter ~nfds:(t.extra_fds + 1) Ops.Select (dispatch t)
+        Ops.charge_deferred t.meter ~nfds:select_nfds Ops.Select (dispatch t)
     | Sigio ->
         t.dispatch_pending <- true;
         Ops.charge_deferred t.meter Ops.Sigio (dispatch t)
@@ -86,13 +89,12 @@ let schedule_dispatch t =
         ()
   end
 
-let create host cm ?(mode = Select_loop) ?(extra_fds = 1) () =
+let create host cm ?(mode = Select_loop) () =
   let t =
     {
       host;
       cm;
       mode;
-      extra_fds;
       meter = Ops.meter host;
       ready_send = Queue.create ();
       status_changed = [];
@@ -111,7 +113,7 @@ let create host cm ?(mode = Select_loop) ?(extra_fds = 1) () =
       let timer =
         Timer.create (engine t) ~callback:(fun () ->
             (* non-blocking select on the control socket, then dispatch *)
-            Ops.charge t.meter ~nfds:(t.extra_fds + 1) Ops.Select;
+            Ops.charge t.meter ~nfds:select_nfds Ops.Select;
             if (not (Queue.is_empty t.ready_send)) || t.status_changed <> [] then dispatch t ())
       in
       Timer.start_periodic timer interval;

@@ -29,10 +29,9 @@ type mode =
 type t
 (** One process's libcm instance. *)
 
-val create : Host.t -> Cm.t -> ?mode:mode -> ?extra_fds:int -> unit -> t
-(** [create host cm ()] sets up the control socket.  [extra_fds] models
-    how many other descriptors the app's select loop scans (default 1 —
-    its data socket); the control socket itself adds one more. *)
+val create : Host.t -> Cm.t -> ?mode:mode -> unit -> t
+(** [create host cm ()] sets up the control socket.  The app's select
+    loop scans two descriptors: its data socket and the control socket. *)
 
 val meter : t -> Ops.meter
 (** The process's operation meter. *)

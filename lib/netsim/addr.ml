@@ -16,7 +16,6 @@ let equal_flow a b =
 (* per-packet on the receive path: only allocate when there is actually a
    codepoint to strip (dscp = 0 is the overwhelmingly common case) *)
 let strip_dscp f = if f.dscp = 0 then f else { f with dscp = 0 }
-let compare_flow (a : flow) b = Stdlib.compare a b
 let pp_proto fmt p = Format.pp_print_string fmt (match p with Tcp -> "tcp" | Udp -> "udp")
 let pp_endpoint fmt e = Format.fprintf fmt "%d:%d" e.host e.port
 

@@ -38,15 +38,6 @@ val strip_dscp : flow -> flow
 (** The same flow with the DSCP zeroed — demultiplexing keys ignore the
     service class; only CM aggregation may honour it. *)
 
-val compare_flow : flow -> flow -> int
-(** Total order on flows (for use in maps/sets). *)
-
-val pp_proto : Format.formatter -> proto -> unit
-(** Render ["tcp"] or ["udp"]. *)
-
-val pp_endpoint : Format.formatter -> endpoint -> unit
-(** Render as [host:port]. *)
-
 val pp_flow : Format.formatter -> flow -> unit
 (** Render as [proto src -> dst]. *)
 

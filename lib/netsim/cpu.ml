@@ -21,7 +21,6 @@ let charge t cost =
   let start = Time.max now t.free_at in
   t.free_at <- Time.add start cost
 
-let busy_until t = t.free_at
 let total_busy t = t.total_busy
 
 let utilization t ~since_busy ~since_time =

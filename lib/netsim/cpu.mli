@@ -25,9 +25,6 @@ val charge : t -> Time.span -> unit
 (** Account [cost] of busy time without running anything afterwards (used
     for receive-path work whose completion nothing waits on). *)
 
-val busy_until : t -> Time.t
-(** Time at which currently queued work completes (may be in the past). *)
-
 val total_busy : t -> Time.span
 (** Cumulative busy time since creation. *)
 

@@ -258,18 +258,12 @@ let set_extra_delay t d =
   if d < 0 then invalid_arg "Link.set_extra_delay: negative delay";
   t.extra_delay <- d
 
-let extra_delay t = t.extra_delay
-
 let set_jitter t j =
   if j < 0 then invalid_arg "Link.set_jitter: negative jitter";
   if j > 0 && t.rng = None then invalid_arg "Link.set_jitter: jitter needs an rng";
   t.jitter <- j
 
 let qdisc t = t.qdisc
-
-let set_trace t ~name tr =
-  t.trace <- tr;
-  t.trace_name <- name
 
 let attach_telemetry t ~name tel =
   t.trace <- Telemetry.trace tel;

@@ -88,27 +88,20 @@ val set_extra_delay : t -> Time.span -> unit
 (** Add [d] to the propagation delay of packets subsequently entering the
     wire (a fault-injected delay spike); 0 clears it. *)
 
-val extra_delay : t -> Time.span
-(** Current fault-injected extra propagation delay. *)
-
 val set_jitter : t -> Time.span -> unit
 (** Add a per-packet uniform random delay in \[0,[j]) to propagation
     (needs the link's [rng]); 0 clears it.  Delivery times vary but packet
     order stays FIFO. *)
-
-val set_trace : t -> name:string -> Telemetry.Trace.t -> unit
-(** Route this link's trace instants ([link.drop] with cause attribution)
-    into [tr] without registering any gauges — how the flight recorder's
-    bounded ring taps a link when full telemetry is off.  Overridden by a
-    later {!attach_telemetry}. *)
 
 val attach_telemetry : t -> name:string -> Telemetry.t -> unit
 (** Wire this link into a telemetry instance: queue depth/bytes, per-cause
     drop counters, ECN marks, and bandwidth become sampled gauges (columns
     [link.<name>.qlen] …), and every drop emits a [link.drop] trace
     instant with its cause attribution ([channel] / [queue] / [down], the
-    same split as the [stats] drop counters).  Until this is called the
-    link holds the nil trace and the data path pays one branch per drop. *)
+    same split as the [stats] drop counters).  This is the link's one
+    instrumentation entry point: a bounded instance (the flight recorder's
+    ring) is attached the same way.  Until this is called the link holds
+    the nil trace and the data path pays one branch per drop. *)
 
 val qdisc : t -> Queue_disc.t
 (** The attached queueing discipline. *)

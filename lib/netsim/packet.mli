@@ -38,7 +38,7 @@ val payload_bytes : t -> int
 
 val reset_ids : unit -> unit
 (** Restart the process-global id counter.  Packet ids appear in exported
-    trace artifacts, so repeated in-process captures ([Trace_run]) reset
+    trace artifacts, so repeated in-process captures ([Capture]) reset
     the counter to keep same-seed runs byte-identical.  Only call between
     simulations — concurrent engines would reuse ids. *)
 

@@ -73,7 +73,11 @@ let drop_from_head ~limit_pkts () =
     marks = (fun () -> 0);
   }
 
-let red ?(ecn = false) ?(wq = 0.002) ?(max_p = 0.1) ~min_th ~max_th ~limit_pkts ~rng () =
+(* the standard RED EWMA weight and top of the marking ramp *)
+let wq = 0.002
+let max_p = 0.1
+
+let red ?(ecn = false) ~min_th ~max_th ~limit_pkts ~rng () =
   if min_th <= 0 || max_th <= min_th || limit_pkts < max_th then
     invalid_arg "Queue_disc.red: need 0 < min_th < max_th <= limit_pkts";
   let q = Byte_queue.create () in

@@ -30,8 +30,6 @@ val drop_from_head : limit_pkts:int -> unit -> t
 
 val red :
   ?ecn:bool ->
-  ?wq:float ->
-  ?max_p:float ->
   min_th:int ->
   max_th:int ->
   limit_pkts:int ->
@@ -39,6 +37,6 @@ val red :
   unit ->
   t
 (** Random Early Detection (Floyd & Jacobson) on the queue length in
-    packets, with the standard EWMA average ([wq], default 0.002) and
-    marking probability ramp to [max_p] (default 0.1).  With [~ecn:true],
+    packets, with the standard EWMA average (weight 0.002) and marking
+    probability ramp to 0.1.  With [~ecn:true],
     ECN-capable packets are marked instead of dropped below [max_th]. *)

@@ -23,6 +23,3 @@ val forward : t -> Packet.t -> unit
 
 val no_route_drops : t -> int
 (** Packets dropped for lack of a route. *)
-
-val forwarded : t -> int
-(** Packets successfully forwarded. *)

@@ -122,7 +122,9 @@ let mean_of a =
 
 (* stall windows: maximal runs of ticks with zero rate lasting at least
    max(k_rtt * srtt, 3 ticks) *)
-let stall_windows input ~k_rtt ~rate ~srtt_us =
+let k_rtt = 4.
+
+let stall_windows input ~rate ~srtt_us =
   let n = Array.length input.i_times in
   let windows = ref [] in
   let run_start = ref (-1) in
@@ -150,7 +152,7 @@ let stall_windows input ~k_rtt ~rate ~srtt_us =
   flush (n - 1);
   List.rev !windows
 
-let analyze_flow input ~k_rtt ~down_flags ~queue_flags name =
+let analyze_flow input ~down_flags ~queue_flags name =
   let s suffix = find_series input (name ^ "." ^ suffix) in
   match (s "cwnd", s "rate_bps") with
   | None, _ | _, None -> None
@@ -175,7 +177,7 @@ let analyze_flow input ~k_rtt ~down_flags ~queue_flags name =
         end
       done;
       let frac c = if !active = 0 then 0. else float_of_int c /. float_of_int !active in
-      let windows = stall_windows input ~k_rtt ~rate ~srtt_us in
+      let windows = stall_windows input ~rate ~srtt_us in
       let stalled_ticks =
         let in_window t = List.exists (fun (a, b) -> t >= a && t <= b) windows in
         Array.fold_left
@@ -301,11 +303,11 @@ let flow_names input =
       else None)
     input.i_series
 
-let analyze ?(k_rtt = 4.) input =
+let analyze input =
   let down_flags = link_drop_flags input ~suffix:".drops_down" in
   let queue_flags = link_drop_flags input ~suffix:".drops_queue" in
   let flows =
-    List.filter_map (analyze_flow input ~k_rtt ~down_flags ~queue_flags) (flow_names input)
+    List.filter_map (analyze_flow input ~down_flags ~queue_flags) (flow_names input)
   in
   let jain_idx = jain (List.map (fun f -> f.f_mean_rate_bps) flows) in
   let drops = drop_totals input in

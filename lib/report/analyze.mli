@@ -60,11 +60,9 @@ type t = {
   r_overall : status;
 }
 
-val analyze : ?k_rtt:float -> input -> t
-(** Run every analysis ([k_rtt] scales the stall threshold, default 4). *)
-
-val status_str : status -> string
-(** ["pass"] / ["warn"]. *)
+val analyze : input -> t
+(** Run every analysis.  A stall is a zero-rate run lasting at least
+    max(4 srtt, 3 sample ticks). *)
 
 val to_json : t -> Cm_util.Json.t
 (** Deterministic JSON (the CI-diffed channel). *)

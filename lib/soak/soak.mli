@@ -53,10 +53,6 @@ type cfg = {
 val cfg_of_seed : int -> cfg
 (** Deterministic draw: same seed, same configuration. *)
 
-val spec_of_cfg : cfg -> Cm_spec.Spec.t
-(** The dumbbell spec (hosts [l0..], routers [x]/[y], sink [r0], named
-    bottleneck) with the configuration's fault schedule attached. *)
-
 type outcome = { o_failures : string list; o_digest : string }
 
 val run_one : ?canary:bool -> cfg -> outcome
@@ -77,5 +73,4 @@ val run_seed : ?canary:bool -> int -> failure option
     [None] means the seed is clean. *)
 
 val repro_line : ?canary:bool -> failure -> string
-val cfg_json : cfg -> Cm_util.Json.t
 val failure_json : ?canary:bool -> failure -> Cm_util.Json.t

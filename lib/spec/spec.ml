@@ -54,9 +54,8 @@ let link ?name ?(queue = 100) ~bw ~lat src dst =
   let name = match name with Some n -> n | None -> src ^ "->" ^ dst in
   [ Link { name; src; dst; bw_bps = bw; lat; queue; span = [ "link:" ^ name ] } ]
 
-let duplex ?name ?rev_name ?(queue = 100) ?rev_queue ~bw ~lat a b =
-  let rev_queue = match rev_queue with Some q -> q | None -> queue in
-  link ?name ~queue ~bw ~lat a b @ link ?name:rev_name ~queue:rev_queue ~bw ~lat b a
+let duplex ?name ?rev_name ?(queue = 100) ~bw ~lat a b =
+  link ?name ~queue ~bw ~lat a b @ link ?name:rev_name ~queue ~bw ~lat b a
 
 let flows ~name ~src ~dst ?(port = 80) ~app ?(start = Time.zero) ?(stagger = 0) ?stop () =
   [ Group { name; srcs = src; dst; port; app; start; stagger; stop; span = [ "flows:" ^ name ] } ]
@@ -118,27 +117,26 @@ let star ~center ?(queue = 100) ~bw ~lat leaves =
 (* clients ~n per edge server: one access router per server, a trunk
    between server and router, and n single-homed clients per router.
    Names follow a fixed convention so flow groups can address them:
-   router "<prefix>r<i>", client "<prefix><i>_<j>". *)
+   router "cr<i>", client "c<i>_<j>". *)
 
-let client_name ?(prefix = "c") ~server ~index () = Printf.sprintf "%s%d_%d" prefix server index
+let client_name ~server ~index () = Printf.sprintf "c%d_%d" server index
 
-let client_names ?(prefix = "c") ~n ~servers () =
+let client_names ~n ~servers () =
   List.concat
     (List.init (List.length servers) (fun i ->
-         List.init n (fun j -> client_name ~prefix ~server:i ~index:j ())))
+         List.init n (fun j -> client_name ~server:i ~index:j ())))
 
-let clients ?(prefix = "c") ~n ~per ~bw ~lat ?(queue = 100) ~trunk_bw ~trunk_lat
-    ?(trunk_queue = 100) () =
+let clients ~n ~per ~bw ~lat ?(queue = 100) ~trunk_bw ~trunk_lat ?(trunk_queue = 100) () =
   let per_server i server =
-    let rtr = Printf.sprintf "%sr%d" prefix i in
+    let rtr = Printf.sprintf "cr%d" i in
     router rtr
     @ duplex ~queue:trunk_queue ~bw:trunk_bw ~lat:trunk_lat server rtr
     @ List.concat
         (List.init n (fun j ->
-             let c = client_name ~prefix ~server:i ~index:j () in
+             let c = client_name ~server:i ~index:j () in
              node c @ duplex ~queue ~bw ~lat c rtr))
   in
-  named ("clients:" ^ prefix) (List.concat (List.mapi per_server per))
+  named "clients:c" (List.concat (List.mapi per_server per))
 
 (* A k-ary fat-tree (k even): k pods of k/2 edge and k/2 aggregation
    routers, (k/2)^2 cores, k^2/4 hosts per... k/2 hosts per edge router,

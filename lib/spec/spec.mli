@@ -85,7 +85,6 @@ val duplex :
   ?name:string ->
   ?rev_name:string ->
   ?queue:int ->
-  ?rev_queue:int ->
   bw:float ->
   lat:Time.span ->
   string ->
@@ -143,7 +142,6 @@ val star : center:string -> ?queue:int -> bw:float -> lat:Time.span -> string li
 (** Duplex links from [center] to every leaf. *)
 
 val clients :
-  ?prefix:string ->
   n:int ->
   per:string list ->
   bw:float ->
@@ -155,11 +153,11 @@ val clients :
   unit ->
   t
 (** [n] single-homed clients per edge server: for server [i] in [per], an
-    access router ["<prefix>r<i>"], a trunk (server ↔ router) and [n]
-    clients ["<prefix><i>_<j>"] with [bw]/[lat] access links. *)
+    access router ["cr<i>"], a trunk (server ↔ router) and [n] clients
+    ["c<i>_<j>"] with [bw]/[lat] access links. *)
 
-val client_name : ?prefix:string -> server:int -> index:int -> unit -> string
-val client_names : ?prefix:string -> n:int -> servers:string list -> unit -> string list
+val client_name : server:int -> index:int -> unit -> string
+val client_names : n:int -> servers:string list -> unit -> string list
 (** The names {!clients} generates, for use in flow groups. *)
 
 val fat_tree :
@@ -168,6 +166,5 @@ val fat_tree :
     routers, [(k/2)²] cores, [k³/4] hosts ["h0"…]; every adjacency is a
     duplex link.  Raises [Invalid_argument] for odd or non-positive [k]. *)
 
-val fat_tree_host : k:int -> int -> string
 val fat_tree_hosts : k:int -> string list
 (** Host names of the [k]-ary fat-tree, pod-major. *)

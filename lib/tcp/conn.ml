@@ -1075,8 +1075,6 @@ let listen host ~port ?(driver = Native) ?(config = default_config) ~on_accept (
   Host.bind host Addr.Tcp ~port handler;
   { l_host = host; l_port = port }
 
-let stop_listening l = Host.unbind l.l_host Addr.Tcp ~port:l.l_port
-
 (* ------------------------------------------------------------------ *)
 (* Application interface *)
 
@@ -1096,8 +1094,6 @@ let close t =
         ()
     | _ -> tcp_output t
   end
-
-let abort t = become_closed t
 
 let on_receive t cb = t.recv_cb <- cb
 

@@ -94,17 +94,11 @@ val listen :
 (** Passive open: accepts any number of connections; [on_accept] fires
     when each reaches {!Established}. *)
 
-val stop_listening : listener -> unit
-(** Unbind the listening port (existing connections are unaffected). *)
-
 val send : t -> int -> unit
 (** Queue [n] more bytes of application data for transmission. *)
 
 val close : t -> unit
 (** No more application data: send FIN after queued data drains. *)
-
-val abort : t -> unit
-(** Drop straight to {!Closed}, releasing demux entries and CM state. *)
 
 val on_receive : t -> (int -> unit) -> unit
 (** Called with byte counts as in-order data is delivered to the app. *)

@@ -2,7 +2,6 @@ open Cm_util
 
 type t = {
   min_rto : Time.span;
-  max_rto : Time.span;
   mutable srtt : float;
   mutable rttvar : float;
   mutable valid : bool;
@@ -10,9 +9,10 @@ type t = {
 }
 
 let initial_rto = Time.ms 1_000
+let max_rto = Time.sec 120.
 
-let create ?(min_rto = Time.ms 200) ?(max_rto = Time.sec 120.) () =
-  { min_rto; max_rto; srtt = 0.; rttvar = 0.; valid = false; shift = 0 }
+let create ?(min_rto = Time.ms 200) () =
+  { min_rto; srtt = 0.; rttvar = 0.; valid = false; shift = 0 }
 
 let observe t sample =
   if sample <= 0 then invalid_arg "Rto.observe: sample must be positive";
@@ -37,7 +37,7 @@ let base_rto t =
 
 let rto t =
   let r = base_rto t lsl t.shift in
-  Stdlib.min t.max_rto (Stdlib.max t.min_rto r)
+  Stdlib.min max_rto (Stdlib.max t.min_rto r)
 
 let backoff t = if t.shift < 12 then t.shift <- t.shift + 1
 let srtt t = if t.valid then Some (int_of_float t.srtt) else None

@@ -9,11 +9,11 @@ open Cm_util
 type t
 (** Estimator state. *)
 
-val create : ?min_rto:Time.span -> ?max_rto:Time.span -> unit -> t
+val create : ?min_rto:Time.span -> unit -> t
 (** Fresh estimator.  Before any sample the RTO is a conservative 1 s
     (the RFC 6298 initial 3 s is shortened for simulation-scale runs
-    but remains configurable through [min_rto]).  Defaults:
-    [min_rto] 200 ms (Linux), [max_rto] 120 s. *)
+    but remains configurable through [min_rto]).  [min_rto] defaults to
+    200 ms (Linux); backoff is capped at 120 s. *)
 
 val observe : t -> Time.span -> unit
 (** Fold in a fresh RTT sample (never from a retransmitted segment —

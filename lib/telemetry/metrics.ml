@@ -36,7 +36,6 @@ let counter t name =
 
 let incr ?(by = 1) c = c.c_count <- c.c_count + by
 let count c = c.c_count
-let counter_name c = c.c_name
 
 let gauge t name read =
   let g = { g_name = name; g_read = read } in
@@ -44,7 +43,6 @@ let gauge t name read =
   g
 
 let sample g = g.g_read ()
-let gauge_name g = g.g_name
 
 let histogram t name =
   match Hashtbl.find_opt t.by_name name with
@@ -57,7 +55,6 @@ let histogram t name =
 
 let observe h v = Stats.Histogram.observe h.h_hist v
 let hist h = h.h_hist
-let histogram_name h = h.h_name
 
 let entries t = List.rev t.rev_order
 let gauges t = List.filter_map (function Gauge g -> Some g | _ -> None) (entries t)

@@ -34,7 +34,6 @@ val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1).  O(1), no allocation. *)
 
 val count : counter -> int
-val counter_name : counter -> string
 
 (** {1 Gauges} *)
 
@@ -43,7 +42,6 @@ val gauge : t -> string -> (unit -> float) -> gauge
     [read ()].  Raises [Invalid_argument] on duplicate names. *)
 
 val sample : gauge -> float
-val gauge_name : gauge -> string
 
 (** {1 Histograms} *)
 
@@ -56,8 +54,6 @@ val observe : histogram -> float -> unit
 
 val hist : histogram -> Stats.Histogram.t
 (** The underlying histogram, for quantile queries. *)
-
-val histogram_name : histogram -> string
 
 (** {1 Registry-wide operations} *)
 

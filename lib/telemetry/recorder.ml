@@ -9,10 +9,14 @@ type t = {
   mutable files : string list; (* newest first *)
 }
 
-let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Unix.mkdir dir 0o755
+  end
 
 let dump t ~reason =
-  ensure_dir t.out_dir;
+  mkdir_p t.out_dir;
   let path = Filename.concat t.out_dir (Printf.sprintf "%s-%03d.dump.jsonl" t.tag t.dumps) in
   t.dumps <- t.dumps + 1;
   t.files <- path :: t.files;
@@ -37,10 +41,10 @@ let dump t ~reason =
 
 let default_capacity = 4096
 
-let create engine ~out_dir ?(tag = "recorder") ?(capacity = default_capacity) () =
+let create engine ~out_dir ?(tag = "recorder") trace =
   let t =
     {
-      trace = Trace.create_ring engine ~capacity;
+      trace;
       engine;
       out_dir;
       tag;
@@ -57,7 +61,6 @@ let create engine ~out_dir ?(tag = "recorder") ?(capacity = default_capacity) ()
          | exception _ -> ()));
   t
 
-let trace t = t.trace
 let dumps t = t.dumps
 let files t = List.rev t.files
 let last_file t = match t.files with [] -> None | f :: _ -> Some f

@@ -1,16 +1,19 @@
-(** Always-on bounded flight recorder.
+(** Flight recorder: the dump path for a bounded trace.
 
-    A preallocated ring of the last N trace events ({!Trace.create_ring}:
-    O(1) overwrite, no growth — cheap enough to leave on for whole runs),
-    plus a dump path: when something goes wrong (a [Cm.Audit] invariant
-    breach, a quarantine, an exception escaping engine dispatch) the ring
-    is written to a JSONL file so the failure report says "here are the
-    last 4096 events before it happened" instead of just "it happened".
+    The trace is normally a preallocated ring of the last N events
+    ({!Trace.create_ring}: O(1) overwrite, no growth — cheap enough to
+    leave on for whole runs).  When something goes wrong (a [Cm.Audit]
+    invariant breach, a quarantine, an exception escaping engine dispatch)
+    the recorder writes it to a JSONL file, so the failure report says
+    "here are the last 4096 events before it happened" instead of just
+    "it happened".
 
-    Wiring: components take the recorder's ring through their
-    [set_trace] entry points ([Cm.set_trace], [Link.set_trace]) exactly
-    as they would a full telemetry trace; {!create} also installs the
-    engine escape hook so crash dumps need no per-experiment code.
+    Wiring: the ring is the trace of a bounded {!Telemetry.t} (created
+    with [~trace_capacity:default_capacity]), and components join it
+    through their one entry point, [attach_telemetry] ([Link], [Cm]),
+    exactly as they join a full telemetry instance.  {!create} also
+    installs the engine escape hook, so crash dumps need no
+    per-experiment code.
 
     Dump format: one header object
     [{"recorder", "reason", "ts_ns", "events", "dropped"}], then one
@@ -20,16 +23,15 @@
 
 type t
 
-val create :
-  Eventsim.Engine.t -> out_dir:string -> ?tag:string -> ?capacity:int -> unit -> t
-(** A recorder ringing the last [capacity] events (default 4096); dumps
-    land in [out_dir] (created on first dump) as
-    [<tag>-<n>.dump.jsonl].  Installs the engine's escape hook: an
-    exception escaping event dispatch dumps the ring (reason
-    ["exception: …"]) before the exception propagates. *)
+val default_capacity : int
+(** Ring size of a flight-recorder trace: 4096 events. *)
 
-val trace : t -> Trace.t
-(** The ring — hand this to the components to instrument. *)
+val create : Eventsim.Engine.t -> out_dir:string -> ?tag:string -> Trace.t -> t
+(** [create engine ~out_dir trace] dumps [trace] into [out_dir] (created,
+    with any missing parents, on first dump) as [<tag>-<n>.dump.jsonl].
+    Installs the engine's escape hook: an exception escaping event
+    dispatch dumps the trace (reason ["exception: …"]) before the
+    exception propagates. *)
 
 val dump : t -> reason:string -> string
 (** Write the ring now; returns the file path.  Call on audit violations,
@@ -42,3 +44,6 @@ val files : t -> string list
 (** Paths written, oldest first. *)
 
 val last_file : t -> string option
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents (no-op if it exists). *)

@@ -32,7 +32,9 @@ let create engine ?(period = default_period) ?trace_capacity () =
       float_of_int (Engine.pending engine));
   Sampler.subscribe t.sampler "engine.events" (fun () ->
       float_of_int (Engine.events_executed engine));
-  Sampler.start t.sampler;
+  (* a bounded instance must stay bounded: sampled series grow with the
+     run, so only the keep-everything instance samples *)
+  if trace_capacity = None then Sampler.start t.sampler;
   t
 
 let engine t = t.engine

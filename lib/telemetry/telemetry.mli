@@ -30,8 +30,8 @@ module Prof = Prof
     {!Eventsim.Engine}). *)
 
 module Recorder = Recorder
-(** Always-on bounded flight recorder (ring of the last N events, dumped
-    on faults). *)
+(** Flight recorder: dumps a bounded trace (the last N events) on
+    faults. *)
 
 type t
 
@@ -39,10 +39,13 @@ val create : Eventsim.Engine.t -> ?period:Time.span -> ?trace_capacity:int -> un
 (** A telemetry instance sampling every [period] (default 100 ms of
     virtual time).  The sampler starts immediately (first tick one period
     in) and always carries [engine.pending] / [engine.events] columns.
-    [trace_capacity] bounds the trace to a ring of the last N events
-    ({!Trace.create_ring}) — for long runs ([scale], [cdn_edge]) where a
-    growable span buffer would otherwise grow without limit; default is
-    the keep-everything buffer. *)
+
+    With [trace_capacity] the instance is {e bounded}: its trace is a ring
+    of the last N events ({!Trace.create_ring}) and its sampler never
+    starts, because sampled series grow with the run.  Gauges still
+    register (the metrics snapshot reads them), but the CSV stays empty
+    and the engine gets no sampler timer.  This is the flight recorder's
+    sink ({!Recorder}).  Default is the keep-everything buffer. *)
 
 val engine : t -> Eventsim.Engine.t
 val metrics : t -> Metrics.t

@@ -76,6 +76,11 @@ type report = {
 }
 
 module Sender = struct
+  (* solicitation backoff: first solicit after this much starvation,
+     doubling up to the cap *)
+  let starve_floor = Time.ms 200
+  let starve_cap = Time.sec 3.2
+
   type entry = { bytes : int; sent_at : Time.t }
 
   type t = {
@@ -83,8 +88,6 @@ module Sender = struct
     on_report : report -> unit;
     timeout_floor : Time.span;
     on_starve : (unit -> unit) option;
-    starve_floor : Time.span;
-    starve_cap : Time.span;
     outstanding : (int, entry) Hashtbl.t; (* seq -> entry *)
     mutable next_seq : int;
     mutable lowest_unresolved : int;
@@ -155,7 +158,7 @@ module Sender = struct
           then begin
             t.solicits <- t.solicits + 1;
             t.next_solicit_at <- Time.add now t.solicit_backoff;
-            t.solicit_backoff <- Stdlib.min (2 * t.solicit_backoff) t.starve_cap;
+            t.solicit_backoff <- Stdlib.min (2 * t.solicit_backoff) starve_cap;
             solicit ()
           end
       | None -> ());
@@ -168,16 +171,13 @@ module Sender = struct
       if Time.diff now t.last_feedback > limit then declare_outstanding_lost t
     end
 
-  let create engine ~on_report ?(timeout_floor = Time.ms 500) ?on_starve
-      ?(starve_floor = Time.ms 200) ?(starve_cap = Time.sec 3.2) () =
+  let create engine ~on_report ?(timeout_floor = Time.ms 500) ?on_starve () =
     let t =
       {
         engine;
         on_report;
         timeout_floor;
         on_starve;
-        starve_floor;
-        starve_cap;
         outstanding = Hashtbl.create 64;
         next_seq = 0;
         lowest_unresolved = 0;
@@ -206,7 +206,7 @@ module Sender = struct
 
   let on_ack t ~max_seq ~count ~bytes ~ts_echo =
     t.last_feedback <- Engine.now t.engine;
-    t.solicit_backoff <- t.starve_floor;
+    t.solicit_backoff <- starve_floor;
     t.next_solicit_at <- 0;
     let rtt =
       if ts_echo > 0 then begin

@@ -70,8 +70,6 @@ module Sender : sig
     on_report:(report -> unit) ->
     ?timeout_floor:Time.span ->
     ?on_starve:(unit -> unit) ->
-    ?starve_floor:Time.span ->
-    ?starve_cap:Time.span ->
     unit ->
     t
   (** [create eng ~on_report ()] invokes [on_report] whenever feedback
@@ -80,9 +78,8 @@ module Sender : sig
       [max(2·srtt, timeout_floor)] (floor default 500 ms).
 
       With [~on_starve], the same timer calls it to solicit the receiver
-      when feedback has starved for [starve_floor] (default 200 ms) while
-      data is outstanding, backing off exponentially (doubling up to
-      [starve_cap], default 3.2 s) until feedback is heard again —
+      when feedback has starved for 200 ms while data is outstanding,
+      backing off exponentially (doubling up to 3.2 s) until feedback is heard again —
       feedback may be the only thing the network is losing. *)
 
   val next_seq : t -> int

@@ -67,7 +67,6 @@ let insert h ~prio value =
   sift_up h (h.len - 1);
   e
 
-let min_elt h = if h.len = 0 then None else Some (h.arr.(0).prio, h.arr.(0).value)
 let min_handle h = if h.len = 0 then invalid_arg "Fheap.min_handle: empty" else h.arr.(0)
 
 let delete_at h i =
@@ -99,7 +98,6 @@ let extract_min h =
   end
 
 let mem _h (hd : 'a handle) = hd.pos >= 0
-let handle_prio (hd : 'a handle) = hd.prio
 let handle_value (hd : 'a handle) = hd.value
 
 let remove h hd =

@@ -26,9 +26,6 @@ val insert : 'a t -> prio:float -> 'a -> 'a handle
 (** [insert h ~prio v] adds [v] with priority [prio] and returns its
     handle. *)
 
-val min_elt : 'a t -> (float * 'a) option
-(** Smallest (priority, value) without removing it. *)
-
 val extract_min : 'a t -> (float * 'a) option
 (** Remove and return the smallest (priority, value); [None] if empty. *)
 
@@ -52,9 +49,6 @@ val min_handle : 'a t -> 'a handle
 val pop_min : 'a t -> 'a handle
 (** Remove the smallest element and return its handle; no allocation.
     Raises [Invalid_argument] on an empty heap. *)
-
-val handle_prio : 'a handle -> float
-(** Priority of the element behind the handle. *)
 
 val handle_value : 'a handle -> 'a
 (** Value behind the handle (also valid on extracted handles). *)

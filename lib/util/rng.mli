@@ -18,9 +18,6 @@ val split : t -> t
 val int : t -> int -> int
 (** [int t bound] is uniform in \[0, bound); [bound] must be positive. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in \[0, bound). *)
 

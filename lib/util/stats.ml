@@ -181,13 +181,6 @@ module Histogram = struct
      end);
     t
 
-  let nonzero_buckets t =
-    let acc = ref [] in
-    for i = nbuckets - 1 downto 0 do
-      if t.buckets.(i) > 0 then acc := (upper_bound i, t.buckets.(i)) :: !acc
-    done;
-    !acc
-
   let pp fmt t =
     Format.fprintf fmt "n=%d mean=%.4g p50=%.4g p99=%.4g max=%.4g" t.hn (mean t)
       (quantile t 0.5) (quantile t 0.99) t.hmax

@@ -92,9 +92,6 @@ module Histogram : sig
   val reset : t -> unit
   (** Drop all observations. *)
 
-  val nonzero_buckets : t -> (float * int) list
-  (** [(upper_bound, count)] for each non-empty bucket, ascending. *)
-
   val pp : Format.formatter -> t -> unit
   (** Render as [n=… mean=… p50=… p99=… max=…]. *)
 end

@@ -205,7 +205,6 @@ let pq_filter q keep =
 type 'a slot = { mutable sarr : 'a entry array; mutable slen : int }
 
 type 'a t = {
-  bits : int; (* slot width = 2^bits time units *)
   n_slots : int; (* power of two; 0 = pure-heap mode *)
   mask : int;
   slots : 'a slot array;
@@ -232,15 +231,13 @@ type stats = {
   size_now : int;
 }
 
-let default_bits = 14 (* 16.384 us slots at ns resolution *)
+let bits = 14 (* slot width 2^bits: 16.384 us slots at ns resolution *)
 let default_slots = 1024 (* horizon: 1024 slots = 16.8 ms *)
 
-let create ?(bits = default_bits) ?(slots = default_slots) ?(start = 0) () =
-  if bits < 0 || bits > 40 then invalid_arg "Wheel.create: bits out of range";
+let create ?(slots = default_slots) ?(start = 0) () =
   if slots <> 0 && slots land (slots - 1) <> 0 then
     invalid_arg "Wheel.create: slots must be a power of two (or 0 for pure-heap mode)";
   {
-    bits;
     n_slots = slots;
     mask = slots - 1;
     slots = Array.init (Stdlib.max 1 slots) (fun _ -> { sarr = [||]; slen = 0 });
@@ -304,7 +301,7 @@ let slot_push t p e =
 let place t e =
   if t.n_slots = 0 then pq_push t.over w_over e
   else begin
-    let s = e.time asr t.bits in
+    let s = e.time asr bits in
     if s <= t.cursor then begin
       pq_push t.cur w_cur e;
       if t.cur.plen > t.s_hw_cur then t.s_hw_cur <- t.cur.plen
@@ -402,7 +399,7 @@ let next_wheel_abs t =
    heap.  Requires [size > 0] and [cur] empty. *)
 let refill t =
   let k_w = if t.in_slots > 0 then next_wheel_abs t else max_int in
-  let k_o = if t.over.plen > 0 then t.over.parr.(0).time asr t.bits else max_int in
+  let k_o = if t.over.plen > 0 then t.over.parr.(0).time asr bits else max_int in
   let k = Stdlib.min k_w k_o in
   t.cursor <- k;
   if k = k_w then begin
@@ -418,7 +415,7 @@ let refill t =
     occ_clear t p;
     t.in_slots <- t.in_slots - n
   end;
-  while t.over.plen > 0 && t.over.parr.(0).time asr t.bits <= k do
+  while t.over.plen > 0 && t.over.parr.(0).time asr bits <= k do
     let e = pq_delete t.over 0 in
     t.s_migrated <- t.s_migrated + 1;
     pq_push t.cur w_cur e

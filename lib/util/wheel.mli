@@ -12,11 +12,11 @@
 type 'a t
 type 'a handle
 
-val create : ?bits:int -> ?slots:int -> ?start:int -> unit -> 'a t
-(** [create ()] makes an empty wheel.  [bits] sets the slot width to
-    [2^bits] time units (default 14: 16.384 us at nanosecond resolution);
-    [slots] is the number of wheel slots, a power of two (default 1024,
-    i.e. a ~16.8 ms horizon), or [0] for pure-heap mode; [start] is the
+val create : ?slots:int -> ?start:int -> unit -> 'a t
+(** [create ()] makes an empty wheel whose slots are [2^14] time units
+    wide (16.384 us at nanosecond resolution).  [slots] is the number of
+    wheel slots, a power of two (default 1024, i.e. a ~16.8 ms horizon),
+    or [0] for pure-heap mode; [start] is the
     earliest time the wheel must order exactly (the engine's clock
     origin).  Raises [Invalid_argument] on a non-power-of-two [slots]. *)
 

@@ -432,7 +432,10 @@ let test_poisson_mean_rate () =
 let test_link_drop_causes_traced () =
   let e = Engine.create () in
   let rng = Rng.create ~seed:21 in
-  let tr = Telemetry.Trace.create e in
+  (* sampler stopped, so [Engine.run] drains *)
+  let tel = Telemetry.create e () in
+  Telemetry.stop tel;
+  let tr = Telemetry.trace tel in
   (* a slow link with a 2-packet queue and heavy channel loss: both queue
      and channel drops occur, and the trace must tell them apart *)
   let link =
@@ -440,7 +443,7 @@ let test_link_drop_causes_traced () =
       ~qdisc:(Queue_disc.droptail ~limit_pkts:2 ())
       ~sink:ignore ()
   in
-  Link.set_trace link ~name:"bottleneck" tr;
+  Link.attach_telemetry link ~name:"bottleneck" tel;
   for _ = 1 to 50 do
     Link.send link (mk_pkt ~bytes:(1000 - Packet.header_bytes) ())
   done;

@@ -264,25 +264,27 @@ let test_ring_trace_rejects_bad_capacity () =
 
 (* ---- flight recorder --------------------------------------------------- *)
 
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+
 let with_temp_dir f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "cm-test-rec-%d" (Unix.getpid ()))
   in
-  let cleanup () =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
-  cleanup ();
-  Fun.protect ~finally:cleanup (fun () -> f dir)
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let test_recorder_dump_parses () =
   with_temp_dir (fun dir ->
       let e = Engine.create () in
-      let r = Telemetry.Recorder.create e ~out_dir:dir ~tag:"t" ~capacity:8 () in
-      let tr = Telemetry.Recorder.trace r in
+      let tr = Telemetry.Trace.create_ring e ~capacity:8 in
+      let r = Telemetry.Recorder.create e ~out_dir:dir ~tag:"t" tr in
       for i = 1 to 20 do
         ignore
           (Engine.schedule_at e (Time.ms i) (fun () ->
@@ -323,10 +325,11 @@ let test_recorder_dump_parses () =
 let test_recorder_dumps_on_escape () =
   with_temp_dir (fun dir ->
       let e = Engine.create () in
-      let r = Telemetry.Recorder.create e ~out_dir:dir ~tag:"crash" () in
+      let tr = Telemetry.Trace.create_ring e ~capacity:8 in
+      let r = Telemetry.Recorder.create e ~out_dir:dir ~tag:"crash" tr in
       ignore
         (Engine.schedule_at e (Time.ms 1) (fun () ->
-             Telemetry.Trace.instant (Telemetry.Recorder.trace r) ~cat:"x" "last-words" []));
+             Telemetry.Trace.instant tr ~cat:"x" "last-words" []));
       ignore (Engine.schedule_at e (Time.ms 2) (fun () -> failwith "sim bug"));
       (try
          Engine.run e;
@@ -341,6 +344,15 @@ let test_recorder_dumps_on_escape () =
           "reason mentions the exception" => contains header "sim bug"
       | None -> Alcotest.fail "no dump file recorded")
 
+let test_recorder_creates_nested_dir () =
+  with_temp_dir (fun dir ->
+      let e = Engine.create () in
+      let out_dir = Filename.concat (Filename.concat dir "a") "b" in
+      let r = Telemetry.Recorder.create e ~out_dir (Telemetry.Trace.create_ring e ~capacity:8) in
+      let path = Telemetry.Recorder.dump r ~reason:"nested" in
+      "dump landed in the two-level dir" => Sys.file_exists path;
+      Alcotest.(check string) "dump dir" out_dir (Filename.dirname path))
+
 let test_telemetry_ring_mode () =
   let e = Engine.create () in
   let tel = Telemetry.create e ~trace_capacity:2 () in
@@ -350,11 +362,67 @@ let test_telemetry_ring_mode () =
          for i = 1 to 5 do
            Telemetry.Trace.instant tr ~cat:"x" "e" [ ("i", Telemetry.Trace.Int i) ]
          done));
-  (* the sampler's periodic timer keeps the queue non-empty: bounded run *)
-  Engine.run_for e (Time.ms 10);
-  Telemetry.stop tel;
+  (* a bounded instance never starts its sampler, so the queue drains *)
+  Engine.run e;
   Alcotest.(check int) "bounded" 2 (Telemetry.Trace.length tr);
-  Alcotest.(check int) "overwrote" 3 (Telemetry.Trace.dropped tr)
+  Alcotest.(check int) "overwrote" 3 (Telemetry.Trace.dropped tr);
+  Alcotest.(check int) "no sampler ticks" 0 (Telemetry.Sampler.ticks (Telemetry.sampler tel))
+
+(* One wiring path: under [params.recorder] a system is watched through a
+   bounded telemetry instance attached exactly like full telemetry, so for
+   the same seed its ring holds the tail of the full trace. *)
+let watched_events params =
+  Netsim.Packet.reset_ids ();
+  Experiments.Exp_common.with_system params @@ fun sys ->
+  let e = Experiments.Exp_common.engine sys in
+  let rng = Rng.create ~seed:5 in
+  let net =
+    Netsim.Topology.pipe e ~bandwidth_bps:4e6 ~delay:(Time.ms 10) ~loss_rate:0.05
+      ~qdisc_limit:10 ~rng ()
+  in
+  let cm = Cm.create e () in
+  Cm.attach cm net.Netsim.Topology.a;
+  Experiments.Exp_common.watch sys
+    ~links:[ ("ab", net.Netsim.Topology.ab); ("ba", net.Netsim.Topology.ba) ]
+    ~cm ();
+  let _listener = Tcp.Conn.listen net.Netsim.Topology.b ~port:80 ~on_accept:ignore () in
+  let conn =
+    Tcp.Conn.connect net.Netsim.Topology.a
+      ~dst:(Netsim.Addr.endpoint ~host:1 ~port:80)
+      ~driver:(Tcp.Conn.Cm_driven cm) ()
+  in
+  Tcp.Conn.send conn (1 lsl 30);
+  (* unresponsive cross traffic into the 10-packet queue: thousands of
+     link.drop events, so the full trace outgrows the ring *)
+  let flow =
+    Netsim.Addr.flow
+      ~src:(Netsim.Addr.endpoint ~host:0 ~port:9)
+      ~dst:(Netsim.Addr.endpoint ~host:1 ~port:9)
+      ~proto:Netsim.Addr.Udp ()
+  in
+  let rec blast () =
+    Netsim.Link.send net.Netsim.Topology.ab
+      (Netsim.Packet.make ~now:(Engine.now e) ~flow ~payload_bytes:1000 (Netsim.Packet.Raw 1000));
+    ignore (Engine.schedule_after e (Time.ms 1) blast : Engine.handle)
+  in
+  blast ();
+  Engine.run_for e (Time.sec 30.);
+  Telemetry.Trace.events (Telemetry.trace (Option.get (Experiments.Exp_common.telemetry sys)))
+
+let test_recorder_ring_is_tail_of_full_trace () =
+  with_temp_dir (fun dir ->
+      let base = { Experiments.Exp_common.default_params with seed = 5 } in
+      let full =
+        watched_events
+          { base with telemetry = Some (Experiments.Exp_common.request_telemetry ()) }
+      in
+      let ring = watched_events { base with recorder = Some dir } in
+      let n = Telemetry.Recorder.default_capacity in
+      let total = List.length full in
+      "full trace overflows the ring" => (total > n);
+      Alcotest.(check int) "ring is full" n (List.length ring);
+      "ring = last N events of the full trace"
+      => (ring = List.filteri (fun i _ -> i >= total - n) full))
 
 (* ---- end-to-end determinism ------------------------------------------- *)
 
@@ -438,6 +506,9 @@ let () =
         [
           Alcotest.test_case "dump file parses" `Quick test_recorder_dump_parses;
           Alcotest.test_case "dumps on escaping exception" `Quick test_recorder_dumps_on_escape;
+          Alcotest.test_case "creates a nested out dir" `Quick test_recorder_creates_nested_dir;
+          Alcotest.test_case "ring is the tail of the full trace" `Quick
+            test_recorder_ring_is_tail_of_full_trace;
         ] );
       ( "determinism",
         [
