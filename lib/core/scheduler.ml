@@ -112,23 +112,43 @@ let round_robin () =
 
 (* ---- weighted (stride) scheduling ------------------------------------- *)
 
+module Wheel = Cm_util.Wheel
+
 (* Per-flow scheduler state.  [pass] is the flow's next service tag; while
-   the flow is backlogged its heap entry's priority equals [pass], so
+   the flow is backlogged its handle is queued under [key pass], so
    dequeue is extract-min over backlogged flows: O(log n) however many
-   flows are registered, instead of the full-table scan this replaces. *)
+   flows are registered, instead of the full-table scan this replaces.
+   The handle lives as long as the entry and is re-queued in place. *)
 type stride_entry = {
   mutable s_count : int; (* pending requests *)
   mutable s_weight : float;
   mutable s_pass : float; (* next service tag *)
-  mutable s_handle : Cm_types.flow_id Cm_util.Fheap.handle option;
-      (* live heap entry iff backlogged *)
+  s_handle : Cm_types.flow_id Wheel.handle; (* queued iff backlogged *)
 }
+
+(* A handle that starts out of the queue.  Keyed [max_int], it is pushed
+   at the heap's tail and unlinked from there in O(1). *)
+let detached_handle heap id =
+  let h = Wheel.insert heap ~time:max_int id in
+  ignore (Wheel.remove heap h);
+  h
 
 (* empty-slot sentinel for the dense entry array: a real record, only
    ever compared by physical equality *)
-let no_entry = { s_count = 0; s_weight = 0.; s_pass = 0.; s_handle = None }
+let no_entry =
+  let s_handle = detached_handle (Wheel.create ~slots:0 ()) (-1) in
+  { s_count = 0; s_weight = 0.; s_pass = 0.; s_handle }
 
 let stride_k = 1_000_000.
+
+(* The queue key of a pass.  On [+0., max_float] the IEEE-754 bit pattern
+   is strictly increasing, and this offset maps that range exactly onto
+   OCaml's 63-bit ints, so keys order exactly as passes do; equal passes
+   tie on the queue's FIFO sequence number.  Queued passes are never
+   negative, -0. or NaN: they start at +0., grow by finite strides (see
+   [set_weight]), and a rebase subtracts the global pass, which no queued
+   pass is below. *)
+let key pass = Int64.to_int (Int64.sub (Int64.bits_of_float pass) 0x3FF0_0000_0000_0000L)
 
 (* Default rebase threshold.  Beyond ~2^52 float addition can no longer
    represent a small stride increment (pass +. stride == pass), silently
@@ -140,7 +160,7 @@ let default_rebase_threshold = 1e15
 
 let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
   let entries = ref (Array.make 16 no_entry) in
-  let heap : Cm_types.flow_id Cm_util.Fheap.t = Cm_util.Fheap.create () in
+  let heap : Cm_types.flow_id Wheel.t = Wheel.create ~slots:0 () in
   let total = ref 0 in
   let global_pass = ref 0. in
   let entry id =
@@ -149,19 +169,26 @@ let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
     let e = !entries.(id) in
     if e != no_entry then e
     else begin
-      let e = { s_count = 0; s_weight = 1.0; s_pass = !global_pass; s_handle = None } in
+      let e =
+        { s_count = 0; s_weight = 1.0; s_pass = !global_pass; s_handle = detached_handle heap id }
+      in
       !entries.(id) <- e;
       e
     end
   in
-  (* Subtract the accumulated pass base from every tag.  A uniform shift
-     preserves all pairwise orderings (and the heap shape), so rebasing is
-     invisible to the grant sequence; it only keeps the floats small. *)
+  (* Subtract the accumulated pass base from every tag, then re-key the
+     queue: pop every backlogged flow and re-queue it under its new key in
+     pop order.  The fresh sequence numbers follow the old order among
+     equal passes, so rebasing is invisible to the grant sequence; it only
+     keeps the floats small. *)
   let rebase () =
     let base = !global_pass in
-    Cm_util.Fheap.shift_all heap (-.base);
     Array.iter (fun e -> if e != no_entry then e.s_pass <- e.s_pass -. base) !entries;
-    global_pass := 0.
+    global_pass := 0.;
+    let queued = Array.init (Wheel.size heap) (fun _ -> Wheel.pop_min heap) in
+    Array.iter
+      (fun h -> Wheel.reinsert heap h ~time:(key !entries.(Wheel.handle_value h).s_pass))
+      queued
   in
   let enqueue id =
     let e = entry id in
@@ -171,25 +198,22 @@ let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
       (* a newly backlogged flow re-enters at the current global pass so it
          cannot hoard credit accumulated while idle *)
       e.s_pass <- Float.max !global_pass e.s_pass;
-      e.s_handle <- Some (Cm_util.Fheap.insert heap ~prio:e.s_pass id)
+      Wheel.reinsert heap e.s_handle ~time:(key e.s_pass)
     end
   in
   let dequeue () =
     if !total = 0 then None
     else begin
-      let hd = Cm_util.Fheap.min_handle heap in
-      let id = Cm_util.Fheap.handle_value hd in
+      let hd = Wheel.min_handle heap in
+      let id = Wheel.handle_value hd in
       let e = !entries.(id) in
       let pass = e.s_pass in
       e.s_count <- e.s_count - 1;
       decr total;
       global_pass := pass;
       e.s_pass <- pass +. (stride_k /. e.s_weight);
-      if e.s_count > 0 then ignore (Cm_util.Fheap.update_prio heap hd ~prio:e.s_pass)
-      else begin
-        ignore (Cm_util.Fheap.remove heap hd);
-        e.s_handle <- None
-      end;
+      if e.s_count > 0 then ignore (Wheel.update heap hd ~time:(key e.s_pass))
+      else ignore (Wheel.remove heap hd);
       if !global_pass > rebase_threshold then rebase ();
       Some id
     end
@@ -199,15 +223,14 @@ let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
       let e = !entries.(id) in
       if e != no_entry then begin
         total := !total - e.s_count;
-        (match e.s_handle with
-        | Some hd -> ignore (Cm_util.Fheap.remove heap hd)
-        | None -> ());
+        ignore (Wheel.remove heap e.s_handle);
         !entries.(id) <- no_entry
       end
     end
   in
   let set_weight id w =
-    if w <= 0. then invalid_arg "Scheduler.weighted: weight must be positive";
+    if not (Float.is_finite w && w > 0. && Float.is_finite (stride_k /. w)) then
+      invalid_arg "Scheduler.weighted: weight must be positive and finite, with a finite stride";
     (entry id).s_weight <- w
   in
   let pending_for id =

@@ -31,18 +31,26 @@ val round_robin : factory
 
 val weighted : factory
 (** Stride scheduling: flows receive grants in proportion to their
-    weights (default weight 1.0).  Backlogged flows are indexed in a
-    min-pass priority queue ({!Cm_util.Fheap}), so [dequeue] is O(log n)
-    in the number of {e backlogged} flows — independent of how many flows
-    are registered — and equal pass values grant in FIFO order.
+    weights (default weight 1.0).  Backlogged flows sit in a pure-heap
+    {!Cm_util.Wheel} ([~slots:0]) keyed by their pass, so [dequeue] is
+    O(log n) in the number of {e backlogged} flows — independent of how
+    many flows are registered — and equal passes grant in FIFO order.
+    The key of a pass is its IEEE-754 bit pattern minus that of 1.0: on
+    [[+0., max_float]] that is strictly increasing and fits OCaml's
+    63-bit ints, so keys order exactly as the float passes do.  A weight
+    must be finite and positive, with a finite stride [10^6 / w];
+    [set_weight] raises [Invalid_argument] on anything else (NaN,
+    infinities, zero, negatives, and weights below ~5.6e-303 such as
+    [1e-320], whose stride overflows).
     Equivalent to [weighted_stride ()]. *)
 
 val weighted_stride : ?rebase_threshold:float -> factory
 (** {!weighted} with an explicit pass-rebase threshold.  Pass values grow
     monotonically by [stride = 10^6 / weight] per grant; once the global
     pass exceeds [rebase_threshold] (default 10^15) every pass is shifted
-    down by the global pass in O(flows) — a uniform shift, invisible to
-    the grant order — so float addition never reaches the magnitude
-    (~2^52) where a small stride stops being representable and a
-    heavy-weight flow would silently starve.  Tests use a tiny threshold
-    to force frequent rebases. *)
+    down by the global pass and the backlogged flows are re-queued in
+    their old order, O(flows log flows) — invisible to the grant order —
+    so float addition never reaches the magnitude (~2^52) where a small
+    stride stops being representable and a heavy-weight flow would
+    silently starve.  Tests use a tiny threshold to force frequent
+    rebases. *)

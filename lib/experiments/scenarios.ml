@@ -29,7 +29,7 @@ let bin = Time.ms 500
 let ge_burst () = Loss.ge ~p_gb:0.01 ~p_bg:0.1 ~loss_bad:0.3 ()
 (* stationary loss = (0.01/0.11)·0.3 ≈ 2.7 %, mean burst 10 packets *)
 
-let name_of = function
+let scenario_name = function
   | Burst_loss -> "burst-loss"
   | Outage -> "outage-2s"
   | Sawtooth -> "sawtooth-bw"
@@ -52,28 +52,18 @@ let fault_steps = function
       in
       tooth (Time.sec 6.) @ tooth (Time.sec 13.)
 
-let scenario_of id =
-  let s =
-    Scenario.make ~name:(name_of id)
-      (List.map (fun (at, action) -> { Scenario.at; target = "fwd"; action }) (fault_steps id))
-  in
+(* The recovery clock starts when the fault clears.  Renegotiations never
+   "clear" per fault_window, so the sawtooth's clock starts at the last
+   snap back to full rate. *)
+let fault_window id scenario =
   match id with
-  | Burst_loss | Outage -> (s, Scenario.fault_window s)
-  | Sawtooth ->
-      (* renegotiations never "clear" per fault_window; the recovery clock
-         starts at the last snap back to full rate *)
-      (s, Some (Time.sec 6., Time.sec 18.))
+  | Burst_loss | Outage -> Scenario.fault_window scenario
+  | Sawtooth -> Some (Time.sec 6., Time.sec 18.)
 
-let scenario_name id = (fst (scenario_of id)).Scenario.name
 let app_name = function Tcp_cm_bulk -> "tcp-cm-bulk" | Layered_stream -> "layered-alf"
 
-(* ---- topology: handwritten builder vs. the spec DSL --------------------- *)
+(* ---- topology: the pipe and its faults in the spec DSL ------------------- *)
 
-type via = Handwritten | Dsl
-
-(* The same pipe, authored in the spec algebra.  The parity test checks
-   that compiling this (Check.elaborate → Build.instantiate/scenario)
-   yields byte-identical family JSON to the Topology.pipe path. *)
 let spec_of id =
   Cm_spec.Spec.(
     par
@@ -85,29 +75,25 @@ let spec_of id =
         faults ~target:"fwd" (fault_steps id);
       ])
 
-(* (sender, receiver, fwd, rev, scenario) by either construction path *)
-let make_net via engine rng id =
-  match via with
-  | Handwritten ->
-      let net = Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:50 ~rng () in
-      (net.Topology.a, net.Topology.b, net.Topology.ab, net.Topology.ba, fst (scenario_of id))
-  | Dsl ->
-      let ir = Cm_spec.Check.elaborate_exn (spec_of id) in
-      let b = Cm_spec.Build.instantiate ~rng engine ir in
-      ( Cm_spec.Build.host b "a",
-        Cm_spec.Build.host b "b",
-        Cm_spec.Build.link b "fwd",
-        Cm_spec.Build.link b "rev",
-        Cm_spec.Build.scenario ~name:(name_of id) ir )
+(* (sender, receiver, fwd, rev, scenario), compiled from [spec_of id] *)
+let make_net engine rng id =
+  let ir = Cm_spec.Check.elaborate_exn (spec_of id) in
+  let b = Cm_spec.Build.instantiate ~rng engine ir in
+  ( Cm_spec.Build.host b "a",
+    Cm_spec.Build.host b "b",
+    Cm_spec.Build.link b "fwd",
+    Cm_spec.Build.link b "rev",
+    Cm_spec.Build.scenario ~name:(scenario_name id) ir )
 
 (* ---- the two applications under test ------------------------------------ *)
 
-(* goodput timeline (value = bytes) + layer switches + forward-link stats *)
-let run_bulk params via id =
+(* goodput timeline (value = bytes) + layer switches + forward-link stats
+   + the compiled fault scenario *)
+let run_bulk params id =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let a, b, ab, ba, scenario = make_net via engine rng id in
+  let a, b, ab, ba, scenario = make_net engine rng id in
   let links = [ ("fwd", ab); ("rev", ba) ] in
   let cm = Cm.create engine () in
   Cm.attach cm a;
@@ -125,13 +111,13 @@ let run_bulk params via id =
   Tcp.Conn.send conn (1 lsl 34);
   Scenario.compile engine ~rng ~links scenario;
   Engine.run_for engine duration;
-  (tl, None, Link.stats ab)
+  (tl, None, Link.stats ab, scenario)
 
-let run_layered params via id =
+let run_layered params id =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let a, b, ab, ba, scenario = make_net via engine rng id in
+  let a, b, ab, ba, scenario = make_net engine rng id in
   let links = [ ("fwd", ab); ("rev", ba) ] in
   let cm = Cm.create engine ~mtu:1000 () in
   Cm.attach cm a;
@@ -158,7 +144,7 @@ let run_layered params via id =
                if p.Timeline.value <> prev then (n + 1, p.Timeline.value) else (n, prev))
              (0, p0.Timeline.value) rest)
   in
-  (Cm_apps.Layered.tx_timeline source, Some switches, Link.stats ab)
+  (Cm_apps.Layered.tx_timeline source, Some switches, Link.stats ab, scenario)
 
 (* ---- metrics ------------------------------------------------------------ *)
 
@@ -179,15 +165,14 @@ let analyze ~bins_bps ~fault_start ~fault_clear =
   in
   (pre, during, recovery)
 
-let run_one ?(via = Handwritten) params ~scenario ~app =
-  let sc, window = scenario_of scenario in
-  let fault_start, fault_clear =
-    match window with Some w -> w | None -> (Time.zero, Time.zero)
-  in
-  let tl, switches, stats =
+let run_one params ~scenario ~app =
+  let tl, switches, stats, sc =
     match app with
-    | Tcp_cm_bulk -> run_bulk params via scenario
-    | Layered_stream -> run_layered params via scenario
+    | Tcp_cm_bulk -> run_bulk params scenario
+    | Layered_stream -> run_layered params scenario
+  in
+  let fault_start, fault_clear =
+    match fault_window scenario sc with Some w -> w | None -> (Time.zero, Time.zero)
   in
   let bins_bps =
     List.map (fun (t, bytes_per_s) -> (t, bytes_per_s *. 8.)) (Timeline.rate_series tl ~bin ~until:duration)
@@ -208,10 +193,10 @@ let run_one ?(via = Handwritten) params ~scenario ~app =
     r_stats = stats;
   }
 
-let run ?via params =
+let run params =
   List.concat_map
     (fun scenario ->
-      List.map (fun app -> run_one ?via params ~scenario ~app) [ Tcp_cm_bulk; Layered_stream ])
+      List.map (fun app -> run_one params ~scenario ~app) [ Tcp_cm_bulk; Layered_stream ])
     [ Burst_loss; Outage; Sawtooth ]
 
 (* ---- JSON output -------------------------------------------------------- *)

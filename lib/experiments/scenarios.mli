@@ -35,21 +35,14 @@ type result = {
 
 val scenario_name : scenario_id -> string
 
-type via = Handwritten | Dsl
-(** How the pipe and its fault schedule are constructed: the original
-    {!Netsim.Topology.pipe} + [Scenario.make] path, or the same shape
-    authored in the spec DSL and compiled through
-    [Cm_spec.Check]/[Cm_spec.Build].  Both produce byte-identical JSON —
-    the parity proof for the spec compiler (tested in [test_spec]). *)
-
 val spec_of : scenario_id -> Cm_spec.Spec.t
-(** The DSL source of the pipe + fault schedule for one scenario. *)
+(** The DSL source of the pipe + fault schedule for one scenario; every
+    run is compiled from it through [Cm_spec.Check]/[Cm_spec.Build]. *)
 
-val run_one : ?via:via -> Exp_common.params -> scenario:scenario_id -> app:app_id -> result
-(** Run one (scenario, application) cell on a fresh 8 Mbit/s, 20 ms pipe.
-    Default [via]: [Handwritten]. *)
+val run_one : Exp_common.params -> scenario:scenario_id -> app:app_id -> result
+(** Run one (scenario, application) cell on a fresh 8 Mbit/s, 20 ms pipe. *)
 
-val run : ?via:via -> Exp_common.params -> result list
+val run : Exp_common.params -> result list
 (** The full 3 × 2 scenario/application matrix. *)
 
 val result_json : result -> Exp_common.Json.t

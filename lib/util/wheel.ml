@@ -361,11 +361,17 @@ let remove t e =
 let update t e ~time =
   if e.where = w_out then false
   else begin
-    detach t e;
+    if t.n_slots > 0 then detach t e;
     e.time <- time;
     e.seq <- t.next_seq;
     t.next_seq <- t.next_seq + 1;
-    place t e;
+    if t.n_slots > 0 then place t e
+    else begin
+      (* pure-heap mode: the entry stays in the one heap, re-keyed in place *)
+      pq_set t.over e.pos e;
+      pq_sift_up t.over e.pos;
+      pq_sift_down t.over e.pos
+    end;
     true
   end
 

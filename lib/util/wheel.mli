@@ -45,7 +45,8 @@ val remove : 'a t -> 'a handle -> bool
 
 val update : 'a t -> 'a handle -> time:int -> bool
 (** Move a queued entry to a new time with a fresh sequence number
-    (remove + reinsert semantics).
+    (remove + reinsert semantics; in pure-heap mode the entry is re-keyed
+    in place).
     [false] if the handle was not queued. *)
 
 val mem : 'a t -> 'a handle -> bool

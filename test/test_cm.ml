@@ -256,6 +256,145 @@ let test_stride_rebase_fairness () =
     true
     (ratio > 9.9 && ratio < 10.1)
 
+(* Every weight outside (0, inf) whose stride 10^6 / w is not finite is
+   refused, NaN included: [nan <= 0.] is false, so a sign test alone let a
+   NaN weight through, and its NaN pass took grants it had no share to. *)
+let test_stride_rejects_bad_weights () =
+  List.iter
+    (fun w ->
+      let s = Scheduler.weighted () in
+      match s.Scheduler.set_weight 1 w with
+      | () -> Alcotest.failf "weight %h accepted" w
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.; -1.; 1e-320 ];
+  let s = Scheduler.weighted () in
+  s.Scheduler.set_weight 1 1e-300;
+  s.Scheduler.set_weight 2 Float.max_float;
+  s.Scheduler.enqueue 1;
+  s.Scheduler.enqueue 2;
+  Alcotest.(check (list int)) "extreme finite weights still schedule" [ 1; 2 ] (drain s 2)
+
+(* Reference for the stride grant order: a list scan over the same float
+   pass arithmetic, minimum pass first, ties FIFO by a stamp refreshed
+   every time a flow is re-keyed. *)
+type model_flow = {
+  m_id : int;
+  mutable m_count : int;
+  mutable m_weight : float;
+  mutable m_pass : float;
+  mutable m_stamp : int;
+}
+
+type stride_op = Enq of int | Deq | Rem of int | Weight of int * float
+
+let show_op = function
+  | Enq i -> Printf.sprintf "enq %d" i
+  | Deq -> "deq"
+  | Rem i -> Printf.sprintf "rem %d" i
+  | Weight (i, w) -> Printf.sprintf "weight %d %g" i w
+
+let model_run ops =
+  let flows = ref [] and global = ref 0. and stamp = ref 0 in
+  let fresh () =
+    incr stamp;
+    !stamp
+  in
+  let flow id =
+    match List.find_opt (fun f -> f.m_id = id) !flows with
+    | Some f -> f
+    | None ->
+        let f = { m_id = id; m_count = 0; m_weight = 1.0; m_pass = !global; m_stamp = 0 } in
+        flows := f :: !flows;
+        f
+  in
+  List.filter_map
+    (function
+      | Enq id ->
+          let f = flow id in
+          f.m_count <- f.m_count + 1;
+          if f.m_count = 1 then begin
+            f.m_pass <- Float.max !global f.m_pass;
+            f.m_stamp <- fresh ()
+          end;
+          None
+      | Deq -> (
+          let better a b = a.m_pass < b.m_pass || (a.m_pass = b.m_pass && a.m_stamp < b.m_stamp) in
+          let pick =
+            List.fold_left
+              (fun best f ->
+                if f.m_count = 0 then best
+                else match best with Some b when not (better f b) -> best | _ -> Some f)
+              None !flows
+          in
+          match pick with
+          | None -> Some None
+          | Some f ->
+              global := f.m_pass;
+              f.m_count <- f.m_count - 1;
+              f.m_pass <- f.m_pass +. (1_000_000. /. f.m_weight);
+              f.m_stamp <- fresh ();
+              Some (Some f.m_id))
+      | Rem id ->
+          flows := List.filter (fun f -> f.m_id <> id) !flows;
+          None
+      | Weight (id, w) ->
+          (flow id).m_weight <- w;
+          None)
+    ops
+
+let scheduler_run ops =
+  let s = Scheduler.weighted () in
+  List.filter_map
+    (function
+      | Enq id ->
+          s.Scheduler.enqueue id;
+          None
+      | Deq -> Some (s.Scheduler.dequeue ())
+      | Rem id ->
+          s.Scheduler.remove id;
+          None
+      | Weight (id, w) ->
+          s.Scheduler.set_weight id w;
+          None)
+    ops
+
+let prop_stride_matches_model =
+  let op =
+    QCheck.Gen.(
+      let id = int_bound 5 in
+      frequency
+        [
+          (5, map (fun i -> Enq i) id);
+          (4, return Deq);
+          (1, map (fun i -> Rem i) id);
+          (1, map2 (fun i w -> Weight (i, w)) id (oneofl [ 0.5; 1.; 2.; 3.; 7. ]));
+        ])
+  in
+  QCheck.Test.make ~name:"stride grant order = list-scan reference" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 0 300) op))
+    (fun ops -> scheduler_run ops = model_run ops)
+
+(* With strides that are exact integers (weights 1, 2, 4, 5) a rebase is
+   an exact subtraction, so rebasing every few grants must leave the
+   whole grant sequence as it is without rebasing. *)
+let test_stride_rebase_keeps_order () =
+  let grants s =
+    List.iteri (fun id w -> s.Scheduler.set_weight id w) [ 1.; 2.; 4.; 5. ];
+    List.iter s.Scheduler.enqueue [ 0; 1; 2; 3 ];
+    Array.init 1_000_000 (fun _ ->
+        match s.Scheduler.dequeue () with
+        | Some id ->
+            s.Scheduler.enqueue id;
+            id
+        | None -> Alcotest.fail "scheduler ran dry")
+  in
+  let rebased = grants (Scheduler.weighted_stride ~rebase_threshold:1e7 ()) in
+  let plain = grants (Scheduler.weighted ()) in
+  Alcotest.(check bool) "same 1M-grant sequence" true (rebased = plain)
+
 (* satellite (c): at N=4096, over full cycles with every flow backlogged,
    each flow's grant count stays within +/-1 of its weighted share *)
 let check_full_cycle_share s ~weights ~cycles =
@@ -784,6 +923,10 @@ let () =
             test_stride_rebase_fairness;
           Alcotest.test_case "rr share +/-1 at 4096 flows" `Quick test_rr_share_at_4096;
           Alcotest.test_case "stride share +/-1 at 4096 flows" `Quick test_stride_share_at_4096;
+          Alcotest.test_case "stride rejects bad weights" `Quick test_stride_rejects_bad_weights;
+          QCheck_alcotest.to_alcotest prop_stride_matches_model;
+          Alcotest.test_case "stride rebase keeps the grant order" `Quick
+            test_stride_rebase_keeps_order;
         ] );
       ( "api",
         [

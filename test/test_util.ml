@@ -1,4 +1,4 @@
-(* Tests for cm_util: time, json, rng, wheel, fheap, stats, ewma, timeline,
+(* Tests for cm_util: time, json, rng, wheel, stats, ewma, timeline,
    byte_queue. *)
 
 open Cm_util
@@ -505,87 +505,6 @@ let prop_byte_queue_conserves =
       drain ();
       ok1 && !popped = total && Byte_queue.bytes q = 0)
 
-(* ---- Fheap (float-priority indexed heap) ---------------------------- *)
-
-let test_fheap_orders () =
-  let h = Fheap.create () in
-  List.iter (fun p -> ignore (Fheap.insert h ~prio:p p)) [ 5.; 1.5; 4.; 1.5; 3.; 9.; 0.25 ];
-  let out = List.init 7 (fun _ -> Fheap.extract_min h) |> List.filter_map Fun.id in
-  Alcotest.(check (list (pair (float 0.) (float 0.))))
-    "sorted output"
-    [ (0.25, 0.25); (1.5, 1.5); (1.5, 1.5); (3., 3.); (4., 4.); (5., 5.); (9., 9.) ]
-    out
-
-let test_fheap_fifo_ties () =
-  let h = Fheap.create () in
-  ignore (Fheap.insert h ~prio:7. "first");
-  ignore (Fheap.insert h ~prio:7. "second");
-  ignore (Fheap.insert h ~prio:7. "third");
-  let order =
-    List.init 3 (fun _ -> Fheap.extract_min h) |> List.filter_map Fun.id |> List.map snd
-  in
-  Alcotest.(check (list string)) "FIFO among equal priorities" [ "first"; "second"; "third" ] order
-
-let test_fheap_update_prio () =
-  let h = Fheap.create () in
-  let a = Fheap.insert h ~prio:1. "a" in
-  let b = Fheap.insert h ~prio:2. "b" in
-  let _c = Fheap.insert h ~prio:3. "c" in
-  let next h = Option.map snd (Fheap.extract_min h) in
-  "update live handle" => Fheap.update_prio h b ~prio:0.5;
-  Alcotest.(check (option string)) "b floats to the top" (Some "b") (next h);
-  "update live handle" => Fheap.update_prio h a ~prio:10.;
-  Alcotest.(check (option string)) "a sinks below c" (Some "c") (next h);
-  Alcotest.(check (option string)) "a last" (Some "a") (next h)
-
-let test_fheap_remove () =
-  let h = Fheap.create () in
-  let _a = Fheap.insert h ~prio:1. "a" in
-  let b = Fheap.insert h ~prio:2. "b" in
-  let _c = Fheap.insert h ~prio:3. "c" in
-  "remove live handle" => Fheap.remove h b;
-  Alcotest.(check bool) "b gone" false (Fheap.mem h b);
-  Alcotest.(check int) "size 2" 2 (Fheap.size h);
-  let out =
-    List.init 2 (fun _ -> Fheap.extract_min h) |> List.filter_map Fun.id |> List.map snd
-  in
-  Alcotest.(check (list string)) "remaining order" [ "a"; "c" ] out
-
-(* shift_all is the stride scheduler's pass rebase: a uniform shift must
-   preserve the extraction order exactly (same relative keys, same FIFO
-   ranks), only the absolute priorities change *)
-let test_fheap_shift_preserves_order () =
-  let mk () =
-    let h = Fheap.create () in
-    List.iteri
-      (fun i p -> ignore (Fheap.insert h ~prio:p (i, p)))
-      [ 12.5; 3.; 3.; 77.; 0.5; 12.5; 8. ];
-    h
-  in
-  let h1 = mk () and h2 = mk () in
-  Fheap.shift_all h2 (-1e6);
-  let drain h = List.init 7 (fun _ -> Fheap.extract_min h) |> List.filter_map Fun.id in
-  let vals = List.map snd and prios = List.map fst in
-  let o1 = drain h1 and o2 = drain h2 in
-  Alcotest.(check (list (pair int (float 0.))))
-    "same values in the same order" (vals o1) (vals o2);
-  List.iter2
-    (fun p1 p2 -> Alcotest.(check (float 1e-9)) "priority shifted by delta" (p1 -. 1e6) p2)
-    (prios o1) (prios o2)
-
-let prop_fheap_sorts =
-  QCheck.Test.make ~name:"fheap extracts in nondecreasing order" ~count:200
-    QCheck.(list (float_bound_exclusive 1e9))
-    (fun prios ->
-      let h = Fheap.create () in
-      List.iter (fun p -> ignore (Fheap.insert h ~prio:p p)) prios;
-      let rec drain last =
-        match Fheap.extract_min h with
-        | None -> true
-        | Some (p, _) -> p >= last && drain p
-      in
-      drain neg_infinity)
-
 let () =
   Alcotest.run "util"
     [
@@ -628,15 +547,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_model;
         ] );
       ("wheel", [ QCheck_alcotest.to_alcotest prop_wheel_matches_heap ]);
-      ( "fheap",
-        [
-          Alcotest.test_case "orders by priority" `Quick test_fheap_orders;
-          Alcotest.test_case "fifo among ties" `Quick test_fheap_fifo_ties;
-          Alcotest.test_case "update_prio re-keys" `Quick test_fheap_update_prio;
-          Alcotest.test_case "removal" `Quick test_fheap_remove;
-          Alcotest.test_case "shift_all preserves order" `Quick test_fheap_shift_preserves_order;
-          QCheck_alcotest.to_alcotest prop_fheap_sorts;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "moments" `Quick test_stats_moments;
