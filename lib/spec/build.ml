@@ -11,7 +11,13 @@ module Scenario = Cm_dynamics.Scenario
    run rng is merely *stored* by links (never drawn while loss/reorder/
    jitter are off), and routing attaches the same Link.send closures —
    so a spec describing a pipe compiles to an indistinguishable
-   simulation. *)
+   simulation.
+
+   Routing is the checker's: every router installs one entry per
+   destination host it can reach, read from the IR's next-hop table
+   (Check.next_hop), which was computed once per IR with one BFS per
+   router.  A next hop is always a router or the destination itself,
+   because hosts do not forward. *)
 
 type node_impl = Host_impl of Host.t | Router_impl of Router.t
 
@@ -44,31 +50,29 @@ let instantiate ?costs ?rng engine (ir : Check.ir) =
           ?rng ~sink ())
       ir.Check.ir_edges
   in
+  let sends = Array.map Link.send links in
   (* hosts: the single out-link (multihoming was rejected statically) *)
   Array.iteri
     (fun i impl ->
       match (impl, ir.Check.ir_out.(i)) with
-      | Host_impl h, ei :: _ -> Host.attach_route h (Link.send links.(ei))
+      | Host_impl h, ei :: _ -> Host.attach_route h sends.(ei)
       | Host_impl _, [] | Router_impl _, _ -> ())
     impls;
-  (* routers: one backward BFS per destination host; next_hop uses the
-     same first-declared-edge tie-break the checker's route function
-     reports, so reachability and installed routes cannot disagree *)
+  (* routers: one entry per reachable destination host, read from the
+     checker's own next-hop table *)
   Array.iteri
-    (fun dst (n : Check.node) ->
-      if n.Check.n_kind = Spec.Host then begin
-        let dist = Check.dist_to ir ~dst in
-        Array.iteri
-          (fun u impl ->
-            match impl with
-            | Router_impl r -> (
-                match Check.next_hop ir dist u with
-                | Some ei -> Router.add_route r ~dst:n.Check.n_addr (Link.send links.(ei))
+    (fun u impl ->
+      match impl with
+      | Router_impl r ->
+          Array.iteri
+            (fun dst (n : Check.node) ->
+              if n.Check.n_kind = Spec.Host then
+                match Check.next_hop ir u ~dst with
+                | Some ei -> Router.add_route r ~dst:n.Check.n_addr sends.(ei)
                 | None -> ())
-            | Host_impl _ -> ())
-          impls
-      end)
-    ir.Check.ir_nodes;
+            ir.Check.ir_nodes
+      | Host_impl _ -> ())
+    impls;
   { engine; ir; impls; links }
 
 let node_index t name =

@@ -2,9 +2,13 @@
 
     Turns a checked {!Check.ir} into live {!Netsim} objects — hosts and
     routers in declaration order, links in declaration order with
-    drop-tail queues, host default routes and per-destination router
-    tables derived from the checker's own BFS — plus a
+    drop-tail queues, host default routes and router tables — plus a
     {!Cm_dynamics.Scenario} program projected from the fault steps.
+
+    Each router gets one route per destination host it can reach, read
+    from the checker's own table ({!Check.next_hop}), so the routes
+    {!Check.route} reports are the paths packets take.  A next hop is
+    always a router or the destination itself: hosts never forward.
 
     Construction order and parameters match the hand-built
     {!Netsim.Topology} builders exactly (and the [rng] is only stored by

@@ -43,12 +43,23 @@ type fault = {
   f_span : Spec.span;
 }
 
+(* Routes are computed once per IR, by one forward BFS per router.  Only
+   routers forward: the BFS expands routers and stops at hosts, so no
+   route ever passes through a host. *)
+type routes = {
+  rt_dist : int array array;
+      (* per router: hop distance to every node (max_int = unreachable);
+         [||] for hosts *)
+  rt_hop : int array array;  (* per router: out-edge toward every host (-1 = none) *)
+}
+
 type ir = {
   ir_nodes : node array;
   ir_edges : edge array;
   ir_groups : group array;
   ir_faults : fault array;
   ir_out : int list array;  (** per node: out-edge indices, declaration order *)
+  ir_routes : routes;
 }
 
 let is_host ir i = ir.ir_nodes.(i).n_kind = Spec.Host
@@ -65,48 +76,76 @@ let fault_target_str ir = function
 
 (* ---- routing ------------------------------------------------------------ *)
 
-(* Hop distance of every node to [dst], over reversed edges.  Hosts do not
-   forward: expansion continues only through routers (and [dst] itself),
-   so a path "through" a host is never counted.  max_int = unreachable. *)
-let dist_to ir ~dst =
-  let n = Array.length ir.ir_nodes in
-  let dist = Array.make n max_int in
-  (* reverse adjacency: in-edges per node *)
-  let in_edges = Array.make n [] in
-  Array.iteri (fun ei e -> in_edges.(e.e_dst) <- ei :: in_edges.(e.e_dst)) ir.ir_edges;
+let compute_routes nodes edges out =
+  let n = Array.length nodes in
+  let is_router i = nodes.(i).n_kind = Spec.Router in
+  let hosts = Array.of_list (List.filter (fun i -> not (is_router i)) (List.init n Fun.id)) in
   let q = Queue.create () in
-  dist.(dst) <- 0;
-  Queue.push dst q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    if v = dst || not (is_host ir v) then
-      List.iter
-        (fun ei ->
-          let u = ir.ir_edges.(ei).e_src in
-          if dist.(u) = max_int then begin
-            dist.(u) <- dist.(v) + 1;
-            Queue.push u q
-          end)
-        in_edges.(v)
-  done;
-  dist
-
-(* Next-hop from [u] toward [dst] under [dist]: the first declared
-   out-edge that steps one hop closer.  Declaration order is the
-   deterministic tie-break (no ECMP). *)
-let next_hop ir dist u =
-  if dist.(u) = max_int || dist.(u) = 0 then None
-  else
-    List.find_opt (fun ei -> dist.(ir.ir_edges.(ei).e_dst) = dist.(u) - 1) ir.ir_out.(u)
-
-(* Edge indices along the deterministic route src → dst, if any. *)
-let route ir dist ~src =
-  let rec walk u acc =
-    match next_hop ir dist u with
-    | None -> if dist.(u) = 0 then Some (List.rev acc) else None
-    | Some ei -> walk ir.ir_edges.(ei).e_dst (ei :: acc)
+  let bfs u =
+    let dist = Array.make n max_int in
+    dist.(u) <- 0;
+    Queue.push u q;
+    while not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      if is_router v then
+        List.iter
+          (fun ei ->
+            let w = edges.(ei).e_dst in
+            if dist.(w) = max_int then begin
+              dist.(w) <- dist.(v) + 1;
+              Queue.push w q
+            end)
+          out.(v)
+    done;
+    dist
   in
-  if dist.(src) = max_int then None else walk src []
+  let rt_dist = Array.init n (fun u -> if is_router u then bfs u else [||]) in
+  (* [u]'s next hop toward host [d] is its first declared out-edge that
+     starts a shortest route: the edge to [d] itself, or an edge to a
+     router one hop closer.  Declaration order is the deterministic
+     tie-break (no ECMP). *)
+  let table u =
+    let du = rt_dist.(u) and hop = Array.make n (-1) in
+    List.iter
+      (fun ei ->
+        let v = edges.(ei).e_dst in
+        if not (is_router v) then (if hop.(v) < 0 then hop.(v) <- ei)
+        else
+          let dv = rt_dist.(v) in
+          Array.iter
+            (fun d -> if hop.(d) < 0 && du.(d) <> max_int && dv.(d) = du.(d) - 1 then hop.(d) <- ei)
+            hosts)
+      out.(u);
+    hop
+  in
+  { rt_dist; rt_hop = Array.init n (fun u -> if is_router u then table u else [||]) }
+
+let next_hop ir u ~dst =
+  let rt = ir.ir_routes in
+  if u = dst then None
+  else if not (is_host ir u) then (match rt.rt_hop.(u).(dst) with -1 -> None | ei -> Some ei)
+  else
+    (* a host sends on its first out-edge that starts a shortest route *)
+    let cost ei =
+      let v = ir.ir_edges.(ei).e_dst in
+      if v = dst then 0 else if is_host ir v then max_int else rt.rt_dist.(v).(dst)
+    in
+    fst
+      (List.fold_left
+         (fun (best, c) ei ->
+           let c' = cost ei in
+           if c' < c then (Some ei, c') else (best, c))
+         (None, max_int) ir.ir_out.(u))
+
+let route ir ~src ~dst =
+  let rec walk u acc =
+    if u = dst then Some (List.rev acc)
+    else
+      match next_hop ir u ~dst with
+      | None -> None
+      | Some ei -> walk ir.ir_edges.(ei).e_dst (ei :: acc)
+  in
+  walk src []
 
 (* ---- fault windows ------------------------------------------------------ *)
 
@@ -337,7 +376,10 @@ let elaborate spec =
       | Spec.Node _ | Spec.Link _ | Spec.Group _ -> ())
     spec;
   let faults = Array.of_list (List.rev !faults) in
-  let ir = { ir_nodes = nodes; ir_edges = edges; ir_groups = groups; ir_faults = faults; ir_out = out } in
+  let ir =
+    { ir_nodes = nodes; ir_edges = edges; ir_groups = groups; ir_faults = faults; ir_out = out;
+      ir_routes = compute_routes nodes edges out }
+  in
   (* 7. overlapping bounded disruptions on the same link are ambiguous *)
   let by_target = Hashtbl.create 8 in
   Array.iter
@@ -369,20 +411,12 @@ let elaborate spec =
      destination must reach every source (the feedback path) *)
   Array.iter
     (fun g ->
-      let back = dist_to ir ~dst:g.g_dst in
-      (* forward from dst = backward over the graph with all edges reversed;
-         reuse dist_to on a reversed view by swapping src/dst *)
-      let rev_ir =
-        { ir with
-          ir_edges = Array.map (fun e -> { e with e_src = e.e_dst; e_dst = e.e_src }) ir.ir_edges }
-      in
-      let fwd = dist_to rev_ir ~dst:g.g_dst in
       Array.iter
         (fun s ->
-          if back.(s) = max_int then
+          if route ir ~src:s ~dst:g.g_dst = None then
             err "unreachable" g.g_span "flow group %S: source %S cannot reach %S" g.g_name
               (node_name ir s) (node_name ir g.g_dst);
-          if fwd.(s) = max_int then
+          if route ir ~src:g.g_dst ~dst:s = None then
             err "unreachable" g.g_span "flow group %S: %S cannot reach source %S (no feedback path)"
               g.g_name (node_name ir g.g_dst) (node_name ir s))
         g.g_srcs)
@@ -392,15 +426,13 @@ let elaborate spec =
   Array.iter
     (fun g ->
       let f = app_floor_bps g.g_app in
-      if f > 0. then begin
-        let dist = dist_to ir ~dst:g.g_dst in
+      if f > 0. then
         Array.iter
           (fun s ->
-            match route ir dist ~src:s with
+            match route ir ~src:s ~dst:g.g_dst with
             | Some path -> List.iter (fun ei -> floor_demand.(ei) <- floor_demand.(ei) +. f) path
             | None -> ())
-          g.g_srcs
-      end)
+          g.g_srcs)
     groups;
   Array.iteri
     (fun ei e ->
@@ -427,10 +459,9 @@ let elastic_counts ir =
   let counts = Array.make (Stdlib.max 1 (Array.length ir.ir_edges)) 0 in
   Array.iter
     (fun g ->
-      let dist = dist_to ir ~dst:g.g_dst in
       Array.iter
         (fun s ->
-          match route ir dist ~src:s with
+          match route ir ~src:s ~dst:g.g_dst with
           | Some path -> List.iter (fun ei -> counts.(ei) <- counts.(ei) + 1) path
           | None -> ())
         g.g_srcs)

@@ -72,12 +72,19 @@ type fault = {
   f_span : Spec.span;
 }
 
+type routes
+(** The IR's routing table, computed once by {!elaborate}: one forward
+    BFS per router that stops at hosts, since hosts do not forward.
+    {!next_hop} and {!route} read it, and so does {!Build}, which
+    installs it; checker and builder therefore cannot disagree. *)
+
 type ir = {
   ir_nodes : node array;
   ir_edges : edge array;
   ir_groups : group array;
   ir_faults : fault array;
   ir_out : int list array;  (** per node: out-edge indices, declaration order *)
+  ir_routes : routes;
 }
 
 val elaborate : Spec.t -> (ir, diag list) result
@@ -90,19 +97,16 @@ val check : Spec.t -> diag list
 val elaborate_exn : Spec.t -> ir
 (** Raises [Invalid_argument] with all diagnostics rendered. *)
 
-val dist_to : ir -> dst:int -> int array
-(** Hop distance of every node to [dst] ([max_int] = unreachable), under
-    the hosts-don't-forward rule.  {!Build} derives routing tables from
-    this, so checker and builder can never disagree on reachability. *)
+val next_hop : ir -> int -> dst:int -> int option
+(** [next_hop ir u ~dst] is the out-edge node [u] sends [dst]-bound
+    packets on, for a host [dst]: the first declared out-edge of [u]
+    that starts a shortest route to [dst] through routers only.  Its
+    far end is always a router or [dst] itself, never another host.
+    [None] if [u = dst] or [dst] is unreachable from [u]. *)
 
-val next_hop : ir -> int array -> int -> int option
-(** [next_hop ir dist u] is the out-edge of [u] one hop closer to the
-    distance map's destination — the first declared such edge, the
-    deterministic tie-break {!Build} installs in routing tables. *)
-
-val route : ir -> int array -> src:int -> int list option
-(** [route ir (dist_to ir ~dst) ~src] is the deterministic edge path
-    src → dst (first declared out-edge that steps closer wins). *)
+val route : ir -> src:int -> dst:int -> int list option
+(** The edge path src → dst that {!next_hop} traces; [Some []] when
+    [src = dst], [None] when unreachable. *)
 
 val summary_json : ir -> Json.t
 (** Compiled-topology summary for [cm_expt spec --dump]: element counts,

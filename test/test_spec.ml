@@ -1,8 +1,10 @@
 (* The spec DSL pipeline: parity of the scenarios family's spec-built pipe
    with the handwritten Topology.pipe, static-check diagnostics (one
-   negative test per code), structural checks of the sugar combinators, a
-   qcheck property that random well-formed specs always check clean and
-   compile, and determinism of the three DSL-native families. *)
+   negative test per code), routing (the next-hop table against a
+   per-destination reference, packets following Check.route, no host as
+   a next hop), structural checks of the sugar combinators, a qcheck
+   property that random well-formed specs always check clean and compile,
+   and determinism of the three DSL-native families. *)
 
 open Cm_util
 module Spec = Cm_spec.Spec
@@ -268,6 +270,230 @@ let test_oversubscribed () =
            ();
        ])
 
+(* ---- routing: one next-hop table, never through a host ------------------ *)
+
+(* Test-only reference for the next-hop table, one BFS per destination:
+   hop distance of every node to [dst] over reversed edges, expanding
+   only through routers and [dst] (hosts do not forward). *)
+let ref_dist_to (ir : Check.ir) ~dst =
+  let n = Array.length ir.Check.ir_nodes in
+  let dist = Array.make n max_int in
+  let in_edges = Array.make n [] in
+  Array.iteri
+    (fun ei e -> in_edges.(e.Check.e_dst) <- ei :: in_edges.(e.Check.e_dst))
+    ir.Check.ir_edges;
+  let q = Queue.create () in
+  dist.(dst) <- 0;
+  Queue.push dst q;
+  while not (Queue.is_empty q) do
+    let v = Queue.pop q in
+    if v = dst || ir.Check.ir_nodes.(v).Check.n_kind = Spec.Router then
+      List.iter
+        (fun ei ->
+          let u = ir.Check.ir_edges.(ei).Check.e_src in
+          if dist.(u) = max_int then begin
+            dist.(u) <- dist.(v) + 1;
+            Queue.push u q
+          end)
+        in_edges.(v)
+  done;
+  dist
+
+(* The reference next hop: the first declared out-edge of [u] to a router
+   or to [dst] itself that steps one hop closer. *)
+let ref_next_hop (ir : Check.ir) dist ~dst u =
+  if dist.(u) = max_int || dist.(u) = 0 then None
+  else
+    List.find_opt
+      (fun ei ->
+        let v = ir.Check.ir_edges.(ei).Check.e_dst in
+        (v = dst || ir.Check.ir_nodes.(v).Check.n_kind = Spec.Router) && dist.(v) = dist.(u) - 1)
+      ir.Check.ir_out.(u)
+
+let node_idx (ir : Check.ir) name =
+  let rec find i = if ir.Check.ir_nodes.(i).Check.n_name = name then i else find (i + 1) in
+  find 0
+
+let edge_names (ir : Check.ir) path = List.map (fun ei -> ir.Check.ir_edges.(ei).Check.e_name) path
+
+(* A one-way router→host link declared first: host [x] and router [r2]
+   are both two hops from [d], but only [r2] forwards.  A next-hop rule
+   that admits hosts sends every s→d packet into [x], which drops it. *)
+let detour_spec =
+  let bw = 10e6 and lat = Time.ms 5 in
+  Spec.(
+    par
+      [
+        router "u";
+        router "r1";
+        router "r2";
+        node "s";
+        node "d";
+        node "x";
+        link ~bw ~lat "u" "x";
+        duplex ~bw ~lat "s" "u";
+        duplex ~bw ~lat "u" "r2";
+        duplex ~bw ~lat "r2" "r1";
+        duplex ~bw ~lat "r1" "d";
+        duplex ~bw ~lat "x" "r1";
+        flows ~name:"g" ~src:[ "s" ] ~dst:"d" ~port:80 ~app:(bulk ~bytes:10_000) ();
+      ])
+
+let test_no_host_next_hop () =
+  Alcotest.(check (list string)) "checks clean" [] (codes detour_spec);
+  let ir = Check.elaborate_exn detour_spec in
+  Alcotest.(check (option (list string)))
+    "s->d routes through r2, not host x"
+    (Some [ "s->u"; "u->r2"; "r2->r1"; "r1->d" ])
+    (Option.map (edge_names ir) (Check.route ir ~src:(node_idx ir "s") ~dst:(node_idx ir "d")));
+  let engine = Eventsim.Engine.create () in
+  let b = Build.instantiate ~rng:(Rng.create ~seed:42) engine ir in
+  let running = Cm_spec.Launch.run b ~driver_for:(fun _ -> None) () in
+  Eventsim.Engine.run ~until:(Time.sec 30.) engine;
+  Alcotest.(check int) "10 kB transfer s->d finishes" 1
+    (Cm_spec.Launch.done_count (Cm_spec.Launch.find running "g"))
+
+(* Random router graphs: one-way and duplex router links, single-homed
+   hosts with one-way router→host down-links (possibly none, so some
+   hosts are unreachable), all links declared in a random order. *)
+let gen_router_graph =
+  QCheck.Gen.(
+    let* nr = int_range 2 8 in
+    let* nh = int_range 1 6 in
+    let router = int_bound (nr - 1) in
+    let* rlinks = list_size (int_range 1 (2 * nr)) (triple router router bool) in
+    let* homes = list_repeat nh router in
+    let* downs = list_repeat nh (list_size (int_range 0 2) router) in
+    let r i = Printf.sprintf "r%d" i and h i = Printf.sprintf "h%d" i in
+    let links =
+      List.concat_map
+        (fun (a, b, duplex) ->
+          if a = b then [] else if duplex then [ (r a, r b); (r b, r a) ] else [ (r a, r b) ])
+        rlinks
+      @ List.mapi (fun i a -> (h i, r a)) homes
+      @ List.concat (List.mapi (fun i rs -> List.map (fun a -> (r a, h i)) rs) downs)
+    in
+    let* links = shuffle_l links in
+    return (nr, nh, links))
+
+let router_graph_spec (nr, nh, links) =
+  Spec.(
+    par
+      [
+        par (List.init nr (fun i -> router (Printf.sprintf "r%d" i)));
+        par (List.init nh (fun i -> node (Printf.sprintf "h%d" i)));
+        par
+          (List.mapi (fun i (a, b) -> link ~name:("l" ^ string_of_int i) ~bw:1e6 ~lat:0 a b) links);
+      ])
+
+let print_router_graph (nr, nh, links) =
+  Printf.sprintf "%d routers, %d hosts, links %s" nr nh
+    (String.concat " " (List.map (fun (a, b) -> a ^ "->" ^ b) links))
+
+let prop_next_hop_table =
+  QCheck.Test.make ~count:300
+    ~name:"next-hop table = per-destination reference, never through a host"
+    (QCheck.make ~print:print_router_graph
+       ~shrink:(fun (nr, nh, links) ->
+         QCheck.Iter.map (fun links -> (nr, nh, links)) (QCheck.Shrink.list links))
+       gen_router_graph) (fun g ->
+      let ir = Check.elaborate_exn (router_graph_spec g) in
+      let nodes = ir.Check.ir_nodes in
+      Array.iteri
+        (fun dst (dn : Check.node) ->
+          if dn.Check.n_kind = Spec.Host then begin
+            let dist = ref_dist_to ir ~dst in
+            Array.iteri
+              (fun u (un : Check.node) ->
+                let got = Check.next_hop ir u ~dst in
+                if got <> ref_next_hop ir dist ~dst u then
+                  QCheck.Test.fail_reportf "%s -> %s: next hop differs from the reference"
+                    un.Check.n_name dn.Check.n_name;
+                match got with
+                | Some ei ->
+                    let v = ir.Check.ir_edges.(ei).Check.e_dst in
+                    if v <> dst && nodes.(v).Check.n_kind = Spec.Host then
+                      QCheck.Test.fail_reportf "%s -> %s: next hop is host %s" un.Check.n_name
+                        dn.Check.n_name nodes.(v).Check.n_name
+                | None -> ())
+              nodes
+          end)
+        nodes;
+      true)
+
+(* Route agreement: one data packet per group, each way, must be
+   delivered by exactly the links of Check.route's path, and no router
+   may lack a route for it. *)
+let check_route_agreement what spec =
+  let ir = Check.elaborate_exn spec in
+  let engine = Eventsim.Engine.create () in
+  let b = Build.instantiate engine ir in
+  let delivered () =
+    Array.map (fun l -> (Netsim.Link.stats l).Netsim.Link.delivered_pkts) b.Build.links
+  in
+  let send ~src ~dst =
+    let addr i = ir.Check.ir_nodes.(i).Check.n_addr in
+    let host = Build.host b ir.Check.ir_nodes.(src).Check.n_name in
+    let flow =
+      Netsim.Addr.flow
+        ~src:(Netsim.Addr.endpoint ~host:(addr src) ~port:9)
+        ~dst:(Netsim.Addr.endpoint ~host:(addr dst) ~port:9)
+        ~proto:Netsim.Addr.Udp ()
+    in
+    let before = delivered () in
+    Netsim.Host.ip_output host
+      (Netsim.Packet.make ~now:(Eventsim.Engine.now engine) ~flow ~payload_bytes:1000
+         (Netsim.Packet.Raw 1000));
+    Eventsim.Engine.run engine;
+    let after = delivered () in
+    let used =
+      List.filter (fun ei -> after.(ei) <> before.(ei)) (List.init (Array.length after) Fun.id)
+    in
+    let name i = ir.Check.ir_nodes.(i).Check.n_name in
+    match Check.route ir ~src ~dst with
+    | None -> Alcotest.failf "%s: %s -> %s has no route" what (name src) (name dst)
+    | Some path ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s: %s -> %s delivered on the route's links" what (name src) (name dst))
+          (List.sort compare (edge_names ir path))
+          (List.sort compare (edge_names ir used));
+        List.iter
+          (fun ei -> Alcotest.(check int) "one delivery per link" 1 (after.(ei) - before.(ei)))
+          used
+  in
+  Array.iter
+    (fun (g : Check.group) ->
+      send ~src:g.Check.g_srcs.(0) ~dst:g.Check.g_dst;
+      send ~src:g.Check.g_dst ~dst:g.Check.g_srcs.(0))
+    ir.Check.ir_groups;
+  Array.iter
+    (function
+      | Build.Router_impl r ->
+          Alcotest.(check int)
+            (what ^ ": no router lacks a route")
+            0 (Netsim.Router.no_route_drops r)
+      | Build.Host_impl _ -> ())
+    b.Build.impls
+
+let test_route_agreement () =
+  check_route_agreement "detour" detour_spec;
+  (* fat tree: every host sends to a host in the next pod and to its
+     neighbour in the same edge switch *)
+  let hosts = Array.of_list (Spec.fat_tree_hosts ~k:4) in
+  let n = Array.length hosts in
+  let groups =
+    List.concat
+      (List.init n (fun i ->
+           List.mapi
+             (fun k j ->
+               Spec.flows
+                 ~name:(Printf.sprintf "g%d_%d" i k)
+                 ~src:[ hosts.(i) ] ~dst:hosts.(j) ~port:(1000 + (2 * i) + k)
+                 ~app:(Spec.bulk ~bytes:1000) ())
+             [ (i + 4) mod n; i lxor 1 ]))
+  in
+  check_route_agreement "fat_tree k=4" (Spec.par (Spec.fat_tree ~k:4 () :: groups))
+
 (* ---- sugar: structural expectations ------------------------------------- *)
 
 let count pred spec = List.length (List.filter pred spec)
@@ -292,14 +518,13 @@ let test_fat_tree_shape () =
   in
   List.iter
     (fun dst ->
-      let dist = Check.dist_to ir ~dst in
       List.iter
         (fun src ->
           if src <> dst then
             Alcotest.(check bool)
               (Printf.sprintf "route %d->%d" src dst)
               true
-              (Check.route ir dist ~src <> None))
+              (Check.route ir ~src ~dst <> None))
         hosts)
     hosts;
   Alcotest.check_raises "odd k rejected"
@@ -583,6 +808,12 @@ let () =
           Alcotest.test_case "oversubscribed" `Quick test_oversubscribed;
           Alcotest.test_case "control-target" `Quick test_control_target;
           Alcotest.test_case "diagnostics carry spans" `Quick test_span_in_diag;
+        ] );
+      ( "routing",
+        [
+          Alcotest.test_case "no host is a next hop (regression)" `Quick test_no_host_next_hop;
+          Alcotest.test_case "packets follow Check.route" `Quick test_route_agreement;
+          QCheck_alcotest.to_alcotest prop_next_hop_table;
         ] );
       ( "sugar",
         [
