@@ -114,7 +114,7 @@ let create libcm ~host ~dst ?(rate_bps = 64_000.) ?(app_buffer_frames = 10) () =
       fid;
       fb;
       app_buffer_frames;
-      buffer = Byte_queue.create ();
+      buffer = Byte_queue.create ~dummy:0 ();
       clock = Timer.create engine ~callback:(fun () -> ());
       running = false;
       tokens = float_of_int (2 * frame_bytes);

@@ -448,7 +448,7 @@ module Session = struct
         fid;
         key;
         ledger;
-        queue = Byte_queue.create ();
+        queue = Byte_queue.create ~dummy:0 ();
         queue_limit = queue_limit_pkts;
         sent_pkts = 0;
         sent_bytes = 0;

@@ -16,7 +16,7 @@ type t = {
   meter : Ops.meter;
   (* control socket state: flows whose write bit is set, and flows whose
      exception (status-changed) bit is set *)
-  ready_send : Cm.Cm_types.flow_id Queue.t;
+  ready_send : Cm.Cm_types.flow_id Byte_queue.t;
   mutable status_changed : Cm.Cm_types.flow_id list;
   mutable dispatch_pending : bool;
   mutable dispatches : int;
@@ -43,20 +43,22 @@ let dispatch t () =
   t.dispatch_pending <- false;
   if t.alive then begin
   t.dispatches <- t.dispatches + 1;
-  if not (Queue.is_empty t.ready_send) then begin
-    (* one ioctl extracts the list of all flow IDs that may send *)
+  let ready = Byte_queue.length t.ready_send in
+  if ready > 0 then begin
+    (* one ioctl extracts the list of all flow IDs that may send: exactly
+       those queued now; grants made by the callbacks below wait for the
+       next dispatch *)
     Ops.charge t.meter Ops.Ioctl_query;
-    let fids = Queue.fold (fun acc fid -> fid :: acc) [] t.ready_send in
-    Queue.clear t.ready_send;
-    List.iter
-      (fun fid ->
-        (* skip flows closed between grant and dispatch: their grants
-           were already returned to the window by the close *)
-        if Hashtbl.mem t.owned fid then
+    for _ = 1 to ready do
+      match Byte_queue.pop t.ready_send with
+      (* skip flows closed between grant and dispatch: their grants
+         were already returned to the window by the close *)
+      | Some fid when Hashtbl.mem t.owned fid -> (
           match Hashtbl.find_opt t.send_cbs fid with
           | Some cb -> cb fid
           | None -> Cm.notify t.cm fid ~nbytes:0)
-      (List.rev fids)
+      | Some _ | None (* a callback destroyed the process *) -> ()
+    done
   end;
   if t.status_changed <> [] then begin
     let fids = List.rev t.status_changed in
@@ -96,7 +98,7 @@ let create host cm ?(mode = Select_loop) () =
       cm;
       mode;
       meter = Ops.meter host;
-      ready_send = Queue.create ();
+      ready_send = Byte_queue.create ~dummy:0 ();
       status_changed = [];
       dispatch_pending = false;
       dispatches = 0;
@@ -114,7 +116,8 @@ let create host cm ?(mode = Select_loop) () =
         Timer.create (engine t) ~callback:(fun () ->
             (* non-blocking select on the control socket, then dispatch *)
             Ops.charge t.meter ~nfds:select_nfds Ops.Select;
-            if (not (Queue.is_empty t.ready_send)) || t.status_changed <> [] then dispatch t ())
+            if (not (Byte_queue.is_empty t.ready_send)) || t.status_changed <> [] then
+              dispatch t ())
       in
       Timer.start_periodic timer interval;
       t.poll_timer := Some timer
@@ -188,7 +191,7 @@ let register_send t fid cb =
   check_alive t;
   Hashtbl.replace t.send_cbs fid cb;
   Cm.register_send t.cm fid (fun fid ->
-      Queue.push fid t.ready_send;
+      Byte_queue.push t.ready_send ~size:0 fid;
       schedule_dispatch t)
 
 let register_update t fid cb =
@@ -217,7 +220,7 @@ let destroy t =
     Hashtbl.reset t.mtu_cache;
     Hashtbl.reset t.send_cbs;
     Hashtbl.reset t.update_cbs;
-    Queue.clear t.ready_send;
+    Byte_queue.clear t.ready_send;
     t.status_changed <- []
   end
 

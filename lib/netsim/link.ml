@@ -43,9 +43,9 @@ type t = {
   mutable tx_cache_time : Time.span;
   (* the packet on the wire and a propagation FIFO let one pre-allocated
      closure pair drive every transmission, instead of two fresh closures
-     per packet *)
+     per packet; the FIFO is a ring, so it links no packet to the next *)
   mutable txing : Packet.t option;
-  in_flight : Packet.t Queue.t;
+  in_flight : Packet.t Byte_queue.t;
   (* delivery events already scheduled for packets that a link-down flushed
      from [in_flight]; those events must pop nothing when they surface *)
   mutable stale_deliveries : int;
@@ -148,7 +148,7 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
       tx_cache_size = -1;
       tx_cache_time = 0;
       txing = None;
-      in_flight = Queue.create ();
+      in_flight = Byte_queue.create ~dummy:Packet.dummy ();
       stale_deliveries = 0;
       finish_fn = ignore;
       deliver_fn = ignore;
@@ -158,7 +158,10 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
     Engine.prof_tag engine ~cat:"net"
     @@ (fun () ->
       if t.stale_deliveries > 0 then t.stale_deliveries <- t.stale_deliveries - 1
-      else deliver t (Queue.pop t.in_flight));
+      else
+        match Byte_queue.pop t.in_flight with
+        | Some pkt -> deliver t pkt
+        | None -> assert false);
   t.finish_fn <-
     Engine.prof_tag engine ~cat:"net"
     @@ (fun () ->
@@ -178,7 +181,7 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
           in
           if extra = 0 then begin
             (* common case: in-order propagation, shared delivery closure *)
-            Queue.push pkt t.in_flight;
+            Byte_queue.push t.in_flight ~size:pkt.Packet.size pkt;
             Engine.post t.engine (prop_delay t) t.deliver_fn
           end
           else
@@ -241,9 +244,9 @@ let take_down t =
     | None -> ());
     (* everything in propagation is lost; their delivery events become
        no-ops when they surface *)
-    t.stale_deliveries <- t.stale_deliveries + Queue.length t.in_flight;
-    Queue.iter (fun pkt -> drop_down t pkt) t.in_flight;
-    Queue.clear t.in_flight
+    t.stale_deliveries <- t.stale_deliveries + Byte_queue.length t.in_flight;
+    Byte_queue.iter (fun pkt -> drop_down t pkt) t.in_flight;
+    Byte_queue.clear t.in_flight
     (* queued packets stay queued: a router buffer survives an interface
        outage and drains when the link returns *)
   end

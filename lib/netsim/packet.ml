@@ -32,6 +32,18 @@ let[@inline] make ~now ~flow ~payload_bytes ?(ecn_capable = false) payload =
     payload;
   }
 
+let dummy =
+  let nowhere = { Addr.host = 0; port = 0 } in
+  {
+    id = 0;
+    flow = { Addr.src = nowhere; dst = nowhere; proto = Addr.Udp; dscp = 0 };
+    size = 0;
+    sent_at = Time.zero;
+    ecn_capable = false;
+    ecn_marked = false;
+    payload = Raw 0;
+  }
+
 let[@inline] payload_bytes t = Stdlib.max 0 (t.size - header_bytes)
 
 let pp fmt t =

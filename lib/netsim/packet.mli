@@ -33,6 +33,11 @@ val make :
 (** [make ~now ~flow ~payload_bytes p] is a packet whose wire size is
     [payload_bytes + header_bytes]. *)
 
+val dummy : t
+(** A placeholder that is never sent: id 0 (real ids start at 1, and
+    making it takes none), zero size.  Fills the empty slots of packet
+    {!Cm_util.Byte_queue}s. *)
+
 val payload_bytes : t -> int
 (** Wire size minus {!header_bytes} (never negative). *)
 

@@ -24,7 +24,7 @@ let droptail ?limit_bytes ~limit_pkts () =
             would silently drop every packet)"
            b)
   | _ -> ());
-  let q = Byte_queue.create () in
+  let q = Byte_queue.create ~dummy:Packet.dummy () in
   let drops = ref 0 in
   (* the option is resolved once here, not matched per packet *)
   let limit_bytes = match limit_bytes with Some b -> b | None -> max_int in
@@ -53,7 +53,7 @@ let droptail ?limit_bytes ~limit_pkts () =
 
 let drop_from_head ~limit_pkts () =
   if limit_pkts <= 0 then invalid_arg "Queue_disc.drop_from_head: limit_pkts must be positive";
-  let q = Byte_queue.create () in
+  let q = Byte_queue.create ~dummy:Packet.dummy () in
   let drops = ref 0 in
   let enqueue pkt =
     if Byte_queue.length q >= limit_pkts then begin
@@ -80,7 +80,7 @@ let max_p = 0.1
 let red ?(ecn = false) ~min_th ~max_th ~limit_pkts ~rng () =
   if min_th <= 0 || max_th <= min_th || limit_pkts < max_th then
     invalid_arg "Queue_disc.red: need 0 < min_th < max_th <= limit_pkts";
-  let q = Byte_queue.create () in
+  let q = Byte_queue.create ~dummy:Packet.dummy () in
   let drops = ref 0 and marks = ref 0 in
   let avg = ref 0. in
   (* per-packet float conversions hoisted out of the enqueue busy-loop;

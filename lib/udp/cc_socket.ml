@@ -60,7 +60,7 @@ let create host ~cm ~dst ?(dscp = 0) ?port ?(queue_limit_pkts = 128) () =
                 Cm.update cm fid ~nsent:r.Feedback.nsent ~nrecd:r.Feedback.nrecd
                   ~loss:r.Feedback.loss ?rtt:r.Feedback.rtt ())
             ();
-        queue = Byte_queue.create ();
+        queue = Byte_queue.create ~dummy:0 ();
         queue_limit = queue_limit_pkts;
         drops = 0;
         sent_pkts = 0;

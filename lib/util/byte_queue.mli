@@ -1,15 +1,31 @@
 (** FIFO queue with byte accounting.
 
-    Backs router queues and application packet buffers.  Each element
-    carries a size in bytes; the queue tracks the total so capacity checks
-    are O(1).  Supports both tail insertion with head removal (FIFO) and
-    drop-from-head (for the vat application buffer, paper §3.6). *)
+    Backs router queues, links' in-flight packets and application packet
+    buffers.  Each element carries a size in bytes; the queue tracks the
+    total so capacity checks are O(1).  Supports both tail insertion with
+    head removal (FIFO) and drop-from-head (for the vat application
+    buffer, paper §3.6).
+
+    The queue is a ring buffer: an element array and a parallel [int]
+    array of sizes, with a power-of-two capacity that doubles when full.
+    A push allocates nothing once the ring has grown to the queue's
+    working depth, and no element points to the next.  That matters on
+    per-packet paths.  In a linked queue ([Stdlib.Queue]) each push
+    writes the new cell into the previous cell's [next] field; once one
+    cell has been promoted to the major heap, that write keeps the
+    young successor reachable from the remembered set even after the
+    promoted cell is popped and dead, so every minor collection promotes
+    each cell pushed since — and each cell's packet — and the chain
+    never ends.  Here a removed slot is overwritten with the [dummy]
+    given at creation, so the (long-lived) array never keeps a removed
+    element alive. *)
 
 type 'a t
 (** A queue of ['a] elements with sizes. *)
 
-val create : unit -> 'a t
-(** Empty queue. *)
+val create : dummy:'a -> unit -> 'a t
+(** Empty queue; allocates no storage until the first push.  [dummy]
+    fills every slot that holds no element; it is never returned. *)
 
 val push : 'a t -> size:int -> 'a -> unit
 (** Append at the tail. *)
@@ -21,9 +37,8 @@ val peek : 'a t -> 'a option
 (** Head element without removing it. *)
 
 val drop_head : 'a t -> ('a * int) option
-(** Remove and return the head element and its size (alias of {!pop} that
-    also reports the size — used when implementing drop-from-head
-    policies). *)
+(** Remove and return the head element and its size (used when
+    implementing drop-from-head policies). *)
 
 val length : 'a t -> int
 (** Number of elements. *)

@@ -474,7 +474,7 @@ let test_timeline_basics () =
 (* ---- Byte_queue --------------------------------------------------------- *)
 
 let test_byte_queue_fifo () =
-  let q = Byte_queue.create () in
+  let q = Byte_queue.create ~dummy:"" () in
   Byte_queue.push q ~size:10 "a";
   Byte_queue.push q ~size:20 "b";
   Alcotest.(check int) "bytes" 30 (Byte_queue.bytes q);
@@ -490,7 +490,7 @@ let prop_byte_queue_conserves =
   QCheck.Test.make ~name:"byte_queue bytes = sum of element sizes" ~count:200
     QCheck.(list (int_bound 1000))
     (fun sizes ->
-      let q = Byte_queue.create () in
+      let q = Byte_queue.create ~dummy:0 () in
       List.iter (fun s -> Byte_queue.push q ~size:s s) sizes;
       let total = List.fold_left ( + ) 0 sizes in
       let ok1 = Byte_queue.bytes q = total in
@@ -504,6 +504,136 @@ let prop_byte_queue_conserves =
       in
       drain ();
       ok1 && !popped = total && Byte_queue.bytes q = 0)
+
+type bq_op = Push of int | Pop | Drop | Peek | Clear
+
+let show_bq_op = function
+  | Push s -> Printf.sprintf "push %d" s
+  | Pop -> "pop"
+  | Drop -> "drop_head"
+  | Peek -> "peek"
+  | Clear -> "clear"
+
+(* Model-based randomized test against a list: pushes outweigh removals,
+   so sequences grow the ring through several doublings while pops keep
+   moving the head, and the live run wraps around the array end; a rare
+   clear restarts from an empty ring that keeps its storage.  After
+   every step, [iter] must list the model's elements in order (each
+   element is a fresh counter value, so order mistakes show). *)
+let prop_byte_queue_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (100, map (fun s -> Push s) (int_bound 1500));
+          (48, return Pop);
+          (24, return Drop);
+          (16, return Peek);
+          (1, return Clear);
+        ])
+  in
+  let ops =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show_bq_op ops))
+      QCheck.Gen.(list_size (int_range 0 600) gen_op)
+  in
+  QCheck.Test.make ~name:"byte_queue matches list model (growth, wrap-around, clear)" ~count:300
+    ops (fun ops ->
+      let q = Byte_queue.create ~dummy:(-1) () in
+      (* model: (value, size) pairs, head first *)
+      let model = ref [] in
+      let next = ref 0 in
+      let head () = match !model with [] -> None | x :: _ -> Some x in
+      let behead () = model := List.tl !model in
+      let step op =
+        let agrees =
+          match op with
+          | Push size ->
+              incr next;
+              Byte_queue.push q ~size !next;
+              model := !model @ [ (!next, size) ];
+              true
+          | Pop ->
+              let expect = Option.map fst (head ()) in
+              if expect <> None then behead ();
+              Byte_queue.pop q = expect
+          | Drop ->
+              let expect = head () in
+              if expect <> None then behead ();
+              Byte_queue.drop_head q = expect
+          | Peek -> Byte_queue.peek q = Option.map fst (head ())
+          | Clear ->
+              Byte_queue.clear q;
+              model := [];
+              true
+        in
+        let order = ref [] in
+        Byte_queue.iter (fun v -> order := v :: !order) q;
+        agrees
+        && Byte_queue.length q = List.length !model
+        && Byte_queue.is_empty q = (!model = [])
+        && Byte_queue.bytes q = List.fold_left (fun acc (_, s) -> acc + s) 0 !model
+        && List.rev !order = List.map fst !model
+      in
+      List.for_all step ops)
+
+(* A removed element must not stay reachable through the ring's array:
+   the filler overwrites its slot.  Each element is a fresh [ref] tracked
+   by a weak pointer; after the removal and a full major collection, the
+   removed one is gone and the one still queued is not. *)
+let test_byte_queue_releases_slots () =
+  List.iter
+    (fun (how, remove, kept_survives) ->
+      let q = Byte_queue.create ~dummy:(ref 0) () in
+      let w = Weak.create 2 in
+      let[@inline never] fill () =
+        let removed = ref 1 and kept = ref 2 in
+        Weak.set w 0 (Some removed);
+        Weak.set w 1 (Some kept);
+        Byte_queue.push q ~size:1 removed;
+        Byte_queue.push q ~size:1 kept
+      in
+      fill ();
+      remove q;
+      Gc.full_major ();
+      (how ^ ": removed element collected") => not (Weak.check w 0);
+      (how ^ ": queued element alive") => (Weak.check w 1 = kept_survives);
+      (* the queue itself stays live up to here *)
+      Alcotest.(check int) (how ^ ": length") (if kept_survives then 1 else 0)
+        (Byte_queue.length q))
+    [
+      ("pop", (fun q -> ignore (Byte_queue.pop q)), true);
+      ("drop_head", (fun q -> ignore (Byte_queue.drop_head q)), true);
+      ("clear", Byte_queue.clear, false);
+    ]
+
+type rec8 = { f0 : int; f1 : int; f2 : int; f3 : int; f4 : int; f5 : int; f6 : int; f7 : int }
+
+(* Promotion canary: a FIFO at a steady depth of 32 holds each element
+   for 32 pushes, far less than a minor heap, so almost nothing it
+   carries should survive a minor collection.  A linked queue fails
+   this: once one cell is promoted, each push writes the next young cell
+   into a major-heap cell, and every minor collection promotes the whole
+   chain pushed since, with its elements (well over 8 words per item). *)
+let test_byte_queue_promotion_canary () =
+  let fresh i = Sys.opaque_identity { f0 = i; f1 = i; f2 = i; f3 = i; f4 = i; f5 = i; f6 = i; f7 = i } in
+  let q = Byte_queue.create ~dummy:(fresh 0) () in
+  for i = 1 to 32 do
+    Byte_queue.push q ~size:8 (fresh i)
+  done;
+  (* the queue's own storage is old from here on *)
+  Gc.minor ();
+  let items = 200_000 in
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  for i = 1 to items do
+    Byte_queue.push q ~size:8 (fresh i);
+    ignore (Sys.opaque_identity (Byte_queue.pop q))
+  done;
+  let p1 = (Gc.quick_stat ()).Gc.promoted_words in
+  let per_item = (p1 -. p0) /. float_of_int items in
+  if per_item >= 1. then
+    Alcotest.failf "%.2f promoted words per item (must stay under 1)" per_item;
+  Alcotest.(check int) "steady depth" 32 (Byte_queue.length q)
 
 let () =
   Alcotest.run "util"
@@ -568,5 +698,10 @@ let () =
         [
           Alcotest.test_case "fifo with byte accounting" `Quick test_byte_queue_fifo;
           QCheck_alcotest.to_alcotest prop_byte_queue_conserves;
+          QCheck_alcotest.to_alcotest prop_byte_queue_model;
+          Alcotest.test_case "removed elements are released" `Quick
+            test_byte_queue_releases_slots;
+          Alcotest.test_case "promotion canary (steady depth 32)" `Quick
+            test_byte_queue_promotion_canary;
         ] );
     ]
