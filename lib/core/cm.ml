@@ -790,14 +790,14 @@ let macroflow_of t fid = (get_flow t fid).mf
 
 let attach t host =
   Host.add_tx_hook host (fun pkt ->
-      match Addr.Flow_table.find_opt t.flows_by_key pkt.Packet.flow with
-      | Some fid ->
+      match Addr.Flow_table.find t.flows_by_key pkt.Packet.flow with
+      | fid ->
           let nbytes = Packet.payload_bytes pkt in
           if nbytes > 0 then begin
             Cpu.charge (Host.cpu host) (Host.costs host).Costs.cm_op;
             notify t fid ~nbytes
           end
-      | None -> ())
+      | exception Not_found -> ())
 
 (* ---- telemetry --------------------------------------------------------- *)
 

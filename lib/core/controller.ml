@@ -165,12 +165,12 @@ let equation ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) () ~mtu 
     (match mode with
     | Cm_types.No_loss -> ()
     | Cm_types.Ecn_echo | Cm_types.Transient ->
-        Cm_util.Ewma.update interval (float_of_int !bytes_since_loss);
+        Cm_util.Ewma.update_int interval !bytes_since_loss;
         bytes_since_loss := 0;
         cwnd := clamp (int_of_float (equation_window ()))
     | Cm_types.Persistent ->
         (* persistent congestion: a burst of loss events *)
-        Cm_util.Ewma.update interval (float_of_int (!bytes_since_loss / 4));
+        Cm_util.Ewma.update_int interval (!bytes_since_loss / 4);
         bytes_since_loss := 0;
         cwnd := clamp (int_of_float (equation_window () /. 2.)));
     ()

@@ -123,7 +123,7 @@ let refresh_cwnd t = t.cwnd_now <- t.ctrl.Controller.cwnd ()
 let refresh_reservation t =
   t.resv_now <-
     (if Ewma.initialized t.avg_pkt then
-       Stdlib.min t.mtu (Stdlib.max 64 (int_of_float (Ewma.value t.avg_pkt)))
+       Stdlib.min t.mtu (Stdlib.max 64 (Ewma.int_value t.avg_pkt))
      else t.mtu)
 
 let reservation t = t.resv_now
@@ -175,44 +175,45 @@ let kill_grant t g =
   t.live_grants <- t.live_grants - 1;
   gq_drop_dead t
 
+(* [deliver_grant] reenters [notify]/[update] through the client's
+   callback, so every window term below must be re-read per iteration —
+   with the mirrored fields that is four int loads, not closure calls.
+   A top-level loop: a local one would be a closure per grant batch. *)
+let rec grant_loop t =
+  if t.cwnd_now - t.outstanding - t.granted_bytes >= t.resv_now then begin
+    match t.sched.Scheduler.dequeue () with
+    | None -> ()
+    | Some ix ->
+        let m = t.mix.(ix) in
+        if m == m_nil then grant_loop t (* unreachable: detach purges the scheduler *)
+        else begin
+          let reserved = t.resv_now in
+          push_grant t
+            {
+              at = Engine.now t.engine;
+              reserved;
+              g_mem = m;
+              g_dead = false;
+              g_qnext = g_nil;
+              g_fnext = g_nil;
+            };
+          t.granted_bytes <- t.granted_bytes + reserved;
+          t.grants_issued <- t.grants_issued + 1;
+          (* window conservation is only meaningful at the moment credit
+             is extended: after a loss halves cwnd, outstanding may
+             legitimately exceed it while the pipe drains.  The guard
+             above makes this unreachable; the counter is what the
+             invariant auditor checks. *)
+          if t.outstanding + t.granted_bytes > t.cwnd_now + t.mtu then
+            t.conservation_breaches <- t.conservation_breaches + 1;
+          t.deliver_grant m ~reserved;
+          grant_loop t
+        end
+  end
+
 let run_grants t =
   t.grant_event_pending <- false;
-  (* [deliver_grant] reenters [notify]/[update] through the client's
-     callback, so every window term below must be re-read per iteration —
-     with the mirrored fields that is four int loads, not closure calls *)
-  let rec loop () =
-    if t.cwnd_now - t.outstanding - t.granted_bytes >= t.resv_now then begin
-      match t.sched.Scheduler.dequeue () with
-      | None -> ()
-      | Some ix ->
-          let m = t.mix.(ix) in
-          if m == m_nil then loop () (* unreachable: detach purges the scheduler *)
-          else begin
-            let reserved = t.resv_now in
-            push_grant t
-              {
-                at = Engine.now t.engine;
-                reserved;
-                g_mem = m;
-                g_dead = false;
-                g_qnext = g_nil;
-                g_fnext = g_nil;
-              };
-            t.granted_bytes <- t.granted_bytes + reserved;
-            t.grants_issued <- t.grants_issued + 1;
-            (* window conservation is only meaningful at the moment credit
-               is extended: after a loss halves cwnd, outstanding may
-               legitimately exceed it while the pipe drains.  The guard
-               above makes this unreachable; the counter is what the
-               invariant auditor checks. *)
-            if t.outstanding + t.granted_bytes > t.cwnd_now + t.mtu then
-              t.conservation_breaches <- t.conservation_breaches + 1;
-            t.deliver_grant m ~reserved;
-            loop ()
-          end
-    end
-  in
-  loop ()
+  grant_loop t
 
 let maybe_grant t =
   if
@@ -395,40 +396,31 @@ let request t m =
 (* Consume the flow's oldest grant — O(1) via the member's own chain,
    however far out of global age order the flow transmits.  A flow with no
    grant outstanding consumes nothing (the transmission is charged
-   directly), so one flow can no longer burn another's grant. *)
+   directly), so one flow can no longer burn another's grant.  Returns
+   [g_nil] (reserving 0 bytes) when nothing was consumed. *)
 let take_grant t m =
-  if t.live_grants = 0 then None
-  else
-    match m with
-    | None ->
-        (* anonymous transmissions consume the oldest grant overall *)
-        gq_drop_dead t;
-        let g = gq_pop t in
-        g.g_dead <- true;
-        t.live_grants <- t.live_grants - 1;
-        fg_drop_dead g.g_mem;
-        Some g
-    | Some m ->
-        fg_drop_dead m;
-        if m.m_head == g_nil then None
-        else begin
-          let g = fg_pop m in
-          kill_grant t g;
-          Some g
-        end
+  if t.live_grants = 0 then g_nil
+  else begin
+    fg_drop_dead m;
+    if m.m_head == g_nil then g_nil
+    else begin
+      let g = fg_pop m in
+      kill_grant t g;
+      g
+    end
+  end
 
-let notify t ?m ~nbytes () =
+let notify t ~m ~nbytes () =
   if nbytes < 0 then invalid_arg "Macroflow.notify: negative byte count";
   (* Consume the flow's oldest grant; transmissions that arrive without a
      grant (e.g. buffered sends charged by the IP hook) are charged
      directly. *)
-  (match take_grant t m with
-  | Some g -> t.granted_bytes <- Stdlib.max 0 (t.granted_bytes - g.reserved)
-  | None -> ());
+  let g = take_grant t m in
+  if g != g_nil then t.granted_bytes <- Stdlib.max 0 (t.granted_bytes - g.reserved);
   t.outstanding <- t.outstanding + nbytes;
   if nbytes > 0 then begin
     t.last_tx <- Engine.now t.engine;
-    Ewma.update t.avg_pkt (float_of_int nbytes);
+    Ewma.update_int t.avg_pkt nbytes;
     refresh_reservation t
   end;
   if nbytes = 0 then
@@ -518,7 +510,7 @@ let update t ~nsent ~nrecd ~loss ~rtt =
   t.last_feedback <- Engine.now t.engine;
   (match rtt with Some sample when sample > 0 -> update_rtt t sample | _ -> ());
   t.outstanding <- Stdlib.max 0 (t.outstanding - nsent);
-  if nsent > 0 then Ewma.update t.loss_ewma (float_of_int (nsent - nrecd) /. float_of_int nsent);
+  if nsent > 0 then Ewma.update_ratio t.loss_ewma (nsent - nrecd) nsent;
   let was_slow_start = t.ctrl.Controller.in_slow_start () in
   (* Congestion-window validation (RFC 2861 spirit): only grow the window
      when the flow ensemble is actually using it, otherwise an

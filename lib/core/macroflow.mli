@@ -121,13 +121,12 @@ val request : t -> member -> unit
 (** One implicit request to send up to an MTU on behalf of the flow
     ([cm_request]). *)
 
-val notify : t -> ?m:member -> nbytes:int -> unit -> unit
-(** A packet of [nbytes] payload bytes of this macroflow was handed to the
-    network ([cm_notify]); [nbytes = 0] returns an unused grant.  With
-    [m], the consumed grant is the flow's own oldest one (O(1): the
-    member holds its chain head); a flow with no outstanding grant
-    consumes nothing and is charged directly.  Without [m] the oldest
-    grant overall is consumed (legacy behaviour). *)
+val notify : t -> m:member -> nbytes:int -> unit -> unit
+(** A packet of [nbytes] payload bytes of flow [m] was handed to the
+    network ([cm_notify]); [nbytes = 0] returns an unused grant.  The
+    consumed grant is the flow's own oldest one (O(1): the member holds
+    its chain head); a flow with no outstanding grant consumes nothing
+    and is charged directly. *)
 
 val release_flow_grants : t -> member -> int
 (** Return all of the flow's unconsumed grants to the window immediately

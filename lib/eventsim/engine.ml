@@ -27,8 +27,13 @@ open Cm_util
    refreshed on every reinsert, so cancel/reschedule on a stale handle
    (its entry since recycled for a newer event) sees a seq mismatch and
    reports [false], exactly as the unpooled engine reported [false] for
-   an already-fired event. *)
-type handle = { entry : (unit -> unit) Wheel.handle; mutable h_seq : int }
+   an already-fired event.
+
+   A handle's [entry] is mutable so that one handle can name a series of
+   events: {!refill} points a handle that is no longer live at a new
+   event, which is how a timer re-arms for life without building a
+   handle per arm. *)
+type handle = { mutable entry : (unit -> unit) Wheel.handle; mutable h_seq : int }
 
 let dead : unit -> unit = fun () -> ()
 
@@ -243,11 +248,13 @@ let enqueue t when_ fn =
   end
   else Wheel.insert t.queue ~time:when_ fn
 
-let schedule_at t when_ fn =
+let check_future t ~what when_ =
   if when_ < t.clock then
     invalid_arg
-      (Format.asprintf "Engine.schedule_at: %a is in the past (now %a)" Time.pp when_ Time.pp
-         t.clock);
+      (Format.asprintf "Engine.%s: %a is in the past (now %a)" what Time.pp when_ Time.pp t.clock)
+
+let schedule_at t when_ fn =
+  check_future t ~what:"schedule_at" when_;
   let entry = enqueue t when_ fn in
   { entry; h_seq = Wheel.handle_seq entry }
 
@@ -267,6 +274,9 @@ let post t d fn =
    since the handle was made (seq matches — seqs are never reused) and
    the event has neither fired nor been cancelled. *)
 let live h = Wheel.handle_seq h.entry = h.h_seq && Wheel.handle_value h.entry != dead
+
+(* seq -1 is never a wheel seq, so this handle is never live *)
+let unscheduled () = { entry = null_entry; h_seq = -1 }
 
 (* Compact once dead entries dominate: rare (amortized O(1) per cancel),
    and only worthwhile when cancelled events would otherwise linger far in
@@ -288,10 +298,7 @@ let cancel t h =
   end
 
 let reschedule t h when_ =
-  if when_ < t.clock then
-    invalid_arg
-      (Format.asprintf "Engine.reschedule: %a is in the past (now %a)" Time.pp when_ Time.pp
-         t.clock);
+  check_future t ~what:"reschedule" when_;
   if not (live h) then false
   else begin
     ignore (Wheel.update t.queue h.entry ~time:when_);
@@ -299,6 +306,22 @@ let reschedule t h when_ =
     h.h_seq <- Wheel.handle_seq h.entry;
     true
   end
+
+(* Point a spent handle at a new event.  An entry this handle cancelled
+   that has not surfaced yet is still queued (dead); it is moved and
+   revived in place, taking a fresh seq exactly as a new schedule would,
+   so a start/stop/start cycle allocates nothing.  Otherwise the event
+   takes a pooled entry, as [schedule_at] does. *)
+let refill t h when_ fn =
+  check_future t ~what:"refill" when_;
+  if live h then invalid_arg "Engine.refill: handle still names a pending event";
+  if Wheel.handle_seq h.entry = h.h_seq && Wheel.mem t.queue h.entry then begin
+    t.cancelled <- t.cancelled - 1;
+    Wheel.set_handle_value h.entry fn;
+    ignore (Wheel.update t.queue h.entry ~time:when_)
+  end
+  else h.entry <- enqueue t when_ fn;
+  h.h_seq <- Wheel.handle_seq h.entry
 
 let pending t = Wheel.size t.queue - t.cancelled
 

@@ -17,7 +17,10 @@ type handle
     of the queue).  Event cells are pooled and recycled across schedules;
     a stamp in the handle keeps stale handles safe — cancel/reschedule on
     an event that already ran simply return [false], even if its cell has
-    since been reused for a newer event. *)
+    since been reused for a newer event.  A handle that no longer names a
+    pending event can be pointed at a new one with {!refill}, so a
+    long-lived owner (a {!Timer}) keeps one handle for life and re-arms
+    without allocating. *)
 
 val create : ?start:Time.t -> unit -> t
 (** [create ()] is a fresh engine with the clock at [start]
@@ -40,7 +43,9 @@ val post : t -> Time.span -> (unit -> unit) -> unit
 (** [post t d f] is {!schedule_after} without the handle: same queue
     position, same FIFO stamp sequence, but nothing is allocated for the
     caller to hold.  For fire-and-forget events that are never cancelled
-    or rescheduled — the per-grant and per-cycle hot paths. *)
+    or rescheduled — the per-packet, per-grant and per-cycle hot paths,
+    CPU work items among them.  Pass a closure built once and reused,
+    not one built per call. *)
 
 val cancel : t -> handle -> bool
 (** Cancel a pending event; [false] if it already ran or was cancelled.
@@ -52,6 +57,18 @@ val reschedule : t -> handle -> Time.t -> bool
     time it behaves as if freshly scheduled.  Returns [false] if the event
     already ran or was cancelled.  Rescheduling into the past raises
     [Invalid_argument]. *)
+
+val unscheduled : unit -> handle
+(** A fresh handle that names no event, so it is never live: storage for
+    {!refill}. *)
+
+val refill : t -> handle -> Time.t -> (unit -> unit) -> unit
+(** [refill t h when_ f] schedules [f] at [when_] and makes [h] name the
+    new event, exactly as [schedule_at] would have (same queue position,
+    same FIFO stamp), but with no new handle.  [h] must not be live: it
+    never was, its event ran, or it was cancelled.  Any other handle that
+    named an earlier event stays dead.  Raises [Invalid_argument] if [h]
+    is live or [when_] is in the past. *)
 
 val pending : t -> int
 (** Number of events still queued. *)

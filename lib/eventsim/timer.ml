@@ -1,28 +1,40 @@
 open Cm_util
 
+(* One engine handle and one fire closure, both made in [create], serve
+   every arm of the timer's life: a re-arm moves the pending event in
+   place, or refills the spent handle with a new event, so arming,
+   stopping and firing allocate nothing. *)
 type t = {
   engine : Engine.t;
   callback : unit -> unit;
-  mutable handle : Engine.handle option;
+  handle : Engine.handle;
   mutable armed : bool;
   mutable expiry : Time.t; (* meaningful only when [armed] *)
   mutable period : Time.span; (* 0 = one-shot *)
-  mutable fire : unit -> unit; (* allocated once in [create], reused per arm *)
+  mutable fire : unit -> unit;
 }
 
 (* Re-arm to an absolute expiry.  If the previous engine event is still
    pending (the common TCP retransmit-reset case) it is moved in place —
-   no cancellation churn and no allocation; otherwise one fresh event is
-   scheduled with the timer's single pre-allocated fire closure. *)
+   no cancellation churn; otherwise the handle is refilled with a new
+   event running the timer's fire closure. *)
 let arm_at t when_ =
   t.armed <- true;
   t.expiry <- when_;
-  let moved = match t.handle with Some h -> Engine.reschedule t.engine h when_ | None -> false in
-  if not moved then t.handle <- Some (Engine.schedule_at t.engine when_ t.fire)
+  if not (Engine.reschedule t.engine t.handle when_) then
+    Engine.refill t.engine t.handle when_ t.fire
 
 let create engine ~callback =
   let t =
-    { engine; callback; handle = None; armed = false; expiry = 0; period = 0; fire = ignore }
+    {
+      engine;
+      callback;
+      handle = Engine.unscheduled ();
+      armed = false;
+      expiry = 0;
+      period = 0;
+      fire = ignore;
+    }
   in
   t.fire <-
     Engine.prof_tag engine ~cat:"timer"
@@ -36,9 +48,7 @@ let create engine ~callback =
   t
 
 let stop t =
-  (match t.handle with
-  | Some h when t.armed -> ignore (Engine.cancel t.engine h)
-  | _ -> ());
+  if t.armed then ignore (Engine.cancel t.engine t.handle);
   t.armed <- false;
   t.period <- 0
 

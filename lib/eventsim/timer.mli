@@ -2,7 +2,9 @@
 
     Protocol code (TCP retransmission timers, vat's media clock, CM
     maintenance) needs timers that can be restarted or stopped without
-    tracking raw engine handles. *)
+    tracking raw engine handles.  A timer keeps one engine handle and one
+    fire closure for life, so {!start}, {!stop} and expiry allocate
+    nothing. *)
 
 open Cm_util
 

@@ -20,6 +20,8 @@ type t = {
   mutable status_changed : Cm.Cm_types.flow_id list;
   mutable dispatch_pending : bool;
   mutable dispatches : int;
+  (* [dispatch t], built once: every wakeup reuses it *)
+  mutable dispatch_fn : unit -> unit;
   send_cbs : (Cm.Cm_types.flow_id, Cm.Cm_types.flow_id -> unit) Hashtbl.t;
   update_cbs : (Cm.Cm_types.flow_id, Cm.Cm_types.status -> unit) Hashtbl.t;
   (* flows this process opened and has not closed: what destroy reaps *)
@@ -50,14 +52,16 @@ let dispatch t () =
        next dispatch *)
     Ops.charge t.meter Ops.Ioctl_query;
     for _ = 1 to ready do
-      match Byte_queue.pop t.ready_send with
-      (* skip flows closed between grant and dispatch: their grants
-         were already returned to the window by the close *)
-      | Some fid when Hashtbl.mem t.owned fid -> (
-          match Hashtbl.find_opt t.send_cbs fid with
-          | Some cb -> cb fid
-          | None -> Cm.notify t.cm fid ~nbytes:0)
-      | Some _ | None (* a callback destroyed the process *) -> ()
+      (* an empty queue here means a callback destroyed the process *)
+      if not (Byte_queue.is_empty t.ready_send) then begin
+        let fid = Byte_queue.take t.ready_send in
+        (* skip flows closed between grant and dispatch: their grants
+           were already returned to the window by the close *)
+        if Hashtbl.mem t.owned fid then
+          match Hashtbl.find t.send_cbs fid with
+          | cb -> cb fid
+          | exception Not_found -> Cm.notify t.cm fid ~nbytes:0
+      end
     done
   end;
   if t.status_changed <> [] then begin
@@ -82,10 +86,10 @@ let schedule_dispatch t =
         t.dispatch_pending <- true;
         (* the app returns from select — scanning its own descriptors plus
            the one extra control socket (the paper's Table 1 line item) *)
-        Ops.charge_deferred t.meter ~nfds:select_nfds Ops.Select (dispatch t)
+        Ops.charge_deferred t.meter ~nfds:select_nfds Ops.Select t.dispatch_fn
     | Sigio ->
         t.dispatch_pending <- true;
-        Ops.charge_deferred t.meter Ops.Sigio (dispatch t)
+        Ops.charge_deferred t.meter Ops.Sigio t.dispatch_fn
     | Poll _ ->
         (* the poll timer picks it up on its own schedule *)
         ()
@@ -102,6 +106,7 @@ let create host cm ?(mode = Select_loop) () =
       status_changed = [];
       dispatch_pending = false;
       dispatches = 0;
+      dispatch_fn = ignore;
       send_cbs = Hashtbl.create 8;
       update_cbs = Hashtbl.create 8;
       owned = Hashtbl.create 8;
@@ -110,6 +115,7 @@ let create host cm ?(mode = Select_loop) () =
       alive = true;
     }
   in
+  t.dispatch_fn <- dispatch t;
   (match mode with
   | Poll interval ->
       let timer =
@@ -117,7 +123,7 @@ let create host cm ?(mode = Select_loop) () =
             (* non-blocking select on the control socket, then dispatch *)
             Ops.charge t.meter ~nfds:select_nfds Ops.Select;
             if (not (Byte_queue.is_empty t.ready_send)) || t.status_changed <> [] then
-              dispatch t ())
+              t.dispatch_fn ())
       in
       Timer.start_periodic timer interval;
       t.poll_timer := Some timer

@@ -33,13 +33,23 @@ let cost_of (c : Costs.t) ?(bytes = 0) ?(nfds = 2) = function
   | Gettimeofday -> c.Costs.gettimeofday
   | Sigio -> c.Costs.signal_delivery
 
-type meter = { host : Host.t; counts : (kind, int) Hashtbl.t }
+let index = function
+  | Send -> 0
+  | Recv -> 1
+  | Select -> 2
+  | Ioctl_request -> 3
+  | Ioctl_notify -> 4
+  | Ioctl_update -> 5
+  | Ioctl_query -> 6
+  | Gettimeofday -> 7
+  | Sigio -> 8
 
-let meter host = { host; counts = Hashtbl.create 16 }
+(* counts by [index]: a charge is one array increment, with no lookup
+   and no option *)
+type meter = { host : Host.t; counts : int array }
 
-let bump m kind =
-  let c = Option.value (Hashtbl.find_opt m.counts kind) ~default:0 in
-  Hashtbl.replace m.counts kind (c + 1)
+let meter host = { host; counts = Array.make (List.length all) 0 }
+let bump m kind = m.counts.(index kind) <- m.counts.(index kind) + 1
 
 let charge m ?bytes ?nfds kind =
   bump m kind;
@@ -51,6 +61,6 @@ let charge_deferred m ?bytes ?nfds kind fn =
   let cost = cost_of (Host.costs m.host) ?bytes ?nfds kind in
   Cpu.run (Host.cpu m.host) ~cost fn
 
-let count m kind = Option.value (Hashtbl.find_opt m.counts kind) ~default:0
-let total m = Hashtbl.fold (fun _ c acc -> acc + c) m.counts 0
-let reset m = Hashtbl.reset m.counts
+let count m kind = m.counts.(index kind)
+let total m = Array.fold_left ( + ) 0 m.counts
+let reset m = Array.fill m.counts 0 (Array.length m.counts) 0

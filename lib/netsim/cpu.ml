@@ -12,7 +12,9 @@ let run t ~cost fn =
   let start = Time.max now t.free_at in
   let finish = Time.add start cost in
   t.free_at <- finish;
-  if finish <= now then fn () else ignore (Engine.schedule_at t.engine finish fn)
+  (* a fire-and-forget event at [finish]: the same time and FIFO stamp
+     as [schedule_at], without a handle nobody would hold *)
+  if finish <= now then fn () else Engine.post t.engine (finish - now) fn
 
 let charge t cost =
   if cost < 0 then invalid_arg "Cpu.charge: negative cost";

@@ -19,7 +19,12 @@ val run : t -> cost:Time.span -> (unit -> unit) -> unit
 (** [run t ~cost f] occupies the CPU for [cost] then executes [f].  If the
     CPU is busy the work starts when it frees.  [cost = 0] with an idle CPU
     executes [f] immediately (no event), keeping cost-free simulations
-    cheap. *)
+    cheap.  Otherwise one event is posted at the finish time and no
+    handle is built.  Items run in submission order: each one finishes no
+    earlier than the one before, and equal times fire FIFO.  A caller
+    may therefore queue its work items in a FIFO of its own and pass
+    the same closure every time, one that pops the head (what
+    [Tcp.Conn] does per packet). *)
 
 val charge : t -> Time.span -> unit
 (** Account [cost] of busy time without running anything afterwards (used

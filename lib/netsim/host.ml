@@ -43,11 +43,20 @@ let attach_route t out = t.route <- Some out
 let add_tx_hook t hook = t.tx_hooks <- t.tx_hooks @ [ hook ]
 let add_rx_filter t filter = t.rx_filters <- t.rx_filters @ [ filter ]
 
+(* The per-packet loops below are top-level functions taking every value
+   they use as an argument: a local loop or a [List.iter] lambda that
+   captured the packet would be a closure allocated per packet. *)
+let rec run_tx_hooks pkt = function
+  | [] -> ()
+  | hook :: rest ->
+      hook pkt;
+      run_tx_hooks pkt rest
+
 let ip_output t pkt =
   match t.route with
   | None -> failwith (Format.asprintf "Host.ip_output: host %d has no route" t.id)
   | Some out ->
-      List.iter (fun hook -> hook pkt) t.tx_hooks;
+      run_tx_hooks pkt t.tx_hooks;
       t.tx_packets <- t.tx_packets + 1;
       t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
       out pkt
@@ -56,22 +65,21 @@ let demux t pkt =
   (* demultiplexing ignores the service class: a peer may mark its
      packets with any DSCP *)
   let flow = Addr.strip_dscp pkt.Packet.flow in
-  match Addr.Flow_table.find_opt t.connected flow with
-  | Some handler -> handler pkt
-  | None -> (
-      match Hashtbl.find_opt t.listeners (flow.Addr.proto, flow.Addr.dst.Addr.port) with
-      | Some handler -> handler pkt
-      | None -> t.unmatched <- t.unmatched + 1)
+  match Addr.Flow_table.find t.connected flow with
+  | handler -> handler pkt
+  | exception Not_found -> (
+      match Hashtbl.find t.listeners (flow.Addr.proto, flow.Addr.dst.Addr.port) with
+      | handler -> handler pkt
+      | exception Not_found -> t.unmatched <- t.unmatched + 1)
 
-let deliver t pkt =
-  (* receive filters run before demultiplexing; a filter may rewrite the
-     packet (e.g. strip a CM header) or consume it outright *)
-  let rec run filters pkt =
-    match filters with
-    | [] -> demux t pkt
-    | f :: rest -> ( match f pkt with Some pkt -> run rest pkt | None -> ())
-  in
-  run t.rx_filters pkt
+(* receive filters run before demultiplexing; a filter may rewrite the
+   packet (e.g. strip a CM header) or consume it outright *)
+let rec filter_then_demux t filters pkt =
+  match filters with
+  | [] -> demux t pkt
+  | f :: rest -> ( match f pkt with Some pkt -> filter_then_demux t rest pkt | None -> ())
+
+let deliver t pkt = filter_then_demux t t.rx_filters pkt
 
 let bind t proto ~port handler =
   if Hashtbl.mem t.listeners (proto, port) then

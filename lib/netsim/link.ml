@@ -158,10 +158,7 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
     Engine.prof_tag engine ~cat:"net"
     @@ (fun () ->
       if t.stale_deliveries > 0 then t.stale_deliveries <- t.stale_deliveries - 1
-      else
-        match Byte_queue.pop t.in_flight with
-        | Some pkt -> deliver t pkt
-        | None -> assert false);
+      else deliver t (Byte_queue.take t.in_flight));
   t.finish_fn <-
     Engine.prof_tag engine ~cat:"net"
     @@ (fun () ->

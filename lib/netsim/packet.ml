@@ -18,7 +18,7 @@ let header_bytes = 58
 let next_id = ref 0
 let reset_ids () = next_id := 0
 
-let[@inline] make ~now ~flow ~payload_bytes ?(ecn_capable = false) payload =
+let make ~now ~flow ~payload_bytes payload =
   if payload_bytes < 0 then invalid_arg "Packet.make: negative payload size";
   let id = !next_id + 1 in
   next_id := id;
@@ -27,7 +27,7 @@ let[@inline] make ~now ~flow ~payload_bytes ?(ecn_capable = false) payload =
     flow;
     size = payload_bytes + header_bytes;
     sent_at = now;
-    ecn_capable;
+    ecn_capable = false;
     ecn_marked = false;
     payload;
   }

@@ -28,10 +28,10 @@ val header_bytes : int
 (** Combined link + IP + transport header size charged on every packet
     (Ethernet-era 40-byte IP+transport plus framing ≈ 58). *)
 
-val make :
-  now:Time.t -> flow:Addr.flow -> payload_bytes:int -> ?ecn_capable:bool -> payload -> t
+val make : now:Time.t -> flow:Addr.flow -> payload_bytes:int -> payload -> t
 (** [make ~now ~flow ~payload_bytes p] is a packet whose wire size is
-    [payload_bytes + header_bytes]. *)
+    [payload_bytes + header_bytes], not ECN-capable (a sender that is
+    sets [ecn_capable] after). *)
 
 val dummy : t
 (** A placeholder that is never sent: id 0 (real ids start at 1, and

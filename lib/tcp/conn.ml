@@ -139,6 +139,15 @@ type t = {
   mutable closed_cb : unit -> unit;
   mutable established_fired : bool;
   mutable closed_fired : bool;
+  (* --- host CPU work -------------------------------------------------- *)
+  (* segments waiting for the host CPU, on the way out (to IP) and in
+     (from demux).  Host CPU work items complete in submission order, so
+     each ring is drained by one closure made in [make_conn] that pops
+     its head — no closure per packet. *)
+  tx_ring : Packet.t Byte_queue.t;
+  rx_ring : Packet.t Byte_queue.t;
+  mutable tx_drain : unit -> unit;
+  mutable rx_drain : unit -> unit;
   (* --- stats ----------------------------------------------------------- *)
   mutable s_bytes_sent : int;
   mutable s_bytes_delivered : int;
@@ -160,9 +169,6 @@ type listener = { l_host : Host.t; l_port : int }
    occupies [1, snd_limit); an eventual FIN occupies snd_limit. *)
 let iss = 0
 let data_start = iss + 1
-
-let cpu_run t cost fn =
-  if cost = 0 then fn () else Cpu.run (Host.cpu t.host) ~cost fn
 
 (* ------------------------------------------------------------------ *)
 (* Segment construction and transmission *)
@@ -202,9 +208,9 @@ let transmit t seg =
   let payload = seg.Segment.len in
   let pkt =
     Packet.make ~now:(Engine.now t.engine) ~flow:t.out_flow ~payload_bytes:payload
-      ~ecn_capable:(t.config.ecn && payload > 0)
       (Segment.Tcp_seg seg)
   in
+  if t.config.ecn && payload > 0 then pkt.Packet.ecn_capable <- true;
   if seg.Segment.ece then t.pending_ece <- false;
   if seg.Segment.ack then begin
     t.segs_since_ack <- 0;
@@ -213,7 +219,11 @@ let transmit t seg =
   end;
   let costs = Host.costs t.host in
   let cost = costs.Costs.tcp_proc + costs.Costs.ip_proc in
-  cpu_run t cost (fun () -> Host.ip_output t.host pkt)
+  if cost = 0 then Host.ip_output t.host pkt
+  else begin
+    Byte_queue.push t.tx_ring ~size:pkt.Packet.size pkt;
+    Cpu.run (Host.cpu t.host) ~cost t.tx_drain
+  end
 
 let send_pure_ack t =
   t.s_acks_out <- t.s_acks_out + 1;
@@ -394,12 +404,12 @@ let cm_sync_requests t cc =
         Cm.request cc.cm fid
       done
 
+(* return an unused grant; top level, so a grant allocates no closure *)
+let cm_decline cc = match cc.fid with Some fid -> Cm.notify cc.cm fid ~nbytes:0 | None -> ()
+
 let cm_grant_callback t cc _fid =
   Cpu.charge (Host.cpu t.host) (Host.costs t.host).Costs.cm_op;
   cc.requests_outstanding <- Stdlib.max 0 (cc.requests_outstanding - 1);
-  let decline () =
-    match cc.fid with Some fid -> Cm.notify cc.cm fid ~nbytes:0 | None -> ()
-  in
   if cc.rexmit_pending && t.snd_una < t.snd_limit then begin
     cc.rexmit_pending <- false;
     match next_hole t with
@@ -407,7 +417,7 @@ let cm_grant_callback t cc _fid =
         t.hole_next <- seq + len;
         note_tx cc len;
         emit_data t ~seq ~len ~fin:false ~retransmission:true
-    | _ -> decline ()
+    | _ -> cm_decline cc
   end
   else if
     t.snd_nxt < t.snd_limit && t.snd_nxt - t.snd_una < t.snd_wnd && data_ready t
@@ -425,7 +435,7 @@ let cm_grant_callback t cc _fid =
   end
   else begin
     cc.rexmit_pending <- false;
-    decline ()
+    cm_decline cc
   end
 
 let window_stalled t =
@@ -935,13 +945,21 @@ let process_segment t seg ~ecn_marked =
       (* peer retransmitted its FIN: re-ack it *)
       if seg.Segment.fin then send_pure_ack t
 
+let process_packet t pkt =
+  match pkt.Packet.payload with
+  | Segment.Tcp_seg seg -> process_segment t seg ~ecn_marked:pkt.Packet.ecn_marked
+  | _ -> ()
+
 let on_packet t pkt =
   match pkt.Packet.payload with
-  | Segment.Tcp_seg seg ->
+  | Segment.Tcp_seg _ ->
       let costs = Host.costs t.host in
       let cost = costs.Costs.intr_rx + costs.Costs.tcp_proc in
-      let marked = pkt.Packet.ecn_marked in
-      cpu_run t cost (fun () -> process_segment t seg ~ecn_marked:marked)
+      if cost = 0 then process_packet t pkt
+      else begin
+        Byte_queue.push t.rx_ring ~size:pkt.Packet.size pkt;
+        Cpu.run (Host.cpu t.host) ~cost t.rx_drain
+      end
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -1021,6 +1039,10 @@ let make_conn host ~local ~remote ~driver ~config ~initial_state =
       closed_cb = dummy;
       established_fired = false;
       closed_fired = false;
+      tx_ring = Byte_queue.create ~dummy:Packet.dummy ();
+      rx_ring = Byte_queue.create ~dummy:Packet.dummy ();
+      tx_drain = dummy;
+      rx_drain = dummy;
       s_bytes_sent = 0;
       s_bytes_delivered = 0;
       s_segments_out = 0;
@@ -1038,6 +1060,8 @@ let make_conn host ~local ~remote ~driver ~config ~initial_state =
   t.time_wait_timer <- Timer.create engine ~callback:(fun () -> become_closed t);
   t.persist_timer <- Timer.create engine ~callback:(fun () -> on_persist t ());
   t.consume_timer <- Timer.create engine ~callback:(fun () -> consume_tick t);
+  t.tx_drain <- (fun () -> Host.ip_output t.host (Byte_queue.take t.tx_ring));
+  t.rx_drain <- (fun () -> process_packet t (Byte_queue.take t.rx_ring));
   Host.connect_demux host in_flow (fun pkt -> on_packet t pkt);
   (match t.cc with
   | Cc_cm cc ->

@@ -54,6 +54,12 @@ let pop t =
     Some v
   end
 
+let take t =
+  if t.len = 0 then invalid_arg "Byte_queue.take: empty queue";
+  let v = t.items.(t.head) in
+  release t;
+  v
+
 let peek t = if t.len = 0 then None else Some t.items.(t.head)
 
 let drop_head t =

@@ -1,10 +1,11 @@
 (** FIFO queue with byte accounting.
 
-    Backs router queues, links' in-flight packets and application packet
-    buffers.  Each element carries a size in bytes; the queue tracks the
-    total so capacity checks are O(1).  Supports both tail insertion with
-    head removal (FIFO) and drop-from-head (for the vat application
-    buffer, paper §3.6).
+    Backs router queues, links' in-flight packets, TCP connections'
+    segments waiting for the host CPU and application packet buffers.
+    Each element carries a size in bytes; the queue tracks the total so
+    capacity checks are O(1).  Supports both tail insertion with head
+    removal (FIFO) and drop-from-head (for the vat application buffer,
+    paper §3.6).
 
     The queue is a ring buffer: an element array and a parallel [int]
     array of sizes, with a power-of-two capacity that doubles when full.
@@ -18,7 +19,9 @@
     each cell pushed since — and each cell's packet — and the chain
     never ends.  Here a removed slot is overwritten with the [dummy]
     given at creation, so the (long-lived) array never keeps a removed
-    element alive. *)
+    element alive.  A per-packet consumer that knows the queue is
+    non-empty (one event per pushed element) pops with {!take}, which
+    builds no option. *)
 
 type 'a t
 (** A queue of ['a] elements with sizes. *)
@@ -32,6 +35,11 @@ val push : 'a t -> size:int -> 'a -> unit
 
 val pop : 'a t -> 'a option
 (** Remove the head element; [None] if empty. *)
+
+val take : 'a t -> 'a
+(** Remove and return the head element of a queue the caller knows is
+    non-empty, with no option box: the per-packet form of {!pop}.
+    Raises [Invalid_argument] on an empty queue. *)
 
 val peek : 'a t -> 'a option
 (** Head element without removing it. *)

@@ -11,10 +11,23 @@ val create : gain:float -> t
     the average directly.  [gain] must be in (0, 1]. *)
 
 val update : t -> float -> unit
-(** Fold one sample into the average. *)
+(** Fold one sample into the average.  Called from another module, the
+    float argument is boxed; per-packet callers use the two functions
+    below, which take integers and allocate nothing. *)
+
+val update_int : t -> int -> unit
+(** [update_int t n] is [update t (float_of_int n)]. *)
+
+val update_ratio : t -> int -> int -> unit
+(** [update_ratio t num den] is
+    [update t (float_of_int num /. float_of_int den)]. *)
 
 val value : t -> float
 (** Current estimate; [nan] before any sample. *)
+
+val int_value : t -> int
+(** [int_of_float (value t)], with no float box: the per-packet form of
+    {!value}.  Unspecified before any sample. *)
 
 val initialized : t -> bool
 (** Whether at least one sample has been folded in. *)

@@ -375,29 +375,25 @@ let update t e ~time =
     true
   end
 
+(* physical slot of the first occupied slot found scanning bitmap words
+   [w0 + k], [w0 + k + 1], ... (wrapping), ending with the low bits of
+   word [w0] below [p0]; top level so the scan allocates no closure *)
+let rec scan_occ t ~w0 ~p0 k =
+  let words = Array.length t.occ in
+  let w = (w0 + k) mod words in
+  let m = if k = words then t.occ.(w0) land lnot (-1 lsl (p0 land 31)) else t.occ.(w) in
+  if m <> 0 then (w lsl 5) + ntz m
+  else if k >= words then invalid_arg "Wheel: occupancy bitmap inconsistent"
+  else scan_occ t ~w0 ~p0 (k + 1)
+
 (* Absolute slot of the nearest occupied wheel slot strictly after the
    cursor; requires [in_slots > 0].  One bitmap word scan per 64 slots,
    in absolute (wrapping-physical) order. *)
 let next_wheel_abs t =
   let p0 = (t.cursor + 1) land t.mask in
-  let words = Array.length t.occ in
   let w0 = p0 lsr 5 in
   let first = t.occ.(w0) land (-1 lsl (p0 land 31)) in
-  let p =
-    if first <> 0 then (w0 lsl 5) + ntz first
-    else begin
-      let rec go k =
-        let w = (w0 + k) mod words in
-        let m =
-          if k = words then t.occ.(w0) land lnot (-1 lsl (p0 land 31)) else t.occ.(w)
-        in
-        if m <> 0 then (w lsl 5) + ntz m
-        else if k >= words then invalid_arg "Wheel: occupancy bitmap inconsistent"
-        else go (k + 1)
-      in
-      go 1
-    end
-  in
+  let p = if first <> 0 then (w0 lsl 5) + ntz first else scan_occ t ~w0 ~p0 1 in
   t.cursor + 1 + ((p - p0) land t.mask)
 
 (* Advance the cursor to the minimum occupied slot across wheel and

@@ -214,6 +214,71 @@ let test_timer_expiry_visible () =
   Timer.start t (Time.ms 7);
   Alcotest.(check (option int)) "expiry time" (Some (Time.ms 7)) (Timer.expiry t)
 
+(* One timer, re-armed after it fired and again after a stop: each arm
+   fires exactly once, at its own time. *)
+let test_timer_rearm_after_fire_and_stop () =
+  let e = Engine.create () in
+  let fired_at = ref [] in
+  let t = Timer.create e ~callback:(fun () -> fired_at := Engine.now e :: !fired_at) in
+  Timer.start t (Time.ms 5);
+  Engine.run e;
+  Timer.start t (Time.ms 10);
+  Engine.run e;
+  Timer.start t (Time.ms 10);
+  Timer.stop t;
+  Timer.start t (Time.ms 20);
+  Engine.run e;
+  Alcotest.(check (list int)) "one expiry per arm, at its new time"
+    [ Time.ms 35; Time.ms 15; Time.ms 5 ]
+    !fired_at
+
+(* [refill] re-points one handle at a new event; a handle that named the
+   recycled cell before stays dead, whether the cell came back from the
+   pool or a cancelled event was revived in place. *)
+let test_refill_keeps_old_handles_dead () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let h_old = Engine.schedule_at e (Time.ms 1) (fun () -> fired := 0 :: !fired) in
+  Engine.run e;
+  let h = Engine.unscheduled () in
+  "a fresh handle is not live" => not (Engine.cancel e h);
+  Engine.refill e h (Time.ms 5) (fun () -> fired := 1 :: !fired);
+  "old handle cannot cancel the new event" => not (Engine.cancel e h_old);
+  "old handle cannot move it" => not (Engine.reschedule e h_old (Time.ms 9));
+  Alcotest.check_raises "refilling a live handle"
+    (Invalid_argument "Engine.refill: handle still names a pending event") (fun () ->
+      Engine.refill e h (Time.ms 6) ignore);
+  "refilled handle is live" => Engine.cancel e h;
+  Engine.refill e h (Time.ms 7) (fun () -> fired := 2 :: !fired);
+  "old handle still dead after a revive" => not (Engine.cancel e h_old);
+  Alcotest.(check int) "one event pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list int)) "only the last refill ran" [ 2; 0 ] !fired;
+  Alcotest.(check int) "at its time" (Time.ms 7) (Engine.now e)
+
+(* A timer keeps one handle and one closure for life: arming, stopping
+   and firing allocate nothing.  Start/stop cycles never run the engine,
+   so each start revives the event the stop cancelled. *)
+let test_timer_cycles_allocate_nothing () =
+  let e = Engine.create () in
+  let t = Timer.create e ~callback:ignore in
+  let cycles = 10_000 in
+  let per_cycle name cycle =
+    cycle ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to cycles do
+      cycle ()
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int cycles in
+    if words >= 1. then Alcotest.failf "%s allocates %.2f words per cycle (budget < 1)" name words
+  in
+  per_cycle "start/stop" (fun () ->
+      Timer.start t (Time.ms 1);
+      Timer.stop t);
+  per_cycle "start/fire" (fun () ->
+      Timer.start t (Time.ms 1);
+      ignore (Engine.step e : bool));
+  Alcotest.(check int) "every start/stop left nothing pending" 0 (Engine.pending e)
 
 (* ---- Sim_log --------------------------------------------------------- *)
 
@@ -422,6 +487,11 @@ let () =
           Alcotest.test_case "periodic" `Quick test_timer_periodic;
           Alcotest.test_case "callback can re-arm" `Quick test_timer_callback_can_rearm;
           Alcotest.test_case "expiry visible" `Quick test_timer_expiry_visible;
+          Alcotest.test_case "re-arm after fire and stop" `Quick
+            test_timer_rearm_after_fire_and_stop;
+          Alcotest.test_case "refill keeps old handles dead" `Quick
+            test_refill_keeps_old_handles_dead;
+          Alcotest.test_case "cycles allocate nothing" `Quick test_timer_cycles_allocate_nothing;
         ] );
       ( "sim_log",
         [

@@ -571,6 +571,105 @@ let prop_reassembly_any_order =
       Engine.run_for engine (Time.ms 10);
       !delivered = total)
 
+(* ---- host CPU and allocation ------------------------------------------ *)
+
+(* Allocation budget of the packet path, on a CM-driven bulk transfer
+   over the Fig. 6 pipe (100 Mbps, Pentium-III costs on both hosts,
+   1448-byte segments, 32-segment window).  Per delivered segment, the
+   packet, its segment and the CM grant (and the ack's packet and
+   segment, one ack per two segments) come to about 42 minor words; the
+   rest of the path allocates next to nothing.  A closure, handle,
+   option or boxed float per packet anywhere on the path pushes this
+   well past the budget (a build with them read ~123). *)
+let test_packet_path_alloc_budget () =
+  let mss = 1448 and segments = 20_000 in
+  let engine = Engine.create () in
+  let net =
+    Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 50) ~qdisc_limit:500
+      ~rng:(Rng.create ~seed:42) ~costs:Costs.pentium3 ()
+  in
+  let config = { Tcp.Conn.default_config with Tcp.Conn.mss; rwnd = 32 * mss } in
+  let cm = Cm.create engine ~mtu:mss () in
+  Cm.attach cm net.Topology.a;
+  let delivered = ref 0 in
+  let _listener =
+    Tcp.Conn.listen net.Topology.b ~port:80 ~config
+      ~on_accept:(fun conn -> Tcp.Conn.on_receive conn (fun n -> delivered := !delivered + n))
+      ()
+  in
+  let c = Tcp.Conn.connect net.Topology.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) ~config () in
+  Tcp.Conn.send c (segments * mss);
+  (* warm-up: handshake, slow start, ring and event-pool growth *)
+  Engine.run_for engine (Time.ms 100);
+  let d0 = !delivered in
+  let w0 = Gc.minor_words () in
+  let guard = ref 0 in
+  while !delivered < segments * mss && !guard < 200 do
+    incr guard;
+    Engine.run_for engine (Time.ms 50)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "transfer completes" (segments * mss) !delivered;
+  let measured = (!delivered - d0) / mss in
+  "most segments measured" => (measured > segments / 2);
+  let per_segment = words /. float_of_int measured in
+  if per_segment > 70. then
+    Alcotest.failf "%.1f minor words per delivered segment (budget 70)" per_segment
+
+(* Two connections share one costed host's CPU in each direction: every
+   segment waits in its connection's ring for a CPU work item, and the
+   items of both connections interleave on the one CPU.  On a lossless
+   path every data segment must still leave IP in sequence order and
+   every ack in order, with everything delivered and no retransmission. *)
+let test_shared_costed_host_keeps_order () =
+  let engine = Engine.create () in
+  let net =
+    Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 2) ~qdisc_limit:1000
+      ~costs:Costs.pentium3 ()
+  in
+  let last_seq = Hashtbl.create 4 and out_of_order = ref 0 in
+  let watch host =
+    Host.add_tx_hook host (fun pkt ->
+        match pkt.Packet.payload with
+        | Tcp.Segment.Tcp_seg seg ->
+            (* data segments by seq, pure acks by ack_seq *)
+            let data = seg.Tcp.Segment.len > 0 in
+            let key = (pkt.Packet.flow, data) in
+            let v = if data then seg.Tcp.Segment.seq else seg.Tcp.Segment.ack_seq in
+            (match Hashtbl.find_opt last_seq key with
+            | Some prev when v < prev -> incr out_of_order
+            | _ -> ());
+            Hashtbl.replace last_seq key v
+        | _ -> ())
+  in
+  watch net.Topology.a;
+  watch net.Topology.b;
+  let delivered = Array.make 2 0 in
+  let accepted = ref 0 in
+  (* a 32-segment window keeps the queue, and so the RTT, below the
+     minimum RTO, and immediate acks keep a delayed last ack from
+     outwaiting it: no spurious timeout *)
+  let config =
+    { Tcp.Conn.default_config with Tcp.Conn.rwnd = 32 * 1448; delayed_acks = false }
+  in
+  let _listener =
+    Tcp.Conn.listen net.Topology.b ~port:80 ~config
+      ~on_accept:(fun conn ->
+        let i = !accepted in
+        incr accepted;
+        Tcp.Conn.on_receive conn (fun n -> delivered.(i) <- delivered.(i) + n))
+      ()
+  in
+  let total = 400_000 in
+  let conns = List.init 2 (fun _ -> Tcp.Conn.connect net.Topology.a ~dst ~config ()) in
+  List.iter (fun c -> Tcp.Conn.send c total) conns;
+  Engine.run_for engine (Time.sec 10.);
+  Alcotest.(check (array int)) "both deliver everything" [| total; total |] delivered;
+  Alcotest.(check int) "segments and acks leave in sequence order" 0 !out_of_order;
+  List.iter
+    (fun c -> Alcotest.(check int) "no retransmission" 0 (Tcp.Conn.stats c).Tcp.Conn.retransmits)
+    conns
+
 let () =
   Alcotest.run "tcp"
     [
@@ -618,5 +717,12 @@ let () =
           Alcotest.test_case "cm transfer with loss" `Quick test_cm_transfer_with_loss;
           Alcotest.test_case "cm flows share macroflow" `Quick test_cm_flows_share_macroflow;
           Alcotest.test_case "cm initial window = 1" `Quick test_cm_initial_window_is_one;
+        ] );
+      ( "packet-path",
+        [
+          Alcotest.test_case "alloc budget (70 words/segment)" `Quick
+            test_packet_path_alloc_budget;
+          Alcotest.test_case "shared costed host keeps order" `Quick
+            test_shared_costed_host_keeps_order;
         ] );
     ]

@@ -486,6 +486,16 @@ let test_byte_queue_fifo () =
     (Byte_queue.drop_head q);
   "empty" => Byte_queue.is_empty q
 
+let test_byte_queue_take () =
+  let q = Byte_queue.create ~dummy:"" () in
+  Byte_queue.push q ~size:3 "x";
+  Byte_queue.push q ~size:4 "y";
+  Alcotest.(check string) "take returns the head" "x" (Byte_queue.take q);
+  Alcotest.(check int) "and releases its bytes" 4 (Byte_queue.bytes q);
+  Alcotest.(check string) "then the next" "y" (Byte_queue.take q);
+  Alcotest.check_raises "take on an empty queue" (Invalid_argument "Byte_queue.take: empty queue")
+    (fun () -> ignore (Byte_queue.take q))
+
 let prop_byte_queue_conserves =
   QCheck.Test.make ~name:"byte_queue bytes = sum of element sizes" ~count:200
     QCheck.(list (int_bound 1000))
@@ -697,6 +707,7 @@ let () =
       ( "byte_queue",
         [
           Alcotest.test_case "fifo with byte accounting" `Quick test_byte_queue_fifo;
+          Alcotest.test_case "take, and take on empty raises" `Quick test_byte_queue_take;
           QCheck_alcotest.to_alcotest prop_byte_queue_conserves;
           QCheck_alcotest.to_alcotest prop_byte_queue_model;
           Alcotest.test_case "removed elements are released" `Quick
