@@ -34,9 +34,8 @@ let () =
   (* 5. feedback plumbing: convert receiver acks into cm_update calls *)
   let fb =
     Udp.Feedback.Sender.create engine
-      ~on_report:(fun r ->
-        Cm.update cm fid ~nsent:r.Udp.Feedback.nsent ~nrecd:r.Udp.Feedback.nrecd
-          ~loss:r.Udp.Feedback.loss ?rtt:r.Udp.Feedback.rtt ())
+      ~on_report:(fun ~nsent ~nrecd ~loss ~rtt ->
+        Cm.update cm fid ~nsent ~nrecd ~loss ?rtt ())
       ()
   in
   Udp.Socket.on_receive socket (fun pkt ->

@@ -119,7 +119,7 @@ let create libcm ~host ~dst ~layers ~mode ?(packet_bytes = 1000) ?feedback_timeo
   let t_ref = ref None in
   let fb =
     Udp.Feedback.Sender.create engine ?timeout_floor:feedback_timeout
-      ~on_report:(fun r ->
+      ~on_report:(fun ~nsent ~nrecd ~loss ~rtt ->
         match !t_ref with
         | Some t when t.running ->
             (* the app processed an ack in user space: a recv and the
@@ -127,8 +127,7 @@ let create libcm ~host ~dst ~layers ~mode ?(packet_bytes = 1000) ?feedback_timeo
             Libcm.app_recv t.libcm ~bytes:32;
             Libcm.app_gettimeofday t.libcm;
             Libcm.app_gettimeofday t.libcm;
-            Libcm.update t.libcm t.fid ~nsent:r.Udp.Feedback.nsent ~nrecd:r.Udp.Feedback.nrecd
-              ~loss:r.Udp.Feedback.loss ?rtt:r.Udp.Feedback.rtt ()
+            Libcm.update t.libcm t.fid ~nsent ~nrecd ~loss ?rtt ()
         | _ -> ())
       ()
   in

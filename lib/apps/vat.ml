@@ -95,14 +95,13 @@ let create libcm ~host ~dst ?(rate_bps = 64_000.) ?(app_buffer_frames = 10) () =
   let t_ref = ref None in
   let fb =
     Udp.Feedback.Sender.create engine
-      ~on_report:(fun r ->
+      ~on_report:(fun ~nsent ~nrecd ~loss ~rtt ->
         match !t_ref with
         | Some t when t.running ->
             Libcm.app_recv t.libcm ~bytes:32;
             Libcm.app_gettimeofday t.libcm;
             Libcm.app_gettimeofday t.libcm;
-            Libcm.update t.libcm t.fid ~nsent:r.Udp.Feedback.nsent ~nrecd:r.Udp.Feedback.nrecd
-              ~loss:r.Udp.Feedback.loss ?rtt:r.Udp.Feedback.rtt ()
+            Libcm.update t.libcm t.fid ~nsent ~nrecd ~loss ?rtt ()
         | _ -> ())
       ()
   in

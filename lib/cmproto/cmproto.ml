@@ -46,6 +46,7 @@ module Receiver_agent = struct
     mutable max_seq : int;
     mutable ts_latest : Time.t;
     mutable fb_seq : int;
+    fb_flow : Addr.flow; (* to the data sender's host, built once *)
     timer : Timer.t;
   }
 
@@ -75,8 +76,7 @@ module Receiver_agent = struct
       let pkt =
         Packet.make
           ~now:(Engine.now (Host.engine t.host))
-          ~flow:(feedback_flow ~from_host:(Host.id t.host) ~to_host:data_flow.Addr.src.Addr.host)
-          ~payload_bytes:feedback_wire_bytes
+          ~flow:st.fb_flow ~payload_bytes:feedback_wire_bytes
           (Feedback
              {
                data_flow;
@@ -106,9 +106,9 @@ module Receiver_agent = struct
     Host.ip_output t.host pkt
 
   let state_for t data_flow ~first_seq =
-    match Addr.Flow_table.find_opt t.flows data_flow with
-    | Some st -> st
-    | None ->
+    match Addr.Flow_table.find t.flows data_flow with
+    | st -> st
+    | exception Not_found ->
         let rec st =
           lazy
             {
@@ -118,6 +118,8 @@ module Receiver_agent = struct
               max_seq = -1;
               ts_latest = 0;
               fb_seq = 0;
+              fb_flow =
+                feedback_flow ~from_host:(Host.id t.host) ~to_host:data_flow.Addr.src.Addr.host;
               timer =
                 Timer.create (Host.engine t.host) ~callback:(fun () ->
                     flush t data_flow (Lazy.force st));
@@ -149,9 +151,9 @@ module Receiver_agent = struct
     Some { pkt with Packet.payload = inner }
 
   let on_solicit t data_flow =
-    match Addr.Flow_table.find_opt t.flows data_flow with
-    | Some st -> flush ~force:true t data_flow st
-    | None ->
+    match Addr.Flow_table.find t.flows data_flow with
+    | st -> flush ~force:true t data_flow st
+    | exception Not_found ->
         (* we hold no state for the solicited flow — a crash took it, or
            the first data packet never arrived; either way the sender must
            resynchronize *)
@@ -316,20 +318,19 @@ module Sender_agent = struct
             t.feedback_received <- t.feedback_received + 1;
             (match Cm.lookup t.cm data_flow with
             | Some fid -> (
-                match Hashtbl.find_opt t.entries fid with
-                | Some ent ->
-                    deliver t ent ~epoch ~fb_seq ~max_seq ~total_count ~total_bytes ~ts_echo
-                | None -> t.orphan <- t.orphan + 1)
+                match Hashtbl.find t.entries fid with
+                | ent -> deliver t ent ~epoch ~fb_seq ~max_seq ~total_count ~total_bytes ~ts_echo
+                | exception Not_found -> t.orphan <- t.orphan + 1)
             | None -> t.orphan <- t.orphan + 1);
             None (* consumed: applications never see CM feedback *)
         | Resync { data_flow; epoch } ->
             (match Cm.lookup t.cm data_flow with
             | Some fid -> (
-                match Hashtbl.find_opt t.entries fid with
-                | Some ent ->
+                match Hashtbl.find t.entries fid with
+                | ent ->
                     if epoch > ent.guard.g_epoch then resync_entry t ent epoch
                     else t.stale <- t.stale + 1
-                | None -> t.orphan <- t.orphan + 1)
+                | exception Not_found -> t.orphan <- t.orphan + 1)
             | None -> t.orphan <- t.orphan + 1);
             None
         | _ -> Some pkt);
@@ -379,6 +380,9 @@ module Session = struct
     ledger : Udp.Feedback.Sender.t;
     queue : int Byte_queue.t;
     queue_limit : int;
+    (* the last datagram's inner payload, reused while the size repeats *)
+    mutable raw : Packet.payload;
+    mutable raw_bytes : int;
     mutable sent_pkts : int;
     mutable sent_bytes : int;
     mutable requests_outstanding : int;
@@ -394,16 +398,21 @@ module Session = struct
 
   let on_grant t _fid =
     t.requests_outstanding <- Stdlib.max 0 (t.requests_outstanding - 1);
-    match Byte_queue.pop t.queue with
-    | None -> Cm.notify t.cm t.fid ~nbytes:0
-    | Some bytes ->
-        let now = Engine.now (Host.engine t.host) in
-        let seq = Udp.Feedback.Sender.on_transmit t.ledger ~bytes:(bytes + header_bytes) in
-        t.sent_pkts <- t.sent_pkts + 1;
-        t.sent_bytes <- t.sent_bytes + bytes;
-        Udp.Socket.send t.socket
-          ~payload_bytes:(bytes + header_bytes)
-          (Data { seq; ts = now; inner = Packet.Raw bytes })
+    if Byte_queue.is_empty t.queue then Cm.notify t.cm t.fid ~nbytes:0
+    else begin
+      let bytes = Byte_queue.take t.queue in
+      let now = Engine.now (Host.engine t.host) in
+      let seq = Udp.Feedback.Sender.on_transmit t.ledger ~bytes:(bytes + header_bytes) in
+      t.sent_pkts <- t.sent_pkts + 1;
+      t.sent_bytes <- t.sent_bytes + bytes;
+      if bytes <> t.raw_bytes then begin
+        t.raw <- Packet.Raw bytes;
+        t.raw_bytes <- bytes
+      end;
+      Udp.Socket.send t.socket
+        ~payload_bytes:(bytes + header_bytes)
+        (Data { seq; ts = now; inner = t.raw })
+    end
 
   (* Feedback has starved while data is outstanding: ask the receiver
      agent directly.  Pure control traffic on the reserved feedback flow —
@@ -430,11 +439,10 @@ module Session = struct
     let t_ref = ref None in
     let ledger =
       Udp.Feedback.Sender.create (Host.engine host)
-        ~on_report:(fun r ->
+        ~on_report:(fun ~nsent ~nrecd ~loss ~rtt ->
           match !t_ref with
           | Some t when t.open_ ->
-              Cm.update cm fid ~nsent:r.Udp.Feedback.nsent ~nrecd:r.Udp.Feedback.nrecd
-                ~loss:r.Udp.Feedback.loss ?rtt:r.Udp.Feedback.rtt ()
+              Cm.update cm fid ~nsent ~nrecd ~loss ?rtt ()
           | _ -> ())
         ~on_starve:(fun () -> match !t_ref with Some t -> solicit t | None -> ())
         ()
@@ -450,6 +458,8 @@ module Session = struct
         ledger;
         queue = Byte_queue.create ~dummy:0 ();
         queue_limit = queue_limit_pkts;
+        raw = Packet.Raw 0;
+        raw_bytes = 0;
         sent_pkts = 0;
         sent_bytes = 0;
         requests_outstanding = 0;

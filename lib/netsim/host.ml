@@ -10,7 +10,7 @@ type t = {
   mutable route : (Packet.t -> unit) option;
   mutable tx_hooks : (Packet.t -> unit) list;
   mutable rx_filters : (Packet.t -> Packet.t option) list;
-  listeners : (Addr.proto * int, handler) Hashtbl.t;
+  listeners : (int, handler) Hashtbl.t; (* keyed by [listener_key] *)
   connected : handler Addr.Flow_table.t;
   mutable next_port : int;
   mutable unmatched : int;
@@ -61,6 +61,9 @@ let ip_output t pkt =
       t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
       out pkt
 
+(* one int per (protocol, port), so a demux lookup builds no tuple *)
+let listener_key proto port = (port lsl 1) lor (match proto with Addr.Tcp -> 0 | Addr.Udp -> 1)
+
 let demux t pkt =
   (* demultiplexing ignores the service class: a peer may mark its
      packets with any DSCP *)
@@ -68,7 +71,7 @@ let demux t pkt =
   match Addr.Flow_table.find t.connected flow with
   | handler -> handler pkt
   | exception Not_found -> (
-      match Hashtbl.find t.listeners (flow.Addr.proto, flow.Addr.dst.Addr.port) with
+      match Hashtbl.find t.listeners (listener_key flow.Addr.proto flow.Addr.dst.Addr.port) with
       | handler -> handler pkt
       | exception Not_found -> t.unmatched <- t.unmatched + 1)
 
@@ -82,11 +85,12 @@ let rec filter_then_demux t filters pkt =
 let deliver t pkt = filter_then_demux t t.rx_filters pkt
 
 let bind t proto ~port handler =
-  if Hashtbl.mem t.listeners (proto, port) then
+  let key = listener_key proto port in
+  if Hashtbl.mem t.listeners key then
     invalid_arg (Printf.sprintf "Host.bind: port %d already bound on host %d" port t.id);
-  Hashtbl.replace t.listeners (proto, port) handler
+  Hashtbl.replace t.listeners key handler
 
-let unbind t proto ~port = Hashtbl.remove t.listeners (proto, port)
+let unbind t proto ~port = Hashtbl.remove t.listeners (listener_key proto port)
 
 let connect_demux t flow handler =
   let flow = Addr.strip_dscp flow in

@@ -44,7 +44,7 @@ type t = {
   (* the packet on the wire and a propagation FIFO let one pre-allocated
      closure pair drive every transmission, instead of two fresh closures
      per packet; the FIFO is a ring, so it links no packet to the next *)
-  mutable txing : Packet.t option;
+  mutable txing : Packet.t; (* [Packet.dummy]: none *)
   in_flight : Packet.t Byte_queue.t;
   (* delivery events already scheduled for packets that a link-down flushed
      from [in_flight]; those events must pop nothing when they surface *)
@@ -101,12 +101,13 @@ let prop_delay t =
 let start_transmission t =
   if not t.up then t.busy <- false
   else
-    match t.qdisc.Queue_disc.dequeue () with
-    | None -> t.busy <- false
-    | Some pkt as got ->
-        t.busy <- true;
-        t.txing <- got;
-        Engine.post t.engine (tx_time t pkt) t.finish_fn
+    let pkt = t.qdisc.Queue_disc.dequeue () in
+    if pkt == Packet.dummy then t.busy <- false
+    else begin
+      t.busy <- true;
+      t.txing <- pkt;
+      Engine.post t.engine (tx_time t pkt) t.finish_fn
+    end
 
 let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~sink () =
   if Float.is_nan bandwidth_bps || bandwidth_bps <= 0. then
@@ -147,7 +148,7 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
       down_drops = 0;
       tx_cache_size = -1;
       tx_cache_time = 0;
-      txing = None;
+      txing = Packet.dummy;
       in_flight = Byte_queue.create ~dummy:Packet.dummy ();
       stale_deliveries = 0;
       finish_fn = ignore;
@@ -162,31 +163,32 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
   t.finish_fn <-
     Engine.prof_tag engine ~cat:"net"
     @@ (fun () ->
-      match t.txing with
-      | None ->
-          (* the packet under serialization was killed by a link-down *)
-          if t.up then start_transmission t else t.busy <- false
-      | Some pkt ->
-          t.txing <- None;
-          (* Dummynet-style reordering: with probability p a packet takes a
-             detour of [extra] additional propagation delay, letting later
-             packets overtake it *)
-          let extra =
-            match (t.reorder, t.rng) with
-            | Some (p, extra), Some rng when Rng.bernoulli rng p -> extra
-            | _ -> 0
-          in
-          if extra = 0 then begin
-            (* common case: in-order propagation, shared delivery closure *)
-            Byte_queue.push t.in_flight ~size:pkt.Packet.size pkt;
-            Engine.post t.engine (prop_delay t) t.deliver_fn
-          end
-          else
-            ignore
-              (Engine.schedule_after t.engine
-                 (prop_delay t + extra)
-                 (fun () -> if t.up then deliver t pkt else drop_down t pkt));
-          start_transmission t);
+      let pkt = t.txing in
+      if pkt == Packet.dummy then
+        (* the packet under serialization was killed by a link-down *)
+        if t.up then start_transmission t else t.busy <- false
+      else begin
+        t.txing <- Packet.dummy;
+        (* Dummynet-style reordering: with probability p a packet takes a
+           detour of [extra] additional propagation delay, letting later
+           packets overtake it *)
+        let extra =
+          match (t.reorder, t.rng) with
+          | Some (p, extra), Some rng when Rng.bernoulli rng p -> extra
+          | _ -> 0
+        in
+        if extra = 0 then begin
+          (* common case: in-order propagation, shared delivery closure *)
+          Byte_queue.push t.in_flight ~size:pkt.Packet.size pkt;
+          Engine.post t.engine (prop_delay t) t.deliver_fn
+        end
+        else
+          ignore
+            (Engine.schedule_after t.engine
+               (prop_delay t + extra)
+               (fun () -> if t.up then deliver t pkt else drop_down t pkt));
+        start_transmission t
+      end);
   t
 
 let send t pkt =
@@ -234,11 +236,11 @@ let take_down t =
   if t.up then begin
     t.up <- false;
     (* the packet being serialized dies on the wire *)
-    (match t.txing with
-    | Some pkt ->
-        t.txing <- None;
-        drop_down t pkt
-    | None -> ());
+    let pkt = t.txing in
+    if pkt != Packet.dummy then begin
+      t.txing <- Packet.dummy;
+      drop_down t pkt
+    end;
     (* everything in propagation is lost; their delivery events become
        no-ops when they surface *)
     t.stale_deliveries <- t.stale_deliveries + Byte_queue.length t.in_flight;

@@ -36,7 +36,9 @@ val make : now:Time.t -> flow:Addr.flow -> payload_bytes:int -> payload -> t
 val dummy : t
 (** A placeholder that is never sent: id 0 (real ids start at 1, and
     making it takes none), zero size.  Fills the empty slots of packet
-    {!Cm_util.Byte_queue}s. *)
+    {!Cm_util.Byte_queue}s, and stands for "no packet" where an option
+    per packet would otherwise be built (an empty qdisc's [dequeue], a
+    link with nothing on the wire); test it with [==]. *)
 
 val payload_bytes : t -> int
 (** Wire size minus {!header_bytes} (never negative). *)

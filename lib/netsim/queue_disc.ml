@@ -5,12 +5,16 @@ type verdict = Enqueued | Dropped
 type t = {
   name : string;
   enqueue : Packet.t -> verdict;
-  dequeue : unit -> Packet.t option;
+  dequeue : unit -> Packet.t;
   len : unit -> int;
   bytes : unit -> int;
   drops : unit -> int;
   marks : unit -> int;
 }
+
+(* [Packet.dummy] for empty rather than an option: the link dequeues
+   every packet it sends *)
+let dequeue q = if Byte_queue.is_empty q then Packet.dummy else Byte_queue.take q
 
 let droptail ?limit_bytes ~limit_pkts () =
   if limit_pkts <= 0 then
@@ -44,7 +48,7 @@ let droptail ?limit_bytes ~limit_pkts () =
   {
     name = "droptail";
     enqueue;
-    dequeue = (fun () -> Byte_queue.pop q);
+    dequeue = (fun () -> dequeue q);
     len = (fun () -> Byte_queue.length q);
     bytes = (fun () -> Byte_queue.bytes q);
     drops = (fun () -> !drops);
@@ -66,7 +70,7 @@ let drop_from_head ~limit_pkts () =
   {
     name = "drop-from-head";
     enqueue;
-    dequeue = (fun () -> Byte_queue.pop q);
+    dequeue = (fun () -> dequeue q);
     len = (fun () -> Byte_queue.length q);
     bytes = (fun () -> Byte_queue.bytes q);
     drops = (fun () -> !drops);
@@ -143,7 +147,7 @@ let red ?(ecn = false) ~min_th ~max_th ~limit_pkts ~rng () =
   {
     name = (if ecn then "red+ecn" else "red");
     enqueue;
-    dequeue = (fun () -> Byte_queue.pop q);
+    dequeue = (fun () -> dequeue q);
     len = (fun () -> Byte_queue.length q);
     bytes = (fun () -> Byte_queue.bytes q);
     drops = (fun () -> !drops);

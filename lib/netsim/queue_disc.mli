@@ -12,7 +12,10 @@ type verdict =
 type t = {
   name : string;
   enqueue : Packet.t -> verdict;
-  dequeue : unit -> Packet.t option;
+  dequeue : unit -> Packet.t;
+      (** Head packet, or {!Packet.dummy} when the queue is empty (no
+          option per dequeued packet; [Packet.dummy] is never sent, so
+          [==] on it is unambiguous). *)
   len : unit -> int;  (** Packets queued. *)
   bytes : unit -> int;  (** Bytes queued. *)
   drops : unit -> int;  (** Cumulative drop count. *)

@@ -54,11 +54,10 @@ let create host ~cm ~dst ?(dscp = 0) ?port ?(queue_limit_pkts = 128) () =
         fid;
         fb =
           Feedback.Sender.create (Host.engine host)
-            ~on_report:(fun r ->
+            ~on_report:(fun ~nsent ~nrecd ~loss ~rtt ->
               let self = Lazy.force t in
               if self.open_ then
-                Cm.update cm fid ~nsent:r.Feedback.nsent ~nrecd:r.Feedback.nrecd
-                  ~loss:r.Feedback.loss ?rtt:r.Feedback.rtt ())
+                Cm.update cm fid ~nsent ~nrecd ~loss ?rtt ())
             ();
         queue = Byte_queue.create ~dummy:0 ();
         queue_limit = queue_limit_pkts;

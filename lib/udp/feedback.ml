@@ -68,27 +68,29 @@ module Receiver = struct
   let bytes_received t = t.total_bytes
 end
 
-type report = {
-  nsent : int;
-  nrecd : int;
-  loss : Cm.Cm_types.loss_mode;
-  rtt : Time.span option;
-}
-
 module Sender = struct
   (* solicitation backoff: first solicit after this much starvation,
      doubling up to the cap *)
   let starve_floor = Time.ms 200
   let starve_cap = Time.sec 3.2
 
-  type entry = { bytes : int; sent_at : Time.t }
-
   type t = {
     engine : Engine.t;
-    on_report : report -> unit;
+    on_report :
+      nsent:int -> nrecd:int -> loss:Cm.Cm_types.loss_mode -> rtt:Time.span option -> unit;
     timeout_floor : Time.span;
     on_starve : (unit -> unit) option;
-    outstanding : (int, entry) Hashtbl.t; (* seq -> entry *)
+    (* Unresolved transmissions.  Feedback resolves every seq up to its
+       [max_seq] at once, so the resolvable ones always form the
+       contiguous range [lowest_unresolved, next_seq): [outstanding] holds
+       their byte counts in seq order (empty when next_seq <=
+       lowest_unresolved) and a resolution pops from its head.  Feedback
+       whose max_seq reaches next_seq or beyond lifts lowest_unresolved
+       past seqs not yet sent; those seqs, once sent, can only be
+       resolved by a loss declaration and are counted in [stranded_*]. *)
+    outstanding : int Byte_queue.t;
+    mutable stranded_pkts : int;
+    mutable stranded_bytes : int;
     mutable next_seq : int;
     mutable lowest_unresolved : int;
     mutable recover_seq : int; (* gate: one Transient per window *)
@@ -113,37 +115,38 @@ module Sender = struct
       end
     end
 
-  (* resolve every outstanding packet with seq <= upto; returns (packets,
-     bytes) resolved *)
+  (* resolve every outstanding packet with seq <= upto; the caller reads
+     what was resolved off the ring's length and bytes *)
   let resolve_upto t upto =
-    let resolved = ref 0 and bytes = ref 0 in
-    for seq = t.lowest_unresolved to upto do
-      match Hashtbl.find_opt t.outstanding seq with
-      | Some e ->
-          incr resolved;
-          bytes := !bytes + e.bytes;
-          Hashtbl.remove t.outstanding seq
-      | None -> ()
-    done;
-    if upto >= t.lowest_unresolved then t.lowest_unresolved <- upto + 1;
-    (!resolved, !bytes)
+    if upto >= t.lowest_unresolved then begin
+      let n = Stdlib.min (upto - t.lowest_unresolved + 1) (Byte_queue.length t.outstanding) in
+      for _ = 1 to n do
+        ignore (Byte_queue.take t.outstanding : int)
+      done;
+      t.lowest_unresolved <- upto + 1
+    end
+
+  let outstanding_packets t = Byte_queue.length t.outstanding + t.stranded_pkts
+  let outstanding_bytes t = Byte_queue.bytes t.outstanding + t.stranded_bytes
 
   (* Declare everything in flight lost: the shared core of the silence
      timeout and of an explicit resync (receiver restarted, so feedback
      for the old packets will never come). *)
   let declare_outstanding_lost t =
     let now = Engine.now t.engine in
-    if Hashtbl.length t.outstanding > 0 then begin
-      let bytes = Hashtbl.fold (fun _ e acc -> acc + e.bytes) t.outstanding 0 in
-      Hashtbl.reset t.outstanding;
+    if outstanding_packets t > 0 then begin
+      let bytes = outstanding_bytes t in
+      Byte_queue.clear t.outstanding;
+      t.stranded_pkts <- 0;
+      t.stranded_bytes <- 0;
       t.lowest_unresolved <- t.next_seq;
       t.recover_seq <- t.next_seq;
       t.last_feedback <- now;
-      t.on_report { nsent = bytes; nrecd = 0; loss = Cm.Cm_types.Persistent; rtt = None }
+      t.on_report ~nsent:bytes ~nrecd:0 ~loss:Cm.Cm_types.Persistent ~rtt:None
     end
 
   let maintenance t () =
-    if Hashtbl.length t.outstanding > 0 then begin
+    if outstanding_packets t > 0 then begin
       let now = Engine.now t.engine in
       (* Feedback starvation: before giving up on the outstanding data,
          solicit the receiver — its feedback may be the only thing being
@@ -178,7 +181,9 @@ module Sender = struct
         on_report;
         timeout_floor;
         on_starve;
-        outstanding = Hashtbl.create 64;
+        outstanding = Byte_queue.create ~dummy:0 ();
+        stranded_pkts = 0;
+        stranded_bytes = 0;
         next_seq = 0;
         lowest_unresolved = 0;
         recover_seq = 0;
@@ -201,7 +206,11 @@ module Sender = struct
   let on_transmit t ~bytes =
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    Hashtbl.replace t.outstanding seq { bytes; sent_at = Engine.now t.engine };
+    if seq >= t.lowest_unresolved then Byte_queue.push t.outstanding ~size:bytes bytes
+    else begin
+      t.stranded_pkts <- t.stranded_pkts + 1;
+      t.stranded_bytes <- t.stranded_bytes + bytes
+    end;
     seq
 
   let on_ack t ~max_seq ~count ~bytes ~ts_echo =
@@ -216,10 +225,16 @@ module Sender = struct
       end
       else None
     in
-    let resolved_pkts, resolved_bytes = resolve_upto t max_seq in
+    let pkts_before = Byte_queue.length t.outstanding in
+    let bytes_before = Byte_queue.bytes t.outstanding in
+    resolve_upto t max_seq;
+    let resolved_pkts = pkts_before - Byte_queue.length t.outstanding in
+    let resolved_bytes = bytes_before - Byte_queue.bytes t.outstanding in
     if resolved_pkts = 0 then begin
       (* feedback carried no new resolution; still deliver the rtt *)
-      if rtt <> None then t.on_report { nsent = 0; nrecd = 0; loss = Cm.Cm_types.No_loss; rtt }
+      match rtt with
+      | Some _ -> t.on_report ~nsent:0 ~nrecd:0 ~loss:Cm.Cm_types.No_loss ~rtt
+      | None -> ()
     end
     else begin
       let recd_bytes = Stdlib.min bytes resolved_bytes in
@@ -232,13 +247,11 @@ module Sender = struct
         else Cm.Cm_types.No_loss
       in
       let nrecd = if lost_pkts > 0 then recd_bytes else resolved_bytes in
-      t.on_report { nsent = resolved_bytes; nrecd; loss; rtt }
+      t.on_report ~nsent:resolved_bytes ~nrecd ~loss ~rtt
     end
 
   let resync t = declare_outstanding_lost t
   let solicits t = t.solicits
-  let outstanding_packets t = Hashtbl.length t.outstanding
-  let outstanding_bytes t = Hashtbl.fold (fun _ e acc -> acc + e.bytes) t.outstanding 0
 
   let shutdown t =
     match !(t.timer) with

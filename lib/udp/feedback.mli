@@ -53,27 +53,25 @@ end
 
 (** {1 Sender side} *)
 
-type report = {
-  nsent : int;  (** Payload bytes resolved by this feedback event. *)
-  nrecd : int;  (** Of those, bytes that arrived. *)
-  loss : Cm.Cm_types.loss_mode;  (** Congestion classification. *)
-  rtt : Time.span option;  (** Fresh RTT sample, if the ack allowed one. *)
-}
-(** What to pass to [cm_update]. *)
-
 module Sender : sig
   type t
   (** Loss-detection and RTT bookkeeping for a data sender. *)
 
   val create :
     Engine.t ->
-    on_report:(report -> unit) ->
+    on_report:
+      (nsent:int -> nrecd:int -> loss:Cm.Cm_types.loss_mode -> rtt:Time.span option -> unit) ->
     ?timeout_floor:Time.span ->
     ?on_starve:(unit -> unit) ->
     unit ->
     t
   (** [create eng ~on_report ()] invokes [on_report] whenever feedback
-      resolves outstanding data.  A maintenance timer declares data lost
+      resolves outstanding data, with exactly what [cm_update] takes:
+      [nsent] payload bytes resolved by this feedback event, [nrecd] of
+      those that arrived, the congestion classification [loss], and a
+      fresh RTT sample if the ack allowed one.  Labeled arguments rather
+      than a record, so a report allocates nothing but the RTT sample's
+      [Some].  A maintenance timer declares data lost
       (Persistent) when nothing has been heard for
       [max(2·srtt, timeout_floor)] (floor default 500 ms).
 
@@ -105,7 +103,10 @@ module Sender : sig
   (** Transmitted packets not yet resolved. *)
 
   val outstanding_bytes : t -> int
-  (** Transmitted bytes not yet resolved. *)
+  (** Transmitted bytes not yet resolved (O(1): the ledger is a ring of
+      byte counts over the contiguous unresolved seq range, plus a count
+      of seqs sent after feedback that acknowledged beyond [next_seq],
+      which only a loss declaration resolves). *)
 
   val srtt : t -> Time.span option
   (** Smoothed RTT from ack echoes. *)

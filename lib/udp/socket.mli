@@ -12,15 +12,20 @@ type t
 
 val create : Host.t -> ?dscp:int -> ?port:int -> unit -> t
 (** [create host ()] binds an ephemeral port ([?port] to choose one).
-    [dscp] marks every outgoing datagram's service class (default 0).
-    Raises [Invalid_argument] if the port is taken. *)
+    [dscp] is stamped on every outgoing datagram's flow (default 0), so a
+    CM flow opened on the socket's 5-tuple with the same [dscp] matches
+    the socket's own packets.  Raises [Invalid_argument] if the port is
+    taken or [dscp] is not in 0..63. *)
 
 val connect : t -> Addr.endpoint -> unit
 (** Set the default destination (for {!send}) and install an exact-match
-    demux entry for the return path, like a connected UDP socket. *)
+    demux entry for the return path, like a connected UDP socket.  The
+    outgoing flow is built here, once; {!send} reuses it. *)
 
 val sendto : t -> dst:Addr.endpoint -> payload_bytes:int -> Packet.payload -> unit
-(** Transmit one datagram of [payload_bytes] to [dst]. *)
+(** Transmit one datagram of [payload_bytes] to [dst].  The flow of the
+    last [sendto] destination is cached and rebuilt only when [dst]
+    changes, so a socket answering one peer allocates only the packet. *)
 
 val send : t -> payload_bytes:int -> Packet.payload -> unit
 (** Transmit to the connected destination.  Raises [Invalid_argument] if

@@ -171,6 +171,74 @@ let test_session_close_releases () =
         false
       with Invalid_argument _ -> true)
 
+(* A session opened with a service class must carry it on its packets:
+   the CM's key includes the dscp, so unmarked packets would never be
+   charged to the flow and every feedback packet would be an orphan. *)
+let test_session_dscp_reaches_the_wire () =
+  let engine, net, cm, agent, _r = make () in
+  let session =
+    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+      ~dst:(Addr.endpoint ~host:1 ~port:7000)
+      ~dscp:46 ()
+  in
+  let marked = ref 0 in
+  Host.add_tx_hook net.Topology.a (fun pkt ->
+      match pkt.Packet.payload with
+      | Cmproto.Data _ -> if pkt.Packet.flow.Addr.dscp = 46 then incr marked
+      | _ -> ());
+  for _ = 1 to 20 do
+    Cmproto.Session.send session 500
+  done;
+  Engine.run_for engine (Time.sec 2.);
+  Alcotest.(check int) "all datagrams transmitted" 20 (Cmproto.Session.packets_sent session);
+  Alcotest.(check int) "every datagram marked" 20 !marked;
+  Alcotest.(check int) "all resolved" 0 (Cmproto.Session.unresolved_packets session);
+  Alcotest.(check int) "no orphan feedback" 0 (Cmproto.Sender_agent.orphan_feedback agent);
+  Alcotest.(check (list string)) "auditor clean" [] (Cm.Audit.run cm).Cm.Audit.violations
+
+(* Allocation budget of the datagram path: a session at [ack_every:1]
+   over a 10 Mbps pipe, 500-byte datagrams kept 32 deep in its queue.
+   Per delivered datagram, the data packet with its two payload records,
+   the feedback packet with its payload, the CM grant, the copy the
+   receiver agent hands the application and the CM lookup's option come
+   to about 55 minor words; a per-datagram flow, table entry, tuple or
+   option anywhere on the path pushes it well past the budget (a build
+   with them read ~104). *)
+let test_datagram_path_alloc_budget () =
+  let engine = Engine.create () in
+  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 10) () in
+  let cm = Cm.create engine ~mtu:1000 () in
+  Cm.attach cm net.Topology.a;
+  let agent = Cmproto.Sender_agent.install net.Topology.a cm in
+  let _receiver = Cmproto.Receiver_agent.install net.Topology.b ~ack_every:1 () in
+  let session =
+    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+      ~dst:(Addr.endpoint ~host:1 ~port:7000)
+      ()
+  in
+  let delivered = ref 0 in
+  let sink = Udp.Socket.create net.Topology.b ~port:7000 () in
+  Udp.Socket.on_receive sink (fun _ -> incr delivered);
+  let pump =
+    Timer.create engine ~callback:(fun () ->
+        while Cmproto.Session.queued session < 32 do
+          Cmproto.Session.send session 500
+        done)
+  in
+  Timer.start_periodic pump (Time.ms 1);
+  (* warm-up: slow start, ring, table and event-pool growth *)
+  Engine.run_for engine (Time.sec 1.);
+  let d0 = !delivered in
+  let w0 = Gc.minor_words () in
+  Engine.run_for engine (Time.sec 5.);
+  let words = Gc.minor_words () -. w0 in
+  Timer.stop pump;
+  let measured = !delivered - d0 in
+  "most of the pipe used" => (measured > 5_000);
+  let per_datagram = words /. float_of_int measured in
+  if per_datagram > 70. then
+    Alcotest.failf "%.1f minor words per delivered datagram (budget 70)" per_datagram
+
 (* ---- feedback-plane hardening ------------------------------------------- *)
 
 module Control_faults = Cm_dynamics.Control_faults
@@ -458,6 +526,9 @@ let () =
           Alcotest.test_case "window paces transmissions" `Quick test_window_opens_and_paces;
           Alcotest.test_case "loss via sequence gaps" `Quick test_loss_detected_via_gaps;
           Alcotest.test_case "close releases resources" `Quick test_session_close_releases;
+          Alcotest.test_case "dscp reaches the wire" `Quick test_session_dscp_reaches_the_wire;
+          Alcotest.test_case "alloc budget (70 words/datagram)" `Quick
+            test_datagram_path_alloc_budget;
         ] );
       ( "hardening",
         [

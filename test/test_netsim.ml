@@ -62,9 +62,9 @@ let test_droptail_fifo () =
   let p1 = mk_pkt () and p2 = mk_pkt () in
   ignore (q.Queue_disc.enqueue p1);
   ignore (q.Queue_disc.enqueue p2);
-  (match q.Queue_disc.dequeue () with
-  | Some p -> Alcotest.(check int) "fifo order" p1.Packet.id p.Packet.id
-  | None -> Alcotest.fail "empty");
+  (let p = q.Queue_disc.dequeue () in
+   if p == Packet.dummy then Alcotest.fail "empty"
+   else Alcotest.(check int) "fifo order" p1.Packet.id p.Packet.id);
   Alcotest.(check int) "bytes tracked" p2.Packet.size (q.Queue_disc.bytes ())
 
 let test_drop_from_head () =
@@ -75,9 +75,26 @@ let test_drop_from_head () =
   let v = q.Queue_disc.enqueue p3 in
   "new packet admitted" => (v = Queue_disc.Enqueued);
   Alcotest.(check int) "oldest dropped" 1 (q.Queue_disc.drops ());
-  match q.Queue_disc.dequeue () with
-  | Some p -> Alcotest.(check int) "head is p2 now" p2.Packet.id p.Packet.id
-  | None -> Alcotest.fail "empty"
+  let p = q.Queue_disc.dequeue () in
+  if p == Packet.dummy then Alcotest.fail "empty"
+  else Alcotest.(check int) "head is p2 now" p2.Packet.id p.Packet.id
+
+let test_empty_dequeue_is_dummy () =
+  let rng = Rng.create ~seed:3 in
+  List.iter
+    (fun q ->
+      let name = q.Queue_disc.name in
+      (name ^ ": empty") => (q.Queue_disc.dequeue () == Packet.dummy);
+      let p = mk_pkt () in
+      ignore (q.Queue_disc.enqueue p);
+      (name ^ ": the packet") => (q.Queue_disc.dequeue () == p);
+      (name ^ ": empty again") => (q.Queue_disc.dequeue () == Packet.dummy);
+      Alcotest.(check int) (name ^ ": nothing left") 0 (q.Queue_disc.len ()))
+    [
+      Queue_disc.droptail ~limit_pkts:4 ();
+      Queue_disc.drop_from_head ~limit_pkts:4 ();
+      Queue_disc.red ~min_th:2 ~max_th:6 ~limit_pkts:10 ~rng ();
+    ]
 
 let test_red_marks_ecn () =
   let rng = Rng.create ~seed:1 in
@@ -515,6 +532,7 @@ let () =
           Alcotest.test_case "droptail byte limit" `Quick test_droptail_byte_limit;
           Alcotest.test_case "droptail fifo" `Quick test_droptail_fifo;
           Alcotest.test_case "drop-from-head" `Quick test_drop_from_head;
+          Alcotest.test_case "empty dequeue is Packet.dummy" `Quick test_empty_dequeue_is_dummy;
           Alcotest.test_case "red marks ecn" `Quick test_red_marks_ecn;
           Alcotest.test_case "red drops non-ect" `Quick test_red_drops_non_ect;
         ] );

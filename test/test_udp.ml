@@ -117,10 +117,15 @@ let test_receiver_batches_by_time () =
 
 (* ---- Feedback.Sender ------------------------------------------------------ *)
 
+(* one [on_report] call, its labeled arguments gathered for assertions *)
+type report = { nsent : int; nrecd : int; loss : Cm.Cm_types.loss_mode; rtt : Time.span option }
+
+let collect reports ~nsent ~nrecd ~loss ~rtt = reports := { nsent; nrecd; loss; rtt } :: !reports
+
 let test_sender_resolves_and_samples_rtt () =
   let engine = Engine.create () in
   let reports = ref [] in
-  let s = Udp.Feedback.Sender.create engine ~on_report:(fun r -> reports := r :: !reports) () in
+  let s = Udp.Feedback.Sender.create engine ~on_report:(collect reports) () in
   Engine.run_for engine (Time.ms 5);
   let sent_at = Engine.now engine in
   let seq = Udp.Feedback.Sender.on_transmit s ~bytes:500 in
@@ -129,10 +134,10 @@ let test_sender_resolves_and_samples_rtt () =
   Udp.Feedback.Sender.on_ack s ~max_seq:0 ~count:1 ~bytes:500 ~ts_echo:sent_at;
   (match !reports with
   | [ r ] ->
-      Alcotest.(check int) "nsent" 500 r.Udp.Feedback.nsent;
-      Alcotest.(check int) "nrecd" 500 r.Udp.Feedback.nrecd;
-      "no loss" => (r.Udp.Feedback.loss = Cm.Cm_types.No_loss);
-      (match r.Udp.Feedback.rtt with
+      Alcotest.(check int) "nsent" 500 r.nsent;
+      Alcotest.(check int) "nrecd" 500 r.nrecd;
+      "no loss" => (r.loss = Cm.Cm_types.No_loss);
+      (match r.rtt with
       | Some rtt -> Alcotest.(check int) "rtt = 30ms" (Time.ms 30) rtt
       | None -> Alcotest.fail "expected rtt")
   | _ -> Alcotest.fail "expected one report");
@@ -141,7 +146,7 @@ let test_sender_resolves_and_samples_rtt () =
 let test_sender_detects_gap_loss () =
   let engine = Engine.create () in
   let reports = ref [] in
-  let s = Udp.Feedback.Sender.create engine ~on_report:(fun r -> reports := r :: !reports) () in
+  let s = Udp.Feedback.Sender.create engine ~on_report:(collect reports) () in
   (* a whole window of ten packets is in flight before any feedback *)
   for _ = 0 to 9 do
     ignore (Udp.Feedback.Sender.on_transmit s ~bytes:100)
@@ -150,15 +155,15 @@ let test_sender_detects_gap_loss () =
   Udp.Feedback.Sender.on_ack s ~max_seq:4 ~count:4 ~bytes:400 ~ts_echo:0;
   (match !reports with
   | [ r ] ->
-      Alcotest.(check int) "five resolved" 500 r.Udp.Feedback.nsent;
-      Alcotest.(check int) "four arrived" 400 r.Udp.Feedback.nrecd;
-      "transient loss" => (r.Udp.Feedback.loss = Cm.Cm_types.Transient)
+      Alcotest.(check int) "five resolved" 500 r.nsent;
+      Alcotest.(check int) "four arrived" 400 r.nrecd;
+      "transient loss" => (r.loss = Cm.Cm_types.Transient)
   | _ -> Alcotest.fail "expected one report");
   (* a second loss in the same in-flight window must not re-report *)
   reports := [];
   Udp.Feedback.Sender.on_ack s ~max_seq:9 ~count:4 ~bytes:400 ~ts_echo:0;
   (match !reports with
-  | [ r ] -> "gated within window" => (r.Udp.Feedback.loss = Cm.Cm_types.No_loss)
+  | [ r ] -> "gated within window" => (r.loss = Cm.Cm_types.No_loss)
   | _ -> Alcotest.fail "expected one report")
 
 let test_sender_timeout_persistent () =
@@ -166,7 +171,7 @@ let test_sender_timeout_persistent () =
   let reports = ref [] in
   let s =
     Udp.Feedback.Sender.create engine
-      ~on_report:(fun r -> reports := r :: !reports)
+      ~on_report:(collect reports)
       ~timeout_floor:(Time.ms 300) ()
   in
   for _ = 0 to 2 do
@@ -175,9 +180,9 @@ let test_sender_timeout_persistent () =
   Engine.run_for engine (Time.sec 1.);
   (match !reports with
   | [ r ] ->
-      "persistent after silence" => (r.Udp.Feedback.loss = Cm.Cm_types.Persistent);
-      Alcotest.(check int) "all bytes written off" 300 r.Udp.Feedback.nsent;
-      Alcotest.(check int) "nothing received" 0 r.Udp.Feedback.nrecd
+      "persistent after silence" => (r.loss = Cm.Cm_types.Persistent);
+      Alcotest.(check int) "all bytes written off" 300 r.nsent;
+      Alcotest.(check int) "nothing received" 0 r.nrecd
   | _ -> Alcotest.fail "expected exactly one timeout report");
   Alcotest.(check int) "outstanding cleared" 0 (Udp.Feedback.Sender.outstanding_packets s);
   Udp.Feedback.Sender.shutdown s
@@ -205,6 +210,27 @@ let test_cc_socket_paces_and_delivers () =
   Alcotest.(check int) "sender accounted" 100 (Udp.Cc_socket.packets_sent sock);
   Alcotest.(check int) "no drops" 0 (Udp.Cc_socket.queue_drops sock);
   Alcotest.(check int) "queue drained" 0 (Udp.Cc_socket.queued sock)
+
+(* A socket opened with a service class must carry it on its packets:
+   the CM's key includes the dscp, so unmarked packets would never be
+   charged to the flow and the window would never open past them. *)
+let test_cc_socket_dscp_reaches_the_wire () =
+  let engine = Engine.create () in
+  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 10) () in
+  let cm = Cm.create engine ~mtu:1000 () in
+  Cm.attach cm net.Topology.a;
+  let receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:6000 () in
+  let sock =
+    Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:6000) ~dscp:46 ()
+  in
+  for _ = 1 to 20 do
+    Udp.Cc_socket.send sock 500
+  done;
+  Engine.run_for engine (Time.sec 2.);
+  Alcotest.(check int) "all datagrams transmitted" 20 (Udp.Cc_socket.packets_sent sock);
+  Alcotest.(check int) "all delivered" 20 (Udp.Feedback.Receiver.packets_received receiver);
+  Alcotest.(check int) "all resolved" 0 (Udp.Cc_socket.unresolved_packets sock);
+  Alcotest.(check (list string)) "auditor clean" [] (Cm.Audit.run cm).Cm.Audit.violations
 
 let test_cc_socket_respects_congestion () =
   (* on a 1 Mbit/s link the CM must pace 200 KB over >= ~1.4 s *)
@@ -271,7 +297,7 @@ let prop_feedback_conservation =
       let resolved = ref 0 in
       let s =
         Udp.Feedback.Sender.create engine
-          ~on_report:(fun r -> resolved := !resolved + r.Udp.Feedback.nsent)
+          ~on_report:(fun ~nsent ~nrecd:_ ~loss:_ ~rtt:_ -> resolved := !resolved + nsent)
           ()
       in
       let total = List.fold_left ( + ) 0 sizes in
@@ -285,6 +311,135 @@ let prop_feedback_conservation =
       Udp.Feedback.Sender.on_ack s ~max_seq:(List.length sizes - 1) ~count:(List.length sizes)
         ~bytes:total ~ts_echo:0;
       !resolved = total && Udp.Feedback.Sender.outstanding_bytes s = 0)
+
+
+(* The ledger against a reference model: the seq-keyed [Hashtbl] the
+   ring replaced, with the same resolution, loss and persistent-report
+   rules.  Acks range from stale (at or below what is already resolved)
+   to beyond [next_seq], which strands the seqs sent after them until a
+   loss declaration. *)
+module Ledger_model = struct
+  type t = {
+    tbl : (int, int) Hashtbl.t; (* seq -> bytes *)
+    mutable next : int;
+    mutable lowest : int;
+    mutable recover : int;
+    mutable reports : report list;
+  }
+
+  let create () = { tbl = Hashtbl.create 16; next = 0; lowest = 0; recover = 0; reports = [] }
+  let emit m r = m.reports <- r :: m.reports
+
+  let transmit m bytes =
+    Hashtbl.replace m.tbl m.next bytes;
+    m.next <- m.next + 1
+
+  let declare_lost m =
+    if Hashtbl.length m.tbl > 0 then begin
+      let bytes = Hashtbl.fold (fun _ b acc -> acc + b) m.tbl 0 in
+      Hashtbl.reset m.tbl;
+      m.lowest <- m.next;
+      m.recover <- m.next;
+      emit m { nsent = bytes; nrecd = 0; loss = Cm.Cm_types.Persistent; rtt = None }
+    end
+
+  let ack m ~now ~max_seq ~count ~bytes ~ts_echo =
+    let rtt =
+      if ts_echo > 0 && Time.diff now ts_echo > 0 then Some (Time.diff now ts_echo) else None
+    in
+    let rp = ref 0 and rb = ref 0 in
+    for seq = m.lowest to max_seq do
+      match Hashtbl.find_opt m.tbl seq with
+      | Some b ->
+          incr rp;
+          rb := !rb + b;
+          Hashtbl.remove m.tbl seq
+      | None -> ()
+    done;
+    if max_seq >= m.lowest then m.lowest <- max_seq + 1;
+    if !rp = 0 then begin
+      if rtt <> None then emit m { nsent = 0; nrecd = 0; loss = Cm.Cm_types.No_loss; rtt }
+    end
+    else begin
+      let lost = !rp - Stdlib.min count !rp in
+      let loss =
+        if lost > 0 && max_seq >= m.recover then begin
+          m.recover <- m.next;
+          Cm.Cm_types.Transient
+        end
+        else Cm.Cm_types.No_loss
+      in
+      let nrecd = if lost > 0 then Stdlib.min bytes !rb else !rb in
+      emit m { nsent = !rb; nrecd; loss; rtt }
+    end
+
+  let outstanding_bytes m = Hashtbl.fold (fun _ b acc -> acc + b) m.tbl 0
+end
+
+type ledger_op =
+  | Tx of int  (** bytes *)
+  | Ack of { delta : int; count : int; bytes : int; echo_age : int option }
+      (** [max_seq = next_seq - 1 + delta]; echo [echo_age] ms ago *)
+  | Resync
+  | Silence  (** long enough for the maintenance timer's loss declaration *)
+
+let pp_ledger_op = function
+  | Tx b -> Printf.sprintf "Tx %d" b
+  | Ack { delta; count; bytes; echo_age } ->
+      Printf.sprintf "Ack(delta %d, count %d, bytes %d, echo %s)" delta count bytes
+        (match echo_age with Some a -> string_of_int a | None -> "-")
+  | Resync -> "Resync"
+  | Silence -> "Silence"
+
+let gen_ledger_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun b -> Tx b) (int_range 1 1500));
+        ( 5,
+          map
+            (fun (delta, count, bytes, echo_age) -> Ack { delta; count; bytes; echo_age })
+            (quad (int_range (-6) 3) (int_range 0 6) (int_range 0 3000)
+               (opt (int_range 0 50))) );
+        (1, return Resync);
+        (1, return Silence);
+      ])
+
+let prop_ledger_matches_hashtbl_model =
+  QCheck.Test.make ~name:"ledger ring matches the hashtbl model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_ledger_op ops))
+       QCheck.Gen.(list_size (int_range 0 80) gen_ledger_op))
+    (fun ops ->
+      let engine = Engine.create () in
+      let got = ref [] in
+      let s = Udp.Feedback.Sender.create engine ~on_report:(collect got) () in
+      let m = Ledger_model.create () in
+      (* start late enough that every echo age gives a positive timestamp *)
+      Engine.run_for engine (Time.sec 1.);
+      List.for_all
+        (fun op ->
+          (match op with
+          | Tx bytes ->
+              let seq = Udp.Feedback.Sender.on_transmit s ~bytes in
+              assert (seq = m.Ledger_model.next);
+              Ledger_model.transmit m bytes
+          | Ack { delta; count; bytes; echo_age } ->
+              let now = Engine.now engine in
+              let max_seq = m.Ledger_model.next - 1 + delta in
+              let ts_echo = match echo_age with Some a -> now - Time.ms a | None -> 0 in
+              Udp.Feedback.Sender.on_ack s ~max_seq ~count ~bytes ~ts_echo;
+              Ledger_model.ack m ~now ~max_seq ~count ~bytes ~ts_echo
+          | Resync ->
+              Udp.Feedback.Sender.resync s;
+              Ledger_model.declare_lost m
+          | Silence ->
+              Engine.run_for engine (Time.sec 2.);
+              Ledger_model.declare_lost m);
+          !got = m.Ledger_model.reports
+          && Udp.Feedback.Sender.outstanding_packets s = Hashtbl.length m.Ledger_model.tbl
+          && Udp.Feedback.Sender.outstanding_bytes s = Ledger_model.outstanding_bytes m)
+        ops)
 
 
 let prop_cc_socket_conservation =
@@ -331,11 +486,13 @@ let () =
           Alcotest.test_case "gap loss detection" `Quick test_sender_detects_gap_loss;
           Alcotest.test_case "timeout -> persistent" `Quick test_sender_timeout_persistent;
           QCheck_alcotest.to_alcotest prop_feedback_conservation;
+          QCheck_alcotest.to_alcotest prop_ledger_matches_hashtbl_model;
         ] );
       ( "cc-socket",
         [
           Alcotest.test_case "paces and delivers" `Quick test_cc_socket_paces_and_delivers;
           Alcotest.test_case "respects congestion" `Quick test_cc_socket_respects_congestion;
+          Alcotest.test_case "dscp reaches the wire" `Quick test_cc_socket_dscp_reaches_the_wire;
           Alcotest.test_case "kernel queue limit" `Quick test_cc_socket_queue_limit;
           Alcotest.test_case "rejects bad sizes" `Quick test_cc_socket_rejects_oversized;
           Alcotest.test_case "close tears down" `Quick test_cc_socket_close;
