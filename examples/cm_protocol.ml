@@ -14,25 +14,26 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:2e6 ~delay:(Time.ms 20) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:2e6 ~lat:(Time.ms 20) ()) in
 
   (* sender side: CM + the CM-protocol sender agent *)
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let sender_agent = Cmproto.Sender_agent.install net.Topology.a cm in
+  Cm.attach cm net.Build.a;
+  let sender_agent = Cmproto.Sender_agent.install net.Build.a cm in
 
   (* receiver side: just the kernel agent — and an utterly passive app *)
-  let receiver_agent = Cmproto.Receiver_agent.install net.Topology.b () in
+  let receiver_agent = Cmproto.Receiver_agent.install net.Build.b () in
   let received = ref 0 in
-  let app = Udp.Socket.create net.Topology.b ~port:9000 () in
+  let app = Udp.Socket.create net.Build.b ~port:9000 () in
   Udp.Socket.on_receive app (fun pkt -> received := !received + Packet.payload_bytes pkt);
 
   (* a session sending 2000 datagrams as fast as the CM allows *)
   let session =
-    Cmproto.Session.create sender_agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create sender_agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:9000)
       ()
   in

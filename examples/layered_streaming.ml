@@ -10,25 +10,26 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:10e6 ~delay:(Time.ms 25) ~qdisc_limit:50 () in
+  let net = Build.pipe engine (Spec.pipe ~queue:50 ~bw:10e6 ~lat:(Time.ms 25) ()) in
 
   (* available bandwidth drops to 2 Mbit/s at t=8s and recovers at t=16s *)
   Cm_dynamics.Scenario.compile engine ~rng:(Rng.create ~seed:1)
-    ~links:[ ("path", net.Topology.ab) ]
+    ~links:[ ("path", net.Build.ab) ]
     (Cm_dynamics.Scenario.of_bandwidth_schedule ~name:"squeeze" ~target:"path"
        [ (Time.sec 8., 2e6); (Time.sec 16., 10e6) ]);
 
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let lib = Libcm.create net.Topology.a cm () in
-  let _rx = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:5004 () in
+  Cm.attach cm net.Build.a;
+  let lib = Libcm.create net.Build.a cm () in
+  let _rx = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:5004 () in
 
   (* cumulative layer rates: 0.5 / 1 / 2 / 4 Mbit/s *)
   let source =
-    Cm_apps.Layered.create lib ~host:net.Topology.a
+    Cm_apps.Layered.create lib ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:5004)
       ~layers:[| 0.5e6; 1e6; 2e6; 4e6 |]
       ~mode:(Cm_apps.Layered.Rate_callback { down = 0.85; up = 1.2 })

@@ -11,22 +11,23 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let () =
   (* 1. a 4 Mbps / 40 ms-RTT path between two hosts *)
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:4e6 ~delay:(Time.ms 20) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:4e6 ~lat:(Time.ms 20) ()) in
 
   (* 2. a Congestion Manager on the sending host, hooked into its IP
         output path so transmissions are charged automatically *)
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
+  Cm.attach cm net.Build.a;
 
   (* 3. a trivial receiver that acknowledges every packet *)
-  let _receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:9000 () in
+  let _receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:9000 () in
 
   (* 4. a UDP socket and its CM flow *)
-  let socket = Udp.Socket.create net.Topology.a () in
+  let socket = Udp.Socket.create net.Build.a () in
   let dst = Addr.endpoint ~host:1 ~port:9000 in
   Udp.Socket.connect socket dst;
   let fid = Cm.open_flow cm (Addr.flow ~src:(Udp.Socket.local socket) ~dst ~proto:Addr.Udp ()) in

@@ -12,18 +12,19 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let run_pair ~title ~scheduler ~weights =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:4e6 ~delay:(Time.ms 20) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:4e6 ~lat:(Time.ms 20) ()) in
   let cm = Cm.create engine ~mtu:1000 ~scheduler () in
-  Cm.attach cm net.Topology.a;
-  let _r1 = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7001 () in
-  let _r2 = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7002 () in
+  Cm.attach cm net.Build.a;
+  let _r1 = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7001 () in
+  let _r2 = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7002 () in
   let expedited =
-    Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) ()
+    Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) ()
   in
-  let bulk = Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7002) () in
+  let bulk = Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7002) () in
   (match weights with
   | Some (we, wb) ->
       Cm.set_weight cm (Udp.Cc_socket.flow expedited) we;

@@ -11,21 +11,22 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let () =
   let engine = Engine.create () in
   (* plenty of bandwidth at first, then a 32 kbit/s squeeze, then recovery *)
-  let net = Topology.pipe engine ~bandwidth_bps:256e3 ~delay:(Time.ms 30) ~qdisc_limit:20 () in
-  Cm_dynamics.Faults.bandwidth_steps engine net.Topology.ab
+  let net = Build.pipe engine (Spec.pipe ~queue:20 ~bw:256e3 ~lat:(Time.ms 30) ()) in
+  Cm_dynamics.Faults.bandwidth_steps engine net.Build.ab
     [ (Time.sec 10., 32e3); (Time.sec 20., 256e3) ];
 
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let lib = Libcm.create net.Topology.a cm () in
+  Cm.attach cm net.Build.a;
+  let lib = Libcm.create net.Build.a cm () in
 
-  let receiver = Cm_apps.Vat.Receiver.create net.Topology.b ~port:5006 () in
+  let receiver = Cm_apps.Vat.Receiver.create net.Build.b ~port:5006 () in
   let vat =
-    Cm_apps.Vat.create lib ~host:net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:5006) ()
+    Cm_apps.Vat.create lib ~host:net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:5006) ()
   in
   Cm_apps.Vat.start vat;
 

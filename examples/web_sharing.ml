@@ -10,21 +10,22 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let fetch_times ~use_cm =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 35) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:8e6 ~lat:(Time.ms 35) ()) in
   let driver =
     if use_cm then begin
       let cm = Cm.create engine () in
-      Cm.attach cm net.Topology.b;
+      Cm.attach cm net.Build.b;
       Tcp.Conn.Cm_driven cm
     end
     else Tcp.Conn.Native
   in
-  let _server = Cm_apps.Web.server net.Topology.b ~port:80 ~file_bytes:(128 * 1024) ~driver () in
+  let _server = Cm_apps.Web.server net.Build.b ~port:80 ~file_bytes:(128 * 1024) ~driver () in
   let results = ref [] in
-  Cm_apps.Web.sequential_fetches net.Topology.a
+  Cm_apps.Web.sequential_fetches net.Build.a
     ~dst:(Addr.endpoint ~host:1 ~port:80)
     ~expect_bytes:(128 * 1024) ~count:5 ~gap:(Time.ms 500)
     ~on_done:(fun rs -> results := rs)

@@ -14,7 +14,7 @@ open Netsim
 val bandwidth_steps : Engine.t -> Link.t -> (Time.t * float) list -> unit
 (** Renegotiate the link's bandwidth to each listed value at the listed
     time — the time-varying available-bandwidth substitute for the
-    paper's vBNS path (previously [Topology.apply_bandwidth_schedule]). *)
+    paper's vBNS path. *)
 
 val bandwidth_ramp :
   Engine.t -> Link.t -> at:Time.t -> to_bps:float -> over:Time.span -> steps:int -> unit

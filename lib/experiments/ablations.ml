@@ -1,6 +1,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler ablation *)
@@ -12,18 +13,20 @@ type sched_row = {
   share_ratio : float;
 }
 
+let sched_spec = Spec.pipe ~bw:4e6 ~lat:(Time.ms 20) ()
+
 let run_one_sched params ~name ~scheduler ~weight_a =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Topology.pipe engine ~bandwidth_bps:4e6 ~delay:(Time.ms 20) ~rng () in
+  let net = Build.pipe ~rng engine sched_spec in
   let cm = Cm.create engine ~mtu:1000 ~scheduler () in
-  Cm.attach cm net.Topology.a;
-  Exp_common.watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
-  let _r1 = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7001 () in
-  let _r2 = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7002 () in
-  let sock_a = Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
-  let sock_b = Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7002) () in
+  Cm.attach cm net.Build.a;
+  Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
+  let _r1 = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7001 () in
+  let _r2 = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7002 () in
+  let sock_a = Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
+  let sock_b = Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7002) () in
   (match weight_a with
   | Some w -> Cm.set_weight cm (Udp.Cc_socket.flow sock_a) w
   | None -> ());
@@ -62,19 +65,19 @@ let run_scheduler params =
 
 type ctrl_row = { controller : string; mean_kbps : float; cv : float }
 
+let ctrl_spec = Spec.pipe ~queue:30 ~bw:8e6 ~lat:(Time.ms 25) ()
+
 let run_one_ctrl params ~name ~controller =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 25) ~qdisc_limit:30 ~rng ()
-  in
+  let net = Build.pipe ~rng engine ctrl_spec in
   let cm = Cm.create engine ~mtu:1000 ~controller () in
-  Cm.attach cm net.Topology.a;
-  Exp_common.watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
-  let receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7001 () in
+  Cm.attach cm net.Build.a;
+  Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
+  let receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7001 () in
   ignore receiver;
-  let sock = Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
+  let sock = Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
   let tick () =
     let room = 64 - Udp.Cc_socket.queued sock in
     for _ = 1 to room do
@@ -119,22 +122,22 @@ type share_row = {
   total_retransmits : int;
 }
 
+let share_spec = Spec.pipe ~queue:40 ~bw:6e6 ~lat:(Time.ms 25) ()
+
 let run_one_share params ~name ~use_cm =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Topology.pipe engine ~bandwidth_bps:6e6 ~delay:(Time.ms 25) ~qdisc_limit:40 ~rng ()
-  in
+  let net = Build.pipe ~rng engine share_spec in
   let cm = if use_cm then Some (Cm.create engine ()) else None in
-  Option.iter (fun cm -> Cm.attach cm net.Topology.b) cm;
-  Exp_common.watch sys ~links:[ ("ba", net.Topology.ba); ("ab", net.Topology.ab) ] ?cm ();
+  Option.iter (fun cm -> Cm.attach cm net.Build.b) cm;
+  Exp_common.watch sys ~links:[ ("ba", net.Build.ba); ("ab", net.Build.ab) ] ?cm ();
   let server_driver =
     match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native
   in
   let retransmits = ref 0 in
   let _server =
-    Tcp.Conn.listen net.Topology.b ~port:80 ~driver:server_driver
+    Tcp.Conn.listen net.Build.b ~port:80 ~driver:server_driver
       ~on_accept:(fun conn ->
         let responded = ref false in
         Tcp.Conn.on_receive conn (fun _ ->
@@ -148,7 +151,7 @@ let run_one_share params ~name ~use_cm =
       ()
   in
   let results = ref [] in
-  Cm_apps.Web.concurrent_fetches net.Topology.a
+  Cm_apps.Web.concurrent_fetches net.Build.a
     ~dst:(Addr.endpoint ~host:1 ~port:80)
     ~expect_bytes:(256 * 1024) ~count:4
     ~on_done:(fun rs -> results := rs)
@@ -219,27 +222,26 @@ let jain_index xs =
   let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0. xs in
   if s2 = 0. then 1. else s *. s /. (n *. s2)
 
+let fairness_spec = Spec.pipe ~queue:60 ~loss:0.002 ~bw:8e6 ~lat:(Time.ms 20) ()
+
 let run_one_fairness params ~name ~cm_flows ~native_flows =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:60
-      ~loss_rate:0.002 ~rng ()
-  in
+  let net = Build.pipe ~rng engine fairness_spec in
   let cm = Cm.create engine () in
-  Cm.attach cm net.Topology.a;
-  Exp_common.watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
+  Cm.attach cm net.Build.a;
+  Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
   let totals = ref [] in
   let start_flow ~port ~driver =
     let delivered = ref 0 in
     totals := delivered :: !totals;
     let _l =
-      Tcp.Conn.listen net.Topology.b ~port
+      Tcp.Conn.listen net.Build.b ~port
         ~on_accept:(fun c -> Tcp.Conn.on_receive c (fun n -> delivered := !delivered + n))
         ()
     in
-    let c = Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port) ~driver () in
+    let c = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port) ~driver () in
     Tcp.Conn.send c (1 lsl 27)
   in
   for i = 0 to native_flows - 1 do

@@ -18,6 +18,9 @@ type sched_row = {
   share_ratio : float;  (** flow_a / flow_b. *)
 }
 
+val sched_spec : Cm_spec.Spec.t
+(** The scheduler ablation's pipe: 4 Mbit/s, 20 ms. *)
+
 val run_scheduler : Exp_common.params -> sched_row list
 (** Round-robin vs weighted (weight 3 for flow A). *)
 
@@ -26,6 +29,9 @@ type ctrl_row = {
   mean_kbps : float;  (** Mean delivered rate, KBytes/s. *)
   cv : float;  (** Coefficient of variation of the per-100ms rate (smoothness; lower is smoother). *)
 }
+
+val ctrl_spec : Cm_spec.Spec.t
+(** The controller ablation's pipe: 8 Mbit/s, 25 ms, 30-packet queue. *)
 
 val run_controller : Exp_common.params -> ctrl_row list
 (** AIMD vs IIAD vs SQRT on a fixed 8 Mbps bottleneck. *)
@@ -36,6 +42,9 @@ type share_row = {
   max_completion_ms : float;
   total_retransmits : int;
 }
+
+val share_spec : Cm_spec.Spec.t
+(** The sharing ablation's pipe: 6 Mbit/s, 25 ms, 40-packet queue. *)
 
 val run_sharing : Exp_common.params -> share_row list
 (** 4 concurrent 256 KB fetches: independent vs shared congestion state. *)
@@ -54,6 +63,10 @@ type fairness_row = {
   per_flow_kb : int list;  (** Bytes moved by each flow, KB. *)
   jain : float;  (** Jain's fairness index: 1.0 = perfectly fair. *)
 }
+
+val fairness_spec : Cm_spec.Spec.t
+(** The fairness ablation's pipe: 8 Mbit/s, 20 ms, 60-packet queue,
+    0.2% forward loss. *)
 
 val run_fairness : Exp_common.params -> fairness_row list
 (** All-native, all-CM (one macroflow), and a half-and-half mix sharing

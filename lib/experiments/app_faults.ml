@@ -1,6 +1,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 open Cm_dynamics
 
 (* Endpoint-fault experiment family: honest TCP/CM transfers share a
@@ -219,19 +220,21 @@ let window_bps tl ~from_ ~until =
   in
   bytes *. 8. /. Time.to_float_s (Time.diff until from_)
 
+let spec = Spec.pipe ~queue:50 ~bw:8e6 ~lat:(Time.ms 20) ()
+
 let run_case params case =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:50 ~rng () in
+  let net = Build.pipe ~rng engine spec in
   (* this family always runs defended — measuring the defenses is its point *)
   let cm =
     Cm.create engine ~feedback_watchdog:Cm.Macroflow.default_watchdog ~auditor:Cm.default_auditor ()
   in
-  Cm.attach cm net.Topology.a;
+  Cm.attach cm net.Build.a;
   Exp_common.watch sys
     ~tag:("app_faults-" ^ case_name case)
-    ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ]
+    ~links:[ ("fwd", net.Build.ab); ("rev", net.Build.ba) ]
     ~cm ();
   (* flight recorder: the last events before each defense firing / audit
      breach, dumped as JSONL (exercised by the CI crash-dump smoke) *)
@@ -245,14 +248,14 @@ let run_case params case =
   List.iter
     (fun port ->
       let _listener =
-        Tcp.Conn.listen net.Topology.b ~port
+        Tcp.Conn.listen net.Build.b ~port
           ~on_accept:(fun conn ->
             Tcp.Conn.on_receive conn (fun n ->
                 Timeline.record honest_tl (Engine.now engine) (float_of_int n)))
           ()
       in
       let conn =
-        Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port)
+        Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port)
           ~driver:(Tcp.Conn.Cm_driven cm) ()
       in
       Tcp.Conn.send conn (1 lsl 34))
@@ -262,8 +265,8 @@ let run_case params case =
     List.mapi
       (fun i name ->
         let port = 5004 + i in
-        let _receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port () in
-        make_offender engine cm net.Topology.a ~name ~port
+        let _receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port () in
+        make_offender engine cm net.Build.a ~name ~port
           ~start_at:(Time.ms (100 + (20 * i))))
       offender_names
   in

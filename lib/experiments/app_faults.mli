@@ -47,6 +47,9 @@ type result = {
   r_audit_violations : string list;  (** deduplicated, discovery order *)
 }
 
+val spec : Cm_spec.Spec.t
+(** The 8 Mbit/s, 20 ms pipe with a 50-packet forward queue. *)
+
 val run_case : Exp_common.params -> case -> result
 (** One 20 s simulated run of the given case ([r_recovery_ratio] is 0
     until {!run} fills it in against the baseline). *)

@@ -1,6 +1,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 type fetch = { latency_ms : float; bytes : int }
 type row = { bandwidth_mbps : float; fixed : fetch list; adaptive : fetch list }
@@ -10,20 +11,22 @@ let full_quality = 256 * 1024
 let target_latency = Time.sec 1.
 let requests = 5
 
+let spec_of bandwidth_bps = Spec.pipe ~bw:bandwidth_bps ~lat:(Time.ms 40) ()
+
 let run_side params ~adaptive ~bandwidth_bps =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Topology.pipe engine ~bandwidth_bps ~delay:(Time.ms 40) ~rng () in
+  let net = Build.pipe ~rng engine (spec_of bandwidth_bps) in
   let cm = Cm.create engine () in
-  Cm.attach cm net.Topology.b;
-  Exp_common.watch sys ~links:[ ("ba", net.Topology.ba); ("ab", net.Topology.ab) ] ~cm ();
+  Cm.attach cm net.Build.b;
+  Exp_common.watch sys ~links:[ ("ba", net.Build.ba); ("ab", net.Build.ab) ] ~cm ();
   let driver = Tcp.Conn.Cm_driven cm in
   let _server =
     if adaptive then
-      Cm_apps.Web.adaptive_server net.Topology.b ~cm ~port:80 ~encodings ~target_latency
+      Cm_apps.Web.adaptive_server net.Build.b ~cm ~port:80 ~encodings ~target_latency
         ~driver ()
-    else Cm_apps.Web.server net.Topology.b ~port:80 ~file_bytes:full_quality ~driver ()
+    else Cm_apps.Web.server net.Build.b ~port:80 ~file_bytes:full_quality ~driver ()
   in
   (* the client accepts whatever size the server chose: fetch until the
      connection delivers its FIN-terminated response *)
@@ -31,7 +34,7 @@ let run_side params ~adaptive ~bandwidth_bps =
   let remaining = ref requests in
   let rec one () =
     let t0 = Engine.now engine in
-    let conn = Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
+    let conn = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
     let received = ref 0 in
     Tcp.Conn.on_established conn (fun () -> Tcp.Conn.send conn 100);
     Tcp.Conn.on_receive conn (fun n -> received := !received + n);

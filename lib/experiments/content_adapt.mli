@@ -22,6 +22,12 @@ type row = {
   adaptive : fetch list;  (** Per-request results, adaptive server. *)
 }
 
+val bandwidths : float list
+(** The swept path bandwidths, bit/s. *)
+
+val spec_of : float -> Cm_spec.Spec.t
+(** [spec_of bw]: the [bw], 40 ms pipe. *)
+
 val run : Exp_common.params -> row list
 (** Sweep the three path bandwidths. *)
 

@@ -1,6 +1,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 type telemetry_request = { period : Time.span; mutable captured : Telemetry.t list }
 
@@ -81,21 +82,21 @@ let print_row = print_endline
    channel (experiments, telemetry, tracer) formats floats identically. *)
 module Json = Cm_util.Json
 
-let measured_bulk params ~driver ~bandwidth_bps ~delay ?(loss = 0.) ?(qdisc_limit = 100)
-    ?(costs = Costs.zero) ?(duration = Time.sec 30.) ?bytes () =
+let measured_bulk params ~driver ~spec ?(costs = Costs.zero) ?(duration = Time.sec 30.) ?bytes
+    () =
   with_system params @@ fun sys ->
   let engine = sys.engine in
   let rng = Rng.create ~seed:params.seed in
-  let net = Topology.pipe engine ~bandwidth_bps ~delay ~loss_rate:loss ~qdisc_limit ~rng ~costs () in
+  let net = Build.pipe ~costs ~rng engine spec in
   let cm = Cm.create engine () in
-  Cm.attach cm net.Topology.a;
-  watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
+  Cm.attach cm net.Build.a;
+  watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
   let drv = driver (Some cm) in
   let delivered = ref 0 in
   let finished_at = ref None in
   let target = bytes in
   let _listener =
-    Tcp.Conn.listen net.Topology.b ~port:80
+    Tcp.Conn.listen net.Build.b ~port:80
       ~on_accept:(fun conn ->
         Tcp.Conn.on_receive conn (fun n ->
             delivered := !delivered + n;
@@ -105,10 +106,10 @@ let measured_bulk params ~driver ~bandwidth_bps ~delay ?(loss = 0.) ?(qdisc_limi
             | _ -> ()))
       ()
   in
-  let conn = Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:80) ~driver:drv () in
+  let conn = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) ~driver:drv () in
   let to_send = match target with Some b -> b | None -> 1 lsl 34 in
   Tcp.Conn.send conn to_send;
-  let busy0 = Cpu.total_busy (Host.cpu net.Topology.a) in
+  let busy0 = Cpu.total_busy (Host.cpu net.Build.a) in
   (match target with
   | Some _ ->
       (* run until delivery completes (bounded by a generous limit) *)
@@ -122,7 +123,7 @@ let measured_bulk params ~driver ~bandwidth_bps ~delay ?(loss = 0.) ?(qdisc_limi
     match !finished_at with Some t -> t | None -> Engine.now engine
   in
   let elapsed = Stdlib.max elapsed 1 in
-  let busy = Cpu.total_busy (Host.cpu net.Topology.a) - busy0 in
+  let busy = Cpu.total_busy (Host.cpu net.Build.a) - busy0 in
   let goodput = float_of_int (!delivered * 8) /. Time.to_float_s elapsed in
   let util = float_of_int busy /. float_of_int elapsed in
   (goodput, util)

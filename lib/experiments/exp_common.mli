@@ -78,16 +78,14 @@ module Json = Cm_util.Json
 val measured_bulk :
   params ->
   driver:(Cm.t option -> Tcp.Conn.driver) ->
-  bandwidth_bps:float ->
-  delay:Time.span ->
-  ?loss:float ->
-  ?qdisc_limit:int ->
+  spec:Cm_spec.Spec.t ->
   ?costs:Costs.t ->
   ?duration:Time.span ->
   ?bytes:int ->
   unit ->
   float * float
-(** One bulk TCP run on a fresh pipe; returns
+(** One bulk TCP run on a fresh pipe built from [spec] (a
+    {!Cm_spec.Spec.pipe}), host a sending to host b; returns
     [(goodput_bps, sender_cpu_utilization)].  With [?bytes] the run ends
     when that much is delivered; otherwise it is time-limited by
     [duration] (default 30 s) with the goodput measured over the whole

@@ -1,6 +1,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 type row = {
   design : string;
@@ -19,39 +20,38 @@ let ops_of meter n =
       else Some (Libcm.Ops.to_string kind, float_of_int c /. float_of_int n))
     Libcm.Ops.all
 
+let spec = Fig6.spec
+
 (* The CM-protocol sender: same windowed workload as Fig. 6's Buffered
    variant, but acknowledgment happens kernel-to-kernel. *)
 let run_cmproto params ~n =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 50) ~qdisc_limit:500
-      ~reverse_qdisc_limit:500 ~rng ~costs:Costs.pentium3 ()
-  in
-  let costs = Host.costs net.Topology.a in
+  let net = Build.pipe ~costs:Costs.pentium3 ~rng engine spec in
+  let costs = Host.costs net.Build.a in
   let cm = Cm.create engine ~mtu:(size + Cmproto.header_bytes) () in
-  Cm.attach cm net.Topology.a;
-  Exp_common.watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
-  let lib = Libcm.create net.Topology.a cm () in
+  Cm.attach cm net.Build.a;
+  Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
+  let lib = Libcm.create net.Build.a cm () in
   let meter = Libcm.meter lib in
   (* kernel costs of the protocol itself, charged before the agents run:
      the sender pays one interrupt + CM work per feedback packet *)
-  Host.add_rx_filter net.Topology.a (fun pkt ->
+  Host.add_rx_filter net.Build.a (fun pkt ->
       (match pkt.Packet.payload with
       | Cmproto.Feedback _ ->
-          Cpu.charge (Host.cpu net.Topology.a) (costs.Costs.intr_rx + costs.Costs.cm_op)
+          Cpu.charge (Host.cpu net.Build.a) (costs.Costs.intr_rx + costs.Costs.cm_op)
       | _ -> ());
       Some pkt);
-  let agent = Cmproto.Sender_agent.install net.Topology.a cm in
-  let _receiver = Cmproto.Receiver_agent.install net.Topology.b ~ack_every:1 () in
+  let agent = Cmproto.Sender_agent.install net.Build.a cm in
+  let _receiver = Cmproto.Receiver_agent.install net.Build.b ~ack_every:1 () in
   let session =
-    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ~queue_limit_pkts:(window * 2) ()
   in
   (* the application's only boundary crossing: the send syscall *)
-  Host.add_tx_hook net.Topology.a (fun pkt ->
+  Host.add_tx_hook net.Build.a (fun pkt ->
       match pkt.Packet.payload with
       | Cmproto.Data _ -> Libcm.Ops.charge meter ~bytes:size Libcm.Ops.Send
       | _ -> ());

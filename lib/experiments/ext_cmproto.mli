@@ -17,6 +17,9 @@ type row = {
   ops : (string * float) list;  (** Sender boundary crossings per packet. *)
 }
 
+val spec : Cm_spec.Spec.t
+(** {!Fig6.spec}: the 100 Mbit/s, 50 µs LAN pipe. *)
+
 val run : Exp_common.params -> row list
 (** Buffered (application feedback) vs CM protocol. *)
 

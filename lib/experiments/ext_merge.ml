@@ -1,6 +1,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 type row = {
   setup : string;
@@ -9,25 +10,30 @@ type row = {
   pair_to_reference : float;
 }
 
+(* hosts 1, 2 and 3 all live behind the same 6 Mbit/s trunk from the
+   sender's point of view (the sender is the clients' "server") *)
+let spec =
+  Spec.(
+    node "server"
+    @ clients ~n:3 ~per:[ "server" ] ~bw:1e8 ~lat:(Time.ms 1) ~trunk_bw:6e6
+        ~trunk_lat:(Time.ms 20) ~trunk_queue:50 ())
+
 let run_side params ~merged =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  (* hosts 1, 2 and 3 all live behind the same 6 Mbit/s bottleneck from
-     the sender's point of view (sender is the star's "server" side) *)
-  let net =
-    Topology.star engine ~n_clients:3 ~access_bps:1e8 ~access_delay:(Time.ms 1)
-      ~bottleneck_bps:6e6 ~bottleneck_delay:(Time.ms 20) ~qdisc_limit:50 ~rng ()
-  in
-  let sender = net.Topology.server in
+  let net = Build.instantiate ~rng engine (Check.elaborate_exn spec) in
+  let sender = Build.host net "server" in
+  let client i = Build.host net (Spec.client_name ~server:0 ~index:i ()) in
   let cm = Cm.create engine ~mtu:1000 () in
   Cm.attach cm sender;
   Exp_common.watch sys
-    ~links:[ ("from_server", net.Topology.from_server); ("to_server", net.Topology.to_server) ]
+    ~links:
+      [ ("from_server", Build.link net "server->cr0"); ("to_server", Build.link net "cr0->server") ]
     ~cm ();
   (* two CC-UDP flows to two different destination hosts *)
-  let _r1 = Udp.Cc_socket.run_echo_receiver net.Topology.clients.(0) ~port:7001 () in
-  let _r2 = Udp.Cc_socket.run_echo_receiver net.Topology.clients.(1) ~port:7001 () in
+  let _r1 = Udp.Cc_socket.run_echo_receiver (client 0) ~port:7001 () in
+  let _r2 = Udp.Cc_socket.run_echo_receiver (client 1) ~port:7001 () in
   let sock_a = Udp.Cc_socket.create sender ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
   let sock_b = Udp.Cc_socket.create sender ~cm ~dst:(Addr.endpoint ~host:2 ~port:7001) () in
   (* by default these are separate per-destination macroflows; with
@@ -36,7 +42,7 @@ let run_side params ~merged =
   (* the reference: a native TCP to the third destination *)
   let reference_bytes = ref 0 in
   let _l =
-    Tcp.Conn.listen net.Topology.clients.(2) ~port:80
+    Tcp.Conn.listen (client 2) ~port:80
       ~on_accept:(fun c -> Tcp.Conn.on_receive c (fun n -> reference_bytes := !reference_bytes + n))
       ()
   in

@@ -24,6 +24,11 @@ type row = {
   pair_to_reference : float;  (** Aggressiveness ratio. *)
 }
 
+val spec : Cm_spec.Spec.t
+(** Host ["server"] (address 0) and three {!Cm_spec.Spec.clients}
+    (addresses 1–3) behind one access router, which reaches the server
+    over a 6 Mbit/s, 20 ms trunk with 50-packet queues. *)
+
 val run : Exp_common.params -> row list
 (** Separate vs merged, same topology and seed. *)
 

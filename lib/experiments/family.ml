@@ -14,41 +14,64 @@ let make ?subruns ?(specs = []) name doc compute print =
 
 let all =
   [
-    make "fig3" "Throughput vs loss: TCP/CM vs TCP/Linux" Fig3.run (fun _ -> Fig3.print);
+    make "fig3" "Throughput vs loss: TCP/CM vs TCP/Linux" Fig3.run (fun _ -> Fig3.print)
+      ~specs:
+        (List.map (fun l -> (Printf.sprintf "fig3_loss_%g" l, Fig3.spec_of l)) Fig3.loss_points);
     make "fig4" "100 Mbps throughput vs buffers transmitted (also prints Fig. 5)" Fig4_5.run
-      (fun _ -> Fig4_5.print);
+      (fun _ -> Fig4_5.print)
+      ~specs:[ ("fig4_5", Fig4_5.spec) ];
     make "fig5" "Sender CPU utilization vs buffers transmitted (also prints Fig. 4)" Fig4_5.run
-      (fun _ -> Fig4_5.print);
+      (fun _ -> Fig4_5.print)
+      ~specs:[ ("fig4_5", Fig4_5.spec) ];
     make "fig6" "Per-packet API overhead vs packet size" Fig6.run (fun _ -> Fig6.print)
-      ~subruns:[ ("fig6", fun p -> ignore (Fig6.measure_macro p Fig6.Tcp_cm ~size:1448 ~n:2_000)) ];
+      ~subruns:[ ("fig6", fun p -> ignore (Fig6.measure_macro p Fig6.Tcp_cm ~size:1448 ~n:2_000)) ]
+      ~specs:[ ("fig6", Fig6.spec) ];
     make "table1" "Boundary crossings per packet per API" Fig6.run_table1
-      (fun _ -> Fig6.print_table1);
+      (fun _ -> Fig6.print_table1)
+      ~specs:[ ("fig6", Fig6.spec) ];
     make "fig7" "Sequential fetches: congestion-state sharing" Fig7.run (fun _ -> Fig7.print)
       ~subruns:
         [
           ("fig7", fun p -> ignore (Fig7.run_side p ~use_cm:true ~count:3 ~file_bytes:(64 * 1024)));
-        ];
+        ]
+      ~specs:[ ("fig7", Fig7.spec) ];
     make "fig8" "ALF layered streaming over a varying path" Fig8_10.run_fig8
-      (fun _ -> Fig8_10.print);
-    make "fig9" "Rate-callback layered streaming" Fig8_10.run_fig9 (fun _ -> Fig8_10.print);
-    make "fig10" "Rate callback with delayed feedback" Fig8_10.run_fig10 (fun _ -> Fig8_10.print);
-    make "micro" "Connection-establishment microbenchmark" Micro.run (fun _ -> Micro.print);
+      (fun _ -> Fig8_10.print)
+      ~specs:[ ("fig8_10", Fig8_10.spec) ];
+    make "fig9" "Rate-callback layered streaming" Fig8_10.run_fig9 (fun _ -> Fig8_10.print)
+      ~specs:[ ("fig8_10", Fig8_10.spec) ];
+    make "fig10" "Rate callback with delayed feedback" Fig8_10.run_fig10 (fun _ -> Fig8_10.print)
+      ~specs:[ ("fig8_10", Fig8_10.spec) ];
+    make "micro" "Connection-establishment microbenchmark" Micro.run (fun _ -> Micro.print)
+      ~specs:[ ("micro", Micro.spec) ];
     make "ablation_sched" "Round-robin vs weighted scheduler" Ablations.run_scheduler
-      (fun _ -> Ablations.print_scheduler);
+      (fun _ -> Ablations.print_scheduler)
+      ~specs:[ ("ablation_sched", Ablations.sched_spec) ];
     make "ablation_ctrl" "AIMD vs binomial controllers" Ablations.run_controller
-      (fun _ -> Ablations.print_controller);
+      (fun _ -> Ablations.print_controller)
+      ~specs:[ ("ablation_ctrl", Ablations.ctrl_spec) ];
     make "ablation_share" "Independent vs shared congestion state" Ablations.run_sharing
-      (fun _ -> Ablations.print_sharing);
+      (fun _ -> Ablations.print_sharing)
+      ~specs:[ ("ablation_share", Ablations.share_spec) ];
+    (* its drop_listed queue discipline drops data packets by index; the
+       DSL has no custom disciplines *)
     make "phttp" "Sec. 6: P-HTTP multiplexing vs CM concurrent connections" Sec6_phttp.run
       (fun _ -> Sec6_phttp.print);
     make "cmproto" "Extension: CM protocol (kernel feedback) vs app feedback" Ext_cmproto.run
-      (fun _ -> Ext_cmproto.print);
+      (fun _ -> Ext_cmproto.print)
+      ~specs:[ ("cmproto", Ext_cmproto.spec) ];
     make "content" "Content adaptation: fixed vs cm_query-chosen encodings" Content_adapt.run
-      (fun _ -> Content_adapt.print);
+      (fun _ -> Content_adapt.print)
+      ~specs:
+        (List.map
+           (fun bw -> (Printf.sprintf "content_%gMbps" (bw /. 1e6), Content_adapt.spec_of bw))
+           Content_adapt.bandwidths);
     make "merge" "Extension: merged macroflows behind a shared bottleneck" Ext_merge.run
-      (fun _ -> Ext_merge.print);
+      (fun _ -> Ext_merge.print)
+      ~specs:[ ("merge", Ext_merge.spec) ];
     make "ablation_fairness" "Jain fairness across flow ensembles" Ablations.run_fairness
-      (fun _ -> Ablations.print_fairness);
+      (fun _ -> Ablations.print_fairness)
+      ~specs:[ ("ablation_fairness", Ablations.fairness_spec) ];
     make "scenarios" "Fault-injection scenarios: burst loss, outage, sawtooth (JSON)" Scenarios.run
       Scenarios.print
       ~subruns:
@@ -68,7 +91,8 @@ let all =
     make "app_faults"
       "Endpoint faults: crash/silence/lie/hoard defenses & reclamation (JSON)" App_faults.run
       App_faults.print
-      ~subruns:[ ("app_faults_storm", fun p -> ignore (App_faults.run_case p App_faults.Storm)) ];
+      ~subruns:[ ("app_faults_storm", fun p -> ignore (App_faults.run_case p App_faults.Storm)) ]
+      ~specs:[ ("app_faults", App_faults.spec) ];
     make "fattree" "Fat-tree k=4 incast + cross-pod shuffle, spec-DSL authored (JSON)" Fattree.run
       Fattree.print
       ~specs:[ ("fattree", Fattree.spec) ];
@@ -87,7 +111,8 @@ let all =
         [
           ( "feedback_faults_blackout",
             fun p -> ignore (Feedback_faults.run_case p Feedback_faults.Blackout) );
-        ];
+        ]
+      ~specs:[ ("feedback_faults", Feedback_faults.spec) ];
   ]
 
 let find name = List.find_opt (fun f -> f.name = name) all

@@ -1,6 +1,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 open Cm_dynamics
 
 (* Feedback-plane fault experiment family: an honest cmproto macroflow
@@ -72,37 +73,39 @@ let window_bps tl ~from_ ~until =
   in
   bytes *. 8. /. Time.to_float_s (Time.diff until from_)
 
+let spec = Spec.pipe ~queue:50 ~bw:8e6 ~lat:(Time.ms 20) ()
+
 let run_case params case =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:50 ~rng () in
+  let net = Build.pipe ~rng engine spec in
   (* this family always runs defended — it measures the defenses *)
   let cm =
     Cm.create engine ~feedback_watchdog:Cm.Macroflow.default_watchdog ~auditor:Cm.default_auditor ()
   in
-  Cm.attach cm net.Topology.a;
-  Exp_common.watch sys ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ] ~cm ();
+  Cm.attach cm net.Build.a;
+  Exp_common.watch sys ~links:[ ("fwd", net.Build.ab); ("rev", net.Build.ba) ] ~cm ();
   (* control-plane injectors go on first: host receive filters run in
      registration order, and the agents' filters must see what survives
      injection, not the other way around *)
-  let snd_inj = Control_faults.install net.Topology.a ~classify:Cmproto.is_control in
-  let rcv_inj = Control_faults.install net.Topology.b ~classify:Cmproto.is_control in
-  let agent = Cmproto.Sender_agent.install net.Topology.a cm in
+  let snd_inj = Control_faults.install net.Build.a ~classify:Cmproto.is_control in
+  let rcv_inj = Control_faults.install net.Build.b ~classify:Cmproto.is_control in
+  let agent = Cmproto.Sender_agent.install net.Build.a cm in
   Option.iter (Cmproto.Sender_agent.register_gauges agent) (Exp_common.telemetry sys);
-  let receiver = Cmproto.Receiver_agent.install net.Topology.b ~ack_every:2 () in
+  let receiver = Cmproto.Receiver_agent.install net.Build.b ~ack_every:2 () in
   (* receiver-side goodput: whatever reaches the application after the
      agent strips the CM header (registered after the receiver agent, so
      it sees the unwrapped survivors only) *)
   let goodput = Timeline.create () in
-  Host.add_rx_filter net.Topology.b (fun pkt ->
+  Host.add_rx_filter net.Build.b (fun pkt ->
       (match pkt.Packet.payload with
       | Packet.Raw bytes when pkt.Packet.flow.Addr.dst.Addr.port = 7000 ->
           Timeline.record goodput (Engine.now engine) (float_of_int bytes)
       | _ -> ());
       Some pkt);
   let session =
-    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ~queue_limit_pkts:(window * 2) ()
   in

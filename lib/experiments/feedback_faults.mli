@@ -32,6 +32,9 @@ type result = {
 
 type case = Baseline | Blackout | Degraded | Crash_restart
 
+val spec : Cm_spec.Spec.t
+(** The 8 Mbit/s, 20 ms pipe with a 50-packet forward queue. *)
+
 val run_case : Exp_common.params -> case -> result
 (** One case in isolation ([r_fault_ratio] left at 0 — only {!run}
     normalizes against the baseline).  Exposed for the report driver. *)

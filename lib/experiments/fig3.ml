@@ -10,12 +10,13 @@ let cm_driver = function
   | Some cm -> Tcp.Conn.Cm_driven cm
   | None -> invalid_arg "fig3: CM required"
 
+let spec_of loss_pct = Cm_spec.Spec.pipe ~loss:(loss_pct /. 100.) ~bw:10e6 ~lat:(Time.ms 30) ()
+
 let run params =
   let one loss_pct =
-    let loss = loss_pct /. 100. in
     let measure driver =
       fst
-        (Exp_common.measured_bulk params ~driver ~bandwidth_bps:10e6 ~delay:(Time.ms 30) ~loss
+        (Exp_common.measured_bulk params ~driver ~spec:(spec_of loss_pct)
            ~duration:(Time.sec 30.) ())
     in
     {

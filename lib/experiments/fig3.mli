@@ -11,6 +11,13 @@ type row = {
   cm_kbps : float;  (** TCP/CM goodput, KBytes/s. *)
 }
 
+val loss_points : float list
+(** The swept forward loss rates, in percent. *)
+
+val spec_of : float -> Cm_spec.Spec.t
+(** [spec_of loss_pct]: the 10 Mbit/s, 30 ms pipe with [loss_pct]
+    percent forward loss. *)
+
 val run : Exp_common.params -> row list
 (** Execute the sweep. *)
 

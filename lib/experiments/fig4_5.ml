@@ -10,6 +10,7 @@ type row = {
 }
 
 let buffer_bytes = 8192
+let spec = Cm_spec.Spec.pipe ~queue:1000 ~bw:100e6 ~lat:(Time.us 250) ()
 
 let run params =
   let points =
@@ -19,8 +20,7 @@ let run params =
   let one buffers =
     let bytes = buffers * buffer_bytes in
     let measure driver =
-      Exp_common.measured_bulk params ~driver ~bandwidth_bps:100e6 ~delay:(Time.us 250)
-        ~qdisc_limit:1000 ~costs:Costs.pentium3 ~bytes ()
+      Exp_common.measured_bulk params ~driver ~spec ~costs:Costs.pentium3 ~bytes ()
     in
     let native_bps, native_util = measure (fun _ -> Tcp.Conn.Native) in
     let cm_bps, cm_util =

@@ -14,6 +14,9 @@ type row = {
   cm_cpu_pct : float;  (** TCP/CM sender CPU % (Fig. 5). *)
 }
 
+val spec : Cm_spec.Spec.t
+(** The 100 Mbit/s, 250 µs pipe with a 1000-packet queue. *)
+
 val run : Exp_common.params -> row list
 (** Points 10^3..10^5 (plus 10^6 when [params.full]). *)
 

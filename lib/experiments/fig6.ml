@@ -1,6 +1,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 type variant = Tcp_linux | Tcp_cm | Tcp_cm_nodelay | Buffered | Alf | Alf_noconnect
 
@@ -20,19 +21,18 @@ type table1_row = { t1_variant : variant; ops_per_packet : (string * float) list
 let sizes = [ 64; 168; 256; 512; 768; 1024; 1448 ]
 let window = 32
 
+let spec = Spec.pipe ~queue:500 ~rev_queue:500 ~bw:100e6 ~lat:(Time.us 50) ()
+
 (* One system on a fresh 100 Mbit/s LAN pipe, its CM reserving one
    [size]-byte packet per grant and watched as [tag]. *)
 let with_net params ~tag ~size body =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 50) ~qdisc_limit:500
-      ~reverse_qdisc_limit:500 ~rng ~costs:Costs.pentium3 ()
-  in
+  let net = Build.pipe ~costs:Costs.pentium3 ~rng engine spec in
   let cm = Cm.create engine ~mtu:size () in
-  Cm.attach cm net.Topology.a;
-  Exp_common.watch sys ~tag ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ~cm ();
+  Cm.attach cm net.Build.a;
+  Exp_common.watch sys ~tag ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
   body engine net cm
 
 (* ------------------------------------------------------------------ *)
@@ -41,18 +41,18 @@ let with_net params ~tag ~size body =
 
 let run_udp variant params ~size ~n =
   with_net params ~tag:"fig6-udp" ~size @@ fun engine net cm ->
-  let lib = Libcm.create net.Topology.a cm () in
+  let lib = Libcm.create net.Build.a cm () in
   let meter = Libcm.meter lib in
-  let costs = Host.costs net.Topology.a in
+  let costs = Host.costs net.Build.a in
   (* plain per-packet echo receiver on host b *)
-  let server = Udp.Socket.create net.Topology.b ~port:70 () in
+  let server = Udp.Socket.create net.Build.b ~port:70 () in
   Udp.Socket.on_receive server (fun pkt ->
       match pkt.Packet.payload with
       | Udp.Feedback.Data { seq; bytes; ts } ->
           Udp.Socket.sendto server ~dst:pkt.Packet.flow.Addr.src ~payload_bytes:32
             (Udp.Feedback.Ack { max_seq = seq; count = 1; bytes; ts_echo = ts })
       | _ -> ());
-  let socket = Udp.Socket.create net.Topology.a () in
+  let socket = Udp.Socket.create net.Build.a () in
   let dst = Addr.endpoint ~host:1 ~port:70 in
   Udp.Socket.connect socket dst;
   let real_key = Addr.flow ~src:(Udp.Socket.local socket) ~dst ~proto:Addr.Udp () in
@@ -77,7 +77,7 @@ let run_udp variant params ~size ~n =
   let send_one_deferred () =
     let extra = costs.Costs.udp_proc + costs.Costs.ip_proc in
     Libcm.Ops.charge_deferred meter ~bytes:size Libcm.Ops.Send (fun () ->
-        Cpu.charge (Host.cpu net.Topology.a) extra;
+        Cpu.charge (Host.cpu net.Build.a) extra;
         let seq = !next_seq in
         incr next_seq;
         incr sent;
@@ -106,7 +106,7 @@ let run_udp variant params ~size ~n =
       | Udp.Feedback.Ack { max_seq = _; count; bytes; ts_echo } ->
           (* receive interrupt, kernel UDP input, then the app's recv and
              RTT timestamping *)
-          Cpu.charge (Host.cpu net.Topology.a) (costs.Costs.intr_rx + costs.Costs.udp_proc);
+          Cpu.charge (Host.cpu net.Build.a) (costs.Costs.intr_rx + costs.Costs.udp_proc);
           Libcm.app_recv lib ~bytes:32;
           Libcm.app_gettimeofday lib;
           Libcm.app_gettimeofday lib;
@@ -132,7 +132,7 @@ let run_udp variant params ~size ~n =
 
 let run_tcp variant params ~size ~n =
   with_net params ~tag:"fig6-tcp" ~size @@ fun engine net cm ->
-  let lib = Libcm.create net.Topology.a cm () in
+  let lib = Libcm.create net.Build.a cm () in
   let meter = Libcm.meter lib in
   let delayed = variant <> Tcp_cm_nodelay in
   (* window-limited like the paper's test programs: the experiment measures
@@ -148,7 +148,7 @@ let run_tcp variant params ~size ~n =
   in
   (* the webserver-like app: one send() and one select() per packet,
      charged as its data segments hit the IP layer *)
-  Host.add_tx_hook net.Topology.a (fun pkt ->
+  Host.add_tx_hook net.Build.a (fun pkt ->
       if pkt.Packet.flow.Addr.proto = Addr.Tcp && Packet.payload_bytes pkt > 0 then begin
         Libcm.Ops.charge meter ~bytes:size Libcm.Ops.Send;
         Libcm.Ops.charge meter ~nfds:1 Libcm.Ops.Select
@@ -157,7 +157,7 @@ let run_tcp variant params ~size ~n =
   let delivered = ref 0 in
   let t_end = ref None in
   let _listener =
-    Tcp.Conn.listen net.Topology.b ~port:80 ~config
+    Tcp.Conn.listen net.Build.b ~port:80 ~config
       ~on_accept:(fun conn ->
         Tcp.Conn.on_receive conn (fun got ->
             delivered := !delivered + got;
@@ -165,7 +165,7 @@ let run_tcp variant params ~size ~n =
       ()
   in
   let conn =
-    Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:80) ~driver ~config ()
+    Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) ~driver ~config ()
   in
   let t0 = Engine.now engine in
   Tcp.Conn.send conn total;
@@ -268,6 +268,6 @@ let measure_macro params variant ~size ~n =
     m_us_per_packet = us;
     m_events = Engine.events_executed engine;
     m_final_clock = Engine.now engine;
-    m_fwd = Link.stats net.Topology.ab;
-    m_rev = Link.stats net.Topology.ba;
+    m_fwd = Link.stats net.Build.ab;
+    m_rev = Link.stats net.Build.ba;
   }

@@ -24,6 +24,10 @@ type point = { size : int; us_per_packet : float }
 type table1_row = { t1_variant : variant; ops_per_packet : (string * float) list }
 (** Measured boundary crossings per data packet. *)
 
+val spec : Cm_spec.Spec.t
+(** The 100 Mbit/s, 50 µs LAN pipe with 500-packet queues both ways
+    (Fig. 6 and Table 1). *)
+
 val run : Exp_common.params -> (variant * point list) list
 (** The Fig. 6 sweep (packet sizes 64–1448 bytes). *)
 

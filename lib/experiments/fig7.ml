@@ -1,30 +1,31 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 type row = { request : int; linux_ms : float; cm_ms : float }
+
+(* wide-area path: ~10 Mbps available, 75 ms RTT like the MIT-Utah vBNS
+   path of the paper *)
+let spec = Spec.pipe ~bw:10e6 ~lat:(Time.us 37_500) ()
 
 let run_side params ~use_cm ~count ~file_bytes =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  (* wide-area path: ~10 Mbps available, 75 ms RTT like the MIT-Utah vBNS
-     path of the paper *)
-  let net =
-    Topology.pipe engine ~bandwidth_bps:10e6 ~delay:(Time.us 37_500) ~qdisc_limit:100 ~rng ()
-  in
+  let net = Build.pipe ~rng engine spec in
   (* the SERVER is the data sender: the CM (when enabled) lives on host b *)
   let cm = if use_cm then Some (Cm.create engine ()) else None in
-  Option.iter (fun cm -> Cm.attach cm net.Topology.b) cm;
-  Exp_common.watch sys ~links:[ ("ba", net.Topology.ba); ("ab", net.Topology.ab) ] ?cm ();
+  Option.iter (fun cm -> Cm.attach cm net.Build.b) cm;
+  Exp_common.watch sys ~links:[ ("ba", net.Build.ba); ("ab", net.Build.ab) ] ?cm ();
   let server_driver =
     match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native
   in
   let _server =
-    Cm_apps.Web.server net.Topology.b ~port:80 ~file_bytes ~driver:server_driver ()
+    Cm_apps.Web.server net.Build.b ~port:80 ~file_bytes ~driver:server_driver ()
   in
   let results = ref [] in
-  Cm_apps.Web.sequential_fetches net.Topology.a
+  Cm_apps.Web.sequential_fetches net.Build.a
     ~dst:(Addr.endpoint ~host:1 ~port:80)
     ~expect_bytes:file_bytes ~count ~gap:(Time.ms 500)
     ~on_done:(fun rs -> results := rs)

@@ -14,6 +14,9 @@ type row = {
   cm_ms : float;  (** Completion time with the TCP/CM server, ms. *)
 }
 
+val spec : Cm_spec.Spec.t
+(** The 10 Mbit/s, 37.5 ms wide-area pipe. *)
+
 val run : ?count:int -> ?file_bytes:int -> Exp_common.params -> row list
 (** Defaults: 9 requests of 128 KB. *)
 

@@ -1,6 +1,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 type sample = { t_s : float; tx_kbps : float; cm_kbps : float }
 type series = { label : string; samples : sample list }
@@ -30,30 +31,29 @@ let schedule duration =
   in
   extend [] 0
 
+let spec = Spec.pipe ~queue:50 ~rev_queue:200 ~bw:18e6 ~lat:(Time.ms 20) ()
+
 let run_one params ~label ~mode ~duration ~batch =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Topology.pipe engine ~bandwidth_bps:18e6 ~delay:(Time.ms 20) ~qdisc_limit:50
-      ~reverse_qdisc_limit:200 ~rng ()
-  in
+  let net = Build.pipe ~rng engine spec in
   Cm_dynamics.Scenario.compile engine ~rng
-    ~links:[ ("wan", net.Topology.ab) ]
+    ~links:[ ("wan", net.Build.ab) ]
     (Cm_dynamics.Scenario.of_bandwidth_schedule ~name:"fig8-10 vBNS path" ~target:"wan"
        (schedule duration));
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  Exp_common.watch sys ~links:[ ("wan", net.Topology.ab); ("rev", net.Topology.ba) ] ~cm ();
-  let lib = Libcm.create net.Topology.a cm () in
-  let _receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:5004 ?batch () in
+  Cm.attach cm net.Build.a;
+  Exp_common.watch sys ~links:[ ("wan", net.Build.ab); ("rev", net.Build.ba) ] ~cm ();
+  let lib = Libcm.create net.Build.a cm () in
+  let _receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:5004 ?batch () in
   let feedback_timeout =
     (* with batched feedback the sender must tolerate the batching delay
        before declaring persistent loss *)
     match batch with Some (_, d) -> Some (2 * d + Time.ms 500) | None -> None
   in
   let source =
-    Cm_apps.Layered.create lib ~host:net.Topology.a
+    Cm_apps.Layered.create lib ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:5004)
       ~layers ~mode ~packet_bytes:1000 ?feedback_timeout ()
   in

@@ -22,6 +22,10 @@ type sample = {
 
 type series = { label : string; samples : sample list }
 
+val spec : Cm_spec.Spec.t
+(** The 18 Mbit/s, 20 ms path (50-packet forward, 200-packet reverse
+    queue) whose forward link then follows the bandwidth schedule. *)
+
 val run_fig8 : Exp_common.params -> series
 (** The ALF run. *)
 

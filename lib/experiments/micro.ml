@@ -1,24 +1,25 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 type result = { linux_setup_us : float; cm_setup_us : float; cm_open_close_ns : float }
+
+let spec = Spec.pipe ~bw:100e6 ~lat:(Time.us 100) ()
 
 let setup_time params ~use_cm =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 100) ~rng ~costs:Costs.pentium3 ()
-  in
+  let net = Build.pipe ~costs:Costs.pentium3 ~rng engine spec in
   let cm = if use_cm then Some (Cm.create engine ()) else None in
-  Option.iter (fun cm -> Cm.attach cm net.Topology.a) cm;
-  Exp_common.watch sys ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ] ?cm ();
+  Option.iter (fun cm -> Cm.attach cm net.Build.a) cm;
+  Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ?cm ();
   let driver = match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native in
-  let _l = Tcp.Conn.listen net.Topology.b ~port:80 ~on_accept:(fun _ -> ()) () in
+  let _l = Tcp.Conn.listen net.Build.b ~port:80 ~on_accept:(fun _ -> ()) () in
   let established_at = ref None in
   let t0 = Engine.now engine in
-  let conn = Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:80) ~driver () in
+  let conn = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) ~driver () in
   Tcp.Conn.on_established conn (fun () -> established_at := Some (Engine.now engine));
   Engine.run_for engine (Time.ms 100);
   match !established_at with

@@ -11,6 +11,9 @@ type result = {
   cm_open_close_ns : float;  (** Mean wall-clock cost of one cm_open+cm_close pair, ns (host benchmark). *)
 }
 
+val spec : Cm_spec.Spec.t
+(** The 100 Mbit/s, 100 µs pipe. *)
+
 val run : Exp_common.params -> result
 (** Run both microbenchmarks. *)
 

@@ -14,9 +14,6 @@ val add_route : t -> dst:int -> (Packet.t -> unit) -> unit
 (** [add_route r ~dst out] forwards packets addressed to host [dst] via
     [out] (normally a {!Link.send}).  Replaces any previous route. *)
 
-val set_default : t -> (Packet.t -> unit) -> unit
-(** Fallback output for destinations with no explicit route. *)
-
 val forward : t -> Packet.t -> unit
 (** Route one packet; packets with no route are counted and dropped.
     Use [forward r] as a link sink. *)

@@ -6,12 +6,12 @@ module Scenario = Cm_dynamics.Scenario
    netsim objects (declaration order, so construction is reproducible)
    and project its fault steps into a Scenario program.
 
-   Byte-parity contract with the hand-built Topology.pipe: hosts then
-   links are created in declaration order with identical parameters, the
-   run rng is merely *stored* by links (never drawn while loss/reorder/
-   jitter are off), and routing attaches the same Link.send closures —
-   so a spec describing a pipe compiles to an indistinguishable
-   simulation.
+   This is the library's only network constructor (sec6_phttp's pipe
+   with a custom queue discipline aside).  The run rng is drawn only by
+   links with loss (or by faults that later install loss, reorder or
+   jitter).  test_spec holds a pipe wired by hand from Host and Link,
+   and its parity tests require the same packets and counters from
+   both.
 
    Routing is the checker's: every router installs one entry per
    destination host it can reach, read from the IR's next-hop table
@@ -47,7 +47,7 @@ let instantiate ?costs ?rng engine (ir : Check.ir) =
         in
         Link.create engine ~bandwidth_bps:e.Check.e_bw ~delay:e.Check.e_lat
           ~qdisc:(Queue_disc.droptail ~limit_pkts:e.Check.e_queue ())
-          ?rng ~sink ())
+          ~loss_rate:e.Check.e_loss ?rng ~sink ())
       ir.Check.ir_edges
   in
   let sends = Array.map Link.send links in
@@ -97,6 +97,12 @@ let link t name =
   match !idx with
   | Some i -> t.links.(i)
   | None -> invalid_arg (Printf.sprintf "Build: unknown link %S" name)
+
+type pipe = { a : Host.t; b : Host.t; ab : Link.t; ba : Link.t }
+
+let pipe ?costs ?rng engine spec =
+  let t = instantiate ?costs ?rng engine (Check.elaborate_exn spec) in
+  { a = host t "a"; b = host t "b"; ab = link t "ab"; ba = link t "ba" }
 
 let links_alist t =
   Array.to_list

@@ -2,18 +2,20 @@
 
     Turns a checked {!Check.ir} into live {!Netsim} objects — hosts and
     routers in declaration order, links in declaration order with
-    drop-tail queues, host default routes and router tables — plus a
-    {!Cm_dynamics.Scenario} program projected from the fault steps.
+    drop-tail queues and Bernoulli loss, host default routes and router
+    tables — plus a {!Cm_dynamics.Scenario} program projected from the
+    fault steps.  It is the library's only network constructor: every
+    experiment family (but phttp, whose queue discipline the DSL cannot
+    express), example and test network is a {!Spec.t} compiled here.
 
     Each router gets one route per destination host it can reach, read
     from the checker's own table ({!Check.next_hop}), so the routes
     {!Check.route} reports are the paths packets take.  A next hop is
     always a router or the destination itself: hosts never forward.
 
-    Construction order and parameters match the hand-built
-    {!Netsim.Topology} builders exactly (and the [rng] is only stored by
-    links, never drawn while loss is off), so a spec describing the same
-    shape compiles to a byte-identical simulation. *)
+    Construction follows declaration order, and the [rng] is drawn only
+    by links with loss (or by faults that install loss, reorder or
+    jitter), so a spec compiles to a reproducible simulation. *)
 
 open Eventsim
 open Netsim
@@ -29,8 +31,21 @@ type t = {
 
 val instantiate : ?costs:Costs.t -> ?rng:Cm_util.Rng.t -> Engine.t -> Check.ir -> t
 (** Create every host, router and link, and install all routes.  [rng]
-    is handed to every link (needed only if faults later install loss or
-    jitter). *)
+    is handed to every link (needed by links with loss, and by faults
+    that later install loss or jitter). *)
+
+type pipe = {
+  a : Host.t;  (** Host ["a"], address 0 (the sender side). *)
+  b : Host.t;  (** Host ["b"], address 1. *)
+  ab : Link.t;  (** Forward link a → b. *)
+  ba : Link.t;  (** Reverse link b → a. *)
+}
+
+val pipe : ?costs:Costs.t -> ?rng:Cm_util.Rng.t -> Engine.t -> Spec.t -> pipe
+(** Elaborate (raising [Invalid_argument] on any diagnostic) and
+    instantiate a spec that declares {!Spec.pipe}'s names, and return
+    its two hosts and two links.  [rng] is required when the spec has
+    loss. *)
 
 val host : t -> string -> Host.t
 (** Look up a host by spec name; raises [Invalid_argument] for routers

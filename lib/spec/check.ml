@@ -19,6 +19,7 @@ type edge = {
   e_bw : float;
   e_lat : Time.span;
   e_queue : int;
+  e_loss : float;
   e_span : Spec.span;
 }
 
@@ -237,20 +238,23 @@ let elaborate spec =
   let edge_idx = Hashtbl.create 64 in
   List.iter
     (function
-      | Spec.Link { name; src; dst; bw_bps; lat; queue; span } ->
+      | Spec.Link { name; src; dst; bw_bps; lat; queue; loss; span } ->
           if Hashtbl.mem edge_idx name then err "dup-name" span "link %S declared twice" name;
           if Float.is_nan bw_bps || bw_bps <= 0. then
             err "bad-link-param" span "bandwidth must be positive (got %s bps)"
               (Json.float_str bw_bps);
           if lat < 0 then err "bad-link-param" span "negative latency";
           if queue <= 0 then err "bad-link-param" span "queue must hold at least one packet";
+          if Float.is_nan loss || loss < 0. || loss > 1. then
+            err "bad-link-param" span "loss must be a probability in [0,1] (got %s)"
+              (Json.float_str loss);
           if src = dst then err "self-link" span "link %S connects %S to itself" name src;
           (match (resolve span ("link " ^ name) src, resolve span ("link " ^ name) dst) with
           | Some s, Some d when src <> dst ->
               Hashtbl.replace edge_idx name !e_count;
               edges :=
                 { e_name = name; e_src = s; e_dst = d; e_bw = bw_bps; e_lat = lat;
-                  e_queue = queue; e_span = span }
+                  e_queue = queue; e_loss = loss; e_span = span }
                 :: !edges;
               incr e_count
           | _ -> ())

@@ -9,7 +9,7 @@
     - [dup-name] / [dup-address] / [bad-address] — name and host-address
       uniqueness (explicit [?id]s collide with auto-assigned ones too);
     - [bad-link-param] — NaN/non-positive bandwidth, negative latency,
-      non-positive queue;
+      non-positive queue, loss that is NaN or outside \[0,1\];
     - [unknown-node] / [self-link] — link endpoint resolution;
     - [multihomed-host] — netsim hosts carry a single route;
     - [router-endpoint] / [empty-group] / [bad-app] / [bad-time] — flow
@@ -44,6 +44,7 @@ type edge = {
   e_bw : float;
   e_lat : Time.span;
   e_queue : int;
+  e_loss : float;
   e_span : Spec.span;
 }
 

@@ -28,6 +28,7 @@ type elem =
       bw_bps : float;
       lat : Time.span;
       queue : int;
+      loss : float;
       span : span;
     }
   | Group of {
@@ -50,9 +51,9 @@ type t = elem list
 let node ?id name = [ Node { name; kind = Host; id; span = [ "node:" ^ name ] } ]
 let router name = [ Node { name; kind = Router; id = None; span = [ "router:" ^ name ] } ]
 
-let link ?name ?(queue = 100) ~bw ~lat src dst =
+let link ?name ?(queue = 100) ?(loss = 0.) ~bw ~lat src dst =
   let name = match name with Some n -> n | None -> src ^ "->" ^ dst in
-  [ Link { name; src; dst; bw_bps = bw; lat; queue; span = [ "link:" ^ name ] } ]
+  [ Link { name; src; dst; bw_bps = bw; lat; queue; loss; span = [ "link:" ^ name ] } ]
 
 let duplex ?name ?rev_name ?(queue = 100) ~bw ~lat a b =
   link ?name ~queue ~bw ~lat a b @ link ?name:rev_name ~queue ~bw ~lat b a
@@ -113,6 +114,15 @@ let chain ?(queue = 100) ~bw ~lat names =
 
 let star ~center ?(queue = 100) ~bw ~lat leaves =
   named ("star:" ^ center) (List.concat_map (fun leaf -> duplex ~queue ~bw ~lat center leaf) leaves)
+
+(* The paper's Dummynet pipe: random loss on the forward (data) link
+   only, and a deep reverse queue so acknowledgments are never the
+   bottleneck. *)
+let pipe ?(queue = 100) ?(rev_queue = 1000) ?loss ~bw ~lat () =
+  named "pipe"
+    (node "a" @ node "b"
+    @ link ~name:"ab" ~queue ?loss ~bw ~lat "a" "b"
+    @ link ~name:"ba" ~queue:rev_queue ~bw ~lat "b" "a")
 
 (* clients ~n per edge server: one access router per server, a trunk
    between server and router, and n single-homed clients per router.

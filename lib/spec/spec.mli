@@ -15,7 +15,7 @@
 
     The algebra mirrors the staged-compilation idiom of frenetic's NetKAT
     compiler: a small core (node / link / group / fault) plus sugar
-    ({!chain}, {!star}, {!clients}, {!fat_tree}) that elaborates to the
+    ({!pipe}, {!chain}, {!star}, {!clients}, {!fat_tree}) that elaborates to the
     core at construction time, so the checker and the builder only ever
     see four element forms. *)
 
@@ -50,6 +50,7 @@ type elem =
       bw_bps : float;
       lat : Time.span;
       queue : int;
+      loss : float;  (** Bernoulli drop probability per packet, before queueing. *)
       span : span;
     }
   | Group of {
@@ -77,9 +78,12 @@ val router : string -> t
 (** A store-and-forward element: has no address, forwards by destination
     host. *)
 
-val link : ?name:string -> ?queue:int -> bw:float -> lat:Time.span -> string -> string -> t
+val link :
+  ?name:string -> ?queue:int -> ?loss:float -> bw:float -> lat:Time.span -> string -> string -> t
 (** [link ~bw ~lat src dst] is a unidirectional link (drop-tail queue of
-    [queue] packets, default 100).  [name] defaults to ["src->dst"]. *)
+    [queue] packets, default 100) that drops each packet independently
+    with probability [loss] (default 0; the builder's [rng] draws it).
+    [name] defaults to ["src->dst"]. *)
 
 val duplex :
   ?name:string ->
@@ -137,6 +141,15 @@ val seq : (string * Time.span * t) list -> t
 
 val chain : ?queue:int -> bw:float -> lat:Time.span -> string list -> t
 (** Duplex links between consecutive names (nodes declared separately). *)
+
+val pipe :
+  ?queue:int -> ?rev_queue:int -> ?loss:float -> bw:float -> lat:Time.span -> unit -> t
+(** The two-host Dummynet pipe every single-path experiment runs on:
+    hosts ["a"] (address 0) and ["b"] (address 1), forward link ["ab"]
+    then reverse link ["ba"], both [bw]/[lat].  [queue] sizes the
+    forward drop-tail queue (default 100), [rev_queue] the reverse one
+    (default 1000); [loss] applies to ["ab"] only.  {!Build.pipe}
+    compiles it. *)
 
 val star : center:string -> ?queue:int -> bw:float -> lat:Time.span -> string list -> t
 (** Duplex links from [center] to every leaf. *)

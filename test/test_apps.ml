@@ -3,15 +3,16 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let ( => ) name cond = Alcotest.(check bool) name true cond
 
 let make ?(bandwidth = 8e6) ?(qdisc_limit = 50) () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:bandwidth ~delay:(Time.ms 20) ~qdisc_limit () in
+  let net = Build.pipe engine (Spec.pipe ~queue:qdisc_limit ~bw:bandwidth ~lat:(Time.ms 20) ()) in
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let lib = Libcm.create net.Topology.a cm () in
+  Cm.attach cm net.Build.a;
+  let lib = Libcm.create net.Build.a cm () in
   (engine, net, cm, lib)
 
 let layers = [| 0.5e6; 1e6; 2e6; 4e6 |]
@@ -20,9 +21,9 @@ let layers = [| 0.5e6; 1e6; 2e6; 4e6 |]
 
 let test_layered_alf_fills_pipe () =
   let engine, net, _cm, lib = make () in
-  let _rx = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:5004 () in
+  let _rx = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:5004 () in
   let src =
-    Cm_apps.Layered.create lib ~host:net.Topology.a
+    Cm_apps.Layered.create lib ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:5004)
       ~layers ~mode:Cm_apps.Layered.Alf ()
   in
@@ -36,10 +37,10 @@ let test_layered_alf_fills_pipe () =
 
 let test_layered_alf_tracks_bandwidth_drop () =
   let engine, net, _cm, lib = make () in
-  let _rx = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:5004 () in
-  Cm_dynamics.Faults.bandwidth_steps engine net.Topology.ab [ (Time.sec 5., 0.9e6) ];
+  let _rx = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:5004 () in
+  Cm_dynamics.Faults.bandwidth_steps engine net.Build.ab [ (Time.sec 5., 0.9e6) ];
   let src =
-    Cm_apps.Layered.create lib ~host:net.Topology.a
+    Cm_apps.Layered.create lib ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:5004)
       ~layers ~mode:Cm_apps.Layered.Alf ()
   in
@@ -50,9 +51,9 @@ let test_layered_alf_tracks_bandwidth_drop () =
 
 let test_layered_rate_mode_switches_layers () =
   let engine, net, _cm, lib = make () in
-  let _rx = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:5004 () in
+  let _rx = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:5004 () in
   let src =
-    Cm_apps.Layered.create lib ~host:net.Topology.a
+    Cm_apps.Layered.create lib ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:5004)
       ~layers
       ~mode:(Cm_apps.Layered.Rate_callback { down = 0.9; up = 1.1 })
@@ -67,9 +68,9 @@ let test_layered_rate_mode_switches_layers () =
 
 let test_layered_stop_stops () =
   let engine, net, _cm, lib = make () in
-  let _rx = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:5004 () in
+  let _rx = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:5004 () in
   let src =
-    Cm_apps.Layered.create lib ~host:net.Topology.a
+    Cm_apps.Layered.create lib ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:5004)
       ~layers
       ~mode:(Cm_apps.Layered.Rate_callback { down = 0.9; up = 1.1 })
@@ -86,9 +87,9 @@ let test_layered_stop_stops () =
 
 let test_vat_full_rate_when_bandwidth_ample () =
   let engine, net, _cm, lib = make ~bandwidth:1e6 () in
-  let _rx = Cm_apps.Vat.Receiver.create net.Topology.b ~port:5006 () in
+  let _rx = Cm_apps.Vat.Receiver.create net.Build.b ~port:5006 () in
   let vat =
-    Cm_apps.Vat.create lib ~host:net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:5006) ()
+    Cm_apps.Vat.create lib ~host:net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:5006) ()
   in
   Cm_apps.Vat.start vat;
   Engine.run_for engine (Time.sec 10.);
@@ -100,9 +101,9 @@ let test_vat_full_rate_when_bandwidth_ample () =
 
 let test_vat_polices_under_squeeze () =
   let engine, net, _cm, lib = make ~bandwidth:32e3 ~qdisc_limit:10 () in
-  let rx = Cm_apps.Vat.Receiver.create net.Topology.b ~port:5006 () in
+  let rx = Cm_apps.Vat.Receiver.create net.Build.b ~port:5006 () in
   let vat =
-    Cm_apps.Vat.create lib ~host:net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:5006) ()
+    Cm_apps.Vat.create lib ~host:net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:5006) ()
   in
   Cm_apps.Vat.start vat;
   Engine.run_for engine (Time.sec 20.);
@@ -119,9 +120,9 @@ let test_vat_polices_under_squeeze () =
 
 let test_vat_app_buffer_bounds_delay () =
   let engine, net, _cm, lib = make ~bandwidth:48e3 ~qdisc_limit:5 () in
-  let rx = Cm_apps.Vat.Receiver.create net.Topology.b ~port:5006 () in
+  let rx = Cm_apps.Vat.Receiver.create net.Build.b ~port:5006 () in
   let vat =
-    Cm_apps.Vat.create lib ~host:net.Topology.a
+    Cm_apps.Vat.create lib ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:5006)
       ~app_buffer_frames:5 ()
   in
@@ -139,9 +140,9 @@ let test_vat_playout_accounting () =
   (* ample bandwidth: with a 100 ms playout offset essentially every frame
      makes its slot *)
   let engine, net, _cm, lib = make ~bandwidth:1e6 () in
-  let rx = Cm_apps.Vat.Receiver.create net.Topology.b ~port:5006 () in
+  let rx = Cm_apps.Vat.Receiver.create net.Build.b ~port:5006 () in
   let vat =
-    Cm_apps.Vat.create lib ~host:net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:5006) ()
+    Cm_apps.Vat.create lib ~host:net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:5006) ()
   in
   Cm_apps.Vat.start vat;
   Engine.run_for engine (Time.sec 10.);
@@ -159,10 +160,10 @@ let test_vat_playout_late_under_squeeze () =
   let run delay =
     let engine, net, _cm, lib = make ~bandwidth:32e3 ~qdisc_limit:10 () in
     let rx =
-      Cm_apps.Vat.Receiver.create net.Topology.b ~port:5006 ~playout_delay:delay ()
+      Cm_apps.Vat.Receiver.create net.Build.b ~port:5006 ~playout_delay:delay ()
     in
     let vat =
-      Cm_apps.Vat.create lib ~host:net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:5006) ()
+      Cm_apps.Vat.create lib ~host:net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:5006) ()
     in
     Cm_apps.Vat.start vat;
     Engine.run_for engine (Time.sec 20.);
@@ -178,9 +179,9 @@ let test_vat_playout_late_under_squeeze () =
 
 let test_web_fetch_roundtrip () =
   let engine, net, _cm, _lib = make () in
-  let _server = Cm_apps.Web.server net.Topology.b ~port:80 ~file_bytes:50_000 () in
+  let _server = Cm_apps.Web.server net.Build.b ~port:80 ~file_bytes:50_000 () in
   let result = ref None in
-  Cm_apps.Web.fetch net.Topology.a
+  Cm_apps.Web.fetch net.Build.a
     ~dst:(Addr.endpoint ~host:1 ~port:80)
     ~expect_bytes:50_000
     ~on_done:(fun r -> result := Some r)
@@ -194,9 +195,9 @@ let test_web_fetch_roundtrip () =
 
 let test_web_sequential_ordering () =
   let engine, net, _cm, _lib = make () in
-  let _server = Cm_apps.Web.server net.Topology.b ~port:80 ~file_bytes:10_000 () in
+  let _server = Cm_apps.Web.server net.Build.b ~port:80 ~file_bytes:10_000 () in
   let results = ref [] in
-  Cm_apps.Web.sequential_fetches net.Topology.a
+  Cm_apps.Web.sequential_fetches net.Build.a
     ~dst:(Addr.endpoint ~host:1 ~port:80)
     ~expect_bytes:10_000 ~count:4 ~gap:(Time.ms 300)
     ~on_done:(fun rs -> results := rs)
@@ -209,9 +210,9 @@ let test_web_sequential_ordering () =
 
 let test_web_concurrent_all_complete () =
   let engine, net, _cm, _lib = make () in
-  let _server = Cm_apps.Web.server net.Topology.b ~port:80 ~file_bytes:100_000 () in
+  let _server = Cm_apps.Web.server net.Build.b ~port:80 ~file_bytes:100_000 () in
   let results = ref [] in
-  Cm_apps.Web.concurrent_fetches net.Topology.a
+  Cm_apps.Web.concurrent_fetches net.Build.a
     ~dst:(Addr.endpoint ~host:1 ~port:80)
     ~expect_bytes:100_000 ~count:4
     ~on_done:(fun rs -> results := rs)
@@ -227,18 +228,18 @@ let test_adaptive_server_picks_encoding () =
   (* no estimate -> smallest; after traffic teaches the macroflow -> a
      larger encoding that fits the 1 s budget *)
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:2e6 ~delay:(Time.ms 20) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:2e6 ~lat:(Time.ms 20) ()) in
   let cm = Cm.create engine () in
-  Cm.attach cm net.Topology.b;
+  Cm.attach cm net.Build.b;
   let _server =
-    Cm_apps.Web.adaptive_server net.Topology.b ~cm ~port:80
+    Cm_apps.Web.adaptive_server net.Build.b ~cm ~port:80
       ~encodings:[| 10_000; 50_000; 200_000 |]
       ~target_latency:(Time.sec 1.)
       ~driver:(Tcp.Conn.Cm_driven cm) ()
   in
   let sizes = ref [] in
   let fetch () =
-    let conn = Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
+    let conn = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
     let received = ref 0 in
     Tcp.Conn.on_established conn (fun () -> Tcp.Conn.send conn 100);
     Tcp.Conn.on_receive conn (fun n -> received := !received + n);
@@ -262,9 +263,9 @@ let test_adaptive_server_picks_encoding () =
 
 let test_bulk_tcp_push () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 5) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 5) ()) in
   let result = ref None in
-  Cm_apps.Bulk.tcp_push ~src:net.Topology.a ~dst_host:net.Topology.b ~port:5010 ~buffers:100
+  Cm_apps.Bulk.tcp_push ~src:net.Build.a ~dst_host:net.Build.b ~port:5010 ~buffers:100
     ~buffer_bytes:8192
     ~on_done:(fun r -> result := Some r)
     ();
@@ -277,11 +278,11 @@ let test_bulk_tcp_push () =
 
 let test_bulk_udp_cc_push () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 5) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 5) ()) in
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
+  Cm.attach cm net.Build.a;
   let result = ref None in
-  Cm_apps.Bulk.udp_cc_push ~src:net.Topology.a ~dst_host:net.Topology.b ~port:5011 ~cm
+  Cm_apps.Bulk.udp_cc_push ~src:net.Build.a ~dst_host:net.Build.b ~port:5011 ~cm
     ~packets:500 ~packet_bytes:1000
     ~on_done:(fun r -> result := Some r)
     ();

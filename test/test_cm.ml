@@ -4,6 +4,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 open Cm
 
 let mtu = 1000
@@ -546,9 +547,9 @@ let test_split_and_merge () =
 
 let test_attach_charges_outstanding () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 5) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 5) ()) in
   let cm = Cm.create engine ~mtu () in
-  Cm.attach cm net.Topology.a;
+  Cm.attach cm net.Build.a;
   let key =
     Addr.flow
       ~src:(Addr.endpoint ~host:0 ~port:100)
@@ -557,7 +558,7 @@ let test_attach_charges_outstanding () =
   in
   let fid = Cm.open_flow cm key in
   let pkt = Packet.make ~now:(Engine.now engine) ~flow:key ~payload_bytes:500 (Packet.Raw 500) in
-  Host.ip_output net.Topology.a pkt;
+  Host.ip_output net.Build.a pkt;
   let mf = Cm.macroflow_of cm fid in
   Alcotest.(check int) "ip hook charged the payload" 500 (Macroflow.outstanding mf)
 

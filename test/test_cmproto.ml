@@ -4,17 +4,18 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let ( => ) name cond = Alcotest.(check bool) name true cond
 
 let make ?(bandwidth = 1e7) ?(delay = Time.ms 10) ?(loss = 0.) ?(seed = 1) () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
-  let net = Topology.pipe engine ~bandwidth_bps:bandwidth ~delay ~loss_rate:loss ~rng () in
+  let net = Build.pipe ~rng engine (Spec.pipe ~loss ~bw:bandwidth ~lat:delay ()) in
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let sender_agent = Cmproto.Sender_agent.install net.Topology.a cm in
-  let receiver_agent = Cmproto.Receiver_agent.install net.Topology.b () in
+  Cm.attach cm net.Build.a;
+  let sender_agent = Cmproto.Sender_agent.install net.Build.a cm in
+  let receiver_agent = Cmproto.Receiver_agent.install net.Build.b () in
   (engine, net, cm, sender_agent, receiver_agent)
 
 let test_unwrap () =
@@ -26,10 +27,10 @@ let test_unwrap () =
 let test_receiver_strips_header_for_app () =
   let engine, net, cm, agent, _r = make () in
   let got = ref [] in
-  let server = Udp.Socket.create net.Topology.b ~port:7000 () in
+  let server = Udp.Socket.create net.Build.b ~port:7000 () in
   Udp.Socket.on_receive server (fun pkt -> got := pkt.Packet.payload :: !got);
   let session =
-    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
@@ -44,7 +45,7 @@ let test_receiver_strips_header_for_app () =
 let test_feedback_closes_the_loop () =
   let engine, _net, cm, agent, receiver = make () in
   let session =
-    Cmproto.Session.create agent ~host:_net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:_net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
@@ -64,7 +65,7 @@ let test_feedback_closes_the_loop () =
 let test_feedback_batches () =
   let engine, _net, cm, agent, receiver = make () in
   let session =
-    Cmproto.Session.create agent ~host:_net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:_net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
@@ -82,7 +83,7 @@ let test_window_opens_and_paces () =
      driven purely by kernel feedback *)
   let engine, _net, cm, agent, _r = make ~bandwidth:1e6 () in
   let session =
-    Cmproto.Session.create agent ~host:_net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:_net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
@@ -98,7 +99,7 @@ let test_window_opens_and_paces () =
 let test_loss_detected_via_gaps () =
   let engine, _net, cm, agent, _r = make ~loss:0.05 ~seed:9 () in
   let session =
-    Cmproto.Session.create agent ~host:_net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:_net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
@@ -117,7 +118,7 @@ let test_loss_detected_via_gaps () =
 let test_rtt_reaches_cm () =
   let engine, _net, cm, agent, _r = make ~delay:(Time.ms 25) () in
   let session =
-    Cmproto.Session.create agent ~host:_net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:_net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
@@ -133,9 +134,9 @@ let test_plain_traffic_untouched () =
   (* non-CM-protocol packets must pass both agents unmodified *)
   let engine, net, _cm, _agent, _r = make () in
   let got = ref 0 in
-  let server = Udp.Socket.create net.Topology.b ~port:7777 () in
+  let server = Udp.Socket.create net.Build.b ~port:7777 () in
   Udp.Socket.on_receive server (fun pkt -> got := Packet.payload_bytes pkt);
-  let plain = Udp.Socket.create net.Topology.a () in
+  let plain = Udp.Socket.create net.Build.a () in
   Udp.Socket.sendto plain ~dst:(Addr.endpoint ~host:1 ~port:7777) ~payload_bytes:123
     (Packet.Raw 123);
   Engine.run_for engine (Time.ms 100);
@@ -144,7 +145,7 @@ let test_plain_traffic_untouched () =
 let test_orphan_feedback_counted () =
   let engine, _net, cm, agent, _r = make () in
   let session =
-    Cmproto.Session.create agent ~host:_net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:_net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
@@ -158,7 +159,7 @@ let test_orphan_feedback_counted () =
 let test_session_close_releases () =
   let engine, _net, cm, agent, _r = make () in
   let session =
-    Cmproto.Session.create agent ~host:_net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:_net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
@@ -177,12 +178,12 @@ let test_session_close_releases () =
 let test_session_dscp_reaches_the_wire () =
   let engine, net, cm, agent, _r = make () in
   let session =
-    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ~dscp:46 ()
   in
   let marked = ref 0 in
-  Host.add_tx_hook net.Topology.a (fun pkt ->
+  Host.add_tx_hook net.Build.a (fun pkt ->
       match pkt.Packet.payload with
       | Cmproto.Data _ -> if pkt.Packet.flow.Addr.dscp = 46 then incr marked
       | _ -> ());
@@ -206,18 +207,18 @@ let test_session_dscp_reaches_the_wire () =
    with them read ~104). *)
 let test_datagram_path_alloc_budget () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 10) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 10) ()) in
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let agent = Cmproto.Sender_agent.install net.Topology.a cm in
-  let _receiver = Cmproto.Receiver_agent.install net.Topology.b ~ack_every:1 () in
+  Cm.attach cm net.Build.a;
+  let agent = Cmproto.Sender_agent.install net.Build.a cm in
+  let _receiver = Cmproto.Receiver_agent.install net.Build.b ~ack_every:1 () in
   let session =
-    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
   let delivered = ref 0 in
-  let sink = Udp.Socket.create net.Topology.b ~port:7000 () in
+  let sink = Udp.Socket.create net.Build.b ~port:7000 () in
   Udp.Socket.on_receive sink (fun _ -> incr delivered);
   let pump =
     Timer.create engine ~callback:(fun () ->
@@ -250,16 +251,16 @@ module Control_faults = Cm_dynamics.Control_faults
 let make_hardened ?(bandwidth = 1e7) ?(delay = Time.ms 10) ?(seed = 1) () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
-  let net = Topology.pipe engine ~bandwidth_bps:bandwidth ~delay ~rng () in
+  let net = Build.pipe ~rng engine (Spec.pipe ~bw:bandwidth ~lat:delay ()) in
   let cm =
     Cm.create engine ~mtu:1000 ~feedback_watchdog:Cm.Macroflow.default_watchdog
       ~auditor:Cm.default_auditor ()
   in
-  Cm.attach cm net.Topology.a;
-  let snd_inj = Control_faults.install net.Topology.a ~classify:Cmproto.is_control in
-  let rcv_inj = Control_faults.install net.Topology.b ~classify:Cmproto.is_control in
-  let agent = Cmproto.Sender_agent.install net.Topology.a cm in
-  let receiver = Cmproto.Receiver_agent.install net.Topology.b () in
+  Cm.attach cm net.Build.a;
+  let snd_inj = Control_faults.install net.Build.a ~classify:Cmproto.is_control in
+  let rcv_inj = Control_faults.install net.Build.b ~classify:Cmproto.is_control in
+  let agent = Cmproto.Sender_agent.install net.Build.a cm in
+  let receiver = Cmproto.Receiver_agent.install net.Build.b () in
   (engine, net, cm, agent, receiver, snd_inj, rcv_inj, rng)
 
 (* one 40-packet transfer, optionally with a control-plane filter
@@ -268,14 +269,14 @@ let make_hardened ?(bandwidth = 1e7) ?(delay = Time.ms 10) ?(seed = 1) () =
 let run_transfer ?twiddle () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:1 in
-  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 10) ~rng () in
+  let net = Build.pipe ~rng engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 10) ()) in
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
+  Cm.attach cm net.Build.a;
   (match twiddle with Some f -> f engine net | None -> ());
-  let agent = Cmproto.Sender_agent.install net.Topology.a cm in
-  let _receiver = Cmproto.Receiver_agent.install net.Topology.b () in
+  let agent = Cmproto.Sender_agent.install net.Build.a cm in
+  let _receiver = Cmproto.Receiver_agent.install net.Build.b () in
   let session =
-    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
@@ -295,12 +296,12 @@ let test_duplicate_feedback_rejected () =
   (* duplicate every control packet in the same tick *)
   let dup_filter engine net =
     let replaying = ref false in
-    Host.add_rx_filter net.Topology.a (fun pkt ->
+    Host.add_rx_filter net.Build.a (fun pkt ->
         if (not !replaying) && Cmproto.is_control pkt then
           ignore
             (Engine.schedule_after engine 0 (fun () ->
                  replaying := true;
-                 Host.deliver net.Topology.a pkt;
+                 Host.deliver net.Build.a pkt;
                  replaying := false));
         Some pkt)
   in
@@ -320,7 +321,7 @@ let test_reordered_feedback_merged () =
      stragglers *)
   let reorder_filter engine net =
     let buf = ref [] and seen = ref 0 and replaying = ref false in
-    Host.add_rx_filter net.Topology.a (fun pkt ->
+    Host.add_rx_filter net.Build.a (fun pkt ->
         if !replaying || not (Cmproto.is_control pkt) then Some pkt
         else begin
           incr seen;
@@ -333,7 +334,7 @@ let test_reordered_feedback_merged () =
               ignore
                 (Engine.schedule_after engine (Time.ms 1) (fun () ->
                      replaying := true;
-                     List.iter (Host.deliver net.Topology.a) pkts;
+                     List.iter (Host.deliver net.Build.a) pkts;
                      replaying := false))
             end;
             None
@@ -358,7 +359,7 @@ let test_future_echo_clamped () =
      counts it *)
   let engine, net, cm, agent, _r = make () in
   let session =
-    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ()
   in
@@ -388,7 +389,7 @@ let test_future_echo_clamped () =
            ts_echo = Time.add now (Time.sec 5.);
          })
   in
-  Host.deliver net.Topology.a forged;
+  Host.deliver net.Build.a forged;
   Engine.run_for engine (Time.ms 50);
   Alcotest.(check int) "future echo clamped and counted" 1
     (Cmproto.Sender_agent.counters agent).Cmproto.Sender_agent.bad_echoes;
@@ -403,7 +404,7 @@ let blackout = { Control_faults.drop = 1.0; dup = 0.0; delay = 0; jitter = 0 }
 let test_blackout_decays_and_recovers () =
   let engine, net, cm, agent, _recv, snd_inj, rcv_inj, rng = make_hardened () in
   let session =
-    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ~queue_limit_pkts:64 ()
   in
@@ -452,7 +453,7 @@ let test_solicit_backoff_bounded () =
      per maintenance tick *)
   let engine, net, cm, agent, _recv, snd_inj, _rcv_inj, rng = make_hardened () in
   let session =
-    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ~queue_limit_pkts:64 ()
   in
@@ -474,7 +475,7 @@ let test_solicit_backoff_bounded () =
 let test_receiver_crash_restart_resync () =
   let engine, net, cm, agent, receiver, _si, _ri, _rng = make_hardened () in
   let session =
-    Cmproto.Session.create agent ~host:net.Topology.a ~cm
+    Cmproto.Session.create agent ~host:net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:7000)
       ~queue_limit_pkts:64 ()
   in

@@ -6,6 +6,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 open Cm_dynamics
 
 let ( => ) name cond = Alcotest.(check bool) name true cond
@@ -190,12 +191,12 @@ let test_delay_spike () =
 
 let test_bandwidth_steps () =
   let e = Engine.create () in
-  let net = Topology.pipe e ~bandwidth_bps:1e7 ~delay:0 () in
-  Faults.bandwidth_steps e net.Topology.ab [ (Time.sec 1., 5e6); (Time.sec 2., 2e6) ];
+  let net = Build.pipe e (Spec.pipe ~bw:1e7 ~lat:0 ()) in
+  Faults.bandwidth_steps e net.Build.ab [ (Time.sec 1., 5e6); (Time.sec 2., 2e6) ];
   Engine.run ~until:(Time.ms 1500) e;
-  Alcotest.(check (float 1.)) "first change applied" 5e6 (Link.bandwidth net.Topology.ab);
+  Alcotest.(check (float 1.)) "first change applied" 5e6 (Link.bandwidth net.Build.ab);
   Engine.run ~until:(Time.sec 3.) e;
-  Alcotest.(check (float 1.)) "second change applied" 2e6 (Link.bandwidth net.Topology.ab)
+  Alcotest.(check (float 1.)) "second change applied" 2e6 (Link.bandwidth net.Build.ab)
 
 let test_bandwidth_ramp () =
   let e = Engine.create () in
@@ -252,11 +253,11 @@ let test_scenario_fault_window () =
 let scenario_run seed =
   let e = Engine.create () in
   let rng = Rng.create ~seed in
-  let net = Topology.pipe e ~bandwidth_bps:8e6 ~delay:(Time.ms 5) ~rng () in
+  let net = Build.pipe ~rng e (Spec.pipe ~bw:8e6 ~lat:(Time.ms 5) ()) in
   let got = ref 0 in
-  Host.bind net.Topology.b Addr.Udp ~port:9 (fun _ -> incr got);
+  Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> incr got);
   let _src =
-    Background.cbr e ~host:net.Topology.a
+    Background.cbr e ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:9)
       ~rate_bps:2e6 ~packet_bytes:1000 ~stop:(Time.sec 20.) ()
   in
@@ -294,9 +295,9 @@ let scenario_run seed =
         };
       ]
   in
-  Scenario.compile e ~rng ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ] scenario;
+  Scenario.compile e ~rng ~links:[ ("fwd", net.Build.ab); ("rev", net.Build.ba) ] scenario;
   Engine.run ~until:(Time.sec 21.) e;
-  (!got, Link.stats net.Topology.ab)
+  (!got, Link.stats net.Build.ab)
 
 let test_scenario_deterministic () =
   let got1, stats1 = scenario_run 42 in
@@ -314,18 +315,18 @@ let test_scenario_deterministic () =
 let control_run ~profile ~seed =
   let e = Engine.create () in
   let rng = Rng.create ~seed in
-  let net = Topology.pipe e ~bandwidth_bps:8e6 ~delay:(Time.ms 5) ~rng () in
+  let net = Build.pipe ~rng e (Spec.pipe ~bw:8e6 ~lat:(Time.ms 5) ()) in
   let inj =
-    Control_faults.install net.Topology.b ~classify:(fun pkt ->
+    Control_faults.install net.Build.b ~classify:(fun pkt ->
         pkt.Packet.flow.Addr.dst.Addr.port = 9)
   in
   let ctl = ref 0 and data = ref 0 in
-  Host.bind net.Topology.b Addr.Udp ~port:9 (fun _ -> incr ctl);
-  Host.bind net.Topology.b Addr.Udp ~port:10 (fun _ -> incr data);
+  Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> incr ctl);
+  Host.bind net.Build.b Addr.Udp ~port:10 (fun _ -> incr data);
   List.iter
     (fun port ->
       ignore
-        (Background.cbr e ~host:net.Topology.a
+        (Background.cbr e ~host:net.Build.a
            ~dst:(Addr.endpoint ~host:1 ~port)
            ~rate_bps:1e6 ~packet_bytes:500 ~stop:(Time.sec 6.) ()))
     [ 9; 10 ];

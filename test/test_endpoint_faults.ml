@@ -6,6 +6,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 open Cm
 
 let ( => ) name cond = Alcotest.(check bool) name true cond
@@ -165,10 +166,10 @@ let test_silent_flow_with_charge_scored () =
 
 let make_proc () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 5) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 5) ()) in
   let cm = Cm.create engine ~mtu () in
-  Cm.attach cm net.Topology.a;
-  let lib = Libcm.create net.Topology.a cm () in
+  Cm.attach cm net.Build.a;
+  let lib = Libcm.create net.Build.a cm () in
   (engine, net, cm, lib)
 
 let test_destroy_reaps_and_returns_grants () =

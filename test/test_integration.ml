@@ -4,6 +4,7 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let ( => ) name cond = Alcotest.(check bool) name true cond
 
@@ -14,25 +15,24 @@ let test_cm_flow_is_tcp_friendly () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:5 in
   let net =
-    Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 25) ~qdisc_limit:60
-      ~loss_rate:0.003 ~rng ()
+    Build.pipe ~rng engine (Spec.pipe ~queue:60 ~loss:0.003 ~bw:8e6 ~lat:(Time.ms 25) ())
   in
   let cm = Cm.create engine () in
-  Cm.attach cm net.Topology.a;
+  Cm.attach cm net.Build.a;
   let d_native = ref 0 and d_cm = ref 0 in
   let _l1 =
-    Tcp.Conn.listen net.Topology.b ~port:80
+    Tcp.Conn.listen net.Build.b ~port:80
       ~on_accept:(fun c -> Tcp.Conn.on_receive c (fun n -> d_native := !d_native + n))
       ()
   in
   let _l2 =
-    Tcp.Conn.listen net.Topology.b ~port:81
+    Tcp.Conn.listen net.Build.b ~port:81
       ~on_accept:(fun c -> Tcp.Conn.on_receive c (fun n -> d_cm := !d_cm + n))
       ()
   in
-  let c1 = Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
+  let c1 = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
   let c2 =
-    Tcp.Conn.connect net.Topology.a
+    Tcp.Conn.connect net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:81)
       ~driver:(Tcp.Conn.Cm_driven cm) ()
   in
@@ -50,29 +50,28 @@ let test_macroflow_ensemble_not_aggressive () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:6 in
   let net =
-    Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 25) ~qdisc_limit:60
-      ~loss_rate:0.003 ~rng ()
+    Build.pipe ~rng engine (Spec.pipe ~queue:60 ~loss:0.003 ~bw:8e6 ~lat:(Time.ms 25) ())
   in
   let cm = Cm.create engine () in
-  Cm.attach cm net.Topology.a;
+  Cm.attach cm net.Build.a;
   let d_native = ref 0 and d_cm = ref 0 in
   let _l1 =
-    Tcp.Conn.listen net.Topology.b ~port:80
+    Tcp.Conn.listen net.Build.b ~port:80
       ~on_accept:(fun c -> Tcp.Conn.on_receive c (fun n -> d_native := !d_native + n))
       ()
   in
   let _l2 =
-    Tcp.Conn.listen net.Topology.b ~port:81
+    Tcp.Conn.listen net.Build.b ~port:81
       ~on_accept:(fun c -> Tcp.Conn.on_receive c (fun n -> d_cm := !d_cm + n))
       ()
   in
-  let native = Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
+  let native = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
   Tcp.Conn.send native (1 lsl 28);
   (* four concurrent CM connections share one macroflow *)
   let cm_conns =
     List.init 4 (fun _ ->
         let c =
-          Tcp.Conn.connect net.Topology.a
+          Tcp.Conn.connect net.Build.a
             ~dst:(Addr.endpoint ~host:1 ~port:81)
             ~driver:(Tcp.Conn.Cm_driven cm) ()
         in
@@ -97,20 +96,20 @@ let test_cc_udp_coexists_with_tcp () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:7 in
   let net =
-    Topology.pipe engine ~bandwidth_bps:6e6 ~delay:(Time.ms 20) ~qdisc_limit:50 ~rng ()
+    Build.pipe ~rng engine (Spec.pipe ~queue:50 ~bw:6e6 ~lat:(Time.ms 20) ())
   in
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
+  Cm.attach cm net.Build.a;
   let d_tcp = ref 0 in
   let _l =
-    Tcp.Conn.listen net.Topology.b ~port:80
+    Tcp.Conn.listen net.Build.b ~port:80
       ~on_accept:(fun c -> Tcp.Conn.on_receive c (fun n -> d_tcp := !d_tcp + n))
       ()
   in
-  let tcp_conn = Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
+  let tcp_conn = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
   Tcp.Conn.send tcp_conn (1 lsl 27);
-  let receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:6000 () in
-  let sock = Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:6000) () in
+  let receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:6000 () in
+  let sock = Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:6000) () in
   let feeder =
     Timer.create engine ~callback:(fun () ->
         let room = 64 - Udp.Cc_socket.queued sock in
@@ -134,15 +133,15 @@ let test_runs_are_deterministic () =
     let engine = Engine.create () in
     let rng = Rng.create ~seed:99 in
     let net =
-      Topology.pipe engine ~bandwidth_bps:5e6 ~delay:(Time.ms 15) ~loss_rate:0.01 ~rng ()
+      Build.pipe ~rng engine (Spec.pipe ~loss:0.01 ~bw:5e6 ~lat:(Time.ms 15) ())
     in
     let delivered = ref 0 in
     let _l =
-      Tcp.Conn.listen net.Topology.b ~port:80
+      Tcp.Conn.listen net.Build.b ~port:80
         ~on_accept:(fun c -> Tcp.Conn.on_receive c (fun n -> delivered := !delivered + n))
         ()
     in
-    let c = Tcp.Conn.connect net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
+    let c = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) () in
     Tcp.Conn.send c 1_000_000;
     Engine.run_for engine (Time.sec 10.);
     let st = Tcp.Conn.stats c in
@@ -185,19 +184,25 @@ let test_fig6_macro_deterministic () =
   check_link "forward" a.m_fwd b.m_fwd;
   check_link "reverse" a.m_rev b.m_rev
 
-(* The star topology end-to-end: several clients fetch through a shared
-   bottleneck; everything completes and the bottleneck is shared. *)
+(* Clients behind a shared trunk, end to end: several clients fetch
+   through the shared bottleneck; everything completes and the
+   bottleneck is shared. *)
 let test_star_web_workload () =
   let engine = Engine.create () in
   let net =
-    Topology.star engine ~n_clients:3 ~access_bps:1e8 ~access_delay:(Time.ms 1)
-      ~bottleneck_bps:8e6 ~bottleneck_delay:(Time.ms 20) ()
+    Build.instantiate engine
+      (Check.elaborate_exn
+         Spec.(
+           node "server"
+           @ clients ~n:3 ~per:[ "server" ] ~bw:1e8 ~lat:(Time.ms 1) ~trunk_bw:8e6
+               ~trunk_lat:(Time.ms 20) ()))
   in
+  let server = Build.host net "server" in
   let cm = Cm.create engine () in
-  Cm.attach cm net.Topology.server;
+  Cm.attach cm server;
   let macroflows = ref [] in
   let _server =
-    Tcp.Conn.listen net.Topology.server ~port:80 ~driver:(Tcp.Conn.Cm_driven cm)
+    Tcp.Conn.listen server ~port:80 ~driver:(Tcp.Conn.Cm_driven cm)
       ~on_accept:(fun conn ->
         (match Tcp.Conn.cm_flow conn with
         | Some fid -> macroflows := Cm.macroflow_id cm fid :: !macroflows
@@ -212,16 +217,16 @@ let test_star_web_workload () =
       ()
   in
   let done_count = ref 0 in
-  Array.iter
+  List.iter
     (fun client ->
-      Cm_apps.Web.fetch client
+      Cm_apps.Web.fetch (Build.host net client)
         ~dst:(Addr.endpoint ~host:0 ~port:80)
         ~expect_bytes:200_000
         ~on_done:(fun r ->
           Alcotest.(check int) "full file" 200_000 r.Cm_apps.Web.bytes;
           incr done_count)
         ())
-    net.Topology.clients;
+    (Spec.client_names ~n:3 ~servers:[ "server" ] ());
   Engine.run_for engine (Time.sec 20.);
   Alcotest.(check int) "all three clients served" 3 !done_count;
   (* three different destinations => three macroflows at the server *)

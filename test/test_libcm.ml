@@ -4,15 +4,16 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let ( => ) name cond = Alcotest.(check bool) name true cond
 
 let make ?(mode = Libcm.Select_loop) ?(costs = Costs.zero) () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 5) ~costs () in
+  let net = Build.pipe ~costs engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 5) ()) in
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let lib = Libcm.create net.Topology.a cm ~mode () in
+  Cm.attach cm net.Build.a;
+  let lib = Libcm.create net.Build.a cm ~mode () in
   (engine, net, cm, lib)
 
 let flow_key ?(sport = 100) () =
@@ -154,7 +155,7 @@ let test_meter_counts_and_charges () =
   let _engine, net, _cm, lib = make ~costs:Costs.pentium3 () in
   let fid = Libcm.open_flow lib (flow_key ()) in
   let meter = Libcm.meter lib in
-  let busy0 = Cpu.total_busy (Host.cpu net.Topology.a) in
+  let busy0 = Cpu.total_busy (Host.cpu net.Build.a) in
   Libcm.request lib fid;
   Libcm.app_send lib ~bytes:1000;
   Libcm.app_recv lib ~bytes:100;
@@ -163,7 +164,7 @@ let test_meter_counts_and_charges () =
   Alcotest.(check int) "send counted" 1 (Libcm.Ops.count meter Libcm.Ops.Send);
   Alcotest.(check int) "recv counted" 1 (Libcm.Ops.count meter Libcm.Ops.Recv);
   Alcotest.(check int) "gettimeofday counted" 1 (Libcm.Ops.count meter Libcm.Ops.Gettimeofday);
-  let busy = Cpu.total_busy (Host.cpu net.Topology.a) - busy0 in
+  let busy = Cpu.total_busy (Host.cpu net.Build.a) - busy0 in
   let expected =
     let c = Costs.pentium3 in
     c.Costs.ioctl
@@ -178,7 +179,7 @@ let test_meter_zero_costs_free () =
   let fid = Libcm.open_flow lib (flow_key ()) in
   Libcm.request lib fid;
   Libcm.app_send lib ~bytes:1000;
-  Alcotest.(check int) "no cpu time with zero costs" 0 (Cpu.total_busy (Host.cpu net.Topology.a))
+  Alcotest.(check int) "no cpu time with zero costs" 0 (Cpu.total_busy (Host.cpu net.Build.a))
 
 let test_ops_cost_model () =
   let c = Costs.pentium3 in

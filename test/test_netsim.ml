@@ -1,9 +1,11 @@
 (* Tests for the network substrate: queues, links, hosts, routers,
-   topologies, CPU resource, background traffic. *)
+   CPU resource, background traffic.  Whole topologies are built by the
+   spec DSL and tested in test_spec.ml. *)
 
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let ( => ) name cond = Alcotest.(check bool) name true cond
 
@@ -343,53 +345,12 @@ let test_host_ports_unique () =
 
 let test_router_forwarding () =
   let r = Router.create () in
-  let to1 = ref 0 and def = ref 0 in
+  let to1 = ref 0 in
   Router.add_route r ~dst:1 (fun _ -> incr to1);
   Router.forward r (mk_pkt ());
   Alcotest.(check int) "routed" 1 !to1;
   Router.forward r (mk_pkt ~flow:(mk_flow ~dst:9 ()) ());
-  Alcotest.(check int) "no route drop counted" 1 (Router.no_route_drops r);
-  Router.set_default r (fun _ -> incr def);
-  Router.forward r (mk_pkt ~flow:(mk_flow ~dst:9 ()) ());
-  Alcotest.(check int) "default route used" 1 !def
-
-(* ---- Topology ----------------------------------------------------------------- *)
-
-let test_pipe_roundtrip () =
-  let e = Engine.create () in
-  let net = Topology.pipe e ~bandwidth_bps:1e7 ~delay:(Time.ms 5) () in
-  let got_b = ref false and got_a = ref false in
-  Host.bind net.Topology.b Addr.Udp ~port:20 (fun _ -> got_b := true);
-  Host.bind net.Topology.a Addr.Udp ~port:10 (fun _ -> got_a := true);
-  Host.ip_output net.Topology.a (mk_pkt ());
-  Host.ip_output net.Topology.b (mk_pkt ~flow:(Addr.reverse (mk_flow ())) ());
-  Engine.run e;
-  "a -> b delivered" => !got_b;
-  "b -> a delivered" => !got_a
-
-let test_star_connectivity () =
-  let e = Engine.create () in
-  let net =
-    Topology.star e ~n_clients:3 ~access_bps:1e8 ~access_delay:(Time.ms 1) ~bottleneck_bps:1e7
-      ~bottleneck_delay:(Time.ms 10) ()
-  in
-  let server_got = ref 0 in
-  let client_got = Array.make 3 0 in
-  Host.bind net.Topology.server Addr.Udp ~port:80 (fun _ -> incr server_got);
-  Array.iteri
-    (fun i c -> Host.bind c Addr.Udp ~port:80 (fun _ -> client_got.(i) <- client_got.(i) + 1))
-    net.Topology.clients;
-  (* every client to server, server to every client *)
-  Array.iteri
-    (fun i c ->
-      Host.ip_output c
-        (mk_pkt ~flow:(mk_flow ~src:(i + 1) ~dst:0 ~sport:80 ~dport:80 ()) ());
-      Host.ip_output net.Topology.server
-        (mk_pkt ~flow:(mk_flow ~src:0 ~dst:(i + 1) ~sport:80 ~dport:80 ()) ()))
-    net.Topology.clients;
-  Engine.run e;
-  Alcotest.(check int) "server received all" 3 !server_got;
-  Alcotest.(check (array int)) "clients each received one" [| 1; 1; 1 |] client_got
+  Alcotest.(check int) "no route drop counted" 1 (Router.no_route_drops r)
 
 (* the bandwidth-schedule machinery moved to lib/dynamics (Faults.
    bandwidth_steps / Scenario); its tests live in test_dynamics.ml *)
@@ -398,11 +359,11 @@ let test_star_connectivity () =
 
 let test_cbr_rate () =
   let e = Engine.create () in
-  let net = Topology.pipe e ~bandwidth_bps:1e8 ~delay:0 () in
+  let net = Build.pipe e (Spec.pipe ~bw:1e8 ~lat:0 ()) in
   let got = ref 0 in
-  Host.bind net.Topology.b Addr.Udp ~port:9 (fun _ -> incr got);
+  Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> incr got);
   let src =
-    Background.cbr e ~host:net.Topology.a
+    Background.cbr e ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:9)
       ~rate_bps:800_000. ~packet_bytes:1000 ~stop:(Time.sec 10.) ()
   in
@@ -413,12 +374,12 @@ let test_cbr_rate () =
 
 let test_on_off_bursts () =
   let e = Engine.create () in
-  let net = Topology.pipe e ~bandwidth_bps:1e8 ~delay:0 () in
+  let net = Build.pipe e (Spec.pipe ~bw:1e8 ~lat:0 ()) in
   let rng = Rng.create ~seed:11 in
   let got = ref 0 in
-  Host.bind net.Topology.b Addr.Udp ~port:9 (fun _ -> incr got);
+  Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> incr got);
   let _src =
-    Background.on_off e ~host:net.Topology.a
+    Background.on_off e ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:9)
       ~rate_bps:1e6 ~packet_bytes:500 ~mean_on:(Time.ms 100) ~mean_off:(Time.ms 100) ~rng
       ~stop:(Time.sec 10.) ()
@@ -430,12 +391,12 @@ let test_on_off_bursts () =
 
 let test_poisson_mean_rate () =
   let e = Engine.create () in
-  let net = Topology.pipe e ~bandwidth_bps:1e9 ~delay:0 () in
+  let net = Build.pipe e (Spec.pipe ~bw:1e9 ~lat:0 ()) in
   let rng = Rng.create ~seed:12 in
   let got = ref 0 in
-  Host.bind net.Topology.b Addr.Udp ~port:9 (fun _ -> incr got);
+  Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> incr got);
   let _src =
-    Background.poisson e ~host:net.Topology.a
+    Background.poisson e ~host:net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:9)
       ~rate_bps:8e5 ~packet_bytes:1000 ~rng ~stop:(Time.sec 20.) ()
   in
@@ -481,21 +442,21 @@ let test_link_drop_causes_traced () =
 
 let run_background which seed =
   let e = Engine.create () in
-  let net = Topology.pipe e ~bandwidth_bps:1e8 ~delay:(Time.ms 2) () in
-  Host.bind net.Topology.b Addr.Udp ~port:9 (fun _ -> ());
+  let net = Build.pipe e (Spec.pipe ~bw:1e8 ~lat:(Time.ms 2) ()) in
+  Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> ());
   let rng = Rng.create ~seed in
   let dst = Addr.endpoint ~host:1 ~port:9 in
   let src =
     match which with
     | `On_off ->
-        Background.on_off e ~host:net.Topology.a ~dst ~rate_bps:1e6 ~packet_bytes:500
+        Background.on_off e ~host:net.Build.a ~dst ~rate_bps:1e6 ~packet_bytes:500
           ~mean_on:(Time.ms 200) ~mean_off:(Time.ms 100) ~rng ~stop:(Time.sec 10.) ()
     | `Poisson ->
-        Background.poisson e ~host:net.Topology.a ~dst ~rate_bps:8e5 ~packet_bytes:1000 ~rng
+        Background.poisson e ~host:net.Build.a ~dst ~rate_bps:8e5 ~packet_bytes:1000 ~rng
           ~stop:(Time.sec 10.) ()
   in
   Engine.run ~until:(Time.sec 11.) e;
-  (Background.packets_sent src, Link.stats net.Topology.ab)
+  (Background.packets_sent src, Link.stats net.Build.ab)
 
 let test_on_off_deterministic () =
   let sent1, stats1 = run_background `On_off 7 in
@@ -560,11 +521,6 @@ let () =
           Alcotest.test_case "tx hooks order" `Quick test_host_tx_hooks_order;
           Alcotest.test_case "port allocation" `Quick test_host_ports_unique;
           Alcotest.test_case "router forwarding" `Quick test_router_forwarding;
-        ] );
-      ( "topology",
-        [
-          Alcotest.test_case "pipe roundtrip" `Quick test_pipe_roundtrip;
-          Alcotest.test_case "star connectivity" `Quick test_star_connectivity;
         ] );
       ( "background",
         [

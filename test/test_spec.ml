@@ -1,6 +1,8 @@
-(* The spec DSL pipeline: parity of the scenarios family's spec-built pipe
-   with the handwritten Topology.pipe, static-check diagnostics (one
-   negative test per code), routing (the next-hop table against a
+(* The spec DSL pipeline: parity of spec-built pipes (the scenarios
+   family's, and Spec.pipe with loss and a short reverse queue) with a
+   pipe wired by hand from Host and Link, packets crossing a built pipe
+   and a client trunk, static-check diagnostics (one negative test per
+   code), routing (the next-hop table against a
    per-destination reference, packets following Check.route, no host as
    a next hop), structural checks of the sugar combinators, a qcheck
    property that random well-formed specs always check clean and compile,
@@ -19,45 +21,74 @@ module Cellular = Experiments.Cellular
 
 let params = { Exp_common.default_params with seed = 42 }
 
-(* ---- parity: DSL-compiled scenarios ≡ handwritten ----------------------- *)
+(* ---- parity: Build ≡ a handwritten pipe --------------------------------- *)
 
-(* One seeded TCP/CM bulk run under a scenario's faults, on the
-   handwritten Topology.pipe or on the same pipe compiled from the
-   family's spec: (fwd stats, rev stats, bytes delivered). *)
-let bulk_under_faults id ~handwritten =
+(* A pipe wired by hand from Host and Link: the reference the parity
+   tests hold Build to, so nothing in it goes through Spec, Check or
+   Build.  Loss applies to a → b only. *)
+let hand_pipe engine rng ~bw ~lat ~queue ~rev_queue ~loss =
+  let a = Netsim.Host.create engine ~id:0 () in
+  let b = Netsim.Host.create engine ~id:1 () in
+  let link ~queue ~loss dst =
+    Netsim.Link.create engine ~bandwidth_bps:bw ~delay:lat
+      ~qdisc:(Netsim.Queue_disc.droptail ~limit_pkts:queue ())
+      ~loss_rate:loss ~rng
+      ~sink:(fun pkt -> Netsim.Host.deliver dst pkt)
+      ()
+  in
+  let ab = link ~queue ~loss b in
+  let ba = link ~queue:rev_queue ~loss:0. a in
+  Netsim.Host.attach_route a (Netsim.Link.send ab);
+  Netsim.Host.attach_route b (Netsim.Link.send ba);
+  (a, b, ab, ba)
+
+(* One seeded TCP/CM bulk transfer a → b (and, with [both_ways], one
+   b → a as well, each sender with its own CM) on the pipe [make]
+   builds, after [faults] are installed: (fwd stats, rev stats, bytes
+   delivered to b). *)
+let bulk_run ?(both_ways = false) ?(faults = fun _ _ _ _ -> ()) ~duration make =
   Netsim.Packet.reset_ids ();
   let engine = Eventsim.Engine.create () in
   let rng = Rng.create ~seed:42 in
-  let ir = Check.elaborate_exn (Scenarios.spec_of id) in
-  let a, b, fwd, rev =
-    if handwritten then
-      let net =
-        Netsim.Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:50 ~rng ()
-      in
-      Netsim.Topology.(net.a, net.b, net.ab, net.ba)
-    else
-      let built = Build.instantiate ~rng engine ir in
-      (Build.host built "a", Build.host built "b", Build.link built "fwd", Build.link built "rev")
+  let a, b, fwd, rev = make engine rng in
+  let transfer src dst ~dst_host =
+    let cm = Cm.create engine () in
+    Cm.attach cm src;
+    let delivered = ref 0 in
+    let _listener =
+      Tcp.Conn.listen dst ~port:80
+        ~on_accept:(fun conn -> Tcp.Conn.on_receive conn (fun n -> delivered := !delivered + n))
+        ()
+    in
+    let conn =
+      Tcp.Conn.connect src
+        ~dst:(Netsim.Addr.endpoint ~host:dst_host ~port:80)
+        ~driver:(Tcp.Conn.Cm_driven cm) ()
+    in
+    Tcp.Conn.send conn (1 lsl 34);
+    delivered
   in
-  let cm = Cm.create engine () in
-  Cm.attach cm a;
-  let delivered = ref 0 in
-  let _listener =
-    Tcp.Conn.listen b ~port:80
-      ~on_accept:(fun conn -> Tcp.Conn.on_receive conn (fun n -> delivered := !delivered + n))
-      ()
-  in
-  let conn =
-    Tcp.Conn.connect a
-      ~dst:(Netsim.Addr.endpoint ~host:1 ~port:80)
-      ~driver:(Tcp.Conn.Cm_driven cm) ()
-  in
-  Tcp.Conn.send conn (1 lsl 34);
-  Scenario.compile engine ~rng
-    ~links:[ ("fwd", fwd); ("rev", rev) ]
-    (Build.scenario ~name:(Scenarios.scenario_name id) ir);
-  Eventsim.Engine.run_for engine (Time.sec 24.);
+  let delivered = transfer a b ~dst_host:1 in
+  if both_ways then ignore (transfer b a ~dst_host:0 : int ref);
+  faults engine rng fwd rev;
+  Eventsim.Engine.run_for engine duration;
   (Netsim.Link.stats fwd, Netsim.Link.stats rev, !delivered)
+
+(* The scenarios family under its faults, on the handwritten pipe or on
+   the same pipe compiled from the family's spec. *)
+let bulk_under_faults id ~handwritten =
+  let ir = Check.elaborate_exn (Scenarios.spec_of id) in
+  let faults engine rng fwd rev =
+    Scenario.compile engine ~rng
+      ~links:[ ("fwd", fwd); ("rev", rev) ]
+      (Build.scenario ~name:(Scenarios.scenario_name id) ir)
+  in
+  bulk_run ~faults ~duration:(Time.sec 24.) (fun engine rng ->
+      if handwritten then
+        hand_pipe engine rng ~bw:8e6 ~lat:(Time.ms 20) ~queue:50 ~rev_queue:1000 ~loss:0.
+      else
+        let built = Build.instantiate ~rng engine ir in
+        (Build.host built "a", Build.host built "b", Build.link built "fwd", Build.link built "rev"))
 
 let test_scenarios_parity () =
   List.iter
@@ -70,6 +101,82 @@ let test_scenarios_parity () =
       Alcotest.(check int) (name ^ ": delivered bytes") hand_bytes dsl_bytes;
       Alcotest.(check bool) (name ^ ": traffic flowed") true (hand_bytes > 1_000_000))
     Scenarios.[ Burst_loss; Outage; Sawtooth ]
+
+(* Spec.pipe's loss and reverse queue reach the built links: bulk both
+   ways, so forward loss and reverse queue drops both show in the
+   counters. *)
+let test_pipe_parity () =
+  let run make = bulk_run ~both_ways:true ~duration:(Time.sec 10.) make in
+  let hand_fwd, hand_rev, hand_bytes =
+    run (fun engine rng ->
+        hand_pipe engine rng ~bw:5e6 ~lat:(Time.ms 10) ~queue:100 ~rev_queue:7 ~loss:0.02)
+  in
+  let dsl_fwd, dsl_rev, dsl_bytes =
+    run (fun engine rng ->
+        let net =
+          Build.pipe ~rng engine (Spec.pipe ~loss:0.02 ~rev_queue:7 ~bw:5e6 ~lat:(Time.ms 10) ())
+        in
+        (net.Build.a, net.Build.b, net.Build.ab, net.Build.ba))
+  in
+  Alcotest.(check bool) "fwd link stats" true (hand_fwd = dsl_fwd);
+  Alcotest.(check bool) "rev link stats" true (hand_rev = dsl_rev);
+  Alcotest.(check int) "delivered bytes" hand_bytes dsl_bytes;
+  Alcotest.(check bool) "forward loss drew drops" true (hand_fwd.Netsim.Link.channel_drops > 0);
+  Alcotest.(check bool) "reverse queue overflowed" true (hand_rev.Netsim.Link.queue_drops > 0)
+
+(* ---- topology: built networks carry packets ---------------------------- *)
+
+let udp_pkt ~src ~dst =
+  Netsim.Packet.make ~now:0
+    ~flow:
+      (Netsim.Addr.flow
+         ~src:(Netsim.Addr.endpoint ~host:src ~port:80)
+         ~dst:(Netsim.Addr.endpoint ~host:dst ~port:80)
+         ~proto:Netsim.Addr.Udp ())
+    ~payload_bytes:1000 (Netsim.Packet.Raw 1000)
+
+let test_pipe_roundtrip () =
+  let e = Eventsim.Engine.create () in
+  let net = Build.pipe e (Spec.pipe ~bw:1e7 ~lat:(Time.ms 5) ()) in
+  let got_b = ref false and got_a = ref false in
+  Netsim.Host.bind net.Build.b Netsim.Addr.Udp ~port:80 (fun _ -> got_b := true);
+  Netsim.Host.bind net.Build.a Netsim.Addr.Udp ~port:80 (fun _ -> got_a := true);
+  Netsim.Host.ip_output net.Build.a (udp_pkt ~src:0 ~dst:1);
+  Netsim.Host.ip_output net.Build.b (udp_pkt ~src:1 ~dst:0);
+  Eventsim.Engine.run e;
+  Alcotest.(check bool) "a -> b delivered" true !got_b;
+  Alcotest.(check bool) "b -> a delivered" true !got_a
+
+(* Clients behind one access router and a shared trunk: every client ↔
+   server packet arrives. *)
+let test_star_connectivity () =
+  let e = Eventsim.Engine.create () in
+  let net =
+    Build.instantiate e
+      (Check.elaborate_exn
+         Spec.(
+           node "server"
+           @ clients ~n:3 ~per:[ "server" ] ~bw:1e8 ~lat:(Time.ms 1) ~trunk_bw:1e7
+               ~trunk_lat:(Time.ms 10) ()))
+  in
+  let server = Build.host net "server" in
+  let clients = List.map (Build.host net) (Spec.client_names ~n:3 ~servers:[ "server" ] ()) in
+  let server_got = ref 0 in
+  let client_got = Array.make 3 0 in
+  Netsim.Host.bind server Netsim.Addr.Udp ~port:80 (fun _ -> incr server_got);
+  List.iteri
+    (fun i c ->
+      Netsim.Host.bind c Netsim.Addr.Udp ~port:80 (fun _ -> client_got.(i) <- client_got.(i) + 1))
+    clients;
+  (* every client to server, server to every client *)
+  List.iteri
+    (fun i c ->
+      Netsim.Host.ip_output c (udp_pkt ~src:(i + 1) ~dst:0);
+      Netsim.Host.ip_output server (udp_pkt ~src:0 ~dst:(i + 1)))
+    clients;
+  Eventsim.Engine.run e;
+  Alcotest.(check int) "server received all" 3 !server_got;
+  Alcotest.(check (array int)) "clients each received one" [| 1; 1; 1 |] client_got
 
 (* ---- static checks: one negative test per diagnostic code --------------- *)
 
@@ -114,7 +221,18 @@ let test_bad_link_param () =
   has_code "bad-link-param" (Spec.par [ pipe_base; Spec.link ~bw:(-1.) ~lat:0 "a" "b" ]);
   has_code "bad-link-param" (Spec.par [ pipe_base; Spec.link ~bw:Float.nan ~lat:0 "a" "b" ]);
   has_code "bad-link-param" (Spec.par [ pipe_base; Spec.link ~bw:1e6 ~lat:(-1) "a" "b" ]);
-  has_code "bad-link-param" (Spec.par [ pipe_base; Spec.link ~queue:0 ~bw:1e6 ~lat:0 "a" "b" ])
+  has_code "bad-link-param" (Spec.par [ pipe_base; Spec.link ~queue:0 ~bw:1e6 ~lat:0 "a" "b" ]);
+  List.iter
+    (fun loss ->
+      has_code "bad-link-param" (Spec.par [ pipe_base; Spec.link ~loss ~bw:1e6 ~lat:0 "a" "b" ]))
+    [ Float.nan; -0.1; 1.5 ];
+  List.iter
+    (fun loss ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "loss %g is clean" loss)
+        []
+        (codes (Spec.pipe ~loss ~bw:1e6 ~lat:0 ())))
+    [ 0.; 1. ]
 
 let test_unknown_node () =
   has_code "unknown-node" (Spec.par [ pipe_base; Spec.link ~bw:1e6 ~lat:0 "a" "ghost" ]);
@@ -761,17 +879,6 @@ let check_invalid what f =
 
 let test_netsim_validation () =
   let engine = Eventsim.Engine.create () in
-  check_invalid "pipe negative bw" (fun () ->
-      Netsim.Topology.pipe engine ~bandwidth_bps:(-1.) ~delay:0 ());
-  check_invalid "pipe NaN bw" (fun () ->
-      Netsim.Topology.pipe engine ~bandwidth_bps:Float.nan ~delay:0 ());
-  check_invalid "pipe negative delay" (fun () ->
-      Netsim.Topology.pipe engine ~bandwidth_bps:1e6 ~delay:(-1) ());
-  check_invalid "pipe zero queue" (fun () ->
-      Netsim.Topology.pipe engine ~bandwidth_bps:1e6 ~delay:0 ~qdisc_limit:0 ());
-  check_invalid "star negative access bw" (fun () ->
-      Netsim.Topology.star engine ~n_clients:2 ~access_bps:(-1.) ~access_delay:0
-        ~bottleneck_bps:1e6 ~bottleneck_delay:0 ());
   check_invalid "link NaN set_bandwidth" (fun () ->
       let l =
         Netsim.Link.create engine ~bandwidth_bps:1e6 ~delay:0 ~sink:(fun _ -> ()) ()
@@ -784,7 +891,16 @@ let () =
   Alcotest.run "spec"
     [
       ( "parity",
-        [ Alcotest.test_case "scenarios family: DSL ≡ handwritten" `Slow test_scenarios_parity ] );
+        [
+          Alcotest.test_case "scenarios family: DSL ≡ handwritten" `Slow test_scenarios_parity;
+          Alcotest.test_case "pipe with loss + rev_queue: Build ≡ handwritten" `Quick
+            test_pipe_parity;
+        ] );
+      ( "topology",
+        [
+          Alcotest.test_case "pipe roundtrip" `Quick test_pipe_roundtrip;
+          Alcotest.test_case "star connectivity" `Quick test_star_connectivity;
+        ] );
       ( "checks",
         [
           Alcotest.test_case "clean base" `Quick test_clean_base;

@@ -4,12 +4,13 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let ( => ) name cond = Alcotest.(check bool) name true cond
 
 type harness = {
   engine : Engine.t;
-  net : Topology.pipe;
+  net : Build.pipe;
   mutable server_conn : Tcp.Conn.t option;
   mutable delivered : int;
   mutable server_closed : bool;
@@ -20,10 +21,10 @@ let make ?(bandwidth = 1e7) ?(delay = Time.ms 10) ?(loss = 0.) ?(seed = 1)
     ?(config = Tcp.Conn.default_config) ?(server_driver = Tcp.Conn.Native) () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
-  let net = Topology.pipe engine ~bandwidth_bps:bandwidth ~delay ~loss_rate:loss ~rng () in
+  let net = Build.pipe ~rng engine (Spec.pipe ~loss ~bw:bandwidth ~lat:delay ()) in
   let h = { engine; net; server_conn = None; delivered = 0; server_closed = false } in
   let _listener =
-    Tcp.Conn.listen net.Topology.b ~port:80 ~driver:server_driver
+    Tcp.Conn.listen net.Build.b ~port:80 ~driver:server_driver
       ~config
       ~on_accept:(fun conn ->
         h.server_conn <- Some conn;
@@ -37,7 +38,7 @@ let dst = Addr.endpoint ~host:1 ~port:80
 
 let test_handshake () =
   let h = make () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst () in
   let established = ref false in
   Tcp.Conn.on_established c (fun () -> established := true);
   Engine.run_for h.engine (Time.ms 100);
@@ -49,7 +50,7 @@ let test_handshake () =
 
 let test_lossless_transfer () =
   let h = make () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst () in
   Tcp.Conn.send c 100_000;
   Engine.run_for h.engine (Time.sec 5.);
   Alcotest.(check int) "every byte delivered exactly once" 100_000 h.delivered;
@@ -59,7 +60,7 @@ let test_lossless_transfer () =
 
 let test_transfer_with_loss () =
   let h = make ~loss:0.02 ~seed:7 () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst () in
   Tcp.Conn.send c 300_000;
   Engine.run_for h.engine (Time.sec 60.);
   Alcotest.(check int) "all bytes delivered despite loss" 300_000 h.delivered;
@@ -71,8 +72,8 @@ let test_cm_transfer_with_loss () =
   ignore engine_probe;
   let h = make ~loss:0.02 ~seed:11 () in
   let cm = Cm.create h.engine ~mtu:Tcp.Conn.default_config.Tcp.Conn.mss () in
-  Cm.attach cm h.net.Topology.a;
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) () in
+  Cm.attach cm h.net.Build.a;
+  let c = Tcp.Conn.connect h.net.Build.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) () in
   Tcp.Conn.send c 300_000;
   Engine.run_for h.engine (Time.sec 60.);
   Alcotest.(check int) "TCP/CM delivers everything" 300_000 h.delivered;
@@ -81,7 +82,7 @@ let test_cm_transfer_with_loss () =
 let test_fast_retransmit () =
   (* lossy enough to trigger triple-dupack recovery on a long transfer *)
   let h = make ~loss:0.01 ~seed:3 () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst () in
   Tcp.Conn.send c 500_000;
   Engine.run_for h.engine (Time.sec 60.);
   let st = Tcp.Conn.stats c in
@@ -90,23 +91,23 @@ let test_fast_retransmit () =
 
 let test_rto_on_blackout () =
   let h = make () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst () in
   Engine.run_for h.engine (Time.ms 100);
   (* black out the forward path mid-transfer *)
   Tcp.Conn.send c 50_000;
-  Link.set_loss_rate h.net.Topology.ab 0.;
+  Link.set_loss_rate h.net.Build.ab 0.;
   Engine.run_for h.engine (Time.ms 1);
   (* drop everything for a second *)
   let rng = Rng.create ~seed:5 in
   let lossy =
     Link.create h.engine ~bandwidth_bps:1e7 ~delay:(Time.ms 10) ~loss_rate:1.0 ~rng
-      ~sink:(fun pkt -> Host.deliver h.net.Topology.b pkt)
+      ~sink:(fun pkt -> Host.deliver h.net.Build.b pkt)
       ()
   in
-  Host.attach_route h.net.Topology.a (Link.send lossy);
+  Host.attach_route h.net.Build.a (Link.send lossy);
   Engine.run_for h.engine (Time.sec 2.);
   (* restore *)
-  Host.attach_route h.net.Topology.a (Link.send h.net.Topology.ab);
+  Host.attach_route h.net.Build.a (Link.send h.net.Build.ab);
   Engine.run_for h.engine (Time.sec 30.);
   let st = Tcp.Conn.stats c in
   "timeout occurred" => (st.Tcp.Conn.timeouts > 0);
@@ -114,7 +115,7 @@ let test_rto_on_blackout () =
 
 let test_fin_teardown () =
   let h = make () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst () in
   let client_closed = ref false in
   Tcp.Conn.on_closed c (fun () -> client_closed := true);
   Tcp.Conn.send c 10_000;
@@ -136,7 +137,7 @@ let test_delayed_acks_halve_acks () =
   let run delayed =
     let config = { Tcp.Conn.default_config with Tcp.Conn.delayed_acks = delayed } in
     let h = make ~config () in
-    let c = Tcp.Conn.connect h.net.Topology.a ~dst ~config () in
+    let c = Tcp.Conn.connect h.net.Build.a ~dst ~config () in
     Tcp.Conn.send c 200_000;
     Engine.run_for h.engine (Time.sec 10.);
     Alcotest.(check int) "delivered" 200_000 h.delivered;
@@ -150,7 +151,7 @@ let test_delayed_acks_halve_acks () =
 
 let test_srtt_close_to_path_rtt () =
   let h = make ~delay:(Time.ms 30) () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst () in
   Tcp.Conn.send c 200_000;
   Engine.run_for h.engine (Time.sec 10.);
   match Tcp.Conn.srtt c with
@@ -162,7 +163,7 @@ let test_srtt_close_to_path_rtt () =
 let test_karn_mode_works () =
   let config = { Tcp.Conn.default_config with Tcp.Conn.timestamps = false } in
   let h = make ~loss:0.01 ~seed:9 ~config () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst ~config () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst ~config () in
   Tcp.Conn.send c 200_000;
   Engine.run_for h.engine (Time.sec 60.);
   Alcotest.(check int) "delivered without timestamps" 200_000 h.delivered;
@@ -173,7 +174,7 @@ let test_native_throughput_saturates_link () =
      legitimately overflows the drop-tail queue once, so a few
      retransmissions are expected.) *)
   let h = make ~bandwidth:1e7 ~delay:(Time.ms 10) () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst () in
   Tcp.Conn.send c 2_000_000;
   Engine.run_for h.engine (Time.sec 4.);
   Alcotest.(check int) "delivered within ~1.3x ideal time" 2_000_000 h.delivered;
@@ -186,12 +187,12 @@ let test_two_flows_share_fairly () =
   (* second listener on another port *)
   let delivered2 = ref 0 in
   let _l2 =
-    Tcp.Conn.listen h.net.Topology.b ~port:81
+    Tcp.Conn.listen h.net.Build.b ~port:81
       ~on_accept:(fun conn -> Tcp.Conn.on_receive conn (fun n -> delivered2 := !delivered2 + n))
       ()
   in
-  let c1 = Tcp.Conn.connect h.net.Topology.a ~dst () in
-  let c2 = Tcp.Conn.connect h.net.Topology.a ~dst:(Addr.endpoint ~host:1 ~port:81) () in
+  let c1 = Tcp.Conn.connect h.net.Build.a ~dst () in
+  let c2 = Tcp.Conn.connect h.net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:81) () in
   Tcp.Conn.send c1 10_000_000;
   Tcp.Conn.send c2 10_000_000;
   Engine.run_for h.engine (Time.sec 10.);
@@ -203,16 +204,16 @@ let test_two_flows_share_fairly () =
 let test_cm_flows_share_macroflow () =
   let h = make () in
   let cm = Cm.create h.engine ~mtu:1448 () in
-  Cm.attach cm h.net.Topology.a;
+  Cm.attach cm h.net.Build.a;
   let delivered2 = ref 0 in
   let _l2 =
-    Tcp.Conn.listen h.net.Topology.b ~port:81
+    Tcp.Conn.listen h.net.Build.b ~port:81
       ~on_accept:(fun conn -> Tcp.Conn.on_receive conn (fun n -> delivered2 := !delivered2 + n))
       ()
   in
-  let c1 = Tcp.Conn.connect h.net.Topology.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) () in
+  let c1 = Tcp.Conn.connect h.net.Build.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) () in
   let c2 =
-    Tcp.Conn.connect h.net.Topology.a
+    Tcp.Conn.connect h.net.Build.a
       ~dst:(Addr.endpoint ~host:1 ~port:81)
       ~driver:(Tcp.Conn.Cm_driven cm) ()
   in
@@ -258,7 +259,7 @@ let test_ecn_reduces_without_drops () =
 let test_nagle_coalesces () =
   let config = { Tcp.Conn.default_config with Tcp.Conn.nagle = true } in
   let h = make ~config () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst ~config () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst ~config () in
   Engine.run_for h.engine (Time.ms 100);
   (* many tiny writes while un-acked data exists *)
   for _ = 1 to 50 do
@@ -271,7 +272,7 @@ let test_nagle_coalesces () =
 
 let test_rtt_sample_counting () =
   let h = make () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst () in
   Tcp.Conn.send c 100_000;
   Engine.run_for h.engine (Time.sec 5.);
   "multiple rtt samples" => ((Tcp.Conn.stats c).Tcp.Conn.rtt_samples > 5)
@@ -280,8 +281,8 @@ let test_cm_initial_window_is_one () =
   (* the paper: CM starts at 1 MTU, Linux at 2 — check the first flight *)
   let h = make ~delay:(Time.ms 50) () in
   let cm = Cm.create h.engine ~mtu:1448 () in
-  Cm.attach cm h.net.Topology.a;
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) () in
+  Cm.attach cm h.net.Build.a;
+  let c = Tcp.Conn.connect h.net.Build.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) () in
   Tcp.Conn.send c 100_000;
   (* run just past the handshake: one RTT (100 ms) + epsilon *)
   Engine.run_for h.engine (Time.ms 130);
@@ -388,11 +389,11 @@ let test_sack_beats_newreno_on_burst_loss () =
 let test_sack_blocks_advertised () =
   (* receiver advertises its out-of-order ranges *)
   let h = make () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst () in
   Engine.run_for h.engine (Time.ms 100);
   (* watch acks leaving the server for SACK blocks *)
   let saw_sack = ref false in
-  Host.add_tx_hook h.net.Topology.b (fun pkt ->
+  Host.add_tx_hook h.net.Build.b (fun pkt ->
       match pkt.Packet.payload with
       | Tcp.Segment.Tcp_seg seg -> if seg.Tcp.Segment.sacks <> [] then saw_sack := true
       | _ -> ());
@@ -415,7 +416,7 @@ let test_sack_blocks_advertised () =
       sacks = [];
     }
   in
-  Host.deliver h.net.Topology.b
+  Host.deliver h.net.Build.b
     (Packet.make ~now:(Engine.now h.engine) ~flow ~payload_bytes:1000
        (Tcp.Segment.Tcp_seg seg));
   Engine.run_for h.engine (Time.ms 50);
@@ -428,7 +429,7 @@ let test_slow_consumer_throttles_sender () =
      congestion, must pace the transfer *)
   let config = { Tcp.Conn.default_config with Tcp.Conn.rwnd = 32_000 } in
   let h = make ~config () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst ~config () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst ~config () in
   Engine.run_for h.engine (Time.ms 200);
   (match h.server_conn with
   | Some s -> Tcp.Conn.set_consume_rate s (Some 20_000.)
@@ -444,7 +445,7 @@ let test_slow_consumer_throttles_sender () =
 let test_zero_window_and_persist () =
   let config = { Tcp.Conn.default_config with Tcp.Conn.rwnd = 20_000 } in
   let h = make ~config () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst ~config () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst ~config () in
   Engine.run_for h.engine (Time.ms 200);
   let server = match h.server_conn with Some s -> s | None -> Alcotest.fail "no server" in
   (* a reader that consumes nothing: the window must slam shut *)
@@ -462,7 +463,7 @@ let test_zero_window_and_persist () =
 let test_consume_rate_none_flushes () =
   let config = { Tcp.Conn.default_config with Tcp.Conn.rwnd = 50_000 } in
   let h = make ~config () in
-  let c = Tcp.Conn.connect h.net.Topology.a ~dst ~config () in
+  let c = Tcp.Conn.connect h.net.Build.a ~dst ~config () in
   Engine.run_for h.engine (Time.ms 200);
   let server = match h.server_conn with Some s -> s | None -> Alcotest.fail "no server" in
   Tcp.Conn.set_consume_rate server (Some 0.);
@@ -484,7 +485,7 @@ let prop_delivery_exact_under_loss =
     QCheck.(pair (int_range 1 1000) (int_range 10_000 300_000))
     (fun (seed, bytes) ->
       let h = make ~loss:0.02 ~seed () in
-      let c = Tcp.Conn.connect h.net.Topology.a ~dst () in
+      let c = Tcp.Conn.connect h.net.Build.a ~dst () in
       Tcp.Conn.send c bytes;
       Engine.run_for h.engine (Time.sec 120.);
       h.delivered = bytes)
@@ -496,8 +497,8 @@ let prop_cm_delivery_exact_under_loss =
     (fun (seed, bytes) ->
       let h = make ~loss:0.02 ~seed () in
       let cm = Cm.create h.engine () in
-      Cm.attach cm h.net.Topology.a;
-      let c = Tcp.Conn.connect h.net.Topology.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) () in
+      Cm.attach cm h.net.Build.a;
+      let c = Tcp.Conn.connect h.net.Build.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) () in
       Tcp.Conn.send c bytes;
       Engine.run_for h.engine (Time.sec 120.);
       h.delivered = bytes)
@@ -511,17 +512,17 @@ let prop_reassembly_any_order =
     (fun (seed, nchunks) ->
       let rng = Rng.create ~seed in
       let engine = Engine.create () in
-      let net = Topology.pipe engine ~bandwidth_bps:1e8 ~delay:(Time.us 100) () in
+      let net = Build.pipe engine (Spec.pipe ~bw:1e8 ~lat:(Time.us 100) ()) in
       let delivered = ref 0 in
       let server_conn = ref None in
       let _l =
-        Tcp.Conn.listen net.Topology.b ~port:80
+        Tcp.Conn.listen net.Build.b ~port:80
           ~on_accept:(fun conn ->
             server_conn := Some conn;
             Tcp.Conn.on_receive conn (fun n -> delivered := !delivered + n))
           ()
       in
-      let client = Tcp.Conn.connect net.Topology.a ~dst () in
+      let client = Tcp.Conn.connect net.Build.a ~dst () in
       Engine.run_for engine (Time.ms 50);
       ignore client;
       (* build random chunk boundaries over [1, total+1) *)
@@ -564,7 +565,7 @@ let prop_reassembly_any_order =
           Packet.make ~now:(Engine.now engine) ~flow ~payload_bytes:len
             (Tcp.Segment.Tcp_seg seg)
         in
-        Host.deliver net.Topology.b pkt
+        Host.deliver net.Build.b pkt
       in
       Array.iter inject chunks;
       inject dup;
@@ -585,19 +586,19 @@ let test_packet_path_alloc_budget () =
   let mss = 1448 and segments = 20_000 in
   let engine = Engine.create () in
   let net =
-    Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 50) ~qdisc_limit:500
-      ~rng:(Rng.create ~seed:42) ~costs:Costs.pentium3 ()
+    Build.pipe ~costs:Costs.pentium3 ~rng:(Rng.create ~seed:42) engine
+      (Spec.pipe ~queue:500 ~bw:100e6 ~lat:(Time.us 50) ())
   in
   let config = { Tcp.Conn.default_config with Tcp.Conn.mss; rwnd = 32 * mss } in
   let cm = Cm.create engine ~mtu:mss () in
-  Cm.attach cm net.Topology.a;
+  Cm.attach cm net.Build.a;
   let delivered = ref 0 in
   let _listener =
-    Tcp.Conn.listen net.Topology.b ~port:80 ~config
+    Tcp.Conn.listen net.Build.b ~port:80 ~config
       ~on_accept:(fun conn -> Tcp.Conn.on_receive conn (fun n -> delivered := !delivered + n))
       ()
   in
-  let c = Tcp.Conn.connect net.Topology.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) ~config () in
+  let c = Tcp.Conn.connect net.Build.a ~dst ~driver:(Tcp.Conn.Cm_driven cm) ~config () in
   Tcp.Conn.send c (segments * mss);
   (* warm-up: handshake, slow start, ring and event-pool growth *)
   Engine.run_for engine (Time.ms 100);
@@ -624,8 +625,7 @@ let test_packet_path_alloc_budget () =
 let test_shared_costed_host_keeps_order () =
   let engine = Engine.create () in
   let net =
-    Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 2) ~qdisc_limit:1000
-      ~costs:Costs.pentium3 ()
+    Build.pipe ~costs:Costs.pentium3 engine (Spec.pipe ~queue:1000 ~bw:1e7 ~lat:(Time.ms 2) ())
   in
   let last_seq = Hashtbl.create 4 and out_of_order = ref 0 in
   let watch host =
@@ -642,8 +642,8 @@ let test_shared_costed_host_keeps_order () =
             Hashtbl.replace last_seq key v
         | _ -> ())
   in
-  watch net.Topology.a;
-  watch net.Topology.b;
+  watch net.Build.a;
+  watch net.Build.b;
   let delivered = Array.make 2 0 in
   let accepted = ref 0 in
   (* a 32-segment window keeps the queue, and so the RTT, below the
@@ -653,7 +653,7 @@ let test_shared_costed_host_keeps_order () =
     { Tcp.Conn.default_config with Tcp.Conn.rwnd = 32 * 1448; delayed_acks = false }
   in
   let _listener =
-    Tcp.Conn.listen net.Topology.b ~port:80 ~config
+    Tcp.Conn.listen net.Build.b ~port:80 ~config
       ~on_accept:(fun conn ->
         let i = !accepted in
         incr accepted;
@@ -661,7 +661,7 @@ let test_shared_costed_host_keeps_order () =
       ()
   in
   let total = 400_000 in
-  let conns = List.init 2 (fun _ -> Tcp.Conn.connect net.Topology.a ~dst ~config ()) in
+  let conns = List.init 2 (fun _ -> Tcp.Conn.connect net.Build.a ~dst ~config ()) in
   List.iter (fun c -> Tcp.Conn.send c total) conns;
   Engine.run_for engine (Time.sec 10.);
   Alcotest.(check (array int)) "both deliver everything" [| total; total |] delivered;

@@ -377,17 +377,17 @@ let watched_events params =
   let e = Experiments.Exp_common.engine sys in
   let rng = Rng.create ~seed:5 in
   let net =
-    Netsim.Topology.pipe e ~bandwidth_bps:4e6 ~delay:(Time.ms 10) ~loss_rate:0.05
-      ~qdisc_limit:10 ~rng ()
+    Cm_spec.Build.pipe ~rng e
+      (Cm_spec.Spec.pipe ~queue:10 ~loss:0.05 ~bw:4e6 ~lat:(Time.ms 10) ())
   in
   let cm = Cm.create e () in
-  Cm.attach cm net.Netsim.Topology.a;
+  Cm.attach cm net.Cm_spec.Build.a;
   Experiments.Exp_common.watch sys
-    ~links:[ ("ab", net.Netsim.Topology.ab); ("ba", net.Netsim.Topology.ba) ]
+    ~links:[ ("ab", net.Cm_spec.Build.ab); ("ba", net.Cm_spec.Build.ba) ]
     ~cm ();
-  let _listener = Tcp.Conn.listen net.Netsim.Topology.b ~port:80 ~on_accept:ignore () in
+  let _listener = Tcp.Conn.listen net.Cm_spec.Build.b ~port:80 ~on_accept:ignore () in
   let conn =
-    Tcp.Conn.connect net.Netsim.Topology.a
+    Tcp.Conn.connect net.Cm_spec.Build.a
       ~dst:(Netsim.Addr.endpoint ~host:1 ~port:80)
       ~driver:(Tcp.Conn.Cm_driven cm) ()
   in
@@ -401,7 +401,7 @@ let watched_events params =
       ~proto:Netsim.Addr.Udp ()
   in
   let rec blast () =
-    Netsim.Link.send net.Netsim.Topology.ab
+    Netsim.Link.send net.Cm_spec.Build.ab
       (Netsim.Packet.make ~now:(Engine.now e) ~flow ~payload_bytes:1000 (Netsim.Packet.Raw 1000));
     ignore (Engine.schedule_after e (Time.ms 1) blast : Engine.handle)
   in

@@ -4,22 +4,23 @@
 open Cm_util
 open Eventsim
 open Netsim
+open Cm_spec
 
 let ( => ) name cond = Alcotest.(check bool) name true cond
 
 let make () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 5) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 5) ()) in
   (engine, net)
 
 (* ---- Socket ----------------------------------------------------------- *)
 
 let test_socket_roundtrip () =
   let engine, net = make () in
-  let server = Udp.Socket.create net.Topology.b ~port:53 () in
+  let server = Udp.Socket.create net.Build.b ~port:53 () in
   let got = ref 0 in
   Udp.Socket.on_receive server (fun pkt -> got := Packet.payload_bytes pkt);
-  let client = Udp.Socket.create net.Topology.a () in
+  let client = Udp.Socket.create net.Build.a () in
   Udp.Socket.sendto client ~dst:(Addr.endpoint ~host:1 ~port:53) ~payload_bytes:321
     (Packet.Raw 321);
   Engine.run engine;
@@ -29,10 +30,10 @@ let test_socket_roundtrip () =
 
 let test_socket_connect_and_reply () =
   let engine, net = make () in
-  let server = Udp.Socket.create net.Topology.b ~port:53 () in
+  let server = Udp.Socket.create net.Build.b ~port:53 () in
   Udp.Socket.on_receive server (fun pkt ->
       Udp.Socket.sendto server ~dst:pkt.Packet.flow.Addr.src ~payload_bytes:10 (Packet.Raw 10));
-  let client = Udp.Socket.create net.Topology.a () in
+  let client = Udp.Socket.create net.Build.a () in
   Udp.Socket.connect client (Addr.endpoint ~host:1 ~port:53);
   let replies = ref 0 in
   Udp.Socket.on_receive client (fun _ -> incr replies);
@@ -46,9 +47,9 @@ let test_socket_connect_and_reply () =
 let test_socket_close_releases_port () =
   let engine, net = make () in
   ignore engine;
-  let s1 = Udp.Socket.create net.Topology.a ~port:1000 () in
+  let s1 = Udp.Socket.create net.Build.a ~port:1000 () in
   Udp.Socket.close s1;
-  let s2 = Udp.Socket.create net.Topology.a ~port:1000 () in
+  let s2 = Udp.Socket.create net.Build.a ~port:1000 () in
   ignore s2;
   "rebind after close succeeded" => true;
   "send on closed socket raises"
@@ -191,11 +192,11 @@ let test_sender_timeout_persistent () =
 
 let make_cc ?(bandwidth = 1e6) () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:bandwidth ~delay:(Time.ms 10) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:bandwidth ~lat:(Time.ms 10) ()) in
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:6000 () in
-  let sock = Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:6000) () in
+  Cm.attach cm net.Build.a;
+  let receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:6000 () in
+  let sock = Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:6000) () in
   (engine, net, cm, receiver, sock)
 
 let test_cc_socket_paces_and_delivers () =
@@ -216,12 +217,12 @@ let test_cc_socket_paces_and_delivers () =
    charged to the flow and the window would never open past them. *)
 let test_cc_socket_dscp_reaches_the_wire () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:1e7 ~delay:(Time.ms 10) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 10) ()) in
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:6000 () in
+  Cm.attach cm net.Build.a;
+  let receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:6000 () in
   let sock =
-    Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:6000) ~dscp:46 ()
+    Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:6000) ~dscp:46 ()
   in
   for _ = 1 to 20 do
     Udp.Cc_socket.send sock 500
@@ -248,12 +249,12 @@ let test_cc_socket_respects_congestion () =
 
 let test_cc_socket_queue_limit () =
   let engine = Engine.create () in
-  let net = Topology.pipe engine ~bandwidth_bps:1e6 ~delay:(Time.ms 10) () in
+  let net = Build.pipe engine (Spec.pipe ~bw:1e6 ~lat:(Time.ms 10) ()) in
   let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let _receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:6000 () in
+  Cm.attach cm net.Build.a;
+  let _receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:6000 () in
   let sock =
-    Udp.Cc_socket.create net.Topology.a ~cm
+    Udp.Cc_socket.create net.Build.a ~cm
       ~dst:(Addr.endpoint ~host:1 ~port:6000)
       ~queue_limit_pkts:10 ()
   in
@@ -449,13 +450,13 @@ let prop_cc_socket_conservation =
       let engine = Engine.create () in
       let rng = Rng.create ~seed in
       let net =
-        Topology.pipe engine ~bandwidth_bps:5e6 ~delay:(Time.ms 10) ~loss_rate:0.02 ~rng ()
+        Build.pipe ~rng engine (Spec.pipe ~loss:0.02 ~bw:5e6 ~lat:(Time.ms 10) ())
       in
       let cm = Cm.create engine ~mtu:1000 () in
-      Cm.attach cm net.Topology.a;
-      let receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:6000 () in
+      Cm.attach cm net.Build.a;
+      let receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:6000 () in
       let sock =
-        Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:6000) ()
+        Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:6000) ()
       in
       for _ = 1 to n do
         Udp.Cc_socket.send sock 1000
