@@ -112,16 +112,13 @@ module Fid_dir = struct
   let slot_bits = 24
   let slot_mask = (1 lsl slot_bits) - 1
 
-  (* Empty-slot sentinel: an immediate that no tenant record can be
-     physically equal to, so slots store tenants directly rather than
-     behind an option box — the hot lookup is one load and one pointer
-     compare, with no per-alloc [Some] cell.  Callers must never
-     dereference a returned [miss].  (Only sound because the directory is
-     instantiated with a record type — a float tenant would tempt the
-     compiler into flat float arrays and corrupt the sentinel.) *)
-  let miss : 'a. 'a = Obj.magic 0
-
+  (* Empty slots hold [miss], a dummy tenant the owner supplies, so slots
+     store tenants directly rather than behind an option box: the hot
+     lookup is one load, with no per-alloc [Some] cell.  The CM's dummy
+     is a flow record that is never open and whose id no slot issues, so
+     the callers' own [fl.fid = fid && fl.open_] check rejects it. *)
   type 'a t = {
+    miss : 'a;
     mutable arr : 'a array; (* slot -> current tenant, or [miss] *)
     mutable gen : int array; (* slot -> generation of the current tenant *)
     mutable free : int list; (* recycled slots, LIFO *)
@@ -129,8 +126,9 @@ module Fid_dir = struct
     mutable count : int; (* live entries, O(1) for the cm.flows gauge *)
   }
 
-  let create n =
+  let create ~miss n =
     {
+      miss;
       arr = Array.make (Stdlib.max 2 n) miss;
       gen = Array.make (Stdlib.max 2 n) 0;
       free = [];
@@ -147,7 +145,7 @@ module Fid_dir = struct
      compare without a second array load here. *)
   let find t fid =
     let slot = fid land slot_mask in
-    if slot > 0 && slot < t.high then Array.unsafe_get t.arr slot else miss
+    if slot > 0 && slot < t.high then Array.unsafe_get t.arr slot else t.miss
 
   (* [alloc t mk] picks a slot, forms the id, and stores [mk id]; the
      two happen together because the tenant record holds its own id in
@@ -164,7 +162,7 @@ module Fid_dir = struct
           t.high <- t.high + 1;
           if s >= Array.length t.arr then begin
             let cap = 2 * Array.length t.arr in
-            let grown = Array.make cap miss in
+            let grown = Array.make cap t.miss in
             Array.blit t.arr 0 grown 0 (Array.length t.arr);
             t.arr <- grown;
             let grown_gen = Array.make cap 0 in
@@ -183,9 +181,9 @@ module Fid_dir = struct
     if
       slot > 0 && slot < t.high
       && t.gen.(slot) = fid asr slot_bits
-      && Array.unsafe_get t.arr slot != miss
+      && Array.unsafe_get t.arr slot != t.miss
     then begin
-      t.arr.(slot) <- miss;
+      t.arr.(slot) <- t.miss;
       t.count <- t.count - 1;
       (* retire this generation: lookups through the old id now miss *)
       t.gen.(slot) <- t.gen.(slot) + 1;
@@ -197,7 +195,7 @@ module Fid_dir = struct
   let iter f t =
     for slot = 1 to t.high - 1 do
       let v = Array.unsafe_get t.arr slot in
-      if v != miss then f ((t.gen.(slot) lsl slot_bits) lor slot) v
+      if v != t.miss then f ((t.gen.(slot) lsl slot_bits) lor slot) v
     done
 
   let fold f t acc =
@@ -245,6 +243,44 @@ type t = {
   mutable trace : Telemetry.Trace.t;
 }
 
+(* placeholder index for a flow between construction and [index_add] —
+   never walked (its watcher count stays 0) *)
+let nil_ix = { mx_flows = Hashtbl.create 1; mx_watchers = 0 }
+
+(* A just-opened flow, before it joins its macroflow. *)
+let new_flow engine ~fid ~key ~mf =
+  {
+    fid;
+    key;
+    mf;
+    send_cb = None;
+    update_cb = None;
+    thresh_down = 0.5;
+    thresh_up = 2.0;
+    last_reported_rate = 0.;
+    update_pending = false;
+    open_ = true;
+    a_granted = 0;
+    a_notified = 0;
+    a_charged = 0;
+    a_nsent = 0;
+    last_update = Engine.now engine;
+    last_inflation = Engine.now engine;
+    suspicion = 0;
+    quarantined = false;
+    fl_ix = nil_ix;
+    fl_mem = Macroflow.nil_member;
+  }
+
+(* The flow directory's empty-slot tenant: never open, and id 0, which
+   no slot issues. *)
+let no_flow engine =
+  let nowhere = Addr.endpoint ~host:(-1) ~port:0 in
+  let key = Addr.flow ~src:nowhere ~dst:nowhere ~proto:Addr.Udp () in
+  let fl = new_flow engine ~fid:0 ~key ~mf:(Macroflow.placeholder engine) in
+  fl.open_ <- false;
+  fl
+
 let create engine ?(mtu = 1448) ?(aggregation = By_destination)
     ?(controller = Controller.aimd ()) ?(scheduler = Scheduler.round_robin)
     ?grant_reclaim_after ?idle_restart ?feedback_watchdog ?auditor () =
@@ -258,7 +294,7 @@ let create engine ?(mtu = 1448) ?(aggregation = By_destination)
     idle_restart;
     watchdog = feedback_watchdog;
     auditor;
-    flows_by_id = Fid_dir.create 64;
+    flows_by_id = Fid_dir.create ~miss:(no_flow engine) 64;
     flows_by_key = Addr.Flow_table.create 64;
     default_mf = Hashtbl.create 16;
     default_ids = Hashtbl.create 16;
@@ -288,14 +324,10 @@ let engine t = t.engine
    slot since recycled) reaches a tenant whose stored id differs. *)
 let get_flow t fid =
   let fl = Fid_dir.find t.flows_by_id fid in
-  if fl != Fid_dir.miss && fl.fid = fid && fl.open_ then fl
+  if fl.fid = fid && fl.open_ then fl
   else invalid_arg (Printf.sprintf "Cm: unknown or closed flow %d" fid)
 
 (* ---- macroflow reverse index ------------------------------------------ *)
-
-(* placeholder index for a flow between construction and [index_add] —
-   never walked (its watcher count stays 0) *)
-let nil_ix = { mx_flows = Hashtbl.create 1; mx_watchers = 0 }
 
 let index_of t mfid =
   match Hashtbl.find_opt t.mf_index mfid with
@@ -373,7 +405,7 @@ let deliver_grant t mf m ~reserved =
   t.c_grants <- t.c_grants + 1;
   let fid = Macroflow.member_fid m in
   let fl = Fid_dir.find t.flows_by_id fid in
-  if fl != Fid_dir.miss && fl.fid = fid && fl.open_ then begin
+  if fl.fid = fid && fl.open_ then begin
     ignore reserved;
     (* a grant permits up to one MTU regardless of what the macroflow
        reserved (the learned average may round well below what the
@@ -475,7 +507,7 @@ let rec new_macroflow ?controller t =
         ( Some
             (fun fid _reserved ->
               let fl = Fid_dir.find t.flows_by_id fid in
-              if fl != Fid_dir.miss && fl.fid = fid && fl.open_ then
+              if fl.fid = fid && fl.open_ then
                 suspect t a fl "grant_hoard"),
           Some (fun mf -> audit_tick t a mf) )
   in
@@ -583,32 +615,10 @@ let open_flow t key =
     invalid_arg (Format.asprintf "Cm.open_flow: %a already open" Addr.pp_flow key);
   let mf = macroflow_for_key t (mf_key_of t key) in
   let fid =
-    Fid_dir.alloc t.flows_by_id (fun fid ->
-        {
-          fid;
-          key;
-          mf;
-          send_cb = None;
-          update_cb = None;
-          thresh_down = 0.5;
-          thresh_up = 2.0;
-          last_reported_rate = 0.;
-          update_pending = false;
-          open_ = true;
-          a_granted = 0;
-          a_notified = 0;
-          a_charged = 0;
-          a_nsent = 0;
-          last_update = Engine.now t.engine;
-          last_inflation = Engine.now t.engine;
-          suspicion = 0;
-          quarantined = false;
-          fl_ix = nil_ix;
-          fl_mem = Macroflow.nil_member;
-        })
+    Fid_dir.alloc t.flows_by_id (fun fid -> new_flow t.engine ~fid ~key ~mf)
   in
   let fl = Fid_dir.find t.flows_by_id fid in
-  assert (fl != Fid_dir.miss);
+  assert (fl.fid = fid);
   fl.fl_mem <- Macroflow.add_member mf fid;
   Addr.Flow_table.replace t.flows_by_key key fid;
   index_add t mf fl;
@@ -649,7 +659,7 @@ let reap t fid =
   (* crash-tolerant close: never raises, reports whether anything was
      reaped.  Libcm.destroy calls this for every flow of a dead process. *)
   let fl = Fid_dir.find t.flows_by_id fid in
-  if fl != Fid_dir.miss && fl.fid = fid && fl.open_ then begin
+  if fl.fid = fid && fl.open_ then begin
     t.c_reaps <- t.c_reaps + 1;
     remove_flow t fl ~event:"cm.reap";
     true

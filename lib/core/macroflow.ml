@@ -285,9 +285,9 @@ let maintenance_tick t =
   (match t.on_tick with Some f -> f t | None -> ());
   if !reclaimed then maybe_grant t
 
-let create engine ~id ~mtu ~controller ~scheduler ~deliver_grant ~on_state_change ?on_reclaim
-    ?on_tick ?watchdog ?(grant_reclaim_after = Time.ms 500) ?idle_restart () =
-  if mtu <= 0 then invalid_arg "Macroflow.create: mtu must be positive";
+(* The record alone: no grant thunk, no maintenance timer. *)
+let make engine ~id ~mtu ~controller ~scheduler ~deliver_grant ~on_state_change ~on_reclaim
+    ~on_tick ~watchdog ~grant_reclaim_after ~idle_restart =
   let t =
     {
       engine;
@@ -333,11 +333,26 @@ let create engine ~id ~mtu ~controller ~scheduler ~deliver_grant ~on_state_chang
   in
   refresh_cwnd t;
   refresh_reservation t;
+  t
+
+let create engine ~id ~mtu ~controller ~scheduler ~deliver_grant ~on_state_change ?on_reclaim
+    ?on_tick ?watchdog ?(grant_reclaim_after = Time.ms 500) ?idle_restart () =
+  if mtu <= 0 then invalid_arg "Macroflow.create: mtu must be positive";
+  let t =
+    make engine ~id ~mtu ~controller ~scheduler ~deliver_grant ~on_state_change ~on_reclaim
+      ~on_tick ~watchdog ~grant_reclaim_after ~idle_restart
+  in
   t.grant_thunk <- Engine.prof_tag engine ~cat:"cm" (fun () -> run_grants t);
   let timer = Timer.create engine ~callback:(fun () -> maintenance_tick t) in
   Timer.start_periodic timer (Time.ms 100);
   t.maintenance := Some timer;
   t
+
+let placeholder engine =
+  make engine ~id:(-1) ~mtu:1 ~controller:(Controller.aimd ()) ~scheduler:Scheduler.round_robin
+    ~deliver_grant:(fun _ ~reserved:_ -> ())
+    ~on_state_change:ignore ~on_reclaim:None ~on_tick:None ~watchdog:None
+    ~grant_reclaim_after:0 ~idle_restart:None
 
 let id t = t.id
 let mtu t = t.mtu

@@ -73,6 +73,11 @@ val create :
     window (slow-start restart); by default congestion state persists —
     that persistence is the Fig. 7 benefit. *)
 
+val placeholder : Engine.t -> t
+(** An inert macroflow (id [-1]): no maintenance timer, no grants, no
+    members.  It fills the macroflow pointer of the CM's empty-slot flow
+    record and is never passed to any other operation. *)
+
 val id : t -> int
 (** Macroflow identifier. *)
 

@@ -136,7 +136,7 @@ let detached_handle heap id =
 (* empty-slot sentinel for the dense entry array: a real record, only
    ever compared by physical equality *)
 let no_entry =
-  let s_handle = detached_handle (Wheel.create ~slots:0 ()) (-1) in
+  let s_handle = detached_handle (Wheel.create ~slots:0 ~dummy:(-1) ()) (-1) in
   { s_count = 0; s_weight = 0.; s_pass = 0.; s_handle }
 
 let stride_k = 1_000_000.
@@ -160,7 +160,7 @@ let default_rebase_threshold = 1e15
 
 let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
   let entries = ref (Array.make 16 no_entry) in
-  let heap : Cm_types.flow_id Wheel.t = Wheel.create ~slots:0 () in
+  let heap : Cm_types.flow_id Wheel.t = Wheel.create ~slots:0 ~dummy:(-1) () in
   let total = ref 0 in
   let global_pass = ref 0. in
   let entry id =

@@ -40,7 +40,7 @@ let dead : unit -> unit = fun () -> ()
 (* filler for unused pool slots: a real, never-queued entry of a
    throwaway pure-heap wheel, never reused *)
 let null_entry : (unit -> unit) Wheel.handle =
-  let w = Wheel.create ~slots:0 () in
+  let w = Wheel.create ~slots:0 ~dummy:dead () in
   ignore (Wheel.insert w ~time:0 dead : (unit -> unit) Wheel.handle);
   Wheel.pop_min w
 
@@ -98,7 +98,7 @@ type t = {
 let create ?(start = Time.zero) () =
   {
     clock = start;
-    queue = Wheel.create ~start ();
+    queue = Wheel.create ~start ~dummy:dead ();
     pool = Array.make 64 null_entry;
     pool_len = 0;
     pool_hw = 0;

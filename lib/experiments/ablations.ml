@@ -19,9 +19,10 @@ let run_one_sched params ~name ~scheduler ~weight_a =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Build.pipe ~rng engine sched_spec in
-  let cm = Cm.create engine ~mtu:1000 ~scheduler () in
-  Cm.attach cm net.Build.a;
+  let net =
+    Build.pipe ~rng engine (Spec.par [ sched_spec; Spec.cm ~mtu:1000 ~scheduler [ "a" ] ])
+  in
+  let cm = Build.cm net.Build.net "a" in
   Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
   let _r1 = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7001 () in
   let _r2 = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7002 () in
@@ -71,9 +72,10 @@ let run_one_ctrl params ~name ~controller =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Build.pipe ~rng engine ctrl_spec in
-  let cm = Cm.create engine ~mtu:1000 ~controller () in
-  Cm.attach cm net.Build.a;
+  let net =
+    Build.pipe ~rng engine (Spec.par [ ctrl_spec; Spec.cm ~mtu:1000 ~controller [ "a" ] ])
+  in
+  let cm = Build.cm net.Build.net "a" in
   Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
   let receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7001 () in
   ignore receiver;
@@ -128,16 +130,15 @@ let run_one_share params ~name ~use_cm =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Build.pipe ~rng engine share_spec in
-  let cm = if use_cm then Some (Cm.create engine ()) else None in
-  Option.iter (fun cm -> Cm.attach cm net.Build.b) cm;
-  Exp_common.watch sys ~links:[ ("ba", net.Build.ba); ("ab", net.Build.ab) ] ?cm ();
-  let server_driver =
-    match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native
+  let net =
+    Build.pipe ~rng engine
+      (if use_cm then Spec.par [ share_spec; Spec.cm [ "b" ] ] else share_spec)
   in
+  let cm = if use_cm then Some (Build.cm net.Build.net "b") else None in
+  Exp_common.watch sys ~links:[ ("ba", net.Build.ba); ("ab", net.Build.ab) ] ?cm ();
   let retransmits = ref 0 in
   let _server =
-    Tcp.Conn.listen net.Build.b ~port:80 ~driver:server_driver
+    Tcp.Conn.listen net.Build.b ~port:80 ?driver:(Build.driver net.Build.net net.Build.b)
       ~on_accept:(fun conn ->
         let responded = ref false in
         Tcp.Conn.on_receive conn (fun _ ->
@@ -222,15 +223,15 @@ let jain_index xs =
   let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0. xs in
   if s2 = 0. then 1. else s *. s /. (n *. s2)
 
-let fairness_spec = Spec.pipe ~queue:60 ~loss:0.002 ~bw:8e6 ~lat:(Time.ms 20) ()
+let fairness_spec =
+  Spec.(par [ pipe ~queue:60 ~loss:0.002 ~bw:8e6 ~lat:(Time.ms 20) (); cm [ "a" ] ])
 
 let run_one_fairness params ~name ~cm_flows ~native_flows =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net = Build.pipe ~rng engine fairness_spec in
-  let cm = Cm.create engine () in
-  Cm.attach cm net.Build.a;
+  let cm = Build.cm net.Build.net "a" in
   Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
   let totals = ref [] in
   let start_flow ~port ~driver =

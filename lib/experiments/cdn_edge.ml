@@ -10,9 +10,10 @@ module Launch = Cm_spec.Launch
    behind a shared 100 Mbit/s trunk.  A small baseline population
    fetches steadily from t=0; at t=2 s a flash crowd — every remaining
    client — piles on within one second.  The interesting outputs are the
-   latency split (baseline vs. crowd) and the trunk's queue behaviour;
-   each server's CM aggregates congestion state across all of its
-   clients' connections. *)
+   latency split (baseline vs. crowd) and the trunk's queue behaviour.
+   CMs live at the data senders, the edge servers: each aggregates
+   congestion state across all of its clients' connections, while the
+   clients' tiny requests go out on stock TCP. *)
 
 let n_per_server = 1024
 let n_baseline = 64
@@ -31,6 +32,7 @@ let spec =
     par
       [
         par (List.map node servers);
+        cm servers;
         clients ~n:n_per_server ~per:servers ~bw:4e6 ~lat:(Time.ms 5) ~queue:50
           ~trunk_bw:100e6 ~trunk_lat:(Time.ms 2) ~trunk_queue:200 ();
         par
@@ -94,22 +96,7 @@ let run params =
   let net = Build.instantiate ~rng engine ir in
   let trunk_names = List.mapi (fun i s -> Printf.sprintf "%s->cr%d" s i) servers in
   Exp_common.watch sys ~links:(List.map (fun n -> (n, Build.link net n)) trunk_names) ();
-  (* CMs live at the data senders: the edge servers *)
-  let cms = Hashtbl.create 4 in
-  let driver_for host =
-    let id = Host.id host in
-    match Hashtbl.find_opt cms id with
-    | Some cm -> Some (Tcp.Conn.Cm_driven cm)
-    | None ->
-        if List.exists (fun s -> Build.host net s == host) servers then begin
-          let cm = Cm.create engine () in
-          Cm.attach cm host;
-          Hashtbl.replace cms id cm;
-          Some (Tcp.Conn.Cm_driven cm)
-        end
-        else None (* clients: stock TCP for their tiny requests *)
-  in
-  let running = Launch.run net ~driver_for () in
+  let running = Launch.run net ~driver_for:(Build.driver net) () in
   Engine.run_for engine duration;
   {
     r_cohorts = List.map cohort_of running;

@@ -43,6 +43,7 @@ let spec =
     par
       [
         node "srv";
+        cm ~mtu:1000 [ "srv" ];
         router "bs";
         node "ue";
         duplex ~name:"backhaul" ~rev_name:"backhaul.up" ~bw:50e6 ~lat:(Time.ms 10) "srv" "bs";
@@ -71,11 +72,7 @@ let run params =
   let ir = Check.elaborate_exn spec in
   let net = Build.instantiate ~rng engine ir in
   Exp_common.watch sys ~links:[ ("cell.down", Build.link net "cell.down") ] ();
-  let srv = Build.host net "srv" in
-  let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm srv;
-  let lib = Libcm.create srv cm () in
-  let running = Launch.run net ~driver_for:(fun _ -> None) ~libcm_for:(fun _ -> lib) () in
+  let running = Launch.run net ~driver_for:(Build.driver net) () in
   let sc = Build.scenario ~name:"cellular" ir in
   Cm_dynamics.Scenario.compile engine ~rng ~links:(Build.links_alist net) sc;
   Engine.run_for engine duration;

@@ -11,15 +11,14 @@ let full_quality = 256 * 1024
 let target_latency = Time.sec 1.
 let requests = 5
 
-let spec_of bandwidth_bps = Spec.pipe ~bw:bandwidth_bps ~lat:(Time.ms 40) ()
+let spec_of bandwidth_bps = Spec.(par [ pipe ~bw:bandwidth_bps ~lat:(Time.ms 40) (); cm [ "b" ] ])
 
 let run_side params ~adaptive ~bandwidth_bps =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net = Build.pipe ~rng engine (spec_of bandwidth_bps) in
-  let cm = Cm.create engine () in
-  Cm.attach cm net.Build.b;
+  let cm = Build.cm net.Build.net "b" in
   Exp_common.watch sys ~links:[ ("ba", net.Build.ba); ("ab", net.Build.ab) ] ~cm ();
   let driver = Tcp.Conn.Cm_driven cm in
   let _server =

@@ -82,16 +82,15 @@ let print_row = print_endline
    channel (experiments, telemetry, tracer) formats floats identically. *)
 module Json = Cm_util.Json
 
-let measured_bulk params ~driver ~spec ?(costs = Costs.zero) ?(duration = Time.sec 30.) ?bytes
+let measured_bulk params ~use_cm ~spec ?(costs = Costs.zero) ?(duration = Time.sec 30.) ?bytes
     () =
   with_system params @@ fun sys ->
   let engine = sys.engine in
   let rng = Rng.create ~seed:params.seed in
   let net = Build.pipe ~costs ~rng engine spec in
-  let cm = Cm.create engine () in
-  Cm.attach cm net.Build.a;
+  let cm = Build.cm net.Build.net "a" in
   watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
-  let drv = driver (Some cm) in
+  let driver = if use_cm then Build.driver net.Build.net net.Build.a else None in
   let delivered = ref 0 in
   let finished_at = ref None in
   let target = bytes in
@@ -106,7 +105,7 @@ let measured_bulk params ~driver ~spec ?(costs = Costs.zero) ?(duration = Time.s
             | _ -> ()))
       ()
   in
-  let conn = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) ~driver:drv () in
+  let conn = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) ?driver () in
   let to_send = match target with Some b -> b | None -> 1 lsl 34 in
   Tcp.Conn.send conn to_send;
   let busy0 = Cpu.total_busy (Host.cpu net.Build.a) in

@@ -77,7 +77,7 @@ module Json = Cm_util.Json
 
 val measured_bulk :
   params ->
-  driver:(Cm.t option -> Tcp.Conn.driver) ->
+  use_cm:bool ->
   spec:Cm_spec.Spec.t ->
   ?costs:Costs.t ->
   ?duration:Time.span ->
@@ -85,7 +85,11 @@ val measured_bulk :
   unit ->
   float * float
 (** One bulk TCP run on a fresh pipe built from [spec] (a
-    {!Cm_spec.Spec.pipe}), host a sending to host b; returns
+    {!Cm_spec.Spec.pipe} with a {!Cm_spec.Spec.cm} on host a), host a
+    sending to host b.  With [use_cm] the connection runs TCP/CM over
+    a's CM; without, it is stock TCP on the same host — the paper's
+    TCP/Linux baseline, whose kernel has a CM the connection does not
+    use (so both runs watch the same CM).  Returns
     [(goodput_bps, sender_cpu_utilization)].  With [?bytes] the run ends
     when that much is delivered; otherwise it is time-limited by
     [duration] (default 30 s) with the goodput measured over the whole

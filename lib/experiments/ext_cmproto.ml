@@ -28,12 +28,14 @@ let run_cmproto params ~n =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Build.pipe ~costs:Costs.pentium3 ~rng engine spec in
+  let net =
+    Build.pipe ~costs:Costs.pentium3 ~rng engine
+      (Spec.par [ spec; Spec.cm ~mtu:(size + Cmproto.header_bytes) [ "a" ] ])
+  in
   let costs = Host.costs net.Build.a in
-  let cm = Cm.create engine ~mtu:(size + Cmproto.header_bytes) () in
-  Cm.attach cm net.Build.a;
+  let cm = Build.cm net.Build.net "a" in
   Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
-  let lib = Libcm.create net.Build.a cm () in
+  let lib = Build.libcm net.Build.net "a" in
   let meter = Libcm.meter lib in
   (* kernel costs of the protocol itself, charged before the agents run:
      the sender pays one interrupt + CM work per feedback packet *)

@@ -15,6 +15,7 @@ type row = {
 let spec =
   Spec.(
     node "server"
+    @ cm ~mtu:1000 [ "server" ]
     @ clients ~n:3 ~per:[ "server" ] ~bw:1e8 ~lat:(Time.ms 1) ~trunk_bw:6e6
         ~trunk_lat:(Time.ms 20) ~trunk_queue:50 ())
 
@@ -25,8 +26,7 @@ let run_side params ~merged =
   let net = Build.instantiate ~rng engine (Check.elaborate_exn spec) in
   let sender = Build.host net "server" in
   let client i = Build.host net (Spec.client_name ~server:0 ~index:i ()) in
-  let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm sender;
+  let cm = Build.cm net "server" in
   Exp_common.watch sys
     ~links:
       [ ("from_server", Build.link net "server->cr0"); ("to_server", Build.link net "cr0->server") ]

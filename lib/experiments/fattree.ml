@@ -26,6 +26,7 @@ let spec =
     par
       [
         fat_tree ~k ~host_bw:100e6 ~fabric_bw:100e6 ~lat:(Time.us 10) ~queue:64 ();
+        cm senders;
         flows ~name:"incast" ~src:senders ~dst:"h0" ~port:5000 ~app:(bulk ~bytes:block)
           ~start:incast_start ();
         flows ~name:"shuffle" ~src:pod1 ~dst:"h12" ~port:6000 ~app:(bulk ~bytes:(4 * block))
@@ -52,20 +53,7 @@ let run params =
   let ir = Check.elaborate_exn spec in
   let net = Build.instantiate ~rng engine ir in
   Exp_common.watch sys ~links:[ ("edge-h0", Build.link net "p0e0->h0") ] ();
-  (* one CM per host, created lazily as flows launch on it *)
-  let cms = Hashtbl.create 16 in
-  let cm_for host =
-    match Hashtbl.find_opt cms (Host.id host) with
-    | Some cm -> cm
-    | None ->
-        let cm = Cm.create engine () in
-        Cm.attach cm host;
-        Hashtbl.replace cms (Host.id host) cm;
-        cm
-  in
-  let running =
-    Launch.run net ~driver_for:(fun h -> Some (Tcp.Conn.Cm_driven (cm_for h))) ()
-  in
+  let running = Launch.run net ~driver_for:(Build.driver net) () in
   Engine.run_for engine duration;
   let group_result (r : Launch.running) =
     let start = r.Launch.rg.Check.g_start in

@@ -73,18 +73,15 @@ let window_bps tl ~from_ ~until =
   in
   bytes *. 8. /. Time.to_float_s (Time.diff until from_)
 
-let spec = Spec.pipe ~queue:50 ~bw:8e6 ~lat:(Time.ms 20) ()
+(* this family always runs defended — it measures the defenses *)
+let spec = Spec.(par [ pipe ~queue:50 ~bw:8e6 ~lat:(Time.ms 20) (); cm ~defended:true [ "a" ] ])
 
 let run_case params case =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net = Build.pipe ~rng engine spec in
-  (* this family always runs defended — it measures the defenses *)
-  let cm =
-    Cm.create engine ~feedback_watchdog:Cm.Macroflow.default_watchdog ~auditor:Cm.default_auditor ()
-  in
-  Cm.attach cm net.Build.a;
+  let cm = Build.cm net.Build.net "a" in
   Exp_common.watch sys ~links:[ ("fwd", net.Build.ab); ("rev", net.Build.ba) ] ~cm ();
   (* control-plane injectors go on first: host receive filters run in
      registration order, and the agents' filters must see what survives

@@ -4,25 +4,20 @@ type row = { loss_pct : float; linux_kbps : float; cm_kbps : float }
 
 let loss_points = [ 0.0; 0.25; 0.5; 1.0; 1.5; 2.0; 2.5; 3.0; 3.5; 4.0; 4.5; 5.0 ]
 
-let native_driver _ = Tcp.Conn.Native
-
-let cm_driver = function
-  | Some cm -> Tcp.Conn.Cm_driven cm
-  | None -> invalid_arg "fig3: CM required"
-
-let spec_of loss_pct = Cm_spec.Spec.pipe ~loss:(loss_pct /. 100.) ~bw:10e6 ~lat:(Time.ms 30) ()
+let spec_of loss_pct =
+  Cm_spec.Spec.(par [ pipe ~loss:(loss_pct /. 100.) ~bw:10e6 ~lat:(Time.ms 30) (); cm [ "a" ] ])
 
 let run params =
   let one loss_pct =
-    let measure driver =
+    let measure use_cm =
       fst
-        (Exp_common.measured_bulk params ~driver ~spec:(spec_of loss_pct)
+        (Exp_common.measured_bulk params ~use_cm ~spec:(spec_of loss_pct)
            ~duration:(Time.sec 30.) ())
     in
     {
       loss_pct;
-      linux_kbps = Exp_common.kbps (measure native_driver);
-      cm_kbps = Exp_common.kbps (measure cm_driver);
+      linux_kbps = Exp_common.kbps (measure false);
+      cm_kbps = Exp_common.kbps (measure true);
     }
   in
   List.map one loss_points

@@ -10,7 +10,7 @@ type row = {
 }
 
 let buffer_bytes = 8192
-let spec = Cm_spec.Spec.pipe ~queue:1000 ~bw:100e6 ~lat:(Time.us 250) ()
+let spec = Cm_spec.Spec.(par [ pipe ~queue:1000 ~bw:100e6 ~lat:(Time.us 250) (); cm [ "a" ] ])
 
 let run params =
   let points =
@@ -19,13 +19,11 @@ let run params =
   in
   let one buffers =
     let bytes = buffers * buffer_bytes in
-    let measure driver =
-      Exp_common.measured_bulk params ~driver ~spec ~costs:Costs.pentium3 ~bytes ()
+    let measure use_cm =
+      Exp_common.measured_bulk params ~use_cm ~spec ~costs:Costs.pentium3 ~bytes ()
     in
-    let native_bps, native_util = measure (fun _ -> Tcp.Conn.Native) in
-    let cm_bps, cm_util =
-      measure (function Some cm -> Tcp.Conn.Cm_driven cm | None -> assert false)
-    in
+    let native_bps, native_util = measure false in
+    let cm_bps, cm_util = measure true in
     {
       buffers;
       linux_kbps = Exp_common.kbps native_bps;

@@ -29,19 +29,21 @@ let with_net params ~tag ~size body =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Build.pipe ~costs:Costs.pentium3 ~rng engine spec in
-  let cm = Cm.create engine ~mtu:size () in
-  Cm.attach cm net.Build.a;
-  Exp_common.watch sys ~tag ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
-  body engine net cm
+  let net =
+    Build.pipe ~costs:Costs.pentium3 ~rng engine (Spec.par [ spec; Spec.cm ~mtu:size [ "a" ] ])
+  in
+  Exp_common.watch sys ~tag
+    ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ]
+    ~cm:(Build.cm net.Build.net "a") ();
+  body engine net
 
 (* ------------------------------------------------------------------ *)
 (* UDP-based variants: a windowed stop-and-go sender whose per-packet
    boundary crossings follow Table 1, with per-packet acknowledgments. *)
 
 let run_udp variant params ~size ~n =
-  with_net params ~tag:"fig6-udp" ~size @@ fun engine net cm ->
-  let lib = Libcm.create net.Build.a cm () in
+  with_net params ~tag:"fig6-udp" ~size @@ fun engine net ->
+  let lib = Build.libcm net.Build.net "a" in
   let meter = Libcm.meter lib in
   let costs = Host.costs net.Build.a in
   (* plain per-packet echo receiver on host b *)
@@ -131,8 +133,8 @@ let run_udp variant params ~size ~n =
 (* TCP-based variants *)
 
 let run_tcp variant params ~size ~n =
-  with_net params ~tag:"fig6-tcp" ~size @@ fun engine net cm ->
-  let lib = Libcm.create net.Build.a cm () in
+  with_net params ~tag:"fig6-tcp" ~size @@ fun engine net ->
+  let lib = Build.libcm net.Build.net "a" in
   let meter = Libcm.meter lib in
   let delayed = variant <> Tcp_cm_nodelay in
   (* window-limited like the paper's test programs: the experiment measures
@@ -143,7 +145,7 @@ let run_tcp variant params ~size ~n =
   let driver =
     match variant with
     | Tcp_linux -> Tcp.Conn.Native
-    | Tcp_cm | Tcp_cm_nodelay -> Tcp.Conn.Cm_driven cm
+    | Tcp_cm | Tcp_cm_nodelay -> Tcp.Conn.Cm_driven (Build.cm net.Build.net "a")
     | _ -> assert false
   in
   (* the webserver-like app: one send() and one select() per packet,

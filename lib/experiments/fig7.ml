@@ -13,16 +13,13 @@ let run_side params ~use_cm ~count ~file_bytes =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Build.pipe ~rng engine spec in
   (* the SERVER is the data sender: the CM (when enabled) lives on host b *)
-  let cm = if use_cm then Some (Cm.create engine ()) else None in
-  Option.iter (fun cm -> Cm.attach cm net.Build.b) cm;
+  let net = Build.pipe ~rng engine (if use_cm then Spec.par [ spec; Spec.cm [ "b" ] ] else spec) in
+  let cm = if use_cm then Some (Build.cm net.Build.net "b") else None in
   Exp_common.watch sys ~links:[ ("ba", net.Build.ba); ("ab", net.Build.ab) ] ?cm ();
-  let server_driver =
-    match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native
-  in
   let _server =
-    Cm_apps.Web.server net.Build.b ~port:80 ~file_bytes ~driver:server_driver ()
+    Cm_apps.Web.server net.Build.b ~port:80 ~file_bytes
+      ?driver:(Build.driver net.Build.net net.Build.b) ()
   in
   let results = ref [] in
   Cm_apps.Web.sequential_fetches net.Build.a

@@ -31,7 +31,8 @@ let schedule duration =
   in
   extend [] 0
 
-let spec = Spec.pipe ~queue:50 ~rev_queue:200 ~bw:18e6 ~lat:(Time.ms 20) ()
+let spec =
+  Spec.(par [ pipe ~queue:50 ~rev_queue:200 ~bw:18e6 ~lat:(Time.ms 20) (); cm ~mtu:1000 [ "a" ] ])
 
 let run_one params ~label ~mode ~duration ~batch =
   Exp_common.with_system params @@ fun sys ->
@@ -42,10 +43,10 @@ let run_one params ~label ~mode ~duration ~batch =
     ~links:[ ("wan", net.Build.ab) ]
     (Cm_dynamics.Scenario.of_bandwidth_schedule ~name:"fig8-10 vBNS path" ~target:"wan"
        (schedule duration));
-  let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Build.a;
-  Exp_common.watch sys ~links:[ ("wan", net.Build.ab); ("rev", net.Build.ba) ] ~cm ();
-  let lib = Libcm.create net.Build.a cm () in
+  Exp_common.watch sys
+    ~links:[ ("wan", net.Build.ab); ("rev", net.Build.ba) ]
+    ~cm:(Build.cm net.Build.net "a") ();
+  let lib = Build.libcm net.Build.net "a" in
   let _receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:5004 ?batch () in
   let feedback_timeout =
     (* with batched feedback the sender must tolerate the batching delay

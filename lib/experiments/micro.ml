@@ -6,20 +6,24 @@ open Cm_spec
 type result = { linux_setup_us : float; cm_setup_us : float; cm_open_close_ns : float }
 
 let spec = Spec.pipe ~bw:100e6 ~lat:(Time.us 100) ()
+let cm_spec = Spec.par [ spec; Spec.cm [ "a" ] ]
 
 let setup_time params ~use_cm =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Build.pipe ~costs:Costs.pentium3 ~rng engine spec in
-  let cm = if use_cm then Some (Cm.create engine ()) else None in
-  Option.iter (fun cm -> Cm.attach cm net.Build.a) cm;
+  let net =
+    Build.pipe ~costs:Costs.pentium3 ~rng engine (if use_cm then cm_spec else spec)
+  in
+  let cm = if use_cm then Some (Build.cm net.Build.net "a") else None in
   Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ?cm ();
-  let driver = match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native in
   let _l = Tcp.Conn.listen net.Build.b ~port:80 ~on_accept:(fun _ -> ()) () in
   let established_at = ref None in
   let t0 = Engine.now engine in
-  let conn = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) ~driver () in
+  let conn =
+    Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80)
+      ?driver:(Build.driver net.Build.net net.Build.a) ()
+  in
   Tcp.Conn.on_established conn (fun () -> established_at := Some (Engine.now engine));
   Engine.run_for engine (Time.ms 100);
   match !established_at with
@@ -28,8 +32,7 @@ let setup_time params ~use_cm =
 
 let open_close_cost () =
   (* real wall-clock cost of the CM's own bookkeeping *)
-  let engine = Engine.create () in
-  let cm = Cm.create engine () in
+  let cm = Build.cm (Build.pipe (Engine.create ()) cm_spec).Build.net "a" in
   let n = 10_000 in
   let t0 = Unix.gettimeofday () in
   for i = 0 to n - 1 do

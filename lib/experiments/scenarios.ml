@@ -75,11 +75,13 @@ let spec_of id =
         faults ~target:"fwd" (fault_steps id);
       ])
 
-(* (sender, receiver, fwd, rev, scenario), compiled from [spec_of id] *)
-let make_net engine rng id =
-  let ir = Cm_spec.Check.elaborate_exn (spec_of id) in
+(* (build, sender, receiver, fwd, rev, scenario), compiled from
+   [spec_of id] with the sender's CM [stack] *)
+let make_net engine rng id ~stack =
+  let ir = Cm_spec.Check.elaborate_exn (Cm_spec.Spec.par [ spec_of id; stack ]) in
   let b = Cm_spec.Build.instantiate ~rng engine ir in
-  ( Cm_spec.Build.host b "a",
+  ( b,
+    Cm_spec.Build.host b "a",
     Cm_spec.Build.host b "b",
     Cm_spec.Build.link b "fwd",
     Cm_spec.Build.link b "rev",
@@ -93,10 +95,9 @@ let run_bulk params id =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let a, b, ab, ba, scenario = make_net engine rng id in
+  let net, a, b, ab, ba, scenario = make_net engine rng id ~stack:(Cm_spec.Spec.cm [ "a" ]) in
   let links = [ ("fwd", ab); ("rev", ba) ] in
-  let cm = Cm.create engine () in
-  Cm.attach cm a;
+  let cm = Cm_spec.Build.cm net "a" in
   Exp_common.watch sys ~links ~cm ();
   let tl = Timeline.create () in
   let _listener =
@@ -117,12 +118,12 @@ let run_layered params id =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let a, b, ab, ba, scenario = make_net engine rng id in
+  let net, a, b, ab, ba, scenario =
+    make_net engine rng id ~stack:(Cm_spec.Spec.cm ~mtu:1000 [ "a" ])
+  in
   let links = [ ("fwd", ab); ("rev", ba) ] in
-  let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm a;
-  Exp_common.watch sys ~links ~cm ();
-  let lib = Libcm.create a cm () in
+  Exp_common.watch sys ~links ~cm:(Cm_spec.Build.cm net "a") ();
+  let lib = Cm_spec.Build.libcm net "a" in
   let _receiver = Udp.Cc_socket.run_echo_receiver b ~port:5004 () in
   let source =
     Cm_apps.Layered.create lib ~host:a

@@ -146,6 +146,7 @@ let spec_of_cfg c =
     par
       ([
          par (List.map node lhosts);
+         cm ~defended:true lhosts;
          node "r0";
          router "x";
          router "y";
@@ -184,25 +185,11 @@ let run_one ?(canary = false) c =
       let controls = Build.control_injectors net ~classify:Cmproto.is_control in
       let sc = Build.scenario ~name:"soak" ir in
       Scenario.compile engine ~rng:(Rng.split rng) ~links:(Build.links_alist net) ~controls sc;
-      (* one defended CM per host, creation order recorded for the sweep *)
-      let cms = Hashtbl.create 8 in
-      let cm_order = ref [] in
-      let cm_for host =
-        match Hashtbl.find_opt cms (Host.id host) with
-        | Some cm -> cm
-        | None ->
-            let cm =
-              Cm.create engine ~feedback_watchdog:Cm.Macroflow.default_watchdog
-                ~auditor:Cm.default_auditor ()
-            in
-            Cm.attach cm host;
-            Hashtbl.replace cms (Host.id host) cm;
-            cm_order := !cm_order @ [ cm ];
-            cm
-      in
+      (* every left host's defended CM, node order, for the sweep *)
+      let cms = List.map (Build.cm net) (lhost_names c) in
       let l0 = Build.host net "l0" in
       let r0 = Build.host net "r0" in
-      let cm = cm_for l0 in
+      let cm = Build.cm net "l0" in
       let agent = Cmproto.Sender_agent.install l0 cm in
       let receiver = Cmproto.Receiver_agent.install r0 ~ack_every:2 () in
       let session =
@@ -254,9 +241,7 @@ let run_one ?(canary = false) c =
                       Udp.Socket.close socket))))
       end;
       (* bulk workload from the spec's flow groups *)
-      let running =
-        Launch.run net ~driver_for:(fun h -> Some (Tcp.Conn.Cm_driven (cm_for h))) ()
-      in
+      let running = Launch.run net ~driver_for:(Build.driver net) () in
       (* oracle: auditor sweep every 500 ms across every CM *)
       let audit_runs = ref 0 in
       let rec audit () =
@@ -265,7 +250,7 @@ let run_one ?(canary = false) c =
           (fun cm ->
             let rep = Cm.Audit.run cm in
             List.iter (fun v -> fail "audit: %s" v) rep.Cm.Audit.violations)
-          !cm_order;
+          cms;
         ignore (Engine.schedule_after engine (Time.ms 500) audit)
       in
       ignore (Engine.schedule_at engine (Time.ms 250) audit);
@@ -280,7 +265,7 @@ let run_one ?(canary = false) c =
         (fun cm ->
           let rep = Cm.Audit.run cm in
           List.iter (fun v -> fail "audit: %s" v) rep.Cm.Audit.violations)
-        !cm_order;
+        cms;
       (* oracle: closed flows must leave the flow table *)
       if List.mem session_fid (Cm.flows cm) then
         fail "flow-leak: cmproto session flow %d still open after close" session_fid;
@@ -302,7 +287,7 @@ let run_one ?(canary = false) c =
                let t = Cm.counters cm in
                Printf.sprintf "o%dc%dg%du%dn%dq%dr%d" t.Cm.opens t.Cm.closes t.Cm.grants
                  t.Cm.updates t.Cm.notifies t.Cm.quarantines t.Cm.reaps)
-             !cm_order)
+             cms)
       in
       let d = Cmproto.Sender_agent.counters agent in
       let digest =

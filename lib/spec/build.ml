@@ -3,15 +3,17 @@ open Netsim
 module Scenario = Cm_dynamics.Scenario
 
 (* Stage 2 of the spec pipeline: instantiate a checked IR into live
-   netsim objects (declaration order, so construction is reproducible)
-   and project its fault steps into a Scenario program.
+   netsim objects and host stacks (declaration order, so construction is
+   reproducible) and project its fault steps into a Scenario program.
 
    This is the library's only network constructor (sec6_phttp's pipe
-   with a custom queue discipline aside).  The run rng is drawn only by
+   with a custom queue discipline aside), and the only place a network's
+   CMs are created: one per Spec.cm host, attached to the host, with its
+   libcm made on first use.  The run rng is drawn only by
    links with loss (or by faults that later install loss, reorder or
-   jitter).  test_spec holds a pipe wired by hand from Host and Link,
-   and its parity tests require the same packets and counters from
-   both.
+   jitter).  test_spec holds a pipe and CM wired by hand from Host,
+   Link and Cm, and its parity tests require the same packets and
+   counters from both.
 
    Routing is the checker's: every router installs one entry per
    destination host it can reach, read from the IR's next-hop table
@@ -21,11 +23,22 @@ module Scenario = Cm_dynamics.Scenario
 
 type node_impl = Host_impl of Host.t | Router_impl of Router.t
 
+(* [driver] is built once, so handing it to every connection allocates
+   nothing; [libcm] is made on first use, so a family that never asks
+   for one creates none. *)
+type stack = {
+  host : Host.t;
+  cm : Cm.t;
+  driver : Tcp.Conn.driver option;
+  mutable libcm : Libcm.t option;
+}
+
 type t = {
   engine : Engine.t;
   ir : Check.ir;
   impls : node_impl array;
   links : Link.t array;
+  stacks : (int, stack) Hashtbl.t;
 }
 
 let instantiate ?costs ?rng engine (ir : Check.ir) =
@@ -73,7 +86,26 @@ let instantiate ?costs ?rng engine (ir : Check.ir) =
             ir.Check.ir_nodes
       | Host_impl _ -> ())
     impls;
-  { engine; ir; impls; links }
+  (* stacks: one CM per declared host, node order, keyed by address *)
+  let stacks = Hashtbl.create (Array.length ir.Check.ir_stacks) in
+  Array.iter
+    (fun (s : Check.stack) ->
+      match impls.(s.Check.s_node) with
+      | Host_impl host ->
+          let feedback_watchdog, auditor =
+            if s.Check.s_defended then (Some Cm.Macroflow.default_watchdog, Some Cm.default_auditor)
+            else (None, None)
+          in
+          let cm =
+            Cm.create engine ?mtu:s.Check.s_mtu ?scheduler:s.Check.s_scheduler
+              ?controller:s.Check.s_controller ?feedback_watchdog ?auditor ()
+          in
+          Cm.attach cm host;
+          Hashtbl.replace stacks (Host.id host)
+            { host; cm; driver = Some (Tcp.Conn.Cm_driven cm); libcm = None }
+      | Router_impl _ -> () (* rejected statically *))
+    ir.Check.ir_stacks;
+  { engine; ir; impls; links; stacks }
 
 let node_index t name =
   let idx = ref None in
@@ -89,6 +121,26 @@ let host t name =
   | Host_impl h -> h
   | Router_impl _ -> invalid_arg (Printf.sprintf "Build: %S is a router, not a host" name)
 
+let stack t name =
+  let h = host t name in
+  match Hashtbl.find t.stacks (Host.id h) with
+  | s -> s
+  | exception Not_found -> invalid_arg (Printf.sprintf "Build: host %S runs no CM" name)
+
+let cm t name = (stack t name).cm
+
+let libcm t name =
+  let s = stack t name in
+  match s.libcm with
+  | Some lib -> lib
+  | None ->
+      let lib = Libcm.create s.host s.cm () in
+      s.libcm <- Some lib;
+      lib
+
+let driver t h =
+  match Hashtbl.find t.stacks (Host.id h) with s -> s.driver | exception Not_found -> None
+
 let link t name =
   let idx = ref None in
   Array.iteri
@@ -98,11 +150,11 @@ let link t name =
   | Some i -> t.links.(i)
   | None -> invalid_arg (Printf.sprintf "Build: unknown link %S" name)
 
-type pipe = { a : Host.t; b : Host.t; ab : Link.t; ba : Link.t }
+type pipe = { a : Host.t; b : Host.t; ab : Link.t; ba : Link.t; net : t }
 
 let pipe ?costs ?rng engine spec =
   let t = instantiate ?costs ?rng engine (Check.elaborate_exn spec) in
-  { a = host t "a"; b = host t "b"; ab = link t "ab"; ba = link t "ba" }
+  { a = host t "a"; b = host t "b"; ab = link t "ab"; ba = link t "ba"; net = t }
 
 let links_alist t =
   Array.to_list

@@ -35,6 +35,15 @@ type group = {
   g_span : Spec.span;
 }
 
+type stack = {
+  s_node : int;
+  s_mtu : int option;
+  s_scheduler : Cm.Scheduler.factory option;
+  s_controller : Cm.Controller.factory option;
+  s_defended : bool;
+  s_span : Spec.span;
+}
+
 type fault_target = On_link of int | On_host of int
 
 type fault = {
@@ -57,6 +66,7 @@ type routes = {
 type ir = {
   ir_nodes : node array;
   ir_edges : edge array;
+  ir_stacks : stack array;  (** node order *)
   ir_groups : group array;
   ir_faults : fault array;
   ir_out : int list array;  (** per node: out-edge indices, declaration order *)
@@ -212,7 +222,7 @@ let elaborate spec =
             nodes := { n_name = name; n_kind = kind; n_addr = addr; n_span = span } :: !nodes;
             incr n_count
           end
-      | Spec.Link _ | Spec.Group _ | Spec.Fault _ -> ())
+      | Spec.Link _ | Spec.Stack _ | Spec.Group _ | Spec.Fault _ -> ())
     spec;
   let nodes = Array.of_list (List.rev !nodes) in
   let addr_seen = Hashtbl.create 64 in
@@ -258,7 +268,7 @@ let elaborate spec =
                 :: !edges;
               incr e_count
           | _ -> ())
-      | Spec.Node _ | Spec.Group _ | Spec.Fault _ -> ())
+      | Spec.Node _ | Spec.Stack _ | Spec.Group _ | Spec.Fault _ -> ())
     spec;
   let edges = Array.of_list (List.rev !edges) in
   let out = Array.make (Stdlib.max 1 (Array.length nodes)) [] in
@@ -273,7 +283,30 @@ let elaborate spec =
            remove a link"
           n.n_name (List.length out.(i)))
     nodes;
-  (* 4. flow groups *)
+  (* 4. host stacks: at most one CM per declared host *)
+  let stack_of = Array.make (Array.length nodes) None in
+  List.iter
+    (function
+      | Spec.Stack { host; mtu; scheduler; controller; defended; span } -> (
+          (match mtu with
+          | Some m when m <= 0 ->
+              err "bad-stack" span "CM on %S: mtu must be positive (got %d)" host m
+          | _ -> ());
+          match Hashtbl.find_opt node_idx host with
+          | None -> err "bad-stack" span "CM on undeclared host %S" host
+          | Some i when nodes.(i).n_kind = Spec.Router ->
+              err "bad-stack" span "CM on router %S; a CM lives on a sending host" host
+          | Some i when Option.is_some stack_of.(i) ->
+              err "bad-stack" span "host %S declares two CMs" host
+          | Some i ->
+              stack_of.(i) <-
+                Some
+                  { s_node = i; s_mtu = mtu; s_scheduler = scheduler; s_controller = controller;
+                    s_defended = defended; s_span = span })
+      | Spec.Node _ | Spec.Link _ | Spec.Group _ | Spec.Fault _ -> ())
+    spec;
+  let stacks = Array.of_list (List.filter_map Fun.id (Array.to_list stack_of)) in
+  (* 5. flow groups *)
   let groups = ref [] in
   let group_seen = Hashtbl.create 16 in
   List.iter
@@ -321,10 +354,24 @@ let elaborate spec =
                   g_app = app; g_start = start; g_stagger = stagger; g_stop = stop; g_span = span }
                 :: !groups
           | _ -> ())
-      | Spec.Node _ | Spec.Link _ | Spec.Fault _ -> ())
+      | Spec.Node _ | Spec.Link _ | Spec.Stack _ | Spec.Fault _ -> ())
     spec;
   let groups = Array.of_list (List.rev !groups) in
-  (* 5. destination port claims must not clash *)
+  (* 6. layered sources send through libcm, so each source runs a CM *)
+  Array.iter
+    (fun g ->
+      match g.g_app with
+      | Spec.Layered _ ->
+          Array.iter
+            (fun s ->
+              if Option.is_none stack_of.(s) then
+                err "layered-needs-cm" g.g_span
+                  "flow group %S: layered source %S runs no CM (add Spec.cm [%S])" g.g_name
+                  nodes.(s).n_name nodes.(s).n_name)
+            g.g_srcs
+      | Spec.Bulk _ | Spec.Web_fetch _ -> ())
+    groups;
+  (* 7. destination port claims must not clash *)
   let claims = Hashtbl.create 16 in
   Array.iter
     (fun g ->
@@ -348,7 +395,7 @@ let elaborate spec =
         prev;
       Hashtbl.replace claims g.g_dst ((lo, hi, g) :: prev))
     groups;
-  (* 6. faults *)
+  (* 8. faults *)
   let faults = ref [] in
   List.iter
     (function
@@ -377,14 +424,14 @@ let elaborate spec =
                     { f_at = at; f_target = On_link ei; f_action = action; f_span = span }
                     :: !faults
               | None -> err "unknown-target" span "fault targets undeclared link %S" target))
-      | Spec.Node _ | Spec.Link _ | Spec.Group _ -> ())
+      | Spec.Node _ | Spec.Link _ | Spec.Stack _ | Spec.Group _ -> ())
     spec;
   let faults = Array.of_list (List.rev !faults) in
   let ir =
-    { ir_nodes = nodes; ir_edges = edges; ir_groups = groups; ir_faults = faults; ir_out = out;
-      ir_routes = compute_routes nodes edges out }
+    { ir_nodes = nodes; ir_edges = edges; ir_stacks = stacks; ir_groups = groups;
+      ir_faults = faults; ir_out = out; ir_routes = compute_routes nodes edges out }
   in
-  (* 7. overlapping bounded disruptions on the same link are ambiguous *)
+  (* 9. overlapping bounded disruptions on the same link are ambiguous *)
   let by_target = Hashtbl.create 8 in
   Array.iter
     (fun f ->
@@ -411,7 +458,7 @@ let elaborate spec =
       in
       scan sorted)
     by_target;
-  (* 8. reachability: every source must reach its destination, and the
+  (* 10. reachability: every source must reach its destination, and the
      destination must reach every source (the feedback path) *)
   Array.iter
     (fun g ->
@@ -425,7 +472,7 @@ let elaborate spec =
               g.g_name (node_name ir g.g_dst) (node_name ir s))
         g.g_srcs)
     groups;
-  (* 9. capacity sanity: the inelastic floor routed over each link must fit *)
+  (* 11. capacity sanity: the inelastic floor routed over each link must fit *)
   let floor_demand = Array.make (Stdlib.max 1 (Array.length edges)) 0. in
   Array.iter
     (fun g ->

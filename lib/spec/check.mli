@@ -12,11 +12,15 @@
       non-positive queue, loss that is NaN or outside \[0,1\];
     - [unknown-node] / [self-link] — link endpoint resolution;
     - [multihomed-host] — netsim hosts carry a single route;
+    - [bad-stack] — a {!Spec.cm} on an undeclared name or a router, a
+      host declared twice, or a non-positive mtu;
     - [router-endpoint] / [empty-group] / [bad-app] / [bad-time] — flow
       group sanity (ports, sizes, ascending layer rates, start/stop/stagger);
     - [port-clash] / [server-conflict] — overlapping destination port
       claims (per-flow apps claim [port..port+n-1], web fetches may share
       a server only at equal object size);
+    - [layered-needs-cm] — a layered group's source has no {!Spec.cm}
+      (layered sources send through the host's libcm);
     - [unknown-target] / [bad-fault] / [fault-overlap] — fault steps
       resolve to links, pass {!Cm_dynamics.Scenario.make} validation, and
       bounded disruptions on one target never overlap;
@@ -60,6 +64,16 @@ type group = {
   g_span : Spec.span;
 }
 
+type stack = {
+  s_node : int;  (** Host node index. *)
+  s_mtu : int option;
+  s_scheduler : Cm.Scheduler.factory option;
+  s_controller : Cm.Controller.factory option;
+  s_defended : bool;
+  s_span : Spec.span;
+}
+(** One {!Spec.cm} declaration, resolved to its host. *)
+
 type fault_target =
   | On_link of int  (** Edge index: network faults degrade a link. *)
   | On_host of int
@@ -82,6 +96,7 @@ type routes
 type ir = {
   ir_nodes : node array;
   ir_edges : edge array;
+  ir_stacks : stack array;  (** at most one per host, node order *)
   ir_groups : group array;
   ir_faults : fault array;
   ir_out : int list array;  (** per node: out-edge indices, declaration order *)

@@ -30,7 +30,7 @@ let bulk_buffers bytes =
   let buffer_bytes = Stdlib.min bytes 8192 in
   ((bytes + buffer_bytes - 1) / buffer_bytes, buffer_bytes)
 
-let run (b : Build.t) ~driver_for ?libcm_for () =
+let run (b : Build.t) ~driver_for () =
   let engine = b.Build.engine in
   let servers = Hashtbl.create 8 in
   Array.to_list b.Build.ir.Check.ir_groups
@@ -73,11 +73,7 @@ let run (b : Build.t) ~driver_for ?libcm_for () =
                           ()))
              | Spec.Layered { layers; packet_bytes; mode } ->
                  let port = g.Check.g_port + i in
-                 let lib =
-                   match libcm_for with
-                   | Some f -> f src
-                   | None -> invalid_arg "Launch.run: layered flow groups need ~libcm_for"
-                 in
+                 let lib = Build.libcm b b.Build.ir.Check.ir_nodes.(si).Check.n_name in
                  ignore (Udp.Cc_socket.run_echo_receiver dst_h ~port ());
                  let source =
                    Cm_apps.Layered.create lib ~host:src

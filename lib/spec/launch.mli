@@ -11,8 +11,10 @@
     - [Web_fetch] groups share one {!Cm_apps.Web.server} per
       [(dst, port)] and run {!Cm_apps.Web.sequential_fetches} per source;
     - [Layered] groups bind a per-flow echo receiver on ports [port+i]
-      and drive a {!Cm_apps.Layered} source, stopped at the group's
-      [stop] time if given. *)
+      and drive a {!Cm_apps.Layered} source over the source host's
+      {!Build.libcm}, stopped at the group's [stop] time if given.
+      {!Check} has already rejected a layered source without a CM
+      ([layered-needs-cm]). *)
 
 open Cm_util
 open Netsim
@@ -25,17 +27,14 @@ type outcome =
 
 type running = { rg : Check.group; outcomes : outcome array }
 
-val run :
-  Build.t ->
-  driver_for:(Host.t -> Tcp.Conn.driver option) ->
-  ?libcm_for:(Host.t -> Libcm.t) ->
-  unit ->
-  running list
+val run : Build.t -> driver_for:(Host.t -> Tcp.Conn.driver option) -> unit -> running list
 (** [driver_for] supplies the TCP driver per host ([None] = stock TCP);
     it is consulted for web servers (the data sender) as well as
-    connecting clients.  [libcm_for] is required if any group runs a
-    layered app — typically a memoized per-host [Libcm.create].  Raises
-    [Invalid_argument] if it's missing for a layered group. *)
+    connecting clients.  Families pass [Build.driver net], the spec's
+    own stacks.  It stays a parameter so that a caller can still wire
+    TCP to CMs it built itself (a benchmark outside the library does).
+    Layered sources need no such hook: their libcm is the spec's, from
+    {!Build.libcm}, which is why there is no [libcm_for]. *)
 
 val done_count : running -> int
 (** Finished bounded flows (bulk transfers and fetch sequences). *)

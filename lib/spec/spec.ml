@@ -1,7 +1,7 @@
 open Cm_util
 
 (* Stage 0 of the scenario pipeline: a typed combinator algebra over
-   hosts, routers, links, flow groups and fault schedules.  Combinators
+   hosts, routers, links, host stacks, flow groups and fault schedules.  Combinators
    build plain element lists — composition is concatenation — and every
    element carries a source span (a constructor breadcrumb) so the static
    checks in [Check] can point at the combinator that introduced a bad
@@ -43,6 +43,14 @@ type elem =
       span : span;
     }
   | Fault of { at : Time.t; target : string; action : Cm_dynamics.Scenario.action; span : span }
+  | Stack of {
+      host : string;
+      mtu : int option;
+      scheduler : Cm.Scheduler.factory option;
+      controller : Cm.Controller.factory option;
+      defended : bool;
+      span : span;
+    }
 
 type t = elem list
 
@@ -64,6 +72,11 @@ let flows ~name ~src ~dst ?(port = 80) ~app ?(start = Time.zero) ?(stagger = 0) 
 let faults ~target steps =
   List.map (fun (at, action) -> Fault { at; target; action; span = [ "faults:" ^ target ] }) steps
 
+let cm ?mtu ?scheduler ?controller ?(defended = false) hosts =
+  List.map
+    (fun host -> Stack { host; mtu; scheduler; controller; defended; span = [ "cm:" ^ host ] })
+    hosts
+
 (* ---- app constructors --------------------------------------------------- *)
 
 let bulk ~bytes = Bulk { bytes }
@@ -80,7 +93,8 @@ let named ctx spec =
       | Node n -> Node { n with span = ctx :: n.span }
       | Link l -> Link { l with span = ctx :: l.span }
       | Group g -> Group { g with span = ctx :: g.span }
-      | Fault f -> Fault { f with span = ctx :: f.span })
+      | Fault f -> Fault { f with span = ctx :: f.span }
+      | Stack c -> Stack { c with span = ctx :: c.span })
     spec
 
 let offset dt spec =
@@ -90,7 +104,7 @@ let offset dt spec =
       | Group g ->
           Group
             { g with start = Time.add g.start dt; stop = Option.map (fun s -> Time.add s dt) g.stop }
-      | (Node _ | Link _) as e -> e)
+      | (Node _ | Link _ | Stack _) as e -> e)
     spec
 
 let par specs = List.concat specs

@@ -1,7 +1,7 @@
 (** Declarative topology/scenario algebra (stage 0 of the spec pipeline).
 
-    A spec is a list of elements — hosts, routers, links, flow groups and
-    fault steps — built with typed combinators and composed by
+    A spec is a list of elements — hosts, routers, links, host stacks,
+    flow groups and fault steps — built with typed combinators and composed by
     concatenation ({!par}) or time-shifted sequencing ({!seq}).  Nothing
     here touches the simulator: a spec is a plain value, elaborated and
     statically checked by {!Check} and only then instantiated into live
@@ -14,10 +14,10 @@
     breadcrumb.
 
     The algebra mirrors the staged-compilation idiom of frenetic's NetKAT
-    compiler: a small core (node / link / group / fault) plus sugar
-    ({!pipe}, {!chain}, {!star}, {!clients}, {!fat_tree}) that elaborates to the
-    core at construction time, so the checker and the builder only ever
-    see four element forms. *)
+    compiler: a small core (node / link / stack / group / fault) plus
+    sugar ({!pipe}, {!chain}, {!star}, {!clients}, {!fat_tree}) that
+    elaborates to the core at construction time, so the checker and the
+    builder only ever see five element forms. *)
 
 open Cm_util
 
@@ -65,6 +65,19 @@ type elem =
       span : span;
     }
   | Fault of { at : Time.t; target : string; action : Cm_dynamics.Scenario.action; span : span }
+  | Stack of {
+      host : string;
+      mtu : int option;
+      scheduler : Cm.Scheduler.factory option;
+      controller : Cm.Controller.factory option;
+      defended : bool;
+      span : span;
+    }
+      (** The host's congestion manager, declared by {!cm}: {!Build}
+          creates it with this [mtu], [scheduler] and [controller]
+          ([None] keeps the CM's default), plus the feedback watchdog
+          and the auditor when [defended], and attaches it to the
+          host. *)
 
 type t = elem list
 
@@ -113,6 +126,21 @@ val flows :
 
 val faults : target:string -> (Time.t * Cm_dynamics.Scenario.action) list -> t
 (** Timed fault actions on the named link. *)
+
+val cm :
+  ?mtu:int ->
+  ?scheduler:Cm.Scheduler.factory ->
+  ?controller:Cm.Controller.factory ->
+  ?defended:bool ->
+  string list ->
+  t
+(** A CM on each named host: the paper's CM is a module of the sending
+    host that all of the host's flows share, so which hosts run one, and
+    how it is configured, is part of the spec.  [mtu], [scheduler] and
+    [controller] configure the CM (its defaults when omitted);
+    [defended] (default [false]) adds {!Cm.Macroflow.default_watchdog}
+    and {!Cm.default_auditor}.  Overlay it with {!par}; {!Build.cm},
+    {!Build.libcm} and {!Build.driver} read the instances back. *)
 
 (** {1 App constructors} *)
 

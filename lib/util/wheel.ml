@@ -44,12 +44,10 @@ let w_out = -1
 let w_cur = -2
 let w_over = -3
 
-(* Shared sentinel for empty array cells: every access is guarded by a
-   length, so the dummy's value is never read. *)
-let sentinel_block : unit entry =
-  { time = max_int; seq = max_int; value = (); where = w_out; pos = -1 }
-
-let sentinel () : 'a entry = Obj.magic sentinel_block
+(* Filler for empty array cells: every access is guarded by a length,
+   so its value (the caller's [~dummy]) is never read.  One block per
+   wheel, shared by both heaps and every slot vector. *)
+let sentinel dummy = { time = max_int; seq = max_int; value = dummy; where = w_out; pos = -1 }
 
 (* ---- internal binary heap over (time, seq) ----------------------------- *)
 
@@ -60,9 +58,10 @@ type 'a pq = {
   mutable parr : 'a entry array;
   mutable pkey : int array;
   mutable plen : int;
+  psent : 'a entry; (* the wheel's filler for empty cells *)
 }
 
-let pq_create () = { parr = Array.make 16 (sentinel ()); pkey = Array.make 32 0; plen = 0 }
+let pq_create psent = { parr = Array.make 16 psent; pkey = Array.make 32 0; plen = 0; psent }
 
 let pq_set q i e =
   q.parr.(i) <- e;
@@ -73,7 +72,7 @@ let pq_set q i e =
 let pq_grow q =
   if q.plen = Array.length q.parr then begin
     let cap = 2 * Array.length q.parr in
-    let bigger = Array.make cap (sentinel ()) in
+    let bigger = Array.make cap q.psent in
     Array.blit q.parr 0 bigger 0 q.plen;
     q.parr <- bigger;
     let bigger_key = Array.make (2 * cap) 0 in
@@ -162,12 +161,12 @@ let pq_delete q i =
   victim.where <- w_out;
   let last = q.plen - 1 in
   if i = last then begin
-    q.parr.(last) <- sentinel ();
+    q.parr.(last) <- q.psent;
     q.plen <- last
   end
   else begin
     let moved = q.parr.(last) in
-    q.parr.(last) <- sentinel ();
+    q.parr.(last) <- q.psent;
     q.plen <- last;
     pq_set q i moved;
     pq_sift_down q i;
@@ -195,7 +194,7 @@ let pq_filter q keep =
     end
   done;
   for i = !kept to q.plen - 1 do
-    q.parr.(i) <- sentinel ()
+    q.parr.(i) <- q.psent
   done;
   q.plen <- !kept;
   pq_heapify q
@@ -212,6 +211,7 @@ type 'a t = {
   mutable cursor : int; (* absolute slot index the current-slot heap covers *)
   cur : 'a pq;
   over : 'a pq;
+  sent : 'a entry; (* filler for empty slot cells, shared with [cur] and [over] *)
   mutable in_slots : int; (* entries currently held in wheel slots *)
   mutable size : int;
   mutable next_seq : int;
@@ -234,17 +234,19 @@ type stats = {
 let bits = 14 (* slot width 2^bits: 16.384 us slots at ns resolution *)
 let default_slots = 1024 (* horizon: 1024 slots = 16.8 ms *)
 
-let create ?(slots = default_slots) ?(start = 0) () =
+let create ?(slots = default_slots) ?(start = 0) ~dummy () =
   if slots <> 0 && slots land (slots - 1) <> 0 then
     invalid_arg "Wheel.create: slots must be a power of two (or 0 for pure-heap mode)";
+  let sent = sentinel dummy in
   {
     n_slots = slots;
     mask = slots - 1;
     slots = Array.init (Stdlib.max 1 slots) (fun _ -> { sarr = [||]; slen = 0 });
     occ = Array.make (Stdlib.max 1 ((slots + 31) / 32)) 0;
     cursor = start asr bits;
-    cur = pq_create ();
-    over = pq_create ();
+    cur = pq_create sent;
+    over = pq_create sent;
+    sent;
     in_slots = 0;
     size = 0;
     next_seq = 0;
@@ -283,7 +285,7 @@ let slot_push t p e =
   let sl = t.slots.(p) in
   if sl.slen = Array.length sl.sarr then begin
     let cap = Stdlib.max 8 (2 * Array.length sl.sarr) in
-    let bigger = Array.make cap (sentinel ()) in
+    let bigger = Array.make cap t.sent in
     Array.blit sl.sarr 0 bigger 0 sl.slen;
     sl.sarr <- bigger
   end;
@@ -343,7 +345,7 @@ let detach t e =
         sl.sarr.(e.pos) <- moved;
         moved.pos <- e.pos
       end;
-      sl.sarr.(last) <- sentinel ();
+      sl.sarr.(last) <- t.sent;
       sl.slen <- last;
       if last = 0 then occ_clear t p;
       t.in_slots <- t.in_slots - 1;
@@ -410,7 +412,7 @@ let refill t =
     let n = sl.slen in
     for i = 0 to n - 1 do
       let e = sl.sarr.(i) in
-      sl.sarr.(i) <- sentinel ();
+      sl.sarr.(i) <- t.sent;
       pq_push t.cur w_cur e
     done;
     sl.slen <- 0;
@@ -466,7 +468,7 @@ let filter_in_place t keep =
           end
         done;
         for i = !kept to sl.slen - 1 do
-          sl.sarr.(i) <- sentinel ()
+          sl.sarr.(i) <- t.sent
         done;
         sl.slen <- !kept;
         if !kept = 0 then occ_clear t p;

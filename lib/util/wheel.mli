@@ -12,13 +12,15 @@
 type 'a t
 type 'a handle
 
-val create : ?slots:int -> ?start:int -> unit -> 'a t
-(** [create ()] makes an empty wheel whose slots are [2^14] time units
+val create : ?slots:int -> ?start:int -> dummy:'a -> unit -> 'a t
+(** [create ~dummy ()] makes an empty wheel whose slots are [2^14] time units
     wide (16.384 us at nanosecond resolution).  [slots] is the number of
     wheel slots, a power of two (default 1024, i.e. a ~16.8 ms horizon),
     or [0] for pure-heap mode; [start] is the
     earliest time the wheel must order exactly (the engine's clock
-    origin).  Raises [Invalid_argument] on a non-power-of-two [slots]. *)
+    origin); [dummy] is any value of the payload type, stored in the
+    filler for empty internal cells and never handed back.  Raises
+    [Invalid_argument] on a non-power-of-two [slots]. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

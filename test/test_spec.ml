@@ -1,6 +1,7 @@
 (* The spec DSL pipeline: parity of spec-built pipes (the scenarios
-   family's, and Spec.pipe with loss and a short reverse queue) with a
-   pipe wired by hand from Host and Link, packets crossing a built pipe
+   family's, Spec.pipe with loss and a short reverse queue, and a
+   Spec.cm host stack) with a pipe and CM wired by hand from Host, Link
+   and Cm, the stack lookups, packets crossing a built pipe
    and a client trunk, static-check diagnostics (one negative test per
    code), routing (the next-hop table against a
    per-destination reference, packets following Check.route, no host as
@@ -20,6 +21,15 @@ module Cdn_edge = Experiments.Cdn_edge
 module Cellular = Experiments.Cellular
 
 let params = { Exp_common.default_params with seed = 42 }
+
+let check_invalid what f =
+  match f () with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names the parameter: %S" what msg)
+        true
+        (String.length msg > 0)
+  | _ -> Alcotest.fail (what ^ ": expected Invalid_argument")
 
 (* ---- parity: Build ≡ a handwritten pipe --------------------------------- *)
 
@@ -42,18 +52,23 @@ let hand_pipe engine rng ~bw ~lat ~queue ~rev_queue ~loss =
   Netsim.Host.attach_route b (Netsim.Link.send ba);
   (a, b, ab, ba)
 
+(* A sender's CM created and attached by hand. *)
+let hand_cm ?mtu engine host =
+  let cm = Cm.create engine ?mtu () in
+  Cm.attach cm host;
+  cm
+
 (* One seeded TCP/CM bulk transfer a → b (and, with [both_ways], one
-   b → a as well, each sender with its own CM) on the pipe [make]
-   builds, after [faults] are installed: (fwd stats, rev stats, bytes
-   delivered to b). *)
+   b → a as well) on the pipe [make] builds, each sender's CM from the
+   [cm_of] it returns, after [faults] are installed: (fwd stats, rev
+   stats, bytes delivered to b, a's CM counters). *)
 let bulk_run ?(both_ways = false) ?(faults = fun _ _ _ _ -> ()) ~duration make =
   Netsim.Packet.reset_ids ();
   let engine = Eventsim.Engine.create () in
   let rng = Rng.create ~seed:42 in
-  let a, b, fwd, rev = make engine rng in
+  let a, b, fwd, rev, cm_of = make engine rng in
   let transfer src dst ~dst_host =
-    let cm = Cm.create engine () in
-    Cm.attach cm src;
+    let cm = cm_of src in
     let delivered = ref 0 in
     let _listener =
       Tcp.Conn.listen dst ~port:80
@@ -66,13 +81,15 @@ let bulk_run ?(both_ways = false) ?(faults = fun _ _ _ _ -> ()) ~duration make =
         ~driver:(Tcp.Conn.Cm_driven cm) ()
     in
     Tcp.Conn.send conn (1 lsl 34);
-    delivered
+    (delivered, cm)
   in
-  let delivered = transfer a b ~dst_host:1 in
-  if both_ways then ignore (transfer b a ~dst_host:0 : int ref);
+  let delivered, cm_a = transfer a b ~dst_host:1 in
+  if both_ways then ignore (transfer b a ~dst_host:0 : int ref * Cm.t);
   faults engine rng fwd rev;
   Eventsim.Engine.run_for engine duration;
-  (Netsim.Link.stats fwd, Netsim.Link.stats rev, !delivered)
+  (Netsim.Link.stats fwd, Netsim.Link.stats rev, !delivered, Cm.counters cm_a)
+
+let with_hand_cms engine (a, b, fwd, rev) = (a, b, fwd, rev, hand_cm engine)
 
 (* The scenarios family under its faults, on the handwritten pipe or on
    the same pipe compiled from the family's spec. *)
@@ -84,18 +101,22 @@ let bulk_under_faults id ~handwritten =
       (Build.scenario ~name:(Scenarios.scenario_name id) ir)
   in
   bulk_run ~faults ~duration:(Time.sec 24.) (fun engine rng ->
-      if handwritten then
-        hand_pipe engine rng ~bw:8e6 ~lat:(Time.ms 20) ~queue:50 ~rev_queue:1000 ~loss:0.
-      else
-        let built = Build.instantiate ~rng engine ir in
-        (Build.host built "a", Build.host built "b", Build.link built "fwd", Build.link built "rev"))
+      with_hand_cms engine
+        (if handwritten then
+           hand_pipe engine rng ~bw:8e6 ~lat:(Time.ms 20) ~queue:50 ~rev_queue:1000 ~loss:0.
+         else
+           let built = Build.instantiate ~rng engine ir in
+           ( Build.host built "a",
+             Build.host built "b",
+             Build.link built "fwd",
+             Build.link built "rev" )))
 
 let test_scenarios_parity () =
   List.iter
     (fun id ->
       let name = Scenarios.scenario_name id in
-      let hand_fwd, hand_rev, hand_bytes = bulk_under_faults id ~handwritten:true in
-      let dsl_fwd, dsl_rev, dsl_bytes = bulk_under_faults id ~handwritten:false in
+      let hand_fwd, hand_rev, hand_bytes, _ = bulk_under_faults id ~handwritten:true in
+      let dsl_fwd, dsl_rev, dsl_bytes, _ = bulk_under_faults id ~handwritten:false in
       Alcotest.(check bool) (name ^ ": fwd link stats") true (hand_fwd = dsl_fwd);
       Alcotest.(check bool) (name ^ ": rev link stats") true (hand_rev = dsl_rev);
       Alcotest.(check int) (name ^ ": delivered bytes") hand_bytes dsl_bytes;
@@ -107,22 +128,68 @@ let test_scenarios_parity () =
    counters. *)
 let test_pipe_parity () =
   let run make = bulk_run ~both_ways:true ~duration:(Time.sec 10.) make in
-  let hand_fwd, hand_rev, hand_bytes =
+  let hand_fwd, hand_rev, hand_bytes, _ =
     run (fun engine rng ->
-        hand_pipe engine rng ~bw:5e6 ~lat:(Time.ms 10) ~queue:100 ~rev_queue:7 ~loss:0.02)
+        with_hand_cms engine
+          (hand_pipe engine rng ~bw:5e6 ~lat:(Time.ms 10) ~queue:100 ~rev_queue:7 ~loss:0.02))
   in
-  let dsl_fwd, dsl_rev, dsl_bytes =
+  let dsl_fwd, dsl_rev, dsl_bytes, _ =
     run (fun engine rng ->
         let net =
           Build.pipe ~rng engine (Spec.pipe ~loss:0.02 ~rev_queue:7 ~bw:5e6 ~lat:(Time.ms 10) ())
         in
-        (net.Build.a, net.Build.b, net.Build.ab, net.Build.ba))
+        with_hand_cms engine (net.Build.a, net.Build.b, net.Build.ab, net.Build.ba))
   in
   Alcotest.(check bool) "fwd link stats" true (hand_fwd = dsl_fwd);
   Alcotest.(check bool) "rev link stats" true (hand_rev = dsl_rev);
   Alcotest.(check int) "delivered bytes" hand_bytes dsl_bytes;
   Alcotest.(check bool) "forward loss drew drops" true (hand_fwd.Netsim.Link.channel_drops > 0);
   Alcotest.(check bool) "reverse queue overflowed" true (hand_rev.Netsim.Link.queue_drops > 0)
+
+(* A Spec.cm stack ≡ a CM created with the same mtu and attached by
+   hand: Build must pass the mtu on and hook the CM into a's IP output
+   (without the hook no transmission is charged, and the counters part). *)
+let test_stack_parity () =
+  let run make = bulk_run ~duration:(Time.sec 10.) make in
+  let pipe = Spec.pipe ~loss:0.01 ~bw:5e6 ~lat:(Time.ms 10) () in
+  let hand_fwd, hand_rev, hand_bytes, hand_cm_counters =
+    run (fun engine rng ->
+        let a, b, fwd, rev =
+          hand_pipe engine rng ~bw:5e6 ~lat:(Time.ms 10) ~queue:100 ~rev_queue:1000 ~loss:0.01
+        in
+        let cm = hand_cm ~mtu:1000 engine a in
+        (a, b, fwd, rev, fun _ -> cm))
+  in
+  let dsl_fwd, dsl_rev, dsl_bytes, dsl_cm_counters =
+    run (fun engine rng ->
+        let net = Build.pipe ~rng engine (Spec.par [ pipe; Spec.cm ~mtu:1000 [ "a" ] ]) in
+        let cm = Build.cm net.Build.net "a" in
+        (net.Build.a, net.Build.b, net.Build.ab, net.Build.ba, fun _ -> cm))
+  in
+  Alcotest.(check bool) "fwd link stats" true (hand_fwd = dsl_fwd);
+  Alcotest.(check bool) "rev link stats" true (hand_rev = dsl_rev);
+  Alcotest.(check int) "delivered bytes" hand_bytes dsl_bytes;
+  Alcotest.(check bool) "CM counters" true (hand_cm_counters = dsl_cm_counters);
+  Alcotest.(check bool) "the hook charged transmissions" true (hand_cm_counters.Cm.notifies > 0)
+
+(* The stack lookups: one libcm per host, memoized; no CM, no driver. *)
+let test_stack_lookups () =
+  let net =
+    Build.pipe (Eventsim.Engine.create ())
+      (Spec.par [ Spec.pipe ~bw:1e6 ~lat:0 (); Spec.cm [ "a" ] ])
+  in
+  let b = net.Build.net in
+  Alcotest.(check bool) "libcm memoized" true (Build.libcm b "a" == Build.libcm b "a");
+  Alcotest.(check bool)
+    "libcm over the host's CM" true
+    (Libcm.cm (Build.libcm b "a") == Build.cm b "a");
+  Alcotest.(check bool) "driver on the CM host" true
+    (match Build.driver b net.Build.a with
+    | Some (Tcp.Conn.Cm_driven cm) -> cm == Build.cm b "a"
+    | _ -> false);
+  Alcotest.(check bool) "no driver without a CM" true (Build.driver b net.Build.b = None);
+  check_invalid "cm on a host without one" (fun () -> Build.cm b "b");
+  check_invalid "libcm on a host without one" (fun () -> Build.libcm b "b")
 
 (* ---- topology: built networks carry packets ---------------------------- *)
 
@@ -377,6 +444,30 @@ let test_server_conflict () =
   Alcotest.(check (list string))
     "shared server ok" []
     (codes (Spec.par [ pipe_base; fetch ~name:"g1" 100; fetch ~name:"g2" 100 ]))
+
+let test_bad_stack () =
+  has_code "bad-stack" (Spec.par [ pipe_base; Spec.cm [ "ghost" ] ]);
+  has_code "bad-stack"
+    (Spec.par [ pipe_base; Spec.router "r"; Spec.link ~bw:1e6 ~lat:0 "b" "r"; Spec.cm [ "r" ] ]);
+  has_code "bad-stack" (Spec.par [ pipe_base; Spec.cm [ "a" ]; Spec.cm ~mtu:1000 [ "a" ] ]);
+  List.iter
+    (fun mtu -> has_code "bad-stack" (Spec.par [ pipe_base; Spec.cm ~mtu [ "a" ] ]))
+    [ 0; -1 ];
+  Alcotest.(check (list string))
+    "a CM on each host is clean" []
+    (codes (Spec.par [ pipe_base; bulk_group (); Spec.cm ~mtu:1 [ "a"; "b" ] ]))
+
+let test_layered_needs_cm () =
+  let stream =
+    Spec.flows ~name:"s" ~src:[ "a" ] ~dst:"b" ~port:5004
+      ~app:(Spec.layered ~layers:[| 1e5; 2e5 |] ())
+      ()
+  in
+  has_code "layered-needs-cm" (Spec.par [ pipe_base; stream ]);
+  has_code "layered-needs-cm" (Spec.par [ pipe_base; stream; Spec.cm [ "b" ] ]);
+  Alcotest.(check (list string))
+    "layered source with a CM is clean" []
+    (codes (Spec.par [ pipe_base; stream; Spec.cm [ "a" ] ]))
 
 let test_oversubscribed () =
   has_code "oversubscribed"
@@ -868,15 +959,6 @@ let test_family_deterministic name run to_json () =
 
 (* ---- netsim validation (satellite): descriptive early rejections -------- *)
 
-let check_invalid what f =
-  match f () with
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s names the parameter: %S" what msg)
-        true
-        (String.length msg > 0)
-  | _ -> Alcotest.fail (what ^ ": expected Invalid_argument")
-
 let test_netsim_validation () =
   let engine = Eventsim.Engine.create () in
   check_invalid "link NaN set_bandwidth" (fun () ->
@@ -895,6 +977,8 @@ let () =
           Alcotest.test_case "scenarios family: DSL ≡ handwritten" `Slow test_scenarios_parity;
           Alcotest.test_case "pipe with loss + rev_queue: Build ≡ handwritten" `Quick
             test_pipe_parity;
+          Alcotest.test_case "Spec.cm stack: Build ≡ handwritten CM" `Quick test_stack_parity;
+          Alcotest.test_case "stack lookups: cm, libcm, driver" `Quick test_stack_lookups;
         ] );
       ( "topology",
         [
@@ -923,6 +1007,8 @@ let () =
           Alcotest.test_case "server-conflict" `Quick test_server_conflict;
           Alcotest.test_case "oversubscribed" `Quick test_oversubscribed;
           Alcotest.test_case "control-target" `Quick test_control_target;
+          Alcotest.test_case "bad-stack" `Quick test_bad_stack;
+          Alcotest.test_case "layered-needs-cm" `Quick test_layered_needs_cm;
           Alcotest.test_case "diagnostics carry spans" `Quick test_span_in_diag;
         ] );
       ( "routing",

@@ -133,7 +133,7 @@ let test_rng_split_independent () =
 (* [Wheel.create ~slots:0] is a single binary heap over (time, seq): the
    reference the timing wheel is checked against, so it is itself checked
    against a sorted-list model here. *)
-let heap () = Wheel.create ~slots:0 ()
+let heap dummy = Wheel.create ~slots:0 ~dummy ()
 
 let pop h =
   if Wheel.is_empty h then None
@@ -144,7 +144,7 @@ let pop h =
 let pop_all h n = List.init n (fun _ -> pop h) |> List.filter_map Fun.id
 
 let test_heap_orders () =
-  let h = heap () in
+  let h = heap 0 in
   List.iter (fun p -> ignore (Wheel.insert h ~time:p p)) [ 5; 1; 4; 1; 3; 9; 0 ];
   Alcotest.(check (list (pair int int)))
     "sorted output"
@@ -152,14 +152,14 @@ let test_heap_orders () =
     (pop_all h 7)
 
 let test_heap_fifo_ties () =
-  let h = heap () in
+  let h = heap "" in
   List.iter (fun v -> ignore (Wheel.insert h ~time:7 v)) [ "first"; "second"; "third" ];
   Alcotest.(check (list string))
     "FIFO among equal priorities" [ "first"; "second"; "third" ]
     (List.map snd (pop_all h 3))
 
 let test_heap_remove () =
-  let h = heap () in
+  let h = heap "" in
   let _a = Wheel.insert h ~time:1 "a" in
   let b = Wheel.insert h ~time:2 "b" in
   let _c = Wheel.insert h ~time:3 "c" in
@@ -168,7 +168,7 @@ let test_heap_remove () =
   Alcotest.(check (list string)) "b removed" [ "a"; "c" ] (List.map snd (pop_all h 3))
 
 let test_heap_clear_and_size () =
-  let h = heap () in
+  let h = heap 0 in
   for i = 1 to 100 do
     ignore (Wheel.insert h ~time:i i)
   done;
@@ -181,7 +181,7 @@ let prop_heap_sorts =
   QCheck.Test.make ~name:"heap extracts in priority order" ~count:200
     QCheck.(list small_int)
     (fun prios ->
-      let h = heap () in
+      let h = heap 0 in
       List.iter (fun p -> ignore (Wheel.insert h ~time:p p)) prios;
       List.map fst (pop_all h (List.length prios)) = List.sort Stdlib.compare prios)
 
@@ -189,7 +189,7 @@ let prop_heap_removal_consistent =
   QCheck.Test.make ~name:"heap removal keeps order" ~count:100
     QCheck.(pair (list small_int) (list bool))
     (fun (prios, removes) ->
-      let h = heap () in
+      let h = heap 0 in
       let handles = List.map (fun p -> (p, Wheel.insert h ~time:p p)) prios in
       let kept =
         List.filteri
@@ -203,7 +203,7 @@ let prop_heap_removal_consistent =
       List.map fst (pop_all h (List.length kept)) = List.sort Stdlib.compare kept)
 
 let test_heap_update_prio () =
-  let h = heap () in
+  let h = heap "" in
   let a = Wheel.insert h ~time:10 "a" in
   let _b = Wheel.insert h ~time:20 "b" in
   let c = Wheel.insert h ~time:30 "c" in
@@ -215,7 +215,7 @@ let test_heap_update_prio () =
 
 let test_heap_update_prio_refreshes_fifo () =
   (* a re-keyed element behaves like a fresh insert among equal priorities *)
-  let h = heap () in
+  let h = heap "" in
   let a = Wheel.insert h ~time:7 "rekeyed" in
   ignore (Wheel.insert h ~time:7 "second");
   "same-prio update" => Wheel.update h a ~time:7;
@@ -226,7 +226,7 @@ let test_heap_update_prio_refreshes_fifo () =
 let test_heap_reinsert () =
   (* an extracted entry can be recycled: same value, fresh key, and FIFO
      behaviour identical to a fresh insert among equal priorities *)
-  let h = heap () in
+  let h = heap "" in
   let a = Wheel.insert h ~time:10 "recycled" in
   ignore (pop h);
   "extracted handle is dead" => not (Wheel.mem h a);
@@ -253,7 +253,7 @@ let prop_heap_model =
   Test.make ~name:"heap matches reference model (insert/pop_min/remove/update, FIFO)"
     ~count:300 (list op)
     (fun ops ->
-      let h = heap () in
+      let h = heap 0 in
       let seq = ref 0 in
       let next_id = ref 0 in
       (* model: association list id -> (prio, seq); handles: id -> handle *)
@@ -334,7 +334,7 @@ let prop_wheel_matches_heap =
   QCheck.Test.make ~name:"wheel pop sequence = pure-heap pop sequence" ~count:200
     QCheck.(list (triple (int_bound 6) (int_bound 3_000) small_nat))
     (fun ops ->
-      let w = Wheel.create () and h = heap () in
+      let w = Wheel.create ~dummy:0 () and h = heap 0 in
       let now = ref 0 and next_id = ref 0 and hs = ref [] in
       let nth k = match !hs with [] -> None | l -> List.nth_opt l (k mod List.length l) in
       let ok = ref true in
