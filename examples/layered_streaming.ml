@@ -19,8 +19,10 @@ let () =
   (* available bandwidth drops to 2 Mbit/s at t=8s and recovers at t=16s *)
   Cm_dynamics.Scenario.compile engine ~rng:(Rng.create ~seed:1)
     ~links:[ ("path", net.Build.ab) ]
-    (Cm_dynamics.Scenario.of_bandwidth_schedule ~name:"squeeze" ~target:"path"
-       [ (Time.sec 8., 2e6); (Time.sec 16., 10e6) ]);
+    (Cm_dynamics.Scenario.make ~name:"squeeze"
+       (List.map
+          (fun (at, bw) -> { Cm_dynamics.Scenario.at; target = "path"; action = Set_bandwidth bw })
+          [ (Time.sec 8., 2e6); (Time.sec 16., 10e6) ]));
 
   let cm = Cm.create engine ~mtu:1000 () in
   Cm.attach cm net.Build.a;

@@ -46,45 +46,3 @@ let tcp_push ~src ~dst_host ~port ~buffers ~buffer_bytes ?(driver = Tcp.Conn.Nat
      socket buffer model has no backpressure to exercise here) *)
   Tcp.Conn.send conn total;
   Tcp.Conn.close conn
-
-let udp_cc_push ~src ~dst_host ~port ~cm ~packets ~packet_bytes ~on_done () =
-  let engine = Host.engine src in
-  let t0 = Engine.now engine in
-  let busy0 = Cpu.total_busy (Host.cpu src) in
-  let receiver = Udp.Cc_socket.run_echo_receiver dst_host ~port () in
-  let socket =
-    Udp.Cc_socket.create src ~cm ~dst:(Addr.endpoint ~host:(Host.id dst_host) ~port) ()
-  in
-  let queued = ref 0 in
-  (* feed the socket in bounded batches so its kernel buffer never
-     overflows *)
-  let rec feeder () =
-    let room = 64 - Udp.Cc_socket.queued socket in
-    let batch = Stdlib.min room (packets - !queued) in
-    for _ = 1 to batch do
-      Udp.Cc_socket.send socket packet_bytes;
-      incr queued
-    done;
-    if !queued < packets then ignore (Engine.schedule_after engine (Time.ms 10) feeder)
-  in
-  feeder ();
-  (* completion: every datagram transmitted and its fate resolved by
-     feedback.  Datagrams lost in the network stay lost (UDP does not
-     retransmit); [transferred] reports what actually arrived. *)
-  let poll = ref None in
-  let check () =
-    if
-      !queued >= packets
-      && Udp.Cc_socket.queued socket = 0
-      && Udp.Cc_socket.packets_sent socket >= packets
-      && Udp.Cc_socket.unresolved_packets socket = 0
-    then begin
-      (match !poll with Some timer -> Timer.stop timer | None -> ());
-      let received = Udp.Feedback.Receiver.bytes_received receiver in
-      Udp.Cc_socket.close socket;
-      finish ~engine ~src ~t0 ~busy0 ~bytes:received ~on_done
-    end
-  in
-  let timer = Timer.create engine ~callback:check in
-  poll := Some timer;
-  Timer.start_periodic timer (Time.ms 20)

@@ -1,9 +1,9 @@
 (** ttcp-like bulk transfer drivers (paper §4.1).
 
     Long unidirectional transfers used by the kernel-overhead experiments:
-    a TCP sender pushing a given number of fixed-size buffers, and a
-    congestion-controlled-UDP equivalent.  Each run reports completion
-    time, goodput and CPU utilization of the sending host. *)
+    a TCP sender pushing a given number of fixed-size buffers.  Each run
+    reports completion time, goodput and CPU utilization of the sending
+    host. *)
 
 open Cm_util
 open Netsim
@@ -30,18 +30,3 @@ val tcp_push :
 (** Send [buffers × buffer_bytes] over one TCP connection from [src] to a
     receiver created on [dst_host]:[port]; invoke [on_done] when the
     receiver has every byte. *)
-
-val udp_cc_push :
-  src:Host.t ->
-  dst_host:Host.t ->
-  port:int ->
-  cm:Cm.t ->
-  packets:int ->
-  packet_bytes:int ->
-  on_done:(result -> unit) ->
-  unit ->
-  unit
-(** Same over a congestion-controlled UDP socket (buffered API), with the
-    echo receiver providing feedback.  Completion fires when every packet
-    has been transmitted and its fate resolved; [transferred] reports the
-    bytes that actually arrived (UDP does not retransmit losses). *)

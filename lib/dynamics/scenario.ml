@@ -58,9 +58,6 @@ let make ~name steps =
     steps;
   { name; steps }
 
-let of_bandwidth_schedule ~name ~target sched =
-  make ~name (List.map (fun (at, bw) -> { at; target; action = Set_bandwidth bw }) sched)
-
 let validate ~links ?(controls = []) t =
   List.iter
     (fun { target; action; _ } ->

@@ -2,8 +2,7 @@
 
     A scenario is a timed schedule of fault actions over *named* topology
     elements — the reusable, scriptable replacement for ad-hoc
-    per-experiment bandwidth fiddling.  Build one with {!make} (or
-    {!of_bandwidth_schedule} for plain renegotiation schedules), then
+    per-experiment bandwidth fiddling.  Build one with {!make}, then
     {!compile} it onto an engine with a name → link binding; compilation
     schedules every action as an event-driven {!Faults} process.
 
@@ -47,10 +46,6 @@ val make : name:string -> step list -> t
 (** Validates every step (probabilities in \[0,1\], non-negative times and
     durations, positive rates/steps/cycles); raises [Invalid_argument]
     with the scenario and target named. *)
-
-val of_bandwidth_schedule : name:string -> target:string -> (Time.t * float) list -> t
-(** The classic Figs. 8–10 shape: a list of [(time, bps)] renegotiations
-    on one link. *)
 
 val validate : links:string list -> ?controls:string list -> t -> unit
 (** Check every step's target against the available element names —

@@ -13,39 +13,29 @@ type sched_row = {
   share_ratio : float;
 }
 
-let sched_spec = Spec.pipe ~bw:4e6 ~lat:(Time.ms 20) ()
+(* two backlogged CC-UDP flows a → b under a's CM with [scheduler] *)
+let sched_spec scheduler =
+  Spec.(
+    pipe ~bw:4e6 ~lat:(Time.ms 20) ()
+    @ cm ~mtu:1000 ~scheduler [ "a" ]
+    @ flows ~name:"pair" ~src:[ "a"; "a" ] ~dst:"b" ~port:7001
+        ~app:(datagram ~refill:(Time.ms 50))
+        ())
 
 let run_one_sched params ~name ~scheduler ~weight_a =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Build.pipe ~rng engine (Spec.par [ sched_spec; Spec.cm ~mtu:1000 ~scheduler [ "a" ] ])
-  in
+  let net = Build.pipe ~rng engine (sched_spec scheduler) in
   let cm = Build.cm net.Build.net "a" in
   Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
-  let _r1 = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7001 () in
-  let _r2 = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7002 () in
-  let sock_a = Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
-  let sock_b = Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7002) () in
+  let running = Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let sock i = (Launch.datagrams (Launch.find running "pair") i).Launch.socket in
+  let sock_a = sock 0 and sock_b = sock 1 in
   (match weight_a with
   | Some w -> Cm.set_weight cm (Udp.Cc_socket.flow sock_a) w
   | None -> ());
-  (* keep both sockets backlogged *)
-  let tick () =
-    List.iter
-      (fun s ->
-        let room = 64 - Udp.Cc_socket.queued s in
-        for _ = 1 to room do
-          Udp.Cc_socket.send s 1000
-        done)
-      [ sock_a; sock_b ]
-  in
-  let timer = Timer.create engine ~callback:tick in
-  tick ();
-  Timer.start_periodic timer (Time.ms 50);
   Engine.run_for engine (Time.sec 20.);
-  Timer.stop timer;
   let a = Udp.Cc_socket.bytes_sent sock_a and b = Udp.Cc_socket.bytes_sent sock_b in
   {
     scheduler = name;
@@ -66,29 +56,23 @@ let run_scheduler params =
 
 type ctrl_row = { controller : string; mean_kbps : float; cv : float }
 
-let ctrl_spec = Spec.pipe ~queue:30 ~bw:8e6 ~lat:(Time.ms 25) ()
+(* one backlogged CC-UDP flow a → b under a's CM with [controller] *)
+let ctrl_spec controller =
+  Spec.(
+    pipe ~queue:30 ~bw:8e6 ~lat:(Time.ms 25) ()
+    @ cm ~mtu:1000 ~controller [ "a" ]
+    @ flows ~name:"flow" ~src:[ "a" ] ~dst:"b" ~port:7001 ~app:(datagram ~refill:(Time.ms 20))
+        ())
 
 let run_one_ctrl params ~name ~controller =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Build.pipe ~rng engine (Spec.par [ ctrl_spec; Spec.cm ~mtu:1000 ~controller [ "a" ] ])
-  in
+  let net = Build.pipe ~rng engine (ctrl_spec controller) in
   let cm = Build.cm net.Build.net "a" in
   Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
-  let receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:7001 () in
-  ignore receiver;
-  let sock = Udp.Cc_socket.create net.Build.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
-  let tick () =
-    let room = 64 - Udp.Cc_socket.queued sock in
-    for _ = 1 to room do
-      Udp.Cc_socket.send sock 1000
-    done
-  in
-  let timer = Timer.create engine ~callback:tick in
-  tick ();
-  Timer.start_periodic timer (Time.ms 20);
+  let running = Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let sock = (Launch.datagrams (Launch.find running "flow") 0).Launch.socket in
   (* sample the delivered rate every 100 ms after 2 s of warmup *)
   let samples = Stats.create () in
   let last_bytes = ref 0 in
@@ -101,7 +85,6 @@ let run_one_ctrl params ~name ~controller =
   in
   Timer.start_periodic sampler (Time.ms 100);
   Engine.run_for engine (Time.sec 30.);
-  Timer.stop timer;
   Timer.stop sampler;
   let mean = Stats.mean samples in
   { controller = name; mean_kbps = mean; cv = Stats.stddev samples /. mean }

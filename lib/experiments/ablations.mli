@@ -18,8 +18,9 @@ type sched_row = {
   share_ratio : float;  (** flow_a / flow_b. *)
 }
 
-val sched_spec : Cm_spec.Spec.t
-(** The scheduler ablation's pipe: 4 Mbit/s, 20 ms. *)
+val sched_spec : Cm.Scheduler.factory -> Cm_spec.Spec.t
+(** The scheduler ablation's pipe (4 Mbit/s, 20 ms) and its two
+    backlogged datagram flows under a CM with this scheduler. *)
 
 val run_scheduler : Exp_common.params -> sched_row list
 (** Round-robin vs weighted (weight 3 for flow A). *)
@@ -30,8 +31,9 @@ type ctrl_row = {
   cv : float;  (** Coefficient of variation of the per-100ms rate (smoothness; lower is smoother). *)
 }
 
-val ctrl_spec : Cm_spec.Spec.t
-(** The controller ablation's pipe: 8 Mbit/s, 25 ms, 30-packet queue. *)
+val ctrl_spec : Cm.Controller.factory -> Cm_spec.Spec.t
+(** The controller ablation's pipe (8 Mbit/s, 25 ms, 30-packet queue)
+    and its backlogged datagram flow under a CM with this controller. *)
 
 val run_controller : Exp_common.params -> ctrl_row list
 (** AIMD vs IIAD vs SQRT on a fixed 8 Mbps bottleneck. *)

@@ -76,22 +76,8 @@ let run params =
   let sc = Build.scenario ~name:"cellular" ir in
   Cm_dynamics.Scenario.compile engine ~rng ~links:(Build.links_alist net) sc;
   Engine.run_for engine duration;
-  let source =
-    match (Launch.find running "stream").Launch.outcomes.(0) with
-    | Launch.Streaming s -> s
-    | _ -> assert false
-  in
+  let source = Launch.stream (Launch.find running "stream") 0 in
   let points = Timeline.points (Cm_apps.Layered.layer_timeline source) in
-  let switches =
-    match points with
-    | [] -> 0
-    | p0 :: rest ->
-        fst
-          (List.fold_left
-             (fun (n, prev) (p : Timeline.point) ->
-               if p.Timeline.value <> prev then (n + 1, p.Timeline.value) else (n, prev))
-             (0, p0.Timeline.value) rest)
-  in
   let occupancy = Array.make (Array.length layers) 0 in
   List.iter
     (fun (p : Timeline.point) ->
@@ -103,7 +89,7 @@ let run params =
     r_bytes = bytes;
     r_packets = Cm_apps.Layered.packets_sent source;
     r_goodput_bps = float_of_int (bytes * 8) /. Time.to_float_s duration;
-    r_layer_switches = switches;
+    r_layer_switches = Timeline.changes (Cm_apps.Layered.layer_timeline source);
     r_final_layer = Cm_apps.Layered.current_layer source;
     r_layer_occupancy =
       Array.map

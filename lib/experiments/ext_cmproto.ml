@@ -20,18 +20,26 @@ let ops_of meter n =
       else Some (Libcm.Ops.to_string kind, float_of_int c /. float_of_int n))
     Libcm.Ops.all
 
-let spec = Fig6.spec
+let n = 20_000
 
 (* The CM-protocol sender: same windowed workload as Fig. 6's Buffered
-   variant, but acknowledgment happens kernel-to-kernel. *)
-let run_cmproto params ~n =
+   variant (n packets, at most [window] queued, topped up every 200 µs),
+   but acknowledgment happens kernel-to-kernel. *)
+let spec =
+  Spec.(
+    Fig6.spec
+    @ cm ~mtu:(size + Cmproto.header_bytes) [ "a" ]
+    @ flows ~name:"session" ~src:[ "a" ] ~dst:"b" ~port:7000
+        ~app:
+          (cmproto_session ~packet_bytes:size ~window ~ack_every:1 ~pump:(Time.us 200) ~packets:n
+             ())
+        ())
+
+let run_cmproto params =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Build.pipe ~costs:Costs.pentium3 ~rng engine
-      (Spec.par [ spec; Spec.cm ~mtu:(size + Cmproto.header_bytes) [ "a" ] ])
-  in
+  let net = Build.pipe ~costs:Costs.pentium3 ~rng engine spec in
   let costs = Host.costs net.Build.a in
   let cm = Build.cm net.Build.net "a" in
   Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
@@ -45,48 +53,30 @@ let run_cmproto params ~n =
           Cpu.charge (Host.cpu net.Build.a) (costs.Costs.intr_rx + costs.Costs.cm_op)
       | _ -> ());
       Some pkt);
-  let agent = Cmproto.Sender_agent.install net.Build.a cm in
-  let _receiver = Cmproto.Receiver_agent.install net.Build.b ~ack_every:1 () in
-  let session =
-    Cmproto.Session.create agent ~host:net.Build.a ~cm
-      ~dst:(Addr.endpoint ~host:1 ~port:7000)
-      ~queue_limit_pkts:(window * 2) ()
-  in
+  let running = Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let session = (Launch.session (Launch.find running "session") 0).Launch.session in
   (* the application's only boundary crossing: the send syscall *)
   Host.add_tx_hook net.Build.a (fun pkt ->
       match pkt.Packet.payload with
       | Cmproto.Data _ -> Libcm.Ops.charge meter ~bytes:size Libcm.Ops.Send
       | _ -> ());
-  let fed = ref 0 in
-  let pump = Timer.create engine ~callback:(fun () ->
-      while !fed < n && Cmproto.Session.queued session < window do
-        incr fed;
-        Cmproto.Session.send session size
-      done)
-  in
-  Timer.start_periodic pump (Time.us 200);
   let t0 = Engine.now engine in
   let t_end = ref None in
   let guard = ref 0 in
   while !t_end = None && !guard < 4_000 do
     incr guard;
     Engine.run_for engine (Time.ms 10);
-    if
-      !fed >= n
-      && Cmproto.Session.packets_sent session >= n
-      && Cmproto.Session.unresolved_packets session = 0
+    if Cmproto.Session.packets_sent session >= n && Cmproto.Session.unresolved_packets session = 0
     then t_end := Some (Engine.now engine)
   done;
-  Timer.stop pump;
   let finish = match !t_end with Some t -> t | None -> Engine.now engine in
   (Time.to_float_us (Time.diff finish t0) /. float_of_int n, meter)
 
 let run params =
-  let n = 20_000 in
   let buffered_us, buffered_meter =
     Fig6.measure_variant params Fig6.Buffered ~size ~n
   in
-  let cmproto_us, cmproto_meter = run_cmproto params ~n in
+  let cmproto_us, cmproto_meter = run_cmproto params in
   [
     {
       design = "Buffered (application feedback)";

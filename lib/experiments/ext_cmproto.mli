@@ -18,7 +18,8 @@ type row = {
 }
 
 val spec : Cm_spec.Spec.t
-(** {!Fig6.spec}: the 100 Mbit/s, 50 µs LAN pipe. *)
+(** {!Fig6.spec}, the 100 Mbit/s, 50 µs LAN pipe, with the CM protocol
+    session's 20,000 packets of 168 B from ["a"] to ["b"]. *)
 
 val run : Exp_common.params -> row list
 (** Buffered (application feedback) vs CM protocol. *)

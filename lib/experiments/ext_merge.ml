@@ -11,13 +11,22 @@ type row = {
 }
 
 (* hosts 1, 2 and 3 all live behind the same 6 Mbit/s trunk from the
-   sender's point of view (the sender is the clients' "server") *)
+   sender's point of view (the sender is the clients' "server"); two
+   backlogged CC-UDP flows go to two different destination hosts, first
+   filled at 20 ms and every 20 ms after *)
 let spec =
+  let client i = Spec.client_name ~server:0 ~index:i () in
+  let to_client i =
+    Spec.flows ~name:(client i) ~src:[ "server" ] ~dst:(client i) ~port:7001
+      ~app:(Spec.datagram ~refill:(Time.ms 20))
+      ~start:(Time.ms 20) ()
+  in
   Spec.(
     node "server"
     @ cm ~mtu:1000 [ "server" ]
     @ clients ~n:3 ~per:[ "server" ] ~bw:1e8 ~lat:(Time.ms 1) ~trunk_bw:6e6
-        ~trunk_lat:(Time.ms 20) ~trunk_queue:50 ())
+        ~trunk_lat:(Time.ms 20) ~trunk_queue:50 ()
+    @ to_client 0 @ to_client 1)
 
 let run_side params ~merged =
   Exp_common.with_system params @@ fun sys ->
@@ -31,11 +40,12 @@ let run_side params ~merged =
     ~links:
       [ ("from_server", Build.link net "server->cr0"); ("to_server", Build.link net "cr0->server") ]
     ~cm ();
-  (* two CC-UDP flows to two different destination hosts *)
-  let _r1 = Udp.Cc_socket.run_echo_receiver (client 0) ~port:7001 () in
-  let _r2 = Udp.Cc_socket.run_echo_receiver (client 1) ~port:7001 () in
-  let sock_a = Udp.Cc_socket.create sender ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
-  let sock_b = Udp.Cc_socket.create sender ~cm ~dst:(Addr.endpoint ~host:2 ~port:7001) () in
+  let running = Launch.run net ~driver_for:(Build.driver net) () in
+  let socket i =
+    (Launch.datagrams (Launch.find running (Spec.client_name ~server:0 ~index:i ())) 0)
+      .Launch.socket
+  in
+  let sock_a = socket 0 and sock_b = socket 1 in
   (* by default these are separate per-destination macroflows; with
      bottleneck knowledge supplied, merge them into one *)
   if merged then Cm.merge cm (Udp.Cc_socket.flow sock_a) ~into:(Udp.Cc_socket.flow sock_b);
@@ -48,19 +58,7 @@ let run_side params ~merged =
   in
   let reference = Tcp.Conn.connect sender ~dst:(Addr.endpoint ~host:3 ~port:80) () in
   Tcp.Conn.send reference (1 lsl 28);
-  let feeder =
-    Timer.create engine ~callback:(fun () ->
-        List.iter
-          (fun s ->
-            let room = 64 - Udp.Cc_socket.queued s in
-            for _ = 1 to room do
-              Udp.Cc_socket.send s 1000
-            done)
-          [ sock_a; sock_b ])
-  in
-  Timer.start_periodic feeder (Time.ms 20);
   Engine.run_for engine (Time.sec 20.);
-  Timer.stop feeder;
   let pair = Udp.Cc_socket.bytes_sent sock_a + Udp.Cc_socket.bytes_sent sock_b in
   {
     setup = (if merged then "merged macroflow (bottleneck known)" else "separate per-destination");

@@ -27,7 +27,8 @@ type row = {
 val spec : Cm_spec.Spec.t
 (** Host ["server"] (address 0) and three {!Cm_spec.Spec.clients}
     (addresses 1–3) behind one access router, which reaches the server
-    over a 6 Mbit/s, 20 ms trunk with 50-packet queues. *)
+    over a 6 Mbit/s, 20 ms trunk with 50-packet queues, and the two
+    backlogged datagram flows from the server to clients 1 and 2. *)
 
 val run : Exp_common.params -> row list
 (** Separate vs merged, same topology and seed. *)

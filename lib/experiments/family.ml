@@ -35,21 +35,23 @@ let all =
           ("fig7", fun p -> ignore (Fig7.run_side p ~use_cm:true ~count:3 ~file_bytes:(64 * 1024)));
         ]
       ~specs:[ ("fig7", Fig7.spec) ];
-    make "fig8" "ALF layered streaming over a varying path" Fig8_10.run_fig8
+    make "fig8" "ALF layered streaming over a varying path" (fun p -> Fig8_10.run p Fig8_10.Fig8)
       (fun _ -> Fig8_10.print)
-      ~specs:[ ("fig8_10", Fig8_10.spec) ];
-    make "fig9" "Rate-callback layered streaming" Fig8_10.run_fig9 (fun _ -> Fig8_10.print)
-      ~specs:[ ("fig8_10", Fig8_10.spec) ];
-    make "fig10" "Rate callback with delayed feedback" Fig8_10.run_fig10 (fun _ -> Fig8_10.print)
-      ~specs:[ ("fig8_10", Fig8_10.spec) ];
+      ~specs:[ ("fig8_10", Fig8_10.spec Fig8_10.Fig8) ];
+    make "fig9" "Rate-callback layered streaming" (fun p -> Fig8_10.run p Fig8_10.Fig9)
+      (fun _ -> Fig8_10.print)
+      ~specs:[ ("fig8_10", Fig8_10.spec Fig8_10.Fig9) ];
+    make "fig10" "Rate callback with delayed feedback" (fun p -> Fig8_10.run p Fig8_10.Fig10)
+      (fun _ -> Fig8_10.print)
+      ~specs:[ ("fig8_10", Fig8_10.spec Fig8_10.Fig10) ];
     make "micro" "Connection-establishment microbenchmark" Micro.run (fun _ -> Micro.print)
       ~specs:[ ("micro", Micro.spec) ];
     make "ablation_sched" "Round-robin vs weighted scheduler" Ablations.run_scheduler
       (fun _ -> Ablations.print_scheduler)
-      ~specs:[ ("ablation_sched", Ablations.sched_spec) ];
+      ~specs:[ ("ablation_sched", Ablations.sched_spec Cm.Scheduler.round_robin) ];
     make "ablation_ctrl" "AIMD vs binomial controllers" Ablations.run_controller
       (fun _ -> Ablations.print_controller)
-      ~specs:[ ("ablation_ctrl", Ablations.ctrl_spec) ];
+      ~specs:[ ("ablation_ctrl", Ablations.ctrl_spec (Cm.Controller.aimd ())) ];
     make "ablation_share" "Independent vs shared congestion state" Ablations.run_sharing
       (fun _ -> Ablations.print_sharing)
       ~specs:[ ("ablation_share", Ablations.share_spec) ];
@@ -112,7 +114,7 @@ let all =
           ( "feedback_faults_blackout",
             fun p -> ignore (Feedback_faults.run_case p Feedback_faults.Blackout) );
         ]
-      ~specs:[ ("feedback_faults", Feedback_faults.spec) ];
+      ~specs:[ ("feedback_faults", Feedback_faults.spec Feedback_faults.Baseline) ];
   ]
 
 let find name = List.find_opt (fun f -> f.name = name) all

@@ -73,70 +73,58 @@ let window_bps tl ~from_ ~until =
   in
   bytes *. 8. /. Time.to_float_s (Time.diff until from_)
 
-(* this family always runs defended — it measures the defenses *)
-let spec = Spec.(par [ pipe ~queue:50 ~bw:8e6 ~lat:(Time.ms 20) (); cm ~defended:true [ "a" ] ])
+(* The pipe, its CM, an unbounded cmproto session a → b and the case's
+   control-plane faults.  This family always runs defended — it measures
+   the defenses. *)
+let spec case =
+  let degrade profile host =
+    Spec.faults ~target:host
+      [ (fault_at, Scenario.Control_fault { profile; duration = fault_hold }) ]
+  in
+  Spec.(
+    pipe ~queue:50 ~bw:8e6 ~lat:(Time.ms 20) ()
+    @ cm ~defended:true [ "a" ]
+    @ flows ~name:"session" ~src:[ "a" ] ~dst:"b" ~port:7000
+        ~app:(cmproto_session ~packet_bytes ~window ~ack_every:2 ~pump:(Time.ms 2) ())
+        ()
+    @
+    match case with
+    | Baseline | Crash_restart -> []
+    (* both directions dark: feedback dies at the sender, solicits at the
+       receiver — a total control-plane partition *)
+    | Blackout -> degrade blackout_profile "a" @ degrade blackout_profile "b"
+    | Degraded -> degrade degraded_profile "a")
 
 let run_case params case =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Build.pipe ~rng engine spec in
-  let cm = Build.cm net.Build.net "a" in
-  Exp_common.watch sys ~links:[ ("fwd", net.Build.ab); ("rev", net.Build.ba) ] ~cm ();
+  let ir = Check.elaborate_exn (spec case) in
+  let net = Build.instantiate ~rng engine ir in
+  let cm = Build.cm net "a" in
+  Exp_common.watch sys ~links:[ ("fwd", Build.link net "ab"); ("rev", Build.link net "ba") ] ~cm ();
   (* control-plane injectors go on first: host receive filters run in
      registration order, and the agents' filters must see what survives
      injection, not the other way around *)
-  let snd_inj = Control_faults.install net.Build.a ~classify:Cmproto.is_control in
-  let rcv_inj = Control_faults.install net.Build.b ~classify:Cmproto.is_control in
-  let agent = Cmproto.Sender_agent.install net.Build.a cm in
-  Option.iter (Cmproto.Sender_agent.register_gauges agent) (Exp_common.telemetry sys);
-  let receiver = Cmproto.Receiver_agent.install net.Build.b ~ack_every:2 () in
+  let controls = Build.control_injectors net ~classify:Cmproto.is_control in
+  let running =
+    Launch.run ?telemetry:(Exp_common.telemetry sys) net ~driver_for:(Build.driver net) ()
+  in
+  let { Launch.session; agent; receiver; _ } = Launch.session (Launch.find running "session") 0 in
   (* receiver-side goodput: whatever reaches the application after the
      agent strips the CM header (registered after the receiver agent, so
      it sees the unwrapped survivors only) *)
   let goodput = Timeline.create () in
-  Host.add_rx_filter net.Build.b (fun pkt ->
+  Host.add_rx_filter (Build.host net "b") (fun pkt ->
       (match pkt.Packet.payload with
       | Packet.Raw bytes when pkt.Packet.flow.Addr.dst.Addr.port = 7000 ->
           Timeline.record goodput (Engine.now engine) (float_of_int bytes)
       | _ -> ());
       Some pkt);
-  let session =
-    Cmproto.Session.create agent ~host:net.Build.a ~cm
-      ~dst:(Addr.endpoint ~host:1 ~port:7000)
-      ~queue_limit_pkts:(window * 2) ()
-  in
-  (* an unbounded source: keep the session's queue topped up *)
-  let pump =
-    Timer.create engine ~callback:(fun () ->
-        while Cmproto.Session.queued session < window do
-          Cmproto.Session.send session packet_bytes
-        done)
-  in
-  Timer.start_periodic pump (Time.ms 2);
   (* the fault schedule, as a Scenario over the control injectors *)
-  let scenario_steps =
-    match case with
-    | Baseline | Crash_restart -> []
-    | Blackout ->
-        (* both directions dark: feedback dies at the sender, solicits at
-           the receiver — a total control-plane partition *)
-        [
-          { Scenario.at = fault_at; target = "snd"; action = Scenario.Control_fault { profile = blackout_profile; duration = fault_hold } };
-          { Scenario.at = fault_at; target = "rcv"; action = Scenario.Control_fault { profile = blackout_profile; duration = fault_hold } };
-        ]
-    | Degraded ->
-        [
-          { Scenario.at = fault_at; target = "snd"; action = Scenario.Control_fault { profile = degraded_profile; duration = fault_hold } };
-        ]
-  in
-  (match scenario_steps with
-  | [] -> ()
-  | steps ->
-      let sc = Scenario.make ~name:(case_name case) steps in
-      Scenario.compile engine ~rng:(Rng.split rng) ~links:[]
-        ~controls:[ ("snd", snd_inj); ("rcv", rcv_inj) ]
-        sc);
+  if controls <> [] then
+    Scenario.compile engine ~rng:(Rng.split rng) ~links:(Build.links_alist net) ~controls
+      (Build.scenario ~name:(case_name case) ir);
   (match case with
   | Crash_restart ->
       ignore (Engine.schedule_at engine fault_at (fun () -> Cmproto.Receiver_agent.crash receiver));
@@ -168,12 +156,7 @@ let run_case params case =
   in
   ignore (Engine.schedule_at engine fault_at probe);
   Engine.run_for engine duration;
-  Timer.stop pump;
-  let injected =
-    match case with
-    | Baseline | Crash_restart -> None
-    | Blackout | Degraded -> Some (Control_faults.counters snd_inj)
-  in
+  let injected = Option.map Control_faults.counters (List.assoc_opt "a" controls) in
   let pre = window_bps goodput ~from_:warmup ~until:fault_at in
   let fault = window_bps goodput ~from_:fault_at ~until:fault_end in
   let recover = window_bps goodput ~from_:recover_from ~until:recover_until in

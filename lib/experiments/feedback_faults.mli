@@ -32,8 +32,10 @@ type result = {
 
 type case = Baseline | Blackout | Degraded | Crash_restart
 
-val spec : Cm_spec.Spec.t
-(** The 8 Mbit/s, 20 ms pipe with a 50-packet forward queue. *)
+val spec : case -> Cm_spec.Spec.t
+(** The 8 Mbit/s, 20 ms pipe with a 50-packet forward queue, the
+    sender's defended CM, the cmproto session from ["a"] to ["b"] and
+    the case's control-plane fault steps on those hosts. *)
 
 val run_case : Exp_common.params -> case -> result
 (** One case in isolation ([r_fault_ratio] left at 0 — only {!run}

@@ -15,7 +15,8 @@ type row = {
 }
 
 val spec : Cm_spec.Spec.t
-(** The 10 Mbit/s, 37.5 ms wide-area pipe. *)
+(** The 10 Mbit/s, 37.5 ms wide-area pipe and the client's nine 128 KB
+    fetches, 500 ms apart, from a web server on host ["b"]. *)
 
 val run : ?count:int -> ?file_bytes:int -> Exp_common.params -> row list
 (** Defaults: 9 requests of 128 KB. *)

@@ -1,7 +1,7 @@
 open Cm_util
 open Eventsim
-open Netsim
 open Cm_spec
+module Scenario = Cm_dynamics.Scenario
 
 type sample = { t_s : float; tx_kbps : float; cm_kbps : float }
 type series = { label : string; samples : sample list }
@@ -10,57 +10,59 @@ type series = { label : string; samples : sample list }
    KBps axes *)
 let layers = [| 2e6; 4e6; 8e6; 16e6 |]
 
-(* available-bandwidth schedule for the emulated wide-area path *)
+(* the emulated wide-area path's available bandwidth, as its forward
+   link's fault steps: a 25 s pattern, repeated for longer runs *)
 let schedule duration =
-  let base =
-    [
-      (Time.sec 0., 18e6);
-      (Time.sec 5., 6e6);
-      (Time.sec 10., 3e6);
-      (Time.sec 15., 10e6);
-      (Time.sec 20., 18e6);
-    ]
-  in
-  (* repeat the pattern for longer runs *)
-  let rec extend acc offset =
-    if offset >= duration then List.rev acc
-    else begin
-      let shifted = List.map (fun (t, bw) -> (Time.add t offset, bw)) base in
-      extend (List.rev_append shifted acc) (Time.add offset (Time.sec 25.))
-    end
-  in
-  extend [] 0
+  let period = Time.sec 25. in
+  List.concat_map
+    (fun k ->
+      List.map
+        (fun (t, bw) -> (Time.add (Time.sec t) (k * period), Scenario.Set_bandwidth bw))
+        [ (0., 18e6); (5., 6e6); (10., 3e6); (15., 10e6); (20., 18e6) ])
+    (List.init ((duration + period - 1) / period) Fun.id)
 
-let spec =
-  Spec.(par [ pipe ~queue:50 ~rev_queue:200 ~bw:18e6 ~lat:(Time.ms 20) (); cm ~mtu:1000 [ "a" ] ])
+type figure = Fig8 | Fig9 | Fig10
 
-let run_one params ~label ~mode ~duration ~batch =
+let rate_callback = Cm_apps.Layered.Rate_callback { down = 0.9; up = 1.1 }
+
+(* label, duration, source mode and receiver feedback batching *)
+let setup = function
+  | Fig8 ->
+      ("Figure 8: ALF (request/callback) layered source, 25 s", 25., Cm_apps.Layered.Alf, None)
+  | Fig9 -> ("Figure 9: rate-callback layered source, 20 s", 20., rate_callback, None)
+  | Fig10 ->
+      ( "Figure 10: rate callback with delayed feedback min(500 acks, 2 s), 70 s",
+        70.,
+        rate_callback,
+        Some (500, Time.sec 2.) )
+
+let spec fig =
+  let _, duration, mode, batch = setup fig in
+  Spec.(
+    pipe ~queue:50 ~rev_queue:200 ~bw:18e6 ~lat:(Time.ms 20) ()
+    @ cm ~mtu:1000 [ "a" ]
+    @ faults ~target:"ab" (schedule (Time.sec duration))
+    @ flows ~name:"stream" ~src:[ "a" ] ~dst:"b" ~port:5004
+        ~app:(layered ~packet_bytes:1000 ~mode ?batch ~layers ())
+        ())
+
+let run params fig =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Build.pipe ~rng engine spec in
-  Cm_dynamics.Scenario.compile engine ~rng
-    ~links:[ ("wan", net.Build.ab) ]
-    (Cm_dynamics.Scenario.of_bandwidth_schedule ~name:"fig8-10 vBNS path" ~target:"wan"
-       (schedule duration));
+  let ir = Check.elaborate_exn (spec fig) in
+  let net = Build.instantiate ~rng engine ir in
+  Scenario.compile engine ~rng ~links:(Build.links_alist net)
+    (Build.scenario ~name:"fig8-10 vBNS path" ir);
   Exp_common.watch sys
-    ~links:[ ("wan", net.Build.ab); ("rev", net.Build.ba) ]
-    ~cm:(Build.cm net.Build.net "a") ();
-  let lib = Build.libcm net.Build.net "a" in
-  let _receiver = Udp.Cc_socket.run_echo_receiver net.Build.b ~port:5004 ?batch () in
-  let feedback_timeout =
-    (* with batched feedback the sender must tolerate the batching delay
-       before declaring persistent loss *)
-    match batch with Some (_, d) -> Some (2 * d + Time.ms 500) | None -> None
-  in
-  let source =
-    Cm_apps.Layered.create lib ~host:net.Build.a
-      ~dst:(Addr.endpoint ~host:1 ~port:5004)
-      ~layers ~mode ~packet_bytes:1000 ?feedback_timeout ()
-  in
-  Cm_apps.Layered.start source;
+    ~links:[ ("wan", Build.link net "ab"); ("rev", Build.link net "ba") ]
+    ~cm:(Build.cm net "a") ();
+  let stream = Launch.find (Launch.run net ~driver_for:(Build.driver net) ()) "stream" in
+  let label, duration, _, _ = setup fig in
+  let duration = Time.sec duration in
   Engine.run_for engine duration;
-  Cm_apps.Layered.stop source;
+  Launch.stop stream;
+  let source = Launch.stream stream 0 in
   let bin = Time.sec 1. in
   let tx = Timeline.rate_series (Cm_apps.Layered.tx_timeline source) ~bin ~until:duration in
   let cmr =
@@ -77,22 +79,6 @@ let run_one params ~label ~mode ~duration ~batch =
       tx cmr
   in
   { label; samples }
-
-let run_fig8 params =
-  run_one params ~label:"Figure 8: ALF (request/callback) layered source, 25 s"
-    ~mode:Cm_apps.Layered.Alf ~duration:(Time.sec 25.) ~batch:None
-
-let run_fig9 params =
-  run_one params ~label:"Figure 9: rate-callback layered source, 20 s"
-    ~mode:(Cm_apps.Layered.Rate_callback { down = 0.9; up = 1.1 })
-    ~duration:(Time.sec 20.) ~batch:None
-
-let run_fig10 params =
-  run_one params
-    ~label:"Figure 10: rate callback with delayed feedback min(500 acks, 2 s), 70 s"
-    ~mode:(Cm_apps.Layered.Rate_callback { down = 0.9; up = 1.1 })
-    ~duration:(Time.sec 70.)
-    ~batch:(Some (500, Time.sec 2.))
 
 let print { label; samples } =
   Exp_common.print_header label;

@@ -22,18 +22,14 @@ type sample = {
 
 type series = { label : string; samples : sample list }
 
-val spec : Cm_spec.Spec.t
+type figure = Fig8 | Fig9 | Fig10
+
+val spec : figure -> Cm_spec.Spec.t
 (** The 18 Mbit/s, 20 ms path (50-packet forward, 200-packet reverse
-    queue) whose forward link then follows the bandwidth schedule. *)
+    queue), the bandwidth schedule its forward link follows for the
+    figure's duration, and the figure's layered stream from ["a"]. *)
 
-val run_fig8 : Exp_common.params -> series
-(** The ALF run. *)
-
-val run_fig9 : Exp_common.params -> series
-(** The rate-callback run. *)
-
-val run_fig10 : Exp_common.params -> series
-(** The delayed-feedback run. *)
+val run : Exp_common.params -> figure -> series
 
 val print : series -> unit
 (** Print one series. *)

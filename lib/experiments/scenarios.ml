@@ -76,7 +76,7 @@ let spec_of id =
       ])
 
 (* (build, sender, receiver, fwd, rev, scenario), compiled from
-   [spec_of id] with the sender's CM [stack] *)
+   [spec_of id] with the sender's CM and app [stack] *)
 let make_net engine rng id ~stack =
   let ir = Cm_spec.Check.elaborate_exn (Cm_spec.Spec.par [ spec_of id; stack ]) in
   let b = Cm_spec.Build.instantiate ~rng engine ir in
@@ -118,33 +118,24 @@ let run_layered params id =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net, a, b, ab, ba, scenario =
-    make_net engine rng id ~stack:(Cm_spec.Spec.cm ~mtu:1000 [ "a" ])
+  let net, _, _, ab, ba, scenario =
+    make_net engine rng id
+      ~stack:
+        Cm_spec.Spec.(
+          cm ~mtu:1000 [ "a" ]
+          @ flows ~name:"stream" ~src:[ "a" ] ~dst:"b" ~port:5004
+              ~app:(layered ~packet_bytes:1000 ~layers:[| 1e6; 2e6; 4e6; 8e6 |] ())
+              ())
   in
   let links = [ ("fwd", ab); ("rev", ba) ] in
   Exp_common.watch sys ~links ~cm:(Cm_spec.Build.cm net "a") ();
-  let lib = Cm_spec.Build.libcm net "a" in
-  let _receiver = Udp.Cc_socket.run_echo_receiver b ~port:5004 () in
-  let source =
-    Cm_apps.Layered.create lib ~host:a
-      ~dst:(Addr.endpoint ~host:1 ~port:5004)
-      ~layers:[| 1e6; 2e6; 4e6; 8e6 |]
-      ~mode:Cm_apps.Layered.Alf ~packet_bytes:1000 ()
-  in
-  Cm_apps.Layered.start source;
+  let running = Cm_spec.Launch.run net ~driver_for:(Cm_spec.Build.driver net) () in
   Scenario.compile engine ~rng ~links scenario;
   Engine.run_for engine duration;
-  Cm_apps.Layered.stop source;
-  let switches =
-    match Timeline.points (Cm_apps.Layered.layer_timeline source) with
-    | [] -> 0
-    | p0 :: rest ->
-        fst
-          (List.fold_left
-             (fun (n, prev) (p : Timeline.point) ->
-               if p.Timeline.value <> prev then (n + 1, p.Timeline.value) else (n, prev))
-             (0, p0.Timeline.value) rest)
-  in
+  let stream = Cm_spec.Launch.find running "stream" in
+  Cm_spec.Launch.stop stream;
+  let source = Cm_spec.Launch.stream stream 0 in
+  let switches = Timeline.changes (Cm_apps.Layered.layer_timeline source) in
   (Cm_apps.Layered.tx_timeline source, Some switches, Link.stats ab, scenario)
 
 (* ---- metrics ------------------------------------------------------------ *)

@@ -9,8 +9,8 @@ module Scenario = Cm_dynamics.Scenario
 module Control_faults = Cm_dynamics.Control_faults
 
 (* Seeded chaos-soak harness: a fuzzer that draws a well-formed random
-   spec (dumbbell topology + bulk flows, the qcheck generator shape from
-   the spec test suite) composed with random network, control-plane and
+   spec (dumbbell topology + bulk flows and a cmproto session, the
+   qcheck generator shape from the spec test suite) composed with random network, control-plane and
    application fault schedules, runs it with the CM fully defended under
    a battery of invariant oracles, and — when an oracle breaks — shrinks
    the case to a minimal configuration and prints a one-line reproducer
@@ -156,6 +156,9 @@ let spec_of_cfg c =
          flows ~name:"bulk" ~src:lhosts ~dst:"r0" ~port:5000
            ~app:(bulk ~bytes:(c.c_bulk_kb * 1024))
            ~start:(Time.ms 200) ~stagger:(Time.ms 50) ();
+         flows ~name:"session" ~src:[ "l0" ] ~dst:"r0" ~port:7000
+           ~app:(cmproto_session ~packet_bytes:1000 ~window:32 ~ack_every:2 ~pump:(Time.ms 5) ())
+           ();
        ]
       @ (match net_steps with [] -> [] | steps -> [ faults ~target:"bottleneck" steps ])
       @ match ctrl_steps with [] -> [] | steps -> [ faults ~target:"l0" steps ]))
@@ -163,9 +166,6 @@ let spec_of_cfg c =
 (* ---- one run under the oracles ------------------------------------------ *)
 
 type outcome = { o_failures : string list; o_digest : string }
-
-let session_packet = 1000
-let session_window = 32
 
 let run_one ?(canary = false) c =
   let hoard_crash = c.c_hoard_crash || canary in
@@ -190,20 +190,10 @@ let run_one ?(canary = false) c =
       let l0 = Build.host net "l0" in
       let r0 = Build.host net "r0" in
       let cm = Build.cm net "l0" in
-      let agent = Cmproto.Sender_agent.install l0 cm in
-      let receiver = Cmproto.Receiver_agent.install r0 ~ack_every:2 () in
-      let session =
-        Cmproto.Session.create agent ~host:l0 ~cm
-          ~dst:(Addr.endpoint ~host:(Host.id r0) ~port:7000)
-          ~queue_limit_pkts:(session_window * 2) ()
-      in
-      let pump =
-        Timer.create engine ~callback:(fun () ->
-            while Cmproto.Session.queued session < session_window do
-              Cmproto.Session.send session session_packet
-            done)
-      in
-      Timer.start_periodic pump (Time.ms 5);
+      (* the bulk flows and the cmproto session, from the spec's flow groups *)
+      let running = Launch.run net ~driver_for:(Build.driver net) () in
+      let session_group = Launch.find running "session" in
+      let { Launch.session; agent; receiver; _ } = Launch.session session_group 0 in
       let duration = Time.sec c.c_duration_s in
       (* receiver-agent crash/restart (control-plane state loss) *)
       if c.c_crash_restart then begin
@@ -240,8 +230,6 @@ let run_one ?(canary = false) c =
                       Libcm.destroy lib;
                       Udp.Socket.close socket))))
       end;
-      (* bulk workload from the spec's flow groups *)
-      let running = Launch.run net ~driver_for:(Build.driver net) () in
       (* oracle: auditor sweep every 500 ms across every CM *)
       let audit_runs = ref 0 in
       let rec audit () =
@@ -256,7 +244,7 @@ let run_one ?(canary = false) c =
       ignore (Engine.schedule_at engine (Time.ms 250) audit);
       Engine.run_for engine duration;
       (* teardown, then a grace window for in-flight events to settle *)
-      Timer.stop pump;
+      Launch.stop session_group;
       Cmproto.Session.close session;
       let session_fid = Cmproto.Session.flow session in
       Engine.run_for engine (Time.sec 2.);
@@ -293,7 +281,7 @@ let run_one ?(canary = false) c =
       let digest =
         Printf.sprintf
           "sent=%d/%dB fb=%d dup=%d stale=%d echo=%d rsy=%d sol=%d rx=%d/%d drop=%d link=%d/%d \
-           done=%s cms=[%s] audits=%d pend=%d"
+           done=%d cms=[%s] audits=%d pend=%d"
           (Cmproto.Session.packets_sent session)
           (Cmproto.Session.bytes_sent session)
           d.Cmproto.Sender_agent.feedback_received d.Cmproto.Sender_agent.dup_feedback
@@ -304,7 +292,7 @@ let run_one ?(canary = false) c =
           (Cmproto.Receiver_agent.feedback_sent receiver)
           (Cmproto.Receiver_agent.dropped_while_down receiver)
           bstats.Link.delivered_pkts bstats.Link.queue_drops
-          (String.concat "," (List.map (fun r -> string_of_int (Launch.done_count r)) running))
+          (Launch.done_count (Launch.find running "bulk"))
           cm_digest !audit_runs pending
       in
       { o_failures = !failures; o_digest = digest }

@@ -177,13 +177,22 @@ let step_window at = function
    web fetches) adapt to zero, layered sources never drop below their
    base layer. *)
 let app_floor_bps = function
-  | Spec.Bulk _ | Spec.Web_fetch _ -> 0.
+  | Spec.Bulk _ | Spec.Web_fetch _ | Spec.Datagram _ | Spec.Cmproto_session _ -> 0.
   | Spec.Layered { layers; _ } -> if Array.length layers = 0 then 0. else layers.(0)
 
 (* Ports an app claims on the destination: shared server vs one per flow. *)
 let port_range ~port ~nsrcs = function
   | Spec.Web_fetch _ -> (port, port)
-  | Spec.Bulk _ | Spec.Layered _ -> (port, port + Stdlib.max 1 nsrcs - 1)
+  | Spec.Bulk _ | Spec.Layered _ | Spec.Datagram _ | Spec.Cmproto_session _ ->
+      (port, port + Stdlib.max 1 nsrcs - 1)
+
+(* The CM-driven app classes, named for diagnostics: their sources send
+   through the source host's CM, so each one needs a Spec.cm. *)
+let cm_driven = function
+  | Spec.Layered _ -> Some "layered"
+  | Spec.Datagram _ -> Some "datagram"
+  | Spec.Cmproto_session _ -> Some "cmproto"
+  | Spec.Bulk _ | Spec.Web_fetch _ -> None
 
 (* ---- elaboration -------------------------------------------------------- *)
 
@@ -328,7 +337,7 @@ let elaborate spec =
               if object_bytes <= 0 then err "bad-app" span "fetch needs a positive object size";
               if count <= 0 then err "bad-app" span "fetch count must be positive";
               if gap < 0 then err "bad-app" span "negative fetch gap"
-          | Spec.Layered { layers; packet_bytes; _ } ->
+          | Spec.Layered { layers; packet_bytes; batch; _ } ->
               if packet_bytes <= 0 then err "bad-app" span "packet_bytes must be positive";
               if Array.length layers = 0 then err "bad-app" span "layered source needs layers";
               Array.iteri
@@ -337,7 +346,23 @@ let elaborate spec =
                     err "bad-app" span "layer %d rate must be positive" i
                   else if i > 0 && r <= layers.(i - 1) then
                     err "bad-app" span "layer rates must be strictly ascending (layer %d)" i)
-                layers);
+                layers;
+              (match batch with
+              | Some (n, d) when n <= 0 || d <= 0 ->
+                  err "bad-app" span "feedback batch needs a positive count and interval"
+              | _ -> ())
+          | Spec.Datagram { refill } ->
+              if refill <= 0 then err "bad-app" span "refill period must be positive"
+          | Spec.Cmproto_session { packet_bytes; window; ack_every; pump; packets } ->
+              List.iter
+                (fun (what, v) -> if v <= 0 then err "bad-app" span "%s must be positive" what)
+                [
+                  ("packet_bytes", packet_bytes);
+                  ("window", window);
+                  ("ack_every", ack_every);
+                  ("pump period", pump);
+                  ("packet bound", Option.value packets ~default:1);
+                ]);
           let resolve_host what n =
             match resolve span (Printf.sprintf "flow group %S %s" name what) n with
             | Some i when nodes.(i).n_kind = Spec.Router ->
@@ -357,21 +382,20 @@ let elaborate spec =
       | Spec.Node _ | Spec.Link _ | Spec.Stack _ | Spec.Fault _ -> ())
     spec;
   let groups = Array.of_list (List.rev !groups) in
-  (* 6. layered sources send through libcm, so each source runs a CM *)
+  (* 6. CM-driven sources send through their host's CM, so each runs one *)
   Array.iter
     (fun g ->
-      match g.g_app with
-      | Spec.Layered _ ->
+      match cm_driven g.g_app with
+      | Some what ->
           Array.iter
             (fun s ->
               if Option.is_none stack_of.(s) then
-                err "layered-needs-cm" g.g_span
-                  "flow group %S: layered source %S runs no CM (add Spec.cm [%S])" g.g_name
-                  nodes.(s).n_name nodes.(s).n_name)
+                err "needs-cm" g.g_span "flow group %S: %s source %S runs no CM (add Spec.cm [%S])"
+                  g.g_name what nodes.(s).n_name nodes.(s).n_name)
             g.g_srcs
-      | Spec.Bulk _ | Spec.Web_fetch _ -> ())
+      | None -> ())
     groups;
-  (* 7. destination port claims must not clash *)
+  (* 7. destination port claims must not clash, nor cmproto ack intervals *)
   let claims = Hashtbl.create 16 in
   Array.iter
     (fun g ->
@@ -379,6 +403,15 @@ let elaborate spec =
       let prev = try Hashtbl.find claims g.g_dst with Not_found -> [] in
       List.iter
         (fun (lo', hi', g') ->
+          (* a host runs one cmproto receiver agent: one ack interval *)
+          (match (g.g_app, g'.g_app) with
+          | Spec.Cmproto_session { ack_every = a; _ }, Spec.Cmproto_session { ack_every = b; _ }
+            when a <> b ->
+              err "ack-conflict" g.g_span
+                "flow groups %S and %S ask %S's cmproto receiver agent to acknowledge every %d \
+                 and every %d packets"
+                g'.g_name g.g_name nodes.(g.g_dst).n_name b a
+          | _ -> ());
           if lo <= hi' && lo' <= hi then
             match (g.g_app, g'.g_app) with
             | Spec.Web_fetch { object_bytes = a; _ }, Spec.Web_fetch { object_bytes = b; _ }
@@ -534,6 +567,7 @@ let summary_json ir =
            match compare c' c with 0 -> compare e.e_name e'.e_name | o -> o)
     |> fun l -> List.filteri (fun i _ -> i < 12) l
   in
+  let secs t = Json.float_str (Time.to_float_s t) in
   let group_json g =
     Obj
       [
@@ -547,9 +581,18 @@ let summary_json ir =
             | Spec.Bulk { bytes } -> Printf.sprintf "bulk:%dB" bytes
             | Spec.Web_fetch { object_bytes; count; _ } ->
                 Printf.sprintf "web_fetch:%dB x%d" object_bytes count
-            | Spec.Layered { layers; _ } ->
-                Printf.sprintf "layered:%d layers <=%s bps" (Array.length layers)
-                  (Json.float_str layers.(Array.length layers - 1))) );
+            | Spec.Layered { layers; batch; _ } ->
+                Printf.sprintf "layered:%d layers <=%s bps%s" (Array.length layers)
+                  (Json.float_str layers.(Array.length layers - 1))
+                  (match batch with
+                  | Some (n, d) -> Printf.sprintf " batch=%d/%ss" n (secs d)
+                  | None -> "")
+            | Spec.Datagram { refill } ->
+                Printf.sprintf "datagram:1000B x64 refill=%ss" (secs refill)
+            | Spec.Cmproto_session { packet_bytes; window; ack_every; pump; packets } ->
+                Printf.sprintf "cmproto:%dB window=%d ack_every=%d pump=%ss%s" packet_bytes window
+                  ack_every (secs pump)
+                  (match packets with Some n -> Printf.sprintf " x%d" n | None -> "")) );
         ("start_s", Float (Time.to_float_s g.g_start));
         ("stagger_s", Float (Time.to_float_s g.g_stagger));
         ("stop_s", match g.g_stop with Some s -> Float (Time.to_float_s s) | None -> Null);

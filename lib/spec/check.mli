@@ -15,12 +15,16 @@
     - [bad-stack] — a {!Spec.cm} on an undeclared name or a router, a
       host declared twice, or a non-positive mtu;
     - [router-endpoint] / [empty-group] / [bad-app] / [bad-time] — flow
-      group sanity (ports, sizes, ascending layer rates, start/stop/stagger);
+      group sanity (ports, sizes, ascending layer rates, positive
+      feedback batch, refill and pump periods, session window, ack
+      interval and packet bound, start/stop/stagger);
     - [port-clash] / [server-conflict] — overlapping destination port
       claims (per-flow apps claim [port..port+n-1], web fetches may share
       a server only at equal object size);
-    - [layered-needs-cm] — a layered group's source has no {!Spec.cm}
-      (layered sources send through the host's libcm);
+    - [needs-cm] — a CM-driven source (layered, datagram or cmproto
+      session) has no {!Spec.cm} (it sends through the host's CM);
+    - [ack-conflict] — two cmproto groups ask one destination host's
+      receiver agent for different [ack_every];
     - [unknown-target] / [bad-fault] / [fault-overlap] — fault steps
       resolve to links, pass {!Cm_dynamics.Scenario.make} validation, and
       bounded disruptions on one target never overlap;

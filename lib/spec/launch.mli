@@ -1,43 +1,78 @@
 (** Final stage of the spec pipeline: flow groups → running applications.
 
-    {!run} schedules every flow of every group on the build's engine —
-    deterministically, in declaration order, flow [i] starting at
-    [start + i*stagger] — and returns a handle per group to read
-    results from after the run:
+    {!run} creates every application of every group, in declaration
+    order, schedules flow [i]'s start at [start + i*stagger], and returns
+    a handle per group.  What {!Spec.app} describes, flow [i] yields as:
 
-    - [Bulk] groups launch one {!Cm_apps.Bulk.tcp_push} per source on
-      ports [port], [port+1], … (whole 8 KiB buffers, byte count rounded
-      up);
-    - [Web_fetch] groups share one {!Cm_apps.Web.server} per
-      [(dst, port)] and run {!Cm_apps.Web.sequential_fetches} per source;
-    - [Layered] groups bind a per-flow echo receiver on ports [port+i]
-      and drive a {!Cm_apps.Layered} source over the source host's
-      {!Build.libcm}, stopped at the group's [stop] time if given.
-      {!Check} has already rejected a layered source without a CM
-      ([layered-needs-cm]). *)
+    - [Bulk]: a {!Cm_apps.Bulk.tcp_push} (whole 8 KiB buffers, rounded
+      up), [Pending] then [Bulk_done];
+    - [Web_fetch]: {!Cm_apps.Web.sequential_fetches} from one
+      {!Cm_apps.Web.server} per [(dst, port)], [Pending] then [Fetched];
+    - [Layered]: [Streaming], a {!Cm_apps.Layered} source on the source
+      host's {!Build.libcm};
+    - [Datagram]: [Datagrams], a {!Udp.Cc_socket} and its echo receiver;
+    - [Cmproto_session]: [Session], a {!Cmproto.Session} and the agents
+      it shares with the other sessions of its hosts.
+
+    The last three exist from {!run} on, so observers may set a weight,
+    merge macroflows or read counters before the run as well as after;
+    they run until the group's [stop] time or {!stop}.  {!run} installs
+    the cmproto agents' receive filters: a filter that must see packets
+    before them (a cost model, {!Build.control_injectors}) is registered
+    before {!run}, one that must see what they leave after it. *)
 
 open Cm_util
 open Netsim
 
+type pump
+(** A source's place on its refill timer; {!stop} releases it. *)
+
+type datagrams = { socket : Udp.Cc_socket.t; echo : Udp.Feedback.Receiver.t; d_pump : pump }
+
+type session = {
+  session : Cmproto.Session.t;
+  agent : Cmproto.Sender_agent.t;  (** The source host's. *)
+  receiver : Cmproto.Receiver_agent.t;  (** The destination host's. *)
+  s_pump : pump;
+}
+
 type outcome =
-  | Pending  (** Launched (or scheduled) but not finished. *)
+  | Pending  (** Scheduled, or running, but not finished. *)
   | Bulk_done of { at : Time.t; result : Cm_apps.Bulk.result }
   | Fetched of { at : Time.t; fetches : Cm_apps.Web.fetch_result list }
   | Streaming of Cm_apps.Layered.t
+  | Datagrams of datagrams
+  | Session of session
 
 type running = { rg : Check.group; outcomes : outcome array }
 
-val run : Build.t -> driver_for:(Host.t -> Tcp.Conn.driver option) -> unit -> running list
-(** [driver_for] supplies the TCP driver per host ([None] = stock TCP);
-    it is consulted for web servers (the data sender) as well as
-    connecting clients.  Families pass [Build.driver net], the spec's
-    own stacks.  It stays a parameter so that a caller can still wire
-    TCP to CMs it built itself (a benchmark outside the library does).
-    Layered sources need no such hook: their libcm is the spec's, from
-    {!Build.libcm}, which is why there is no [libcm_for]. *)
+val run :
+  ?telemetry:Telemetry.t ->
+  Build.t ->
+  driver_for:(Host.t -> Tcp.Conn.driver option) ->
+  unit ->
+  running list
+(** [telemetry], when given, gets each cmproto sender agent's gauges
+    ({!Cmproto.Sender_agent.register_gauges}) as the agent is installed,
+    before its sessions open macroflows.  [driver_for] supplies the TCP
+    driver per host ([None] = stock TCP), for web servers (the data
+    sender) as well as connecting clients.  Families pass [Build.driver
+    net], the spec's own stacks; it stays a parameter so that a caller
+    can wire TCP to CMs it built itself (a benchmark outside the library
+    does).  The CM-driven classes use the spec's stacks. *)
+
+val stop : running -> unit
+(** Stop the group's layered sources, and stop refilling its datagram
+    and cmproto sources (what they have queued still drains). *)
 
 val done_count : running -> int
 (** Finished bounded flows (bulk transfers and fetch sequences). *)
 
 val find : running list -> string -> running
 (** Look up a group by name. *)
+
+val stream : running -> int -> Cm_apps.Layered.t
+val datagrams : running -> int -> datagrams
+val session : running -> int -> session
+(** Flow [i]'s application; raise [Invalid_argument] when the group
+    runs another class. *)

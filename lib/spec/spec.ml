@@ -17,7 +17,20 @@ type node_kind = Host | Router
 type app =
   | Bulk of { bytes : int }
   | Web_fetch of { object_bytes : int; count : int; gap : Time.span }
-  | Layered of { layers : float array; packet_bytes : int; mode : Cm_apps.Layered.mode }
+  | Layered of {
+      layers : float array;
+      packet_bytes : int;
+      mode : Cm_apps.Layered.mode;
+      batch : (int * Time.span) option;
+    }
+  | Datagram of { refill : Time.span }
+  | Cmproto_session of {
+      packet_bytes : int;
+      window : int;
+      ack_every : int;
+      pump : Time.span;
+      packets : int option;
+    }
 
 type elem =
   | Node of { name : string; kind : node_kind; id : int option; span : span }
@@ -82,8 +95,13 @@ let cm ?mtu ?scheduler ?controller ?(defended = false) hosts =
 let bulk ~bytes = Bulk { bytes }
 let web_fetch ~object_bytes ~count ~gap = Web_fetch { object_bytes; count; gap }
 
-let layered ?(packet_bytes = 1000) ?(mode = Cm_apps.Layered.Alf) ~layers () =
-  Layered { layers; packet_bytes; mode }
+let layered ?(packet_bytes = 1000) ?(mode = Cm_apps.Layered.Alf) ?batch ~layers () =
+  Layered { layers; packet_bytes; mode; batch }
+
+let datagram ~refill = Datagram { refill }
+
+let cmproto_session ~packet_bytes ~window ~ack_every ~pump ?packets () =
+  Cmproto_session { packet_bytes; window; ack_every; pump; packets }
 
 (* ---- composition -------------------------------------------------------- *)
 

@@ -37,9 +37,36 @@ type app =
       (** [count] sequential fetches of an [object_bytes] response from a
           shared server on [dst:port], each started [gap] after the
           previous one's start. *)
-  | Layered of { layers : float array; packet_bytes : int; mode : Cm_apps.Layered.mode }
-      (** A layered media source per flow (cumulative rates ascending),
-          with a per-flow echo receiver. *)
+  | Layered of {
+      layers : float array;
+      packet_bytes : int;
+      mode : Cm_apps.Layered.mode;
+      batch : (int * Time.span) option;
+    }
+      (** A layered media source per flow (cumulative rates ascending)
+          over the source host's libcm, with an echo receiver on
+          [dst:port+i] that acknowledges every datagram, or with [batch
+          = Some (n, d)] every [n] datagrams or [d] (Fig. 10); the
+          source then waits [2d + 500 ms] before declaring loss. *)
+  | Datagram of { refill : Time.span }
+      (** A backlogged CC-UDP source per flow: a socket over the source
+          host's CM to an echo receiver on [dst:port+i], topped up to 64
+          queued 1000 B datagrams at its start and then on every tick of
+          a [refill]-periodic timer (one per period, shared). *)
+  | Cmproto_session of {
+      packet_bytes : int;
+      window : int;
+      ack_every : int;
+      pump : Time.span;
+      packets : int option;
+    }
+      (** A CM-protocol session per flow to [dst:port+i] (queue limit
+          [2 * window]), over one sender agent per source host and one
+          receiver agent per destination host acknowledging every
+          [ack_every] packets; from its start it is topped up to [window]
+          queued [packet_bytes] datagrams on every tick of a
+          [pump]-periodic timer (one per period, shared), [packets] in
+          all ([None]: unbounded). *)
 
 type elem =
   | Node of { name : string; kind : node_kind; id : int option; span : span }
@@ -122,7 +149,7 @@ val flows :
   t
 (** A flow group: one [app] instance per source host, targeting [dst].
     Source [i] starts at [start + i*stagger]; [stop] (when given) halts
-    unbounded apps (layered sources). *)
+    unbounded apps (layered, datagram and cmproto sources). *)
 
 val faults : target:string -> (Time.t * Cm_dynamics.Scenario.action) list -> t
 (** Timed fault actions on the named link. *)
@@ -146,7 +173,19 @@ val cm :
 
 val bulk : bytes:int -> app
 val web_fetch : object_bytes:int -> count:int -> gap:Time.span -> app
-val layered : ?packet_bytes:int -> ?mode:Cm_apps.Layered.mode -> layers:float array -> unit -> app
+val layered :
+  ?packet_bytes:int ->
+  ?mode:Cm_apps.Layered.mode ->
+  ?batch:int * Time.span ->
+  layers:float array ->
+  unit ->
+  app
+(** Defaults: 1000 B packets, ALF, no batching. *)
+
+val datagram : refill:Time.span -> app
+
+val cmproto_session :
+  packet_bytes:int -> window:int -> ack_every:int -> pump:Time.span -> ?packets:int -> unit -> app
 
 (** {1 Composition} *)
 

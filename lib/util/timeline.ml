@@ -47,3 +47,12 @@ let mean_value t =
     let total = List.fold_left (fun acc p -> acc +. p.value) 0. t.rev_points in
     total /. float_of_int t.n
   end
+
+let changes t =
+  match points t with
+  | [] -> 0
+  | p0 :: rest ->
+      fst
+        (List.fold_left
+           (fun (n, prev) p -> if p.value <> prev then (n + 1, p.value) else (n, prev))
+           (0, p0.value) rest)

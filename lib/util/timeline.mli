@@ -39,3 +39,6 @@ val sampled_series : t -> bin:Time.span -> until:Time.t -> (Time.t * float) list
 
 val mean_value : t -> float
 (** Mean of all sample values; [nan] if empty. *)
+
+val changes : t -> int
+(** Samples whose value differs from the previous sample's. *)

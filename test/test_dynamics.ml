@@ -244,7 +244,9 @@ let test_scenario_fault_window () =
       Alcotest.(check int) "window starts at the first disruption" (Time.sec 3.) s0;
       Alcotest.(check int) "window ends at the last clearance" (Time.sec 7.) e0
   | None -> Alcotest.fail "expected a fault window");
-  let bw_only = Scenario.of_bandwidth_schedule ~name:"bw" ~target:"fwd" [ (0, 1e6) ] in
+  let bw_only =
+    Scenario.make ~name:"bw" [ { Scenario.at = 0; target = "fwd"; action = Set_bandwidth 1e6 } ]
+  in
   "renegotiation-only scenario has no fault window" => (Scenario.fault_window bw_only = None)
 
 (* one scenario exercising every action kind, driven by CBR traffic; the

@@ -388,7 +388,7 @@ let test_fig4_5_shape () =
     rows
 
 let test_fig8_tracks_schedule () =
-  let s = Experiments.Fig8_10.run_fig8 quick_params in
+  let s = Experiments.Fig8_10.(run quick_params Fig8) in
   let rate_at t_s =
     List.fold_left
       (fun acc p ->

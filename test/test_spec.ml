@@ -191,6 +191,154 @@ let test_stack_lookups () =
   check_invalid "cm on a host without one" (fun () -> Build.cm b "b");
   check_invalid "libcm on a host without one" (fun () -> Build.libcm b "b")
 
+(* ---- parity: Launch ≡ handwritten apps --------------------------------- *)
+
+(* One seeded run of one app a → b on a lossy pipe under a's CM: [make]
+   wires the pipe, the CM and the app, and returns both links and a
+   reader of the app's counters, read after [duration]. *)
+let app_run make =
+  Netsim.Packet.reset_ids ();
+  let engine = Eventsim.Engine.create () in
+  let fwd, rev, read = make engine (Rng.create ~seed:42) in
+  Eventsim.Engine.run_for engine (Time.sec 5.);
+  (Netsim.Link.stats fwd, Netsim.Link.stats rev, read ())
+
+let hand_app_pipe engine rng =
+  let a, b, fwd, rev =
+    hand_pipe engine rng ~bw:20e6 ~lat:(Time.ms 10) ~queue:100 ~rev_queue:1000 ~loss:0.01
+  in
+  (a, b, fwd, rev, hand_cm engine a)
+
+(* The same pipe and CM from a spec, with [app] as one flow group run by
+   Launch. *)
+let launched_app engine rng app =
+  let net =
+    Build.pipe ~rng engine
+      (Spec.par
+         [
+           Spec.pipe ~loss:0.01 ~bw:20e6 ~lat:(Time.ms 10) ();
+           Spec.cm [ "a" ];
+           Spec.flows ~name:"g" ~src:[ "a" ] ~dst:"b" ~port:7000 ~app ();
+         ])
+  in
+  let running = Cm_spec.Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  (net, Cm_spec.Launch.find running "g")
+
+let check_app_parity what (hand_fwd, hand_rev, hand) (dsl_fwd, dsl_rev, dsl) =
+  Alcotest.(check bool) (what ^ ": fwd link stats") true (hand_fwd = dsl_fwd);
+  Alcotest.(check bool) (what ^ ": rev link stats") true (hand_rev = dsl_rev);
+  Alcotest.(check bool) (what ^ ": app counters") true (hand = dsl)
+
+(* A datagram group ≡ a CC-UDP socket and echo receiver wired by hand,
+   filled to 64 queued datagrams at once and every 50 ms after: Launch
+   must honour the refill period (at 20 Mbit/s the socket drains 64
+   datagrams in well under 50 ms, so the period sets the pace). *)
+let test_datagram_parity () =
+  let dst = Netsim.Addr.endpoint ~host:1 ~port:7000 in
+  let hand =
+    app_run (fun engine rng ->
+        let a, b, fwd, rev, cm = hand_app_pipe engine rng in
+        let _echo = Udp.Cc_socket.run_echo_receiver b ~port:7000 () in
+        let sock = Udp.Cc_socket.create a ~cm ~dst () in
+        let fill () =
+          for _ = 1 to 64 - Udp.Cc_socket.queued sock do
+            Udp.Cc_socket.send sock 1000
+          done
+        in
+        fill ();
+        Eventsim.Timer.start_periodic (Eventsim.Timer.create engine ~callback:fill) (Time.ms 50);
+        ( fwd,
+          rev,
+          fun () ->
+            (Udp.Cc_socket.bytes_sent sock, Udp.Cc_socket.packets_sent sock, Cm.counters cm) ))
+  in
+  let dsl =
+    app_run (fun engine rng ->
+        let net, g = launched_app engine rng (Spec.datagram ~refill:(Time.ms 50)) in
+        let sock = (Cm_spec.Launch.datagrams g 0).Cm_spec.Launch.socket in
+        let cm = Build.cm net.Build.net "a" in
+        ( net.Build.ab,
+          net.Build.ba,
+          fun () ->
+            (Udp.Cc_socket.bytes_sent sock, Udp.Cc_socket.packets_sent sock, Cm.counters cm) ))
+  in
+  check_app_parity "datagram" hand dsl;
+  let _, _, (bytes, _, _) = hand in
+  Alcotest.(check bool) "traffic flowed" true (bytes > 1_000_000)
+
+(* A cmproto group ≡ agents and a session wired by hand: acknowledgment
+   every packet, a 16-packet window pumped every 2 ms, 3000 packets of
+   500 B, a 32-packet session queue.  The agents' defense counters show
+   a dropped [ack_every]; the bytes sent show a dropped pump, window or
+   bound. *)
+let test_cmproto_parity () =
+  let window = 16 and packets = 3000 and packet_bytes = 500 in
+  let read session agent () =
+    ( Cmproto.Session.bytes_sent session,
+      Cmproto.Session.packets_sent session,
+      Cmproto.Sender_agent.counters agent )
+  in
+  let hand =
+    app_run (fun engine rng ->
+        let a, b, fwd, rev, cm = hand_app_pipe engine rng in
+        let agent = Cmproto.Sender_agent.install a cm in
+        let _receiver = Cmproto.Receiver_agent.install b ~ack_every:1 () in
+        let session =
+          Cmproto.Session.create agent ~host:a ~cm
+            ~dst:(Netsim.Addr.endpoint ~host:1 ~port:7000)
+            ~queue_limit_pkts:(2 * window) ()
+        in
+        let fed = ref 0 in
+        let fill () =
+          while !fed < packets && Cmproto.Session.queued session < window do
+            incr fed;
+            Cmproto.Session.send session packet_bytes
+          done
+        in
+        Eventsim.Timer.start_periodic (Eventsim.Timer.create engine ~callback:fill) (Time.ms 2);
+        (fwd, rev, read session agent))
+  in
+  let dsl =
+    app_run (fun engine rng ->
+        let net, g =
+          launched_app engine rng
+            (Spec.cmproto_session ~packet_bytes ~window ~ack_every:1 ~pump:(Time.ms 2) ~packets ())
+        in
+        let { Cm_spec.Launch.session; agent; _ } = Cm_spec.Launch.session g 0 in
+        (net.Build.ab, net.Build.ba, read session agent))
+  in
+  check_app_parity "cmproto" hand dsl;
+  let _, _, (_, sent, counters) = hand in
+  Alcotest.(check int) "the bound held" packets sent;
+  Alcotest.(check bool) "feedback flowed" true
+    (counters.Cmproto.Sender_agent.feedback_received > 1000)
+
+(* Two datagram groups share one refill timer: stopping one stops only
+   its refills (its queue drains within a backlog) while the other keeps
+   sending, until it is stopped too. *)
+let test_launch_stop () =
+  let engine = Eventsim.Engine.create () in
+  let group name port =
+    Spec.flows ~name ~src:[ "a" ] ~dst:"b" ~port ~app:(Spec.datagram ~refill:(Time.ms 20)) ()
+  in
+  let net =
+    Build.pipe engine
+      Spec.(pipe ~bw:20e6 ~lat:(Time.ms 5) () @ cm [ "a" ] @ group "g1" 7000 @ group "g2" 7001)
+  in
+  let running = Cm_spec.Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let g1 = Cm_spec.Launch.find running "g1" and g2 = Cm_spec.Launch.find running "g2" in
+  let sent g = Udp.Cc_socket.packets_sent (Cm_spec.Launch.datagrams g 0).Cm_spec.Launch.socket in
+  Eventsim.Engine.run_for engine (Time.sec 1.);
+  Cm_spec.Launch.stop g1;
+  let s1 = sent g1 and s2 = sent g2 in
+  Eventsim.Engine.run_for engine (Time.sec 2.);
+  Alcotest.(check bool) "g1 sends at most its queued backlog" true (sent g1 - s1 <= 64);
+  Alcotest.(check bool) "g2 keeps sending" true (sent g2 - s2 > 1000);
+  Cm_spec.Launch.stop g2;
+  let s2 = sent g2 in
+  Eventsim.Engine.run_for engine (Time.sec 2.);
+  Alcotest.(check bool) "g2 drains and stops" true (sent g2 - s2 <= 64)
+
 (* ---- topology: built networks carry packets ---------------------------- *)
 
 let udp_pkt ~src ~dst =
@@ -332,7 +480,35 @@ let test_bad_app () =
   has_code "bad-app" (g (Spec.web_fetch ~object_bytes:1 ~count:0 ~gap:0));
   has_code "bad-app" (g (Spec.layered ~layers:[||] ()));
   has_code "bad-app" (g (Spec.layered ~layers:[| 2e6; 1e6 |] ()));
-  has_code "bad-app" (g (Spec.layered ~layers:[| 0. |] ()))
+  has_code "bad-app" (g (Spec.layered ~layers:[| 0. |] ()));
+  let session ?(packet_bytes = 1000) ?(window = 32) ?(ack_every = 2) ?(pump = Time.ms 5) ?packets
+      () =
+    Spec.cmproto_session ~packet_bytes ~window ~ack_every ~pump ?packets ()
+  in
+  let layered ?batch () = Spec.layered ?batch ~layers:[| 1e5 |] () in
+  List.iter
+    (fun app -> has_code "bad-app" (g app))
+    [
+      layered ~batch:(0, Time.sec 2.) ();
+      layered ~batch:(500, 0) ();
+      Spec.datagram ~refill:0;
+      Spec.datagram ~refill:(-1);
+      session ~packet_bytes:0 ();
+      session ~window:0 ();
+      session ~ack_every:0 ();
+      session ~pump:0 ();
+      session ~packets:0 ();
+    ];
+  (* their clean twins, from a host with a CM *)
+  List.iter
+    (fun app ->
+      Alcotest.(check (list string)) "clean twin" [] (codes (Spec.par [ g app; Spec.cm [ "a" ] ])))
+    [
+      layered ~batch:(500, Time.sec 2.) ();
+      Spec.datagram ~refill:(Time.ms 20);
+      session ();
+      session ~packets:20_000 ();
+    ]
 
 let test_bad_time () =
   has_code "bad-time" (Spec.par [ pipe_base; bulk_group ~start:(Time.sec (-1.)) () ]);
@@ -457,17 +633,77 @@ let test_bad_stack () =
     "a CM on each host is clean" []
     (codes (Spec.par [ pipe_base; bulk_group (); Spec.cm ~mtu:1 [ "a"; "b" ] ]))
 
-let test_layered_needs_cm () =
-  let stream =
-    Spec.flows ~name:"s" ~src:[ "a" ] ~dst:"b" ~port:5004
-      ~app:(Spec.layered ~layers:[| 1e5; 2e5 |] ())
+let test_needs_cm () =
+  List.iter
+    (fun app ->
+      let g = Spec.flows ~name:"s" ~src:[ "a" ] ~dst:"b" ~port:5004 ~app () in
+      has_code "needs-cm" (Spec.par [ pipe_base; g ]);
+      has_code "needs-cm" (Spec.par [ pipe_base; g; Spec.cm [ "b" ] ]);
+      Alcotest.(check (list string))
+        "CM-driven source with a CM is clean" []
+        (codes (Spec.par [ pipe_base; g; Spec.cm [ "a" ] ])))
+    [
+      Spec.layered ~layers:[| 1e5; 2e5 |] ();
+      Spec.datagram ~refill:(Time.ms 50);
+      Spec.cmproto_session ~packet_bytes:168 ~window:32 ~ack_every:1 ~pump:(Time.us 200) ();
+    ]
+
+let test_ack_conflict () =
+  let session ~name ~port ack_every =
+    Spec.flows ~name ~src:[ "a" ] ~dst:"b" ~port
+      ~app:(Spec.cmproto_session ~packet_bytes:1000 ~window:64 ~ack_every ~pump:(Time.ms 2) ())
       ()
   in
-  has_code "layered-needs-cm" (Spec.par [ pipe_base; stream ]);
-  has_code "layered-needs-cm" (Spec.par [ pipe_base; stream; Spec.cm [ "b" ] ]);
-  Alcotest.(check (list string))
-    "layered source with a CM is clean" []
-    (codes (Spec.par [ pipe_base; stream; Spec.cm [ "a" ] ]))
+  let pair ack_every' =
+    Spec.par
+      [
+        pipe_base;
+        Spec.cm [ "a" ];
+        session ~name:"g1" ~port:7000 2;
+        session ~name:"g2" ~port:7001 ack_every';
+      ]
+  in
+  has_code "ack-conflict" (pair 1);
+  (* one receiver agent, one interval: fine *)
+  Alcotest.(check (list string)) "agreeing sessions are clean" [] (codes (pair 2))
+
+(* --dump names every app class with its fields *)
+let test_summary_apps () =
+  let apps =
+    [
+      ( "layered",
+        Spec.layered ~batch:(500, Time.sec 2.) ~layers:[| 1e5; 2e5 |] (),
+        "layered:2 layers <=200000 bps batch=500/2s" );
+      ("datagram", Spec.datagram ~refill:(Time.ms 50), "datagram:1000B x64 refill=0.05s");
+      ( "cmproto",
+        Spec.cmproto_session ~packet_bytes:168 ~window:32 ~ack_every:1 ~pump:(Time.us 200)
+          ~packets:20_000 (),
+        "cmproto:168B window=32 ack_every=1 pump=0.0002s x20000" );
+    ]
+  in
+  let ir =
+    Check.elaborate_exn
+      (Spec.par
+         (pipe_base :: Spec.cm [ "a" ]
+         :: List.mapi
+              (fun i (name, app, _) ->
+                Spec.flows ~name ~src:[ "a" ] ~dst:"b" ~port:(5000 + (10 * i)) ~app ())
+              apps))
+  in
+  match Check.summary_json ir with
+  | Cm_util.Json.Obj fields -> (
+      match List.assoc "groups" fields with
+      | Cm_util.Json.List groups ->
+          List.iter2
+            (fun (name, _, want) g ->
+              match g with
+              | Cm_util.Json.Obj gf ->
+                  Alcotest.(check bool) (name ^ " app string") true
+                    (List.assoc "app" gf = Cm_util.Json.Str want)
+              | _ -> Alcotest.fail "group is not an object")
+            apps groups
+      | _ -> Alcotest.fail "no groups list")
+  | _ -> Alcotest.fail "summary is not an object"
 
 let test_oversubscribed () =
   has_code "oversubscribed"
@@ -979,6 +1215,9 @@ let () =
             test_pipe_parity;
           Alcotest.test_case "Spec.cm stack: Build ≡ handwritten CM" `Quick test_stack_parity;
           Alcotest.test_case "stack lookups: cm, libcm, driver" `Quick test_stack_lookups;
+          Alcotest.test_case "datagram group: Launch ≡ handwritten" `Quick test_datagram_parity;
+          Alcotest.test_case "cmproto group: Launch ≡ handwritten" `Quick test_cmproto_parity;
+          Alcotest.test_case "Launch.stop halts one group's refills" `Quick test_launch_stop;
         ] );
       ( "topology",
         [
@@ -1008,7 +1247,9 @@ let () =
           Alcotest.test_case "oversubscribed" `Quick test_oversubscribed;
           Alcotest.test_case "control-target" `Quick test_control_target;
           Alcotest.test_case "bad-stack" `Quick test_bad_stack;
-          Alcotest.test_case "layered-needs-cm" `Quick test_layered_needs_cm;
+          Alcotest.test_case "needs-cm" `Quick test_needs_cm;
+          Alcotest.test_case "ack-conflict" `Quick test_ack_conflict;
+          Alcotest.test_case "summary names every app class" `Quick test_summary_apps;
           Alcotest.test_case "diagnostics carry spans" `Quick test_span_in_diag;
         ] );
       ( "routing",
