@@ -181,34 +181,34 @@ let kill_grant t g =
    A top-level loop: a local one would be a closure per grant batch. *)
 let rec grant_loop t =
   if t.cwnd_now - t.outstanding - t.granted_bytes >= t.resv_now then begin
-    match t.sched.Scheduler.dequeue () with
-    | None -> ()
-    | Some ix ->
-        let m = t.mix.(ix) in
-        if m == m_nil then grant_loop t (* unreachable: detach purges the scheduler *)
-        else begin
-          let reserved = t.resv_now in
-          push_grant t
-            {
-              at = Engine.now t.engine;
-              reserved;
-              g_mem = m;
-              g_dead = false;
-              g_qnext = g_nil;
-              g_fnext = g_nil;
-            };
-          t.granted_bytes <- t.granted_bytes + reserved;
-          t.grants_issued <- t.grants_issued + 1;
-          (* window conservation is only meaningful at the moment credit
-             is extended: after a loss halves cwnd, outstanding may
-             legitimately exceed it while the pipe drains.  The guard
-             above makes this unreachable; the counter is what the
-             invariant auditor checks. *)
-          if t.outstanding + t.granted_bytes > t.cwnd_now + t.mtu then
-            t.conservation_breaches <- t.conservation_breaches + 1;
-          t.deliver_grant m ~reserved;
-          grant_loop t
-        end
+    let ix = t.sched.Scheduler.dequeue () in
+    if ix >= 0 then begin
+      let m = t.mix.(ix) in
+      if m == m_nil then grant_loop t (* unreachable: detach purges the scheduler *)
+      else begin
+        let reserved = t.resv_now in
+        push_grant t
+          {
+            at = Engine.now t.engine;
+            reserved;
+            g_mem = m;
+            g_dead = false;
+            g_qnext = g_nil;
+            g_fnext = g_nil;
+          };
+        t.granted_bytes <- t.granted_bytes + reserved;
+        t.grants_issued <- t.grants_issued + 1;
+        (* window conservation is only meaningful at the moment credit
+           is extended: after a loss halves cwnd, outstanding may
+           legitimately exceed it while the pipe drains.  The guard
+           above makes this unreachable; the counter is what the
+           invariant auditor checks. *)
+        if t.outstanding + t.granted_bytes > t.cwnd_now + t.mtu then
+          t.conservation_breaches <- t.conservation_breaches + 1;
+        t.deliver_grant m ~reserved;
+        grant_loop t
+      end
+    end
   end
 
 let run_grants t =

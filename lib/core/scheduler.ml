@@ -1,7 +1,7 @@
 type t = {
   name : string;
   enqueue : Cm_types.flow_id -> unit;
-  dequeue : unit -> Cm_types.flow_id option;
+  dequeue : unit -> Cm_types.flow_id;
   remove : Cm_types.flow_id -> unit;
   set_weight : Cm_types.flow_id -> float -> unit;
   pending : unit -> int;
@@ -78,7 +78,7 @@ let round_robin () =
     if c = 0 then ring_push ring ((!epochs.(id) lsl id_bits) lor id)
   in
   let rec dequeue () =
-    if ring.len = 0 then None
+    if ring.len = 0 then -1
     else begin
       let packed = ring_pop ring in
       let id = packed land id_mask in
@@ -88,7 +88,7 @@ let round_robin () =
         !counts.(id) <- c - 1;
         decr total;
         if c > 1 then ring_push ring packed;
-        Some id
+        id
       end
     end
   in
@@ -114,17 +114,30 @@ let round_robin () =
 
 module Wheel = Cm_util.Wheel
 
-(* Per-flow scheduler state.  [pass] is the flow's next service tag; while
-   the flow is backlogged its handle is queued under [key pass], so
-   dequeue is extract-min over backlogged flows: O(log n) however many
-   flows are registered, instead of the full-table scan this replaces.
-   The handle lives as long as the entry and is re-queued in place. *)
+(* A flow's float state.  A record whose fields are all floats stores
+   them flat, so writing a pass allocates nothing; a float field of a
+   mixed record, or a [float ref], holds a pointer to a fresh 2-word box
+   on every write, and a box written into a long-lived entry is promoted
+   with it. *)
+type tags = {
+  mutable weight : float;
+  mutable pass : float; (* next service tag *)
+}
+
+(* Per-flow scheduler state.  While the flow is backlogged its handle is
+   queued under [key pass], so dequeue is extract-min over backlogged
+   flows: O(log n) however many flows are registered, instead of the
+   full-table scan this replaces.  The handle lives as long as the entry
+   and is re-queued in place. *)
 type stride_entry = {
   mutable s_count : int; (* pending requests *)
-  mutable s_weight : float;
-  mutable s_pass : float; (* next service tag *)
+  s_tags : tags;
   s_handle : Cm_types.flow_id Wheel.handle; (* queued iff backlogged *)
 }
+
+(* the global pass: the pass of the last grant, in an all-float record
+   for the same reason as [tags] *)
+type global = { mutable g_pass : float }
 
 (* A handle that starts out of the queue.  Keyed [max_int], it is pushed
    at the heap's tail and unlinked from there in O(1). *)
@@ -137,7 +150,7 @@ let detached_handle heap id =
    ever compared by physical equality *)
 let no_entry =
   let s_handle = detached_handle (Wheel.create ~slots:0 ~dummy:(-1) ()) (-1) in
-  { s_count = 0; s_weight = 0.; s_pass = 0.; s_handle }
+  { s_count = 0; s_tags = { weight = 0.; pass = 0. }; s_handle }
 
 let stride_k = 1_000_000.
 
@@ -162,7 +175,7 @@ let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
   let entries = ref (Array.make 16 no_entry) in
   let heap : Cm_types.flow_id Wheel.t = Wheel.create ~slots:0 ~dummy:(-1) () in
   let total = ref 0 in
-  let global_pass = ref 0. in
+  let global = { g_pass = 0. } in
   let entry id =
     if id < 0 then invalid_arg "Scheduler.weighted: id out of range";
     grow_to entries (id + 1) no_entry;
@@ -170,7 +183,11 @@ let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
     if e != no_entry then e
     else begin
       let e =
-        { s_count = 0; s_weight = 1.0; s_pass = !global_pass; s_handle = detached_handle heap id }
+        {
+          s_count = 0;
+          s_tags = { weight = 1.0; pass = global.g_pass };
+          s_handle = detached_handle heap id;
+        }
       in
       !entries.(id) <- e;
       e
@@ -182,12 +199,14 @@ let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
      equal passes, so rebasing is invisible to the grant sequence; it only
      keeps the floats small. *)
   let rebase () =
-    let base = !global_pass in
-    Array.iter (fun e -> if e != no_entry then e.s_pass <- e.s_pass -. base) !entries;
-    global_pass := 0.;
+    let base = global.g_pass in
+    Array.iter
+      (fun e -> if e != no_entry then e.s_tags.pass <- e.s_tags.pass -. base)
+      !entries;
+    global.g_pass <- 0.;
     let queued = Array.init (Wheel.size heap) (fun _ -> Wheel.pop_min heap) in
     Array.iter
-      (fun h -> Wheel.reinsert heap h ~time:(key !entries.(Wheel.handle_value h).s_pass))
+      (fun h -> Wheel.reinsert heap h ~time:(key !entries.(Wheel.handle_value h).s_tags.pass))
       queued
   in
   let enqueue id =
@@ -197,25 +216,27 @@ let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
     if e.s_count = 1 then begin
       (* a newly backlogged flow re-enters at the current global pass so it
          cannot hoard credit accumulated while idle *)
-      e.s_pass <- Float.max !global_pass e.s_pass;
-      Wheel.reinsert heap e.s_handle ~time:(key e.s_pass)
+      let tg = e.s_tags in
+      tg.pass <- Float.max global.g_pass tg.pass;
+      Wheel.reinsert heap e.s_handle ~time:(key tg.pass)
     end
   in
   let dequeue () =
-    if !total = 0 then None
+    if !total = 0 then -1
     else begin
       let hd = Wheel.min_handle heap in
       let id = Wheel.handle_value hd in
       let e = !entries.(id) in
-      let pass = e.s_pass in
+      let tg = e.s_tags in
+      let pass = tg.pass in
       e.s_count <- e.s_count - 1;
       decr total;
-      global_pass := pass;
-      e.s_pass <- pass +. (stride_k /. e.s_weight);
-      if e.s_count > 0 then ignore (Wheel.update heap hd ~time:(key e.s_pass))
+      global.g_pass <- pass;
+      tg.pass <- pass +. (stride_k /. tg.weight);
+      if e.s_count > 0 then ignore (Wheel.update heap hd ~time:(key tg.pass))
       else ignore (Wheel.remove heap hd);
-      if !global_pass > rebase_threshold then rebase ();
-      Some id
+      if global.g_pass > rebase_threshold then rebase ();
+      id
     end
   in
   let remove id =
@@ -231,7 +252,7 @@ let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
   let set_weight id w =
     if not (Float.is_finite w && w > 0. && Float.is_finite (stride_k /. w)) then
       invalid_arg "Scheduler.weighted: weight must be positive and finite, with a finite stride";
-    (entry id).s_weight <- w
+    (entry id).s_tags.weight <- w
   in
   let pending_for id =
     if id >= 0 && id < Array.length !entries then begin

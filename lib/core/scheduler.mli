@@ -11,8 +11,11 @@
 type t = {
   name : string;
   enqueue : Cm_types.flow_id -> unit;  (** Add one pending request for the flow. *)
-  dequeue : unit -> Cm_types.flow_id option;
-      (** Pick the next flow to grant (consumes one of its requests). *)
+  dequeue : unit -> Cm_types.flow_id;
+      (** Pick the next flow to grant (consumes one of its requests), or
+          [-1] when no request is pending.  Flow ids are never negative
+          (both schedulers reject them), so the sentinel cannot collide
+          with a flow, and a grant allocates no option. *)
   remove : Cm_types.flow_id -> unit;  (** Discard all state for a closed flow. *)
   set_weight : Cm_types.flow_id -> float -> unit;
       (** Set a flow's share weight (ignored by unweighted schedulers). *)

@@ -8,12 +8,19 @@ type t = {
   flow : Addr.flow;
   size : int;
   sent_at : Time.t;
-  mutable ecn_capable : bool;
-  mutable ecn_marked : bool;
+  mutable ecn : int;
   payload : payload;
 }
 
 let header_bytes = 58
+
+let ect = 1
+let ce = 2
+
+let[@inline] ecn_capable t = t.ecn land ect <> 0
+let[@inline] ecn_marked t = t.ecn land ce <> 0
+let[@inline] set_ecn_capable t = t.ecn <- t.ecn lor ect
+let[@inline] mark_ce t = t.ecn <- t.ecn lor ce
 
 let next_id = ref 0
 let reset_ids () = next_id := 0
@@ -27,8 +34,7 @@ let make ~now ~flow ~payload_bytes payload =
     flow;
     size = payload_bytes + header_bytes;
     sent_at = now;
-    ecn_capable = false;
-    ecn_marked = false;
+    ecn = 0;
     payload;
   }
 
@@ -39,8 +45,7 @@ let dummy =
     flow = { Addr.src = nowhere; dst = nowhere; proto = Addr.Udp; dscp = 0 };
     size = 0;
     sent_at = Time.zero;
-    ecn_capable = false;
-    ecn_marked = false;
+    ecn = 0;
     payload = Raw 0;
   }
 
@@ -48,6 +53,6 @@ let[@inline] payload_bytes t = Stdlib.max 0 (t.size - header_bytes)
 
 let pp fmt t =
   Format.fprintf fmt "#%d %a %dB%s%s sent=%a" t.id Addr.pp_flow t.flow t.size
-    (if t.ecn_capable then " ect" else "")
-    (if t.ecn_marked then " ce" else "")
+    (if ecn_capable t then " ect" else "")
+    (if ecn_marked t then " ce" else "")
     Time.pp t.sent_at

@@ -18,11 +18,12 @@ type t = {
   flow : Addr.flow;  (** Transport 5-tuple of this packet. *)
   size : int;  (** Wire size in bytes, headers included. *)
   sent_at : Time.t;  (** Timestamp at first transmission onto a link. *)
-  mutable ecn_capable : bool;  (** ECT codepoint: sender supports ECN. *)
-  mutable ecn_marked : bool;  (** CE codepoint: router marked congestion. *)
+  mutable ecn : int;
+      (** The ECN bits, ECT and CE, as they share the IP header's ECN
+          field; read and set them with the accessors below. *)
   payload : payload;
 }
-(** A packet in flight. *)
+(** A packet in flight: 7 words, one per field plus the header. *)
 
 val header_bytes : int
 (** Combined link + IP + transport header size charged on every packet
@@ -31,7 +32,19 @@ val header_bytes : int
 val make : now:Time.t -> flow:Addr.flow -> payload_bytes:int -> payload -> t
 (** [make ~now ~flow ~payload_bytes p] is a packet whose wire size is
     [payload_bytes + header_bytes], not ECN-capable (a sender that is
-    sets [ecn_capable] after). *)
+    calls {!set_ecn_capable} after). *)
+
+val ecn_capable : t -> bool
+(** ECT codepoint: the sender supports ECN. *)
+
+val ecn_marked : t -> bool
+(** CE codepoint: a router marked congestion. *)
+
+val set_ecn_capable : t -> unit
+(** Set ECT.  Leaves CE as it is. *)
+
+val mark_ce : t -> unit
+(** Set CE (a router's congestion mark).  Leaves ECT as it is. *)
 
 val dummy : t
 (** A placeholder that is never sent: id 0 (real ids start at 1, and

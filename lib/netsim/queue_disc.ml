@@ -98,8 +98,8 @@ let red ?(ecn = false) ~min_th ~max_th ~limit_pkts ~rng () =
      spreading of marks *)
   let count = ref (-1) in
   let note_congestion pkt =
-    if ecn && pkt.Packet.ecn_capable then begin
-      pkt.Packet.ecn_marked <- true;
+    if ecn && Packet.ecn_capable pkt then begin
+      Packet.mark_ce pkt;
       incr marks;
       true (* still enqueue *)
     end

@@ -190,19 +190,11 @@ let sack_blocks t =
   end
 
 let build_segment t ~seq ~len ~syn ~fin ~with_ack =
-  {
-    Segment.seq;
-    len;
-    syn;
-    fin;
-    ack = with_ack;
-    ack_seq = t.rcv_nxt;
-    wnd = advertised_wnd t;
-    ts_val = (if t.config.timestamps then Engine.now t.engine else 0);
-    ts_ecr = (if t.config.timestamps then t.ts_to_echo else 0);
-    ece = t.pending_ece;
-    sacks = (if with_ack then sack_blocks t else []);
-  }
+  Segment.make ~seq ~len ~syn ~fin ~ack:with_ack ~ack_seq:t.rcv_nxt ~wnd:(advertised_wnd t)
+    ~ts_val:(if t.config.timestamps then Engine.now t.engine else 0)
+    ~ts_ecr:(if t.config.timestamps then t.ts_to_echo else 0)
+    ~ece:t.pending_ece
+    ~sacks:(if with_ack then sack_blocks t else [])
 
 let transmit t seg =
   let payload = seg.Segment.len in
@@ -210,9 +202,9 @@ let transmit t seg =
     Packet.make ~now:(Engine.now t.engine) ~flow:t.out_flow ~payload_bytes:payload
       (Segment.Tcp_seg seg)
   in
-  if t.config.ecn && payload > 0 then pkt.Packet.ecn_capable <- true;
-  if seg.Segment.ece then t.pending_ece <- false;
-  if seg.Segment.ack then begin
+  if t.config.ecn && payload > 0 then Packet.set_ecn_capable pkt;
+  if Segment.ece seg then t.pending_ece <- false;
+  if Segment.ack seg then begin
     t.segs_since_ack <- 0;
     t.ts_echo_armed <- false;
     Timer.stop t.delack_timer
@@ -824,7 +816,7 @@ let handle_ack t seg =
     (match t.cc with
     | Cc_native cc -> native_on_new_ack t cc ~acked:acked_data
     | Cc_cm cc -> cm_on_new_ack t cc ~acked:acked_data ~rtt);
-    if seg.Segment.ece && t.config.ecn then on_ecn_echo t;
+    if Segment.ece seg && t.config.ecn then on_ecn_echo t;
     (* state transitions driven by our FIN being acknowledged *)
     if fin_sent t && ack > fin_seq t then begin
       match t.state with
@@ -838,7 +830,7 @@ let handle_ack t seg =
   end
   else if
     ack = t.snd_una && t.snd_una = t.snd_nxt && seg.Segment.len = 0
-    && (not seg.Segment.syn) && not seg.Segment.fin
+    && (not (Segment.syn seg)) && not (Segment.fin seg)
   then begin
     (* pure window update while nothing is in flight: resume sending *)
     if t.snd_wnd >= t.config.mss then begin
@@ -849,14 +841,14 @@ let handle_ack t seg =
   end
   else if
     ack = t.snd_una && t.snd_una < t.snd_nxt && seg.Segment.len = 0
-    && (not seg.Segment.syn) && not seg.Segment.fin
+    && (not (Segment.syn seg)) && not (Segment.fin seg)
   then begin
     (match t.cc with
     | Cc_native cc -> native_on_dupack t cc
     | Cc_cm cc -> cm_on_dupack t cc);
-    if seg.Segment.ece && t.config.ecn then on_ecn_echo t
+    if Segment.ece seg && t.config.ecn then on_ecn_echo t
   end
-  else if seg.Segment.ece && t.config.ecn then on_ecn_echo t
+  else if Segment.ece seg && t.config.ecn then on_ecn_echo t
 
 let handle_data t seg =
   let seq = seg.Segment.seq in
@@ -865,8 +857,8 @@ let handle_data t seg =
   let window_edge = t.rcv_nxt + advertised_wnd t in
   let len = Stdlib.min seg.Segment.len (Stdlib.max 0 (window_edge - seq)) in
   let truncated = len < seg.Segment.len in
-  if len > 0 || seg.Segment.fin then begin
-    if seg.Segment.fin && not truncated then t.fin_rcvd <- Some (seq + len);
+  if len > 0 || Segment.fin seg then begin
+    if Segment.fin seg && not truncated then t.fin_rcvd <- Some (seq + len);
     if len > 0 then begin
       let stop = seq + len in
       if seq <= t.rcv_nxt && stop > t.rcv_nxt then begin
@@ -912,7 +904,7 @@ let process_segment t seg ~ecn_marked =
   match t.state with
   | Closed | Listen -> ()
   | Syn_sent ->
-      if seg.Segment.syn && seg.Segment.ack && seg.Segment.ack_seq = iss + 1 then begin
+      if Segment.syn seg && Segment.ack seg && seg.Segment.ack_seq = iss + 1 then begin
         t.rcv_nxt <- seg.Segment.seq + 1;
         t.snd_una <- seg.Segment.ack_seq;
         t.ts_to_echo <- seg.Segment.ts_val;
@@ -924,7 +916,7 @@ let process_segment t seg ~ecn_marked =
         tcp_output t
       end
   | Syn_received ->
-      if seg.Segment.ack && seg.Segment.ack_seq = iss + 1 then begin
+      if Segment.ack seg && seg.Segment.ack_seq = iss + 1 then begin
         t.snd_una <- seg.Segment.ack_seq;
         t.snd_wnd <- seg.Segment.wnd;
         observe_rtt t (rtt_sample t seg);
@@ -935,19 +927,19 @@ let process_segment t seg ~ecn_marked =
         handle_data t seg;
         tcp_output t
       end
-      else if seg.Segment.syn && not seg.Segment.ack then
+      else if Segment.syn seg && not (Segment.ack seg) then
         (* retransmitted SYN: re-send SYN|ACK *)
         transmit t (build_segment t ~seq:iss ~len:0 ~syn:true ~fin:false ~with_ack:true)
   | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
-      if seg.Segment.ack then handle_ack t seg;
+      if Segment.ack seg then handle_ack t seg;
       if t.state <> Closed then handle_data t seg
   | Time_wait ->
       (* peer retransmitted its FIN: re-ack it *)
-      if seg.Segment.fin then send_pure_ack t
+      if Segment.fin seg then send_pure_ack t
 
 let process_packet t pkt =
   match pkt.Packet.payload with
-  | Segment.Tcp_seg seg -> process_segment t seg ~ecn_marked:pkt.Packet.ecn_marked
+  | Segment.Tcp_seg seg -> process_segment t seg ~ecn_marked:(Packet.ecn_marked pkt)
   | _ -> ()
 
 let on_packet t pkt =
@@ -1083,7 +1075,7 @@ let connect host ~dst ?(driver = Native) ?(config = default_config) () =
 let listen host ~port ?(driver = Native) ?(config = default_config) ~on_accept () =
   let handler pkt =
     match pkt.Packet.payload with
-    | Segment.Tcp_seg seg when seg.Segment.syn && not seg.Segment.ack ->
+    | Segment.Tcp_seg seg when Segment.syn seg && not (Segment.ack seg) ->
         let remote = pkt.Packet.flow.Addr.src in
         let local = Addr.endpoint ~host:(Host.id host) ~port in
         let t = make_conn host ~local ~remote ~driver ~config ~initial_state:Syn_received in

@@ -182,8 +182,9 @@ let test_equation_reset () =
 (* ------------------------------------------------------------------ *)
 (* Scheduler tests *)
 
+(* the first [n] dequeues, minus the empty sentinel [-1] *)
 let drain sched n =
-  List.init n (fun _ -> sched.Scheduler.dequeue ()) |> List.filter_map Fun.id
+  List.init n (fun _ -> sched.Scheduler.dequeue ()) |> List.filter (fun id -> id <> -1)
 
 let test_rr_alternates () =
   let s = Scheduler.round_robin () in
@@ -192,7 +193,7 @@ let test_rr_alternates () =
   s.Scheduler.enqueue 2;
   s.Scheduler.enqueue 2;
   Alcotest.(check (list int)) "alternates flows" [ 1; 2; 1; 2 ] (drain s 4);
-  Alcotest.(check (option int)) "then empty" None (s.Scheduler.dequeue ())
+  Alcotest.(check int) "then empty" (-1) (s.Scheduler.dequeue ())
 
 let test_rr_remove_purges () =
   let s = Scheduler.round_robin () in
@@ -242,10 +243,10 @@ let test_stride_rebase_fairness () =
   let total = 10_000_000 in
   for _ = 1 to total do
     match s.Scheduler.dequeue () with
-    | Some 1 ->
+    | 1 ->
         incr n1;
         s.Scheduler.enqueue 1
-    | Some 2 ->
+    | 2 ->
         incr n2;
         s.Scheduler.enqueue 2
     | _ -> Alcotest.fail "scheduler ran dry"
@@ -328,13 +329,13 @@ let model_run ops =
               None !flows
           in
           match pick with
-          | None -> Some None
+          | None -> Some (-1)
           | Some f ->
               global := f.m_pass;
               f.m_count <- f.m_count - 1;
               f.m_pass <- f.m_pass +. (1_000_000. /. f.m_weight);
               f.m_stamp <- fresh ();
-              Some (Some f.m_id))
+              Some f.m_id)
       | Rem id ->
           flows := List.filter (fun f -> f.m_id <> id) !flows;
           None
@@ -387,10 +388,10 @@ let test_stride_rebase_keeps_order () =
     List.iter s.Scheduler.enqueue [ 0; 1; 2; 3 ];
     Array.init 1_000_000 (fun _ ->
         match s.Scheduler.dequeue () with
-        | Some id ->
+        | -1 -> Alcotest.fail "scheduler ran dry"
+        | id ->
             s.Scheduler.enqueue id;
-            id
-        | None -> Alcotest.fail "scheduler ran dry")
+            id)
   in
   let rebased = grants (Scheduler.weighted_stride ~rebase_threshold:1e7 ()) in
   let plain = grants (Scheduler.weighted ()) in
@@ -409,8 +410,8 @@ let check_full_cycle_share s ~weights ~cycles =
   let got = Array.make n 0 in
   for _ = 1 to cycles * sum_w do
     match s.Scheduler.dequeue () with
-    | Some i -> got.(i) <- got.(i) + 1
-    | None -> Alcotest.fail "scheduler ran dry"
+    | -1 -> Alcotest.fail "scheduler ran dry"
+    | i -> got.(i) <- got.(i) + 1
   done;
   Array.iteri
     (fun i g ->
@@ -429,6 +430,35 @@ let test_stride_share_at_4096 () =
   let s = Scheduler.weighted () in
   Array.iteri (fun i w -> s.Scheduler.set_weight i (float_of_int w)) weights;
   check_full_cycle_share s ~weights ~cycles:3
+
+(* A grant allocates nothing in the scheduler: no option for the picked
+   flow and no float box for a pass.  Three flows stay backlogged, so
+   every cycle grants one request and queues it again.  The weighted
+   case uses unequal weights and a rebase threshold that 10k grants
+   cross ~20 times (the global pass advances ~2e9 at these weights);
+   the rebases' own allocation spread over the cycles stays far below
+   one word.  Drained, and before any request, a dequeue is -1. *)
+let test_sched_cycles_allocate_nothing () =
+  let cycles = 10_000 in
+  let cycle_words name s =
+    Alcotest.(check int) (name ^ ": fresh dequeue is -1") (-1) (s.Scheduler.dequeue ());
+    List.iter s.Scheduler.enqueue [ 0; 1; 2 ];
+    let cycle () = s.Scheduler.enqueue (s.Scheduler.dequeue ()) in
+    cycle ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to cycles do
+      cycle ()
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int cycles in
+    if words >= 1. then Alcotest.failf "%s allocates %.2f words per cycle (budget < 1)" name words;
+    Alcotest.(check (list int)) (name ^ ": drains three") [ 0; 1; 2 ]
+      (List.sort compare (drain s 3));
+    Alcotest.(check int) (name ^ ": drained dequeue is -1") (-1) (s.Scheduler.dequeue ())
+  in
+  cycle_words "round-robin" (Scheduler.round_robin ());
+  let s = Scheduler.weighted_stride ~rebase_threshold:1e8 () in
+  List.iter (fun (id, w) -> s.Scheduler.set_weight id w) [ (0, 1.); (1, 3.); (2, 0.7) ];
+  cycle_words "weighted" s
 
 (* ------------------------------------------------------------------ *)
 (* CM API tests *)
@@ -928,6 +958,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_stride_matches_model;
           Alcotest.test_case "stride rebase keeps the grant order" `Quick
             test_stride_rebase_keeps_order;
+          Alcotest.test_case "cycles allocate nothing" `Quick test_sched_cycles_allocate_nothing;
         ] );
       ( "api",
         [

@@ -41,6 +41,41 @@ let test_packet_sizes () =
   let ids = List.init 10 (fun _ -> (mk_pkt ()).Packet.id) in
   Alcotest.(check int) "ids unique" 10 (List.length (List.sort_uniq Stdlib.compare ids))
 
+(* The two ECN bits share one int: each combination of ECT and CE must
+   read back exactly as set, and setting one must leave the other. *)
+let test_packet_ecn_round_trip () =
+  List.iter
+    (fun (ect, ce) ->
+      let p = mk_pkt ~bytes:100 () in
+      "made not ECN-capable" => not (Packet.ecn_capable p);
+      "made unmarked" => not (Packet.ecn_marked p);
+      if ect then Packet.set_ecn_capable p;
+      if ce then Packet.mark_ce p;
+      let case = Printf.sprintf "ect=%b ce=%b" ect ce in
+      Alcotest.(check bool) (case ^ ": ect") ect (Packet.ecn_capable p);
+      Alcotest.(check bool) (case ^ ": ce") ce (Packet.ecn_marked p);
+      Alcotest.(check int) (case ^ ": size untouched") (100 + Packet.header_bytes) p.Packet.size)
+    [ (false, false); (true, false); (false, true); (true, true) ]
+
+(* Golden renderings: trace text must not drift with the packet's
+   layout.  The id is the only part that depends on how many packets
+   the process made before. *)
+let test_packet_pp_golden () =
+  let flow =
+    Addr.flow
+      ~src:(Addr.endpoint ~host:1 ~port:80)
+      ~dst:(Addr.endpoint ~host:2 ~port:5001)
+      ~proto:Addr.Tcp ()
+  in
+  let p = Packet.make ~now:1_500 ~flow ~payload_bytes:1448 (Packet.Raw 1448) in
+  let golden rest = Printf.sprintf "#%d tcp 1:80 -> 2:5001 1506B%s sent=1.50us" p.Packet.id rest in
+  let render () = Format.asprintf "%a" Packet.pp p in
+  Alcotest.(check string) "plain" (golden "") (render ());
+  Packet.set_ecn_capable p;
+  Alcotest.(check string) "ect" (golden " ect") (render ());
+  Packet.mark_ce p;
+  Alcotest.(check string) "ect+ce" (golden " ect ce") (render ())
+
 (* ---- Queue_disc -------------------------------------------------------- *)
 
 let test_droptail_limit () =
@@ -105,9 +140,9 @@ let test_red_marks_ecn () =
   let marked = ref 0 and dropped = ref 0 in
   for _ = 1 to 500 do
     let p = mk_pkt () in
-    p.Packet.ecn_capable <- true;
+    Packet.set_ecn_capable p;
     (match q.Queue_disc.enqueue p with
-    | Queue_disc.Enqueued -> if p.Packet.ecn_marked then incr marked
+    | Queue_disc.Enqueued -> if Packet.ecn_marked p then incr marked
     | Queue_disc.Dropped -> incr dropped);
     (* drain slowly: keep ~5 in queue *)
     if q.Queue_disc.len () > 5 then ignore (q.Queue_disc.dequeue ())
@@ -486,6 +521,8 @@ let () =
           Alcotest.test_case "reverse" `Quick test_addr_reverse;
           Alcotest.test_case "equality" `Quick test_addr_equality;
           Alcotest.test_case "packet sizes and ids" `Quick test_packet_sizes;
+          Alcotest.test_case "ecn bits round trip" `Quick test_packet_ecn_round_trip;
+          Alcotest.test_case "pp golden strings" `Quick test_packet_pp_golden;
         ] );
       ( "qdisc",
         [
