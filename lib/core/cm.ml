@@ -933,7 +933,7 @@ module Audit = struct
           fail "mf%d: grant ledger skewed by %d bytes (granted %d vs live reservations)" mfid
             skew (granted mf);
         if alive mf then begin
-          (* a live empty non-default macroflow's timer would tick forever *)
+          (* a live empty non-default macroflow leaks its state *)
           if attached = 0 && not (List.mem mfid default_ids) then
             fail "mf%d: leaked (alive, empty, not a per-destination macroflow)" mfid
         end

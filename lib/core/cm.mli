@@ -315,8 +315,8 @@ val audit_view : t -> audit_view
       both tables agree on size);
     - no leaks after close / crash: member counts match attached flows,
       no flow references a dead macroflow, dead macroflows hold no
-      grants, and no non-default macroflow stays alive empty (its
-      maintenance timer would tick forever). *)
+      grants, and no non-default macroflow stays alive empty (it leaks
+      its state). *)
 module Audit : sig
   type report = {
     checked_flows : int;

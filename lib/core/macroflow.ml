@@ -104,7 +104,7 @@ type t = {
      issued in batches (one engine event drains every issuable grant), so
      the per-batch cost must not include building a fresh closure *)
   mutable grant_thunk : unit -> unit;
-  maintenance : Timer.t option ref;
+  mutable maintenance : Timer.t option;
   mutable last_feedback : Time.t;
   mutable last_watchdog : Time.t;
   mutable grants_issued : int;
@@ -163,10 +163,16 @@ let fg_drop_dead m =
     ignore (fg_pop m)
   done
 
+(* The maintenance clock parks while the macroflow holds neither grants
+   nor outstanding bytes (see [maintenance_tick]); everything that gives
+   it either wakes the clock. *)
+let wake_maintenance t = match t.maintenance with Some tm -> Timer.wake tm | None -> ()
+
 let push_grant t g =
   gq_push t g;
   fg_push g.g_mem g;
-  t.live_grants <- t.live_grants + 1
+  t.live_grants <- t.live_grants + 1;
+  wake_maintenance t
 
 (* Mark a record consumed/released and let dead records drain off the
    global front so they cannot pile up behind a long-lived live one. *)
@@ -283,7 +289,12 @@ let maintenance_tick t =
       end
   | _ -> ());
   (match t.on_tick with Some f -> f t | None -> ());
-  if !reclaimed then maybe_grant t
+  if !reclaimed then maybe_grant t;
+  (* With no grant and nothing outstanding, every later tick is a no-op
+     until a grant or a transmission wakes the clock.  An [on_tick] hook
+     (the auditor) wants every tick, so its macroflow never parks. *)
+  if t.live_grants = 0 && t.outstanding = 0 && Option.is_none t.on_tick then
+    match t.maintenance with Some tm -> Timer.park tm | None -> ()
 
 (* The record alone: no grant thunk, no maintenance timer. *)
 let make engine ~id ~mtu ~controller ~scheduler ~deliver_grant ~on_state_change ~on_reclaim
@@ -320,7 +331,7 @@ let make engine ~id ~mtu ~controller ~scheduler ~deliver_grant ~on_state_change 
       members = 0;
       grant_event_pending = false;
       grant_thunk = ignore;
-      maintenance = ref None;
+      maintenance = None;
       last_feedback = Engine.now engine;
       last_watchdog = Engine.now engine;
       grants_issued = 0;
@@ -345,7 +356,7 @@ let create engine ~id ~mtu ~controller ~scheduler ~deliver_grant ~on_state_chang
   t.grant_thunk <- Engine.prof_tag engine ~cat:"cm" (fun () -> run_grants t);
   let timer = Timer.create engine ~callback:(fun () -> maintenance_tick t) in
   Timer.start_periodic timer (Time.ms 100);
-  t.maintenance := Some timer;
+  t.maintenance <- Some timer;
   t
 
 let placeholder engine =
@@ -434,6 +445,7 @@ let notify t ~m ~nbytes () =
   if g != g_nil then t.granted_bytes <- Stdlib.max 0 (t.granted_bytes - g.reserved);
   t.outstanding <- t.outstanding + nbytes;
   if nbytes > 0 then begin
+    wake_maintenance t;
     t.last_tx <- Engine.now t.engine;
     Ewma.update_int t.avg_pkt nbytes;
     refresh_reservation t
@@ -497,6 +509,7 @@ let transfer_outstanding ~src ~dst nbytes =
   if n > 0 then begin
     src.outstanding <- src.outstanding - n;
     dst.outstanding <- dst.outstanding + n;
+    wake_maintenance dst;
     maybe_grant src
   end
 
@@ -601,13 +614,13 @@ let grants_released t = t.grants_released
 let conservation_breaches t = t.conservation_breaches
 let watchdog_fires t = t.watchdog_fires
 let last_feedback t = t.last_feedback
-let alive t = Option.is_some !(t.maintenance)
+let alive t = Option.is_some t.maintenance
 
 let shutdown t =
-  match !(t.maintenance) with
+  match t.maintenance with
   | Some timer ->
       Timer.stop timer;
-      t.maintenance := None
+      t.maintenance <- None
   | None -> ()
 
 let pending_for_flow t m = t.sched.Scheduler.pending_for m.m_ix

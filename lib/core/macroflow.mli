@@ -12,7 +12,16 @@
     feedback, and [granted] is bytes promised to clients that have not yet
     transmitted.  Grants that are never followed by a [notify] are
     reclaimed by the maintenance timer (the paper's "timer-driven component
-    to perform background tasks and error handling"). *)
+    to perform background tasks and error handling").
+
+    The maintenance timer ticks every 100 ms only while there is
+    something to maintain: a live grant or outstanding bytes.  A tick
+    that finds neither parks the timer ({!Eventsim.Timer.park}), and the
+    next grant, transmission or outstanding-byte transfer wakes it on
+    its original phase, so an idle per-destination macroflow — kept for
+    the congestion state it carries (Fig. 7) — queues no events.  A tick
+    in that state would have had no effect, so parking changes no
+    result. *)
 
 open Cm_util
 open Eventsim
@@ -67,7 +76,8 @@ val create :
     500 ms) are returned to the window, reporting each to [on_reclaim]
     with the granted flow and reserved bytes (hoard detection).
     [on_tick] runs on every maintenance tick (the CM's per-flow staleness
-    audit).  [watchdog] enables feedback-staleness window aging; absent ⇒
+    audit); a macroflow with [on_tick] never parks its maintenance timer,
+    so the hook sees every tick.  [watchdog] enables feedback-staleness window aging; absent ⇒
     previous behaviour.  With [idle_restart], a request arriving after
     that much transmission silence resets the controller to its initial
     window (slow-start restart); by default congestion state persists —
@@ -200,8 +210,8 @@ val last_feedback : t -> Time.t
 (** Time of the most recent [cm_update] (creation time if none yet). *)
 
 val alive : t -> bool
-(** Whether the macroflow is live (maintenance timer running); [false]
-    after {!shutdown}. *)
+(** Whether the macroflow is live (maintenance timer running or parked);
+    [false] after {!shutdown}. *)
 
 val shutdown : t -> unit
 (** Stop the maintenance timer (call when the macroflow is discarded). *)

@@ -30,19 +30,15 @@ open Cm_util
    an already-fired event.
 
    A handle's [entry] is mutable so that one handle can name a series of
-   events: {!refill} points a handle that is no longer live at a new
-   event, which is how a timer re-arms for life without building a
+   events: {!rearm} points a handle whose entry has left the queue at a
+   pooled one, which is how a timer re-arms for life without building a
    handle per arm. *)
 type handle = { mutable entry : (unit -> unit) Wheel.handle; mutable h_seq : int }
 
 let dead : unit -> unit = fun () -> ()
 
-(* filler for unused pool slots: a real, never-queued entry of a
-   throwaway pure-heap wheel, never reused *)
-let null_entry : (unit -> unit) Wheel.handle =
-  let w = Wheel.create ~slots:0 ~dummy:dead () in
-  ignore (Wheel.insert w ~time:0 dead : (unit -> unit) Wheel.handle);
-  Wheel.pop_min w
+(* filler for unused pool slots: an entry that is never queued *)
+let null_entry : (unit -> unit) Wheel.handle = Wheel.detached dead
 
 (* Sampling profiler state (see [enable_prof]).  Dispatch counters are
    exact per category; wall-clock is attributed by sampling: every
@@ -88,6 +84,10 @@ type t = {
   mutable cancelled : int; (* dead events still sitting in [queue] *)
   mutable clamped : int; (* negative-delay schedules clamped to "now" *)
   mutable running : bool;
+  (* FIFO stamp of the event being (or last) dispatched: -1 before the
+     first, [max_int] once a [run] returned, when every event at or
+     before the clock has had its turn *)
+  mutable cur_stamp : int;
   (* observability hooks, both off by default; [plain] caches "both off"
      so the dispatch hot path pays one load + branch *)
   mutable plain : bool;
@@ -106,6 +106,7 @@ let create ?(start = Time.zero) () =
     cancelled = 0;
     clamped = 0;
     running = false;
+    cur_stamp = -1;
     plain = true;
     prof = None;
     escape = None;
@@ -237,16 +238,21 @@ let pool_put t entry =
 
 let pool_size t = t.pool_len
 
-let enqueue t when_ fn =
+(* [fn] in a pooled entry, or a fresh one, not yet queued *)
+let take_entry t fn =
   if t.pool_len > 0 then begin
     t.pool_len <- t.pool_len - 1;
     let entry = t.pool.(t.pool_len) in
     t.pool.(t.pool_len) <- null_entry;
     Wheel.set_handle_value entry fn;
-    Wheel.reinsert t.queue entry ~time:when_;
     entry
   end
-  else Wheel.insert t.queue ~time:when_ fn
+  else Wheel.detached fn
+
+let enqueue t when_ fn =
+  let entry = take_entry t fn in
+  Wheel.reinsert t.queue entry ~time:when_;
+  entry
 
 let check_future t ~what when_ =
   if when_ < t.clock then
@@ -280,7 +286,7 @@ let unscheduled () = { entry = null_entry; h_seq = -1 }
 
 (* Compact once dead entries dominate: rare (amortized O(1) per cancel),
    and only worthwhile when cancelled events would otherwise linger far in
-   the future, e.g. retransmit timers that keep being reset.  Entries the
+   the future, e.g. stopped timers that no restart revived.  Entries the
    filter drops are simply GC'd rather than pooled. *)
 let maybe_compact t =
   if t.cancelled > 64 && t.cancelled > Wheel.size t.queue / 2 then begin
@@ -307,21 +313,33 @@ let reschedule t h when_ =
     true
   end
 
-(* Point a spent handle at a new event.  An entry this handle cancelled
-   that has not surfaced yet is still queued (dead); it is moved and
-   revived in place, taking a fresh seq exactly as a new schedule would,
-   so a start/stop/start cycle allocates nothing.  Otherwise the event
-   takes a pooled entry, as [schedule_at] does. *)
-let refill t h when_ fn =
-  check_future t ~what:"refill" when_;
-  if live h then invalid_arg "Engine.refill: handle still names a pending event";
-  if Wheel.handle_seq h.entry = h.h_seq && Wheel.mem t.queue h.entry then begin
-    t.cancelled <- t.cancelled - 1;
-    Wheel.set_handle_value h.entry fn;
-    ignore (Wheel.update t.queue h.entry ~time:when_)
+let reserve_stamp t = Wheel.reserve_seq t.queue
+let current_stamp t = t.cur_stamp
+
+(* The lazy re-arm behind {!Timer}.  The handle's entry, if still queued
+   (live, or cancelled and not yet surfaced), is made live again running
+   [fn]; it stays where it is when it is due strictly before [when_] —
+   its owner re-queues it at [(when_, stamp)] when it fires early — and is
+   re-keyed to exactly [(when_, stamp)] otherwise.  A handle whose entry
+   has left the queue takes a pooled entry at [(when_, stamp)], so a
+   start/stop/start cycle allocates nothing. *)
+let rearm t h when_ ~stamp fn =
+  check_future t ~what:"rearm" when_;
+  let e = h.entry in
+  if Wheel.handle_seq e = h.h_seq && Wheel.mem t.queue e then begin
+    if Wheel.handle_value e == dead then t.cancelled <- t.cancelled - 1;
+    Wheel.set_handle_value e fn;
+    if h.h_seq <> stamp && Wheel.handle_time e >= when_ then begin
+      Wheel.rekey t.queue e ~time:when_ ~seq:stamp;
+      h.h_seq <- stamp
+    end
   end
-  else h.entry <- enqueue t when_ fn;
-  h.h_seq <- Wheel.handle_seq h.entry
+  else begin
+    let entry = take_entry t fn in
+    Wheel.rekey t.queue entry ~time:when_ ~seq:stamp;
+    h.entry <- entry;
+    h.h_seq <- stamp
+  end
 
 let pending t = Wheel.size t.queue - t.cancelled
 
@@ -337,6 +355,7 @@ let rec step t =
     end
     else begin
       t.clock <- Wheel.handle_time entry;
+      t.cur_stamp <- Wheel.handle_seq entry;
       t.executed <- t.executed + 1;
       Wheel.set_handle_value entry dead;
       dispatch t f;
@@ -373,6 +392,7 @@ let run ?until t =
               ignore (Wheel.pop_min t.queue);
               pool_put t entry;
               t.clock <- when_;
+              t.cur_stamp <- Wheel.handle_seq entry;
               t.executed <- t.executed + 1;
               Wheel.set_handle_value entry dead;
               dispatch t f
@@ -380,6 +400,7 @@ let run ?until t =
           end
         end
       done;
+      t.cur_stamp <- max_int;
       if limit <> max_int && limit > t.clock then t.clock <- limit)
 
 let run_for t d = run ~until:(Time.add t.clock d) t

@@ -17,10 +17,9 @@ type handle
     of the queue).  Event cells are pooled and recycled across schedules;
     a stamp in the handle keeps stale handles safe — cancel/reschedule on
     an event that already ran simply return [false], even if its cell has
-    since been reused for a newer event.  A handle that no longer names a
-    pending event can be pointed at a new one with {!refill}, so a
-    long-lived owner (a {!Timer}) keeps one handle for life and re-arms
-    without allocating. *)
+    since been reused for a newer event.  One handle can name a series of
+    events through {!rearm}, so a long-lived owner (a {!Timer}) keeps one
+    handle for life and re-arms without allocating. *)
 
 val create : ?start:Time.t -> unit -> t
 (** [create ()] is a fresh engine with the clock at [start]
@@ -60,15 +59,39 @@ val reschedule : t -> handle -> Time.t -> bool
 
 val unscheduled : unit -> handle
 (** A fresh handle that names no event, so it is never live: storage for
-    {!refill}. *)
+    {!rearm}. *)
 
-val refill : t -> handle -> Time.t -> (unit -> unit) -> unit
-(** [refill t h when_ f] schedules [f] at [when_] and makes [h] name the
-    new event, exactly as [schedule_at] would have (same queue position,
-    same FIFO stamp), but with no new handle.  [h] must not be live: it
-    never was, its event ran, or it was cancelled.  Any other handle that
-    named an earlier event stays dead.  Raises [Invalid_argument] if [h]
-    is live or [when_] is in the past. *)
+(** {2 Reserved FIFO stamps}
+
+    Every schedule takes the next FIFO stamp at the moment it is made.
+    An owner may instead take the stamp now ({!reserve_stamp}) and queue
+    with it later ({!rearm}): the event then orders among same-time
+    events exactly as if it had been queued when the stamp was taken.
+    This is how a {!Timer} defers queue work without changing pop
+    order. *)
+
+val reserve_stamp : t -> int
+(** Take the next FIFO stamp now, for a later {!rearm}. *)
+
+val current_stamp : t -> int
+(** The stamp of the event being dispatched, or of the last one
+    dispatched; [-1] before any, [max_int] once {!run} has returned (every
+    event at or before {!now} has then had its turn).  An event keyed
+    [(time, stamp)] has had its turn iff [time < now t], or
+    [time = now t] and [stamp <= current_stamp t]. *)
+
+val rearm : t -> handle -> Time.t -> stamp:int -> (unit -> unit) -> unit
+(** [rearm t h when_ ~stamp f] makes [h] name a live event running [f]
+    due no later than [(when_, stamp)], with as little queue work as
+    possible.  If [h]'s event is still queued — live, or cancelled and not
+    yet discarded — it becomes live again; it keeps its place when it is
+    due strictly before [when_] (so it may fire early: the owner re-arms
+    it from its callback), and is re-keyed to exactly [(when_, stamp)]
+    otherwise.  If not, [f] is queued at [(when_, stamp)] in a pooled
+    entry.  Any other handle that named an earlier event in that entry
+    stays dead.  [stamp] must come from {!reserve_stamp} and name at most
+    one queued event.  Raises [Invalid_argument] if [when_] is in the
+    past. *)
 
 val pending : t -> int
 (** Number of events still queued. *)

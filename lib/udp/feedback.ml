@@ -100,7 +100,7 @@ module Sender = struct
     mutable solicit_backoff : Time.span;
     mutable next_solicit_at : Time.t;
     mutable solicits : int;
-    timer : Timer.t option ref;
+    mutable timer : Timer.t option;
   }
 
   let srtt t = if t.srtt_valid then Some (int_of_float t.srtt) else None
@@ -172,7 +172,11 @@ module Sender = struct
           (if t.srtt_valid then 2 * int_of_float t.srtt else t.timeout_floor)
       in
       if Time.diff now t.last_feedback > limit then declare_outstanding_lost t
-    end
+    end;
+    (* nothing in flight: every later tick is a no-op until [on_transmit]
+       wakes the clock *)
+    if outstanding_packets t = 0 then
+      match t.timer with Some timer -> Timer.park timer | None -> ()
 
   let create engine ~on_report ?(timeout_floor = Time.ms 500) ?on_starve () =
     let t =
@@ -193,17 +197,18 @@ module Sender = struct
         solicit_backoff = starve_floor;
         next_solicit_at = 0;
         solicits = 0;
-        timer = ref None;
+        timer = None;
       }
     in
     let timer = Timer.create engine ~callback:(maintenance t) in
     Timer.start_periodic timer (Time.ms 100);
-    t.timer := Some timer;
+    t.timer <- Some timer;
     t
 
   let next_seq t = t.next_seq
 
   let on_transmit t ~bytes =
+    (match t.timer with Some timer -> Timer.wake timer | None -> ());
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     if seq >= t.lowest_unresolved then Byte_queue.push t.outstanding ~size:bytes bytes
@@ -254,9 +259,9 @@ module Sender = struct
   let solicits t = t.solicits
 
   let shutdown t =
-    match !(t.timer) with
+    match t.timer with
     | Some timer ->
         Timer.stop timer;
-        t.timer := None
+        t.timer <- None
     | None -> ()
 end

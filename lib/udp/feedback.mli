@@ -71,9 +71,12 @@ module Sender : sig
       those that arrived, the congestion classification [loss], and a
       fresh RTT sample if the ack allowed one.  Labeled arguments rather
       than a record, so a report allocates nothing but the RTT sample's
-      [Some].  A maintenance timer declares data lost
+      [Some].  A 100 ms maintenance timer declares data lost
       (Persistent) when nothing has been heard for
-      [max(2·srtt, timeout_floor)] (floor default 500 ms).
+      [max(2·srtt, timeout_floor)] (floor default 500 ms).  The timer
+      parks ({!Eventsim.Timer.park}) while nothing is outstanding and
+      {!on_transmit} wakes it on its phase, so an idle sender queues no
+      events.
 
       With [~on_starve], the same timer calls it to solicit the receiver
       when feedback has starved for 200 ms while data is outstanding,

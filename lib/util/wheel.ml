@@ -28,7 +28,11 @@
    keys — the reference the property tests compare against.
 
    Entry blocks are reusable via {!reinsert}: a re-inserted entry takes a
-   fresh seq, so FIFO tie-breaking treats it as the newest arrival. *)
+   fresh seq, so FIFO tie-breaking treats it as the newest arrival.  A
+   caller may also take a seq early ({!reserve_seq}) and queue with it
+   later ({!rekey}); the key then orders exactly as if the entry had been
+   queued when the seq was taken.  Seqs stay unique, so the order stays
+   total. *)
 
 type 'a entry = {
   mutable time : int;
@@ -315,22 +319,12 @@ let place t e =
     end
   end
 
-let insert t ~time value =
-  let e = { time; seq = t.next_seq; value; where = w_out; pos = -1 } in
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  if t.size > t.s_hw_size then t.s_hw_size <- t.size;
-  place t e;
-  e
+let reserve_seq t =
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  s
 
-let reinsert t (e : 'a handle) ~time =
-  if e.where <> w_out then invalid_arg "Wheel.reinsert: handle still queued";
-  e.time <- time;
-  e.seq <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  if t.size > t.s_hw_size then t.s_hw_size <- t.size;
-  place t e
+let detached value = { time = 0; seq = min_int; value; where = w_out; pos = -1 }
 
 let detach t e =
   match e.where with
@@ -360,20 +354,43 @@ let remove t e =
     true
   end
 
-let update t e ~time =
-  if e.where = w_out then false
-  else begin
-    if t.n_slots > 0 then detach t e;
+(* Queue [e] at exactly [(time, seq)]: a queued entry moves (in pure-heap
+   mode it is re-keyed where it stands), an extracted one re-enters. *)
+let rekey t e ~time ~seq =
+  if e.where = w_out then begin
     e.time <- time;
-    e.seq <- t.next_seq;
-    t.next_seq <- t.next_seq + 1;
-    if t.n_slots > 0 then place t e
-    else begin
-      (* pure-heap mode: the entry stays in the one heap, re-keyed in place *)
-      pq_set t.over e.pos e;
-      pq_sift_up t.over e.pos;
-      pq_sift_down t.over e.pos
-    end;
+    e.seq <- seq;
+    t.size <- t.size + 1;
+    if t.size > t.s_hw_size then t.s_hw_size <- t.size;
+    place t e
+  end
+  else if t.n_slots > 0 then begin
+    detach t e;
+    e.time <- time;
+    e.seq <- seq;
+    place t e
+  end
+  else begin
+    e.time <- time;
+    e.seq <- seq;
+    pq_set t.over e.pos e;
+    pq_sift_up t.over e.pos;
+    pq_sift_down t.over e.pos
+  end
+
+let insert t ~time value =
+  let e = detached value in
+  rekey t e ~time ~seq:(reserve_seq t);
+  e
+
+let reinsert t (e : 'a handle) ~time =
+  if e.where <> w_out then invalid_arg "Wheel.reinsert: handle still queued";
+  rekey t e ~time ~seq:(reserve_seq t)
+
+let update t e ~time =
+  e.where <> w_out
+  && begin
+    rekey t e ~time ~seq:(reserve_seq t);
     true
   end
 

@@ -33,6 +33,20 @@ val reinsert : 'a t -> 'a handle -> time:int -> unit
     a fresh sequence number, so FIFO tie-breaking treats it as the newest
     arrival.  Raises [Invalid_argument] if the handle is still queued. *)
 
+val reserve_seq : 'a t -> int
+(** Take the next sequence number now, for a later {!rekey}.  Every
+    {!insert}, {!reinsert} and {!update} takes one the same way. *)
+
+val rekey : 'a t -> 'a handle -> time:int -> seq:int -> unit
+(** [rekey w e ~time ~seq] queues [e] at exactly [(time, seq)]: moved if
+    it is queued, re-queued if it was extracted or is {!detached}.  The
+    entry then pops exactly where one queued with that seq at the moment
+    it was reserved would pop.  [seq] must come from {!reserve_seq} and key
+    at most one queued entry at a time. *)
+
+val detached : 'a -> 'a handle
+(** A fresh entry holding the value, in no queue: storage for {!rekey}. *)
+
 val min_handle : 'a t -> 'a handle
 (** Handle of the minimum-key entry, without removing it.  May advance the
     wheel cursor internally.  Raises [Invalid_argument] if empty. *)

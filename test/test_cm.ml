@@ -616,6 +616,113 @@ let test_grant_reclaim () =
   Alcotest.(check int) "grant reclaimed by maintenance" 0 (Macroflow.granted mf);
   Alcotest.(check bool) "reclaim counted" true (Macroflow.grants_reclaimed mf >= 1)
 
+(* Once its last flow is gone and nothing is granted or outstanding, a
+   per-destination macroflow persists (Fig. 7) but parks its maintenance
+   clock: the engine goes quiet.  A later transmission wakes the clock on
+   its original 100 ms phase. *)
+let test_idle_macroflow_parks_its_clock () =
+  let engine, cm = make_env () in
+  Engine.run_for engine (Time.ms 37);
+  let origin = Engine.now engine in
+  let f = Cm.open_flow cm (flow_key ()) in
+  let mf = Cm.macroflow_of cm f in
+  Cm.register_send cm f (fun _ -> ());
+  Cm.request cm f;
+  Engine.run_for engine (Time.ms 1);
+  Alcotest.(check int) "grant held" mtu (Macroflow.granted mf);
+  Cm.close_flow cm f;
+  Alcotest.(check int) "close resolved the last grant" 0 (Macroflow.granted mf);
+  Engine.run_for engine (Time.ms 150);
+  Alcotest.(check bool) "per-destination macroflow persists" true (Macroflow.alive mf);
+  Alcotest.(check int) "idle macroflow queues nothing" 0 (Engine.pending engine);
+  Engine.run_for engine (Time.us 1_234_567);
+  let g = Cm.open_flow cm (flow_key ~sport:101 ()) in
+  Alcotest.(check bool) "same macroflow" true (Cm.macroflow_of cm g == mf);
+  let woken_at = Engine.now engine in
+  Cm.notify cm g ~nbytes:500;
+  Alcotest.(check int) "the tick is the only event" 1 (Engine.pending engine);
+  Alcotest.(check bool) "tick ran" true (Engine.step engine);
+  let period = Time.ms 100 in
+  let k = ((woken_at - origin) / period) + 1 in
+  Alcotest.(check int) "next tick on origin + k * 100 ms" (origin + (k * period))
+    (Engine.now engine);
+  Alcotest.(check int) "busy macroflow keeps ticking" 1 (Engine.pending engine)
+
+(* Parking is invisible: a macroflow whose [on_tick] hook keeps its clock
+   ticking and one that parks, driven by the same script, issue the same
+   grants at the same times and end every step in the same state. *)
+type mf_op =
+  | Mf_request of int
+  | Mf_notify of int * int
+  | Mf_update of int * int * bool
+  | Mf_release of int
+  | Mf_advance of int
+
+let gen_mf_op =
+  let open QCheck.Gen in
+  let member = int_bound 2 in
+  frequency
+    [
+      (4, map (fun m -> Mf_request m) member);
+      (3, map2 (fun m n -> Mf_notify (m, n)) member (oneofl [ 0; 200; mtu ]));
+      (2, map3 (fun sent recd loss -> Mf_update (sent, recd, loss)) (oneofl [ 0; 500; 2 * mtu ])
+            (int_bound 100) (map (fun k -> k = 0) (int_bound 5)));
+      (1, map (fun m -> Mf_release m) member);
+      (4, map (fun ms -> Mf_advance ms) (oneofl [ 0; 1; 37; 100; 250; 600; 1_300 ]));
+    ]
+
+let pp_mf_op = function
+  | Mf_request m -> Printf.sprintf "request %d" m
+  | Mf_notify (m, n) -> Printf.sprintf "notify %d %dB" m n
+  | Mf_update (s, r, l) -> Printf.sprintf "update sent %d recd %d%% loss %b" s r l
+  | Mf_release m -> Printf.sprintf "release %d" m
+  | Mf_advance ms -> Printf.sprintf "advance %dms" ms
+
+let run_mf_script ?on_tick script =
+  let engine = Engine.create () in
+  let grants = ref [] in
+  let mf =
+    Macroflow.create engine ~id:1 ~mtu ~controller:(Controller.aimd ())
+      ~scheduler:Scheduler.round_robin
+      ~deliver_grant:(fun m ~reserved ->
+        grants := (Engine.now engine, Macroflow.member_fid m, reserved) :: !grants)
+      ~on_state_change:ignore ?on_tick ~watchdog:Macroflow.default_watchdog ()
+  in
+  let members = Array.init 3 (fun i -> Macroflow.add_member mf i) in
+  let snapshots =
+    List.map
+      (fun op ->
+        (match op with
+        | Mf_request m -> Macroflow.request mf members.(m)
+        | Mf_notify (m, nbytes) -> Macroflow.notify mf ~m:members.(m) ~nbytes ()
+        | Mf_update (sent, pct, loss) ->
+            let nsent = Stdlib.min sent (Macroflow.outstanding mf) in
+            Macroflow.update mf ~nsent ~nrecd:(nsent * pct / 100)
+              ~loss:(if loss then Cm_types.Transient else Cm_types.No_loss)
+              ~rtt:(Some (Time.ms 40))
+        | Mf_release m -> ignore (Macroflow.release_flow_grants mf members.(m) : int)
+        | Mf_advance ms -> Engine.run_for engine (Time.ms ms));
+        ( Macroflow.grants_reclaimed mf,
+          Macroflow.watchdog_fires mf,
+          Macroflow.outstanding mf,
+          Macroflow.cwnd mf,
+          Macroflow.granted mf ))
+      script
+  in
+  Engine.run_for engine (Time.sec 3.);
+  (List.rev !grants, snapshots, Engine.events_executed engine)
+
+let prop_parking_is_invisible =
+  QCheck.Test.make ~name:"a parking macroflow matches an always-ticking one" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_mf_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 80) gen_mf_op))
+    (fun script ->
+      let g_park, s_park, ev_park = run_mf_script script in
+      let g_tick, s_tick, ev_tick = run_mf_script ~on_tick:ignore script in
+      g_park = g_tick && s_park = s_tick && ev_park <= ev_tick)
+
 let test_close_returns_granted_bytes () =
   (* granted-but-unnotified bytes come back the moment the flow closes,
      not 500 ms later when the reclaim timer would catch them *)
@@ -973,6 +1080,8 @@ let () =
           Alcotest.test_case "ip hook charges macroflow" `Quick test_attach_charges_outstanding;
           Alcotest.test_case "persistent clears outstanding" `Quick test_persistent_resets_outstanding;
           Alcotest.test_case "grant reclaim" `Quick test_grant_reclaim;
+          Alcotest.test_case "idle macroflow parks its clock" `Quick
+            test_idle_macroflow_parks_its_clock;
           Alcotest.test_case "close returns granted bytes" `Quick test_close_returns_granted_bytes;
           Alcotest.test_case "decline restores window" `Quick test_decline_restores_window;
           Alcotest.test_case "api counters" `Quick test_counters;
@@ -995,6 +1104,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_window_conservation;
+          QCheck_alcotest.to_alcotest prop_parking_is_invisible;
           QCheck_alcotest.to_alcotest prop_controller_invariants;
         ] );
     ]

@@ -232,29 +232,27 @@ let test_timer_rearm_after_fire_and_stop () =
     [ Time.ms 35; Time.ms 15; Time.ms 5 ]
     !fired_at
 
-(* [refill] re-points one handle at a new event; a handle that named the
+(* [rearm] re-points one handle at a new event; a handle that named the
    recycled cell before stays dead, whether the cell came back from the
-   pool or a cancelled event was revived in place. *)
-let test_refill_keeps_old_handles_dead () =
+   pool or a cancelled event was revived in place.  A revived event due
+   before its new time keeps its place, so it fires early. *)
+let test_rearm_keeps_old_handles_dead () =
   let e = Engine.create () in
   let fired = ref [] in
   let h_old = Engine.schedule_at e (Time.ms 1) (fun () -> fired := 0 :: !fired) in
   Engine.run e;
   let h = Engine.unscheduled () in
   "a fresh handle is not live" => not (Engine.cancel e h);
-  Engine.refill e h (Time.ms 5) (fun () -> fired := 1 :: !fired);
+  Engine.rearm e h (Time.ms 5) ~stamp:(Engine.reserve_stamp e) (fun () -> fired := 1 :: !fired);
   "old handle cannot cancel the new event" => not (Engine.cancel e h_old);
   "old handle cannot move it" => not (Engine.reschedule e h_old (Time.ms 9));
-  Alcotest.check_raises "refilling a live handle"
-    (Invalid_argument "Engine.refill: handle still names a pending event") (fun () ->
-      Engine.refill e h (Time.ms 6) ignore);
-  "refilled handle is live" => Engine.cancel e h;
-  Engine.refill e h (Time.ms 7) (fun () -> fired := 2 :: !fired);
+  "rearmed handle is live" => Engine.cancel e h;
+  Engine.rearm e h (Time.ms 7) ~stamp:(Engine.reserve_stamp e) (fun () -> fired := 2 :: !fired);
   "old handle still dead after a revive" => not (Engine.cancel e h_old);
   Alcotest.(check int) "one event pending" 1 (Engine.pending e);
   Engine.run e;
-  Alcotest.(check (list int)) "only the last refill ran" [ 2; 0 ] !fired;
-  Alcotest.(check int) "at its time" (Time.ms 7) (Engine.now e)
+  Alcotest.(check (list int)) "only the last rearm ran" [ 2; 0 ] !fired;
+  Alcotest.(check int) "revived in place, at its old time" (Time.ms 5) (Engine.now e)
 
 (* A timer keeps one handle and one closure for life: arming, stopping
    and firing allocate nothing.  Start/stop cycles never run the engine,
@@ -279,6 +277,297 @@ let test_timer_cycles_allocate_nothing () =
       Timer.start t (Time.ms 1);
       ignore (Engine.step e : bool));
   Alcotest.(check int) "every start/stop left nothing pending" 0 (Engine.pending e)
+
+(* A parked periodic timer resumes on its phase.  Woken before the next
+   phase point's turn it ticks there, even when the wake runs at that very
+   nanosecond; woken after that turn (here by an event queued behind the
+   tick at 20 ms) it resumes on the following phase point. *)
+let test_timer_park_wake_keeps_phase () =
+  let e = Engine.create () in
+  let ticks = ref [] in
+  let parking = ref true in
+  let t_ref = ref None in
+  let t =
+    Timer.create e ~callback:(fun () ->
+        ticks := Engine.now e :: !ticks;
+        if !parking then Option.iter Timer.park !t_ref)
+  in
+  t_ref := Some t;
+  Timer.start_periodic t (Time.ms 10);
+  (* queued before the 20 ms tick is: runs ahead of it at 20 ms *)
+  ignore (Engine.schedule_at e (Time.ms 20) (fun () -> Timer.wake t));
+  Engine.run ~until:(Time.ms 25) e;
+  Alcotest.(check (list int)) "parked at 10 ms, woken on time for 20 ms"
+    [ Time.ms 20; Time.ms 10 ] !ticks;
+  "parked again" => not (Timer.is_running t);
+  Alcotest.(check int) "a parked timer queues nothing" 0 (Engine.pending e);
+  (* the 30 ms tick has had its turn once the run is past it *)
+  Engine.run ~until:(Time.ms 30) e;
+  parking := false;
+  Timer.wake t;
+  Alcotest.(check (option int)) "resumes after the skipped point" (Some (Time.ms 40))
+    (Timer.expiry t);
+  Engine.run ~until:(Time.ms 55) e;
+  Alcotest.(check (list int)) "ticks on the original phase"
+    [ Time.ms 50; Time.ms 40; Time.ms 20; Time.ms 10 ] !ticks
+
+(* ---- lazy timers against an eager reference ---------------------------- *)
+
+(* The reference moves its event on every arm, the way a timer without
+   lazy re-arm would: raw [Engine.schedule_at]/[cancel], one fresh FIFO
+   stamp per arm.  Parking only silences the callback; the ticks stay
+   queued.  A wake after a silenced tick re-stamps the next tick at the
+   first phase point strictly after now, which is the one tie-break
+   {!Timer.wake} documents as differing from eager ticking. *)
+module Eager = struct
+  type t = {
+    e : Engine.t;
+    cb : unit -> unit;
+    mutable h : Engine.handle option;
+    mutable period : int;
+    mutable next : Time.t; (* time of the queued event *)
+    mutable parked : bool;
+    mutable silenced : int; (* ticks silenced since the park *)
+  }
+
+  let create e cb = { e; cb; h = None; period = 0; next = 0; parked = false; silenced = 0 }
+
+  let cancel t =
+    Option.iter (fun h -> ignore (Engine.cancel t.e h)) t.h;
+    t.h <- None
+
+  let rec schedule t at =
+    t.next <- at;
+    t.h <- Some (Engine.schedule_at t.e at (fun () -> fire t))
+
+  and fire t =
+    t.h <- None;
+    if t.period > 0 then schedule t (t.next + t.period);
+    if t.parked then t.silenced <- t.silenced + 1 else t.cb ()
+
+  let start t d =
+    cancel t;
+    t.period <- 0;
+    t.parked <- false;
+    schedule t (Engine.now t.e + d)
+
+  let start_periodic t p =
+    cancel t;
+    t.period <- p;
+    t.parked <- false;
+    schedule t (Engine.now t.e + p)
+
+  let stop t =
+    cancel t;
+    t.period <- 0;
+    t.parked <- false
+
+  let park t =
+    t.parked <- true;
+    t.silenced <- 0
+
+  let wake t =
+    if t.parked then begin
+      t.parked <- false;
+      if t.silenced > 0 then begin
+        let now = Engine.now t.e in
+        let at = if t.next > now then t.next else t.next + t.period in
+        cancel t;
+        schedule t at
+      end
+    end
+end
+
+(* One interface over both implementations, so one script runner drives both. *)
+type timer_ops = {
+  t_start : Time.span -> unit;
+  t_periodic : Time.span -> unit;
+  t_stop : unit -> unit;
+  t_park : unit -> unit;
+  t_wake : unit -> unit;
+}
+
+type cb_action = Cb_none | Cb_park | Cb_start of int | Cb_periodic of int | Cb_stop
+
+type op =
+  | Start of int * int
+  | Periodic of int * int
+  | Stop of int
+  | Park of int
+  | Wake of int
+  | Noise of int
+  | On_next_tick of int * cb_action
+
+(* Script step: wait [gap] ms, then run [op] — from an event queued [gap]
+   ago, or with [outside] from between two bounded runs. *)
+type step = { gap : int; outside : bool; op : op }
+
+type mode = Off | One_shot | Periodic_on | Parked
+
+let n_timers = 3
+
+(* Run a script and return every callback as (time, label), in dispatch
+   order.  [make e cb] builds one timer of the implementation under
+   test. *)
+let run_timer_script make script =
+  let e = Engine.create () in
+  let log = ref [] in
+  let record label = log := (Engine.now e, label) :: !log in
+  let mode = Array.make n_timers Off in
+  let action = Array.make n_timers Cb_none in
+  let timers = Array.make n_timers None in
+  let get i = Option.get timers.(i) in
+  let start i d =
+    mode.(i) <- One_shot;
+    (get i).t_start (Time.ms d)
+  and periodic i p =
+    mode.(i) <- Periodic_on;
+    (get i).t_periodic (Time.ms p)
+  and stop i =
+    mode.(i) <- Off;
+    (get i).t_stop ()
+  and park i =
+    if mode.(i) = Periodic_on then begin
+      mode.(i) <- Parked;
+      (get i).t_park ()
+    end
+  in
+  for i = 0 to n_timers - 1 do
+    timers.(i) <-
+      Some
+        (make e (fun () ->
+             record (Printf.sprintf "T%d" i);
+             if mode.(i) = One_shot then mode.(i) <- Off;
+             let a = action.(i) in
+             action.(i) <- Cb_none;
+             match a with
+             | Cb_none -> ()
+             | Cb_park -> park i
+             | Cb_start d -> start i d
+             | Cb_periodic p -> periodic i p
+             | Cb_stop -> stop i))
+  done;
+  let noise = ref 0 in
+  let exec k op =
+    record (Printf.sprintf "D%d" k);
+    match op with
+    | Start (i, d) -> start i d
+    | Periodic (i, p) -> periodic i p
+    | Stop i -> stop i
+    | Park i -> park i
+    | Wake i ->
+        if mode.(i) = Parked then mode.(i) <- Periodic_on;
+        (get i).t_wake ()
+    | Noise d ->
+        let id = !noise in
+        incr noise;
+        ignore
+          (Engine.schedule_at e (Engine.now e + Time.ms d) (fun () ->
+               record (Printf.sprintf "N%d" id)))
+    | On_next_tick (i, a) -> action.(i) <- a
+  in
+  List.iteri
+    (fun k { gap; outside; op } ->
+      let at = Engine.now e + Time.ms gap in
+      if outside then begin
+        Engine.run ~until:at e;
+        exec k op
+      end
+      else begin
+        ignore (Engine.schedule_at e at (fun () -> exec k op));
+        Engine.run ~until:at e
+      end)
+    script;
+  Engine.run ~until:(Engine.now e + Time.ms 100) e;
+  List.rev !log
+
+let lazy_timer e cb =
+  let t = Timer.create e ~callback:cb in
+  {
+    t_start = Timer.start t;
+    t_periodic = Timer.start_periodic t;
+    t_stop = (fun () -> Timer.stop t);
+    t_park = (fun () -> Timer.park t);
+    t_wake = (fun () -> Timer.wake t);
+  }
+
+let eager_timer e cb =
+  let t = Eager.create e cb in
+  {
+    t_start = Eager.start t;
+    t_periodic = Eager.start_periodic t;
+    t_stop = (fun () -> Eager.stop t);
+    t_park = (fun () -> Eager.park t);
+    t_wake = (fun () -> Eager.wake t);
+  }
+
+(* Small ms values so that expiries, ticks, noise and script steps keep
+   landing on the same nanosecond; 20 and 30 ms lie beyond the wheel's
+   16.8 ms horizon. *)
+let gen_step =
+  let open QCheck.Gen in
+  let timer = int_bound (n_timers - 1) in
+  let delay = oneofl [ 0; 1; 2; 3; 4; 5; 6; 30 ] in
+  let period = oneofl [ 1; 2; 3; 5; 20 ] in
+  let action =
+    frequency
+      [
+        (3, return Cb_park);
+        (2, map (fun d -> Cb_start d) delay);
+        (1, map (fun p -> Cb_periodic p) period);
+        (1, return Cb_stop);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun i d -> Start (i, d)) timer delay);
+        (2, map2 (fun i p -> Periodic (i, p)) timer period);
+        (1, map (fun i -> Stop i) timer);
+        (2, map (fun i -> Park i) timer);
+        (4, map (fun i -> Wake i) timer);
+        (3, map (fun d -> Noise d) delay);
+        (3, map2 (fun i a -> On_next_tick (i, a)) timer action);
+      ]
+  in
+  map3
+    (fun gap outside op -> { gap; outside; op })
+    (oneofl [ 0; 0; 1; 2; 3; 5; 10; 20 ])
+    (map (fun k -> k = 0) (int_bound 3))
+    op
+
+let pp_op = function
+  | Start (i, d) -> Printf.sprintf "start %d %dms" i d
+  | Periodic (i, p) -> Printf.sprintf "periodic %d %dms" i p
+  | Stop i -> Printf.sprintf "stop %d" i
+  | Park i -> Printf.sprintf "park %d" i
+  | Wake i -> Printf.sprintf "wake %d" i
+  | Noise d -> Printf.sprintf "noise %dms" d
+  | On_next_tick (i, a) ->
+      Printf.sprintf "on-tick %d %s" i
+        (match a with
+        | Cb_none -> "none"
+        | Cb_park -> "park"
+        | Cb_start d -> Printf.sprintf "start %dms" d
+        | Cb_periodic p -> Printf.sprintf "periodic %dms" p
+        | Cb_stop -> "stop")
+
+let pp_step { gap; outside; op } =
+  Printf.sprintf "+%dms%s %s" gap (if outside then " (outside)" else "") (pp_op op)
+
+let prop_lazy_timers_match_eager =
+  QCheck.Test.make ~name:"lazy timers fire where eager ones do" ~count:2000
+    (QCheck.make
+       ~print:(fun steps -> String.concat "\n" (List.map pp_step steps))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) gen_step))
+    (fun script ->
+      let lazy_log = run_timer_script lazy_timer script in
+      let eager_log = run_timer_script eager_timer script in
+      lazy_log = eager_log
+      || QCheck.Test.fail_reportf "lazy:  %s\neager: %s"
+           (String.concat " " (List.map (fun (t, l) -> Printf.sprintf "%s@%d" l t) lazy_log))
+           (String.concat " " (List.map (fun (t, l) -> Printf.sprintf "%s@%d" l t) eager_log)))
 
 (* ---- Sim_log --------------------------------------------------------- *)
 
@@ -489,9 +778,12 @@ let () =
           Alcotest.test_case "expiry visible" `Quick test_timer_expiry_visible;
           Alcotest.test_case "re-arm after fire and stop" `Quick
             test_timer_rearm_after_fire_and_stop;
-          Alcotest.test_case "refill keeps old handles dead" `Quick
-            test_refill_keeps_old_handles_dead;
+          Alcotest.test_case "rearm keeps old handles dead" `Quick
+            test_rearm_keeps_old_handles_dead;
           Alcotest.test_case "cycles allocate nothing" `Quick test_timer_cycles_allocate_nothing;
+          Alcotest.test_case "park and wake keep the phase" `Quick
+            test_timer_park_wake_keeps_phase;
+          QCheck_alcotest.to_alcotest prop_lazy_timers_match_eager;
         ] );
       ( "sim_log",
         [

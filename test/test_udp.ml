@@ -188,6 +188,63 @@ let test_sender_timeout_persistent () =
   Alcotest.(check int) "outstanding cleared" 0 (Udp.Feedback.Sender.outstanding_packets s);
   Udp.Feedback.Sender.shutdown s
 
+(* The maintenance clock parks while nothing is outstanding, and a
+   transmission wakes it on its 100 ms phase: a silence declares loss and
+   solicits at exactly the virtual times an always-ticking clock gives
+   (the expected list was recorded with one). *)
+let feedback_silence_script ~on_idle =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let note what = log := (Engine.now engine, what) :: !log in
+  let s =
+    Udp.Feedback.Sender.create engine
+      ~on_report:(fun ~nsent:_ ~nrecd:_ ~loss ~rtt:_ ->
+        if loss = Cm.Cm_types.Persistent then note "lost")
+      ~on_starve:(fun () -> note "solicit")
+      ()
+  in
+  let send () = ignore (Udp.Feedback.Sender.on_transmit s ~bytes:100 : int) in
+  Engine.run ~until:(Time.us 1_234_500) engine;
+  on_idle engine;
+  send ();
+  (* queued before the 1.3 s tick takes the 1.4 s tick's stamp, so it
+     runs ahead of that tick at the same nanosecond *)
+  ignore (Engine.schedule_at engine (Time.ms 1_400) send);
+  Engine.run ~until:(Time.ms 2_050) engine;
+  send ();
+  Engine.run ~until:(Time.ms 2_300) engine;
+  Udp.Feedback.Sender.on_ack s ~max_seq:2 ~count:1 ~bytes:100 ~ts_echo:0;
+  (* likewise ahead of the 2.5 s tick, which then sees 200 ms of silence *)
+  ignore (Engine.schedule_at engine (Time.ms 2_500) send);
+  Engine.run ~until:(Time.ms 3_500) engine;
+  on_idle engine;
+  ignore (Engine.schedule_after engine (Time.ms 50) send);
+  Engine.run_for engine (Time.sec 1.);
+  Udp.Feedback.Sender.shutdown s;
+  List.rev !log
+
+let test_sender_parked_clock_keeps_times () =
+  let idle_checks = ref 0 in
+  let log =
+    feedback_silence_script ~on_idle:(fun engine ->
+        incr idle_checks;
+        Alcotest.(check int) "an idle sender queues nothing" 0 (Engine.pending engine))
+  in
+  Alcotest.(check int) "idle twice" 2 !idle_checks;
+  Alcotest.(check (list (pair int string)))
+    "solicit and loss times"
+    [
+      (Time.ms 1_300, "solicit");
+      (Time.ms 1_300, "lost");
+      (Time.ms 1_700, "solicit");
+      (Time.ms 1_900, "lost");
+      (Time.ms 2_500, "solicit");
+      (Time.ms 2_700, "solicit");
+      (Time.ms 2_900, "lost");
+      (Time.ms 3_600, "lost");
+    ]
+    log
+
 (* ---- Cc_socket -------------------------------------------------------------- *)
 
 let make_cc ?(bandwidth = 1e6) () =
@@ -486,6 +543,8 @@ let () =
           Alcotest.test_case "resolution and rtt" `Quick test_sender_resolves_and_samples_rtt;
           Alcotest.test_case "gap loss detection" `Quick test_sender_detects_gap_loss;
           Alcotest.test_case "timeout -> persistent" `Quick test_sender_timeout_persistent;
+          Alcotest.test_case "parked clock keeps loss and solicit times" `Quick
+            test_sender_parked_clock_keeps_times;
           QCheck_alcotest.to_alcotest prop_feedback_conservation;
           QCheck_alcotest.to_alcotest prop_ledger_matches_hashtbl_model;
         ] );

@@ -242,6 +242,26 @@ let test_heap_reinsert () =
      Alcotest.fail "reinsert of a live handle must raise"
    with Invalid_argument _ -> ())
 
+(* A seq taken early keys an entry as if it had been queued then: it pops
+   ahead of every entry queued after the reservation, in both modes and
+   on both sides of the wheel horizon, whether [rekey] moves a queued
+   entry or queues a detached one. *)
+let test_reserved_seq_orders_at_reservation () =
+  List.iter
+    (fun (slots, time) ->
+      let w = Wheel.create ~slots ~dummy:"" () in
+      let early = Wheel.reserve_seq w in
+      ignore (Wheel.insert w ~time "queued after the reservation");
+      let moved = Wheel.insert w ~time:(time + 1) "moved" in
+      Wheel.rekey w (Wheel.detached "reserved") ~time ~seq:early;
+      Wheel.rekey w moved ~time ~seq:(Wheel.reserve_seq w);
+      ignore (Wheel.insert w ~time "queued last");
+      Alcotest.(check (list string))
+        (Printf.sprintf "slots %d, time %d" slots time)
+        [ "reserved"; "queued after the reservation"; "moved"; "queued last" ]
+        (List.map snd (pop_all w 4)))
+    [ (0, 7); (1024, 7); (1024, 1_000_000_000) ]
+
 (* Model-based randomized test: drive the heap and a sorted-list reference
    with the same operation stream (insert / pop_min / remove / update) and
    require identical observable behaviour, including the FIFO tie-break
@@ -682,6 +702,8 @@ let () =
           Alcotest.test_case "update_prio refreshes FIFO rank" `Quick
             test_heap_update_prio_refreshes_fifo;
           Alcotest.test_case "reinsert recycles an extracted entry" `Quick test_heap_reinsert;
+          Alcotest.test_case "a reserved seq orders at its reservation" `Quick
+            test_reserved_seq_orders_at_reservation;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_removal_consistent;
           QCheck_alcotest.to_alcotest prop_heap_model;
