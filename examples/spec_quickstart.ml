@@ -13,6 +13,6 @@ let spec =
 let () =
   let engine = Eventsim.Engine.create () in
   let net = Build.instantiate engine (Check.elaborate_exn spec) in
-  let running = Launch.run net ~driver_for:(Build.driver net) () in
+  let running = Launch.run net () in
   Eventsim.Engine.run_for engine (Cm_util.Time.sec 5.);
   Printf.printf "flows finished: %d/1\n" (Launch.done_count (List.hd running))

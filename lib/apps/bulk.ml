@@ -2,47 +2,35 @@ open Cm_util
 open Eventsim
 open Netsim
 
-type result = {
-  transferred : int;
-  duration : Time.span;
-  throughput_bps : float;
-  sender_cpu_utilization : float;
+type t = {
+  bytes : int;
+  mutable delivered : int;
+  mutable finished_at : Time.t option;
+  mutable sender_busy0 : Time.span;
+  mutable observer : int -> unit;
 }
 
-let finish ~engine ~src ~t0 ~busy0 ~bytes ~on_done =
-  let duration = Stdlib.max 1 (Time.diff (Engine.now engine) t0) in
-  let busy = Cpu.total_busy (Host.cpu src) - busy0 in
-  on_done
-    {
-      transferred = bytes;
-      duration;
-      throughput_bps = float_of_int (bytes * 8) /. Time.to_float_s duration;
-      sender_cpu_utilization = float_of_int busy /. float_of_int duration;
-    }
+let create ~bytes =
+  { bytes; delivered = 0; finished_at = None; sender_busy0 = 0; observer = ignore }
+let observe t f = t.observer <- f
 
-let tcp_push ~src ~dst_host ~port ~buffers ~buffer_bytes ?(driver = Tcp.Conn.Native)
-    ?(config = Tcp.Conn.default_config) ~on_done () =
+let tcp_push t ~src ~dst_host ~port ?(driver = Tcp.Conn.Native) () =
   let engine = Host.engine src in
-  let total = buffers * buffer_bytes in
-  let t0 = Engine.now engine in
-  let busy0 = Cpu.total_busy (Host.cpu src) in
-  let received = ref 0 in
-  let done_ = ref false in
   let _listener =
     Tcp.Conn.listen dst_host ~port
       ~on_accept:(fun conn ->
         Tcp.Conn.on_receive conn (fun n ->
-            received := !received + n;
-            if (not !done_) && !received >= total then begin
-              done_ := true;
-              finish ~engine ~src ~t0 ~busy0 ~bytes:total ~on_done
-            end))
+            t.delivered <- t.delivered + n;
+            if t.finished_at = None && t.delivered >= t.bytes then
+              t.finished_at <- Some (Engine.now engine);
+            t.observer n))
       ()
   in
   let conn =
-    Tcp.Conn.connect src ~dst:(Addr.endpoint ~host:(Host.id dst_host) ~port) ~driver ~config ()
+    Tcp.Conn.connect src ~dst:(Addr.endpoint ~host:(Host.id dst_host) ~port) ~driver ()
   in
-  (* the app writes all buffers up front (ttcp keeps the pipe full; the
+  (* the app writes every byte up front (ttcp keeps the pipe full; the
      socket buffer model has no backpressure to exercise here) *)
-  Tcp.Conn.send conn total;
-  Tcp.Conn.close conn
+  Tcp.Conn.send conn t.bytes;
+  Tcp.Conn.close conn;
+  t.sender_busy0 <- Cpu.total_busy (Host.cpu src)

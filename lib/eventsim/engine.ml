@@ -24,7 +24,7 @@ open Cm_util
    does not retain its peak memory forever.  The wheel's own sequence
    number makes reuse safe: a handle captures the entry's seq at
    schedule time; seqs are unique over the wheel's lifetime and
-   refreshed on every reinsert, so cancel/reschedule on a stale handle
+   refreshed on every reinsert, so cancel on a stale handle
    (its entry since recycled for a newer event) sees a seq mismatch and
    reports [false], exactly as the unpooled engine reported [false] for
    an already-fired event.
@@ -276,7 +276,7 @@ let post t d fn =
   if d < 0 then t.clamped <- t.clamped + 1;
   ignore (enqueue t (Time.add t.clock (Stdlib.max d 0)) fn)
 
-(* A handle is live iff its entry has not been recycled or rescheduled
+(* A handle is live iff its entry has not been recycled or re-keyed
    since the handle was made (seq matches — seqs are never reused) and
    the event has neither fired nor been cancelled. *)
 let live h = Wheel.handle_seq h.entry = h.h_seq && Wheel.handle_value h.entry != dead
@@ -300,16 +300,6 @@ let cancel t h =
     Wheel.set_handle_value h.entry dead;
     t.cancelled <- t.cancelled + 1;
     maybe_compact t;
-    true
-  end
-
-let reschedule t h when_ =
-  check_future t ~what:"reschedule" when_;
-  if not (live h) then false
-  else begin
-    ignore (Wheel.update t.queue h.entry ~time:when_);
-    (* the move took a fresh seq; track it so this handle stays live *)
-    h.h_seq <- Wheel.handle_seq h.entry;
     true
   end
 

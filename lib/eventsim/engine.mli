@@ -12,12 +12,12 @@ type t
 (** An engine instance. *)
 
 type handle
-(** Names a scheduled event so it can be cancelled or rescheduled.
+(** Names a scheduled event so it can be cancelled.
     Cancellation is lazy (O(1) mark-dead, skipped when it reaches the head
     of the queue).  Event cells are pooled and recycled across schedules;
-    a stamp in the handle keeps stale handles safe — cancel/reschedule on
-    an event that already ran simply return [false], even if its cell has
-    since been reused for a newer event.  One handle can name a series of
+    a stamp in the handle keeps stale handles safe — cancel on an event
+    that already ran simply returns [false], even if its cell has since
+    been reused for a newer event.  One handle can name a series of
     events through {!rearm}, so a long-lived owner (a {!Timer}) keeps one
     handle for life and re-arms without allocating. *)
 
@@ -42,20 +42,13 @@ val post : t -> Time.span -> (unit -> unit) -> unit
 (** [post t d f] is {!schedule_after} without the handle: same queue
     position, same FIFO stamp sequence, but nothing is allocated for the
     caller to hold.  For fire-and-forget events that are never cancelled
-    or rescheduled — the per-packet, per-grant and per-cycle hot paths,
-    CPU work items among them.  Pass a closure built once and reused,
+    — the per-packet, per-grant and per-cycle hot paths, CPU work items
+    among them.  Pass a closure built once and reused,
     not one built per call. *)
 
 val cancel : t -> handle -> bool
 (** Cancel a pending event; [false] if it already ran or was cancelled.
     O(1): the event is marked dead and discarded when it surfaces. *)
-
-val reschedule : t -> handle -> Time.t -> bool
-(** [reschedule t h when_] moves a still-pending event to a new time in
-    place (no cancellation churn, no allocation); among events at the same
-    time it behaves as if freshly scheduled.  Returns [false] if the event
-    already ran or was cancelled.  Rescheduling into the past raises
-    [Invalid_argument]. *)
 
 val unscheduled : unit -> handle
 (** A fresh handle that names no event, so it is never live: storage for

@@ -29,7 +29,7 @@ let run_one_sched params ~name ~scheduler ~weight_a =
   let net = Build.pipe ~rng engine (sched_spec scheduler) in
   let cm = Build.cm net.Build.net "a" in
   Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
-  let running = Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let running = Launch.run net.Build.net () in
   let sock i = (Launch.datagrams (Launch.find running "pair") i).Launch.socket in
   let sock_a = sock 0 and sock_b = sock 1 in
   (match weight_a with
@@ -71,7 +71,7 @@ let run_one_ctrl params ~name ~controller =
   let net = Build.pipe ~rng engine (ctrl_spec controller) in
   let cm = Build.cm net.Build.net "a" in
   Exp_common.watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
-  let running = Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let running = Launch.run net.Build.net () in
   let sock = (Launch.datagrams (Launch.find running "flow") 0).Launch.socket in
   (* sample the delivered rate every 100 ms after 2 s of warmup *)
   let samples = Stats.create () in

@@ -221,7 +221,15 @@ let window_bps tl ~from_ ~until =
   bytes *. 8. /. Time.to_float_s (Time.diff until from_)
 
 (* this family always runs defended — measuring the defenses is its point *)
-let spec = Spec.(par [ pipe ~queue:50 ~bw:8e6 ~lat:(Time.ms 20) (); cm ~defended:true [ "a" ] ])
+let spec =
+  Spec.(
+    par
+      [
+        pipe ~queue:50 ~bw:8e6 ~lat:(Time.ms 20) ();
+        cm ~defended:true [ "a" ];
+        (* two honest TCP/CM bulk transfers *)
+        flows ~name:"honest" ~src:[ "a"; "a" ] ~dst:"b" ~port:80 ~app:(bulk ~bytes:(1 lsl 34)) ();
+      ])
 
 let run_case params case =
   Exp_common.with_system params @@ fun sys ->
@@ -240,23 +248,12 @@ let run_case params case =
     | Some r -> ignore (Telemetry.Recorder.dump r ~reason : string)
     | None -> ()
   in
-  (* two honest TCP/CM bulk transfers *)
   let honest_tl = Timeline.create () in
-  List.iter
-    (fun port ->
-      let _listener =
-        Tcp.Conn.listen net.Build.b ~port
-          ~on_accept:(fun conn ->
-            Tcp.Conn.on_receive conn (fun n ->
-                Timeline.record honest_tl (Engine.now engine) (float_of_int n)))
-          ()
-      in
-      let conn =
-        Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port)
-          ~driver:(Tcp.Conn.Cm_driven cm) ()
-      in
-      Tcp.Conn.send conn (1 lsl 34))
-    [ 80; 81 ];
+  let honest = Launch.find (Launch.run net.Build.net ()) "honest" in
+  for i = 0 to 1 do
+    Cm_apps.Bulk.observe (Launch.transfer honest i) (fun n ->
+        Timeline.record honest_tl (Engine.now engine) (float_of_int n))
+  done;
   (* four greedy UDP applications, one libcm "process" each *)
   let offenders =
     List.mapi

@@ -96,7 +96,7 @@ let run params =
   let net = Build.instantiate ~rng engine ir in
   let trunk_names = List.mapi (fun i s -> Printf.sprintf "%s->cr%d" s i) servers in
   Exp_common.watch sys ~links:(List.map (fun n -> (n, Build.link net n)) trunk_names) ();
-  let running = Launch.run net ~driver_for:(Build.driver net) () in
+  let running = Launch.run net () in
   Engine.run_for engine duration;
   {
     r_cohorts = List.map cohort_of running;

@@ -72,7 +72,7 @@ let run params =
   let ir = Check.elaborate_exn spec in
   let net = Build.instantiate ~rng engine ir in
   Exp_common.watch sys ~links:[ ("cell.down", Build.link net "cell.down") ] ();
-  let running = Launch.run net ~driver_for:(Build.driver net) () in
+  let running = Launch.run net () in
   let sc = Build.scenario ~name:"cellular" ir in
   Cm_dynamics.Scenario.compile engine ~rng ~links:(Build.links_alist net) sc;
   Engine.run_for engine duration;

@@ -82,47 +82,31 @@ let print_row = print_endline
    channel (experiments, telemetry, tracer) formats floats identically. *)
 module Json = Cm_util.Json
 
-let measured_bulk params ~use_cm ~spec ?(costs = Costs.zero) ?(duration = Time.sec 30.) ?bytes
-    () =
+let measured_bulk params ~use_cm ~spec ?(costs = Costs.zero) ?duration () =
   with_system params @@ fun sys ->
   let engine = sys.engine in
   let rng = Rng.create ~seed:params.seed in
   let net = Build.pipe ~costs ~rng engine spec in
   let cm = Build.cm net.Build.net "a" in
   watch sys ~links:[ ("ab", net.Build.ab); ("ba", net.Build.ba) ] ~cm ();
-  let driver = if use_cm then Build.driver net.Build.net net.Build.a else None in
-  let delivered = ref 0 in
-  let finished_at = ref None in
-  let target = bytes in
-  let _listener =
-    Tcp.Conn.listen net.Build.b ~port:80
-      ~on_accept:(fun conn ->
-        Tcp.Conn.on_receive conn (fun n ->
-            delivered := !delivered + n;
-            match target with
-            | Some want when !delivered >= want && !finished_at = None ->
-                finished_at := Some (Engine.now engine)
-            | _ -> ()))
-      ()
+  let driver_for = if use_cm then None else Some (fun _ -> None) in
+  let transfer =
+    match Launch.run net.Build.net ?driver_for () with
+    | [ g ] -> Launch.transfer g 0
+    | _ -> invalid_arg "Exp_common.measured_bulk: the spec must declare one bulk group"
   in
-  let conn = Tcp.Conn.connect net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:80) ?driver () in
-  let to_send = match target with Some b -> b | None -> 1 lsl 34 in
-  Tcp.Conn.send conn to_send;
-  let busy0 = Cpu.total_busy (Host.cpu net.Build.a) in
-  (match target with
-  | Some _ ->
+  (match duration with
+  | Some d -> Engine.run_for engine d
+  | None ->
       (* run until delivery completes (bounded by a generous limit) *)
       let guard = ref 0 in
-      while !finished_at = None && !guard < 10_000 do
+      while transfer.Cm_apps.Bulk.finished_at = None && !guard < 10_000 do
         incr guard;
         Engine.run_for engine (Time.ms 100)
-      done
-  | None -> Engine.run_for engine duration);
-  let elapsed =
-    match !finished_at with Some t -> t | None -> Engine.now engine
-  in
+      done);
+  let elapsed = Option.value transfer.Cm_apps.Bulk.finished_at ~default:(Engine.now engine) in
   let elapsed = Stdlib.max elapsed 1 in
-  let busy = Cpu.total_busy (Host.cpu net.Build.a) - busy0 in
-  let goodput = float_of_int (!delivered * 8) /. Time.to_float_s elapsed in
+  let busy = Cpu.total_busy (Host.cpu net.Build.a) - transfer.Cm_apps.Bulk.sender_busy0 in
+  let goodput = float_of_int (transfer.Cm_apps.Bulk.delivered * 8) /. Time.to_float_s elapsed in
   let util = float_of_int busy /. float_of_int elapsed in
   (goodput, util)

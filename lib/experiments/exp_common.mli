@@ -81,16 +81,18 @@ val measured_bulk :
   spec:Cm_spec.Spec.t ->
   ?costs:Costs.t ->
   ?duration:Time.span ->
-  ?bytes:int ->
   unit ->
   float * float
-(** One bulk TCP run on a fresh pipe built from [spec] (a
-    {!Cm_spec.Spec.pipe} with a {!Cm_spec.Spec.cm} on host a), host a
-    sending to host b.  With [use_cm] the connection runs TCP/CM over
-    a's CM; without, it is stock TCP on the same host — the paper's
-    TCP/Linux baseline, whose kernel has a CM the connection does not
-    use (so both runs watch the same CM).  Returns
-    [(goodput_bps, sender_cpu_utilization)].  With [?bytes] the run ends
-    when that much is delivered; otherwise it is time-limited by
-    [duration] (default 30 s) with the goodput measured over the whole
-    window. *)
+(** One bulk TCP run on a fresh pipe built from [spec]: a
+    {!Cm_spec.Spec.pipe} with a {!Cm_spec.Spec.cm} on host a and one
+    {!Cm_spec.Spec.bulk} flow group from a to b, started by
+    {!Cm_spec.Launch.run}.  With [use_cm] the transfer runs TCP/CM over
+    a's CM; without, it is launched with stock TCP on the same host —
+    the paper's TCP/Linux baseline, whose kernel has a CM the
+    connection does not use (so both runs watch the same CM).  Returns
+    [(goodput_bps, sender_cpu_utilization)], the CPU busy time counted
+    from the transfer's baseline ({!Cm_apps.Bulk.t.sender_busy0}).
+    With [?duration] the run is time-limited, and both figures are over
+    the whole window; without, it ends at the first 100 ms step boundary
+    after the last byte, and both are over the time to the last byte
+    (the busy time counted to the end of the run). *)

@@ -53,7 +53,7 @@ let run_cmproto params =
           Cpu.charge (Host.cpu net.Build.a) (costs.Costs.intr_rx + costs.Costs.cm_op)
       | _ -> ());
       Some pkt);
-  let running = Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let running = Launch.run net.Build.net () in
   let session = (Launch.session (Launch.find running "session") 0).Launch.session in
   (* the application's only boundary crossing: the send syscall *)
   Host.add_tx_hook net.Build.a (fun pkt ->

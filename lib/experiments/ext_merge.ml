@@ -1,6 +1,5 @@
 open Cm_util
 open Eventsim
-open Netsim
 open Cm_spec
 
 type row = {
@@ -13,7 +12,8 @@ type row = {
 (* hosts 1, 2 and 3 all live behind the same 6 Mbit/s trunk from the
    sender's point of view (the sender is the clients' "server"); two
    backlogged CC-UDP flows go to two different destination hosts, first
-   filled at 20 ms and every 20 ms after *)
+   filled at 20 ms and every 20 ms after, and the reference, a stock TCP
+   bulk transfer, to the third *)
 let spec =
   let client i = Spec.client_name ~server:0 ~index:i () in
   let to_client i =
@@ -26,21 +26,23 @@ let spec =
     @ cm ~mtu:1000 [ "server" ]
     @ clients ~n:3 ~per:[ "server" ] ~bw:1e8 ~lat:(Time.ms 1) ~trunk_bw:6e6
         ~trunk_lat:(Time.ms 20) ~trunk_queue:50 ()
-    @ to_client 0 @ to_client 1)
+    @ to_client 0 @ to_client 1
+    @ flows ~name:"reference" ~src:[ "server" ] ~dst:(client 2) ~port:80
+        ~app:(bulk ~bytes:(1 lsl 28))
+        ())
 
 let run_side params ~merged =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
   let net = Build.instantiate ~rng engine (Check.elaborate_exn spec) in
-  let sender = Build.host net "server" in
-  let client i = Build.host net (Spec.client_name ~server:0 ~index:i ()) in
   let cm = Build.cm net "server" in
   Exp_common.watch sys
     ~links:
       [ ("from_server", Build.link net "server->cr0"); ("to_server", Build.link net "cr0->server") ]
     ~cm ();
-  let running = Launch.run net ~driver_for:(Build.driver net) () in
+  (* the CC-UDP flows run over the server's CM, the reference TCP does not *)
+  let running = Launch.run net ~driver_for:(fun _ -> None) () in
   let socket i =
     (Launch.datagrams (Launch.find running (Spec.client_name ~server:0 ~index:i ())) 0)
       .Launch.socket
@@ -49,22 +51,15 @@ let run_side params ~merged =
   (* by default these are separate per-destination macroflows; with
      bottleneck knowledge supplied, merge them into one *)
   if merged then Cm.merge cm (Udp.Cc_socket.flow sock_a) ~into:(Udp.Cc_socket.flow sock_b);
-  (* the reference: a native TCP to the third destination *)
-  let reference_bytes = ref 0 in
-  let _l =
-    Tcp.Conn.listen (client 2) ~port:80
-      ~on_accept:(fun c -> Tcp.Conn.on_receive c (fun n -> reference_bytes := !reference_bytes + n))
-      ()
-  in
-  let reference = Tcp.Conn.connect sender ~dst:(Addr.endpoint ~host:3 ~port:80) () in
-  Tcp.Conn.send reference (1 lsl 28);
   Engine.run_for engine (Time.sec 20.);
   let pair = Udp.Cc_socket.bytes_sent sock_a + Udp.Cc_socket.bytes_sent sock_b in
+  let reference = Launch.transfer (Launch.find running "reference") 0 in
+  let reference_bytes = reference.Cm_apps.Bulk.delivered in
   {
     setup = (if merged then "merged macroflow (bottleneck known)" else "separate per-destination");
     pair_bytes = pair;
-    reference_bytes = !reference_bytes;
-    pair_to_reference = float_of_int pair /. float_of_int (Stdlib.max 1 !reference_bytes);
+    reference_bytes;
+    pair_to_reference = float_of_int pair /. float_of_int (Stdlib.max 1 reference_bytes);
   }
 
 let run params = [ run_side params ~merged:false; run_side params ~merged:true ]

@@ -53,20 +53,17 @@ let run params =
   let ir = Check.elaborate_exn spec in
   let net = Build.instantiate ~rng engine ir in
   Exp_common.watch sys ~links:[ ("edge-h0", Build.link net "p0e0->h0") ] ();
-  let running = Launch.run net ~driver_for:(Build.driver net) () in
+  let running = Launch.run net () in
   Engine.run_for engine duration;
   let group_result (r : Launch.running) =
     let start = r.Launch.rg.Check.g_start in
     let dones =
-      Array.to_list r.Launch.outcomes
-      |> List.filter_map (function
-           | Launch.Bulk_done { at; result } -> Some (at, result)
-           | _ -> None)
+      List.init (Array.length r.Launch.outcomes) (Launch.transfer r)
+      |> List.filter_map (fun (t : Cm_apps.Bulk.t) ->
+             Option.map (fun at -> (at, t.Cm_apps.Bulk.delivered)) t.Cm_apps.Bulk.finished_at)
     in
     let durations = List.map (fun (at, _) -> Time.to_float_s (Time.diff at start)) dones in
-    let bytes =
-      List.fold_left (fun acc (_, (b : Cm_apps.Bulk.result)) -> acc + b.Cm_apps.Bulk.transferred) 0 dones
-    in
+    let bytes = List.fold_left (fun acc (_, delivered) -> acc + delivered) 0 dones in
     let last = List.fold_left (fun acc (at, _) -> Time.max acc at) start dones in
     let first = List.fold_left (fun acc (at, _) -> Time.min acc at) last dones in
     {

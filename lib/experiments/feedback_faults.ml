@@ -107,9 +107,7 @@ let run_case params case =
      registration order, and the agents' filters must see what survives
      injection, not the other way around *)
   let controls = Build.control_injectors net ~classify:Cmproto.is_control in
-  let running =
-    Launch.run ?telemetry:(Exp_common.telemetry sys) net ~driver_for:(Build.driver net) ()
-  in
+  let running = Launch.run ?telemetry:(Exp_common.telemetry sys) net () in
   let { Launch.session; agent; receiver; _ } = Launch.session (Launch.find running "session") 0 in
   (* receiver-side goodput: whatever reaches the application after the
      agent strips the CM header (registered after the receiver agent, so

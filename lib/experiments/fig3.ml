@@ -5,7 +5,13 @@ type row = { loss_pct : float; linux_kbps : float; cm_kbps : float }
 let loss_points = [ 0.0; 0.25; 0.5; 1.0; 1.5; 2.0; 2.5; 3.0; 3.5; 4.0; 4.5; 5.0 ]
 
 let spec_of loss_pct =
-  Cm_spec.Spec.(par [ pipe ~loss:(loss_pct /. 100.) ~bw:10e6 ~lat:(Time.ms 30) (); cm [ "a" ] ])
+  Cm_spec.Spec.(
+    par
+      [
+        pipe ~loss:(loss_pct /. 100.) ~bw:10e6 ~lat:(Time.ms 30) ();
+        cm [ "a" ];
+        flows ~name:"ttcp" ~src:[ "a" ] ~dst:"b" ~port:80 ~app:(bulk ~bytes:(1 lsl 34)) ();
+      ])
 
 let run params =
   let one loss_pct =

@@ -16,7 +16,8 @@ val loss_points : float list
 
 val spec_of : float -> Cm_spec.Spec.t
 (** [spec_of loss_pct]: the 10 Mbit/s, 30 ms pipe with [loss_pct]
-    percent forward loss. *)
+    percent forward loss, and the a → b transfer (a backlog no 30 s run
+    exhausts). *)
 
 val run : Exp_common.params -> row list
 (** Execute the sweep. *)

@@ -10,7 +10,18 @@ type row = {
 }
 
 let buffer_bytes = 8192
-let spec = Cm_spec.Spec.(par [ pipe ~queue:1000 ~bw:100e6 ~lat:(Time.us 250) (); cm [ "a" ] ])
+let spec_of buffers =
+  Cm_spec.Spec.(
+    par
+      [
+        pipe ~queue:1000 ~bw:100e6 ~lat:(Time.us 250) ();
+        cm [ "a" ];
+        flows ~name:"ttcp" ~src:[ "a" ] ~dst:"b" ~port:80
+          ~app:(bulk ~bytes:(buffers * buffer_bytes))
+          ();
+      ])
+
+let spec = spec_of 1_000
 
 let run params =
   let points =
@@ -18,9 +29,8 @@ let run params =
     else [ 1_000; 10_000; 100_000 ]
   in
   let one buffers =
-    let bytes = buffers * buffer_bytes in
     let measure use_cm =
-      Exp_common.measured_bulk params ~use_cm ~spec ~costs:Costs.pentium3 ~bytes ()
+      Exp_common.measured_bulk params ~use_cm ~spec:(spec_of buffers) ~costs:Costs.pentium3 ()
     in
     let native_bps, native_util = measure false in
     let cm_bps, cm_util = measure true in

@@ -15,7 +15,9 @@ type row = {
 }
 
 val spec : Cm_spec.Spec.t
-(** The 100 Mbit/s, 250 µs pipe with a 1000-packet queue. *)
+(** The 100 Mbit/s, 250 µs pipe with a 1000-packet queue and the a → b
+    transfer of the sweep's first point (1000 buffers); each point runs
+    this spec with its own buffer count. *)
 
 val run : Exp_common.params -> row list
 (** Points 10^3..10^5 (plus 10^6 when [params.full]). *)

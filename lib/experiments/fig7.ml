@@ -24,7 +24,7 @@ let run_side params ~use_cm ~count ~file_bytes =
   let net = Build.pipe ~rng engine (if use_cm then Spec.par [ spec; Spec.cm [ "b" ] ] else spec) in
   let cm = if use_cm then Some (Build.cm net.Build.net "b") else None in
   Exp_common.watch sys ~links:[ ("ba", net.Build.ba); ("ab", net.Build.ab) ] ?cm ();
-  let running = Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let running = Launch.run net.Build.net () in
   Engine.run_for engine (Time.sec (float_of_int count *. 2.) );
   match (Launch.find running "fetches").Launch.outcomes.(0) with
   | Launch.Fetched { fetches; _ } ->

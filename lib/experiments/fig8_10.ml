@@ -57,7 +57,7 @@ let run params fig =
   Exp_common.watch sys
     ~links:[ ("wan", Build.link net "ab"); ("rev", Build.link net "ba") ]
     ~cm:(Build.cm net "a") ();
-  let stream = Launch.find (Launch.run net ~driver_for:(Build.driver net) ()) "stream" in
+  let stream = Launch.find (Launch.run net ()) "stream" in
   let label, duration, _, _ = setup fig in
   let duration = Time.sec duration in
   Engine.run_for engine duration;

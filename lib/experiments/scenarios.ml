@@ -75,14 +75,12 @@ let spec_of id =
         faults ~target:"fwd" (fault_steps id);
       ])
 
-(* (build, sender, receiver, fwd, rev, scenario), compiled from
-   [spec_of id] with the sender's CM and app [stack] *)
+(* (build, fwd, rev, scenario), compiled from [spec_of id] with the
+   sender's CM and app [stack] *)
 let make_net engine rng id ~stack =
   let ir = Cm_spec.Check.elaborate_exn (Cm_spec.Spec.par [ spec_of id; stack ]) in
   let b = Cm_spec.Build.instantiate ~rng engine ir in
   ( b,
-    Cm_spec.Build.host b "a",
-    Cm_spec.Build.host b "b",
     Cm_spec.Build.link b "fwd",
     Cm_spec.Build.link b "rev",
     Cm_spec.Build.scenario ~name:(scenario_name id) ir )
@@ -95,21 +93,20 @@ let run_bulk params id =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net, a, b, ab, ba, scenario = make_net engine rng id ~stack:(Cm_spec.Spec.cm [ "a" ]) in
+  let net, ab, ba, scenario =
+    make_net engine rng id
+      ~stack:
+        Cm_spec.Spec.(
+          cm [ "a" ]
+          @ flows ~name:"bulk" ~src:[ "a" ] ~dst:"b" ~port:80 ~app:(bulk ~bytes:(1 lsl 34)) ())
+  in
   let links = [ ("fwd", ab); ("rev", ba) ] in
-  let cm = Cm_spec.Build.cm net "a" in
-  Exp_common.watch sys ~links ~cm ();
+  Exp_common.watch sys ~links ~cm:(Cm_spec.Build.cm net "a") ();
   let tl = Timeline.create () in
-  let _listener =
-    Tcp.Conn.listen b ~port:80
-      ~on_accept:(fun conn ->
-        Tcp.Conn.on_receive conn (fun n -> Timeline.record tl (Engine.now engine) (float_of_int n)))
-      ()
-  in
-  let conn =
-    Tcp.Conn.connect a ~dst:(Addr.endpoint ~host:1 ~port:80) ~driver:(Tcp.Conn.Cm_driven cm) ()
-  in
-  Tcp.Conn.send conn (1 lsl 34);
+  let running = Cm_spec.Launch.run net () in
+  Cm_apps.Bulk.observe
+    (Cm_spec.Launch.transfer (Cm_spec.Launch.find running "bulk") 0)
+    (fun n -> Timeline.record tl (Engine.now engine) (float_of_int n));
   Scenario.compile engine ~rng ~links scenario;
   Engine.run_for engine duration;
   (tl, None, Link.stats ab, scenario)
@@ -118,7 +115,7 @@ let run_layered params id =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net, _, _, ab, ba, scenario =
+  let net, ab, ba, scenario =
     make_net engine rng id
       ~stack:
         Cm_spec.Spec.(
@@ -129,7 +126,7 @@ let run_layered params id =
   in
   let links = [ ("fwd", ab); ("rev", ba) ] in
   Exp_common.watch sys ~links ~cm:(Cm_spec.Build.cm net "a") ();
-  let running = Cm_spec.Launch.run net ~driver_for:(Cm_spec.Build.driver net) () in
+  let running = Cm_spec.Launch.run net () in
   Scenario.compile engine ~rng ~links scenario;
   Engine.run_for engine duration;
   let stream = Cm_spec.Launch.find running "stream" in

@@ -191,7 +191,7 @@ let run_one ?(canary = false) c =
       let r0 = Build.host net "r0" in
       let cm = Build.cm net "l0" in
       (* the bulk flows and the cmproto session, from the spec's flow groups *)
-      let running = Launch.run net ~driver_for:(Build.driver net) () in
+      let running = Launch.run net () in
       let session_group = Launch.find running "session" in
       let { Launch.session; agent; receiver; _ } = Launch.session session_group 0 in
       let duration = Time.sec c.c_duration_s in

@@ -73,7 +73,7 @@ val libcm : t -> string -> Libcm.t
 
 val driver : t -> Host.t -> Tcp.Conn.driver option
 (** [Some (Cm_driven cm)] on a host with a CM, [None] on one without
-    (stock TCP) — the [~driver_for] {!Launch.run} takes.  A hash lookup
+    (stock TCP) — {!Launch.run}'s default [?driver_for].  A hash lookup
     by address that allocates nothing. *)
 
 val link : t -> string -> Link.t

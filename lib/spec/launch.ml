@@ -27,7 +27,7 @@ type session = {
 
 type outcome =
   | Pending
-  | Bulk_done of { at : Time.t; result : Cm_apps.Bulk.result }
+  | Transfer of Cm_apps.Bulk.t
   | Fetched of { at : Time.t; fetches : Cm_apps.Web.fetch_result list }
   | Streaming of Cm_apps.Layered.t
   | Datagrams of datagrams
@@ -60,11 +60,11 @@ let addr_of (b : Build.t) i = b.Build.ir.Check.ir_nodes.(i).Check.n_addr
 let name_of (b : Build.t) i = b.Build.ir.Check.ir_nodes.(i).Check.n_name
 let endpoint b (g : Check.group) port = Addr.endpoint ~host:(addr_of b g.Check.g_dst) ~port
 
-(* How a Bulk group's byte count maps onto ttcp buffers: whole 8 KiB
-   buffers, rounded up. *)
-let bulk_buffers bytes =
+(* A Bulk group's byte count as ttcp sends it: whole 8 KiB buffers,
+   rounded up. *)
+let bulk_bytes bytes =
   let buffer_bytes = Stdlib.min bytes 8192 in
-  ((bytes + buffer_bytes - 1) / buffer_bytes, buffer_bytes)
+  (bytes + buffer_bytes - 1) / buffer_bytes * buffer_bytes
 
 (* [memo tbl key make]: the value bound to [key], made on first use. *)
 let memo tbl key make =
@@ -79,9 +79,9 @@ let stop_outcome = function
   | Streaming s -> Cm_apps.Layered.stop s
   | Datagrams d -> leave d.d_pump
   | Session s -> leave s.s_pump
-  | Pending | Bulk_done _ | Fetched _ -> ()
+  | Pending | Transfer _ | Fetched _ -> ()
 
-let run ?telemetry (b : Build.t) ~driver_for () =
+let run ?telemetry (b : Build.t) ?(driver_for = Build.driver b) () =
   let engine = b.Build.engine in
   let servers = Hashtbl.create 8 in
   let senders = Hashtbl.create 4 and receivers = Hashtbl.create 4 in
@@ -115,13 +115,11 @@ let run ?telemetry (b : Build.t) ~driver_for () =
              let port = g.Check.g_port + i in
              match g.Check.g_app with
              | Spec.Bulk { bytes } ->
-                 let buffers, buffer_bytes = bulk_buffers bytes in
+                 let transfer = Cm_apps.Bulk.create ~bytes:(bulk_bytes bytes) in
+                 outcomes.(i) <- Transfer transfer;
                  at t0 (fun () ->
-                     Cm_apps.Bulk.tcp_push ~src ~dst_host:dst_h ~port ~buffers ~buffer_bytes
-                       ?driver:(driver_for src)
-                       ~on_done:(fun result ->
-                         outcomes.(i) <- Bulk_done { at = Engine.now engine; result })
-                       ())
+                     Cm_apps.Bulk.tcp_push transfer ~src ~dst_host:dst_h ~port
+                       ?driver:(driver_for src) ())
              | Spec.Web_fetch { object_bytes; count; gap } ->
                  let dst = endpoint b g g.Check.g_port in
                  at t0 (fun () ->
@@ -193,8 +191,8 @@ let stop r = Array.iter stop_outcome r.outcomes
 let done_count r =
   Array.fold_left
     (fun n -> function
-      | Bulk_done _ | Fetched _ -> n + 1
-      | Pending | Streaming _ | Datagrams _ | Session _ -> n)
+      | Transfer { Cm_apps.Bulk.finished_at = Some _; _ } | Fetched _ -> n + 1
+      | Pending | Transfer _ | Streaming _ | Datagrams _ | Session _ -> n)
     0 r.outcomes
 
 let find (rs : running list) name =
@@ -205,6 +203,7 @@ let find (rs : running list) name =
 let wrong r what =
   invalid_arg (Printf.sprintf "Launch.%s: flow group %S runs no %s" what r.rg.Check.g_name what)
 
+let transfer r i = match r.outcomes.(i) with Transfer t -> t | _ -> wrong r "transfer"
 let stream r i = match r.outcomes.(i) with Streaming s -> s | _ -> wrong r "stream"
 let datagrams r i = match r.outcomes.(i) with Datagrams d -> d | _ -> wrong r "datagrams"
 let session r i = match r.outcomes.(i) with Session s -> s | _ -> wrong r "session"

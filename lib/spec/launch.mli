@@ -4,8 +4,9 @@
     order, schedules flow [i]'s start at [start + i*stagger], and returns
     a handle per group.  What {!Spec.app} describes, flow [i] yields as:
 
-    - [Bulk]: a {!Cm_apps.Bulk.tcp_push} (whole 8 KiB buffers, rounded
-      up), [Pending] then [Bulk_done];
+    - [Bulk]: [Transfer], a {!Cm_apps.Bulk} transfer (whole 8 KiB
+      buffers, rounded up) that {!Cm_apps.Bulk.tcp_push} starts at the
+      flow's start;
     - [Web_fetch]: {!Cm_apps.Web.sequential_fetches} from one
       {!Cm_apps.Web.server} per [(dst, port)], [Pending] then [Fetched];
     - [Layered]: [Streaming], a {!Cm_apps.Layered} source on the source
@@ -14,9 +15,12 @@
     - [Cmproto_session]: [Session], a {!Cmproto.Session} and the agents
       it shares with the other sessions of its hosts.
 
-    The last three exist from {!run} on, so observers may set a weight,
-    merge macroflows or read counters before the run as well as after;
-    they run until the group's [stop] time or {!stop}.  {!run} installs
+    All but the fetches exist from {!run} on, so observers may set a
+    weight, merge macroflows, watch a transfer's deliveries
+    ({!Cm_apps.Bulk.observe}) or read counters before the run as well
+    as after.  A transfer counts its delivered bytes and records its
+    finish time and its sender's CPU baseline; the CM-driven sources
+    run until the group's [stop] time or {!stop}.  {!run} installs
     the cmproto agents' receive filters: a filter that must see packets
     before them (a cost model, {!Build.control_injectors}) is registered
     before {!run}, one that must see what they leave after it. *)
@@ -37,8 +41,8 @@ type session = {
 }
 
 type outcome =
-  | Pending  (** Scheduled, or running, but not finished. *)
-  | Bulk_done of { at : Time.t; result : Cm_apps.Bulk.result }
+  | Pending  (** A fetch sequence, scheduled or running. *)
+  | Transfer of Cm_apps.Bulk.t
   | Fetched of { at : Time.t; fetches : Cm_apps.Web.fetch_result list }
   | Streaming of Cm_apps.Layered.t
   | Datagrams of datagrams
@@ -49,17 +53,18 @@ type running = { rg : Check.group; outcomes : outcome array }
 val run :
   ?telemetry:Telemetry.t ->
   Build.t ->
-  driver_for:(Host.t -> Tcp.Conn.driver option) ->
+  ?driver_for:(Host.t -> Tcp.Conn.driver option) ->
   unit ->
   running list
 (** [telemetry], when given, gets each cmproto sender agent's gauges
     ({!Cmproto.Sender_agent.register_gauges}) as the agent is installed,
     before its sessions open macroflows.  [driver_for] supplies the TCP
     driver per host ([None] = stock TCP), for web servers (the data
-    sender) as well as connecting clients.  Families pass [Build.driver
-    net], the spec's own stacks; it stays a parameter so that a caller
-    can wire TCP to CMs it built itself (a benchmark outside the library
-    does).  The CM-driven classes use the spec's stacks. *)
+    sender) as well as connecting clients and bulk senders.  It
+    defaults to the spec's own stacks ({!Build.driver}); a stock-TCP
+    baseline passes [(fun _ -> None)], and a caller that wires TCP to
+    CMs it built itself passes those.  The CM-driven classes use the
+    spec's stacks either way. *)
 
 val stop : running -> unit
 (** Stop the group's layered sources, and stop refilling its datagram
@@ -71,6 +76,7 @@ val done_count : running -> int
 val find : running list -> string -> running
 (** Look up a group by name. *)
 
+val transfer : running -> int -> Cm_apps.Bulk.t
 val stream : running -> int -> Cm_apps.Layered.t
 val datagrams : running -> int -> datagrams
 val session : running -> int -> session

@@ -264,16 +264,13 @@ let test_adaptive_server_picks_encoding () =
 let test_bulk_tcp_push () =
   let engine = Engine.create () in
   let net = Build.pipe engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 5) ()) in
-  let result = ref None in
-  Cm_apps.Bulk.tcp_push ~src:net.Build.a ~dst_host:net.Build.b ~port:5010 ~buffers:100
-    ~buffer_bytes:8192
-    ~on_done:(fun r -> result := Some r)
-    ();
+  let transfer = Cm_apps.Bulk.create ~bytes:(100 * 8192) in
+  Cm_apps.Bulk.tcp_push transfer ~src:net.Build.a ~dst_host:net.Build.b ~port:5010 ();
   Engine.run_for engine (Time.sec 10.);
-  match !result with
-  | Some r ->
-      Alcotest.(check int) "all bytes" (100 * 8192) r.Cm_apps.Bulk.transferred;
-      "credible throughput" => (r.Cm_apps.Bulk.throughput_bps > 1e6)
+  match transfer.Cm_apps.Bulk.finished_at with
+  | Some at ->
+      Alcotest.(check int) "all bytes" (100 * 8192) transfer.Cm_apps.Bulk.delivered;
+      "credible throughput" => (float_of_int (100 * 8192 * 8) /. Time.to_float_s at > 1e6)
   | None -> Alcotest.fail "bulk tcp push did not finish"
 
 (* A backlogged CC-UDP source through Launch, stopped after 1 s and
@@ -292,7 +289,7 @@ let test_bulk_udp_cc_push () =
              ~stop:(Time.sec 1.) ();
          ])
   in
-  let running = Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let running = Launch.run net.Build.net () in
   let { Launch.socket; echo; _ } = Launch.datagrams (Launch.find running "push") 0 in
   Engine.run_for engine (Time.sec 10.);
   let sent = Udp.Cc_socket.bytes_sent socket in

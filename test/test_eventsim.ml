@@ -84,38 +84,16 @@ let test_step_and_counters () =
   "step on empty returns false" => not (Engine.step e);
   Alcotest.(check int) "executed count" 2 (Engine.events_executed e)
 
-let test_reschedule () =
-  let e = Engine.create () in
-  let fired_at = ref [] in
-  let h = Engine.schedule_at e (Time.ms 10) (fun () -> fired_at := Engine.now e :: !fired_at) in
-  "reschedule live event" => Engine.reschedule e h (Time.ms 30);
-  ignore (Engine.schedule_at e (Time.ms 20) (fun () -> fired_at := Engine.now e :: !fired_at));
-  Engine.run e;
-  Alcotest.(check (list int))
-    "rescheduled event fired at new time, after the other"
-    [ Time.ms 20; Time.ms 30 ]
-    (List.rev !fired_at);
-  "reschedule after firing returns false" => not (Engine.reschedule e h (Time.ms 40))
-
-let test_reschedule_cancelled_returns_false () =
-  let e = Engine.create () in
-  let h = Engine.schedule_at e (Time.ms 10) (fun () -> ()) in
-  ignore (Engine.cancel e h);
-  "reschedule of cancelled handle fails" => not (Engine.reschedule e h (Time.ms 20));
-  Engine.run e;
-  Alcotest.(check int) "nothing executed" 0 (Engine.events_executed e)
-
 let test_stale_handle_after_reuse () =
   (* event cells are pooled: after an event fires, the next schedule
      recycles its cell.  A handle to the fired event must stay inert —
-     cancel/reschedule return false and must not touch the new tenant. *)
+     cancel returns false and must not touch the new tenant. *)
   let e = Engine.create () in
   let fired = ref [] in
   let h1 = Engine.schedule_at e (Time.ms 10) (fun () -> fired := 1 :: !fired) in
   Engine.run e;
   let _h2 = Engine.schedule_at e (Time.ms 20) (fun () -> fired := 2 :: !fired) in
   "cancel of fired handle is inert" => not (Engine.cancel e h1);
-  "reschedule of fired handle is inert" => not (Engine.reschedule e h1 (Time.ms 99));
   Engine.run e;
   Alcotest.(check (list int)) "both events fired, reused cell unharmed" [ 2; 1 ] !fired
 
@@ -245,7 +223,6 @@ let test_rearm_keeps_old_handles_dead () =
   "a fresh handle is not live" => not (Engine.cancel e h);
   Engine.rearm e h (Time.ms 5) ~stamp:(Engine.reserve_stamp e) (fun () -> fired := 1 :: !fired);
   "old handle cannot cancel the new event" => not (Engine.cancel e h_old);
-  "old handle cannot move it" => not (Engine.reschedule e h_old (Time.ms 9));
   "rearmed handle is live" => Engine.cancel e h;
   Engine.rearm e h (Time.ms 7) ~stamp:(Engine.reserve_stamp e) (fun () -> fired := 2 :: !fired);
   "old handle still dead after a revive" => not (Engine.cancel e h_old);
@@ -758,8 +735,6 @@ let () =
           Alcotest.test_case "past rejected" `Quick test_schedule_in_past_rejected;
           Alcotest.test_case "events schedule events" `Quick test_events_schedule_events;
           Alcotest.test_case "step and counters" `Quick test_step_and_counters;
-          Alcotest.test_case "reschedule" `Quick test_reschedule;
-          Alcotest.test_case "reschedule cancelled" `Quick test_reschedule_cancelled_returns_false;
           Alcotest.test_case "stale handle after cell reuse" `Quick
             test_stale_handle_after_reuse;
           Alcotest.test_case "clamped counter" `Quick test_clamped_counter;

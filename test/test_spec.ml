@@ -221,7 +221,7 @@ let launched_app engine rng app =
            Spec.flows ~name:"g" ~src:[ "a" ] ~dst:"b" ~port:7000 ~app ();
          ])
   in
-  let running = Cm_spec.Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let running = Cm_spec.Launch.run net.Build.net () in
   (net, Cm_spec.Launch.find running "g")
 
 let check_app_parity what (hand_fwd, hand_rev, hand) (dsl_fwd, dsl_rev, dsl) =
@@ -313,6 +313,70 @@ let test_cmproto_parity () =
   Alcotest.(check bool) "feedback flowed" true
     (counters.Cmproto.Sender_agent.feedback_received > 1000)
 
+(* A bulk group ≡ a TCP/CM transfer wired by hand from listen, connect,
+   send and close, run to completion (FIN included): the same link
+   traffic, bytes and per-delivery (time, bytes) sequence, the last
+   read from the transfer's observer. *)
+let test_bulk_parity () =
+  let bytes = 128 * 8192 in
+  let deliveries engine log n = log := (Eventsim.Engine.now engine, n) :: !log in
+  let hand =
+    app_run (fun engine rng ->
+        let a, b, fwd, rev, cm = hand_app_pipe engine rng in
+        let delivered = ref 0 and log = ref [] in
+        let _listener =
+          Tcp.Conn.listen b ~port:7000
+            ~on_accept:(fun conn ->
+              Tcp.Conn.on_receive conn (fun n ->
+                  delivered := !delivered + n;
+                  deliveries engine log n))
+            ()
+        in
+        let conn =
+          Tcp.Conn.connect a
+            ~dst:(Netsim.Addr.endpoint ~host:1 ~port:7000)
+            ~driver:(Tcp.Conn.Cm_driven cm) ()
+        in
+        Tcp.Conn.send conn bytes;
+        Tcp.Conn.close conn;
+        (fwd, rev, fun () -> (!delivered, List.rev !log)))
+  in
+  let dsl =
+    app_run (fun engine rng ->
+        let net, g = launched_app engine rng (Spec.bulk ~bytes) in
+        let transfer = Cm_spec.Launch.transfer g 0 and log = ref [] in
+        Cm_apps.Bulk.observe transfer (deliveries engine log);
+        ( net.Build.ab,
+          net.Build.ba,
+          fun () -> (transfer.Cm_apps.Bulk.delivered, List.rev !log) ))
+  in
+  check_app_parity "bulk" hand dsl;
+  let fwd, _, (delivered, log) = dsl in
+  Alcotest.(check int) "transfer finished" bytes delivered;
+  Alcotest.(check bool) "many deliveries" true (List.length log > 100);
+  Alcotest.(check bool) "forward loss drew drops" true (fwd.Netsim.Link.channel_drops > 0)
+
+(* The stock-TCP baseline: launched with [~driver_for:(fun _ -> None)],
+   a bulk group on a CM host leaves the CM alone; by default it runs
+   over it. *)
+let test_bulk_baseline () =
+  let opens driver_for =
+    let engine = Eventsim.Engine.create () in
+    let net =
+      Build.pipe engine
+        Spec.(
+          pipe ~bw:10e6 ~lat:(Time.ms 5) ()
+          @ cm [ "a" ]
+          @ flows ~name:"g" ~src:[ "a" ] ~dst:"b" ~port:7000 ~app:(bulk ~bytes:65_536) ())
+    in
+    let g = Cm_spec.Launch.find (Cm_spec.Launch.run net.Build.net ?driver_for ()) "g" in
+    Eventsim.Engine.run_for engine (Time.sec 5.);
+    Alcotest.(check int) "transfer finished" 1 (Cm_spec.Launch.done_count g);
+    (Cm.counters (Build.cm net.Build.net "a")).Cm.opens
+  in
+  Alcotest.(check int) "stock TCP opens no CM flow" 0 (opens (Some (fun _ -> None)));
+  Alcotest.(check int) "the spec's stack opens one" 1 (opens None)
+
 (* Two datagram groups share one refill timer: stopping one stops only
    its refills (its queue drains within a backlog) while the other keeps
    sending, until it is stopped too. *)
@@ -325,7 +389,7 @@ let test_launch_stop () =
     Build.pipe engine
       Spec.(pipe ~bw:20e6 ~lat:(Time.ms 5) () @ cm [ "a" ] @ group "g1" 7000 @ group "g2" 7001)
   in
-  let running = Cm_spec.Launch.run net.Build.net ~driver_for:(Build.driver net.Build.net) () in
+  let running = Cm_spec.Launch.run net.Build.net () in
   let g1 = Cm_spec.Launch.find running "g1" and g2 = Cm_spec.Launch.find running "g2" in
   let sent g = Udp.Cc_socket.packets_sent (Cm_spec.Launch.datagrams g 0).Cm_spec.Launch.socket in
   Eventsim.Engine.run_for engine (Time.sec 1.);
@@ -1217,6 +1281,9 @@ let () =
           Alcotest.test_case "stack lookups: cm, libcm, driver" `Quick test_stack_lookups;
           Alcotest.test_case "datagram group: Launch ≡ handwritten" `Quick test_datagram_parity;
           Alcotest.test_case "cmproto group: Launch ≡ handwritten" `Quick test_cmproto_parity;
+          Alcotest.test_case "bulk group: Launch ≡ handwritten" `Quick test_bulk_parity;
+          Alcotest.test_case "bulk group: stock-TCP baseline skips the CM" `Quick
+            test_bulk_baseline;
           Alcotest.test_case "Launch.stop halts one group's refills" `Quick test_launch_stop;
         ] );
       ( "topology",
