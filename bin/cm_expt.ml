@@ -245,8 +245,8 @@ let soak_cmd =
   let canary_arg =
     let doc =
       "Mutation canary: deliberately re-introduce a grant leak in the close path \
-       (Macroflow.canary_grant_leak) — the soak MUST fail, proving the oracles catch a \
-       real accounting bug."
+       (the run's CMs are created with ~canary_grant_leak) — the soak MUST fail, \
+       proving the oracles catch a real accounting bug."
     in
     Arg.(value & flag & info [ "canary" ] ~doc)
   in

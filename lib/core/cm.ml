@@ -214,6 +214,7 @@ type t = {
   idle_restart : Time.span option;
   watchdog : Macroflow.watchdog option;
   auditor : auditor option;
+  canary_grant_leak : bool; (* mutation canary, see [Macroflow.release_flow_grants] *)
   flows_by_id : flow Fid_dir.t;
   flows_by_key : Cm_types.flow_id Addr.Flow_table.t;
   default_mf : (mf_key, Macroflow.t) Hashtbl.t; (* per-destination macroflows *)
@@ -283,7 +284,8 @@ let no_flow engine =
 
 let create engine ?(mtu = 1448) ?(aggregation = By_destination)
     ?(controller = Controller.aimd ()) ?(scheduler = Scheduler.round_robin)
-    ?grant_reclaim_after ?idle_restart ?feedback_watchdog ?auditor () =
+    ?grant_reclaim_after ?idle_restart ?feedback_watchdog ?auditor ?(canary_grant_leak = false)
+    () =
   {
     engine;
     mtu;
@@ -294,6 +296,7 @@ let create engine ?(mtu = 1448) ?(aggregation = By_destination)
     idle_restart;
     watchdog = feedback_watchdog;
     auditor;
+    canary_grant_leak;
     flows_by_id = Fid_dir.create ~miss:(no_flow engine) 64;
     flows_by_key = Addr.Flow_table.create 64;
     default_mf = Hashtbl.create 16;
@@ -477,7 +480,9 @@ let move_flow t fl target_mf =
        back any grants it was sitting on, and take its unresolved charge
        along so the old macroflow's window reopens immediately *)
     let requests_to_move = Macroflow.pending_for_flow old_mf fl.fl_mem in
-    let released = Macroflow.release_flow_grants old_mf fl.fl_mem in
+    let released =
+      Macroflow.release_flow_grants ~canary_grant_leak:t.canary_grant_leak old_mf fl.fl_mem
+    in
     t.c_released_grant_bytes <- t.c_released_grant_bytes + released;
     Macroflow.transfer_outstanding ~src:old_mf ~dst:target_mf (unresolved fl);
     Macroflow.detach_flow old_mf fl.fl_mem;
@@ -639,7 +644,9 @@ let open_flow t key =
 let remove_flow t fl ~event =
   index_remove t fl.mf fl;
   fl.open_ <- false;
-  let released = Macroflow.release_flow_grants fl.mf fl.fl_mem in
+  let released =
+    Macroflow.release_flow_grants ~canary_grant_leak:t.canary_grant_leak fl.mf fl.fl_mem
+  in
   t.c_released_grant_bytes <- t.c_released_grant_bytes + released;
   Macroflow.discharge fl.mf (unresolved fl);
   Macroflow.detach_flow fl.mf fl.fl_mem;

@@ -90,6 +90,7 @@ val create :
   ?idle_restart:Time.span ->
   ?feedback_watchdog:Macroflow.watchdog ->
   ?auditor:auditor ->
+  ?canary_grant_leak:bool ->
   unit ->
   t
 (** [create eng ()] builds a CM.  [mtu] is the usable payload per packet
@@ -102,7 +103,10 @@ val create :
     macroflow windows whose feedback has gone stale
     ({!Macroflow.default_watchdog} is a reasonable choice) and [auditor]
     enables the misbehaving-application defenses; both default to off,
-    which preserves the trusting pre-defense behaviour exactly. *)
+    which preserves the trusting pre-defense behaviour exactly.
+    [canary_grant_leak] (default [false]) makes this CM leak every
+    released grant out of its ledger — a mutation canary for the soak
+    oracles ([cm_expt soak --canary]); never set it otherwise. *)
 
 val attach : t -> Host.t -> unit
 (** Install the CM's transmit hook on the host's IP output path, so every

@@ -2,33 +2,54 @@
 
     The CM's controller decides the macroflow congestion window.  The
     default is the paper's TCP-compatible window AIMD with slow start and
-    byte counting (§2, §4).  The record-of-closures representation is the
-    paper's "modularity … encourages experimentation with other non-AIMD
-    schemes": the binomial family (Bansal & Balakrishnan) is provided for
-    the ablation benches. *)
+    byte counting (§2, §4).  Controllers are pluggable — the paper's
+    "modularity … encourages experimentation with other non-AIMD
+    schemes": the binomial family (Bansal & Balakrishnan) and an
+    equation-based controller are provided for the ablation benches.
 
-type t = {
-  name : string;
-  cwnd : unit -> int;  (** Current window, payload bytes (≥ 1 MTU). *)
-  ssthresh : unit -> int;  (** Slow-start threshold, payload bytes. *)
-  in_slow_start : unit -> bool;  (** Whether the next ack grows the window exponentially. *)
-  on_ack : nbytes:int -> unit;  (** [nbytes] payload bytes were received by the peer. *)
-  on_loss : Cm_types.loss_mode -> unit;
-      (** A congestion event of the given severity occurred.  Callers
-          gate reporting to at most one event per window/RTT, as TCP
-          does. *)
-  age : unit -> unit;
-      (** Feedback has gone stale while data was outstanding (RFC 2861 in
-          spirit): decay the window one step toward the initial window
-          without treating it as a congestion event.  Called by the
-          macroflow feedback watchdog; repeated calls converge
-          exponentially on the initial window. *)
-  reset : unit -> unit;  (** Return to the initial (post-open) state. *)
-}
+    {b Representation.}  A controller instance ({!t}) is a record of
+    operations over a state type, built once when a factory is made
+    ([aimd ()], [binomial ~k ~l ()], [equation ()]) and shared by every
+    instance that factory creates, paired with one small mutable state
+    record of the instance's own.  The CM keeps a macroflow per
+    destination for the whole run, so the instance must be small: an
+    AIMD instance is 9 words, where a record of eight closures over
+    three refs was 63. *)
+
+type t
 (** A controller instance, private to one macroflow. *)
 
 type factory = mtu:int -> t
 (** Builds a fresh controller for a macroflow with the given payload MTU. *)
+
+val name : t -> string
+(** The controller family, e.g. ["aimd"]. *)
+
+val cwnd : t -> int
+(** Current window, payload bytes (≥ 1 MTU). *)
+
+val ssthresh : t -> int
+(** Slow-start threshold, payload bytes. *)
+
+val in_slow_start : t -> bool
+(** Whether the next ack grows the window exponentially. *)
+
+val on_ack : t -> nbytes:int -> unit
+(** [nbytes] payload bytes were received by the peer. *)
+
+val on_loss : t -> Cm_types.loss_mode -> unit
+(** A congestion event of the given severity occurred.  Callers gate
+    reporting to at most one event per window/RTT, as TCP does. *)
+
+val age : t -> unit
+(** Feedback has gone stale while data was outstanding (RFC 2861 in
+    spirit): decay the window one step toward the initial window without
+    treating it as a congestion event.  Called by the macroflow feedback
+    watchdog; repeated calls converge exponentially on the initial
+    window. *)
+
+val reset : t -> unit
+(** Return to the initial (post-open) state. *)
 
 val aimd : ?initial_window_pkts:int -> ?max_window:int -> unit -> factory
 (** The paper's controller: slow start from [initial_window_pkts] MTUs

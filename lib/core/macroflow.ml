@@ -74,7 +74,7 @@ type t = {
   mutable outstanding : int;
   (* the controller's window, mirrored into a plain field so the grant
      loop reads an int instead of calling through the controller's
-     closure record; refreshed at every controller mutation *)
+     operations; refreshed at every controller mutation *)
   mutable cwnd_now : int;
   (* current per-grant reservation, mirrored likewise (recomputed when
      [avg_pkt] absorbs a sample) *)
@@ -82,8 +82,9 @@ type t = {
   mutable gq_head : grant_record; (* oldest first, may hold dead records *)
   mutable gq_tail : grant_record;
   (* member directory by scheduler index: maps the index the scheduler
-     hands back from dequeue to the member it belongs to.  Dense, grown
-     by doubling; detached slots hold [m_nil] and go on the free list. *)
+     hands back from dequeue to the member it belongs to.  Dense, one slot
+     at create and grown by doubling; detached slots hold [m_nil] and go
+     on the free list. *)
   mutable mix : member array;
   mutable mix_free : int list;
   mutable mix_high : int; (* indices >= mix_high have never been used *)
@@ -118,7 +119,7 @@ type t = {
 
 let granted t = t.granted_bytes
 
-let refresh_cwnd t = t.cwnd_now <- t.ctrl.Controller.cwnd ()
+let refresh_cwnd t = t.cwnd_now <- Controller.cwnd t.ctrl
 
 let refresh_reservation t =
   t.resv_now <-
@@ -274,7 +275,7 @@ let maintenance_tick t =
         && Time.diff now t.last_watchdog > threshold
       then begin
         let cwnd_before = t.cwnd_now in
-        t.ctrl.Controller.age ();
+        Controller.age t.ctrl;
         refresh_cwnd t;
         t.last_watchdog <- now;
         t.watchdog_fires <- t.watchdog_fires + 1;
@@ -319,7 +320,7 @@ let make engine ~id ~mtu ~controller ~scheduler ~deliver_grant ~on_state_change 
       resv_now = mtu;
       gq_head = g_nil;
       gq_tail = g_nil;
-      mix = Array.make 8 m_nil;
+      mix = Array.make 1 m_nil;
       mix_free = [];
       mix_high = 0;
       live_grants = 0;
@@ -369,7 +370,7 @@ let id t = t.id
 let mtu t = t.mtu
 let set_trace t tr = t.trace <- tr
 let cwnd t = t.cwnd_now
-let ssthresh t = t.ctrl.Controller.ssthresh ()
+let ssthresh t = Controller.ssthresh t.ctrl
 let outstanding t = t.outstanding
 let members t = t.members
 
@@ -412,7 +413,7 @@ let request t m =
   | Some threshold
     when t.outstanding = 0 && t.live_grants = 0
          && Time.diff (Engine.now t.engine) t.last_tx > threshold ->
-      t.ctrl.Controller.reset ();
+      Controller.reset t.ctrl;
       refresh_cwnd t;
       t.last_tx <- Engine.now t.engine
   | _ -> ());
@@ -457,14 +458,12 @@ let notify t ~m ~nbytes () =
     (* a small transmission may have freed most of its reservation *)
     maybe_grant t
 
-(* Mutation canary for the soak oracles: with this on,
-   [release_flow_grants] "forgets" to return the released reservation to
-   the window — precisely the grant-leak bug the ledger-skew audit
-   exists to catch.  CI flips it to prove the oracle pipeline detects a
-   real, silently-wrong ledger. *)
-let canary_grant_leak = ref false
-
-let release_flow_grants t m =
+(* [canary_grant_leak] is the soak oracles' mutation canary: with it on,
+   the released reservation is "forgotten" instead of returned to the
+   window — precisely the grant-leak bug the ledger-skew audit exists to
+   catch.  CI sets it to prove the oracle pipeline detects a real,
+   silently-wrong ledger. *)
+let release_flow_grants ?(canary_grant_leak = false) t m =
   (* Return a closing/crashed flow's unconsumed grants to the window
      immediately rather than waiting out the reclaim timer.  The member's
      own chain makes this proportional to the flow's grants, not the
@@ -481,7 +480,7 @@ let release_flow_grants t m =
   done;
   if !released > 0 then begin
     gq_drop_dead t;
-    if not !canary_grant_leak then
+    if not canary_grant_leak then
       t.granted_bytes <- Stdlib.max 0 (t.granted_bytes - !released);
     maybe_grant t
   end;
@@ -539,14 +538,14 @@ let update t ~nsent ~nrecd ~loss ~rtt =
   (match rtt with Some sample when sample > 0 -> update_rtt t sample | _ -> ());
   t.outstanding <- Stdlib.max 0 (t.outstanding - nsent);
   if nsent > 0 then Ewma.update_ratio t.loss_ewma (nsent - nrecd) nsent;
-  let was_slow_start = t.ctrl.Controller.in_slow_start () in
+  let was_slow_start = Controller.in_slow_start t.ctrl in
   (* Congestion-window validation (RFC 2861 spirit): only grow the window
      when the flow ensemble is actually using it, otherwise an
      application sending below its allowed rate inflates cwnd — and the
      advertised rate — without ever testing the path. *)
   let used = t.outstanding + nsent + granted t in
   if nrecd > 0 && 3 * used >= t.cwnd_now then begin
-    t.ctrl.Controller.on_ack ~nbytes:nrecd;
+    Controller.on_ack t.ctrl ~nbytes:nrecd;
     refresh_cwnd t
   end;
   (match loss with
@@ -556,7 +555,7 @@ let update t ~nsent ~nrecd ~loss ~rtt =
           m "macroflow %d: %a congestion, cwnd %d -> reacting" t.id Cm_types.pp_loss_mode mode
             (cwnd t));
       let cwnd_before = cwnd t in
-      t.ctrl.Controller.on_loss mode;
+      Controller.on_loss t.ctrl mode;
       refresh_cwnd t;
       (* the controller's decision, attributed to its cause (ECN echo vs
          transient vs persistent/timeout) — Figs. 5–10 are built from
@@ -575,7 +574,7 @@ let update t ~nsent ~nrecd ~loss ~rtt =
            lost; restart the accounting cleanly *)
         t.outstanding <- 0);
   (if Telemetry.Trace.on t.trace then
-     let now_slow_start = t.ctrl.Controller.in_slow_start () in
+     let now_slow_start = Controller.in_slow_start t.ctrl in
      if now_slow_start <> was_slow_start then
        Telemetry.Trace.instant t.trace ~cat:"cm" "cm.state"
          [

@@ -45,7 +45,7 @@ val member_fid : member -> Cm_types.flow_id
 
 type watchdog = { wd_rtts : float; wd_floor : Time.span }
 (** Feedback-watchdog parameters: with data outstanding, cwnd is aged one
-    step (see {!Controller.t.age}) each time no [cm_update] arrives for
+    step (see {!Controller.age}) each time no [cm_update] arrives for
     [max wd_floor (wd_rtts · srtt)].  The floor covers macroflows with no
     RTT estimate yet. *)
 
@@ -112,12 +112,6 @@ val granted_ledger_skew : t -> int
     double-counted bytes — the audit invariant that catches ledger leaks
     on alive macroflows. *)
 
-val canary_grant_leak : bool ref
-(** Mutation canary (default [false]; see [cm_expt soak --canary]): when
-    set, {!release_flow_grants} deliberately leaks the released
-    reservation out of the ledger so the soak oracles can prove they
-    catch a real accounting bug.  Never set outside canary runs. *)
-
 val members : t -> int
 (** Number of flows attached. *)
 
@@ -143,10 +137,15 @@ val notify : t -> m:member -> nbytes:int -> unit -> unit
     its chain head); a flow with no outstanding grant consumes nothing
     and is charged directly. *)
 
-val release_flow_grants : t -> member -> int
+val release_flow_grants : ?canary_grant_leak:bool -> t -> member -> int
 (** Return all of the flow's unconsumed grants to the window immediately
     (close/crash path — not waiting for the reclaim timer) and wake the
-    grant machinery.  Returns the bytes released. *)
+    grant machinery.  Returns the bytes released.
+
+    [canary_grant_leak] (default [false]) is a mutation canary, set only
+    by a CM created with it (see [cm_expt soak --canary]): the released
+    reservation deliberately leaks out of the ledger, so the soak oracles
+    can prove they catch a real accounting bug. *)
 
 val discharge : t -> int -> unit
 (** Remove up to [nbytes] from [outstanding] without running controller

@@ -17,11 +17,15 @@ type factory = unit -> t
    state for one macroflow's members is a few contiguous, cache-resident
    arrays however many flows the CM serves overall. *)
 
+(* Every per-member array below starts at one slot and doubles as ids
+   arrive: most macroflows (one per destination host, kept after their
+   last flow closes) never hold more than one or two members at once. *)
+
 (* growable circular buffer of ints: the round-robin ring with no
    per-push allocation and contiguous storage *)
 type int_ring = { mutable buf : int array; mutable head : int; mutable len : int }
 
-let ring_create () = { buf = Array.make 16 0; head = 0; len = 0 }
+let ring_create () = { buf = Array.make 1 0; head = 0; len = 0 }
 
 let ring_push r v =
   let cap = Array.length r.buf in
@@ -61,8 +65,8 @@ let round_robin () =
      Every operation is O(1) (dequeue amortized: a removed id leaves at
      most one stale ring entry, skipped exactly once). *)
   let ring = ring_create () in
-  let counts = ref (Array.make 16 0) in
-  let epochs = ref (Array.make 16 0) in
+  let counts = ref (Array.make 1 0) in
+  let epochs = ref (Array.make 1 0) in
   let total = ref 0 in
   let ensure id =
     if id < 0 || id > id_mask then invalid_arg "Scheduler.round_robin: id out of range";
@@ -172,7 +176,7 @@ let key pass = Int64.to_int (Int64.sub (Int64.bits_of_float pass) 0x3FF0_0000_00
 let default_rebase_threshold = 1e15
 
 let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
-  let entries = ref (Array.make 16 no_entry) in
+  let entries = ref (Array.make 1 no_entry) in
   let heap : Cm_types.flow_id Wheel.t = Wheel.create ~slots:0 ~dummy:(-1) () in
   let total = ref 0 in
   let global = { g_pass = 0. } in

@@ -95,11 +95,11 @@ type t = {
   mutable escape : (exn -> unit) option;
 }
 
-let create ?(start = Time.zero) () =
+let make ~start queue pool =
   {
     clock = start;
-    queue = Wheel.create ~start ~dummy:dead ();
-    pool = Array.make 64 null_entry;
+    queue;
+    pool;
     pool_len = 0;
     pool_hw = 0;
     executed = 0;
@@ -111,6 +111,12 @@ let create ?(start = Time.zero) () =
     prof = None;
     escape = None;
   }
+
+let create ?(start = Time.zero) () =
+  make ~start (Wheel.create ~start ~dummy:dead ()) (Array.make 64 null_entry)
+
+(* nothing is ever queued on it, so a bare heap and an empty pool do *)
+let inert = make ~start:Time.zero (Wheel.create ~slots:0 ~dummy:dead ()) [||]
 
 let now t = t.clock
 

@@ -26,6 +26,11 @@ val create : ?start:Time.t -> unit -> t
     (default {!Time.zero}).  Events queue in a hashed timing wheel
     ({!Cm_util.Wheel}), which pops in exact (time, FIFO) order. *)
 
+val inert : t
+(** An engine nothing ever runs or schedules on, for placeholder values
+    that need one: a stopped {!Timer.t} standing in for a timer not built
+    yet.  It costs a few words, where {!create} builds a full wheel. *)
+
 val now : t -> Time.t
 (** Current virtual time. *)
 

@@ -13,8 +13,9 @@ open Cm_util
    it. *)
 type state = Stopped | Armed | Parked
 
-(* One [state] field rather than two flags: a TCP connection holds six
-   timers, so every word of the record counts. *)
+(* One [state] field rather than two flags: every TCP connection holds a
+   retransmit and a delayed-ack timer, and every macroflow a maintenance
+   clock, so every word of the record counts. *)
 type t = {
   engine : Engine.t;
   handle : Engine.handle;
@@ -65,10 +66,13 @@ let create engine ~callback =
       end);
   t
 
+(* a stopped timer's period is already 0, so stopping it writes nothing *)
 let stop t =
-  if t.state = Armed then ignore (Engine.cancel t.engine t.handle);
-  t.state <- Stopped;
-  t.period <- 0
+  if t.state <> Stopped then begin
+    if t.state = Armed then ignore (Engine.cancel t.engine t.handle);
+    t.state <- Stopped;
+    t.period <- 0
+  end
 
 let arm t delay = arm_at t (Time.add (Engine.now t.engine) (Stdlib.max delay 0))
 

@@ -95,6 +95,14 @@ let measured_bulk params ~use_cm ~spec ?(costs = Costs.zero) ?duration () =
     | [ g ] -> Launch.transfer g 0
     | _ -> invalid_arg "Exp_common.measured_bulk: the spec must declare one bulk group"
   in
+  (* the sender's busy time when the last byte is delivered: the CPU
+     figure is over the same span as the goodput, so the FIN exchange and
+     late acks that follow are not charged to the transfer *)
+  let cpu = Host.cpu net.Build.a in
+  let busy_at_finish = ref (-1) in
+  Cm_apps.Bulk.observe transfer (fun _ ->
+      if !busy_at_finish < 0 && Option.is_some transfer.Cm_apps.Bulk.finished_at then
+        busy_at_finish := Cpu.total_busy cpu);
   (match duration with
   | Some d -> Engine.run_for engine d
   | None ->
@@ -106,7 +114,8 @@ let measured_bulk params ~use_cm ~spec ?(costs = Costs.zero) ?duration () =
       done);
   let elapsed = Option.value transfer.Cm_apps.Bulk.finished_at ~default:(Engine.now engine) in
   let elapsed = Stdlib.max elapsed 1 in
-  let busy = Cpu.total_busy (Host.cpu net.Build.a) - transfer.Cm_apps.Bulk.sender_busy0 in
+  let busy_end = if !busy_at_finish < 0 then Cpu.total_busy cpu else !busy_at_finish in
+  let busy = busy_end - transfer.Cm_apps.Bulk.sender_busy0 in
   let goodput = float_of_int (transfer.Cm_apps.Bulk.delivered * 8) /. Time.to_float_s elapsed in
   let util = float_of_int busy /. float_of_int elapsed in
   (goodput, util)

@@ -92,7 +92,9 @@ val measured_bulk :
     connection does not use (so both runs watch the same CM).  Returns
     [(goodput_bps, sender_cpu_utilization)], the CPU busy time counted
     from the transfer's baseline ({!Cm_apps.Bulk.t.sender_busy0}).
-    With [?duration] the run is time-limited, and both figures are over
-    the whole window; without, it ends at the first 100 ms step boundary
-    after the last byte, and both are over the time to the last byte
-    (the busy time counted to the end of the run). *)
+    Both figures are over the time to the last byte, the busy time read
+    when it is delivered (the FIN exchange and later acks are not
+    charged).  Without [?duration] the run ends at the first 100 ms step
+    boundary after the last byte; with it the run is time-limited, and
+    if the last byte has not arrived by then both figures are over the
+    whole window. *)

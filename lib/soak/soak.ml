@@ -20,9 +20,9 @@ module Control_faults = Cm_dynamics.Control_faults
    includes window conservation and the grant-ledger skew), flow/timer
    leak checks after teardown, an engine-flood bound, and run-twice byte
    determinism of a digest covering every counter that matters.  The
-   [--canary] mode re-introduces a grant leak behind
-   {!Cm.Macroflow.canary_grant_leak} to prove the pipeline catches a
-   real accounting bug. *)
+   [--canary] mode builds the run's CMs with [~canary_grant_leak], which
+   re-introduces a grant leak, to prove the pipeline catches a real
+   accounting bug. *)
 
 (* ---- case configuration ------------------------------------------------- *)
 
@@ -169,8 +169,6 @@ type outcome = { o_failures : string list; o_digest : string }
 
 let run_one ?(canary = false) c =
   let hoard_crash = c.c_hoard_crash || canary in
-  Cm.Macroflow.canary_grant_leak := canary;
-  Fun.protect ~finally:(fun () -> Cm.Macroflow.canary_grant_leak := false) @@ fun () ->
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> if not (List.mem s !failures) then failures := !failures @ [ s ]) fmt in
   match Check.elaborate (spec_of_cfg c) with
@@ -180,7 +178,7 @@ let run_one ?(canary = false) c =
   | Ok ir ->
       let engine = Engine.create () in
       let rng = Rng.create ~seed:c.c_seed in
-      let net = Build.instantiate ~rng engine ir in
+      let net = Build.instantiate ~rng ~canary_grant_leak:canary engine ir in
       (* control injectors before any control-consuming agent filter *)
       let controls = Build.control_injectors net ~classify:Cmproto.is_control in
       let sc = Build.scenario ~name:"soak" ir in

@@ -20,10 +20,10 @@
     then scale the workload down) to a locally minimal case, and a
     one-line reproducer is printed: [REPRO: cm_expt soak --seed N].
 
-    [--canary] re-introduces a grant leak via
-    {!Cm.Macroflow.canary_grant_leak}; the audit skew oracle must catch
-    it (a mutation test of the whole pipeline).  Every draw and every
-    run is keyed only by the seed. *)
+    [--canary] builds the run's CMs with [~canary_grant_leak] (see
+    {!Cm.create}), which re-introduces a grant leak; the audit skew oracle
+    must catch it (a mutation test of the whole pipeline).  Every draw and
+    every run is keyed only by the seed. *)
 
 type net_fault = { nf_at_s : float; nf_dur_s : float; nf_kind : int }
 (** [nf_kind]: 0 = outage, 1 = loss burst, 2 = delay spike. *)

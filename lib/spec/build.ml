@@ -41,7 +41,7 @@ type t = {
   stacks : (int, stack) Hashtbl.t;
 }
 
-let instantiate ?costs ?rng engine (ir : Check.ir) =
+let instantiate ?costs ?rng ?canary_grant_leak engine (ir : Check.ir) =
   let impls =
     Array.map
       (fun (n : Check.node) ->
@@ -98,7 +98,7 @@ let instantiate ?costs ?rng engine (ir : Check.ir) =
           in
           let cm =
             Cm.create engine ?mtu:s.Check.s_mtu ?scheduler:s.Check.s_scheduler
-              ?controller:s.Check.s_controller ?feedback_watchdog ?auditor ()
+              ?controller:s.Check.s_controller ?feedback_watchdog ?auditor ?canary_grant_leak ()
           in
           Cm.attach cm host;
           Hashtbl.replace stacks (Host.id host)

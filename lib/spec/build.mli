@@ -36,11 +36,13 @@ type t = {
   stacks : (int, stack) Hashtbl.t;  (** by host address *)
 }
 
-val instantiate : ?costs:Costs.t -> ?rng:Cm_util.Rng.t -> Engine.t -> Check.ir -> t
+val instantiate :
+  ?costs:Costs.t -> ?rng:Cm_util.Rng.t -> ?canary_grant_leak:bool -> Engine.t -> Check.ir -> t
 (** Create every host, router and link, install all routes, then create
     each declared CM in node order and {!Cm.attach} it to its host.
     [rng] is handed to every link (needed by links with loss, and by
-    faults that later install loss or jitter). *)
+    faults that later install loss or jitter).  [canary_grant_leak] is
+    passed to every CM ({!Cm.create}; the soak's mutation canary). *)
 
 type pipe = {
   a : Host.t;  (** Host ["a"], address 0 (the sender side). *)

@@ -83,6 +83,13 @@ type cc_cm = {
 
 type cc = Cc_native of cc_native | Cc_cm of cc_cm
 
+(* Segments waiting for the host CPU in one direction: out (to IP) or in
+   (from demux).  Host CPU work items complete in submission order, so the
+   ring is drained by one closure that pops its head — no closure per
+   packet.  Built on the direction's first costed packet: a zero-cost host
+   never queues for its CPU, so its connections never build one. *)
+type cpu_queue = { ring : Packet.t Byte_queue.t; drain : unit -> unit }
+
 type t = {
   host : Host.t;
   engine : Engine.t;
@@ -104,6 +111,9 @@ type t = {
   mutable hole_next : int; (* RFC 3517-style NextSeg pointer: holes below this were already retransmitted this recovery *)
   cc : cc;
   rto_est : Rto.t;
+  (* Timers.  [rto_timer] and [delack_timer] are built in [make_conn];
+     the rare ones (consume, persist, TIME_WAIT) hold [no_timer] until
+     their first arm, which most connections never reach. *)
   mutable rto_timer : Timer.t;
   (* --- receive side --------------------------------------------------- *)
   mutable rcv_nxt : int;
@@ -140,14 +150,8 @@ type t = {
   mutable established_fired : bool;
   mutable closed_fired : bool;
   (* --- host CPU work -------------------------------------------------- *)
-  (* segments waiting for the host CPU, on the way out (to IP) and in
-     (from demux).  Host CPU work items complete in submission order, so
-     each ring is drained by one closure made in [make_conn] that pops
-     its head — no closure per packet. *)
-  tx_ring : Packet.t Byte_queue.t;
-  rx_ring : Packet.t Byte_queue.t;
-  mutable tx_drain : unit -> unit;
-  mutable rx_drain : unit -> unit;
+  mutable tx_cpu : cpu_queue option;
+  mutable rx_cpu : cpu_queue option;
   (* --- stats ----------------------------------------------------------- *)
   mutable s_bytes_sent : int;
   mutable s_bytes_delivered : int;
@@ -164,6 +168,12 @@ type t = {
 }
 
 type listener = { l_host : Host.t; l_port : int }
+
+(* A stopped timer on an engine nothing runs, shared by every connection:
+   the value of a timer field until its timer is built.  Nothing arms it
+   ([Timer.stop] and [Timer.is_running] only read a stopped timer), so it
+   never changes. *)
+let no_timer = Timer.create Engine.inert ~callback:ignore
 
 (* Sequence-number layout: ISS = 0; the SYN occupies sequence 0; app data
    occupies [1, snd_limit); an eventual FIN occupies snd_limit. *)
@@ -213,8 +223,17 @@ let transmit t seg =
   let cost = costs.Costs.tcp_proc + costs.Costs.ip_proc in
   if cost = 0 then Host.ip_output t.host pkt
   else begin
-    Byte_queue.push t.tx_ring ~size:pkt.Packet.size pkt;
-    Cpu.run (Host.cpu t.host) ~cost t.tx_drain
+    let q =
+      match t.tx_cpu with
+      | Some q -> q
+      | None ->
+          let ring = Byte_queue.create ~dummy:Packet.dummy () in
+          let q = { ring; drain = (fun () -> Host.ip_output t.host (Byte_queue.take ring)) } in
+          t.tx_cpu <- Some q;
+          q
+    in
+    Byte_queue.push q.ring ~size:pkt.Packet.size pkt;
+    Cpu.run (Host.cpu t.host) ~cost q.drain
   end
 
 let send_pure_ack t =
@@ -434,12 +453,24 @@ let window_stalled t =
   data_ready t && t.snd_nxt < t.snd_limit && t.snd_una = t.snd_nxt
   && t.snd_wnd < t.config.mss
 
-let arm_persist t =
+let rec arm_persist t =
   if not (Timer.is_running t.persist_timer) then begin
+    if t.persist_timer == no_timer then
+      t.persist_timer <- Timer.create t.engine ~callback:(fun () -> on_persist t);
     let base = Stdlib.max t.config.min_rto (Rto.rto t.rto_est) in
     let backoff = Stdlib.min t.persist_backoff 6 in
     Timer.start t.persist_timer (Stdlib.min (Time.sec 60.) (base lsl backoff))
   end
+
+and on_persist t =
+  if t.state <> Closed && window_stalled t then begin
+    t.persist_backoff <- t.persist_backoff + 1;
+    (* window probe: one byte of real data past the advertised window *)
+    emit_data t ~seq:t.snd_nxt ~len:1 ~fin:false ~retransmission:false;
+    (match t.cc with Cc_cm cc -> note_tx cc 1 | Cc_native _ -> ());
+    arm_persist t
+  end
+  else t.persist_backoff <- 0
 
 let tcp_output t =
   (match t.cc with
@@ -602,20 +633,12 @@ let enter_time_wait t =
   if t.state <> Time_wait then begin
     t.state <- Time_wait;
     Timer.stop t.rto_timer;
+    if t.time_wait_timer == no_timer then
+      t.time_wait_timer <- Timer.create t.engine ~callback:(fun () -> become_closed t);
     Timer.start t.time_wait_timer (2 * t.config.msl)
   end
 
-let on_persist t () =
-  if t.state <> Closed && window_stalled t then begin
-    t.persist_backoff <- t.persist_backoff + 1;
-    (* window probe: one byte of real data past the advertised window *)
-    emit_data t ~seq:t.snd_nxt ~len:1 ~fin:false ~retransmission:false;
-    (match t.cc with Cc_cm cc -> note_tx cc 1 | Cc_native _ -> ());
-    arm_persist t
-  end
-  else t.persist_backoff <- 0
-
-let on_rto t () =
+let on_rto t =
   if t.state <> Closed && t.state <> Time_wait && t.snd_una < t.snd_nxt then begin
     Logs.debug ~src:log (fun m ->
         m "%a: retransmission timeout (snd_una=%d snd_nxt=%d)" Addr.pp_flow t.out_flow t.snd_una
@@ -949,8 +972,17 @@ let on_packet t pkt =
       let cost = costs.Costs.intr_rx + costs.Costs.tcp_proc in
       if cost = 0 then process_packet t pkt
       else begin
-        Byte_queue.push t.rx_ring ~size:pkt.Packet.size pkt;
-        Cpu.run (Host.cpu t.host) ~cost t.rx_drain
+        let q =
+          match t.rx_cpu with
+          | Some q -> q
+          | None ->
+              let ring = Byte_queue.create ~dummy:Packet.dummy () in
+              let q = { ring; drain = (fun () -> process_packet t (Byte_queue.take ring)) } in
+              t.rx_cpu <- Some q;
+              q
+        in
+        Byte_queue.push q.ring ~size:pkt.Packet.size pkt;
+        Cpu.run (Host.cpu t.host) ~cost q.drain
       end
   | _ -> ()
 
@@ -984,7 +1016,6 @@ let make_conn host ~local ~remote ~driver ~config ~initial_state =
           }
   in
   let dummy () = () in
-  let dummy_timer = Timer.create engine ~callback:dummy in
   let t =
     {
       host;
@@ -1006,35 +1037,33 @@ let make_conn host ~local ~remote ~driver ~config ~initial_state =
       hole_next = 0;
       cc;
       rto_est = Rto.create ~min_rto:config.min_rto ();
-      rto_timer = dummy_timer;
+      rto_timer = no_timer;
       rcv_nxt = 0;
       ooo = [];
       fin_rcvd = None;
       rcv_buffered = 0;
       consume_rate = None;
-      consume_timer = dummy_timer;
+      consume_timer = no_timer;
       last_advertised = config.rwnd;
-      persist_timer = dummy_timer;
+      persist_timer = no_timer;
       persist_backoff = 0;
       segs_since_ack = 0;
       quickack = 16;
-      delack_timer = dummy_timer;
+      delack_timer = no_timer;
       pending_ece = false;
       ts_to_echo = 0;
       ts_echo_armed = false;
       ecn_reacted_at = 0;
       karn_timed_seq = -1;
       karn_sent_at = 0;
-      time_wait_timer = dummy_timer;
+      time_wait_timer = no_timer;
       recv_cb = (fun _ -> ());
       established_cb = dummy;
       closed_cb = dummy;
       established_fired = false;
       closed_fired = false;
-      tx_ring = Byte_queue.create ~dummy:Packet.dummy ();
-      rx_ring = Byte_queue.create ~dummy:Packet.dummy ();
-      tx_drain = dummy;
-      rx_drain = dummy;
+      tx_cpu = None;
+      rx_cpu = None;
       s_bytes_sent = 0;
       s_bytes_delivered = 0;
       s_segments_out = 0;
@@ -1046,14 +1075,9 @@ let make_conn host ~local ~remote ~driver ~config ~initial_state =
       trace = (match driver with Native -> Telemetry.Trace.nil | Cm_driven cm -> Cm.trace cm);
     }
   in
-  t.rto_timer <- Timer.create engine ~callback:(fun () -> on_rto t ());
+  t.rto_timer <- Timer.create engine ~callback:(fun () -> on_rto t);
   t.delack_timer <-
     Timer.create engine ~callback:(fun () -> if t.state <> Closed then send_pure_ack t);
-  t.time_wait_timer <- Timer.create engine ~callback:(fun () -> become_closed t);
-  t.persist_timer <- Timer.create engine ~callback:(fun () -> on_persist t ());
-  t.consume_timer <- Timer.create engine ~callback:(fun () -> consume_tick t);
-  t.tx_drain <- (fun () -> Host.ip_output t.host (Byte_queue.take t.tx_ring));
-  t.rx_drain <- (fun () -> process_packet t (Byte_queue.take t.rx_ring));
   Host.connect_demux host in_flow (fun pkt -> on_packet t pkt);
   (match t.cc with
   | Cc_cm cc ->
@@ -1120,8 +1144,11 @@ let set_consume_rate t rate =
   t.consume_rate <- rate;
   match rate with
   | Some _ ->
-      if not (Timer.is_running t.consume_timer) then
+      if not (Timer.is_running t.consume_timer) then begin
+        if t.consume_timer == no_timer then
+          t.consume_timer <- Timer.create t.engine ~callback:(fun () -> consume_tick t);
         Timer.start_periodic t.consume_timer (Time.ms 10)
+      end
   | None ->
       Timer.stop t.consume_timer;
       (* hand any buffered data to the app immediately *)

@@ -25,84 +25,84 @@ let flow_key ?(sport = 100) ?(dport = 200) ?(dst = 1) () =
 
 let test_aimd_slow_start () =
   let c = Controller.aimd () ~mtu in
-  Alcotest.(check int) "initial window is one mtu" mtu (c.Controller.cwnd ());
-  Alcotest.(check bool) "starts in slow start" true (c.Controller.in_slow_start ());
-  c.Controller.on_ack ~nbytes:mtu;
-  Alcotest.(check int) "doubles per window acked" (2 * mtu) (c.Controller.cwnd ());
-  c.Controller.on_ack ~nbytes:(2 * mtu);
-  Alcotest.(check int) "pure byte counting" (4 * mtu) (c.Controller.cwnd ());
-  c.Controller.on_ack ~nbytes:(4 * mtu);
+  Alcotest.(check int) "initial window is one mtu" mtu (Controller.cwnd c);
+  Alcotest.(check bool) "starts in slow start" true (Controller.in_slow_start c);
+  Controller.on_ack c ~nbytes:mtu;
+  Alcotest.(check int) "doubles per window acked" (2 * mtu) (Controller.cwnd c);
+  Controller.on_ack c ~nbytes:(2 * mtu);
+  Alcotest.(check int) "pure byte counting" (4 * mtu) (Controller.cwnd c);
+  Controller.on_ack c ~nbytes:(4 * mtu);
   (* a large batched feedback event opens the window in one step *)
-  Alcotest.(check int) "batched feedback opens fully" (8 * mtu) (c.Controller.cwnd ())
+  Alcotest.(check int) "batched feedback opens fully" (8 * mtu) (Controller.cwnd c)
 
 let test_aimd_transient_halves () =
   let c = Controller.aimd () ~mtu in
   for _ = 1 to 10 do
-    c.Controller.on_ack ~nbytes:mtu
+    Controller.on_ack c ~nbytes:mtu
   done;
-  let before = c.Controller.cwnd () in
-  c.Controller.on_loss Cm_types.Transient;
-  Alcotest.(check int) "halved" (Stdlib.max (before / 2) (2 * mtu)) (c.Controller.cwnd ());
-  Alcotest.(check bool) "no longer in slow start" false (c.Controller.in_slow_start ())
+  let before = Controller.cwnd c in
+  Controller.on_loss c Cm_types.Transient;
+  Alcotest.(check int) "halved" (Stdlib.max (before / 2) (2 * mtu)) (Controller.cwnd c);
+  Alcotest.(check bool) "no longer in slow start" false (Controller.in_slow_start c)
 
 let test_aimd_persistent_collapses () =
   let c = Controller.aimd () ~mtu in
   for _ = 1 to 10 do
-    c.Controller.on_ack ~nbytes:mtu
+    Controller.on_ack c ~nbytes:mtu
   done;
-  c.Controller.on_loss Cm_types.Persistent;
-  Alcotest.(check int) "back to one mtu" mtu (c.Controller.cwnd ());
-  Alcotest.(check bool) "slow start restarts" true (c.Controller.in_slow_start ())
+  Controller.on_loss c Cm_types.Persistent;
+  Alcotest.(check int) "back to one mtu" mtu (Controller.cwnd c);
+  Alcotest.(check bool) "slow start restarts" true (Controller.in_slow_start c)
 
 let test_aimd_congestion_avoidance_linear () =
   let c = Controller.aimd () ~mtu in
-  c.Controller.on_ack ~nbytes:mtu;
-  c.Controller.on_loss Cm_types.Transient;
+  Controller.on_ack c ~nbytes:mtu;
+  Controller.on_loss c Cm_types.Transient;
   (* now in congestion avoidance at ssthresh *)
-  let w0 = c.Controller.cwnd () in
+  let w0 = Controller.cwnd c in
   (* acking one full window grows the window by exactly one mtu *)
   let rec ack_window remaining =
     if remaining > 0 then begin
       let chunk = Stdlib.min remaining mtu in
-      c.Controller.on_ack ~nbytes:chunk;
+      Controller.on_ack c ~nbytes:chunk;
       ack_window (remaining - chunk)
     end
   in
   ack_window w0;
-  Alcotest.(check int) "one mtu per window" (w0 + mtu) (c.Controller.cwnd ())
+  Alcotest.(check int) "one mtu per window" (w0 + mtu) (Controller.cwnd c)
 
 let test_aimd_floor_and_reset () =
   let c = Controller.aimd () ~mtu in
   for _ = 1 to 5 do
-    c.Controller.on_loss Cm_types.Persistent
+    Controller.on_loss c Cm_types.Persistent
   done;
-  Alcotest.(check bool) "never below one mtu" true (c.Controller.cwnd () >= mtu);
+  Alcotest.(check bool) "never below one mtu" true (Controller.cwnd c >= mtu);
   for _ = 1 to 20 do
-    c.Controller.on_ack ~nbytes:mtu
+    Controller.on_ack c ~nbytes:mtu
   done;
-  c.Controller.reset ();
-  Alcotest.(check int) "reset restores initial window" mtu (c.Controller.cwnd ())
+  Controller.reset c;
+  Alcotest.(check int) "reset restores initial window" mtu (Controller.cwnd c)
 
 let test_aimd_ecn_like_transient () =
   let c1 = Controller.aimd () ~mtu and c2 = Controller.aimd () ~mtu in
   for _ = 1 to 8 do
-    c1.Controller.on_ack ~nbytes:mtu;
-    c2.Controller.on_ack ~nbytes:mtu
+    Controller.on_ack c1 ~nbytes:mtu;
+    Controller.on_ack c2 ~nbytes:mtu
   done;
-  c1.Controller.on_loss Cm_types.Transient;
-  c2.Controller.on_loss Cm_types.Ecn_echo;
-  Alcotest.(check int) "ecn reduces like transient" (c1.Controller.cwnd ())
-    (c2.Controller.cwnd ())
+  Controller.on_loss c1 Cm_types.Transient;
+  Controller.on_loss c2 Cm_types.Ecn_echo;
+  Alcotest.(check int) "ecn reduces like transient" (Controller.cwnd c1)
+    (Controller.cwnd c2)
 
 let test_binomial_aimd_equivalence () =
   (* (k=0, l=1) must behave as AIMD: halve on loss *)
   let c = Controller.binomial ~k:0. ~l:1. () ~mtu in
   for _ = 1 to 16 do
-    c.Controller.on_ack ~nbytes:mtu
+    Controller.on_ack c ~nbytes:mtu
   done;
-  let before = c.Controller.cwnd () in
-  c.Controller.on_loss Cm_types.Transient;
-  let after = c.Controller.cwnd () in
+  let before = Controller.cwnd c in
+  Controller.on_loss c Cm_types.Transient;
+  let after = Controller.cwnd c in
   Alcotest.(check bool)
     (Printf.sprintf "halves on loss (%d -> %d)" before after)
     true
@@ -113,13 +113,13 @@ let test_binomial_sqrt_gentler () =
   let a = Controller.binomial ~k:0. ~l:1. () ~mtu in
   let s = Controller.binomial ~k:0.5 ~l:0.5 () ~mtu in
   for _ = 1 to 20 do
-    a.Controller.on_ack ~nbytes:mtu;
-    s.Controller.on_ack ~nbytes:mtu
+    Controller.on_ack a ~nbytes:mtu;
+    Controller.on_ack s ~nbytes:mtu
   done;
-  let wa = a.Controller.cwnd () and ws = s.Controller.cwnd () in
-  a.Controller.on_loss Cm_types.Transient;
-  s.Controller.on_loss Cm_types.Transient;
-  let da = wa - a.Controller.cwnd () and ds = ws - s.Controller.cwnd () in
+  let wa = Controller.cwnd a and ws = Controller.cwnd s in
+  Controller.on_loss a Cm_types.Transient;
+  Controller.on_loss s Cm_types.Transient;
+  let da = wa - Controller.cwnd a and ds = ws - Controller.cwnd s in
   Alcotest.(check bool)
     (Printf.sprintf "sqrt decrease %d < aimd decrease %d" ds da)
     true (ds < da)
@@ -127,19 +127,19 @@ let test_binomial_sqrt_gentler () =
 
 let test_equation_slow_starts_then_tracks_loss_rate () =
   let c = Controller.equation () ~mtu in
-  Alcotest.(check bool) "slow start before first loss" true (c.Controller.in_slow_start ());
+  Alcotest.(check bool) "slow start before first loss" true (Controller.in_slow_start c);
   for _ = 1 to 10 do
-    c.Controller.on_ack ~nbytes:mtu
+    Controller.on_ack c ~nbytes:mtu
   done;
-  Alcotest.(check bool) "window grew" true (c.Controller.cwnd () > 5 * mtu);
+  Alcotest.(check bool) "window grew" true (Controller.cwnd c > 5 * mtu);
   (* a loss event every 50 mtu of acked data: p = 1/50, W = mtu*sqrt(75) ~ 8.6 mtu *)
   for _ = 1 to 10 do
     for _ = 1 to 50 do
-      c.Controller.on_ack ~nbytes:mtu
+      Controller.on_ack c ~nbytes:mtu
     done;
-    c.Controller.on_loss Cm_types.Transient
+    Controller.on_loss c Cm_types.Transient
   done;
-  let w = c.Controller.cwnd () in
+  let w = Controller.cwnd c in
   Alcotest.(check bool)
     (Printf.sprintf "window near equation value (%d)" w)
     true
@@ -151,20 +151,20 @@ let test_equation_smoother_than_aimd () =
   let e = Controller.equation () ~mtu and a = Controller.aimd () ~mtu in
   for _ = 1 to 10 do
     for _ = 1 to 50 do
-      e.Controller.on_ack ~nbytes:mtu;
-      a.Controller.on_ack ~nbytes:mtu
+      Controller.on_ack e ~nbytes:mtu;
+      Controller.on_ack a ~nbytes:mtu
     done;
-    e.Controller.on_loss Cm_types.Transient;
-    a.Controller.on_loss Cm_types.Transient
+    Controller.on_loss e Cm_types.Transient;
+    Controller.on_loss a Cm_types.Transient
   done;
-  let we0 = e.Controller.cwnd () and wa0 = a.Controller.cwnd () in
+  let we0 = Controller.cwnd e and wa0 = Controller.cwnd a in
   for _ = 1 to 50 do
-    e.Controller.on_ack ~nbytes:mtu;
-    a.Controller.on_ack ~nbytes:mtu
+    Controller.on_ack e ~nbytes:mtu;
+    Controller.on_ack a ~nbytes:mtu
   done;
-  e.Controller.on_loss Cm_types.Transient;
-  a.Controller.on_loss Cm_types.Transient;
-  let de = abs (e.Controller.cwnd () - we0) and da = abs (a.Controller.cwnd () - wa0) in
+  Controller.on_loss e Cm_types.Transient;
+  Controller.on_loss a Cm_types.Transient;
+  let de = abs (Controller.cwnd e - we0) and da = abs (Controller.cwnd a - wa0) in
   Alcotest.(check bool)
     (Printf.sprintf "equation moved %d vs aimd %d" de da)
     true (de * 2 < da)
@@ -172,12 +172,12 @@ let test_equation_smoother_than_aimd () =
 let test_equation_reset () =
   let c = Controller.equation () ~mtu in
   for _ = 1 to 100 do
-    c.Controller.on_ack ~nbytes:mtu
+    Controller.on_ack c ~nbytes:mtu
   done;
-  c.Controller.on_loss Cm_types.Transient;
-  c.Controller.reset ();
-  Alcotest.(check int) "initial window restored" mtu (c.Controller.cwnd ());
-  Alcotest.(check bool) "back in slow start" true (c.Controller.in_slow_start ())
+  Controller.on_loss c Cm_types.Transient;
+  Controller.reset c;
+  Alcotest.(check int) "initial window restored" mtu (Controller.cwnd c);
+  Alcotest.(check bool) "back in slow start" true (Controller.in_slow_start c)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler tests *)
@@ -344,8 +344,7 @@ let model_run ops =
           None)
     ops
 
-let scheduler_run ops =
-  let s = Scheduler.weighted () in
+let sched_run s ops =
   List.filter_map
     (function
       | Enq id ->
@@ -377,7 +376,60 @@ let prop_stride_matches_model =
        ~print:(fun ops -> String.concat "; " (List.map show_op ops))
        ~shrink:QCheck.Shrink.list
        QCheck.Gen.(list_size (int_range 0 300) op))
-    (fun ops -> scheduler_run ops = model_run ops)
+    (fun ops -> sched_run (Scheduler.weighted ()) ops = model_run ops)
+
+(* Reference for the round-robin order: the active ring as a list of ids
+   with pending requests, oldest turn first; a removed id leaves it. *)
+let rr_model_run ops =
+  let counts = Hashtbl.create 16 and ring = ref [] in
+  let count id = Option.value (Hashtbl.find_opt counts id) ~default:0 in
+  List.filter_map
+    (function
+      | Enq id ->
+          let c = count id in
+          Hashtbl.replace counts id (c + 1);
+          if c = 0 then ring := !ring @ [ id ];
+          None
+      | Deq -> (
+          match !ring with
+          | [] -> Some (-1)
+          | id :: rest ->
+              let c = count id - 1 in
+              Hashtbl.replace counts id c;
+              ring := if c > 0 then rest @ [ id ] else rest;
+              Some id)
+      | Rem id ->
+          Hashtbl.remove counts id;
+          ring := List.filter (( <> ) id) !ring;
+          None
+      | Weight _ -> None)
+    ops
+
+(* Both schedulers start with one slot per member array and double as ids
+   arrive.  The id range widens with the op index, from 2 to 64 ids, so
+   the arrays grow through six doublings while requests are queued — the
+   round-robin ring wrapped, ids removed and re-added — and a final drain
+   reads out every request still pending. *)
+let prop_sched_growth_matches_model =
+  let gen =
+    QCheck.Gen.(
+      map
+        (List.mapi (fun i (kind, x) ->
+             let id = x mod Stdlib.min 64 (2 + (i / 4)) in
+             if kind < 5 then Enq id
+             else if kind < 8 then Deq
+             else if kind < 9 then Rem id
+             else Weight (id, List.nth [ 0.5; 1.; 2.; 3.; 7. ] (x mod 5))))
+        (list_size (int_range 1 400) (pair (int_bound 9) (int_bound 1_000_000))))
+  in
+  QCheck.Test.make ~name:"schedulers grown from one slot = list models" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       ~shrink:QCheck.Shrink.list gen)
+    (fun ops ->
+      let ops = ops @ List.init 600 (fun _ -> Deq) in
+      sched_run (Scheduler.round_robin ()) ops = rr_model_run ops
+      && sched_run (Scheduler.weighted ()) ops = model_run ops)
 
 (* With strides that are exact integers (weights 1, 2, 4, 5) a rebase is
    an exact subtraction, so rebasing every few grants must leave the
@@ -723,6 +775,34 @@ let prop_parking_is_invisible =
       let g_tick, s_tick, ev_tick = run_mf_script ~on_tick:ignore script in
       g_park = g_tick && s_park = s_tick && ev_park <= ev_tick)
 
+(* Minor words one [Macroflow.create] allocates (AIMD, round-robin),
+   averaged over 1000 macroflows; exact, as [Gc.minor_words] counts every
+   allocation.  The CM keeps a macroflow per destination for the whole
+   run, so this is live state per client of a busy server.  A controller
+   instance is one small state record under the factory's shared
+   operations, and the scheduler and member arrays start at one slot:
+   150.9 words, where eight closures and three refs per controller and
+   16- and 8-slot arrays read 256.9. *)
+let test_macroflow_create_words () =
+  let n = 1000 in
+  let engine = Engine.create () in
+  let controller = Controller.aimd () in
+  let create id =
+    Macroflow.create engine ~id ~mtu ~controller ~scheduler:Scheduler.round_robin
+      ~deliver_grant:(fun _ ~reserved:_ -> ())
+      ~on_state_change:ignore ()
+  in
+  let mfs = Array.make n (create 0) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    mfs.(i) <- create (i + 1)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  if words > 175. then Alcotest.failf "Macroflow.create allocates %.1f words (ceiling 175)" words;
+  Array.iter
+    (fun mf -> Alcotest.(check int) "initial window" mtu (Macroflow.cwnd mf))
+    mfs
+
 let test_close_returns_granted_bytes () =
   (* granted-but-unnotified bytes come back the moment the flow closes,
      not 500 ms later when the reclaim timer would catch them *)
@@ -949,20 +1029,20 @@ let prop_controller_invariants =
       let c = factory ~mtu in
       let ok = ref true in
       let check () =
-        let w = c.Controller.cwnd () in
+        let w = Controller.cwnd c in
         if w < mtu || w > 4 * 1024 * 1024 then ok := false
       in
       List.iter
         (fun op ->
           (match op with
-          | 0 -> c.Controller.on_ack ~nbytes:mtu
-          | 1 -> c.Controller.on_ack ~nbytes:(10 * mtu)
-          | 2 -> c.Controller.on_loss Cm_types.Transient
-          | _ -> c.Controller.on_loss Cm_types.Persistent);
+          | 0 -> Controller.on_ack c ~nbytes:mtu
+          | 1 -> Controller.on_ack c ~nbytes:(10 * mtu)
+          | 2 -> Controller.on_loss c Cm_types.Transient
+          | _ -> Controller.on_loss c Cm_types.Persistent);
           check ())
         ops;
-      c.Controller.reset ();
-      !ok && c.Controller.cwnd () = mtu)
+      Controller.reset c;
+      !ok && Controller.cwnd c = mtu)
 
 (* satellite (a): closing one flow must examine a bounded number of
    macroflows no matter how many destinations the CM has ever talked to.
@@ -1063,6 +1143,7 @@ let () =
           Alcotest.test_case "stride share +/-1 at 4096 flows" `Quick test_stride_share_at_4096;
           Alcotest.test_case "stride rejects bad weights" `Quick test_stride_rejects_bad_weights;
           QCheck_alcotest.to_alcotest prop_stride_matches_model;
+          QCheck_alcotest.to_alcotest prop_sched_growth_matches_model;
           Alcotest.test_case "stride rebase keeps the grant order" `Quick
             test_stride_rebase_keeps_order;
           Alcotest.test_case "cycles allocate nothing" `Quick test_sched_cycles_allocate_nothing;
@@ -1082,6 +1163,8 @@ let () =
           Alcotest.test_case "grant reclaim" `Quick test_grant_reclaim;
           Alcotest.test_case "idle macroflow parks its clock" `Quick
             test_idle_macroflow_parks_its_clock;
+          Alcotest.test_case "macroflow create allocates <= 175 words" `Quick
+            test_macroflow_create_words;
           Alcotest.test_case "close returns granted bytes" `Quick test_close_returns_granted_bytes;
           Alcotest.test_case "decline restores window" `Quick test_decline_restores_window;
           Alcotest.test_case "api counters" `Quick test_counters;

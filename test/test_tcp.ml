@@ -698,6 +698,130 @@ let test_shared_costed_host_keeps_order () =
     (fun c -> Alcotest.(check int) "no retransmission" 0 (Tcp.Conn.stats c).Tcp.Conn.retransmits)
     conns
 
+(* ---- endpoint size and lazily built state ---------------------------- *)
+
+(* Minor words one [connect] allocates, averaged over 1000 connections
+   from one host (exact: [Gc.minor_words] counts every allocation): the
+   endpoint record, its 5-tuples, RTO estimator, controller state, the
+   retransmit and delayed-ack timers, its demux entry and the SYN.  The
+   rare timers (persist, consume, TIME_WAIT) and the host-CPU queues are
+   built on first use, so a connection that never needs them never pays
+   for them: 164.0 words native and 226.1 CM-driven, where building them
+   eagerly read 264.0 and 326.1. *)
+let connect_words ~cm =
+  let n = 1000 in
+  let engine = Engine.create () in
+  let net =
+    Build.pipe ~rng:(Rng.create ~seed:1) engine
+      (Spec.pipe ~queue:10_000 ~rev_queue:10_000 ~bw:1e10 ~lat:(Time.ms 10) ())
+  in
+  let driver =
+    if cm then begin
+      let c = Cm.create engine ~mtu:1448 () in
+      Cm.attach c net.Build.a;
+      Tcp.Conn.Cm_driven c
+    end
+    else Tcp.Conn.Native
+  in
+  let _listener = Tcp.Conn.listen net.Build.b ~port:80 ~on_accept:ignore () in
+  (* the first connection opens the CM's macroflow for the destination *)
+  let first = Tcp.Conn.connect net.Build.a ~dst ~driver () in
+  let conns = Array.make n first in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    conns.(i) <- Tcp.Conn.connect net.Build.a ~dst ~driver ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Engine.run_for engine (Time.sec 1.);
+  Array.iter
+    (fun c -> "connection established" => (Tcp.Conn.state c = Tcp.Conn.Established))
+    conns;
+  words
+
+let test_connect_words_native () =
+  let words = connect_words ~cm:false in
+  if words > 175. then Alcotest.failf "native connect allocates %.1f words (ceiling 175)" words
+
+let test_connect_words_cm () =
+  let words = connect_words ~cm:true in
+  if words > 235. then Alcotest.failf "CM-driven connect allocates %.1f words (ceiling 235)" words
+
+(* One connection through every lazily built timer: a zero window (the
+   persist timer), a finite consumer (the consume timer) and an active
+   close (TIME_WAIT).  The segment log, the probe times and the close
+   times are pinned to the values eagerly built timers gave. *)
+let lazy_timer_run ~cm =
+  let engine = Engine.create () in
+  let net =
+    Build.pipe ~rng:(Rng.create ~seed:3) engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 10) ())
+  in
+  let log = Buffer.create 4096 and segs = ref 0 and probes = ref [] in
+  let watch host =
+    Host.add_tx_hook host (fun pkt ->
+        match pkt.Packet.payload with
+        | Tcp.Segment.Tcp_seg seg ->
+            incr segs;
+            let now = Engine.now engine in
+            if Host.id host = 0 && seg.Tcp.Segment.len = 1 then probes := now :: !probes;
+            Buffer.add_string log
+              (Format.asprintf "%d %d %a\n" now (Host.id host) Tcp.Segment.pp seg)
+        | _ -> ())
+  in
+  watch net.Build.a;
+  watch net.Build.b;
+  let driver =
+    if cm then begin
+      let c = Cm.create engine ~mtu:1448 () in
+      Cm.attach c net.Build.a;
+      Tcp.Conn.Cm_driven c
+    end
+    else Tcp.Conn.Native
+  in
+  (* a window of exactly ten segments closes to zero with nothing in flight *)
+  let config = { Tcp.Conn.default_config with Tcp.Conn.rwnd = 10 * 1448 } in
+  let server = ref None and delivered = ref 0 and closed = ref [] in
+  let _listener =
+    Tcp.Conn.listen net.Build.b ~port:80 ~config
+      ~on_accept:(fun s ->
+        server := Some s;
+        Tcp.Conn.on_receive s (fun n -> delivered := !delivered + n);
+        Tcp.Conn.on_closed s (fun () -> closed := ("server", Engine.now engine) :: !closed))
+      ()
+  in
+  let c = Tcp.Conn.connect net.Build.a ~dst ~driver ~config () in
+  Tcp.Conn.on_closed c (fun () -> closed := ("client", Engine.now engine) :: !closed);
+  Engine.run_for engine (Time.ms 200);
+  let s = match !server with Some s -> s | None -> Alcotest.fail "no server connection" in
+  Tcp.Conn.set_consume_rate s (Some 0.);
+  Tcp.Conn.send c 60_000;
+  Tcp.Conn.close c;
+  Engine.run_for engine (Time.sec 8.);
+  Tcp.Conn.set_consume_rate s (Some 50_000.);
+  Engine.run_for engine (Time.sec 4.);
+  Tcp.Conn.close s;
+  Engine.run_for engine (Time.sec 5.);
+  Alcotest.(check int) "everything delivered" 60_000 !delivered;
+  "both ends closed" => (Tcp.Conn.state c = Tcp.Conn.Closed && Tcp.Conn.state s = Tcp.Conn.Closed);
+  (!segs, Digest.to_hex (Digest.string (Buffer.contents log)), List.rev !probes, List.rev !closed)
+
+let test_lazy_timers_pinned () =
+  let check name ~cm ~segs ~digest ~probes =
+    let segs', digest', probes', closed = lazy_timer_run ~cm in
+    Alcotest.(check int) (name ^ ": segments") segs segs';
+    Alcotest.(check string) (name ^ ": segment log") digest digest';
+    Alcotest.(check (list int)) (name ^ ": persist probe times") probes probes';
+    (* the server closes at 12.22 s; the client leaves TIME_WAIT 2 MSL
+       after its FIN exchange completes *)
+    Alcotest.(check (list (pair string int)))
+      (name ^ ": close times")
+      [ ("server", 12_220_092_800); ("client", 14_210_046_400) ]
+      closed
+  in
+  check "native" ~cm:false ~segs:106 ~digest:"6b310743aeb4c260d2903f1ccb9e81d0"
+    ~probes:[ 467_368_000 ];
+  check "cm-driven" ~cm:true ~segs:107 ~digest:"2bbeea5d5148654b8d6dcbcede43a46f"
+    ~probes:[ 487_414_400; 887_414_400; 2_487_414_400 ]
+
 let () =
   Alcotest.run "tcp"
     [
@@ -758,5 +882,14 @@ let () =
             test_packet_path_alloc_budget;
           Alcotest.test_case "shared costed host keeps order" `Quick
             test_shared_costed_host_keeps_order;
+        ] );
+      ( "endpoint-size",
+        [
+          Alcotest.test_case "connect allocates <= 175 words (native)" `Quick
+            test_connect_words_native;
+          Alcotest.test_case "connect allocates <= 235 words (cm-driven)" `Quick
+            test_connect_words_cm;
+          Alcotest.test_case "lazy timers: persist, consume, time-wait pinned" `Quick
+            test_lazy_timers_pinned;
         ] );
     ]
