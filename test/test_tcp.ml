@@ -883,7 +883,7 @@ let () =
           Alcotest.test_case "shared costed host keeps order" `Quick
             test_shared_costed_host_keeps_order;
         ] );
-      ( "endpoint-size",
+      ( "conn-words",
         [
           Alcotest.test_case "connect allocates <= 175 words (native)" `Quick
             test_connect_words_native;
