@@ -242,6 +242,8 @@ type t = {
   (* telemetry: None (and the nil trace) until [attach_telemetry] *)
   mutable telemetry : Telemetry.t option;
   mutable trace : Telemetry.Trace.t;
+  (* every macroflow's [deliver_grant]: one closure per CM *)
+  grant_hook : Macroflow.t -> Macroflow.member -> reserved:int -> unit;
 }
 
 (* placeholder index for a flow between construction and [index_add] —
@@ -282,44 +284,77 @@ let no_flow engine =
   fl.open_ <- false;
   fl
 
+(* ---- grant dispatch --------------------------------------------------- *)
+
+(* bytes charged to the window whose fate no accepted feedback has
+   resolved; what close/crash must discharge and quarantine must carry *)
+let unresolved fl = Stdlib.max 0 (fl.a_charged - fl.a_nsent)
+
+let deliver_grant t mf m ~reserved =
+  t.c_grants <- t.c_grants + 1;
+  let fid = Macroflow.member_fid m in
+  let fl = Fid_dir.find t.flows_by_id fid in
+  if fl.fid = fid && fl.open_ then begin
+    ignore reserved;
+    (* a grant permits up to one MTU regardless of what the macroflow
+       reserved (the learned average may round well below what the
+       client actually sends), so the misbehaviour allowance accrues a
+       full MTU per grant — honest full-sized senders never drift *)
+    fl.a_granted <- fl.a_granted + t.mtu;
+    match fl.send_cb with
+    | Some cb -> cb fid
+    | None ->
+        t.c_declined <- t.c_declined + 1;
+        Macroflow.notify fl.mf ~m:fl.fl_mem ~nbytes:0 ()
+  end
+  else begin
+    (* the flow vanished between request and grant: return the grant *)
+    t.c_declined <- t.c_declined + 1;
+    Macroflow.notify mf ~m ~nbytes:0 ()
+  end
+
 let create engine ?(mtu = 1448) ?(aggregation = By_destination)
     ?(controller = Controller.aimd ()) ?(scheduler = Scheduler.round_robin)
     ?grant_reclaim_after ?idle_restart ?feedback_watchdog ?auditor ?(canary_grant_leak = false)
     () =
-  {
-    engine;
-    mtu;
-    aggregation;
-    controller;
-    scheduler;
-    grant_reclaim_after;
-    idle_restart;
-    watchdog = feedback_watchdog;
-    auditor;
-    canary_grant_leak;
-    flows_by_id = Fid_dir.create ~miss:(no_flow engine) 64;
-    flows_by_key = Addr.Flow_table.create 64;
-    default_mf = Hashtbl.create 16;
-    default_ids = Hashtbl.create 16;
-    all_mf = Hashtbl.create 16;
-    mf_index = Hashtbl.create 16;
-    next_mfid = 1;
-    c_opens = 0;
-    c_closes = 0;
-    c_requests = 0;
-    c_grants = 0;
-    c_updates = 0;
-    c_notifies = 0;
-    c_declined = 0;
-    c_rejected_updates = 0;
-    c_rejected_notifies = 0;
-    c_quarantines = 0;
-    c_reaps = 0;
-    c_released_grant_bytes = 0;
-    c_teardown_probes = 0;
-    telemetry = None;
-    trace = Telemetry.Trace.nil;
-  }
+  let rec t =
+    {
+      engine;
+      mtu;
+      aggregation;
+      controller;
+      scheduler;
+      grant_reclaim_after;
+      idle_restart;
+      watchdog = feedback_watchdog;
+      auditor;
+      canary_grant_leak;
+      flows_by_id = Fid_dir.create ~miss:(no_flow engine) 64;
+      flows_by_key = Addr.Flow_table.create 64;
+      default_mf = Hashtbl.create 16;
+      default_ids = Hashtbl.create 16;
+      all_mf = Hashtbl.create 16;
+      mf_index = Hashtbl.create 16;
+      next_mfid = 1;
+      c_opens = 0;
+      c_closes = 0;
+      c_requests = 0;
+      c_grants = 0;
+      c_updates = 0;
+      c_notifies = 0;
+      c_declined = 0;
+      c_rejected_updates = 0;
+      c_rejected_notifies = 0;
+      c_quarantines = 0;
+      c_reaps = 0;
+      c_released_grant_bytes = 0;
+      c_teardown_probes = 0;
+      telemetry = None;
+      trace = Telemetry.Trace.nil;
+      grant_hook = (fun mf m ~reserved -> deliver_grant t mf m ~reserved);
+    }
+  in
+  t
 
 let engine t = t.engine
 
@@ -398,35 +433,6 @@ let check_rate_callbacks t ix =
     Hashtbl.iter consider ix.mx_flows
   end
 
-(* ---- grant dispatch --------------------------------------------------- *)
-
-(* bytes charged to the window whose fate no accepted feedback has
-   resolved; what close/crash must discharge and quarantine must carry *)
-let unresolved fl = Stdlib.max 0 (fl.a_charged - fl.a_nsent)
-
-let deliver_grant t mf m ~reserved =
-  t.c_grants <- t.c_grants + 1;
-  let fid = Macroflow.member_fid m in
-  let fl = Fid_dir.find t.flows_by_id fid in
-  if fl.fid = fid && fl.open_ then begin
-    ignore reserved;
-    (* a grant permits up to one MTU regardless of what the macroflow
-       reserved (the learned average may round well below what the
-       client actually sends), so the misbehaviour allowance accrues a
-       full MTU per grant — honest full-sized senders never drift *)
-    fl.a_granted <- fl.a_granted + t.mtu;
-    match fl.send_cb with
-    | Some cb -> cb fid
-    | None ->
-        t.c_declined <- t.c_declined + 1;
-        Macroflow.notify fl.mf ~m:fl.fl_mem ~nbytes:0 ()
-  end
-  else begin
-    (* the flow vanished between request and grant: return the grant *)
-    t.c_declined <- t.c_declined + 1;
-    Macroflow.notify mf ~m ~nbytes:0 ()
-  end
-
 (* ---- macroflow lifecycle ---------------------------------------------- *)
 
 (* Subscribe a macroflow's congestion internals — the CM state the paper's
@@ -500,11 +506,6 @@ let rec new_macroflow ?controller t =
   let mfid = t.next_mfid in
   t.next_mfid <- t.next_mfid + 1;
   let controller = Option.value controller ~default:t.controller in
-  (* tie the knot: the grant/maintenance hooks need the macroflow they
-     serve, which Macroflow.create has not returned yet.  No hook can run
-     before create returns (grants and ticks fire from engine events). *)
-  let mf_cell = ref None in
-  let mf_of_cell () = Option.get !mf_cell in
   let on_reclaim, on_tick =
     match t.auditor with
     | None -> (None, None)
@@ -518,12 +519,11 @@ let rec new_macroflow ?controller t =
   in
   let mf =
     Macroflow.create t.engine ~id:mfid ~mtu:t.mtu ~controller ~scheduler:t.scheduler
-      ~deliver_grant:(fun m ~reserved -> deliver_grant t (mf_of_cell ()) m ~reserved)
+      ~deliver_grant:t.grant_hook
       ~on_state_change:(fun () -> ())
       ?on_reclaim ?on_tick ?watchdog:t.watchdog ?grant_reclaim_after:t.grant_reclaim_after
       ?idle_restart:t.idle_restart ()
   in
-  mf_cell := Some mf;
   Hashtbl.replace t.all_mf mfid mf;
   wire_macroflow_telemetry t mf;
   mf

@@ -62,7 +62,7 @@ type t = {
   mtu : int;
   ctrl : Controller.t;
   sched : Scheduler.t;
-  deliver_grant : member -> reserved:int -> unit;
+  deliver_grant : t -> member -> reserved:int -> unit;
   on_state_change : unit -> unit;
   on_reclaim : (Cm_types.flow_id -> int -> unit) option;
   on_tick : (t -> unit) option;
@@ -212,7 +212,7 @@ let rec grant_loop t =
            invariant auditor checks. *)
         if t.outstanding + t.granted_bytes > t.cwnd_now + t.mtu then
           t.conservation_breaches <- t.conservation_breaches + 1;
-        t.deliver_grant m ~reserved;
+        t.deliver_grant t m ~reserved;
         grant_loop t
       end
     end
@@ -362,7 +362,7 @@ let create engine ~id ~mtu ~controller ~scheduler ~deliver_grant ~on_state_chang
 
 let placeholder engine =
   make engine ~id:(-1) ~mtu:1 ~controller:(Controller.aimd ()) ~scheduler:Scheduler.round_robin
-    ~deliver_grant:(fun _ ~reserved:_ -> ())
+    ~deliver_grant:(fun _ _ ~reserved:_ -> ())
     ~on_state_change:ignore ~on_reclaim:None ~on_tick:None ~watchdog:None
     ~grant_reclaim_after:0 ~idle_restart:None
 

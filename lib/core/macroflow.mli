@@ -59,7 +59,7 @@ val create :
   mtu:int ->
   controller:Controller.factory ->
   scheduler:Scheduler.factory ->
-  deliver_grant:(member -> reserved:int -> unit) ->
+  deliver_grant:(t -> member -> reserved:int -> unit) ->
   on_state_change:(unit -> unit) ->
   ?on_reclaim:(Cm_types.flow_id -> int -> unit) ->
   ?on_tick:(t -> unit) ->
@@ -70,8 +70,9 @@ val create :
   t
 (** [create eng ~id ~mtu ~controller ~scheduler ~deliver_grant
     ~on_state_change ()] builds an idle macroflow.  [deliver_grant] is
-    invoked (from an engine event) once per grant with the bytes reserved
-    for it; [on_state_change] after any feedback that may alter rate
+    invoked (from an engine event) once per grant with the macroflow, the
+    granted member and the bytes reserved for it, so one hook can serve
+    every macroflow; [on_state_change] after any feedback that may alter rate
     estimates.  Grants unclaimed after [grant_reclaim_after] (default
     500 ms) are returned to the window, reporting each to [on_reclaim]
     with the granted flow and reserved bytes (hoard detection).

@@ -1,11 +1,11 @@
 open Cm_util
 
 (* The queue is a hashed timing wheel ({!Cm_util.Wheel}): near-future
-   events — timer re-arms, transmit completions, grant callbacks, all
-   within a few RTTs — insert and cancel in O(1) wheel slots, while
-   far-future events overflow into a heap and migrate forward as the
-   wheel turns.  The wheel's pop order is exactly the (time, seq) order
-   of a single heap over the same keys.
+   events — timer re-arms, packet deliveries and link drains, grant
+   callbacks, all within a few RTTs — insert and cancel in O(1) wheel
+   slots, while far-future events overflow into a heap and migrate
+   forward as the wheel turns.  The wheel's pop order is exactly the
+   (time, seq) order of a single heap over the same keys.
 
    The callback is stored directly as the wheel entry's value — no event
    record between the queue entry and the closure, so the pop path
@@ -311,6 +311,10 @@ let cancel t h =
 
 let reserve_stamp t = Wheel.reserve_seq t.queue
 let current_stamp t = t.cur_stamp
+
+let post_stamped t when_ ~stamp fn =
+  check_future t ~what:"post_stamped" when_;
+  Wheel.rekey t.queue (take_entry t fn) ~time:when_ ~seq:stamp
 
 (* The lazy re-arm behind {!Timer}.  The handle's entry, if still queued
    (live, or cancelled and not yet surfaced), is made live again running

@@ -63,13 +63,15 @@ val unscheduled : unit -> handle
 
     Every schedule takes the next FIFO stamp at the moment it is made.
     An owner may instead take the stamp now ({!reserve_stamp}) and queue
-    with it later ({!rearm}): the event then orders among same-time
-    events exactly as if it had been queued when the stamp was taken.
-    This is how a {!Timer} defers queue work without changing pop
-    order. *)
+    with it later ({!rearm}, {!post_stamped}): the event then orders
+    among same-time events exactly as if it had been queued when the
+    stamp was taken.  This is how a {!Timer} defers queue work without
+    changing pop order, and how a link queues the end of a transmission
+    only when a later packet needs it. *)
 
 val reserve_stamp : t -> int
-(** Take the next FIFO stamp now, for a later {!rearm}. *)
+(** Take the next FIFO stamp now, for a later {!rearm} or
+    {!post_stamped}. *)
 
 val current_stamp : t -> int
 (** The stamp of the event being dispatched, or of the last one
@@ -77,6 +79,13 @@ val current_stamp : t -> int
     event at or before {!now} has then had its turn).  An event keyed
     [(time, stamp)] has had its turn iff [time < now t], or
     [time = now t] and [stamp <= current_stamp t]. *)
+
+val post_stamped : t -> Time.t -> stamp:int -> (unit -> unit) -> unit
+(** [post_stamped t when_ ~stamp f] queues [f] at exactly [(when_, stamp)]
+    in a pooled entry, with no handle: the event pops where one {!post}ed
+    when [stamp] was taken would pop.  [stamp] must come from
+    {!reserve_stamp} and name at most one queued event.  Raises
+    [Invalid_argument] if [when_] is in the past. *)
 
 val rearm : t -> handle -> Time.t -> stamp:int -> (unit -> unit) -> unit
 (** [rearm t h when_ ~stamp f] makes [h] name a live event running [f]

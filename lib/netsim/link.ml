@@ -23,7 +23,6 @@ type t = {
   mutable reorder : (float * Time.span) option; (* probability, extra delay *)
   rng : Rng.t option;
   sink : Packet.t -> unit;
-  mutable busy : bool;
   mutable up : bool;
   mutable extra_delay : Time.span;
   mutable jitter : Time.span;
@@ -41,10 +40,26 @@ type t = {
      division for every packet *)
   mutable tx_cache_size : int;
   mutable tx_cache_time : Time.span;
-  (* the packet on the wire and a propagation FIFO let one pre-allocated
-     closure pair drive every transmission, instead of two fresh closures
-     per packet; the FIFO is a ring, so it links no packet to the next *)
+  (* The transmitter.  [(busy_until, tx_stamp)] keys the end of the last
+     transmission, whether or not an event is queued there: the link is
+     serializing until that key has had its turn.  A link without jitter
+     or reorder puts a packet on the wire when its transmission starts —
+     it joins [in_flight] and its delivery is posted at once — and queues
+     the end of transmission (the drain, [finish_fn]) only when a packet
+     waits behind it.  A link with jitter or reorder holds the packet in
+     [txing] and always queues the drain, which decides its propagation.
+     One pre-allocated closure pair drives every transmission; the
+     propagation FIFO is a ring, so it links no packet to the next. *)
+  mutable busy_until : Time.t;
+  mutable tx_stamp : int;
+  mutable drain_queued : bool;
   mutable txing : Packet.t; (* [Packet.dummy]: none *)
+  (* delivery stamp of the packet put on the wire at its transmission
+     start, while it may still be serializing; -1: none *)
+  mutable wire_stamp : int;
+  (* stamps of posted deliveries that must pop nothing: a delay change
+     took their packet back off the wire before it finished serializing *)
+  mutable void_stamps : int list;
   in_flight : Packet.t Byte_queue.t;
   (* delivery events already scheduled for packets that a link-down flushed
      from [in_flight]; those events must pop nothing when they surface *)
@@ -98,16 +113,63 @@ let prop_delay t =
   | j, Some rng when j > 0 -> base + Rng.uniform_span rng j
   | _ -> base
 
+(* the end of the last transmission has not had its turn yet *)
+let serializing t =
+  let now = Engine.now t.engine in
+  now < t.busy_until || (now = t.busy_until && Engine.current_stamp t.engine < t.tx_stamp)
+
+let queue_drain t =
+  if not t.drain_queued then begin
+    t.drain_queued <- true;
+    Engine.post_stamped t.engine t.busy_until ~stamp:t.tx_stamp t.finish_fn
+  end
+
 let start_transmission t =
-  if not t.up then t.busy <- false
-  else
+  if t.up then begin
     let pkt = t.qdisc.Queue_disc.dequeue () in
-    if pkt == Packet.dummy then t.busy <- false
-    else begin
-      t.busy <- true;
-      t.txing <- pkt;
-      Engine.post t.engine (tx_time t pkt) t.finish_fn
+    if pkt != Packet.dummy then begin
+      t.busy_until <- Engine.now t.engine + tx_time t pkt;
+      t.tx_stamp <- Engine.reserve_stamp t.engine;
+      match t.reorder with
+      | None when t.jitter = 0 ->
+          (* the delivery takes its FIFO stamp now, not at the finish *)
+          let stamp = Engine.reserve_stamp t.engine in
+          t.wire_stamp <- stamp;
+          Byte_queue.push t.in_flight ~size:pkt.Packet.size pkt;
+          Engine.post_stamped t.engine (t.busy_until + prop_delay t) ~stamp t.deliver_fn;
+          if t.qdisc.Queue_disc.len () > 0 then queue_drain t
+      | _ ->
+          t.wire_stamp <- -1;
+          t.txing <- pkt;
+          queue_drain t
     end
+  end
+
+(* Take the packet that went on the wire at its transmission start, if it
+   is still serializing, back into [txing] and void its posted delivery:
+   the drain then gives it the propagation in force at the finish, as
+   the jitter path does.  [true] if there was one. *)
+let recall t =
+  t.wire_stamp >= 0
+  && serializing t
+  && begin
+       t.void_stamps <- t.wire_stamp :: t.void_stamps;
+       t.wire_stamp <- -1;
+       t.txing <- Byte_queue.take_last t.in_flight;
+       true
+     end
+
+(* a delivery event whose packet was recalled: forget its stamp *)
+let voided t =
+  match t.void_stamps with
+  | [] -> false
+  | stamps ->
+      let s = Engine.current_stamp t.engine in
+      List.mem s stamps
+      && begin
+           t.void_stamps <- List.filter (fun v -> v <> s) stamps;
+           true
+         end
 
 let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~sink () =
   if Float.is_nan bandwidth_bps || bandwidth_bps <= 0. then
@@ -135,7 +197,6 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
       reorder;
       rng;
       sink;
-      busy = false;
       up = true;
       extra_delay = 0;
       jitter = 0;
@@ -148,7 +209,12 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
       down_drops = 0;
       tx_cache_size = -1;
       tx_cache_time = 0;
+      busy_until = min_int;
+      tx_stamp = -1;
+      drain_queued = false;
       txing = Packet.dummy;
+      wire_stamp = -1;
+      void_stamps = [];
       in_flight = Byte_queue.create ~dummy:Packet.dummy ();
       stale_deliveries = 0;
       finish_fn = ignore;
@@ -158,16 +224,17 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
   t.deliver_fn <-
     Engine.prof_tag engine ~cat:"net"
     @@ (fun () ->
-      if t.stale_deliveries > 0 then t.stale_deliveries <- t.stale_deliveries - 1
+      if voided t then ()
+      else if t.stale_deliveries > 0 then t.stale_deliveries <- t.stale_deliveries - 1
       else deliver t (Byte_queue.take t.in_flight));
   t.finish_fn <-
     Engine.prof_tag engine ~cat:"net"
     @@ (fun () ->
+      t.drain_queued <- false;
       let pkt = t.txing in
-      if pkt == Packet.dummy then
-        (* the packet under serialization was killed by a link-down *)
-        if t.up then start_transmission t else t.busy <- false
-      else begin
+      (* [Packet.dummy]: the packet is already on the wire, or a link-down
+         killed it *)
+      if pkt != Packet.dummy then begin
         t.txing <- Packet.dummy;
         (* Dummynet-style reordering: with probability p a packet takes a
            detour of [extra] additional propagation delay, letting later
@@ -186,9 +253,9 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
           ignore
             (Engine.schedule_after t.engine
                (prop_delay t + extra)
-               (fun () -> if t.up then deliver t pkt else drop_down t pkt));
-        start_transmission t
-      end);
+               (fun () -> if t.up then deliver t pkt else drop_down t pkt))
+      end;
+      start_transmission t);
   t
 
 let send t pkt =
@@ -210,7 +277,7 @@ let send t pkt =
       | Queue_disc.Dropped -> note_drop t Queue pkt
       | Queue_disc.Enqueued ->
           t.enqueued_pkts <- t.enqueued_pkts + 1;
-          if not t.busy then start_transmission t
+          if serializing t then queue_drain t else start_transmission t
     end
   end
 
@@ -235,7 +302,8 @@ let up t = t.up
 let take_down t =
   if t.up then begin
     t.up <- false;
-    (* the packet being serialized dies on the wire *)
+    (* the packet being serialized dies first, then those ahead of it *)
+    ignore (recall t);
     let pkt = t.txing in
     if pkt != Packet.dummy then begin
       t.txing <- Packet.dummy;
@@ -253,16 +321,19 @@ let take_down t =
 let bring_up t =
   if not t.up then begin
     t.up <- true;
-    if not t.busy then start_transmission t
+    (* while serializing, a queued packet has had the drain queued *)
+    if not (serializing t) then start_transmission t
   end
 
 let set_extra_delay t d =
   if d < 0 then invalid_arg "Link.set_extra_delay: negative delay";
+  if recall t then queue_drain t;
   t.extra_delay <- d
 
 let set_jitter t j =
   if j < 0 then invalid_arg "Link.set_jitter: negative jitter";
   if j > 0 && t.rng = None then invalid_arg "Link.set_jitter: jitter needs an rng";
+  if recall t then queue_drain t;
   t.jitter <- j
 
 let qdisc t = t.qdisc
@@ -291,4 +362,4 @@ let stats t =
     ecn_marks = t.qdisc.Queue_disc.marks ();
   }
 
-let busy t = t.busy
+let busy t = serializing t

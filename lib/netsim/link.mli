@@ -3,7 +3,10 @@
     A link serializes packets at its bandwidth, holds them in a queueing
     discipline while the transmitter is busy, applies an optional channel
     loss process (the Dummynet knob used throughout the paper's testbed),
-    and delivers each packet to its sink after a propagation delay.
+    and delivers each packet to its sink after a propagation delay.  A
+    link without jitter or reorder posts each delivery when the packet's
+    transmission starts, stamped then among same-time events, and queues
+    no event for the end of a transmission no packet waits behind.
 
     Bandwidth may be changed at runtime ({!set_bandwidth}): this is how the
     adaptation experiments (Figs. 8–10) emulate a wide-area path whose
@@ -85,13 +88,15 @@ val bring_up : t -> unit
 (** Restore a failed link and resume draining the queue.  Idempotent. *)
 
 val set_extra_delay : t -> Time.span -> unit
-(** Add [d] to the propagation delay of packets subsequently entering the
-    wire (a fault-injected delay spike); 0 clears it. *)
+(** Add [d] to the propagation delay of packets that finish serializing
+    from now on, the one being serialized included (a fault-injected
+    delay spike); 0 clears it. *)
 
 val set_jitter : t -> Time.span -> unit
-(** Add a per-packet uniform random delay in \[0,[j]) to propagation
-    (needs the link's [rng]); 0 clears it.  Delivery times vary but packet
-    order stays FIFO. *)
+(** Add a per-packet uniform random delay in \[0,[j]) to the propagation
+    of packets that finish serializing from now on (needs the link's
+    [rng]); 0 clears it.  Delivery times vary but packet order stays
+    FIFO. *)
 
 val attach_telemetry : t -> name:string -> Telemetry.t -> unit
 (** Wire this link into a telemetry instance: queue depth/bytes, per-cause
@@ -110,4 +115,6 @@ val stats : t -> stats
 (** Snapshot of the counters. *)
 
 val busy : t -> bool
-(** Whether a packet is currently being serialized. *)
+(** Whether the transmitter is serializing: from a transmission's start
+    until its end has had its turn among same-time events, also when a
+    {!take_down} killed the packet. *)

@@ -465,9 +465,16 @@ let rec arm_persist t =
 and on_persist t =
   if t.state <> Closed && window_stalled t then begin
     t.persist_backoff <- t.persist_backoff + 1;
-    (* window probe: one byte of real data past the advertised window *)
+    (* window probe: one byte of real data past the advertised window.  A
+       closed receiver drops it, so it is not taken as in flight (BSD's
+       persist state): [snd_nxt] stays put, no retransmission timer or
+       RTT sample starts, the CM is not charged, and the persist timer
+       alone repeats it.  An ack covering it (the window had reopened)
+       pulls [snd_nxt] forward. *)
     emit_data t ~seq:t.snd_nxt ~len:1 ~fin:false ~retransmission:false;
-    (match t.cc with Cc_cm cc -> note_tx cc 1 | Cc_native _ -> ());
+    t.snd_nxt <- t.snd_una;
+    karn_invalidate t;
+    rto_restart_or_stop t;
     arm_persist t
   end
   else t.persist_backoff <- 0

@@ -60,6 +60,15 @@ let take t =
   release t;
   v
 
+let take_last t =
+  if t.len = 0 then invalid_arg "Byte_queue.take_last: empty queue";
+  let i = (t.head + t.len - 1) land (Array.length t.items - 1) in
+  let v = t.items.(i) in
+  t.items.(i) <- t.dummy;
+  t.len <- t.len - 1;
+  t.bytes <- t.bytes - t.sizes.(i);
+  v
+
 let peek t = if t.len = 0 then None else Some t.items.(t.head)
 
 let drop_head t =

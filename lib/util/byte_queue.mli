@@ -41,6 +41,11 @@ val take : 'a t -> 'a
     non-empty, with no option box: the per-packet form of {!pop}.
     Raises [Invalid_argument] on an empty queue. *)
 
+val take_last : 'a t -> 'a
+(** Remove and return the tail element (the one pushed last) of a queue
+    the caller knows is non-empty.  Raises [Invalid_argument] on an empty
+    queue. *)
+
 val peek : 'a t -> 'a option
 (** Head element without removing it. *)
 

@@ -302,6 +302,354 @@ let test_link_probability_validation () =
   Link.set_loss_rate l 0.;
   "boundary values accepted" => true
 
+(* ---- Lazy transmission ---------------------------------------------------- *)
+
+(* 100-byte packets (wire size) at 8 Gbit/s: 100 ns of serialization *)
+let ns_link ?(limit = 100) e sink =
+  Link.create e ~bandwidth_bps:8e9 ~delay:50
+    ~qdisc:(Queue_disc.droptail ~limit_pkts:limit ())
+    ~sink ()
+
+let pkt100 () = mk_pkt ~bytes:(100 - Packet.header_bytes) ()
+
+(* Sends made before the first [run] serialize back to back.  The first
+   packet goes on the wire at once, so only its delivery is queued; the
+   second queues the drain behind it, and the third finds it queued. *)
+let test_lazy_back_to_back_before_run () =
+  let e = Engine.create () in
+  let arrivals = ref [] in
+  let link = ns_link e (fun p -> arrivals := (Engine.now e, p.Packet.id) :: !arrivals) in
+  let pkts = List.init 3 (fun _ -> pkt100 ()) in
+  let pending = List.map (fun p -> Link.send link p; Engine.pending e) pkts in
+  Alcotest.(check (list int)) "events queued after each send" [ 1; 2; 2 ] pending;
+  "busy before run" => Link.busy link;
+  Engine.run e;
+  Alcotest.(check (list (pair int int))) "deliveries"
+    (List.mapi (fun i p -> ((100 * (i + 1)) + 50, p.Packet.id)) pkts)
+    (List.rev !arrivals);
+  "idle after run" => not (Link.busy link)
+
+(* An arrival at exactly the end of a transmission sees the transmitter
+   as an eager link would: busy if its event was queued before the
+   transmission started (its FIFO stamp is older than the finish's), idle
+   if after.  With a one-packet buffer, the early pair admits one packet
+   and drops the other; the late pair finds the transmitter free, so
+   both are admitted. *)
+let test_lazy_send_at_busy_until () =
+  List.iter
+    (fun (early, drops, busy_seen) ->
+      let e = Engine.create () in
+      let link = ns_link ~limit:1 e ignore in
+      let seen = ref [] in
+      let arrive () =
+        seen := Link.busy link :: !seen;
+        Link.send link (pkt100 ())
+      in
+      let at_finish () =
+        ignore (Engine.schedule_at e 100 arrive);
+        ignore (Engine.schedule_at e 100 arrive)
+      in
+      if early then at_finish ();
+      ignore
+        (Engine.schedule_at e 0 (fun () ->
+             Link.send link (pkt100 ());
+             if not early then at_finish ()));
+      Engine.run e;
+      let case = if early then "queued before the start" else "queued after the start" in
+      Alcotest.(check (list bool)) (case ^ ": busy as seen") busy_seen (List.rev !seen);
+      Alcotest.(check int) (case ^ ": queue drops") drops (Link.stats link).Link.queue_drops;
+      Alcotest.(check int)
+        (case ^ ": delivered")
+        (3 - drops)
+        (Link.stats link).Link.delivered_pkts)
+    [ (true, 1, [ true; true ]); (false, 0, [ false; true ]) ]
+
+(* [busy] holds from a transmission's start until its end has had its
+   turn, also when a link-down killed the packet on the wire. *)
+let test_lazy_busy () =
+  let e = Engine.create () in
+  let link = ns_link e ignore in
+  "idle at creation" => not (Link.busy link);
+  Link.send link (pkt100 ());
+  "busy at start" => Link.busy link;
+  Engine.run ~until:99 e;
+  "busy before the end" => Link.busy link;
+  Engine.run ~until:100 e;
+  "idle once the end passed" => not (Link.busy link);
+  ignore
+    (Engine.schedule_at e 200 (fun () ->
+         Link.send link (pkt100 ());
+         Link.take_down link));
+  Engine.run ~until:250 e;
+  "a killed packet holds the transmitter" => Link.busy link;
+  Engine.run ~until:300 e;
+  "until its end" => not (Link.busy link);
+  Alcotest.(check int) "killed packet counted down" 1 (Link.stats link).Link.down_drops;
+  Alcotest.(check int) "first packet delivered" 1 (Link.stats link).Link.delivered_pkts
+
+(* The reference for the lazy link: a link that queues an event at the
+   end of every transmission and decides the packet's propagation there
+   (delay, extra delay and jitter in force at the finish).  The one rule
+   it shares with the lazy link: a packet whose transmission starts with
+   no jitter takes its delivery's FIFO stamp at that start, unless a
+   delay setting changes while it serializes. *)
+module Eager_link = struct
+  type t = {
+    e : Engine.t;
+    mutable bw : float;
+    delay : Time.span;
+    qdisc : Queue_disc.t;
+    rng : Rng.t;
+    sink : Packet.t -> unit;
+    drop : string -> Packet.t -> unit;
+    mutable busy : bool;
+    mutable up : bool;
+    mutable extra : Time.span;
+    mutable jitter : Time.span;
+    mutable txing : Packet.t;
+    mutable dstamp : int;
+    in_flight : Packet.t Queue.t;
+    mutable stale : int;
+  }
+
+  let create e ~bw ~delay ~qdisc ~rng ~sink ~drop =
+    {
+      e;
+      bw;
+      delay;
+      qdisc;
+      rng;
+      sink;
+      drop;
+      busy = false;
+      up = true;
+      extra = 0;
+      jitter = 0;
+      txing = Packet.dummy;
+      dstamp = -1;
+      in_flight = Queue.create ();
+      stale = 0;
+    }
+
+  let deliver t () =
+    if t.stale > 0 then t.stale <- t.stale - 1 else t.sink (Queue.pop t.in_flight)
+
+  let rec start t =
+    let pkt = if t.up then t.qdisc.Queue_disc.dequeue () else Packet.dummy in
+    if pkt == Packet.dummy then t.busy <- false
+    else begin
+      t.busy <- true;
+      t.txing <- pkt;
+      Engine.post t.e (Time.sec (float_of_int (pkt.Packet.size * 8) /. t.bw)) (fun () -> finish t);
+      t.dstamp <- (if t.jitter = 0 then Engine.reserve_stamp t.e else -1)
+    end
+
+  and finish t =
+    let pkt = t.txing in
+    if pkt != Packet.dummy then begin
+      t.txing <- Packet.dummy;
+      let prop = t.delay + t.extra + Rng.uniform_span t.rng t.jitter in
+      Queue.push pkt t.in_flight;
+      if t.dstamp >= 0 then
+        Engine.post_stamped t.e (Engine.now t.e + prop) ~stamp:t.dstamp (deliver t)
+      else Engine.post t.e prop (deliver t)
+    end;
+    start t
+
+  let send t pkt =
+    if not t.up then t.drop "down" pkt
+    else
+      match t.qdisc.Queue_disc.enqueue pkt with
+      | Queue_disc.Dropped -> t.drop "queue" pkt
+      | Queue_disc.Enqueued -> if not t.busy then start t
+
+  let take_down t =
+    if t.up then begin
+      t.up <- false;
+      if t.txing != Packet.dummy then begin
+        t.drop "down" t.txing;
+        t.txing <- Packet.dummy
+      end;
+      t.stale <- t.stale + Queue.length t.in_flight;
+      Queue.iter (t.drop "down") t.in_flight;
+      Queue.clear t.in_flight
+    end
+
+  let bring_up t =
+    if not t.up then begin
+      t.up <- true;
+      if not t.busy then start t
+    end
+
+  let set_delay_setting t f =
+    if t.txing != Packet.dummy then t.dstamp <- -1;
+    f ()
+end
+
+type link_op =
+  | L_send of int (* wire size, in hundreds of bytes *)
+  | L_down
+  | L_up
+  | L_bw of float
+  | L_extra of Time.span
+  | L_jitter of Time.span
+  | L_noise
+
+(* An op runs at [at] x 100 ns.  An [early] one is queued before the run
+   starts, so its FIFO stamp is older than any transmission's; a late one
+   is queued by a relay event [lag] x 100 ns earlier, after whatever
+   transmissions started by then. *)
+type link_step = { at : int; early : bool; lag : int; op : link_op }
+
+type link_ops = {
+  l_send : Packet.t -> unit;
+  l_down : unit -> unit;
+  l_up : unit -> unit;
+  l_bw : float -> unit;
+  l_extra : Time.span -> unit;
+  l_jitter : Time.span -> unit;
+  l_busy : unit -> bool;
+}
+
+(* The whole script's log, in event order: busy readings, deliveries and
+   noise events as (time, tag); drops as (time, cause, packet). *)
+let run_link_script mk (script : link_step list) pkts =
+  let e = Engine.create () in
+  let log = ref [] and drops = ref [] in
+  let record tag = log := (Engine.now e, tag) :: !log in
+  let sink (p : Packet.t) = record (Printf.sprintf "D%d" p.Packet.id) in
+  let drop cause (p : Packet.t) = drops := (Engine.now e, cause, p.Packet.id) :: !drops in
+  let l, lib_drops = mk e ~sink ~drop in
+  let exec k op =
+    record (Printf.sprintf "%d:%b" k (l.l_busy ()));
+    match op with
+    | L_send _ -> l.l_send pkts.(k)
+    | L_down -> l.l_down ()
+    | L_up -> l.l_up ()
+    | L_bw b -> l.l_bw b
+    | L_extra d -> l.l_extra d
+    | L_jitter j -> l.l_jitter j
+    | L_noise -> ()
+  in
+  List.iteri
+    (fun k { at; early; lag; op } ->
+      let at = at * 100 in
+      if early then ignore (Engine.schedule_at e at (fun () -> exec k op))
+      else
+        ignore
+          (Engine.schedule_at e (Stdlib.max 0 (at - (lag * 100))) (fun () ->
+               ignore (Engine.schedule_at e at (fun () -> exec k op)))))
+    script;
+  Engine.run e;
+  let drops = match lib_drops with Some read -> read () | None -> List.rev !drops in
+  (List.rev !log, drops)
+
+let lib_link e ~sink ~drop:_ =
+  let tel = Telemetry.create e () in
+  Telemetry.stop tel;
+  let link =
+    Link.create e ~bandwidth_bps:8e9 ~delay:100
+      ~qdisc:(Queue_disc.droptail ~limit_pkts:3 ())
+      ~rng:(Rng.create ~seed:7) ~sink ()
+  in
+  Link.attach_telemetry link ~name:"l" tel;
+  let drops () =
+    List.filter_map
+      (fun (ev : Telemetry.Trace.event) ->
+        match (List.assoc_opt "cause" ev.args, List.assoc_opt "packet" ev.args) with
+        | Some (Telemetry.Trace.Str cause), Some (Telemetry.Trace.Int id) when ev.name = "link.drop"
+          ->
+            Some (ev.ts, cause, id)
+        | _ -> None)
+      (Telemetry.Trace.events (Telemetry.trace tel))
+  in
+  ( {
+      l_send = Link.send link;
+      l_down = (fun () -> Link.take_down link);
+      l_up = (fun () -> Link.bring_up link);
+      l_bw = Link.set_bandwidth link;
+      l_extra = Link.set_extra_delay link;
+      l_jitter = Link.set_jitter link;
+      l_busy = (fun () -> Link.busy link);
+    },
+    Some drops )
+
+let eager_link e ~sink ~drop =
+  let t =
+    Eager_link.create e ~bw:8e9 ~delay:100
+      ~qdisc:(Queue_disc.droptail ~limit_pkts:3 ())
+      ~rng:(Rng.create ~seed:7) ~sink ~drop
+  in
+  ( {
+      l_send = Eager_link.send t;
+      l_down = (fun () -> Eager_link.take_down t);
+      l_up = (fun () -> Eager_link.bring_up t);
+      l_bw = (fun b -> t.Eager_link.bw <- b);
+      l_extra = (fun d -> Eager_link.set_delay_setting t (fun () -> t.Eager_link.extra <- d));
+      l_jitter = (fun j -> Eager_link.set_delay_setting t (fun () -> t.Eager_link.jitter <- j));
+      l_busy = (fun () -> t.Eager_link.busy);
+    },
+    None )
+
+(* Serialization times (100-600 ns), delays and ops sit on a 100 ns grid,
+   so arrivals keep landing on the nanosecond a transmission ends, queued
+   before or after it started, and deliveries tie with ops. *)
+let gen_link_step =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (10, map (fun k -> L_send k) (int_range 1 3));
+        (1, return L_down);
+        (2, return L_up);
+        (1, map (fun b -> L_bw b) (oneofl [ 8e9; 4e9 ]));
+        (2, map (fun d -> L_extra d) (oneofl [ 0; 100; 300 ]));
+        (1, map (fun j -> L_jitter j) (oneofl [ 0; 0; 100 ]));
+        (2, return L_noise);
+      ]
+  in
+  map4
+    (fun at early lag op -> { at; early; lag; op })
+    (int_bound 40) bool (int_bound 3) op
+
+let pp_link_step { at; early; lag; op } =
+  Printf.sprintf "%dns %s %s" (at * 100)
+    (if early then "early" else Printf.sprintf "late(-%dns)" (lag * 100))
+    (match op with
+    | L_send k -> Printf.sprintf "send %dB" (k * 100)
+    | L_down -> "down"
+    | L_up -> "up"
+    | L_bw b -> Printf.sprintf "bw %g" b
+    | L_extra d -> Printf.sprintf "extra %dns" d
+    | L_jitter j -> Printf.sprintf "jitter %dns" j
+    | L_noise -> "noise")
+
+let prop_lazy_link_matches_eager =
+  QCheck.Test.make ~name:"lazy link delivers and drops where the eager one does" ~count:1000
+    (QCheck.make
+       ~print:(fun steps -> String.concat "\n" (List.map pp_link_step steps))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) gen_link_step))
+    (fun script ->
+      let pkts =
+        Array.of_list
+          (List.map
+             (fun { op; _ } ->
+               match op with
+               | L_send k -> mk_pkt ~bytes:((k * 100) - Packet.header_bytes) ()
+               | _ -> Packet.dummy)
+             script)
+      in
+      let lazy_log, lazy_drops = run_link_script lib_link script pkts in
+      let eager_log, eager_drops = run_link_script eager_link script pkts in
+      let show log = String.concat " " (List.map (fun (t, l) -> Printf.sprintf "%s@%d" l t) log) in
+      let show_drops ds =
+        String.concat " " (List.map (fun (t, c, id) -> Printf.sprintf "%s#%d@%d" c id t) ds)
+      in
+      (lazy_log = eager_log && lazy_drops = eager_drops)
+      || QCheck.Test.fail_reportf "lazy:  %s\n       %s\neager: %s\n       %s" (show lazy_log)
+           (show_drops lazy_drops) (show eager_log) (show_drops eager_drops))
+
 (* ---- Cpu ------------------------------------------------------------------ *)
 
 let test_cpu_serializes () =
@@ -544,6 +892,11 @@ let () =
           Alcotest.test_case "reordering" `Quick test_link_reordering;
           Alcotest.test_case "probability validation" `Quick test_link_probability_validation;
           Alcotest.test_case "drop causes traced" `Quick test_link_drop_causes_traced;
+          Alcotest.test_case "back-to-back sends before run" `Quick
+            test_lazy_back_to_back_before_run;
+          Alcotest.test_case "send at exactly busy_until" `Quick test_lazy_send_at_busy_until;
+          Alcotest.test_case "busy" `Quick test_lazy_busy;
+          QCheck_alcotest.to_alcotest prop_lazy_link_matches_eager;
         ] );
       ( "cpu",
         [

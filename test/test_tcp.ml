@@ -496,6 +496,69 @@ let test_zero_window_and_persist () =
   Engine.run_for h.engine (Time.sec 20.);
   Alcotest.(check int) "transfer completed after reopening" 100_000 h.delivered
 
+(* A reader that takes nothing for 30 s behind a window of exactly ten
+   segments: the window closes with nothing in flight.  The sender must
+   sit it out probing, with no timeout, no retransmission and no window
+   cut, and CM-driven TCP must report no loss to the CM (a persistent
+   report would collapse the shared macroflow for every flow to the
+   host).  Opening the tap then completes the transfer. *)
+let closed_window_run ~cm =
+  let engine = Engine.create () in
+  let net = Build.pipe ~rng:(Rng.create ~seed:5) engine (Spec.pipe ~bw:1e7 ~lat:(Time.ms 10) ()) in
+  let tel = Telemetry.create engine () in
+  Telemetry.stop tel;
+  let driver =
+    if cm then begin
+      let c = Cm.create engine ~mtu:1448 () in
+      Cm.attach c net.Build.a;
+      Cm.attach_telemetry c tel;
+      Tcp.Conn.Cm_driven c
+    end
+    else Tcp.Conn.Native
+  in
+  let config = { Tcp.Conn.default_config with Tcp.Conn.rwnd = 10 * 1448 } in
+  let server = ref None and delivered = ref 0 and probes = ref 0 in
+  Host.add_tx_hook net.Build.a (fun pkt ->
+      match pkt.Packet.payload with
+      | Tcp.Segment.Tcp_seg seg when seg.Tcp.Segment.len = 1 -> incr probes
+      | _ -> ());
+  let _listener =
+    Tcp.Conn.listen net.Build.b ~port:80 ~config
+      ~on_accept:(fun s ->
+        server := Some s;
+        Tcp.Conn.on_receive s (fun n -> delivered := !delivered + n))
+      ()
+  in
+  let c = Tcp.Conn.connect net.Build.a ~dst ~driver ~config () in
+  Engine.run_for engine (Time.ms 200);
+  let s = match !server with Some s -> s | None -> Alcotest.fail "no server connection" in
+  Tcp.Conn.set_consume_rate s (Some 0.);
+  Tcp.Conn.send c 100_000;
+  Engine.run_for engine (Time.sec 1.);
+  let cwnd_closed = Tcp.Conn.cwnd c in
+  Engine.run_for engine (Time.sec 29.);
+  let name = if cm then "cm-driven" else "native" in
+  let st = Tcp.Conn.stats c in
+  Alcotest.(check int) (name ^ ": window full") (10 * 1448) (Tcp.Conn.receive_buffered s);
+  Alcotest.(check int) (name ^ ": timeouts") 0 st.Tcp.Conn.timeouts;
+  Alcotest.(check int) (name ^ ": retransmits") 0 st.Tcp.Conn.retransmits;
+  Alcotest.(check int) (name ^ ": fast retransmits") 0 st.Tcp.Conn.fast_retransmits;
+  Alcotest.(check int) (name ^ ": cwnd kept") cwnd_closed (Tcp.Conn.cwnd c);
+  (name ^ ": the persist timer kept probing") => (!probes >= 5);
+  let congestion =
+    List.filter
+      (fun (ev : Telemetry.Trace.event) -> ev.name = "cm.congestion")
+      (Telemetry.Trace.events (Telemetry.trace tel))
+  in
+  Alcotest.(check int) (name ^ ": loss reports to the CM") 0 (List.length congestion);
+  Tcp.Conn.set_consume_rate s (Some 1e6);
+  Engine.run_for engine (Time.sec 10.);
+  Alcotest.(check int) (name ^ ": transfer completed after reopening") 100_000 !delivered
+
+let test_closed_window_no_timeout () =
+  closed_window_run ~cm:false;
+  closed_window_run ~cm:true
+
 let test_consume_rate_none_flushes () =
   let config = { Tcp.Conn.default_config with Tcp.Conn.rwnd = 50_000 } in
   let h = make ~config () in
@@ -749,7 +812,9 @@ let test_connect_words_cm () =
 (* One connection through every lazily built timer: a zero window (the
    persist timer), a finite consumer (the consume timer) and an active
    close (TIME_WAIT).  The segment log, the probe times and the close
-   times are pinned to the values eagerly built timers gave. *)
+   times are pinned: the close times are those eagerly built timers
+   gave, and the probes back off from 400 ms, doubling, with no
+   retransmission timeout between them. *)
 let lazy_timer_run ~cm =
   let engine = Engine.create () in
   let net =
@@ -817,10 +882,10 @@ let test_lazy_timers_pinned () =
       [ ("server", 12_220_092_800); ("client", 14_210_046_400) ]
       closed
   in
-  check "native" ~cm:false ~segs:106 ~digest:"6b310743aeb4c260d2903f1ccb9e81d0"
-    ~probes:[ 467_368_000 ];
-  check "cm-driven" ~cm:true ~segs:107 ~digest:"2bbeea5d5148654b8d6dcbcede43a46f"
-    ~probes:[ 487_414_400; 887_414_400; 2_487_414_400 ]
+  check "native" ~cm:false ~segs:105 ~digest:"d0fa0e81fbfe29d91c9a41b836cb1ac5"
+    ~probes:[ 467_368_000; 867_368_000; 1_667_368_000; 3_267_368_000; 6_467_368_000 ];
+  check "cm-driven" ~cm:true ~segs:114 ~digest:"b037b269662f7a18bf996050685176fe"
+    ~probes:[ 487_414_400; 887_414_400; 1_687_414_400; 3_287_414_400; 6_487_414_400 ]
 
 let () =
   Alcotest.run "tcp"
@@ -863,6 +928,8 @@ let () =
           Alcotest.test_case "slow consumer throttles" `Quick test_slow_consumer_throttles_sender;
           Alcotest.test_case "zero window + persist" `Quick test_zero_window_and_persist;
           Alcotest.test_case "infinite consumer flushes" `Quick test_consume_rate_none_flushes;
+          Alcotest.test_case "closed window: no timeout, no loss report" `Quick
+            test_closed_window_no_timeout;
         ] );
       ( "properties",
         [

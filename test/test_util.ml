@@ -535,19 +535,21 @@ let prop_byte_queue_conserves =
       drain ();
       ok1 && !popped = total && Byte_queue.bytes q = 0)
 
-type bq_op = Push of int | Pop | Drop | Peek | Clear
+type bq_op = Push of int | Pop | Drop | Last | Peek | Clear
 
 let show_bq_op = function
   | Push s -> Printf.sprintf "push %d" s
   | Pop -> "pop"
   | Drop -> "drop_head"
+  | Last -> "take_last"
   | Peek -> "peek"
   | Clear -> "clear"
 
 (* Model-based randomized test against a list: pushes outweigh removals,
    so sequences grow the ring through several doublings while pops keep
-   moving the head, and the live run wraps around the array end; a rare
-   clear restarts from an empty ring that keeps its storage.  After
+   moving the head, and the live run wraps around the array end at both
+   ends (pops and tail removals); a rare clear restarts from an empty
+   ring that keeps its storage.  After
    every step, [iter] must list the model's elements in order (each
    element is a fresh counter value, so order mistakes show). *)
 let prop_byte_queue_model =
@@ -558,6 +560,7 @@ let prop_byte_queue_model =
           (100, map (fun s -> Push s) (int_bound 1500));
           (48, return Pop);
           (24, return Drop);
+          (12, return Last);
           (16, return Peek);
           (1, return Clear);
         ])
@@ -591,6 +594,12 @@ let prop_byte_queue_model =
               let expect = head () in
               if expect <> None then behead ();
               Byte_queue.drop_head q = expect
+          | Last -> (
+              match List.rev !model with
+              | [] -> true
+              | (v, _) :: rest ->
+                  model := List.rev rest;
+                  Byte_queue.take_last q = v)
           | Peek -> Byte_queue.peek q = Option.map fst (head ())
           | Clear ->
               Byte_queue.clear q;
