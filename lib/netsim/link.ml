@@ -20,7 +20,6 @@ type t = {
   qdisc : Queue_disc.t;
   mutable loss_rate : float;
   mutable loss_model : (unit -> bool) option;
-  mutable reorder : (float * Time.span) option; (* probability, extra delay *)
   rng : Rng.t option;
   sink : Packet.t -> unit;
   mutable up : bool;
@@ -42,29 +41,20 @@ type t = {
   mutable tx_cache_time : Time.span;
   (* The transmitter.  [(busy_until, tx_stamp)] keys the end of the last
      transmission, whether or not an event is queued there: the link is
-     serializing until that key has had its turn.  A link without jitter
-     or reorder puts a packet on the wire when its transmission starts —
-     it joins [in_flight] and its delivery is posted at once — and queues
-     the end of transmission (the drain, [finish_fn]) only when a packet
-     waits behind it.  A link with jitter or reorder holds the packet in
-     [txing] and always queues the drain, which decides its propagation.
-     One pre-allocated closure pair drives every transmission; the
+     serializing until that key has had its turn.  A packet goes on the
+     wire when its transmission starts — it joins [in_flight] and its
+     delivery is posted at once — and the end of transmission (the drain,
+     [drain_fn]) is queued only when a packet waits behind it.  One
+     pre-allocated closure pair drives every transmission; the
      propagation FIFO is a ring, so it links no packet to the next. *)
   mutable busy_until : Time.t;
   mutable tx_stamp : int;
   mutable drain_queued : bool;
-  mutable txing : Packet.t; (* [Packet.dummy]: none *)
-  (* delivery stamp of the packet put on the wire at its transmission
-     start, while it may still be serializing; -1: none *)
-  mutable wire_stamp : int;
-  (* stamps of posted deliveries that must pop nothing: a delay change
-     took their packet back off the wire before it finished serializing *)
-  mutable void_stamps : int list;
   in_flight : Packet.t Byte_queue.t;
-  (* delivery events already scheduled for packets that a link-down flushed
-     from [in_flight]; those events must pop nothing when they surface *)
-  mutable stale_deliveries : int;
-  mutable finish_fn : unit -> unit;
+  (* stamp reserved by the last link-down: every delivery posted before
+     it carries a smaller stamp, and its packet died in the outage *)
+  mutable dead_below : int;
+  mutable drain_fn : unit -> unit;
   mutable deliver_fn : unit -> unit;
 }
 
@@ -104,9 +94,9 @@ let drop_down t pkt =
   t.down_drops <- t.down_drops + 1;
   note_drop t Down pkt
 
-(* propagation delay for the next packet entering the wire; the jitter
-   term makes delivery *times* vary but content order stays FIFO (the
-   in-flight queue pops oldest-first whatever the event times) *)
+(* propagation delay of a packet whose transmission starts now; the
+   jitter term makes delivery *times* vary but content order stays FIFO
+   (the in-flight queue pops oldest-first whatever the event times) *)
 let prop_delay t =
   let base = t.delay + t.extra_delay in
   match (t.jitter, t.rng) with
@@ -121,7 +111,7 @@ let serializing t =
 let queue_drain t =
   if not t.drain_queued then begin
     t.drain_queued <- true;
-    Engine.post_stamped t.engine t.busy_until ~stamp:t.tx_stamp t.finish_fn
+    Engine.post_stamped t.engine t.busy_until ~stamp:t.tx_stamp t.drain_fn
   end
 
 let start_transmission t =
@@ -130,61 +120,22 @@ let start_transmission t =
     if pkt != Packet.dummy then begin
       t.busy_until <- Engine.now t.engine + tx_time t pkt;
       t.tx_stamp <- Engine.reserve_stamp t.engine;
-      match t.reorder with
-      | None when t.jitter = 0 ->
-          (* the delivery takes its FIFO stamp now, not at the finish *)
-          let stamp = Engine.reserve_stamp t.engine in
-          t.wire_stamp <- stamp;
-          Byte_queue.push t.in_flight ~size:pkt.Packet.size pkt;
-          Engine.post_stamped t.engine (t.busy_until + prop_delay t) ~stamp t.deliver_fn;
-          if t.qdisc.Queue_disc.len () > 0 then queue_drain t
-      | _ ->
-          t.wire_stamp <- -1;
-          t.txing <- pkt;
-          queue_drain t
+      (* the delivery takes its FIFO stamp now, not at the finish *)
+      let stamp = Engine.reserve_stamp t.engine in
+      Byte_queue.push t.in_flight ~size:pkt.Packet.size pkt;
+      Engine.post_stamped t.engine (t.busy_until + prop_delay t) ~stamp t.deliver_fn;
+      if t.qdisc.Queue_disc.len () > 0 then queue_drain t
     end
   end
 
-(* Take the packet that went on the wire at its transmission start, if it
-   is still serializing, back into [txing] and void its posted delivery:
-   the drain then gives it the propagation in force at the finish, as
-   the jitter path does.  [true] if there was one. *)
-let recall t =
-  t.wire_stamp >= 0
-  && serializing t
-  && begin
-       t.void_stamps <- t.wire_stamp :: t.void_stamps;
-       t.wire_stamp <- -1;
-       t.txing <- Byte_queue.take_last t.in_flight;
-       true
-     end
-
-(* a delivery event whose packet was recalled: forget its stamp *)
-let voided t =
-  match t.void_stamps with
-  | [] -> false
-  | stamps ->
-      let s = Engine.current_stamp t.engine in
-      List.mem s stamps
-      && begin
-           t.void_stamps <- List.filter (fun v -> v <> s) stamps;
-           true
-         end
-
-let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~sink () =
+let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?rng ~sink () =
   if Float.is_nan bandwidth_bps || bandwidth_bps <= 0. then
     invalid_arg
       (Printf.sprintf "Link.create: bandwidth must be positive (got %g bps)" bandwidth_bps);
   if delay < 0 then
     invalid_arg (Printf.sprintf "Link.create: negative delay (%d ns)" delay);
   check_prob ~what:"Link.create: loss_rate" loss_rate;
-  if (loss_rate > 0. || reorder <> None) && rng = None then
-    invalid_arg "Link.create: loss_rate/reorder need an rng";
-  (match reorder with
-  | Some (p, extra) ->
-      check_prob ~what:"Link.create: reorder probability" p;
-      if extra <= 0 then invalid_arg "Link.create: reorder needs a positive extra delay"
-  | None -> ());
+  if loss_rate > 0. && rng = None then invalid_arg "Link.create: loss_rate needs an rng";
   let qdisc = match qdisc with Some q -> q | None -> Queue_disc.droptail ~limit_pkts:100 () in
   let t =
     {
@@ -194,7 +145,6 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
       qdisc;
       loss_rate;
       loss_model = None;
-      reorder;
       rng;
       sink;
       up = true;
@@ -212,49 +162,21 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?reorder ?rng ~
       busy_until = min_int;
       tx_stamp = -1;
       drain_queued = false;
-      txing = Packet.dummy;
-      wire_stamp = -1;
-      void_stamps = [];
       in_flight = Byte_queue.create ~dummy:Packet.dummy ();
-      stale_deliveries = 0;
-      finish_fn = ignore;
+      dead_below = -1;
+      drain_fn = ignore;
       deliver_fn = ignore;
     }
   in
   t.deliver_fn <-
     Engine.prof_tag engine ~cat:"net"
     @@ (fun () ->
-      if voided t then ()
-      else if t.stale_deliveries > 0 then t.stale_deliveries <- t.stale_deliveries - 1
-      else deliver t (Byte_queue.take t.in_flight));
-  t.finish_fn <-
+      (* a delivery posted before the last link-down pops nothing *)
+      if Engine.current_stamp engine > t.dead_below then deliver t (Byte_queue.take t.in_flight));
+  t.drain_fn <-
     Engine.prof_tag engine ~cat:"net"
     @@ (fun () ->
       t.drain_queued <- false;
-      let pkt = t.txing in
-      (* [Packet.dummy]: the packet is already on the wire, or a link-down
-         killed it *)
-      if pkt != Packet.dummy then begin
-        t.txing <- Packet.dummy;
-        (* Dummynet-style reordering: with probability p a packet takes a
-           detour of [extra] additional propagation delay, letting later
-           packets overtake it *)
-        let extra =
-          match (t.reorder, t.rng) with
-          | Some (p, extra), Some rng when Rng.bernoulli rng p -> extra
-          | _ -> 0
-        in
-        if extra = 0 then begin
-          (* common case: in-order propagation, shared delivery closure *)
-          Byte_queue.push t.in_flight ~size:pkt.Packet.size pkt;
-          Engine.post t.engine (prop_delay t) t.deliver_fn
-        end
-        else
-          ignore
-            (Engine.schedule_after t.engine
-               (prop_delay t + extra)
-               (fun () -> if t.up then deliver t pkt else drop_down t pkt))
-      end;
       start_transmission t);
   t
 
@@ -288,7 +210,6 @@ let set_bandwidth t bw =
   t.tx_cache_size <- -1
 
 let bandwidth t = t.bandwidth_bps
-let delay t = t.delay
 
 let set_loss_rate t r =
   check_prob ~what:"Link.set_loss_rate" r;
@@ -302,16 +223,13 @@ let up t = t.up
 let take_down t =
   if t.up then begin
     t.up <- false;
-    (* the packet being serialized dies first, then those ahead of it *)
-    ignore (recall t);
-    let pkt = t.txing in
-    if pkt != Packet.dummy then begin
-      t.txing <- Packet.dummy;
-      drop_down t pkt
-    end;
-    (* everything in propagation is lost; their delivery events become
-       no-ops when they surface *)
-    t.stale_deliveries <- t.stale_deliveries + Byte_queue.length t.in_flight;
+    (* the packet being serialized (the last one on the wire) dies
+       first, then those ahead of it *)
+    if serializing t && not (Byte_queue.is_empty t.in_flight) then
+      drop_down t (Byte_queue.take_last t.in_flight);
+    (* everything in propagation is lost; the deliveries already posted
+       carry stamps below this one and pop nothing when they surface *)
+    t.dead_below <- Engine.reserve_stamp t.engine;
     Byte_queue.iter (fun pkt -> drop_down t pkt) t.in_flight;
     Byte_queue.clear t.in_flight
     (* queued packets stay queued: a router buffer survives an interface
@@ -327,16 +245,12 @@ let bring_up t =
 
 let set_extra_delay t d =
   if d < 0 then invalid_arg "Link.set_extra_delay: negative delay";
-  if recall t then queue_drain t;
   t.extra_delay <- d
 
 let set_jitter t j =
   if j < 0 then invalid_arg "Link.set_jitter: negative jitter";
   if j > 0 && t.rng = None then invalid_arg "Link.set_jitter: jitter needs an rng";
-  if recall t then queue_drain t;
   t.jitter <- j
-
-let qdisc t = t.qdisc
 
 let attach_telemetry t ~name tel =
   t.trace <- Telemetry.trace tel;

@@ -4,9 +4,10 @@
     discipline while the transmitter is busy, applies an optional channel
     loss process (the Dummynet knob used throughout the paper's testbed),
     and delivers each packet to its sink after a propagation delay.  A
-    link without jitter or reorder posts each delivery when the packet's
-    transmission starts, stamped then among same-time events, and queues
-    no event for the end of a transmission no packet waits behind.
+    packet goes on the wire when its transmission starts: its propagation
+    delay is decided then, and its delivery is posted then, stamped among
+    same-time events at that moment.  The end of a transmission queues an
+    event only when a packet waits behind it.
 
     Bandwidth may be changed at runtime ({!set_bandwidth}): this is how the
     adaptation experiments (Figs. 8–10) emulate a wide-area path whose
@@ -38,7 +39,6 @@ val create :
   delay:Time.span ->
   ?qdisc:Queue_disc.t ->
   ?loss_rate:float ->
-  ?reorder:float * Time.span ->
   ?rng:Rng.t ->
   sink:(Packet.t -> unit) ->
   unit ->
@@ -46,10 +46,7 @@ val create :
 (** [create eng ~bandwidth_bps ~delay ~sink ()] is a link delivering to
     [sink].  Default discipline: 100-packet drop-tail.  [loss_rate] (with
     its [rng]) drops each packet independently with that probability before
-    queueing.  [reorder = (p, extra)] delays each packet by [extra]
-    additional propagation with probability [p], so later packets overtake
-    it (Dummynet-style reordering).  [loss_rate] and the reorder
-    probability must be in \[0,1\] (NaN rejected), else
+    queueing; it must be in \[0,1\] (NaN rejected), else
     [Invalid_argument]. *)
 
 val send : t -> Packet.t -> unit
@@ -61,9 +58,6 @@ val set_bandwidth : t -> float -> unit
 
 val bandwidth : t -> float
 (** Current serialization rate in bits per second. *)
-
-val delay : t -> Time.span
-(** Base propagation delay (excluding any fault-injected extra delay). *)
 
 val set_loss_rate : t -> float -> unit
 (** Change the baseline Bernoulli loss probability (must be in \[0,1\],
@@ -80,23 +74,26 @@ val up : t -> bool
 
 val take_down : t -> unit
 (** Fail the link: the packet under serialization and everything in
-    propagation are dropped (counted in [down_drops]), and packets offered
-    while down are dropped too.  Queued packets survive, like a router
-    buffer behind a dead interface.  Idempotent. *)
+    propagation are dropped (counted in [down_drops]), the one under
+    serialization first and the rest oldest first.  Their deliveries
+    were posted when they started and are already queued; each of them
+    pops nothing.  Packets offered while down are dropped too.  Queued
+    packets survive, like a router buffer behind a dead interface.
+    Idempotent. *)
 
 val bring_up : t -> unit
 (** Restore a failed link and resume draining the queue.  Idempotent. *)
 
 val set_extra_delay : t -> Time.span -> unit
-(** Add [d] to the propagation delay of packets that finish serializing
-    from now on, the one being serialized included (a fault-injected
-    delay spike); 0 clears it. *)
+(** Add [d] to the propagation delay of transmissions that start from now
+    on (a fault-injected delay spike); the packet being serialized keeps
+    the delay it started with.  0 clears it. *)
 
 val set_jitter : t -> Time.span -> unit
 (** Add a per-packet uniform random delay in \[0,[j]) to the propagation
-    of packets that finish serializing from now on (needs the link's
-    [rng]); 0 clears it.  Delivery times vary but packet order stays
-    FIFO. *)
+    of transmissions that start from now on (needs the link's [rng]),
+    drawn when each starts; 0 clears it.  Delivery times vary but packet
+    order stays FIFO. *)
 
 val attach_telemetry : t -> name:string -> Telemetry.t -> unit
 (** Wire this link into a telemetry instance: queue depth/bytes, per-cause
@@ -107,9 +104,6 @@ val attach_telemetry : t -> name:string -> Telemetry.t -> unit
     instrumentation entry point: a bounded instance (the flight recorder's
     ring) is attached the same way.  Until this is called the link holds
     the nil trace and the data path pays one branch per drop. *)
-
-val qdisc : t -> Queue_disc.t
-(** The attached queueing discipline. *)
 
 val stats : t -> stats
 (** Snapshot of the counters. *)

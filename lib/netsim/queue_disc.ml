@@ -55,28 +55,6 @@ let droptail ?limit_bytes ~limit_pkts () =
     marks = (fun () -> 0);
   }
 
-let drop_from_head ~limit_pkts () =
-  if limit_pkts <= 0 then invalid_arg "Queue_disc.drop_from_head: limit_pkts must be positive";
-  let q = Byte_queue.create ~dummy:Packet.dummy () in
-  let drops = ref 0 in
-  let enqueue pkt =
-    if Byte_queue.length q >= limit_pkts then begin
-      ignore (Byte_queue.drop_head q);
-      incr drops
-    end;
-    Byte_queue.push q ~size:pkt.Packet.size pkt;
-    Enqueued
-  in
-  {
-    name = "drop-from-head";
-    enqueue;
-    dequeue = (fun () -> dequeue q);
-    len = (fun () -> Byte_queue.length q);
-    bytes = (fun () -> Byte_queue.bytes q);
-    drops = (fun () -> !drops);
-    marks = (fun () -> 0);
-  }
-
 (* the standard RED EWMA weight and top of the marking ramp *)
 let wq = 0.002
 let max_p = 0.1

@@ -1,9 +1,8 @@
 (** Router queueing disciplines.
 
     Drop-tail FIFO (the "de-facto standard for kernel buffers and network
-    router buffers", paper §3.6), drop-from-head FIFO, and RED with
-    optional ECN marking (the paper's congestion-notification alternative,
-    §2.1.3 / RFC 2481). *)
+    router buffers", paper §3.6) and RED with optional ECN marking (the
+    paper's congestion-notification alternative, §2.1.3 / RFC 2481). *)
 
 type verdict =
   | Enqueued  (** Packet accepted (possibly ECN-marked). *)
@@ -26,10 +25,6 @@ type t = {
 val droptail : ?limit_bytes:int -> limit_pkts:int -> unit -> t
 (** Classic FIFO: drop arrivals once [limit_pkts] packets (or, if given,
     [limit_bytes] bytes) are queued. *)
-
-val drop_from_head : limit_pkts:int -> unit -> t
-(** FIFO that, when full, drops the *oldest* packet to admit the new one —
-    the behaviour vat wants for its application buffer. *)
 
 val red :
   ?ecn:bool ->

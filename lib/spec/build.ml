@@ -10,8 +10,7 @@ module Scenario = Cm_dynamics.Scenario
    with a custom queue discipline aside), and the only place a network's
    CMs are created: one per Spec.cm host, attached to the host, with its
    libcm made on first use.  The run rng is drawn only by
-   links with loss (or by faults that later install loss, reorder or
-   jitter).  test_spec holds a pipe and CM wired by hand from Host,
+   links with loss (or by faults that later install loss or jitter).  test_spec holds a pipe and CM wired by hand from Host,
    Link and Cm, and its parity tests require the same packets and
    counters from both.
 

@@ -17,8 +17,7 @@
     always a router or the destination itself: hosts never forward.
 
     Construction follows declaration order, and the [rng] is drawn only
-    by links with loss (or by faults that install loss, reorder or
-    jitter), so a spec compiles to a reproducible simulation. *)
+    by links with loss (or by faults that install loss or jitter), so a spec compiles to a reproducible simulation. *)
 
 open Eventsim
 open Netsim

@@ -302,8 +302,11 @@ let test_transfer_with_reordering () =
   let a = Host.create engine ~id:0 () in
   let b = Host.create engine ~id:1 () in
   let ab =
-    Link.create engine ~bandwidth_bps:1e7 ~delay:(Time.ms 10) ~reorder:(0.1, Time.ms 5) ~rng
-      ~sink:(fun p -> Host.deliver b p)
+    Link.create engine ~bandwidth_bps:1e7 ~delay:(Time.ms 10)
+      ~sink:(fun p ->
+        if Rng.bernoulli rng 0.1 then
+          ignore (Engine.schedule_after engine (Time.ms 5) (fun () -> Host.deliver b p))
+        else Host.deliver b p)
       ()
   in
   let ba =
