@@ -366,6 +366,11 @@ let enter_fin_states t =
   | Close_wait -> t.state <- Last_ack
   | _ -> ()
 
+(* a new segment: at most one MSS of queued data, and no byte past the
+   peer's window, which a receiver would truncate *)
+let new_segment_len t =
+  Stdlib.min t.config.mss (Stdlib.min (t.snd_limit - t.snd_nxt) (t.snd_una + t.snd_wnd - t.snd_nxt))
+
 let native_output t cc =
   if data_ready t || t.fin_queued then begin
     let continue = ref true in
@@ -374,7 +379,7 @@ let native_output t cc =
       let wnd = Stdlib.min cc.cwnd t.snd_wnd in
       let in_flight = t.snd_nxt - t.snd_una in
       if t.snd_nxt < t.snd_limit && in_flight < wnd && data_ready t then begin
-        let len = Stdlib.min t.config.mss (t.snd_limit - t.snd_nxt) in
+        let len = new_segment_len t in
         let nagle_hold =
           t.config.nagle && len < t.config.mss && in_flight > 0
           && not (t.fin_queued && t.snd_nxt + len = t.snd_limit)
@@ -433,7 +438,7 @@ let cm_grant_callback t cc _fid =
   else if
     t.snd_nxt < t.snd_limit && t.snd_nxt - t.snd_una < t.snd_wnd && data_ready t
   then begin
-    let len = Stdlib.min t.config.mss (t.snd_limit - t.snd_nxt) in
+    let len = new_segment_len t in
     note_tx cc len;
     let fin = t.fin_queued && t.snd_nxt + len = t.snd_limit in
     if fin then enter_fin_states t;

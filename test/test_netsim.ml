@@ -248,7 +248,9 @@ let expect_invalid name f =
 let test_link_probability_validation () =
   let e = Engine.create () in
   let rng = Rng.create ~seed:5 in
-  let mk ?loss_rate () = Link.create e ~bandwidth_bps:1e6 ~delay:0 ?loss_rate ~rng ~sink:ignore () in
+  let mk ?loss_rate () =
+    Link.create e ~bandwidth_bps:1e6 ~delay:0 ?loss_rate ~rng ~sink:ignore ()
+  in
   expect_invalid "negative loss rate rejected" (fun () -> mk ~loss_rate:(-0.1) ());
   expect_invalid "loss rate > 1 rejected" (fun () -> mk ~loss_rate:1.5 ());
   expect_invalid "NaN loss rate rejected" (fun () -> mk ~loss_rate:Float.nan ());
