@@ -120,7 +120,7 @@ let start_transmission t =
     if pkt != Packet.dummy then begin
       t.busy_until <- Engine.now t.engine + tx_time t pkt;
       t.tx_stamp <- Engine.reserve_stamp t.engine;
-      (* the delivery takes its FIFO stamp now, not at the finish *)
+      (* propagation and the delivery's FIFO stamp are decided now *)
       let stamp = Engine.reserve_stamp t.engine in
       Byte_queue.push t.in_flight ~size:pkt.Packet.size pkt;
       Engine.post_stamped t.engine (t.busy_until + prop_delay t) ~stamp t.deliver_fn;
