@@ -245,7 +245,7 @@ module Sender_agent = struct
   type t = {
     host : Host.t;
     cm : Cm.t;
-    entries : (Cm.Cm_types.flow_id, entry) Hashtbl.t;
+    entries : entry Int_table.t;
     mutable feedback_received : int;
     mutable orphan : int;
     mutable dups : int;
@@ -278,12 +278,12 @@ module Sender_agent = struct
       else begin
         g.g_fb_seq <- fb_seq;
         (* reorder-safe merge: cumulative max_seq can never regress *)
-        let merged = Stdlib.max g.g_max_seq max_seq in
+        let merged = Int.max g.g_max_seq max_seq in
         g.g_max_seq <- merged;
-        let count = Stdlib.max 0 (total_count - g.g_count) in
-        let bytes = Stdlib.max 0 (total_bytes - g.g_bytes) in
-        g.g_count <- Stdlib.max g.g_count total_count;
-        g.g_bytes <- Stdlib.max g.g_bytes total_bytes;
+        let count = Int.max 0 (total_count - g.g_count) in
+        let bytes = Int.max 0 (total_bytes - g.g_bytes) in
+        g.g_count <- Int.max g.g_count total_count;
+        g.g_bytes <- Int.max g.g_bytes total_bytes;
         (* ts_echo sanity clamp: an echo from the future would yield a
            negative RTT sample; count it and drop the sample (0 = none),
            never feed it to the estimator *)
@@ -303,7 +303,7 @@ module Sender_agent = struct
       {
         host;
         cm;
-        entries = Hashtbl.create 16;
+        entries = Int_table.create 16;
         feedback_received = 0;
         orphan = 0;
         dups = 0;
@@ -318,7 +318,7 @@ module Sender_agent = struct
             t.feedback_received <- t.feedback_received + 1;
             (match Cm.lookup t.cm data_flow with
             | Some fid -> (
-                match Hashtbl.find t.entries fid with
+                match Int_table.find t.entries fid with
                 | ent -> deliver t ent ~epoch ~fb_seq ~max_seq ~total_count ~total_bytes ~ts_echo
                 | exception Not_found -> t.orphan <- t.orphan + 1)
             | None -> t.orphan <- t.orphan + 1);
@@ -326,7 +326,7 @@ module Sender_agent = struct
         | Resync { data_flow; epoch } ->
             (match Cm.lookup t.cm data_flow with
             | Some fid -> (
-                match Hashtbl.find t.entries fid with
+                match Int_table.find t.entries fid with
                 | ent ->
                     if epoch > ent.guard.g_epoch then resync_entry t ent epoch
                     else t.stale <- t.stale + 1
@@ -337,14 +337,14 @@ module Sender_agent = struct
     t
 
   let register t fid ~on_feedback ?(on_resync = ignore) () =
-    Hashtbl.replace t.entries fid
+    Int_table.replace t.entries fid
       {
         on_feedback;
         on_resync;
         guard = { g_epoch = 0; g_fb_seq = -1; g_max_seq = -1; g_count = 0; g_bytes = 0 };
       }
 
-  let unregister t fid = Hashtbl.remove t.entries fid
+  let unregister t fid = Int_table.remove t.entries fid
   let feedback_received t = t.feedback_received
   let orphan_feedback t = t.orphan
 
@@ -390,14 +390,14 @@ module Session = struct
   }
 
   let sync_requests t =
-    let want = Stdlib.min (Byte_queue.length t.queue) 256 in
+    let want = Int.min (Byte_queue.length t.queue) 256 in
     while t.requests_outstanding < want do
       t.requests_outstanding <- t.requests_outstanding + 1;
       Cm.request t.cm t.fid
     done
 
   let on_grant t _fid =
-    t.requests_outstanding <- Stdlib.max 0 (t.requests_outstanding - 1);
+    t.requests_outstanding <- Int.max 0 (t.requests_outstanding - 1);
     if Byte_queue.is_empty t.queue then Cm.notify t.cm t.fid ~nbytes:0
     else begin
       let bytes = Byte_queue.take t.queue in

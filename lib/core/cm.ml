@@ -9,6 +9,10 @@ module Controller = Controller
 module Scheduler = Scheduler
 module Macroflow = Macroflow
 
+(* For tables whose iteration order reaches output: [Int.hash] is
+   [Hashtbl.hash], so a generic table's buckets and order. *)
+module Id_table = Hashtbl.Make (Int)
+
 (* Field order is deliberate: the fields every request/notify/update
    touches (id and liveness, macroflow and member pointers, the ledger)
    come first so the per-packet paths stay within the record's leading
@@ -51,7 +55,7 @@ type flow = {
    so the cost of serving one macroflow no longer grows with the number of
    flows the CM serves overall. *)
 and mf_index = {
-  mx_flows : (Cm_types.flow_id, flow) Hashtbl.t;
+  mx_flows : flow Id_table.t;
   mutable mx_watchers : int; (* members with an update_cb registered *)
 }
 
@@ -94,8 +98,9 @@ type aggregation = By_destination | By_destination_and_dscp
    same end host take the same path in the common case" (§2) — plus,
    optionally, the differentiated-services codepoint: under diffserv,
    flows to one host with different service classes no longer share a
-   bottleneck fate (§5) *)
-type mf_key = int * int
+   bottleneck fate (§5), packed as [host * 64 + dscp] ([Addr.flow] keeps
+   the codepoint below 64) *)
+type mf_key = int
 
 (* Dense flow directory with id recycling.  A flow id packs a slot index
    (low 24 bits) and a generation (high bits), so the per-packet API
@@ -129,8 +134,8 @@ module Fid_dir = struct
   let create ~miss n =
     {
       miss;
-      arr = Array.make (Stdlib.max 2 n) miss;
-      gen = Array.make (Stdlib.max 2 n) 0;
+      arr = Array.make (Int.max 2 n) miss;
+      gen = Array.make (Int.max 2 n) 0;
       free = [];
       high = 1;
       count = 0;
@@ -217,10 +222,10 @@ type t = {
   canary_grant_leak : bool; (* mutation canary, see [Macroflow.release_flow_grants] *)
   flows_by_id : flow Fid_dir.t;
   flows_by_key : Cm_types.flow_id Addr.Flow_table.t;
-  default_mf : (mf_key, Macroflow.t) Hashtbl.t; (* per-destination macroflows *)
-  default_ids : (int, unit) Hashtbl.t; (* ids of the default_mf values *)
-  all_mf : (int, Macroflow.t) Hashtbl.t; (* every macroflow ever created *)
-  mf_index : (int, mf_index) Hashtbl.t; (* live macroflow id -> members *)
+  default_mf : Macroflow.t Int_table.t; (* per-destination macroflows *)
+  default_ids : unit Int_table.t; (* ids of the default_mf values *)
+  all_mf : Macroflow.t Id_table.t; (* every macroflow ever created *)
+  mf_index : mf_index Int_table.t; (* live macroflow id -> members *)
   mutable next_mfid : int;
   mutable c_opens : int;
   mutable c_closes : int;
@@ -248,7 +253,7 @@ type t = {
 
 (* placeholder index for a flow between construction and [index_add] —
    never walked (its watcher count stays 0) *)
-let nil_ix = { mx_flows = Hashtbl.create 1; mx_watchers = 0 }
+let nil_ix = { mx_flows = Id_table.create 1; mx_watchers = 0 }
 
 (* A just-opened flow, before it joins its macroflow. *)
 let new_flow engine ~fid ~key ~mf =
@@ -288,7 +293,7 @@ let no_flow engine =
 
 (* bytes charged to the window whose fate no accepted feedback has
    resolved; what close/crash must discharge and quarantine must carry *)
-let unresolved fl = Stdlib.max 0 (fl.a_charged - fl.a_nsent)
+let unresolved fl = Int.max 0 (fl.a_charged - fl.a_nsent)
 
 let deliver_grant t mf m ~reserved =
   t.c_grants <- t.c_grants + 1;
@@ -331,10 +336,10 @@ let create engine ?(mtu = 1448) ?(aggregation = By_destination)
       canary_grant_leak;
       flows_by_id = Fid_dir.create ~miss:(no_flow engine) 64;
       flows_by_key = Addr.Flow_table.create 64;
-      default_mf = Hashtbl.create 16;
-      default_ids = Hashtbl.create 16;
-      all_mf = Hashtbl.create 16;
-      mf_index = Hashtbl.create 16;
+      default_mf = Int_table.create 16;
+      default_ids = Int_table.create 16;
+      all_mf = Id_table.create 16;
+      mf_index = Int_table.create 16;
       next_mfid = 1;
       c_opens = 0;
       c_closes = 0;
@@ -368,32 +373,32 @@ let get_flow t fid =
 (* ---- macroflow reverse index ------------------------------------------ *)
 
 let index_of t mfid =
-  match Hashtbl.find_opt t.mf_index mfid with
+  match Int_table.find_opt t.mf_index mfid with
   | Some ix -> ix
   | None ->
-      let ix = { mx_flows = Hashtbl.create 8; mx_watchers = 0 } in
-      Hashtbl.replace t.mf_index mfid ix;
+      let ix = { mx_flows = Id_table.create 8; mx_watchers = 0 } in
+      Int_table.replace t.mf_index mfid ix;
       ix
 
 let index_add t mf fl =
   let ix = index_of t (Macroflow.id mf) in
   fl.fl_ix <- ix;
-  Hashtbl.replace ix.mx_flows fl.fid fl;
+  Id_table.replace ix.mx_flows fl.fid fl;
   if fl.update_cb <> None then ix.mx_watchers <- ix.mx_watchers + 1
 
 let index_remove t mf fl =
-  match Hashtbl.find_opt t.mf_index (Macroflow.id mf) with
+  match Int_table.find_opt t.mf_index (Macroflow.id mf) with
   | None -> ()
   | Some ix ->
-      if Hashtbl.mem ix.mx_flows fl.fid then begin
-        Hashtbl.remove ix.mx_flows fl.fid;
+      if Id_table.mem ix.mx_flows fl.fid then begin
+        Id_table.remove ix.mx_flows fl.fid;
         if fl.update_cb <> None then ix.mx_watchers <- ix.mx_watchers - 1
       end
 
 (* ---- rate-change callbacks ------------------------------------------- *)
 
 let flow_rate fl =
-  let members = Stdlib.max 1 (Macroflow.members fl.mf) in
+  let members = Int.max 1 (Macroflow.members fl.mf) in
   Macroflow.rate_bps fl.mf /. float_of_int members
 
 let flow_status fl =
@@ -430,7 +435,7 @@ let check_rate_callbacks t ix =
               end
         end
     in
-    Hashtbl.iter consider ix.mx_flows
+    Id_table.iter consider ix.mx_flows
   end
 
 (* ---- macroflow lifecycle ---------------------------------------------- *)
@@ -473,10 +478,10 @@ let drop_membership t mf =
      default check is one membership probe in [default_ids] — the old
      fold over every per-destination macroflow made each close O(hosts
      ever contacted). *)
-  let is_default = Hashtbl.mem t.default_ids mfid in
+  let is_default = Int_table.mem t.default_ids mfid in
   if members = 0 && not is_default then begin
     Macroflow.shutdown mf;
-    Hashtbl.remove t.mf_index mfid
+    Int_table.remove t.mf_index mfid
   end
 
 let move_flow t fl target_mf =
@@ -524,7 +529,7 @@ let rec new_macroflow ?controller t =
       ?on_reclaim ?on_tick ?watchdog:t.watchdog ?grant_reclaim_after:t.grant_reclaim_after
       ?idle_restart:t.idle_restart ()
   in
-  Hashtbl.replace t.all_mf mfid mf;
+  Id_table.replace t.all_mf mfid mf;
   wire_macroflow_telemetry t mf;
   mf
 
@@ -564,11 +569,11 @@ and quarantine t a fl =
 and audit_tick t a mf =
   let now = Engine.now t.engine in
   let members =
-    match Hashtbl.find_opt t.mf_index (Macroflow.id mf) with
+    match Int_table.find_opt t.mf_index (Macroflow.id mf) with
     | Some ix -> ix.mx_flows
-    | None -> Hashtbl.create 0
+    | None -> Id_table.create 0
   in
-  Hashtbl.iter
+  Id_table.iter
     (fun _ fl ->
       if fl.open_ && not fl.quarantined then begin
         if
@@ -601,16 +606,16 @@ and audit_tick t a mf =
     members
 
 let mf_key_of t (key : Addr.flow) : mf_key =
-  ( key.Addr.dst.Addr.host,
-    match t.aggregation with By_destination -> 0 | By_destination_and_dscp -> key.Addr.dscp )
+  (key.Addr.dst.Addr.host * 64)
+  + match t.aggregation with By_destination -> 0 | By_destination_and_dscp -> key.Addr.dscp
 
 let macroflow_for_key t k =
-  match Hashtbl.find_opt t.default_mf k with
+  match Int_table.find_opt t.default_mf k with
   | Some mf -> mf
   | None ->
       let mf = new_macroflow t in
-      Hashtbl.replace t.default_mf k mf;
-      Hashtbl.replace t.default_ids (Macroflow.id mf) ();
+      Int_table.replace t.default_mf k mf;
+      Int_table.replace t.default_ids (Macroflow.id mf) ();
       mf
 
 (* ---- public API -------------------------------------------------------- *)
@@ -687,7 +692,7 @@ let register_update t fid cb =
      index counts watchers so updates on watcher-free macroflows skip the
      apportioning walk entirely *)
   if fl.update_cb = None then begin
-    match Hashtbl.find_opt t.mf_index (Macroflow.id fl.mf) with
+    match Int_table.find_opt t.mf_index (Macroflow.id fl.mf) with
     | Some ix -> ix.mx_watchers <- ix.mx_watchers + 1
     | None -> ()
   end;
@@ -737,7 +742,7 @@ let update t fid ~nsent ~nrecd ~loss ?rtt () =
          in flight was lost; square its own ledger with that.  Only the
          reporting flow is absolved — blanket absolution would launder
          another flow's phantom charges (e.g. a double-notifier's). *)
-      fl.a_nsent <- Stdlib.max fl.a_nsent fl.a_charged;
+      fl.a_nsent <- Int.max fl.a_nsent fl.a_charged;
     check_rate_callbacks t fl.fl_ix
   end
 
@@ -758,7 +763,7 @@ let notify t fid ~nbytes =
         if fl.a_notified > allowance then begin
           t.c_rejected_notifies <- t.c_rejected_notifies + 1;
           suspect t a fl "ungranted_tx";
-          Stdlib.max 0 (nbytes - (fl.a_notified - allowance))
+          Int.max 0 (nbytes - (fl.a_notified - allowance))
         end
         else nbytes
     | _ -> nbytes
@@ -798,7 +803,7 @@ let suspicion t fid = (get_flow t fid).suspicion
 let is_quarantined t fid = (get_flow t fid).quarantined
 
 let flows t =
-  Fid_dir.fold (fun fid _ acc -> fid :: acc) t.flows_by_id [] |> List.sort Stdlib.compare
+  Fid_dir.fold (fun fid _ acc -> fid :: acc) t.flows_by_id [] |> List.sort Int.compare
 
 let live_flows t = Fid_dir.length t.flows_by_id
 let flow_slot_capacity t = Fid_dir.capacity t.flows_by_id
@@ -822,7 +827,7 @@ let attach_telemetry t tel =
   t.telemetry <- Some tel;
   t.trace <- Telemetry.trace tel;
   Telemetry.gauge tel "cm.flows" (fun () -> float_of_int (Fid_dir.length t.flows_by_id));
-  Telemetry.gauge tel "cm.macroflows" (fun () -> float_of_int (Hashtbl.length t.default_mf));
+  Telemetry.gauge tel "cm.macroflows" (fun () -> float_of_int (Int_table.length t.default_mf));
   Telemetry.gauge tel "cm.requests" (fun () -> float_of_int t.c_requests);
   Telemetry.gauge tel "cm.grants" (fun () -> float_of_int t.c_grants);
   Telemetry.gauge tel "cm.updates" (fun () -> float_of_int t.c_updates);
@@ -835,9 +840,9 @@ let attach_telemetry t tel =
       float_of_int t.c_released_grant_bytes);
   Telemetry.gauge tel "cm.watchdog_fires" (fun () ->
       float_of_int
-        (Hashtbl.fold (fun _ mf acc -> acc + Macroflow.watchdog_fires mf) t.all_mf 0));
+        (Id_table.fold (fun _ mf acc -> acc + Macroflow.watchdog_fires mf) t.all_mf 0));
   (* macroflows that already exist (e.g. the CM was attached mid-run) *)
-  Hashtbl.iter (fun _ mf -> wire_macroflow_telemetry t mf) t.all_mf
+  Id_table.iter (fun _ mf -> wire_macroflow_telemetry t mf) t.all_mf
 
 let trace t = t.trace
 
@@ -860,7 +865,7 @@ let released_grant_bytes t = t.c_released_grant_bytes
 let teardown_probes t = t.c_teardown_probes
 
 let watchdog_fires t =
-  Hashtbl.fold (fun _ mf acc -> acc + Macroflow.watchdog_fires mf) t.all_mf 0
+  Id_table.fold (fun _ mf acc -> acc + Macroflow.watchdog_fires mf) t.all_mf 0
 
 (* ---- audit view -------------------------------------------------------- *)
 
@@ -874,17 +879,17 @@ type audit_view = {
 }
 
 let audit_view t =
-  let by_fid (a, _, _) (b, _, _) = Stdlib.compare a b in
-  let by_id a b = Stdlib.compare (Macroflow.id a) (Macroflow.id b) in
+  let by_fid (a, _, _) (b, _, _) = Int.compare a b in
+  let by_id a b = Int.compare (Macroflow.id a) (Macroflow.id b) in
   {
     av_mtu = t.mtu;
     av_flows =
       Fid_dir.fold (fun fid fl acc -> (fid, fl.key, fl.mf) :: acc) t.flows_by_id []
       |> List.sort by_fid;
     av_key_entries = Addr.Flow_table.length t.flows_by_key;
-    av_macroflows = Hashtbl.fold (fun _ mf acc -> mf :: acc) t.all_mf [] |> List.sort by_id;
+    av_macroflows = Id_table.fold (fun _ mf acc -> mf :: acc) t.all_mf [] |> List.sort by_id;
     av_default_macroflows =
-      Hashtbl.fold (fun _ mf acc -> mf :: acc) t.default_mf [] |> List.sort by_id;
+      Int_table.fold (fun _ mf acc -> mf :: acc) t.default_mf [] |> List.sort by_id;
     av_counters = counters t;
   }
 
@@ -1001,7 +1006,7 @@ end
 let pp_summary fmt t =
   let c = counters t in
   Format.fprintf fmt "CM: %d open flows, %d macroflows@." (Fid_dir.length t.flows_by_id)
-    (Hashtbl.length t.default_mf);
+    (Int_table.length t.default_mf);
   Format.fprintf fmt "  api: %d opens, %d requests, %d grants (%d declined), %d updates, %d notifies@."
     c.opens c.requests c.grants c.declined_grants c.updates c.notifies;
   if c.rejected_updates + c.rejected_notifies + c.quarantines + c.reaps > 0 then

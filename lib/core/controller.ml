@@ -41,7 +41,7 @@ type aimd_state = {
 }
 
 let aimd ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) () =
-  let clamp s = s.a_cwnd <- Stdlib.min max_window (Stdlib.max s.a_mtu s.a_cwnd) in
+  let clamp s = s.a_cwnd <- Int.min max_window (Int.max s.a_mtu s.a_cwnd) in
   let on_ack s nbytes =
     if nbytes > 0 then begin
       if s.a_cwnd < s.a_ssthresh then
@@ -63,10 +63,10 @@ let aimd ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) () =
     (match mode with
     | Cm_types.No_loss -> ()
     | Cm_types.Ecn_echo | Cm_types.Transient ->
-        s.a_ssthresh <- Stdlib.max (s.a_cwnd / 2) (2 * s.a_mtu);
+        s.a_ssthresh <- Int.max (s.a_cwnd / 2) (2 * s.a_mtu);
         s.a_cwnd <- s.a_ssthresh
     | Cm_types.Persistent ->
-        s.a_ssthresh <- Stdlib.max (s.a_cwnd / 2) (2 * s.a_mtu);
+        s.a_ssthresh <- Int.max (s.a_cwnd / 2) (2 * s.a_mtu);
         s.a_cwnd <- s.a_mtu);
     s.acked_accum <- 0;
     clamp s
@@ -74,7 +74,7 @@ let aimd ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) () =
   let age s =
     (* stale feedback: decay toward the initial window without touching
        ssthresh, so slow start reopens the window once feedback resumes *)
-    s.a_cwnd <- Stdlib.max s.a_iw (s.a_cwnd / 2);
+    s.a_cwnd <- Int.max s.a_iw (s.a_cwnd / 2);
     s.acked_accum <- 0
   in
   let reset s =
@@ -180,7 +180,7 @@ let equation ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) () =
      the window from the TCP-friendly formula W = MTU * sqrt(3 / (2 p))
      with p = MTU / interval.  Before the first loss event the controller
      slow starts like AIMD. *)
-  let clamp s w = Stdlib.min max_window (Stdlib.max s.e_mtu w) in
+  let clamp s w = Int.min max_window (Int.max s.e_mtu w) in
   let equation_window s =
     if not (Cm_util.Ewma.initialized s.interval) then float_of_int max_window
     else begin
@@ -219,7 +219,7 @@ let equation ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) () =
         s.e_cwnd <- clamp s (int_of_float (equation_window s /. 2.))
   in
   let age s =
-    s.e_cwnd <- clamp s (Stdlib.max s.e_iw (s.e_cwnd / 2));
+    s.e_cwnd <- clamp s (Int.max s.e_iw (s.e_cwnd / 2));
     s.bytes_since_loss <- 0
   in
   let reset s =

@@ -124,7 +124,7 @@ let refresh_cwnd t = t.cwnd_now <- Controller.cwnd t.ctrl
 let refresh_reservation t =
   t.resv_now <-
     (if Ewma.initialized t.avg_pkt then
-       Stdlib.min t.mtu (Stdlib.max 64 (Ewma.int_value t.avg_pkt))
+       Int.min t.mtu (Int.max 64 (Ewma.int_value t.avg_pkt))
      else t.mtu)
 
 let reservation t = t.resv_now
@@ -246,7 +246,7 @@ let maintenance_tick t =
       ignore (gq_pop t);
       g.g_dead <- true;
       t.live_grants <- t.live_grants - 1;
-      t.granted_bytes <- Stdlib.max 0 (t.granted_bytes - g.reserved);
+      t.granted_bytes <- Int.max 0 (t.granted_bytes - g.reserved);
       t.grants_reclaimed <- t.grants_reclaimed + 1;
       (match t.on_reclaim with Some f -> f g.g_mem.m_fid g.reserved | None -> ());
       reclaimed := true
@@ -267,7 +267,7 @@ let maintenance_tick t =
   (match t.watchdog with
   | Some wd when t.outstanding > 0 ->
       let threshold =
-        if t.rtt_valid then Stdlib.max wd.wd_floor (int_of_float (wd.wd_rtts *. t.rtts.srtt))
+        if t.rtt_valid then Int.max wd.wd_floor (int_of_float (wd.wd_rtts *. t.rtts.srtt))
         else wd.wd_floor
       in
       if
@@ -402,7 +402,7 @@ let detach_flow t m =
      scheduler index *)
   t.mix.(m.m_ix) <- m_nil;
   t.mix_free <- m.m_ix :: t.mix_free;
-  t.members <- Stdlib.max 0 (t.members - 1)
+  t.members <- Int.max 0 (t.members - 1)
 
 let request t m =
   (* optional slow-start restart (RFC 2861 spirit): congestion state grows
@@ -443,7 +443,7 @@ let notify t ~m ~nbytes () =
      grant (e.g. buffered sends charged by the IP hook) are charged
      directly. *)
   let g = take_grant t m in
-  if g != g_nil then t.granted_bytes <- Stdlib.max 0 (t.granted_bytes - g.reserved);
+  if g != g_nil then t.granted_bytes <- Int.max 0 (t.granted_bytes - g.reserved);
   t.outstanding <- t.outstanding + nbytes;
   if nbytes > 0 then begin
     wake_maintenance t;
@@ -481,7 +481,7 @@ let release_flow_grants ?(canary_grant_leak = false) t m =
   if !released > 0 then begin
     gq_drop_dead t;
     if not canary_grant_leak then
-      t.granted_bytes <- Stdlib.max 0 (t.granted_bytes - !released);
+      t.granted_bytes <- Int.max 0 (t.granted_bytes - !released);
     maybe_grant t
   end;
   !released
@@ -499,12 +499,12 @@ let granted_ledger_skew t =
 
 let discharge t nbytes =
   if nbytes > 0 then begin
-    t.outstanding <- Stdlib.max 0 (t.outstanding - nbytes);
+    t.outstanding <- Int.max 0 (t.outstanding - nbytes);
     maybe_grant t
   end
 
 let transfer_outstanding ~src ~dst nbytes =
-  let n = Stdlib.min nbytes src.outstanding in
+  let n = Int.min nbytes src.outstanding in
   if n > 0 then begin
     src.outstanding <- src.outstanding - n;
     dst.outstanding <- dst.outstanding + n;
@@ -536,7 +536,7 @@ let update t ~nsent ~nrecd ~loss ~rtt =
     invalid_arg "Macroflow.update: need 0 <= nrecd <= nsent";
   t.last_feedback <- Engine.now t.engine;
   (match rtt with Some sample when sample > 0 -> update_rtt t sample | _ -> ());
-  t.outstanding <- Stdlib.max 0 (t.outstanding - nsent);
+  t.outstanding <- Int.max 0 (t.outstanding - nsent);
   if nsent > 0 then Ewma.update_ratio t.loss_ewma (nsent - nrecd) nsent;
   let was_slow_start = Controller.in_slow_start t.ctrl in
   (* Congestion-window validation (RFC 2861 spirit): only grow the window

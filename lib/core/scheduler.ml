@@ -55,7 +55,7 @@ let id_mask = (1 lsl id_bits) - 1
 let grow_to arr n fill =
   let cap = Array.length !arr in
   if n > cap then begin
-    let bigger = Array.make (Stdlib.max n (2 * cap)) fill in
+    let bigger = Array.make (Int.max n (2 * cap)) fill in
     Array.blit !arr 0 bigger 0 cap;
     arr := bigger
   end

@@ -9,10 +9,12 @@ open Cm_util
 
    The callback is stored directly as the wheel entry's value — no event
    record between the queue entry and the closure, so the pop path
-   touches one block, not two.  The closure doubles as the liveness
-   flag: cancellation and execution both overwrite it with the shared
-   [dead] closure, so cancel is O(1) (lazy: the entry stays queued and
-   is skipped when it reaches the top).
+   touches one block, not two.  Cancellation overwrites it with the
+   shared [dead] closure, so cancel is O(1) (lazy: the entry stays queued
+   and is skipped when it reaches the top).  Execution writes nothing: a
+   fired entry has left the queue, which [live] reads from the wheel, and
+   keeps its closure until the pool hands the entry to a new event —
+   clearing it would cost a write barrier per event.
 
    Queue entries are pooled: once an event has been popped (executed or
    found dead), its entry goes on a free list and the next [schedule_*]
@@ -225,7 +227,7 @@ let dispatch t f =
 (* Pool bound: enough cells to recycle the whole standing queue, but a
    burst's worth of surplus cells is released as the queue drains. *)
 let pool_put t entry =
-  let cap = Stdlib.max 64 (Wheel.size t.queue) in
+  let cap = Int.max 64 (Wheel.size t.queue) in
   if t.pool_len < cap then begin
     if t.pool_len = Array.length t.pool then begin
       let grown = Array.make (2 * t.pool_len) null_entry in
@@ -244,12 +246,13 @@ let pool_put t entry =
 
 let pool_size t = t.pool_len
 
-(* [fn] in a pooled entry, or a fresh one, not yet queued *)
+(* [fn] in a pooled entry, or a fresh one, not yet queued.  The popped
+   pool cell keeps its stale pointer (no write barrier per schedule); the
+   shrink loop in [pool_put] clears the cells it releases. *)
 let take_entry t fn =
   if t.pool_len > 0 then begin
     t.pool_len <- t.pool_len - 1;
     let entry = t.pool.(t.pool_len) in
-    t.pool.(t.pool_len) <- null_entry;
     Wheel.set_handle_value entry fn;
     entry
   end
@@ -272,7 +275,7 @@ let schedule_at t when_ fn =
 
 let schedule_after t d fn =
   if d < 0 then t.clamped <- t.clamped + 1;
-  schedule_at t (Time.add t.clock (Stdlib.max d 0)) fn
+  schedule_at t (Time.add t.clock (Int.max d 0)) fn
 
 (* Fire-and-forget schedule: same queue behaviour as [schedule_after]
    (including the seq sequence, so pop order is unchanged), but no
@@ -280,12 +283,15 @@ let schedule_after t d fn =
    never cancel, which is every per-grant and per-cycle event. *)
 let post t d fn =
   if d < 0 then t.clamped <- t.clamped + 1;
-  ignore (enqueue t (Time.add t.clock (Stdlib.max d 0)) fn)
+  ignore (enqueue t (Time.add t.clock (Int.max d 0)) fn)
 
 (* A handle is live iff its entry has not been recycled or re-keyed
-   since the handle was made (seq matches — seqs are never reused) and
-   the event has neither fired nor been cancelled. *)
-let live h = Wheel.handle_seq h.entry = h.h_seq && Wheel.handle_value h.entry != dead
+   since the handle was made (seq matches — seqs are never reused), is
+   still queued (it has not fired) and has not been cancelled. *)
+let live t h =
+  Wheel.handle_seq h.entry = h.h_seq
+  && Wheel.mem t.queue h.entry
+  && Wheel.handle_value h.entry != dead
 
 (* seq -1 is never a wheel seq, so this handle is never live *)
 let unscheduled () = { entry = null_entry; h_seq = -1 }
@@ -301,7 +307,7 @@ let maybe_compact t =
   end
 
 let cancel t h =
-  if not (live h) then false
+  if not (live t h) then false
   else begin
     Wheel.set_handle_value h.entry dead;
     t.cancelled <- t.cancelled + 1;
@@ -357,7 +363,6 @@ let rec step t =
       t.clock <- Wheel.handle_time entry;
       t.cur_stamp <- Wheel.handle_seq entry;
       t.executed <- t.executed + 1;
-      Wheel.set_handle_value entry dead;
       dispatch t f;
       true
     end
@@ -394,7 +399,6 @@ let run ?until t =
               t.clock <- when_;
               t.cur_stamp <- Wheel.handle_seq entry;
               t.executed <- t.executed + 1;
-              Wheel.set_handle_value entry dead;
               dispatch t f
             end
           end

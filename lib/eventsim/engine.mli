@@ -17,9 +17,12 @@ type handle
     of the queue).  Event cells are pooled and recycled across schedules;
     a stamp in the handle keeps stale handles safe — cancel on an event
     that already ran simply returns [false], even if its cell has since
-    been reused for a newer event.  One handle can name a series of
-    events through {!rearm}, so a long-lived owner (a {!Timer}) keeps one
-    handle for life and re-arms without allocating. *)
+    been reused for a newer event.  Firing writes nothing to the cell: a
+    fired cell keeps its closure until the pool reuses it, and a handle is
+    live only while its cell is still queued ({!Cm_util.Wheel.mem}).
+    One handle can name a series of events through {!rearm}, so a
+    long-lived owner (a {!Timer}) keeps one handle for life and re-arms
+    without allocating. *)
 
 val create : ?start:Time.t -> unit -> t
 (** [create ()] is a fresh engine with the clock at [start]

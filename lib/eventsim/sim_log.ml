@@ -16,12 +16,14 @@ let setup engine ?(level = Logs.Warning) ?(ppf = Format.err_formatter) () =
   Logs.set_reporter { Logs.report };
   Logs.set_level (Some level)
 
-let sources : (string, Logs.src) Hashtbl.t = Hashtbl.create 8
+module String_table = Hashtbl.Make (String)
+
+let sources : Logs.src String_table.t = String_table.create 8
 
 let src name =
-  match Hashtbl.find_opt sources name with
+  match String_table.find_opt sources name with
   | Some s -> s
   | None ->
       let s = Logs.Src.create name ~doc:(name ^ " component") in
-      Hashtbl.replace sources name s;
+      String_table.replace sources name s;
       s

@@ -74,7 +74,7 @@ let stop t =
     t.period <- 0
   end
 
-let arm t delay = arm_at t (Time.add (Engine.now t.engine) (Stdlib.max delay 0))
+let arm t delay = arm_at t (Time.add (Engine.now t.engine) (Int.max delay 0))
 
 let start t delay =
   t.period <- 0;

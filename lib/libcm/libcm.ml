@@ -22,12 +22,12 @@ type t = {
   mutable dispatches : int;
   (* [dispatch t], built once: every wakeup reuses it *)
   mutable dispatch_fn : unit -> unit;
-  send_cbs : (Cm.Cm_types.flow_id, Cm.Cm_types.flow_id -> unit) Hashtbl.t;
-  update_cbs : (Cm.Cm_types.flow_id, Cm.Cm_types.status -> unit) Hashtbl.t;
+  send_cbs : (Cm.Cm_types.flow_id -> unit) Int_table.t;
+  update_cbs : (Cm.Cm_types.status -> unit) Int_table.t;
   (* flows this process opened and has not closed: what destroy reaps *)
-  owned : (Cm.Cm_types.flow_id, unit) Hashtbl.t;
+  owned : unit Int_table.t;
   (* cm_mtu is free for the app: the library caches it at open time *)
-  mtu_cache : (Cm.Cm_types.flow_id, int) Hashtbl.t;
+  mtu_cache : int Int_table.t;
   poll_timer : Timer.t option ref;
   mutable alive : bool;
 }
@@ -57,8 +57,8 @@ let dispatch t () =
         let fid = Byte_queue.take t.ready_send in
         (* skip flows closed between grant and dispatch: their grants
            were already returned to the window by the close *)
-        if Hashtbl.mem t.owned fid then
-          match Hashtbl.find t.send_cbs fid with
+        if Int_table.mem t.owned fid then
+          match Int_table.find t.send_cbs fid with
           | cb -> cb fid
           | exception Not_found -> Cm.notify t.cm fid ~nbytes:0
       end
@@ -69,7 +69,7 @@ let dispatch t () =
     t.status_changed <- [];
     List.iter
       (fun fid ->
-        match Hashtbl.find_opt t.update_cbs fid with
+        match Int_table.find_opt t.update_cbs fid with
         | Some cb ->
             (* only the current status matters: re-query at dispatch time *)
             Ops.charge t.meter Ops.Ioctl_query;
@@ -107,10 +107,10 @@ let create host cm ?(mode = Select_loop) () =
       dispatch_pending = false;
       dispatches = 0;
       dispatch_fn = ignore;
-      send_cbs = Hashtbl.create 8;
-      update_cbs = Hashtbl.create 8;
-      owned = Hashtbl.create 8;
-      mtu_cache = Hashtbl.create 8;
+      send_cbs = Int_table.create 8;
+      update_cbs = Int_table.create 8;
+      owned = Int_table.create 8;
+      mtu_cache = Int_table.create 8;
       poll_timer = ref None;
       alive = true;
     }
@@ -138,8 +138,8 @@ let open_flow t key =
   (* connection setup is off the data path; its one-time cost is not
      metered (the paper found setup costs indistinguishable, §4.1) *)
   let fid = Cm.open_flow t.cm key in
-  Hashtbl.replace t.owned fid ();
-  Hashtbl.replace t.mtu_cache fid (Cm.mtu t.cm fid);
+  Int_table.replace t.owned fid ();
+  Int_table.replace t.mtu_cache fid (Cm.mtu t.cm fid);
   fid
 
 let close_flow t fid =
@@ -148,14 +148,14 @@ let close_flow t fid =
      closed flow), the library keeps its callback tables, mtu cache and
      ownership record intact instead of half-forgetting the flow *)
   Cm.close_flow t.cm fid;
-  Hashtbl.remove t.send_cbs fid;
-  Hashtbl.remove t.update_cbs fid;
-  Hashtbl.remove t.mtu_cache fid;
-  Hashtbl.remove t.owned fid
+  Int_table.remove t.send_cbs fid;
+  Int_table.remove t.update_cbs fid;
+  Int_table.remove t.mtu_cache fid;
+  Int_table.remove t.owned fid
 
 let mtu t fid =
   check_alive t;
-  match Hashtbl.find_opt t.mtu_cache fid with
+  match Int_table.find_opt t.mtu_cache fid with
   | Some m -> m
   | None -> Cm.mtu t.cm fid
 
@@ -195,14 +195,14 @@ let set_thresh t fid ~down ~up =
 
 let register_send t fid cb =
   check_alive t;
-  Hashtbl.replace t.send_cbs fid cb;
+  Int_table.replace t.send_cbs fid cb;
   Cm.register_send t.cm fid (fun fid ->
       Byte_queue.push t.ready_send ~size:0 fid;
       schedule_dispatch t)
 
 let register_update t fid cb =
   check_alive t;
-  Hashtbl.replace t.update_cbs fid cb;
+  Int_table.replace t.update_cbs fid cb;
   Cm.register_update t.cm fid (fun _st ->
       if not (List.mem fid t.status_changed) then
         t.status_changed <- fid :: t.status_changed;
@@ -220,12 +220,12 @@ let destroy t =
         Timer.stop timer;
         t.poll_timer := None
     | None -> ());
-    let fids = Hashtbl.fold (fun fid () acc -> fid :: acc) t.owned [] in
-    List.iter (fun fid -> ignore (Cm.reap t.cm fid)) (List.sort Stdlib.compare fids);
-    Hashtbl.reset t.owned;
-    Hashtbl.reset t.mtu_cache;
-    Hashtbl.reset t.send_cbs;
-    Hashtbl.reset t.update_cbs;
+    let fids = Int_table.fold (fun fid () acc -> fid :: acc) t.owned [] in
+    List.iter (fun fid -> ignore (Cm.reap t.cm fid)) (List.sort Int.compare fids);
+    Int_table.reset t.owned;
+    Int_table.reset t.mtu_cache;
+    Int_table.reset t.send_cbs;
+    Int_table.reset t.update_cbs;
     Byte_queue.clear t.ready_send;
     t.status_changed <- []
   end

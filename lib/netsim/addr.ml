@@ -23,9 +23,19 @@ let pp_flow fmt f =
   Format.fprintf fmt "%a %a -> %a%s" pp_proto f.proto pp_endpoint f.src pp_endpoint f.dst
     (if f.dscp = 0 then "" else Printf.sprintf " dscp=%d" f.dscp)
 
+(* the final xor-shift folds high bits into the low ones a table masks
+   to a bucket *)
+let hash_flow f =
+  let h = (f.src.host * 31) + f.src.port in
+  let h = (h * 31) + f.dst.host in
+  let h = (h * 31) + f.dst.port in
+  let h = (h * 31) + (match f.proto with Tcp -> 0 | Udp -> 1) in
+  let h = ((h * 31) + f.dscp) * 0x9E3779B1 in
+  h lxor (h lsr 16)
+
 module Flow_table = Hashtbl.Make (struct
   type t = flow
 
   let equal = equal_flow
-  let hash = Hashtbl.hash
+  let hash = hash_flow
 end)

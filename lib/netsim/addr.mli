@@ -41,5 +41,11 @@ val strip_dscp : flow -> flow
 val pp_flow : Format.formatter -> flow -> unit
 (** Render as [proto src -> dst]. *)
 
+val hash_flow : flow -> int
+(** Hash of the six int fields by integer arithmetic, with no runtime
+    call: equal flows hash equal.  Not [Hashtbl.hash]'s value, so a
+    [Flow_table]'s iteration order differs from a generic table's. *)
+
 module Flow_table : Hashtbl.S with type key = flow
-(** Hash tables keyed by flows. *)
+(** Hash tables keyed by flows: {!hash_flow} and {!equal_flow}, so a
+    probe touches the key's three blocks with loads only. *)

@@ -10,7 +10,7 @@ type t = {
   mutable route : (Packet.t -> unit) option;
   mutable tx_hooks : (Packet.t -> unit) list;
   mutable rx_filters : (Packet.t -> Packet.t option) list;
-  listeners : (int, handler) Hashtbl.t; (* keyed by [listener_key] *)
+  listeners : handler Cm_util.Int_table.t; (* keyed by [listener_key] *)
   connected : handler Addr.Flow_table.t;
   mutable next_port : int;
   mutable unmatched : int;
@@ -27,7 +27,7 @@ let create engine ~id ?(costs = Costs.zero) () =
     route = None;
     tx_hooks = [];
     rx_filters = [];
-    listeners = Hashtbl.create 16;
+    listeners = Cm_util.Int_table.create 16;
     connected = Addr.Flow_table.create 16;
     next_port = 32768;
     unmatched = 0;
@@ -71,7 +71,8 @@ let demux t pkt =
   match Addr.Flow_table.find t.connected flow with
   | handler -> handler pkt
   | exception Not_found -> (
-      match Hashtbl.find t.listeners (listener_key flow.Addr.proto flow.Addr.dst.Addr.port) with
+      let key = listener_key flow.Addr.proto flow.Addr.dst.Addr.port in
+      match Cm_util.Int_table.find t.listeners key with
       | handler -> handler pkt
       | exception Not_found -> t.unmatched <- t.unmatched + 1)
 
@@ -86,11 +87,11 @@ let deliver t pkt = filter_then_demux t t.rx_filters pkt
 
 let bind t proto ~port handler =
   let key = listener_key proto port in
-  if Hashtbl.mem t.listeners key then
+  if Cm_util.Int_table.mem t.listeners key then
     invalid_arg (Printf.sprintf "Host.bind: port %d already bound on host %d" port t.id);
-  Hashtbl.replace t.listeners key handler
+  Cm_util.Int_table.replace t.listeners key handler
 
-let unbind t proto ~port = Hashtbl.remove t.listeners (listener_key proto port)
+let unbind t proto ~port = Cm_util.Int_table.remove t.listeners (listener_key proto port)
 
 let connect_demux t flow handler =
   let flow = Addr.strip_dscp flow in

@@ -49,7 +49,7 @@ let dummy =
     payload = Raw 0;
   }
 
-let[@inline] payload_bytes t = Stdlib.max 0 (t.size - header_bytes)
+let[@inline] payload_bytes t = Int.max 0 (t.size - header_bytes)
 
 let pp fmt t =
   Format.fprintf fmt "#%d %a %dB%s%s sent=%a" t.id Addr.pp_flow t.flow t.size

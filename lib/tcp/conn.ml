@@ -185,7 +185,7 @@ let data_start = iss + 1
 
 let fin_seq t = t.snd_limit
 let fin_sent t = t.snd_nxt > t.snd_limit
-let advertised_wnd t = Stdlib.max 0 (t.config.rwnd - t.rcv_buffered)
+let advertised_wnd t = Int.max 0 (t.config.rwnd - t.rcv_buffered)
 
 let sack_blocks t =
   if not t.config.sack then []
@@ -245,7 +245,7 @@ let send_pure_ack t =
 (* RTO timer management *)
 
 let arm_rto t =
-  Timer.start t.rto_timer (Stdlib.max t.config.min_rto (Rto.rto t.rto_est))
+  Timer.start t.rto_timer (Int.max t.config.min_rto (Rto.rto t.rto_est))
 
 let rto_restart_or_stop t =
   if t.snd_una < t.snd_nxt then arm_rto t else Timer.stop t.rto_timer
@@ -273,7 +273,7 @@ let emit_data t ~seq ~len ~fin ~retransmission =
   else karn_maybe_time t ~seq ~len ~retransmission;
   t.s_segments_out <- t.s_segments_out + 1;
   if seq + len > t.highest_sent then begin
-    t.s_bytes_sent <- t.s_bytes_sent + (seq + len - Stdlib.max t.highest_sent seq);
+    t.s_bytes_sent <- t.s_bytes_sent + (seq + len - Int.max t.highest_sent seq);
     t.highest_sent <- seq + len
   end;
   transmit t (build_segment t ~seq ~len ~syn:false ~fin ~with_ack:true);
@@ -292,12 +292,12 @@ let note_tx cc len = if len > 0 then cc.unresolved_tx <- cc.unresolved_tx + len
 let scoreboard_merge t blocks =
   if t.config.sack && blocks <> [] then begin
     let all = List.rev_append blocks t.sacked in
-    let sorted = List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) all in
+    let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) all in
     let coalesced =
       List.fold_left
         (fun acc (s, e) ->
           match acc with
-          | (ps, pe) :: rest when s <= pe -> (ps, Stdlib.max pe e) :: rest
+          | (ps, pe) :: rest when s <= pe -> (ps, Int.max pe e) :: rest
           | _ -> (s, e) :: acc)
         [] sorted
     in
@@ -308,7 +308,7 @@ let scoreboard_prune t =
   t.sacked <-
     List.filter_map
       (fun (s, e) ->
-        if e <= t.snd_una then None else Some (Stdlib.max s t.snd_una, e))
+        if e <= t.snd_una then None else Some (Int.max s t.snd_una, e))
       t.sacked
 
 let scoreboard_clear t = t.sacked <- []
@@ -317,28 +317,28 @@ let scoreboard_clear t = t.sacked <- []
    pointer avoids re-sending the same hole on every duplicate ack),
    clipped to [mss] and to the next sacked block *)
 let next_hole t =
-  let from = Stdlib.max t.snd_una t.hole_next in
+  let from = Int.max t.snd_una t.hole_next in
   let rec walk seq = function
     | [] ->
-        if seq < t.snd_limit then Some (seq, Stdlib.min t.config.mss (t.snd_limit - seq))
+        if seq < t.snd_limit then Some (seq, Int.min t.config.mss (t.snd_limit - seq))
         else None
     | (s, e) :: rest ->
-        if seq < s then Some (seq, Stdlib.min t.config.mss (Stdlib.min (s - seq) (t.snd_limit - seq)))
-        else walk (Stdlib.max seq e) rest
+        if seq < s then Some (seq, Int.min t.config.mss (Int.min (s - seq) (t.snd_limit - seq)))
+        else walk (Int.max seq e) rest
   in
   if from >= t.snd_limit then None else walk from t.sacked
 
 (* only bytes below the highest SACKed byte are presumed lost; with an
    empty scoreboard (SACK off) just the first unacked segment is *)
 let loss_edge t =
-  List.fold_left (fun acc (_, e) -> Stdlib.max acc e) (t.snd_una + t.config.mss) t.sacked
+  List.fold_left (fun acc (_, e) -> Int.max acc e) (t.snd_una + t.config.mss) t.sacked
 
 (* retransmit the next presumed-lost hole and advance the pointer *)
 let retransmit_hole t =
   let edge = loss_edge t in
   match next_hole t with
   | Some (seq, len) when seq < edge && seq < t.snd_nxt ->
-      let len = Stdlib.min len (edge - seq) in
+      let len = Int.min len (edge - seq) in
       t.hole_next <- seq + len;
       emit_data t ~seq ~len ~fin:false ~retransmission:true;
       true
@@ -369,14 +369,14 @@ let enter_fin_states t =
 (* a new segment: at most one MSS of queued data, and no byte past the
    peer's window, which a receiver would truncate *)
 let new_segment_len t =
-  Stdlib.min t.config.mss (Stdlib.min (t.snd_limit - t.snd_nxt) (t.snd_una + t.snd_wnd - t.snd_nxt))
+  Int.min t.config.mss (Int.min (t.snd_limit - t.snd_nxt) (t.snd_una + t.snd_wnd - t.snd_nxt))
 
 let native_output t cc =
   if data_ready t || t.fin_queued then begin
     let continue = ref true in
     while !continue do
       continue := false;
-      let wnd = Stdlib.min cc.cwnd t.snd_wnd in
+      let wnd = Int.min cc.cwnd t.snd_wnd in
       let in_flight = t.snd_nxt - t.snd_una in
       if t.snd_nxt < t.snd_limit && in_flight < wnd && data_ready t then begin
         let len = new_segment_len t in
@@ -404,15 +404,15 @@ let cm_sync_requests t cc =
   match cc.fid with
   | None -> ()
   | Some fid ->
-      let new_data = Stdlib.max 0 (t.snd_limit - Stdlib.max t.snd_nxt t.snd_una) in
+      let new_data = Int.max 0 (t.snd_limit - Int.max t.snd_nxt t.snd_una) in
       let in_flight = t.snd_nxt - t.snd_una in
-      let window_limited = Stdlib.max 0 (Stdlib.min new_data (t.snd_wnd - in_flight)) in
+      let window_limited = Int.max 0 (Int.min new_data (t.snd_wnd - in_flight)) in
       let want =
         (if cc.rexmit_pending then 1 else 0)
         + ((window_limited + t.config.mss - 1) / t.config.mss)
         + (if can_carry_fin t && data_ready t then 1 else 0)
       in
-      let want = Stdlib.min want 256 in
+      let want = Int.min want 256 in
       let cm_op = (Host.costs t.host).Costs.cm_op in
       while cc.requests_outstanding < want do
         cc.requests_outstanding <- cc.requests_outstanding + 1;
@@ -425,7 +425,7 @@ let cm_decline cc = match cc.fid with Some fid -> Cm.notify cc.cm fid ~nbytes:0 
 
 let cm_grant_callback t cc _fid =
   Cpu.charge (Host.cpu t.host) (Host.costs t.host).Costs.cm_op;
-  cc.requests_outstanding <- Stdlib.max 0 (cc.requests_outstanding - 1);
+  cc.requests_outstanding <- Int.max 0 (cc.requests_outstanding - 1);
   if cc.rexmit_pending && t.snd_una < t.snd_limit then begin
     cc.rexmit_pending <- false;
     match next_hole t with
@@ -462,9 +462,9 @@ let rec arm_persist t =
   if not (Timer.is_running t.persist_timer) then begin
     if t.persist_timer == no_timer then
       t.persist_timer <- Timer.create t.engine ~callback:(fun () -> on_persist t);
-    let base = Stdlib.max t.config.min_rto (Rto.rto t.rto_est) in
-    let backoff = Stdlib.min t.persist_backoff 6 in
-    Timer.start t.persist_timer (Stdlib.min (Time.sec 60.) (base lsl backoff))
+    let base = Int.max t.config.min_rto (Rto.rto t.rto_est) in
+    let backoff = Int.min t.persist_backoff 6 in
+    Timer.start t.persist_timer (Int.min (Time.sec 60.) (base lsl backoff))
   end
 
 and on_persist t =
@@ -493,7 +493,7 @@ let tcp_output t =
 (* ------------------------------------------------------------------ *)
 (* Sender-side congestion events *)
 
-let flight_size t = Stdlib.max 0 (t.snd_nxt - t.snd_una)
+let flight_size t = Int.max 0 (t.snd_nxt - t.snd_una)
 
 let native_on_new_ack t cc ~acked =
   if cc.in_recovery then begin
@@ -507,9 +507,9 @@ let native_on_new_ack t cc ~acked =
       (* partial ack during recovery: retransmit the next hole the
          scoreboard exposes (plain NewReno when SACK is off), with
          partial window deflation *)
-      t.hole_next <- Stdlib.max t.hole_next t.snd_una;
+      t.hole_next <- Int.max t.hole_next t.snd_una;
       ignore (retransmit_hole t);
-      cc.cwnd <- Stdlib.max t.config.mss (cc.cwnd - acked + t.config.mss)
+      cc.cwnd <- Int.max t.config.mss (cc.cwnd - acked + t.config.mss)
     end
   end
   else begin
@@ -517,13 +517,13 @@ let native_on_new_ack t cc ~acked =
     (* The paper's TCP/Linux baseline: ACK counting — each ACK is assumed
        to cover a full MSS. *)
     if cc.cwnd < cc.nat_ssthresh then cc.cwnd <- cc.cwnd + t.config.mss
-    else cc.cwnd <- cc.cwnd + Stdlib.max 1 (t.config.mss * t.config.mss / cc.cwnd)
+    else cc.cwnd <- cc.cwnd + Int.max 1 (t.config.mss * t.config.mss / cc.cwnd)
   end
 
 let native_on_dupack t cc =
   t.dupacks <- t.dupacks + 1;
   if (not cc.in_recovery) && t.dupacks = 3 then begin
-    cc.nat_ssthresh <- Stdlib.max (flight_size t / 2) (2 * t.config.mss);
+    cc.nat_ssthresh <- Int.max (flight_size t / 2) (2 * t.config.mss);
     cc.nat_recover <- t.snd_nxt;
     cc.in_recovery <- true;
     Logs.debug ~src:log (fun m ->
@@ -547,8 +547,8 @@ let cm_report (t : t) cc ~nsent ~nrecd ~loss ~rtt =
   match cc.fid with
   | None -> ()
   | Some fid ->
-      let nsent = Stdlib.min nsent cc.unresolved_tx in
-      let nrecd = Stdlib.min nrecd nsent in
+      let nsent = Int.min nsent cc.unresolved_tx in
+      let nrecd = Int.min nrecd nsent in
       cc.unresolved_tx <- cc.unresolved_tx - nsent;
       if nsent > 0 || loss <> Cm.Cm_types.No_loss || rtt <> None then begin
         Cpu.charge (Host.cpu t.host) (Host.costs t.host).Costs.cm_op;
@@ -558,7 +558,7 @@ let cm_report (t : t) cc ~nsent ~nrecd ~loss ~rtt =
 let cm_on_new_ack t cc ~acked ~rtt =
   (* bytes already explained to the CM via dupack inference must not be
      reported twice *)
-  let offset = Stdlib.min acked cc.prereported in
+  let offset = Int.min acked cc.prereported in
   cc.prereported <- cc.prereported - offset;
   cm_report t cc ~nsent:(acked - offset) ~nrecd:(acked - offset) ~loss:Cm.Cm_types.No_loss ~rtt;
   if t.snd_una >= cc.cm_recover then t.dupacks <- 0
@@ -607,7 +607,7 @@ let on_ecn_echo t =
         ];
     match t.cc with
     | Cc_native cc ->
-        cc.nat_ssthresh <- Stdlib.max (flight_size t / 2) (2 * t.config.mss);
+        cc.nat_ssthresh <- Int.max (flight_size t / 2) (2 * t.config.mss);
         cc.cwnd <- cc.nat_ssthresh
     | Cc_cm cc -> cm_report t cc ~nsent:0 ~nrecd:0 ~loss:Cm.Cm_types.Ecn_echo ~rtt:None
   end
@@ -671,7 +671,7 @@ let on_rto t =
     t.dupacks <- 0;
     (match t.cc with
     | Cc_native cc ->
-        cc.nat_ssthresh <- Stdlib.max (flight_size t / 2) (2 * t.config.mss);
+        cc.nat_ssthresh <- Int.max (flight_size t / 2) (2 * t.config.mss);
         cc.cwnd <- t.config.mss;
         cc.in_recovery <- false
     | Cc_cm cc ->
@@ -695,7 +695,7 @@ let on_rto t =
         match t.cc with
         | Cc_native _ ->
             (* retransmit one segment immediately; the rest follows acks *)
-            let len = Stdlib.min t.config.mss (t.snd_limit - t.snd_nxt) in
+            let len = Int.min t.config.mss (t.snd_limit - t.snd_nxt) in
             if len > 0 then emit_data t ~seq:t.snd_nxt ~len ~fin:false ~retransmission:true
             else if t.fin_queued then
               emit_data t ~seq:t.snd_nxt ~len:0 ~fin:true ~retransmission:true
@@ -727,7 +727,7 @@ let consume_tick t =
   match t.consume_rate with
   | None -> ()
   | Some rate ->
-      let drained = Stdlib.min t.rcv_buffered (int_of_float (rate /. 100.)) in
+      let drained = Int.min t.rcv_buffered (int_of_float (rate /. 100.)) in
       if drained > 0 then begin
         t.rcv_buffered <- t.rcv_buffered - drained;
         t.s_bytes_delivered <- t.s_bytes_delivered + drained;
@@ -742,12 +742,12 @@ let consume_tick t =
 let ooo_add t start stop =
   (* insert and coalesce; the list is short in practice *)
   let segs = (start, stop) :: t.ooo in
-  let sorted = List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) segs in
+  let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) segs in
   let coalesced =
     List.fold_left
       (fun acc (s, e) ->
         match acc with
-        | (ps, pe) :: rest when s <= pe -> (ps, Stdlib.max pe e) :: rest
+        | (ps, pe) :: rest when s <= pe -> (ps, Int.max pe e) :: rest
         | _ -> (s, e) :: acc)
       [] sorted
   in
@@ -835,13 +835,13 @@ let handle_ack t seg =
   if ack > t.snd_una && ack <= t.snd_nxt then begin
     let prev_una = t.snd_una in
     t.snd_una <- ack;
-    t.hole_next <- Stdlib.max t.hole_next t.snd_una;
+    t.hole_next <- Int.max t.hole_next t.snd_una;
     scoreboard_prune t;
     Rto.reset_backoff t.rto_est;
     (* count only data bytes (exclude SYN and FIN sequence units) *)
-    let lo = Stdlib.max prev_una data_start in
-    let hi = Stdlib.min ack (t.snd_limit + 1) in
-    let acked_data = Stdlib.max 0 (Stdlib.min hi (t.snd_limit) - Stdlib.min lo t.snd_limit) in
+    let lo = Int.max prev_una data_start in
+    let hi = Int.min ack (t.snd_limit + 1) in
+    let acked_data = Int.max 0 (Int.min hi (t.snd_limit) - Int.min lo t.snd_limit) in
     let rtt = rtt_sample t seg in
     observe_rtt t rtt;
     if t.snd_wnd >= t.config.mss then begin
@@ -890,7 +890,7 @@ let handle_data t seg =
   (* receiver-side window enforcement: data beyond rcv_nxt + advertised
      window does not fit in the buffer and is dropped (its FIN with it) *)
   let window_edge = t.rcv_nxt + advertised_wnd t in
-  let len = Stdlib.min seg.Segment.len (Stdlib.max 0 (window_edge - seq)) in
+  let len = Int.min seg.Segment.len (Int.max 0 (window_edge - seq)) in
   let truncated = len < seg.Segment.len in
   if len > 0 || Segment.fin seg then begin
     if Segment.fin seg && not truncated then t.fin_rcvd <- Some (seq + len);
@@ -1185,7 +1185,7 @@ let state t = t.state
 let stats t =
   {
     bytes_sent = t.s_bytes_sent;
-    bytes_acked = Stdlib.max 0 (Stdlib.min t.snd_una t.snd_limit - data_start);
+    bytes_acked = Int.max 0 (Int.min t.snd_una t.snd_limit - data_start);
     bytes_delivered = t.s_bytes_delivered;
     segments_out = t.s_segments_out;
     acks_out = t.s_acks_out;

@@ -37,12 +37,12 @@ let base_rto t =
   if not t.valid then initial_rto
   else begin
     let r = int_of_float (t.est.srtt +. Float.max (4. *. t.est.rttvar) 1e6) in
-    Stdlib.max t.min_rto r
+    Int.max t.min_rto r
   end
 
 let rto t =
   let r = base_rto t lsl t.shift in
-  Stdlib.min max_rto (Stdlib.max t.min_rto r)
+  Int.min max_rto (Int.max t.min_rto r)
 
 let backoff t = if t.shift < 12 then t.shift <- t.shift + 1
 let srtt t = if t.valid then Some (int_of_float t.est.srtt) else None

@@ -17,14 +17,14 @@ type t = {
 }
 
 let sync_requests t =
-  let want = Stdlib.min (Byte_queue.length t.queue) 256 in
+  let want = Int.min (Byte_queue.length t.queue) 256 in
   while t.requests_outstanding < want do
     t.requests_outstanding <- t.requests_outstanding + 1;
     Cm.request t.cm t.fid
   done
 
 let on_grant t _fid =
-  t.requests_outstanding <- Stdlib.max 0 (t.requests_outstanding - 1);
+  t.requests_outstanding <- Int.max 0 (t.requests_outstanding - 1);
   match Byte_queue.pop t.queue with
   | None -> Cm.notify t.cm t.fid ~nbytes:0
   | Some bytes ->

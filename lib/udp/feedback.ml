@@ -119,7 +119,7 @@ module Sender = struct
      what was resolved off the ring's length and bytes *)
   let resolve_upto t upto =
     if upto >= t.lowest_unresolved then begin
-      let n = Stdlib.min (upto - t.lowest_unresolved + 1) (Byte_queue.length t.outstanding) in
+      let n = Int.min (upto - t.lowest_unresolved + 1) (Byte_queue.length t.outstanding) in
       for _ = 1 to n do
         ignore (Byte_queue.take t.outstanding : int)
       done;
@@ -161,14 +161,14 @@ module Sender = struct
           then begin
             t.solicits <- t.solicits + 1;
             t.next_solicit_at <- Time.add now t.solicit_backoff;
-            t.solicit_backoff <- Stdlib.min (2 * t.solicit_backoff) starve_cap;
+            t.solicit_backoff <- Int.min (2 * t.solicit_backoff) starve_cap;
             solicit ()
           end
       | None -> ());
       (* nothing heard for a long time while data is outstanding: persistent
          congestion (the UDP analogue of a TCP timeout) *)
       let limit =
-        Stdlib.max t.timeout_floor
+        Int.max t.timeout_floor
           (if t.srtt_valid then 2 * int_of_float t.srtt else t.timeout_floor)
       in
       if Time.diff now t.last_feedback > limit then declare_outstanding_lost t
@@ -242,8 +242,8 @@ module Sender = struct
       | None -> ()
     end
     else begin
-      let recd_bytes = Stdlib.min bytes resolved_bytes in
-      let lost_pkts = resolved_pkts - Stdlib.min count resolved_pkts in
+      let recd_bytes = Int.min bytes resolved_bytes in
+      let lost_pkts = resolved_pkts - Int.min count resolved_pkts in
       let loss =
         if lost_pkts > 0 && max_seq >= t.recover_seq then begin
           t.recover_seq <- t.next_seq;

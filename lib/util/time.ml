@@ -12,9 +12,9 @@ let to_float_ms t = float_of_int t /. 1e6
 let to_float_us t = float_of_int t /. 1e3
 let add t d = t + d
 let diff a b = a - b
-let min (a : t) b = Stdlib.min a b
-let max (a : t) b = Stdlib.max a b
-let compare (a : t) b = Stdlib.compare a b
+let min (a : t) b = Int.min a b
+let max (a : t) b = Int.max a b
+let compare (a : t) b = Int.compare a b
 
 let pp fmt t =
   let a = abs t in

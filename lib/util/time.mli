@@ -46,7 +46,9 @@ val diff : t -> t -> span
 (** [diff a b] is [a - b]. *)
 
 val min : t -> t -> t
-(** Earlier of two timestamps. *)
+(** Earlier of two timestamps.  [min], [max] and [compare] are [Int]'s:
+    inlined integer code, where [Stdlib.min] is a call and a polymorphic
+    compare. *)
 
 val max : t -> t -> t
 (** Later of two timestamps. *)

@@ -50,7 +50,9 @@ let w_over = -3
 
 (* Filler for empty array cells: every access is guarded by a length,
    so its value (the caller's [~dummy]) is never read.  One block per
-   wheel, shared by both heaps and every slot vector. *)
+   wheel, shared by both heaps and every slot vector.  Pops leave the
+   cells they vacate stale: refilling them would cost a write barrier
+   per pop. *)
 let sentinel dummy = { time = max_int; seq = max_int; value = dummy; where = w_out; pos = -1 }
 
 (* ---- internal binary heap over (time, seq) ----------------------------- *)
@@ -164,13 +166,9 @@ let pq_delete q i =
   victim.pos <- -1;
   victim.where <- w_out;
   let last = q.plen - 1 in
-  if i = last then begin
-    q.parr.(last) <- q.psent;
-    q.plen <- last
-  end
+  if i = last then q.plen <- last
   else begin
     let moved = q.parr.(last) in
-    q.parr.(last) <- q.psent;
     q.plen <- last;
     pq_set q i moved;
     pq_sift_down q i;
@@ -245,8 +243,8 @@ let create ?(slots = default_slots) ?(start = 0) ~dummy () =
   {
     n_slots = slots;
     mask = slots - 1;
-    slots = Array.init (Stdlib.max 1 slots) (fun _ -> { sarr = [||]; slen = 0 });
-    occ = Array.make (Stdlib.max 1 ((slots + 31) / 32)) 0;
+    slots = Array.init (Int.max 1 slots) (fun _ -> { sarr = [||]; slen = 0 });
+    occ = Array.make (Int.max 1 ((slots + 31) / 32)) 0;
     cursor = start asr bits;
     cur = pq_create sent;
     over = pq_create sent;
@@ -275,20 +273,19 @@ let is_empty t = t.size = 0
 let occ_set t p = t.occ.(p lsr 5) <- t.occ.(p lsr 5) lor (1 lsl (p land 31))
 let occ_clear t p = t.occ.(p lsr 5) <- t.occ.(p lsr 5) land lnot (1 lsl (p land 31))
 
-(* number of trailing zeros; [x] must be non-zero and fit in 32 bits *)
-let ntz x =
-  let x = x land -x in
-  let n = ref 0 in
-  let x = if x land 0xFFFF = 0 then (n := !n + 16; x lsr 16) else x in
-  let x = if x land 0xFF = 0 then (n := !n + 8; x lsr 8) else x in
-  let x = if x land 0xF = 0 then (n := !n + 4; x lsr 4) else x in
-  let x = if x land 0x3 = 0 then (n := !n + 2; x lsr 2) else x in
-  if x land 0x1 = 0 then !n + 1 else !n
+(* number of trailing zeros; [x] must be non-zero and fit in 32 bits.
+   Branch-free: the lowest set bit times a de Bruijn constant puts a
+   distinct 5-bit pattern in bits 27..31, which the table maps back. *)
+let debruijn_pos =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let ntz x = Array.unsafe_get debruijn_pos ((((x land -x) * 0x077CB531) lsr 27) land 31)
 
 let slot_push t p e =
   let sl = t.slots.(p) in
   if sl.slen = Array.length sl.sarr then begin
-    let cap = Stdlib.max 8 (2 * Array.length sl.sarr) in
+    let cap = Int.max 8 (2 * Array.length sl.sarr) in
     let bigger = Array.make cap t.sent in
     Array.blit sl.sarr 0 bigger 0 sl.slen;
     sl.sarr <- bigger
@@ -421,16 +418,14 @@ let next_wheel_abs t =
 let refill t =
   let k_w = if t.in_slots > 0 then next_wheel_abs t else max_int in
   let k_o = if t.over.plen > 0 then t.over.parr.(0).time asr bits else max_int in
-  let k = Stdlib.min k_w k_o in
+  let k = Int.min k_w k_o in
   t.cursor <- k;
   if k = k_w then begin
     let p = k land t.mask in
     let sl = t.slots.(p) in
     let n = sl.slen in
     for i = 0 to n - 1 do
-      let e = sl.sarr.(i) in
-      sl.sarr.(i) <- t.sent;
-      pq_push t.cur w_cur e
+      pq_push t.cur w_cur sl.sarr.(i)
     done;
     sl.slen <- 0;
     occ_clear t p;

@@ -19,7 +19,10 @@ val create : ?slots:int -> ?start:int -> dummy:'a -> unit -> 'a t
     or [0] for pure-heap mode; [start] is the
     earliest time the wheel must order exactly (the engine's clock
     origin); [dummy] is any value of the payload type, stored in the
-    filler for empty internal cells and never handed back.  Raises
+    filler for empty internal cells and never handed back.  A cell a pop
+    vacates keeps its stale entry instead (clearing it would cost a write
+    barrier per pop), so an entry may stay reachable until its cell is
+    reused; {!filter_in_place} does clear the cells it empties.  Raises
     [Invalid_argument] on a non-power-of-two [slots]. *)
 
 val size : 'a t -> int
@@ -66,6 +69,9 @@ val update : 'a t -> 'a handle -> time:int -> bool
     [false] if the handle was not queued. *)
 
 val mem : 'a t -> 'a handle -> bool
+(** Whether the entry is queued (one load): [false] once popped,
+    removed or filtered out, until it is queued again. *)
+
 val handle_time : 'a handle -> int
 val handle_value : 'a handle -> 'a
 
@@ -96,3 +102,7 @@ val stats : 'a t -> stats
 (** Lifetime occupancy counters (profiler/diagnostics).  In pure-heap
     mode ([~slots:0]) [overflow_inserts] stays 0: everything lives in the
     overflow heap by construction, so counting it would be noise. *)
+
+val ntz : int -> int
+(** Trailing zero bits of a non-zero 32-bit word, branch-free (a de
+    Bruijn multiply and a 32-entry table).  Exposed for tests. *)

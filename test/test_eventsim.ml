@@ -86,14 +86,25 @@ let test_step_and_counters () =
 
 let test_stale_handle_after_reuse () =
   (* event cells are pooled: after an event fires, the next schedule
-     recycles its cell.  A handle to the fired event must stay inert —
-     cancel returns false and must not touch the new tenant. *)
+     recycles its cell.  A fired cell keeps its closure until then, so a
+     handle to the fired event must read as dead from the queue: cancel
+     returns false — from the callback itself, after the run, and after
+     the cell is reused — and touches neither the count nor the tenant. *)
   let e = Engine.create () in
   let fired = ref [] in
-  let h1 = Engine.schedule_at e (Time.ms 10) (fun () -> fired := 1 :: !fired) in
+  let self = ref (Engine.unscheduled ()) in
+  let h1 =
+    Engine.schedule_at e (Time.ms 10) (fun () ->
+        "cancel from its own callback is inert" => not (Engine.cancel e !self);
+        fired := 1 :: !fired)
+  in
+  self := h1;
   Engine.run e;
-  let _h2 = Engine.schedule_at e (Time.ms 20) (fun () -> fired := 2 :: !fired) in
   "cancel of fired handle is inert" => not (Engine.cancel e h1);
+  Alcotest.(check int) "nothing pending after the fired cancel" 0 (Engine.pending e);
+  let _h2 = Engine.schedule_at e (Time.ms 20) (fun () -> fired := 2 :: !fired) in
+  "cancel of fired handle is inert after reuse" => not (Engine.cancel e h1);
+  Alcotest.(check int) "the reused cell's event is pending" 1 (Engine.pending e);
   Engine.run e;
   Alcotest.(check (list int)) "both events fired, reused cell unharmed" [ 2; 1 ] !fired
 

@@ -32,6 +32,64 @@ let test_addr_equality () =
   "different port differs" => not (Addr.equal_flow (mk_flow ()) (mk_flow ~sport:11 ()));
   "different proto differs" => not (Addr.equal_flow (mk_flow ()) (mk_flow ~proto:Addr.Tcp ()))
 
+(* [Flow_table] hashes the six int fields with integer arithmetic: equal
+   flows (distinct blocks) hash equal, a flow changed in any one field is
+   a distinct key, and host demux, which strips the DSCP before its
+   probe, still finds a connection whose peer marks its packets. *)
+let prop_flow_table_keys =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((sh, sp, dh), (dp, pr, ds), (field, delta, mark)) ->
+          let f =
+            Addr.flow ~dscp:ds
+              ~src:(Addr.endpoint ~host:sh ~port:sp)
+              ~dst:(Addr.endpoint ~host:dh ~port:dp)
+              ~proto:(if pr then Addr.Tcp else Addr.Udp)
+              ()
+          in
+          (f, field, delta, mark))
+        (triple
+           (triple (int_bound 4095) (int_bound 65535) (int_bound 4095))
+           (triple (int_bound 65535) bool (int_bound 63))
+           (triple (int_bound 5) (int_range 1 63) (int_range 1 63))))
+  in
+  let print (f, field, delta, mark) =
+    Format.asprintf "%a field %d delta %d mark %d" Addr.pp_flow f field delta mark
+  in
+  QCheck.Test.make ~name:"flow keys: equal hash equal, one field apart are distinct" ~count:1000
+    (QCheck.make ~print gen) (fun (f, field, delta, mark) ->
+      let ep (e : Addr.endpoint) = Addr.endpoint ~host:e.host ~port:e.port in
+      let copy (g : Addr.flow) =
+        Addr.flow ~dscp:g.dscp ~src:(ep g.src) ~dst:(ep g.dst) ~proto:g.proto ()
+      in
+      let g =
+        match field with
+        | 0 -> { f with src = { f.src with host = f.src.host + delta } }
+        | 1 -> { f with src = { f.src with port = f.src.port + delta } }
+        | 2 -> { f with dst = { f.dst with host = f.dst.host + delta } }
+        | 3 -> { f with dst = { f.dst with port = f.dst.port + delta } }
+        | 4 -> { f with proto = (match f.proto with Addr.Tcp -> Addr.Udp | Addr.Udp -> Addr.Tcp) }
+        | _ -> { f with dscp = (f.dscp + delta) land 63 }
+      in
+      let tbl = Addr.Flow_table.create 16 in
+      Addr.Flow_table.replace tbl f 1;
+      let found = Addr.Flow_table.find_opt tbl (copy f) = Some 1 in
+      let missed = Addr.Flow_table.find_opt tbl g = None in
+      Addr.Flow_table.replace tbl g 2;
+      let h = Host.create (Engine.create ()) ~id:f.dst.host () in
+      let hits = ref 0 in
+      let base = Addr.strip_dscp f in
+      Host.connect_demux h base (fun _ -> incr hits);
+      Host.deliver h (mk_pkt ~flow:{ base with dscp = mark } ());
+      Addr.hash_flow f = Addr.hash_flow (copy f)
+      && found && missed
+      && (not (Addr.equal_flow f g))
+      && Addr.Flow_table.length tbl = 2
+      && Addr.Flow_table.find tbl f = 1
+      && Addr.Flow_table.find tbl g = 2
+      && !hits = 1)
+
 (* ---- Packet ----------------------------------------------------------- *)
 
 let test_packet_sizes () =
@@ -877,6 +935,7 @@ let () =
           Alcotest.test_case "packet sizes and ids" `Quick test_packet_sizes;
           Alcotest.test_case "ecn bits round trip" `Quick test_packet_ecn_round_trip;
           Alcotest.test_case "pp golden strings" `Quick test_packet_pp_golden;
+          QCheck_alcotest.to_alcotest prop_flow_table_keys;
         ] );
       ( "qdisc",
         [

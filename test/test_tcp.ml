@@ -325,7 +325,13 @@ let test_transfer_with_reordering () =
   let c = Tcp.Conn.connect a ~dst () in
   Tcp.Conn.send c 500_000;
   Engine.run_for engine (Time.sec 20.);
-  Alcotest.(check int) "exactly once despite reordering" 500_000 !delivered
+  Alcotest.(check int) "exactly once despite reordering" 500_000 !delivered;
+  (* 5 fast retransmits, 15 of 362 segments resent and no timeout at this
+     seed; a dupack threshold of 1 reads far more *)
+  let st = Tcp.Conn.stats c in
+  "at most 5 fast retransmits" => (st.Tcp.Conn.fast_retransmits <= 5);
+  "retransmits at most 5% of segments" => (20 * st.Tcp.Conn.retransmits <= st.Tcp.Conn.segments_out);
+  Alcotest.(check int) "no timeout" 0 st.Tcp.Conn.timeouts
 
 
 

@@ -343,6 +343,33 @@ let prop_heap_model =
 
 (* ---- Wheel ----------------------------------------------------------- *)
 
+(* [Wheel.ntz] (de Bruijn multiply + table) against the halving loop it
+   replaced, on every single-bit word and 10,000 random non-zero 32-bit
+   words. *)
+let test_wheel_ntz () =
+  let reference x =
+    let x = x land -x in
+    let n = ref 0 in
+    let x = if x land 0xFFFF = 0 then (n := !n + 16; x lsr 16) else x in
+    let x = if x land 0xFF = 0 then (n := !n + 8; x lsr 8) else x in
+    let x = if x land 0xF = 0 then (n := !n + 4; x lsr 4) else x in
+    let x = if x land 0x3 = 0 then (n := !n + 2; x lsr 2) else x in
+    if x land 0x1 = 0 then !n + 1 else !n
+  in
+  for b = 0 to 31 do
+    Alcotest.(check int) (Printf.sprintf "ntz (1 lsl %d)" b) b (Wheel.ntz (1 lsl b))
+  done;
+  let st = Random.State.make [| 42 |] in
+  let n = ref 0 in
+  while !n < 10_000 do
+    let x = ((Random.State.bits st lsl 2) lxor Random.State.bits st) land 0xFFFF_FFFF in
+    if x <> 0 then begin
+      if Wheel.ntz x <> reference x then
+        Alcotest.failf "ntz 0x%x: %d, loop %d" x (Wheel.ntz x) (reference x);
+      incr n
+    end
+  done
+
 (* The timing wheel must be observationally identical to its pure-heap
    mode: drive both through one randomized program — inserts and
    re-keys up to ~60 ms ahead (3.6x the default ~16.8 ms horizon, so
@@ -490,6 +517,22 @@ let test_timeline_basics () =
   | Some p -> Alcotest.(check (float 1e-9)) "last value" 42. p.Timeline.value
   | None -> Alcotest.fail "expected last");
   Alcotest.(check (float 1e-9)) "mean" 42. (Timeline.mean_value tl)
+
+(* ---- Int_table ---------------------------------------------------------- *)
+
+(* Keys that differ only above their low bits still spread: the CM packs
+   a per-destination key as [host * 64 + dscp], which an identity hash
+   put in one bucket (128 destinations, one chain of 128). *)
+let test_int_table_spreads_packed_keys () =
+  let t = Int_table.create 16 in
+  for host = 1 to 128 do
+    Int_table.replace t (host * 64) host
+  done;
+  for host = 1 to 128 do
+    Alcotest.(check int) "found" host (Int_table.find t (host * 64))
+  done;
+  let st = Int_table.stats t in
+  "no long chain" => (st.Hashtbl.max_bucket_length <= 8)
 
 (* ---- Byte_queue --------------------------------------------------------- *)
 
@@ -717,7 +760,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_removal_consistent;
           QCheck_alcotest.to_alcotest prop_heap_model;
         ] );
-      ("wheel", [ QCheck_alcotest.to_alcotest prop_wheel_matches_heap ]);
+      ( "wheel",
+        [
+          QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
+          Alcotest.test_case "ntz matches the halving loop" `Quick test_wheel_ntz;
+        ] );
       ( "stats",
         [
           Alcotest.test_case "moments" `Quick test_stats_moments;
@@ -735,6 +782,8 @@ let () =
           Alcotest.test_case "sampled series" `Quick test_timeline_sampled_series;
           Alcotest.test_case "basics" `Quick test_timeline_basics;
         ] );
+      ( "int_table",
+        [ Alcotest.test_case "packed keys spread" `Quick test_int_table_spreads_packed_keys ] );
       ( "byte_queue",
         [
           Alcotest.test_case "fifo with byte accounting" `Quick test_byte_queue_fifo;
