@@ -77,7 +77,7 @@ let alf_sync_requests t =
     done
 
 let alf_on_grant t _fid =
-  t.requests_outstanding <- Stdlib.max 0 (t.requests_outstanding - 1);
+  t.requests_outstanding <- Int.max 0 (t.requests_outstanding - 1);
   if t.running then begin
     (* last-minute adaptation: query the network state per packet *)
     let st = Libcm.query t.libcm t.fid in

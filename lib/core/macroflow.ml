@@ -188,7 +188,7 @@ let kill_grant t g =
    A top-level loop: a local one would be a closure per grant batch. *)
 let rec grant_loop t =
   if t.cwnd_now - t.outstanding - t.granted_bytes >= t.resv_now then begin
-    let ix = t.sched.Scheduler.dequeue () in
+    let ix = Scheduler.dequeue t.sched in
     if ix >= 0 then begin
       let m = t.mix.(ix) in
       if m == m_nil then grant_loop t (* unreachable: detach purges the scheduler *)
@@ -225,7 +225,7 @@ let run_grants t =
 let maybe_grant t =
   if
     (not t.grant_event_pending)
-    && t.sched.Scheduler.pending () > 0
+    && Scheduler.pending t.sched > 0
     && window_avail t >= reservation t
   then begin
     t.grant_event_pending <- true;
@@ -396,7 +396,7 @@ let add_member t fid =
   m
 
 let detach_flow t m =
-  t.sched.Scheduler.remove m.m_ix;
+  Scheduler.remove t.sched m.m_ix;
   (* any remaining records on the member's chain are dead
      (release_flow_grants runs first on every teardown path); recycle the
      scheduler index *)
@@ -417,7 +417,7 @@ let request t m =
       refresh_cwnd t;
       t.last_tx <- Engine.now t.engine
   | _ -> ());
-  t.sched.Scheduler.enqueue m.m_ix;
+  Scheduler.enqueue t.sched m.m_ix;
   maybe_grant t
 
 (* Consume the flow's oldest grant — O(1) via the member's own chain,
@@ -605,8 +605,8 @@ let status t =
     mtu = t.mtu;
   }
 
-let set_weight t m w = t.sched.Scheduler.set_weight m.m_ix w
-let pending_requests t = t.sched.Scheduler.pending ()
+let set_weight t m w = Scheduler.set_weight t.sched m.m_ix w
+let pending_requests t = Scheduler.pending t.sched
 let grants_issued t = t.grants_issued
 let grants_reclaimed t = t.grants_reclaimed
 let grants_released t = t.grants_released
@@ -622,4 +622,4 @@ let shutdown t =
       t.maintenance <- None
   | None -> ()
 
-let pending_for_flow t m = t.sched.Scheduler.pending_for m.m_ix
+let pending_for_flow t m = Scheduler.pending_for t.sched m.m_ix

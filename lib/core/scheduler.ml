@@ -1,15 +1,3 @@
-type t = {
-  name : string;
-  enqueue : Cm_types.flow_id -> unit;
-  dequeue : unit -> Cm_types.flow_id;
-  remove : Cm_types.flow_id -> unit;
-  set_weight : Cm_types.flow_id -> float -> unit;
-  pending : unit -> int;
-  pending_for : Cm_types.flow_id -> int;
-}
-
-type factory = unit -> t
-
 (* Scheduler keys are dense small non-negative ints: each macroflow hands
    its scheduler the flow's macroflow-local member index (recycled on
    detach), not the CM-wide flow id.  Both schedulers below exploit that
@@ -21,98 +9,86 @@ type factory = unit -> t
    arrive: most macroflows (one per destination host, kept after their
    last flow closes) never hold more than one or two members at once. *)
 
-(* growable circular buffer of ints: the round-robin ring with no
-   per-push allocation and contiguous storage *)
-type int_ring = { mutable buf : int array; mutable head : int; mutable len : int }
+(* [arr] grown to at least [n > length arr] slots *)
+let grow arr n fill =
+  let cap = Array.length arr in
+  let bigger = Array.make (Int.max n (2 * cap)) fill in
+  Array.blit arr 0 bigger 0 cap;
+  bigger
 
-let ring_create () = { buf = Array.make 1 0; head = 0; len = 0 }
+(* ---- round robin ------------------------------------------------------ *)
 
-let ring_push r v =
-  let cap = Array.length r.buf in
-  if r.len = cap then begin
-    let buf = Array.make (2 * cap) 0 in
-    for i = 0 to r.len - 1 do
-      buf.(i) <- r.buf.((r.head + i) land (cap - 1))
-    done;
-    r.buf <- buf;
-    r.head <- 0
-  end;
-  r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- v;
-  r.len <- r.len + 1
+(* The active-set ring (ids that currently have >= 1 pending request, as
+   a growable circular buffer with no per-push allocation) and the
+   per-id pending counts and epochs, in one record.  Ring entries pack
+   (epoch, id) so an id recycled after [remove] cannot inherit a stale
+   entry's turn: the stale entry's epoch no longer matches and it is
+   skipped.  Every operation is O(1) (dequeue amortized: a removed id
+   leaves at most one stale ring entry, skipped exactly once). *)
+type rr = {
+  mutable ring : int array;
+  mutable head : int;
+  mutable len : int;
+  mutable counts : int array;
+  mutable epochs : int array;
+  mutable rr_total : int;
+}
 
-let ring_pop r =
-  let v = r.buf.(r.head) in
-  r.head <- (r.head + 1) land (Array.length r.buf - 1);
-  r.len <- r.len - 1;
-  v
-
-(* ring entries pack (epoch, id) so an id recycled after [remove] cannot
-   inherit a stale entry's turn: the stale entry's epoch no longer
-   matches and it is skipped, exactly as a missing hash-table key was *)
 let id_bits = 24
 let id_mask = (1 lsl id_bits) - 1
 
-let grow_to arr n fill =
-  let cap = Array.length !arr in
-  if n > cap then begin
-    let bigger = Array.make (Int.max n (2 * cap)) fill in
-    Array.blit !arr 0 bigger 0 cap;
-    arr := bigger
+let ring_push r v =
+  let cap = Array.length r.ring in
+  if r.len = cap then begin
+    let ring = Array.make (2 * cap) 0 in
+    for i = 0 to r.len - 1 do
+      ring.(i) <- r.ring.((r.head + i) land (cap - 1))
+    done;
+    r.ring <- ring;
+    r.head <- 0
+  end;
+  r.ring.((r.head + r.len) land (Array.length r.ring - 1)) <- v;
+  r.len <- r.len + 1
+
+let ring_pop r =
+  let v = r.ring.(r.head) in
+  r.head <- (r.head + 1) land (Array.length r.ring - 1);
+  r.len <- r.len - 1;
+  v
+
+let rr_enqueue r id =
+  if id < 0 || id > id_mask then invalid_arg "Scheduler.round_robin: id out of range";
+  if id >= Array.length r.counts then begin
+    r.counts <- grow r.counts (id + 1) 0;
+    r.epochs <- grow r.epochs (id + 1) 0
+  end;
+  let c = r.counts.(id) in
+  r.counts.(id) <- c + 1;
+  r.rr_total <- r.rr_total + 1;
+  if c = 0 then ring_push r ((r.epochs.(id) lsl id_bits) lor id)
+
+let rec rr_dequeue r =
+  if r.len = 0 then -1
+  else begin
+    let packed = ring_pop r in
+    let id = packed land id_mask in
+    let c = r.counts.(id) in
+    if packed asr id_bits <> r.epochs.(id) || c = 0 then rr_dequeue r (* stale after remove *)
+    else begin
+      r.counts.(id) <- c - 1;
+      r.rr_total <- r.rr_total - 1;
+      if c > 1 then ring_push r packed;
+      id
+    end
   end
 
-let round_robin () =
-  (* active-set ring: ids that currently have >= 1 pending request.
-     Every operation is O(1) (dequeue amortized: a removed id leaves at
-     most one stale ring entry, skipped exactly once). *)
-  let ring = ring_create () in
-  let counts = ref (Array.make 1 0) in
-  let epochs = ref (Array.make 1 0) in
-  let total = ref 0 in
-  let ensure id =
-    if id < 0 || id > id_mask then invalid_arg "Scheduler.round_robin: id out of range";
-    grow_to counts (id + 1) 0;
-    grow_to epochs (id + 1) 0
-  in
-  let count id = if id >= 0 && id < Array.length !counts then !counts.(id) else 0 in
-  let enqueue id =
-    ensure id;
-    let c = !counts.(id) in
-    !counts.(id) <- c + 1;
-    incr total;
-    if c = 0 then ring_push ring ((!epochs.(id) lsl id_bits) lor id)
-  in
-  let rec dequeue () =
-    if ring.len = 0 then -1
-    else begin
-      let packed = ring_pop ring in
-      let id = packed land id_mask in
-      let c = !counts.(id) in
-      if packed asr id_bits <> !epochs.(id) || c = 0 then dequeue () (* stale after remove *)
-      else begin
-        !counts.(id) <- c - 1;
-        decr total;
-        if c > 1 then ring_push ring packed;
-        id
-      end
-    end
-  in
-  let remove id =
-    if id >= 0 && id < Array.length !counts then begin
-      total := !total - !counts.(id);
-      !counts.(id) <- 0;
-      (* retire outstanding ring entries for this id *)
-      !epochs.(id) <- !epochs.(id) + 1
-    end
-  in
-  {
-    name = "round-robin";
-    enqueue;
-    dequeue;
-    remove;
-    set_weight = (fun _ _ -> ());
-    pending = (fun () -> !total);
-    pending_for = count;
-  }
+let rr_remove r id =
+  if id >= 0 && id < Array.length r.counts then begin
+    r.rr_total <- r.rr_total - r.counts.(id);
+    r.counts.(id) <- 0;
+    (* retire outstanding ring entries for this id *)
+    r.epochs.(id) <- r.epochs.(id) + 1
+  end
 
 (* ---- weighted (stride) scheduling ------------------------------------- *)
 
@@ -130,9 +106,8 @@ type tags = {
 
 (* Per-flow scheduler state.  While the flow is backlogged its handle is
    queued under [key pass], so dequeue is extract-min over backlogged
-   flows: O(log n) however many flows are registered, instead of the
-   full-table scan this replaces.  The handle lives as long as the entry
-   and is re-queued in place. *)
+   flows: O(log n) however many flows are registered.  The handle lives
+   as long as the entry and is re-queued in place. *)
 type stride_entry = {
   mutable s_count : int; (* pending requests *)
   s_tags : tags;
@@ -142,6 +117,13 @@ type stride_entry = {
 (* the global pass: the pass of the last grant, in an all-float record
    for the same reason as [tags] *)
 type global = { mutable g_pass : float }
+
+type stride = {
+  mutable entries : stride_entry array;
+  heap : Cm_types.flow_id Wheel.t;
+  mutable st_total : int;
+  global : global;
+}
 
 (* A handle that starts out of the queue.  Keyed [max_int], it is pushed
    at the heap's tail and unlinked from there in O(1). *)
@@ -167,112 +149,119 @@ let stride_k = 1_000_000.
    pass is below. *)
 let key pass = Int64.to_int (Int64.sub (Int64.bits_of_float pass) 0x3FF0_0000_0000_0000L)
 
-(* Default rebase threshold.  Beyond ~2^52 float addition can no longer
+(* Pass-rebase threshold.  Beyond ~2^52 float addition can no longer
    represent a small stride increment (pass +. stride == pass), silently
    starving heavy-weight flows; rebasing long before that — while the
    threshold still dwarfs any single stride — keeps every addition exact
    to well under one quantum.  10^12 grants at the default stride sit
    three decades below this, but a server-lifetime process gets there. *)
-let default_rebase_threshold = 1e15
+let rebase_threshold = 1e15
 
-let weighted_stride ?(rebase_threshold = default_rebase_threshold) () =
-  let entries = ref (Array.make 1 no_entry) in
-  let heap : Cm_types.flow_id Wheel.t = Wheel.create ~slots:0 ~dummy:(-1) () in
-  let total = ref 0 in
-  let global = { g_pass = 0. } in
-  let entry id =
-    if id < 0 then invalid_arg "Scheduler.weighted: id out of range";
-    grow_to entries (id + 1) no_entry;
-    let e = !entries.(id) in
-    if e != no_entry then e
-    else begin
-      let e =
-        {
-          s_count = 0;
-          s_tags = { weight = 1.0; pass = global.g_pass };
-          s_handle = detached_handle heap id;
-        }
-      in
-      !entries.(id) <- e;
-      e
-    end
-  in
-  (* Subtract the accumulated pass base from every tag, then re-key the
-     queue: pop every backlogged flow and re-queue it under its new key in
-     pop order.  The fresh sequence numbers follow the old order among
-     equal passes, so rebasing is invisible to the grant sequence; it only
-     keeps the floats small. *)
-  let rebase () =
-    let base = global.g_pass in
-    Array.iter
-      (fun e -> if e != no_entry then e.s_tags.pass <- e.s_tags.pass -. base)
-      !entries;
-    global.g_pass <- 0.;
-    let queued = Array.init (Wheel.size heap) (fun _ -> Wheel.pop_min heap) in
-    Array.iter
-      (fun h -> Wheel.reinsert heap h ~time:(key !entries.(Wheel.handle_value h).s_tags.pass))
-      queued
-  in
-  let enqueue id =
-    let e = entry id in
-    e.s_count <- e.s_count + 1;
-    incr total;
-    if e.s_count = 1 then begin
-      (* a newly backlogged flow re-enters at the current global pass so it
-         cannot hoard credit accumulated while idle *)
-      let tg = e.s_tags in
-      tg.pass <- Float.max global.g_pass tg.pass;
-      Wheel.reinsert heap e.s_handle ~time:(key tg.pass)
-    end
-  in
-  let dequeue () =
-    if !total = 0 then -1
-    else begin
-      let hd = Wheel.min_handle heap in
-      let id = Wheel.handle_value hd in
-      let e = !entries.(id) in
-      let tg = e.s_tags in
-      let pass = tg.pass in
-      e.s_count <- e.s_count - 1;
-      decr total;
-      global.g_pass <- pass;
-      tg.pass <- pass +. (stride_k /. tg.weight);
-      if e.s_count > 0 then ignore (Wheel.update heap hd ~time:(key tg.pass))
-      else ignore (Wheel.remove heap hd);
-      if global.g_pass > rebase_threshold then rebase ();
-      id
-    end
-  in
-  let remove id =
-    if id >= 0 && id < Array.length !entries then begin
-      let e = !entries.(id) in
-      if e != no_entry then begin
-        total := !total - e.s_count;
-        ignore (Wheel.remove heap e.s_handle);
-        !entries.(id) <- no_entry
-      end
-    end
-  in
-  let set_weight id w =
-    if not (Float.is_finite w && w > 0. && Float.is_finite (stride_k /. w)) then
-      invalid_arg "Scheduler.weighted: weight must be positive and finite, with a finite stride";
-    (entry id).s_tags.weight <- w
-  in
-  let pending_for id =
-    if id >= 0 && id < Array.length !entries then begin
-      let e = !entries.(id) in
-      if e != no_entry then e.s_count else 0
-    end
-    else 0
-  in
-  {
-    name = "weighted-stride";
-    enqueue;
-    dequeue;
-    remove;
-    set_weight;
-    pending = (fun () -> !total);
-    pending_for;
-  }
+let st_entry s id =
+  if id < 0 then invalid_arg "Scheduler.weighted: id out of range";
+  if id >= Array.length s.entries then s.entries <- grow s.entries (id + 1) no_entry;
+  let e = s.entries.(id) in
+  if e != no_entry then e
+  else begin
+    let tags = { weight = 1.0; pass = s.global.g_pass } in
+    let e = { s_count = 0; s_tags = tags; s_handle = detached_handle s.heap id } in
+    s.entries.(id) <- e;
+    e
+  end
 
-let weighted () = weighted_stride ()
+(* Subtract the accumulated pass base from every tag, then re-key the
+   queue: pop every backlogged flow and re-queue it under its new key in
+   pop order.  The fresh sequence numbers follow the old order among
+   equal passes, so rebasing is invisible to the grant sequence; it only
+   keeps the floats small. *)
+let rebase s =
+  let base = s.global.g_pass in
+  Array.iter (fun e -> if e != no_entry then e.s_tags.pass <- e.s_tags.pass -. base) s.entries;
+  s.global.g_pass <- 0.;
+  let queued = Array.init (Wheel.size s.heap) (fun _ -> Wheel.pop_min s.heap) in
+  Array.iter
+    (fun h -> Wheel.reinsert s.heap h ~time:(key s.entries.(Wheel.handle_value h).s_tags.pass))
+    queued
+
+let st_enqueue s id =
+  let e = st_entry s id in
+  e.s_count <- e.s_count + 1;
+  s.st_total <- s.st_total + 1;
+  if e.s_count = 1 then begin
+    (* a newly backlogged flow re-enters at the current global pass so it
+       cannot hoard credit accumulated while idle *)
+    let tg = e.s_tags in
+    tg.pass <- Float.max s.global.g_pass tg.pass;
+    Wheel.reinsert s.heap e.s_handle ~time:(key tg.pass)
+  end
+
+let st_dequeue s =
+  if s.st_total = 0 then -1
+  else begin
+    let hd = Wheel.min_handle s.heap in
+    let id = Wheel.handle_value hd in
+    let e = s.entries.(id) in
+    let tg = e.s_tags in
+    let pass = tg.pass in
+    e.s_count <- e.s_count - 1;
+    s.st_total <- s.st_total - 1;
+    s.global.g_pass <- pass;
+    tg.pass <- pass +. (stride_k /. tg.weight);
+    if e.s_count > 0 then ignore (Wheel.update s.heap hd ~time:(key tg.pass))
+    else ignore (Wheel.remove s.heap hd);
+    if s.global.g_pass > rebase_threshold then rebase s;
+    id
+  end
+
+let st_find s id = if id >= 0 && id < Array.length s.entries then s.entries.(id) else no_entry
+
+let st_remove s id =
+  let e = st_find s id in
+  if e != no_entry then begin
+    s.st_total <- s.st_total - e.s_count;
+    ignore (Wheel.remove s.heap e.s_handle);
+    s.entries.(id) <- no_entry
+  end
+
+let st_set_weight s id w =
+  if not (Float.is_finite w && w > 0. && Float.is_finite (stride_k /. w)) then
+    invalid_arg "Scheduler.weighted: weight must be positive and finite, with a finite stride";
+  (st_entry s id).s_tags.weight <- w
+
+(* ---- the closed variant ----------------------------------------------- *)
+
+type t = Round_robin of rr | Stride of stride
+type factory = unit -> t
+
+let round_robin () =
+  Round_robin
+    {
+      ring = Array.make 1 0;
+      head = 0;
+      len = 0;
+      counts = Array.make 1 0;
+      epochs = Array.make 1 0;
+      rr_total = 0;
+    }
+
+let weighted () =
+  Stride
+    {
+      entries = Array.make 1 no_entry;
+      heap = Wheel.create ~slots:0 ~dummy:(-1) ();
+      st_total = 0;
+      global = { g_pass = 0. };
+    }
+
+let enqueue t id = match t with Round_robin r -> rr_enqueue r id | Stride s -> st_enqueue s id
+let dequeue = function Round_robin r -> rr_dequeue r | Stride s -> st_dequeue s
+let remove t id = match t with Round_robin r -> rr_remove r id | Stride s -> st_remove s id
+
+let set_weight t id w = match t with Round_robin _ -> () | Stride s -> st_set_weight s id w
+
+let pending = function Round_robin r -> r.rr_total | Stride s -> s.st_total
+
+let pending_for t id =
+  match t with
+  | Round_robin r -> if id >= 0 && id < Array.length r.counts then r.counts.(id) else 0
+  | Stride s -> (st_find s id).s_count

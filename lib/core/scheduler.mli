@@ -5,24 +5,13 @@
     paper's implementation uses an unweighted round-robin scheduler; a
     weighted (stride) scheduler is provided for the ablation bench.
 
-    Each [enqueue fid] is one outstanding request for a grant of up to one
-    MTU; a flow may hold several requests at once. *)
+    Each [enqueue t fid] is one outstanding request for a grant of up to
+    one MTU; a flow may hold several requests at once. *)
 
-type t = {
-  name : string;
-  enqueue : Cm_types.flow_id -> unit;  (** Add one pending request for the flow. *)
-  dequeue : unit -> Cm_types.flow_id;
-      (** Pick the next flow to grant (consumes one of its requests), or
-          [-1] when no request is pending.  Flow ids are never negative
-          (both schedulers reject them), so the sentinel cannot collide
-          with a flow, and a grant allocates no option. *)
-  remove : Cm_types.flow_id -> unit;  (** Discard all state for a closed flow. *)
-  set_weight : Cm_types.flow_id -> float -> unit;
-      (** Set a flow's share weight (ignored by unweighted schedulers). *)
-  pending : unit -> int;  (** Total requests queued. *)
-  pending_for : Cm_types.flow_id -> int;  (** Requests queued for one flow. *)
-}
-(** A scheduler instance, private to one macroflow. *)
+type t
+(** A scheduler instance, private to one macroflow: a closed variant
+    over the two schedulers' plain state records, so every operation
+    below is one direct [match]. *)
 
 type factory = unit -> t
 (** Builds a fresh scheduler. *)
@@ -30,7 +19,7 @@ type factory = unit -> t
 val round_robin : factory
 (** The paper's default: cycle over flows that have pending requests,
     one grant per turn, FIFO among a flow's own requests.  Every
-    operation is O(1) (an active-set ring plus a pending-count table). *)
+    operation is O(1) (an active-set ring plus a pending-count array). *)
 
 val weighted : factory
 (** Stride scheduling: flows receive grants in proportion to their
@@ -45,15 +34,32 @@ val weighted : factory
     [set_weight] raises [Invalid_argument] on anything else (NaN,
     infinities, zero, negatives, and weights below ~5.6e-303 such as
     [1e-320], whose stride overflows).
-    Equivalent to [weighted_stride ()]. *)
 
-val weighted_stride : ?rebase_threshold:float -> factory
-(** {!weighted} with an explicit pass-rebase threshold.  Pass values grow
-    monotonically by [stride = 10^6 / weight] per grant; once the global
-    pass exceeds [rebase_threshold] (default 10^15) every pass is shifted
-    down by the global pass and the backlogged flows are re-queued in
-    their old order, O(flows log flows) — invisible to the grant order —
-    so float addition never reaches the magnitude (~2^52) where a small
-    stride stops being representable and a heavy-weight flow would
-    silently starve.  Tests use a tiny threshold to force frequent
-    rebases. *)
+    Pass values grow by [stride = 10^6 / weight] per grant; once the
+    global pass exceeds 10^15 every pass is shifted down by the global
+    pass and the backlogged flows are re-queued in their old order,
+    O(flows log flows) — invisible to the grant order — so float
+    addition never reaches the magnitude (~2^52) where a small stride
+    stops being representable and a heavy-weight flow would silently
+    starve. *)
+
+val enqueue : t -> Cm_types.flow_id -> unit
+(** Add one pending request for the flow. *)
+
+val dequeue : t -> Cm_types.flow_id
+(** Pick the next flow to grant (consumes one of its requests), or [-1]
+    when no request is pending.  Flow ids are never negative (both
+    schedulers reject them), so the sentinel cannot collide with a flow,
+    and a grant allocates no option. *)
+
+val remove : t -> Cm_types.flow_id -> unit
+(** Discard all state for a closed flow. *)
+
+val set_weight : t -> Cm_types.flow_id -> float -> unit
+(** Set a flow's share weight (ignored by the round-robin scheduler). *)
+
+val pending : t -> int
+(** Total requests queued. *)
+
+val pending_for : t -> Cm_types.flow_id -> int
+(** Requests queued for one flow. *)

@@ -25,26 +25,14 @@ let make_row setup (r : Cm_apps.Phttp.result) =
     spread_ms = r.Cm_apps.Phttp.total_ms -. first;
   }
 
-(* a queueing discipline that deterministically drops the data packets
-   whose (1-based) index is listed — one surgical loss event, so the
-   coupling it induces is unambiguous *)
-let drop_listed ~drops inner =
-  let count = ref 0 in
-  let enqueue pkt =
-    if Packet.payload_bytes pkt > 500 then begin
-      incr count;
-      if List.mem !count drops then Queue_disc.Dropped else inner.Queue_disc.enqueue pkt
-    end
-    else inner.Queue_disc.enqueue pkt
-  in
-  { inner with Queue_disc.enqueue; name = "drop-listed" }
-
 let run_side params ~use_cm ~drops =
   Exp_common.with_system params @@ fun sys ->
   let engine = Exp_common.engine sys in
   let a = Host.create engine ~id:0 () in
   let b = Host.create engine ~id:1 () in
-  let qdisc = drop_listed ~drops (Queue_disc.droptail ~limit_pkts:100 ()) in
+  (* the listed data packets are dropped: one surgical loss event, so the
+     coupling it induces is unambiguous *)
+  let qdisc = Queue_disc.drop_listed ~drops ~limit_pkts:100 () in
   let ab =
     Link.create engine ~bandwidth_bps:6e6 ~delay:(Time.ms 25) ~qdisc
       ~sink:(fun p -> Host.deliver b p)

@@ -18,7 +18,7 @@ type t = {
   mutable bandwidth_bps : float;
   delay : Time.span;
   qdisc : Queue_disc.t;
-  mutable loss_rate : float;
+  loss_rate : float;
   mutable loss_model : (unit -> bool) option;
   rng : Rng.t option;
   sink : Packet.t -> unit;
@@ -57,10 +57,6 @@ type t = {
   mutable drain_fn : unit -> unit;
   mutable deliver_fn : unit -> unit;
 }
-
-let check_prob ~what p =
-  if Float.is_nan p || p < 0. || p > 1. then
-    invalid_arg (what ^ ": probability must be in [0,1]")
 
 let tx_time t (pkt : Packet.t) =
   if pkt.size = t.tx_cache_size then t.tx_cache_time
@@ -116,7 +112,7 @@ let queue_drain t =
 
 let start_transmission t =
   if t.up then begin
-    let pkt = t.qdisc.Queue_disc.dequeue () in
+    let pkt = Queue_disc.dequeue t.qdisc in
     if pkt != Packet.dummy then begin
       t.busy_until <- Engine.now t.engine + tx_time t pkt;
       t.tx_stamp <- Engine.reserve_stamp t.engine;
@@ -124,7 +120,7 @@ let start_transmission t =
       let stamp = Engine.reserve_stamp t.engine in
       Byte_queue.push t.in_flight ~size:pkt.Packet.size pkt;
       Engine.post_stamped t.engine (t.busy_until + prop_delay t) ~stamp t.deliver_fn;
-      if t.qdisc.Queue_disc.len () > 0 then queue_drain t
+      if Queue_disc.len t.qdisc > 0 then queue_drain t
     end
   end
 
@@ -134,7 +130,8 @@ let create engine ~bandwidth_bps ~delay ?qdisc ?(loss_rate = 0.) ?rng ~sink () =
       (Printf.sprintf "Link.create: bandwidth must be positive (got %g bps)" bandwidth_bps);
   if delay < 0 then
     invalid_arg (Printf.sprintf "Link.create: negative delay (%d ns)" delay);
-  check_prob ~what:"Link.create: loss_rate" loss_rate;
+  if Float.is_nan loss_rate || loss_rate < 0. || loss_rate > 1. then
+    invalid_arg "Link.create: loss_rate: probability must be in [0,1]";
   if loss_rate > 0. && rng = None then invalid_arg "Link.create: loss_rate needs an rng";
   let qdisc = match qdisc with Some q -> q | None -> Queue_disc.droptail ~limit_pkts:100 () in
   let t =
@@ -195,7 +192,7 @@ let send t pkt =
       note_drop t Channel pkt
     end
     else begin
-      match t.qdisc.Queue_disc.enqueue pkt with
+      match Queue_disc.enqueue t.qdisc pkt with
       | Queue_disc.Dropped -> note_drop t Queue pkt
       | Queue_disc.Enqueued ->
           t.enqueued_pkts <- t.enqueued_pkts + 1;
@@ -210,11 +207,6 @@ let set_bandwidth t bw =
   t.tx_cache_size <- -1
 
 let bandwidth t = t.bandwidth_bps
-
-let set_loss_rate t r =
-  check_prob ~what:"Link.set_loss_rate" r;
-  if r > 0. && t.rng = None then invalid_arg "Link.set_loss_rate: loss needs an rng";
-  t.loss_rate <- r
 
 let set_loss_model t m = t.loss_model <- m
 
@@ -256,13 +248,13 @@ let attach_telemetry t ~name tel =
   t.trace <- Telemetry.trace tel;
   t.trace_name <- name;
   let g suffix read = Telemetry.gauge tel (Printf.sprintf "link.%s.%s" name suffix) read in
-  g "qlen" (fun () -> float_of_int (t.qdisc.Queue_disc.len ()));
-  g "qbytes" (fun () -> float_of_int (t.qdisc.Queue_disc.bytes ()));
+  g "qlen" (fun () -> float_of_int (Queue_disc.len t.qdisc));
+  g "qbytes" (fun () -> float_of_int (Queue_disc.bytes t.qdisc));
   g "delivered_pkts" (fun () -> float_of_int t.delivered_pkts);
-  g "drops_queue" (fun () -> float_of_int (t.qdisc.Queue_disc.drops ()));
+  g "drops_queue" (fun () -> float_of_int (Queue_disc.drops t.qdisc));
   g "drops_channel" (fun () -> float_of_int t.channel_drops);
   g "drops_down" (fun () -> float_of_int t.down_drops);
-  g "ecn_marks" (fun () -> float_of_int (t.qdisc.Queue_disc.marks ()));
+  g "ecn_marks" (fun () -> float_of_int (Queue_disc.marks t.qdisc));
   g "bandwidth_bps" (fun () -> t.bandwidth_bps)
 
 let stats t =
@@ -270,10 +262,10 @@ let stats t =
     enqueued_pkts = t.enqueued_pkts;
     delivered_pkts = t.delivered_pkts;
     delivered_bytes = t.delivered_bytes;
-    queue_drops = t.qdisc.Queue_disc.drops ();
+    queue_drops = Queue_disc.drops t.qdisc;
     channel_drops = t.channel_drops;
     down_drops = t.down_drops;
-    ecn_marks = t.qdisc.Queue_disc.marks ();
+    ecn_marks = Queue_disc.marks t.qdisc;
   }
 
 let busy t = serializing t

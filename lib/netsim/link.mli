@@ -59,10 +59,6 @@ val set_bandwidth : t -> float -> unit
 val bandwidth : t -> float
 (** Current serialization rate in bits per second. *)
 
-val set_loss_rate : t -> float -> unit
-(** Change the baseline Bernoulli loss probability (must be in \[0,1\],
-    NaN rejected). *)
-
 val set_loss_model : t -> (unit -> bool) option -> unit
 (** Install a pluggable channel-loss process: the model is asked once per
     offered packet and returns [true] to lose it.  [Some m] overrides the

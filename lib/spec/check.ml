@@ -184,7 +184,7 @@ let app_floor_bps = function
 let port_range ~port ~nsrcs = function
   | Spec.Web_fetch _ -> (port, port)
   | Spec.Bulk _ | Spec.Layered _ | Spec.Datagram _ | Spec.Cmproto_session _ ->
-      (port, port + Stdlib.max 1 nsrcs - 1)
+      (port, port + Int.max 1 nsrcs - 1)
 
 (* The CM-driven app classes, named for diagnostics: their sources send
    through the source host's CM, so each one needs a Spec.cm. *)
@@ -280,7 +280,7 @@ let elaborate spec =
       | Spec.Node _ | Spec.Stack _ | Spec.Group _ | Spec.Fault _ -> ())
     spec;
   let edges = Array.of_list (List.rev !edges) in
-  let out = Array.make (Stdlib.max 1 (Array.length nodes)) [] in
+  let out = Array.make (Int.max 1 (Array.length nodes)) [] in
   Array.iteri (fun ei e -> out.(e.e_src) <- ei :: out.(e.e_src)) edges;
   Array.iteri (fun i l -> out.(i) <- List.rev l) out;
   (* 3. hosts are single-homed: at most one outgoing link *)
@@ -434,7 +434,7 @@ let elaborate spec =
     (function
       | Spec.Fault { at; target; action; span } ->
           if at < 0 then err "bad-time" span "negative fault time";
-          (try ignore (Scenario.make ~name:"check" [ { Scenario.at = Stdlib.max at 0; target; action } ])
+          (try ignore (Scenario.make ~name:"check" [ { Scenario.at = Int.max at 0; target; action } ])
            with Invalid_argument m -> err "bad-fault" span "%s" m);
           (match action with
           | Scenario.Control_fault _ -> (
@@ -506,7 +506,7 @@ let elaborate spec =
         g.g_srcs)
     groups;
   (* 11. capacity sanity: the inelastic floor routed over each link must fit *)
-  let floor_demand = Array.make (Stdlib.max 1 (Array.length edges)) 0. in
+  let floor_demand = Array.make (Int.max 1 (Array.length edges)) 0. in
   Array.iter
     (fun g ->
       let f = app_floor_bps g.g_app in
@@ -540,7 +540,7 @@ let elaborate_exn spec =
 (* ---- compiled-topology summary (cm_expt spec --dump) -------------------- *)
 
 let elastic_counts ir =
-  let counts = Array.make (Stdlib.max 1 (Array.length ir.ir_edges)) 0 in
+  let counts = Array.make (Int.max 1 (Array.length ir.ir_edges)) 0 in
   Array.iter
     (fun g ->
       Array.iter

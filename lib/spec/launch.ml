@@ -63,7 +63,7 @@ let endpoint b (g : Check.group) port = Addr.endpoint ~host:(addr_of b g.Check.g
 (* A Bulk group's byte count as ttcp sends it: whole 8 KiB buffers,
    rounded up. *)
 let bulk_bytes bytes =
-  let buffer_bytes = Stdlib.min bytes 8192 in
+  let buffer_bytes = Int.min bytes 8192 in
   (bytes + buffer_bytes - 1) / buffer_bytes * buffer_bytes
 
 (* [memo tbl key make]: the value bound to [key], made on first use. *)

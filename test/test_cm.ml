@@ -184,43 +184,43 @@ let test_equation_reset () =
 
 (* the first [n] dequeues, minus the empty sentinel [-1] *)
 let drain sched n =
-  List.init n (fun _ -> sched.Scheduler.dequeue ()) |> List.filter (fun id -> id <> -1)
+  List.init n (fun _ -> Scheduler.dequeue sched) |> List.filter (fun id -> id <> -1)
 
 let test_rr_alternates () =
   let s = Scheduler.round_robin () in
-  s.Scheduler.enqueue 1;
-  s.Scheduler.enqueue 1;
-  s.Scheduler.enqueue 2;
-  s.Scheduler.enqueue 2;
+  Scheduler.enqueue s 1;
+  Scheduler.enqueue s 1;
+  Scheduler.enqueue s 2;
+  Scheduler.enqueue s 2;
   Alcotest.(check (list int)) "alternates flows" [ 1; 2; 1; 2 ] (drain s 4);
-  Alcotest.(check int) "then empty" (-1) (s.Scheduler.dequeue ())
+  Alcotest.(check int) "then empty" (-1) (Scheduler.dequeue s)
 
 let test_rr_remove_purges () =
   let s = Scheduler.round_robin () in
-  s.Scheduler.enqueue 1;
-  s.Scheduler.enqueue 2;
-  s.Scheduler.enqueue 1;
-  s.Scheduler.remove 1;
+  Scheduler.enqueue s 1;
+  Scheduler.enqueue s 2;
+  Scheduler.enqueue s 1;
+  Scheduler.remove s 1;
   Alcotest.(check (list int)) "only flow 2 remains" [ 2 ] (drain s 3);
-  Alcotest.(check int) "pending zero" 0 (s.Scheduler.pending ())
+  Alcotest.(check int) "pending zero" 0 (Scheduler.pending s)
 
 let test_rr_pending_counts () =
   let s = Scheduler.round_robin () in
   for _ = 1 to 5 do
-    s.Scheduler.enqueue 7
+    Scheduler.enqueue s 7
   done;
-  s.Scheduler.enqueue 9;
-  Alcotest.(check int) "pending total" 6 (s.Scheduler.pending ());
-  Alcotest.(check int) "pending for 7" 5 (s.Scheduler.pending_for 7);
-  Alcotest.(check int) "pending for 9" 1 (s.Scheduler.pending_for 9)
+  Scheduler.enqueue s 9;
+  Alcotest.(check int) "pending total" 6 (Scheduler.pending s);
+  Alcotest.(check int) "pending for 7" 5 (Scheduler.pending_for s 7);
+  Alcotest.(check int) "pending for 9" 1 (Scheduler.pending_for s 9)
 
 let test_weighted_proportional () =
   let s = Scheduler.weighted () in
-  s.Scheduler.set_weight 1 3.0;
-  s.Scheduler.set_weight 2 1.0;
+  Scheduler.set_weight s 1 3.0;
+  Scheduler.set_weight s 2 1.0;
   for _ = 1 to 40 do
-    s.Scheduler.enqueue 1;
-    s.Scheduler.enqueue 2
+    Scheduler.enqueue s 1;
+    Scheduler.enqueue s 2
   done;
   let grants = drain s 40 in
   let n1 = List.length (List.filter (( = ) 1) grants) in
@@ -230,25 +230,27 @@ let test_weighted_proportional () =
     true
     (n1 >= 27 && n1 <= 33 && n1 + n2 = 40)
 
-(* satellite (b): pass rebasing must be invisible to fairness.  A tiny
-   threshold forces thousands of rebases over 10M grants; the 10:1 weight
-   split has to survive every one of them. *)
+(* Pass rebasing must be invisible to fairness.  Weights scaled by 2^-24
+   make the strides 10^6 * 2^24 and 10^5 * 2^24, exact integers, and the
+   global pass crosses the 10^15 threshold every ~660 grants: ~15k
+   rebases over 10M grants, and the 10:1 weight split has to survive
+   every one of them. *)
 let test_stride_rebase_fairness () =
-  let s = Scheduler.weighted_stride ~rebase_threshold:1e9 () in
-  s.Scheduler.set_weight 1 1.0;
-  s.Scheduler.set_weight 2 10.0;
-  s.Scheduler.enqueue 1;
-  s.Scheduler.enqueue 2;
+  let s = Scheduler.weighted () in
+  Scheduler.set_weight s 1 (Float.ldexp 1.0 (-24));
+  Scheduler.set_weight s 2 (Float.ldexp 10.0 (-24));
+  Scheduler.enqueue s 1;
+  Scheduler.enqueue s 2;
   let n1 = ref 0 and n2 = ref 0 in
   let total = 10_000_000 in
   for _ = 1 to total do
-    match s.Scheduler.dequeue () with
+    match Scheduler.dequeue s with
     | 1 ->
         incr n1;
-        s.Scheduler.enqueue 1
+        Scheduler.enqueue s 1
     | 2 ->
         incr n2;
-        s.Scheduler.enqueue 2
+        Scheduler.enqueue s 2
     | _ -> Alcotest.fail "scheduler ran dry"
   done;
   let ratio = float_of_int !n2 /. float_of_int !n1 in
@@ -265,15 +267,15 @@ let test_stride_rejects_bad_weights () =
   List.iter
     (fun w ->
       let s = Scheduler.weighted () in
-      match s.Scheduler.set_weight 1 w with
+      match Scheduler.set_weight s 1 w with
       | () -> Alcotest.failf "weight %h accepted" w
       | exception Invalid_argument _ -> ())
     [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.; -1.; 1e-320 ];
   let s = Scheduler.weighted () in
-  s.Scheduler.set_weight 1 1e-300;
-  s.Scheduler.set_weight 2 Float.max_float;
-  s.Scheduler.enqueue 1;
-  s.Scheduler.enqueue 2;
+  Scheduler.set_weight s 1 1e-300;
+  Scheduler.set_weight s 2 Float.max_float;
+  Scheduler.enqueue s 1;
+  Scheduler.enqueue s 2;
   Alcotest.(check (list int)) "extreme finite weights still schedule" [ 1; 2 ] (drain s 2)
 
 (* Reference for the stride grant order: a list scan over the same float
@@ -348,14 +350,14 @@ let sched_run s ops =
   List.filter_map
     (function
       | Enq id ->
-          s.Scheduler.enqueue id;
+          Scheduler.enqueue s id;
           None
-      | Deq -> Some (s.Scheduler.dequeue ())
+      | Deq -> Some (Scheduler.dequeue s)
       | Rem id ->
-          s.Scheduler.remove id;
+          Scheduler.remove s id;
           None
       | Weight (id, w) ->
-          s.Scheduler.set_weight id w;
+          Scheduler.set_weight s id w;
           None)
     ops
 
@@ -431,22 +433,26 @@ let prop_sched_growth_matches_model =
       sched_run (Scheduler.round_robin ()) ops = rr_model_run ops
       && sched_run (Scheduler.weighted ()) ops = model_run ops)
 
-(* With strides that are exact integers (weights 1, 2, 4, 5) a rebase is
-   an exact subtraction, so rebasing every few grants must leave the
-   whole grant sequence as it is without rebasing. *)
+(* Weights 2^-27 * {1, 2, 4, 5} scale every stride of weights {1, 2, 4,
+   5} by exactly 2^27: strides 10^6 * 2^27 / w, exact integers, so each
+   rebase (every ~90 grants at 10^15) is an exact subtraction.  Weights
+   {1, 2, 4, 5} never reach the threshold in 1M grants, and every pass
+   of the scaled run is 2^27 times a pass of the plain one minus the
+   rebased base, so the two grant sequences must be equal. *)
 let test_stride_rebase_keeps_order () =
-  let grants s =
-    List.iteri (fun id w -> s.Scheduler.set_weight id w) [ 1.; 2.; 4.; 5. ];
-    List.iter s.Scheduler.enqueue [ 0; 1; 2; 3 ];
+  let grants scale =
+    let s = Scheduler.weighted () in
+    List.iteri (fun id w -> Scheduler.set_weight s id (scale *. w)) [ 1.; 2.; 4.; 5. ];
+    List.iter (Scheduler.enqueue s) [ 0; 1; 2; 3 ];
     Array.init 1_000_000 (fun _ ->
-        match s.Scheduler.dequeue () with
+        match Scheduler.dequeue s with
         | -1 -> Alcotest.fail "scheduler ran dry"
         | id ->
-            s.Scheduler.enqueue id;
+            Scheduler.enqueue s id;
             id)
   in
-  let rebased = grants (Scheduler.weighted_stride ~rebase_threshold:1e7 ()) in
-  let plain = grants (Scheduler.weighted ()) in
+  let rebased = grants (Float.ldexp 1.0 (-27)) in
+  let plain = grants 1.0 in
   Alcotest.(check bool) "same 1M-grant sequence" true (rebased = plain)
 
 (* satellite (c): at N=4096, over full cycles with every flow backlogged,
@@ -456,12 +462,12 @@ let check_full_cycle_share s ~weights ~cycles =
   let sum_w = Array.fold_left ( + ) 0 weights in
   for i = 0 to n - 1 do
     for _ = 1 to (cycles * weights.(i)) + 2 do
-      s.Scheduler.enqueue i
+      Scheduler.enqueue s i
     done
   done;
   let got = Array.make n 0 in
   for _ = 1 to cycles * sum_w do
-    match s.Scheduler.dequeue () with
+    match Scheduler.dequeue s with
     | -1 -> Alcotest.fail "scheduler ran dry"
     | i -> got.(i) <- got.(i) + 1
   done;
@@ -480,22 +486,22 @@ let test_rr_share_at_4096 () =
 let test_stride_share_at_4096 () =
   let weights = Array.init 4096 (fun i -> 1 + (i mod 3)) in
   let s = Scheduler.weighted () in
-  Array.iteri (fun i w -> s.Scheduler.set_weight i (float_of_int w)) weights;
+  Array.iteri (fun i w -> Scheduler.set_weight s i (float_of_int w)) weights;
   check_full_cycle_share s ~weights ~cycles:3
 
 (* A grant allocates nothing in the scheduler: no option for the picked
    flow and no float box for a pass.  Three flows stay backlogged, so
    every cycle grants one request and queues it again.  The weighted
-   case uses unequal weights and a rebase threshold that 10k grants
-   cross ~20 times (the global pass advances ~2e9 at these weights);
-   the rebases' own allocation spread over the cycles stays far below
-   one word.  Drained, and before any request, a dequeue is -1. *)
+   case uses unequal weights scaled by 2^-23, so 10k grants cross the
+   10^15 rebase threshold ~17 times (the global pass advances ~2e9 at
+   the unscaled weights); the rebases' own allocation spread over the
+   cycles stays far below one word.  Drained, and before any request, a dequeue is -1. *)
 let test_sched_cycles_allocate_nothing () =
   let cycles = 10_000 in
   let cycle_words name s =
-    Alcotest.(check int) (name ^ ": fresh dequeue is -1") (-1) (s.Scheduler.dequeue ());
-    List.iter s.Scheduler.enqueue [ 0; 1; 2 ];
-    let cycle () = s.Scheduler.enqueue (s.Scheduler.dequeue ()) in
+    Alcotest.(check int) (name ^ ": fresh dequeue is -1") (-1) (Scheduler.dequeue s);
+    List.iter (Scheduler.enqueue s) [ 0; 1; 2 ];
+    let cycle () = Scheduler.enqueue s (Scheduler.dequeue s) in
     cycle ();
     let w0 = Gc.minor_words () in
     for _ = 1 to cycles do
@@ -505,11 +511,13 @@ let test_sched_cycles_allocate_nothing () =
     if words >= 1. then Alcotest.failf "%s allocates %.2f words per cycle (budget < 1)" name words;
     Alcotest.(check (list int)) (name ^ ": drains three") [ 0; 1; 2 ]
       (List.sort compare (drain s 3));
-    Alcotest.(check int) (name ^ ": drained dequeue is -1") (-1) (s.Scheduler.dequeue ())
+    Alcotest.(check int) (name ^ ": drained dequeue is -1") (-1) (Scheduler.dequeue s)
   in
   cycle_words "round-robin" (Scheduler.round_robin ());
-  let s = Scheduler.weighted_stride ~rebase_threshold:1e8 () in
-  List.iter (fun (id, w) -> s.Scheduler.set_weight id w) [ (0, 1.); (1, 3.); (2, 0.7) ];
+  let s = Scheduler.weighted () in
+  List.iter
+    (fun (id, w) -> Scheduler.set_weight s id (Float.ldexp w (-23)))
+    [ (0, 1.); (1, 3.); (2, 0.7) ];
   cycle_words "weighted" s
 
 (* ------------------------------------------------------------------ *)
@@ -780,8 +788,10 @@ let prop_parking_is_invisible =
    allocation.  The CM keeps a macroflow per destination for the whole
    run, so this is live state per client of a busy server.  A controller
    instance is one small state record under the factory's shared
-   operations, and the scheduler and member arrays start at one slot:
-   150.9 words, where eight closures and three refs per controller and
+   operations, the round-robin scheduler is one state record in a
+   variant, and the scheduler and member arrays start at one slot:
+   107.9 words.  A scheduler as a record of seven closures over three
+   refs read 150.9, and eight closures and three refs per controller and
    16- and 8-slot arrays read 256.9. *)
 let test_macroflow_create_words () =
   let n = 1000 in
@@ -798,7 +808,7 @@ let test_macroflow_create_words () =
     mfs.(i) <- create (i + 1)
   done;
   let words = (Gc.minor_words () -. w0) /. float_of_int n in
-  if words > 175. then Alcotest.failf "Macroflow.create allocates %.1f words (ceiling 175)" words;
+  if words > 110. then Alcotest.failf "Macroflow.create allocates %.1f words (ceiling 110)" words;
   Array.iter
     (fun mf -> Alcotest.(check int) "initial window" mtu (Macroflow.cwnd mf))
     mfs
@@ -1181,7 +1191,7 @@ let () =
           Alcotest.test_case "grant reclaim" `Quick test_grant_reclaim;
           Alcotest.test_case "idle macroflow parks its clock" `Quick
             test_idle_macroflow_parks_its_clock;
-          Alcotest.test_case "macroflow create allocates <= 175 words" `Quick
+          Alcotest.test_case "macroflow create allocates <= 110 words" `Quick
             test_macroflow_create_words;
           Alcotest.test_case "open_flow to a new destination allocates <= 250 words" `Quick
             test_open_new_destination_words;

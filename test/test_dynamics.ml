@@ -20,6 +20,21 @@ let mk_flow () =
 let mk_pkt ?(bytes = 1000) () =
   Packet.make ~now:0 ~flow:(mk_flow ()) ~payload_bytes:bytes (Packet.Raw bytes)
 
+(* constant-bit-rate UDP load from port 9 of [host]: one [bytes]-byte
+   packet every [bytes * 8 / rate_bps] seconds until [stop] *)
+let cbr e ~host ~dst ~rate_bps ~bytes ~stop =
+  let gap = Time.sec (float_of_int (bytes * 8) /. rate_bps) in
+  let flow = Addr.flow ~src:(Addr.endpoint ~host:(Host.id host) ~port:9) ~dst ~proto:Addr.Udp () in
+  let payload = bytes - Packet.header_bytes in
+  let rec tick () =
+    if Engine.now e < stop then begin
+      Host.ip_output host
+        (Packet.make ~now:(Engine.now e) ~flow ~payload_bytes:payload (Packet.Raw payload));
+      ignore (Engine.schedule_after e gap tick)
+    end
+  in
+  ignore (Engine.schedule_after e 0 tick)
+
 let expect_invalid name f =
   name
   => (try
@@ -258,11 +273,8 @@ let scenario_run seed =
   let net = Build.pipe ~rng e (Spec.pipe ~bw:8e6 ~lat:(Time.ms 5) ()) in
   let got = ref 0 in
   Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> incr got);
-  let _src =
-    Background.cbr e ~host:net.Build.a
-      ~dst:(Addr.endpoint ~host:1 ~port:9)
-      ~rate_bps:2e6 ~packet_bytes:1000 ~stop:(Time.sec 20.) ()
-  in
+  cbr e ~host:net.Build.a ~dst:(Addr.endpoint ~host:1 ~port:9) ~rate_bps:2e6 ~bytes:1000
+    ~stop:(Time.sec 20.);
   let scenario =
     Scenario.make ~name:"everything"
       [
@@ -327,10 +339,8 @@ let control_run ~profile ~seed =
   Host.bind net.Build.b Addr.Udp ~port:10 (fun _ -> incr data);
   List.iter
     (fun port ->
-      ignore
-        (Background.cbr e ~host:net.Build.a
-           ~dst:(Addr.endpoint ~host:1 ~port)
-           ~rate_bps:1e6 ~packet_bytes:500 ~stop:(Time.sec 6.) ()))
+      cbr e ~host:net.Build.a ~dst:(Addr.endpoint ~host:1 ~port) ~rate_bps:1e6 ~bytes:500
+        ~stop:(Time.sec 6.))
     [ 9; 10 ];
   Control_faults.engage inj ~rng:(Rng.split rng) ~at:(Time.sec 2.) ~profile
     ~duration:(Time.sec 2.);

@@ -1,11 +1,10 @@
 (* Tests for the network substrate: queues, links, hosts, routers,
-   CPU resource, background traffic.  Whole topologies are built by the
-   spec DSL and tested in test_spec.ml. *)
+   CPU resource.  Whole topologies are built by the spec DSL and tested
+   in test_spec.ml. *)
 
 open Cm_util
 open Eventsim
 open Netsim
-open Cm_spec
 
 let ( => ) name cond = Alcotest.(check bool) name true cond
 
@@ -138,44 +137,44 @@ let test_packet_pp_golden () =
 
 let test_droptail_limit () =
   let q = Queue_disc.droptail ~limit_pkts:3 () in
-  let verdicts = List.init 5 (fun _ -> q.Queue_disc.enqueue (mk_pkt ())) in
+  let verdicts = List.init 5 (fun _ -> Queue_disc.enqueue q (mk_pkt ())) in
   let accepted = List.length (List.filter (( = ) Queue_disc.Enqueued) verdicts) in
   Alcotest.(check int) "three accepted" 3 accepted;
-  Alcotest.(check int) "two dropped" 2 (q.Queue_disc.drops ());
-  Alcotest.(check int) "len" 3 (q.Queue_disc.len ())
+  Alcotest.(check int) "two dropped" 2 (Queue_disc.drops q);
+  Alcotest.(check int) "len" 3 (Queue_disc.len q)
 
 let test_droptail_byte_limit () =
   let q = Queue_disc.droptail ~limit_bytes:2500 ~limit_pkts:100 () in
   let p () = mk_pkt ~bytes:(1000 - Packet.header_bytes) () in
-  ignore (q.Queue_disc.enqueue (p ()));
-  ignore (q.Queue_disc.enqueue (p ()));
-  let v = q.Queue_disc.enqueue (p ()) in
+  ignore (Queue_disc.enqueue q (p ()));
+  ignore (Queue_disc.enqueue q (p ()));
+  let v = Queue_disc.enqueue q (p ()) in
   "third rejected over byte limit" => (v = Queue_disc.Dropped)
 
 let test_droptail_fifo () =
   let q = Queue_disc.droptail ~limit_pkts:10 () in
   let p1 = mk_pkt () and p2 = mk_pkt () in
-  ignore (q.Queue_disc.enqueue p1);
-  ignore (q.Queue_disc.enqueue p2);
-  (let p = q.Queue_disc.dequeue () in
+  ignore (Queue_disc.enqueue q p1);
+  ignore (Queue_disc.enqueue q p2);
+  (let p = Queue_disc.dequeue q in
    if p == Packet.dummy then Alcotest.fail "empty"
    else Alcotest.(check int) "fifo order" p1.Packet.id p.Packet.id);
-  Alcotest.(check int) "bytes tracked" p2.Packet.size (q.Queue_disc.bytes ())
+  Alcotest.(check int) "bytes tracked" p2.Packet.size (Queue_disc.bytes q)
 
 let test_empty_dequeue_is_dummy () =
   let rng = Rng.create ~seed:3 in
   List.iter
-    (fun q ->
-      let name = q.Queue_disc.name in
-      (name ^ ": empty") => (q.Queue_disc.dequeue () == Packet.dummy);
+    (fun (name, q) ->
+      (name ^ ": empty") => (Queue_disc.dequeue q == Packet.dummy);
       let p = mk_pkt () in
-      ignore (q.Queue_disc.enqueue p);
-      (name ^ ": the packet") => (q.Queue_disc.dequeue () == p);
-      (name ^ ": empty again") => (q.Queue_disc.dequeue () == Packet.dummy);
-      Alcotest.(check int) (name ^ ": nothing left") 0 (q.Queue_disc.len ()))
+      ignore (Queue_disc.enqueue q p);
+      (name ^ ": the packet") => (Queue_disc.dequeue q == p);
+      (name ^ ": empty again") => (Queue_disc.dequeue q == Packet.dummy);
+      Alcotest.(check int) (name ^ ": nothing left") 0 (Queue_disc.len q))
     [
-      Queue_disc.droptail ~limit_pkts:4 ();
-      Queue_disc.red ~min_th:2 ~max_th:6 ~limit_pkts:10 ~rng ();
+      ("droptail", Queue_disc.droptail ~limit_pkts:4 ());
+      ("red", Queue_disc.red ~min_th:2 ~max_th:6 ~limit_pkts:10 ~rng ());
+      ("drop-listed", Queue_disc.drop_listed ~drops:[ 2 ] ~limit_pkts:4 ());
     ]
 
 let test_red_marks_ecn () =
@@ -186,24 +185,24 @@ let test_red_marks_ecn () =
   for _ = 1 to 500 do
     let p = mk_pkt () in
     Packet.set_ecn_capable p;
-    (match q.Queue_disc.enqueue p with
+    (match Queue_disc.enqueue q p with
     | Queue_disc.Enqueued -> if Packet.ecn_marked p then incr marked
     | Queue_disc.Dropped -> incr dropped);
     (* drain slowly: keep ~5 in queue *)
-    if q.Queue_disc.len () > 5 then ignore (q.Queue_disc.dequeue ())
+    if Queue_disc.len q > 5 then ignore (Queue_disc.dequeue q)
   done;
   "RED marked ECN-capable packets" => (!marked > 0);
-  Alcotest.(check int) "ECN avoided early drops below max_th" !marked (q.Queue_disc.marks ())
+  Alcotest.(check int) "ECN avoided early drops below max_th" !marked (Queue_disc.marks q)
 
 let test_red_drops_non_ect () =
   let rng = Rng.create ~seed:2 in
   let q = Queue_disc.red ~ecn:true ~min_th:2 ~max_th:6 ~limit_pkts:10 ~rng () in
   let dropped = ref 0 in
   for _ = 1 to 500 do
-    (match q.Queue_disc.enqueue (mk_pkt ()) with
+    (match Queue_disc.enqueue q (mk_pkt ()) with
     | Queue_disc.Dropped -> incr dropped
     | Queue_disc.Enqueued -> ());
-    if q.Queue_disc.len () > 5 then ignore (q.Queue_disc.dequeue ())
+    if Queue_disc.len q > 5 then ignore (Queue_disc.dequeue q)
   done;
   "non-ECT packets get dropped instead" => (!dropped > 0)
 
@@ -312,12 +311,8 @@ let test_link_probability_validation () =
   expect_invalid "negative loss rate rejected" (fun () -> mk ~loss_rate:(-0.1) ());
   expect_invalid "loss rate > 1 rejected" (fun () -> mk ~loss_rate:1.5 ());
   expect_invalid "NaN loss rate rejected" (fun () -> mk ~loss_rate:Float.nan ());
-  let l = mk ~loss_rate:0.5 () in
-  expect_invalid "set_loss_rate rejects > 1" (fun () -> Link.set_loss_rate l 2.);
-  expect_invalid "set_loss_rate rejects negative" (fun () -> Link.set_loss_rate l (-1.));
-  expect_invalid "set_loss_rate rejects NaN" (fun () -> Link.set_loss_rate l Float.nan);
-  Link.set_loss_rate l 1.;
-  Link.set_loss_rate l 0.;
+  ignore (mk ~loss_rate:0. ());
+  ignore (mk ~loss_rate:1. ());
   "boundary values accepted" => true
 
 (* ---- Lazy transmission ---------------------------------------------------- *)
@@ -502,7 +497,7 @@ module Eager_link = struct
   let deliver t stamp () = if stamp > t.dead_below then t.sink (Queue.pop t.in_flight)
 
   let rec start t =
-    let pkt = if t.up then t.qdisc.Queue_disc.dequeue () else Packet.dummy in
+    let pkt = if t.up then Queue_disc.dequeue t.qdisc else Packet.dummy in
     if pkt == Packet.dummy then t.busy <- false
     else begin
       t.busy <- true;
@@ -525,7 +520,7 @@ module Eager_link = struct
   let send t pkt =
     if not t.up then t.drop "down" pkt
     else
-      match t.qdisc.Queue_disc.enqueue pkt with
+      match Queue_disc.enqueue t.qdisc pkt with
       | Queue_disc.Dropped -> t.drop "queue" pkt
       | Queue_disc.Enqueued -> if not t.busy then start t
 
@@ -802,56 +797,6 @@ let test_router_forwarding () =
 (* the bandwidth-schedule machinery moved to lib/dynamics (Faults.
    bandwidth_steps / Scenario); its tests live in test_dynamics.ml *)
 
-(* ---- Background traffic ----------------------------------------------------------- *)
-
-let test_cbr_rate () =
-  let e = Engine.create () in
-  let net = Build.pipe e (Spec.pipe ~bw:1e8 ~lat:0 ()) in
-  let got = ref 0 in
-  Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> incr got);
-  let src =
-    Background.cbr e ~host:net.Build.a
-      ~dst:(Addr.endpoint ~host:1 ~port:9)
-      ~rate_bps:800_000. ~packet_bytes:1000 ~stop:(Time.sec 10.) ()
-  in
-  Engine.run ~until:(Time.sec 11.) e;
-  (* 800 kbps / 8000 bits per packet = 100 pps for 10 s *)
-  "close to 1000 packets" => (abs (!got - 1000) <= 2);
-  "generator counted them" => (abs (Background.packets_sent src - 1000) <= 2)
-
-let test_on_off_bursts () =
-  let e = Engine.create () in
-  let net = Build.pipe e (Spec.pipe ~bw:1e8 ~lat:0 ()) in
-  let rng = Rng.create ~seed:11 in
-  let got = ref 0 in
-  Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> incr got);
-  let _src =
-    Background.on_off e ~host:net.Build.a
-      ~dst:(Addr.endpoint ~host:1 ~port:9)
-      ~rate_bps:1e6 ~packet_bytes:500 ~mean_on:(Time.ms 100) ~mean_off:(Time.ms 100) ~rng
-      ~stop:(Time.sec 10.) ()
-  in
-  Engine.run ~until:(Time.sec 11.) e;
-  let full_rate_count = 10. *. 1e6 /. (500. *. 8.) in
-  "sent something" => (!got > 0);
-  "duty cycle below 100%" => (float_of_int !got < 0.8 *. full_rate_count)
-
-let test_poisson_mean_rate () =
-  let e = Engine.create () in
-  let net = Build.pipe e (Spec.pipe ~bw:1e9 ~lat:0 ()) in
-  let rng = Rng.create ~seed:12 in
-  let got = ref 0 in
-  Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> incr got);
-  let _src =
-    Background.poisson e ~host:net.Build.a
-      ~dst:(Addr.endpoint ~host:1 ~port:9)
-      ~rate_bps:8e5 ~packet_bytes:1000 ~rng ~stop:(Time.sec 20.) ()
-  in
-  Engine.run ~until:(Time.sec 21.) e;
-  (* mean 100 pps over 20 s = 2000 *)
-  "poisson mean within 10%" => (abs (!got - 2000) < 200)
-
-
 (* ---- Drop attribution --------------------------------------------------- *)
 
 let test_link_drop_causes_traced () =
@@ -885,45 +830,38 @@ let test_link_drop_causes_traced () =
   Alcotest.(check int) "queue drops attributed" stats.Link.queue_drops (count "queue");
   Alcotest.(check int) "no outage drops" 0 (count "down")
 
-(* ---- Background determinism --------------------------------------------- *)
-
-let run_background which seed =
+(* A drop-listed link counts its listed drops as queue drops, in the
+   link's stats and in the trace alike.  Data packets (payload over
+   500 B) alternate with 500-byte and 40-byte ones, which are never
+   counted or dropped. *)
+let test_drop_listed_counted () =
   let e = Engine.create () in
-  let net = Build.pipe e (Spec.pipe ~bw:1e8 ~lat:(Time.ms 2) ()) in
-  Host.bind net.Build.b Addr.Udp ~port:9 (fun _ -> ());
-  let rng = Rng.create ~seed in
-  let dst = Addr.endpoint ~host:1 ~port:9 in
-  let src =
-    match which with
-    | `On_off ->
-        Background.on_off e ~host:net.Build.a ~dst ~rate_bps:1e6 ~packet_bytes:500
-          ~mean_on:(Time.ms 200) ~mean_off:(Time.ms 100) ~rng ~stop:(Time.sec 10.) ()
-    | `Poisson ->
-        Background.poisson e ~host:net.Build.a ~dst ~rate_bps:8e5 ~packet_bytes:1000 ~rng
-          ~stop:(Time.sec 10.) ()
+  let tel = Telemetry.create e () in
+  Telemetry.stop tel;
+  let link =
+    Link.create e ~bandwidth_bps:1e9 ~delay:0
+      ~qdisc:(Queue_disc.drop_listed ~drops:[ 2; 3; 5 ] ~limit_pkts:100 ())
+      ~sink:ignore ()
   in
-  Engine.run ~until:(Time.sec 11.) e;
-  (Background.packets_sent src, Link.stats net.Build.ab)
-
-let test_on_off_deterministic () =
-  let sent1, stats1 = run_background `On_off 7 in
-  let sent2, stats2 = run_background `On_off 7 in
-  Alcotest.(check int) "same packet count" sent1 sent2;
-  "identical link stats" => (stats1 = stats2);
-  let sent3, _ = run_background `On_off 8 in
-  "a different seed gives a different run" => (sent1 <> sent3)
-
-let test_poisson_deterministic () =
-  let sent1, stats1 = run_background `Poisson 7 in
-  let sent2, stats2 = run_background `Poisson 7 in
-  Alcotest.(check int) "same packet count" sent1 sent2;
-  "identical link stats" => (stats1 = stats2)
-
-let test_on_off_mean_rate () =
-  (* duty cycle mean_on/(mean_on+mean_off) = 2/3 of 250 pps over 10 s:
-     expect ~1667 packets, with generous CI slack for ~33 cycles *)
-  let sent, _ = run_background `On_off 7 in
-  "on/off mean rate in the right range" => (sent > 800 && sent < 2400)
+  Link.attach_telemetry link ~name:"listed" tel;
+  for _ = 1 to 6 do
+    Link.send link (mk_pkt ~bytes:500 ());
+    Link.send link (mk_pkt ~bytes:501 ());
+    Link.send link (mk_pkt ~bytes:40 ())
+  done;
+  Engine.run e;
+  let stats = Link.stats link in
+  let traced =
+    List.length
+      (List.filter
+         (fun (ev : Telemetry.Trace.event) ->
+           ev.name = "link.drop"
+           && List.assoc_opt "cause" ev.args = Some (Telemetry.Trace.Str "queue"))
+         (Telemetry.Trace.events (Telemetry.trace tel)))
+  in
+  Alcotest.(check int) "queue drops are the listed ones" 3 stats.Link.queue_drops;
+  Alcotest.(check int) "every queue drop traced" stats.Link.queue_drops traced;
+  Alcotest.(check int) "the rest delivered" 15 stats.Link.delivered_pkts
 
 let () =
   Alcotest.run "netsim"
@@ -955,6 +893,7 @@ let () =
           Alcotest.test_case "bandwidth change" `Quick test_link_bandwidth_change;
           Alcotest.test_case "probability validation" `Quick test_link_probability_validation;
           Alcotest.test_case "drop causes traced" `Quick test_link_drop_causes_traced;
+          Alcotest.test_case "drop-listed drops counted" `Quick test_drop_listed_counted;
           Alcotest.test_case "back-to-back sends before run" `Quick
             test_lazy_back_to_back_before_run;
           Alcotest.test_case "send at exactly busy_until" `Quick test_lazy_send_at_busy_until;
@@ -977,14 +916,5 @@ let () =
           Alcotest.test_case "tx hooks order" `Quick test_host_tx_hooks_order;
           Alcotest.test_case "port allocation" `Quick test_host_ports_unique;
           Alcotest.test_case "router forwarding" `Quick test_router_forwarding;
-        ] );
-      ( "background",
-        [
-          Alcotest.test_case "cbr rate" `Quick test_cbr_rate;
-          Alcotest.test_case "on/off duty cycle" `Quick test_on_off_bursts;
-          Alcotest.test_case "poisson mean" `Quick test_poisson_mean_rate;
-          Alcotest.test_case "on/off determinism" `Quick test_on_off_deterministic;
-          Alcotest.test_case "poisson determinism" `Quick test_poisson_deterministic;
-          Alcotest.test_case "on/off mean rate" `Quick test_on_off_mean_rate;
         ] );
     ]

@@ -95,7 +95,6 @@ let test_rto_on_blackout () =
   Engine.run_for h.engine (Time.ms 100);
   (* black out the forward path mid-transfer *)
   Tcp.Conn.send c 50_000;
-  Link.set_loss_rate h.net.Build.ab 0.;
   Engine.run_for h.engine (Time.ms 1);
   (* drop everything for a second *)
   let rng = Rng.create ~seed:5 in
@@ -343,19 +342,7 @@ let test_sack_beats_newreno_on_burst_loss () =
     let config = { Tcp.Conn.default_config with Tcp.Conn.sack } in
     let a = Host.create engine ~id:0 () in
     let b = Host.create engine ~id:1 () in
-    let count = ref 0 in
-    let qdisc =
-      let inner = Queue_disc.droptail ~limit_pkts:200 () in
-      let enqueue pkt =
-        if Packet.payload_bytes pkt > 500 then begin
-          incr count;
-          if !count >= 60 && !count < 65 then Queue_disc.Dropped
-          else inner.Queue_disc.enqueue pkt
-        end
-        else inner.Queue_disc.enqueue pkt
-      in
-      { inner with Queue_disc.enqueue }
-    in
+    let qdisc = Queue_disc.drop_listed ~drops:[ 60; 61; 62; 63; 64 ] ~limit_pkts:200 () in
     let ab =
       Link.create engine ~bandwidth_bps:1e7 ~delay:(Time.ms 25) ~qdisc
         ~sink:(fun p -> Host.deliver b p)
