@@ -92,51 +92,27 @@ let rr_remove r id =
 
 (* ---- weighted (stride) scheduling ------------------------------------- *)
 
-module Wheel = Cm_util.Wheel
+module Q = Eventsim.Engine.Queue
 
-(* A flow's float state.  A record whose fields are all floats stores
-   them flat, so writing a pass allocates nothing; a float field of a
-   mixed record, or a [float ref], holds a pointer to a fresh 2-word box
-   on every write, and a box written into a long-lived entry is promoted
-   with it. *)
-type tags = {
-  mutable weight : float;
-  mutable pass : float; (* next service tag *)
-}
-
-(* Per-flow scheduler state.  While the flow is backlogged its handle is
-   queued under [key pass], so dequeue is extract-min over backlogged
-   flows: O(log n) however many flows are registered.  The handle lives
-   as long as the entry and is re-queued in place. *)
-type stride_entry = {
-  mutable s_count : int; (* pending requests *)
-  s_tags : tags;
-  s_handle : Cm_types.flow_id Wheel.handle; (* queued iff backlogged *)
-}
-
-(* the global pass: the pass of the last grant, in an all-float record
-   for the same reason as [tags] *)
-type global = { mutable g_pass : float }
-
+(* A flow's state sits in flat arrays indexed by its id: its pending
+   count, its queue id ([-1] while the id is not registered), and its tags
+   — weight at [2id], pass at [2id+1] — in a float array, whose cells are
+   unboxed, so writing a pass allocates nothing.  A registered id holds
+   one queue id until [remove] releases it (a flow re-added reuses it) and
+   is queued under [key pass] while backlogged, so dequeue is extract-min
+   over backlogged flows: O(log n) however many flows are registered. *)
 type stride = {
-  mutable entries : stride_entry array;
-  heap : Cm_types.flow_id Wheel.t;
+  mutable counts : int array;
+  mutable qids : int array;
+  mutable tags : float array;
+  heap : int Q.t; (* value: the flow id *)
   mutable st_total : int;
   global : global;
 }
 
-(* A handle that starts out of the queue.  Keyed [max_int], it is pushed
-   at the heap's tail and unlinked from there in O(1). *)
-let detached_handle heap id =
-  let h = Wheel.insert heap ~time:max_int id in
-  ignore (Wheel.remove heap h);
-  h
-
-(* empty-slot sentinel for the dense entry array: a real record, only
-   ever compared by physical equality *)
-let no_entry =
-  let s_handle = detached_handle (Wheel.create ~slots:0 ~dummy:(-1) ()) (-1) in
-  { s_count = 0; s_tags = { weight = 0.; pass = 0. }; s_handle }
+(* the global pass: the pass of the last grant, in an all-float record,
+   which stores it flat *)
+and global = { mutable g_pass : float }
 
 let stride_k = 1_000_000.
 
@@ -157,16 +133,17 @@ let key pass = Int64.to_int (Int64.sub (Int64.bits_of_float pass) 0x3FF0_0000_00
    three decades below this, but a server-lifetime process gets there. *)
 let rebase_threshold = 1e15
 
-let st_entry s id =
+let st_register s id =
   if id < 0 then invalid_arg "Scheduler.weighted: id out of range";
-  if id >= Array.length s.entries then s.entries <- grow s.entries (id + 1) no_entry;
-  let e = s.entries.(id) in
-  if e != no_entry then e
-  else begin
-    let tags = { weight = 1.0; pass = s.global.g_pass } in
-    let e = { s_count = 0; s_tags = tags; s_handle = detached_handle s.heap id } in
-    s.entries.(id) <- e;
-    e
+  if id >= Array.length s.qids then begin
+    s.counts <- grow s.counts (id + 1) 0;
+    s.qids <- grow s.qids (id + 1) (-1);
+    s.tags <- grow s.tags (2 * (id + 1)) 0.
+  end;
+  if s.qids.(id) < 0 then begin
+    s.qids.(id) <- Q.alloc s.heap id;
+    s.tags.(2 * id) <- 1.0;
+    s.tags.((2 * id) + 1) <- s.global.g_pass
   end
 
 (* Subtract the accumulated pass base from every tag, then re-key the
@@ -176,57 +153,60 @@ let st_entry s id =
    keeps the floats small. *)
 let rebase s =
   let base = s.global.g_pass in
-  Array.iter (fun e -> if e != no_entry then e.s_tags.pass <- e.s_tags.pass -. base) s.entries;
+  Array.iteri
+    (fun id qid -> if qid >= 0 then s.tags.((2 * id) + 1) <- s.tags.((2 * id) + 1) -. base)
+    s.qids;
   s.global.g_pass <- 0.;
-  let queued = Array.init (Wheel.size s.heap) (fun _ -> Wheel.pop_min s.heap) in
+  let queued = Array.init (Q.size s.heap) (fun _ -> Q.pop_min s.heap) in
   Array.iter
-    (fun h -> Wheel.reinsert s.heap h ~time:(key s.entries.(Wheel.handle_value h).s_tags.pass))
+    (fun qid -> Q.reinsert s.heap qid ~time:(key s.tags.((2 * Q.value s.heap qid) + 1)))
     queued
 
 let st_enqueue s id =
-  let e = st_entry s id in
-  e.s_count <- e.s_count + 1;
+  st_register s id;
+  let c = s.counts.(id) + 1 in
+  s.counts.(id) <- c;
   s.st_total <- s.st_total + 1;
-  if e.s_count = 1 then begin
+  if c = 1 then begin
     (* a newly backlogged flow re-enters at the current global pass so it
        cannot hoard credit accumulated while idle *)
-    let tg = e.s_tags in
-    tg.pass <- Float.max s.global.g_pass tg.pass;
-    Wheel.reinsert s.heap e.s_handle ~time:(key tg.pass)
+    let pass = Float.max s.global.g_pass s.tags.((2 * id) + 1) in
+    s.tags.((2 * id) + 1) <- pass;
+    Q.reinsert s.heap s.qids.(id) ~time:(key pass)
   end
 
 let st_dequeue s =
   if s.st_total = 0 then -1
   else begin
-    let hd = Wheel.min_handle s.heap in
-    let id = Wheel.handle_value hd in
-    let e = s.entries.(id) in
-    let tg = e.s_tags in
-    let pass = tg.pass in
-    e.s_count <- e.s_count - 1;
+    let qid = Q.min_id s.heap in
+    let id = Q.value s.heap qid in
+    let pass = s.tags.((2 * id) + 1) in
+    let c = s.counts.(id) - 1 in
+    s.counts.(id) <- c;
     s.st_total <- s.st_total - 1;
     s.global.g_pass <- pass;
-    tg.pass <- pass +. (stride_k /. tg.weight);
-    if e.s_count > 0 then ignore (Wheel.update s.heap hd ~time:(key tg.pass))
-    else ignore (Wheel.remove s.heap hd);
+    let next = pass +. (stride_k /. s.tags.(2 * id)) in
+    s.tags.((2 * id) + 1) <- next;
+    if c > 0 then ignore (Q.update s.heap qid ~time:(key next)) else ignore (Q.remove s.heap qid);
     if s.global.g_pass > rebase_threshold then rebase s;
     id
   end
 
-let st_find s id = if id >= 0 && id < Array.length s.entries then s.entries.(id) else no_entry
-
 let st_remove s id =
-  let e = st_find s id in
-  if e != no_entry then begin
-    s.st_total <- s.st_total - e.s_count;
-    ignore (Wheel.remove s.heap e.s_handle);
-    s.entries.(id) <- no_entry
+  if id >= 0 && id < Array.length s.qids && s.qids.(id) >= 0 then begin
+    let qid = s.qids.(id) in
+    s.st_total <- s.st_total - s.counts.(id);
+    s.counts.(id) <- 0;
+    ignore (Q.remove s.heap qid);
+    Q.release s.heap qid;
+    s.qids.(id) <- -1
   end
 
 let st_set_weight s id w =
   if not (Float.is_finite w && w > 0. && Float.is_finite (stride_k /. w)) then
     invalid_arg "Scheduler.weighted: weight must be positive and finite, with a finite stride";
-  (st_entry s id).s_tags.weight <- w
+  st_register s id;
+  s.tags.(2 * id) <- w
 
 (* ---- the closed variant ----------------------------------------------- *)
 
@@ -247,8 +227,10 @@ let round_robin () =
 let weighted () =
   Stride
     {
-      entries = Array.make 1 no_entry;
-      heap = Wheel.create ~slots:0 ~dummy:(-1) ();
+      counts = Array.make 1 0;
+      qids = Array.make 1 (-1);
+      tags = Array.make 2 0.;
+      heap = Q.create ~slots:0 ~dummy:(-1) ();
       st_total = 0;
       global = { g_pass = 0. };
     }
@@ -264,4 +246,4 @@ let pending = function Round_robin r -> r.rr_total | Stride s -> s.st_total
 let pending_for t id =
   match t with
   | Round_robin r -> if id >= 0 && id < Array.length r.counts then r.counts.(id) else 0
-  | Stride s -> (st_find s id).s_count
+  | Stride s -> if id >= 0 && id < Array.length s.counts then s.counts.(id) else 0

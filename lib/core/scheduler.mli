@@ -24,7 +24,7 @@ val round_robin : factory
 val weighted : factory
 (** Stride scheduling: flows receive grants in proportion to their
     weights (default weight 1.0).  Backlogged flows sit in a pure-heap
-    {!Cm_util.Wheel} ([~slots:0]) keyed by their pass, so [dequeue] is
+    {!Eventsim.Engine.Queue} ([~slots:0]) keyed by their pass, so [dequeue] is
     O(log n) in the number of {e backlogged} flows — independent of how
     many flows are registered — and equal passes grant in FIFO order.
     The key of a pass is its IEEE-754 bit pattern minus that of 1.0: on

@@ -2,11 +2,12 @@ open Eventsim
 
 type handler = Packet.t -> unit
 
+(* [cpu] and [costs] are fields 0 and 1: their accessors are loads *)
 type t = {
-  id : int;
-  engine : Engine.t;
   cpu : Cpu.t;
   costs : Costs.t;
+  id : int;
+  engine : Engine.t;
   mutable route : (Packet.t -> unit) option;
   mutable tx_hooks : (Packet.t -> unit) list;
   mutable rx_filters : (Packet.t -> Packet.t option) list;
@@ -20,10 +21,10 @@ type t = {
 
 let create engine ~id ?(costs = Costs.zero) () =
   {
-    id;
-    engine;
     cpu = Cpu.create engine;
     costs;
+    id;
+    engine;
     route = None;
     tx_hooks = [];
     rx_filters = [];
@@ -37,8 +38,8 @@ let create engine ~id ?(costs = Costs.zero) () =
 
 let id t = t.id
 let engine t = t.engine
-let cpu t = t.cpu
-let costs t = t.costs
+external cpu : t -> Cpu.t = "%field0"
+external costs : t -> Costs.t = "%field1"
 let attach_route t out = t.route <- Some out
 let add_tx_hook t hook = t.tx_hooks <- t.tx_hooks @ [ hook ]
 let add_rx_filter t filter = t.rx_filters <- t.rx_filters @ [ filter ]

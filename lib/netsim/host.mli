@@ -25,10 +25,10 @@ val id : t -> int
 val engine : t -> Engine.t
 (** The engine driving this host. *)
 
-val cpu : t -> Cpu.t
+external cpu : t -> Cpu.t = "%field0"
 (** The host's CPU. *)
 
-val costs : t -> Costs.t
+external costs : t -> Costs.t = "%field1"
 (** The host's cost profile. *)
 
 val attach_route : t -> (Packet.t -> unit) -> unit

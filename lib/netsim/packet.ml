@@ -17,10 +17,10 @@ let header_bytes = 58
 let ect = 1
 let ce = 2
 
-let[@inline] ecn_capable t = t.ecn land ect <> 0
-let[@inline] ecn_marked t = t.ecn land ce <> 0
-let[@inline] set_ecn_capable t = t.ecn <- t.ecn lor ect
-let[@inline] mark_ce t = t.ecn <- t.ecn lor ce
+let ecn_capable t = t.ecn land ect <> 0
+let ecn_marked t = t.ecn land ce <> 0
+let set_ecn_capable t = t.ecn <- t.ecn lor ect
+let mark_ce t = t.ecn <- t.ecn lor ce
 
 let next_id = ref 0
 let reset_ids () = next_id := 0
@@ -49,7 +49,7 @@ let dummy =
     payload = Raw 0;
   }
 
-let[@inline] payload_bytes t = Int.max 0 (t.size - header_bytes)
+let payload_bytes t = Int.max 0 (t.size - header_bytes)
 
 let pp fmt t =
   Format.fprintf fmt "#%d %a %dB%s%s sent=%a" t.id Addr.pp_flow t.flow t.size

@@ -2,7 +2,7 @@
 
     Forwards packets by destination host id.  Queueing and serialization
     happen inside the outgoing {!Link}, so the router itself is just a
-    routing table plus counters. *)
+    routing table. *)
 
 type t
 (** A router. *)
@@ -15,8 +15,5 @@ val add_route : t -> dst:int -> (Packet.t -> unit) -> unit
     [out] (normally a {!Link.send}).  Replaces any previous route. *)
 
 val forward : t -> Packet.t -> unit
-(** Route one packet; packets with no route are counted and dropped.
-    Use [forward r] as a link sink. *)
-
-val no_route_drops : t -> int
-(** Packets dropped for lack of a route. *)
+(** Route one packet; packets with no route are dropped.  Use
+    [forward r] as a link sink. *)

@@ -50,11 +50,6 @@ let float t bound =
 let bool t = Int64.logand (int64 t) 1L = 1L
 let bernoulli t p = float t 1.0 < p
 
-let exponential t ~mean =
-  let u = float t 1.0 in
-  let u = if u <= 0. then 1e-12 else u in
-  -.mean *. log u
-
 let uniform_span t d = if d <= 0 then 0 else int t d
 
 let shuffle t a =

@@ -27,9 +27,6 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val exponential : t -> mean:float -> float
-(** Exponentially distributed sample with the given mean. *)
-
 val uniform_span : t -> Time.span -> Time.span
 (** [uniform_span t d] is a span uniform in \[0, d). *)
 

@@ -2,16 +2,15 @@ type t = int
 type span = int
 
 let zero = 0
-let ns n = n
+external ns : int -> span = "%identity"
 let us n = n * 1_000
 let ms n = n * 1_000_000
 let sec s = int_of_float (Float.round (s *. 1e9))
-let minutes m = sec (m *. 60.)
 let to_float_s t = float_of_int t /. 1e9
 let to_float_ms t = float_of_int t /. 1e6
 let to_float_us t = float_of_int t /. 1e3
-let add t d = t + d
-let diff a b = a - b
+external add : t -> span -> t = "%addint"
+external diff : t -> t -> span = "%subint"
 let min (a : t) b = Int.min a b
 let max (a : t) b = Int.max a b
 let compare (a : t) b = Int.compare a b

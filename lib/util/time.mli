@@ -15,7 +15,7 @@ type span = int
 val zero : t
 (** The simulation epoch. *)
 
-val ns : int -> span
+external ns : int -> span = "%identity"
 (** [ns n] is a span of [n] nanoseconds. *)
 
 val us : int -> span
@@ -27,9 +27,6 @@ val ms : int -> span
 val sec : float -> span
 (** [sec s] is a span of [s] seconds, rounded to the nearest nanosecond. *)
 
-val minutes : float -> span
-(** [minutes m] is a span of [m] minutes. *)
-
 val to_float_s : t -> float
 (** [to_float_s t] is [t] expressed in seconds. *)
 
@@ -39,16 +36,18 @@ val to_float_ms : t -> float
 val to_float_us : t -> float
 (** [to_float_us t] is [t] expressed in microseconds. *)
 
-val add : t -> span -> t
+external add : t -> span -> t = "%addint"
 (** [add t d] is the timestamp [d] after [t]. *)
 
-val diff : t -> t -> span
+external diff : t -> t -> span = "%subint"
 (** [diff a b] is [a - b]. *)
 
 val min : t -> t -> t
-(** Earlier of two timestamps.  [min], [max] and [compare] are [Int]'s:
-    inlined integer code, where [Stdlib.min] is a call and a polymorphic
-    compare. *)
+(** Earlier of two timestamps.  [min], [max] and [compare] are [Int]'s
+    integer code, where [Stdlib.min] is a polymorphic compare; but a call
+    from another unit is an indirect call (libraries build with
+    [-opaque]), so per-event code uses [Int.min]/[max]/[compare], which
+    inline. *)
 
 val max : t -> t -> t
 (** Later of two timestamps. *)

@@ -41,13 +41,6 @@ let sampled_series t ~bin ~until =
   in
   walk pts nan 0 []
 
-let mean_value t =
-  if t.n = 0 then nan
-  else begin
-    let total = List.fold_left (fun acc p -> acc +. p.value) 0. t.rev_points in
-    total /. float_of_int t.n
-  end
-
 let changes t =
   match points t with
   | [] -> 0

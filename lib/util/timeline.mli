@@ -37,8 +37,5 @@ val sampled_series : t -> bin:Time.span -> until:Time.t -> (Time.t * float) list
 (** Piecewise-constant resampling: for each bin boundary, the value of the
     latest sample at or before it ([nan] before the first sample). *)
 
-val mean_value : t -> float
-(** Mean of all sample values; [nan] if empty. *)
-
 val changes : t -> int
 (** Samples whose value differs from the previous sample's. *)

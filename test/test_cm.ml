@@ -520,6 +520,28 @@ let test_sched_cycles_allocate_nothing () =
     [ (0, 1.); (1, 3.); (2, 0.7) ];
   cycle_words "weighted" s
 
+(* A stride flow holds one queue id from its first request until [remove]
+   releases it, and a flow added again takes a released id back: churn
+   over a fixed set of flows allocates nothing however long it runs,
+   where a leaked id would grow the queue's arrays. *)
+let test_stride_readd_reuses_id () =
+  let s = Scheduler.weighted () in
+  List.iter (Scheduler.enqueue s) [ 0; 1; 2 ];
+  let churn () =
+    Scheduler.remove s 1;
+    Scheduler.set_weight s 1 2.0;
+    Scheduler.enqueue s 1
+  in
+  churn ();
+  let b0 = Gc.allocated_bytes () in
+  for _ = 1 to 100_000 do
+    churn ()
+  done;
+  let bytes = Gc.allocated_bytes () -. b0 in
+  if bytes > 1024. then Alcotest.failf "100k remove/re-add cycles allocated %.0f bytes" bytes;
+  Alcotest.(check int) "one request left for the re-added flow" 1 (Scheduler.pending_for s 1);
+  Alcotest.(check (list int)) "every flow still granted" [ 0; 1; 2 ] (List.sort compare (drain s 3))
+
 (* ------------------------------------------------------------------ *)
 (* CM API tests *)
 
@@ -1175,6 +1197,8 @@ let () =
           Alcotest.test_case "stride rebase keeps the grant order" `Quick
             test_stride_rebase_keeps_order;
           Alcotest.test_case "cycles allocate nothing" `Quick test_sched_cycles_allocate_nothing;
+          Alcotest.test_case "stride flow re-added reuses its queue id" `Quick
+            test_stride_readd_reuses_id;
         ] );
       ( "api",
         [

@@ -85,11 +85,11 @@ let test_step_and_counters () =
   Alcotest.(check int) "executed count" 2 (Engine.events_executed e)
 
 let test_stale_handle_after_reuse () =
-  (* event cells are pooled: after an event fires, the next schedule
-     recycles its cell.  A fired cell keeps its closure until then, so a
+  (* queue ids are recycled: after an event fires, the next schedule
+     reuses its id.  A fired id keeps its closure until then, so a
      handle to the fired event must read as dead from the queue: cancel
      returns false — from the callback itself, after the run, and after
-     the cell is reused — and touches neither the count nor the tenant. *)
+     the id is reused — and touches neither the count nor the tenant. *)
   let e = Engine.create () in
   let fired = ref [] in
   let self = ref (Engine.unscheduled ()) in
@@ -108,15 +108,69 @@ let test_stale_handle_after_reuse () =
   Engine.run e;
   Alcotest.(check (list int)) "both events fired, reused cell unharmed" [ 2; 1 ] !fired
 
-let test_clamped_counter () =
-  let e = Engine.create () in
-  Alcotest.(check int) "starts at zero" 0 (Engine.schedules_clamped e);
-  ignore (Engine.schedule_after e (Time.ms (-5)) (fun () -> ()));
-  ignore (Engine.schedule_after e (Time.ms (-1)) (fun () -> ()));
-  ignore (Engine.schedule_after e (Time.ms 1) (fun () -> ()));
-  Alcotest.(check int) "two negative delays clamped" 2 (Engine.schedules_clamped e);
+let test_negative_delays_run_now () =
+  let e = Engine.create ~start:(Time.ms 10) () in
+  let log = ref [] in
+  let note i () = log := (i, Engine.now e) :: !log in
+  ignore (Engine.schedule_after e (Time.ms (-5)) (note 1));
+  Engine.post e (Time.ms (-1)) (note 2);
+  ignore (Engine.schedule_after e (Time.ms 1) (note 3));
   Engine.run e;
-  Alcotest.(check int) "clamped events still run" 3 (Engine.events_executed e)
+  Alcotest.(check (list (pair int int)))
+    "negative delays are clamped to now, in FIFO order"
+    [ (1, Time.ms 10); (2, Time.ms 10); (3, Time.ms 11) ]
+    (List.rev !log)
+
+(* [now] and [current_stamp] are [%field0]/[%field1] externals over the
+   engine record: these fail if its field order changes. *)
+let test_clock_and_stamp_fields () =
+  let e = Engine.create ~start:(Time.ms 3) () in
+  Alcotest.(check int) "now at start" (Time.ms 3) (Engine.now e);
+  Alcotest.(check int) "no stamp before any event" (-1) (Engine.current_stamp e);
+  let stamp = Engine.reserve_stamp e in
+  let seen = ref (-2) in
+  Engine.post_stamped e (Time.ms 5) ~stamp (fun () -> seen := Engine.current_stamp e);
+  Engine.run ~until:(Time.ms 20) e;
+  Alcotest.(check int) "the dispatched event's stamp" stamp !seen;
+  Alcotest.(check int) "now after run ~until" (Time.ms 20) (Engine.now e);
+  Alcotest.(check int) "current_stamp after a run" max_int (Engine.current_stamp e)
+
+(* An event's queue id is released when it leaves the queue and handed to
+   the next schedule; a handle to the old event stays dead, whether that
+   event was cancelled or fired. *)
+let test_released_id_keeps_old_handle_dead () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let h1 = Engine.schedule_at e (Time.ms 1) (fun () -> fired := 1 :: !fired) in
+  "cancel" => Engine.cancel e h1;
+  Engine.run e;
+  let h2 = Engine.schedule_at e (Time.ms 2) (fun () -> fired := 2 :: !fired) in
+  Alcotest.(check int) "the cancelled event's id is reused" 1 (Engine.pool_hw e);
+  "cancelled handle stays dead" => not (Engine.cancel e h1);
+  Engine.run e;
+  let h3 = Engine.schedule_at e (Time.ms 3) (fun () -> fired := 3 :: !fired) in
+  Alcotest.(check int) "the fired event's id is reused" 1 (Engine.pool_hw e);
+  "fired handle stays dead" => not (Engine.cancel e h2);
+  "cancelled handle still dead" => not (Engine.cancel e h1);
+  "the new tenant's handle is live" => Engine.cancel e h3;
+  Engine.run e;
+  Alcotest.(check (list int)) "only the second event ran" [ 2 ] !fired;
+  (* the same at the queue: a released id comes back, with a new seq *)
+  let q = Engine.Queue.create ~dummy:"" () in
+  let a = Engine.Queue.alloc q "a" in
+  Engine.Queue.reinsert q a ~time:5;
+  let seq_a = Engine.Queue.seq q a in
+  "popped" => (Engine.Queue.pop_min q = a);
+  Engine.Queue.release q a;
+  "a released id is not queued" => not (Engine.Queue.mem q a);
+  let b = Engine.Queue.alloc q "b" in
+  Alcotest.(check int) "released id reallocated" a b;
+  Engine.Queue.reinsert q b ~time:5;
+  "a new seq for the new tenant" => (Engine.Queue.seq q b <> seq_a);
+  (try
+     Engine.Queue.release q b;
+     Alcotest.fail "releasing a queued id must raise"
+   with Invalid_argument _ -> ())
 
 let test_lazy_cancel_pending () =
   let e = Engine.create () in
@@ -222,8 +276,8 @@ let test_timer_rearm_after_fire_and_stop () =
     !fired_at
 
 (* [rearm] re-points one handle at a new event; a handle that named the
-   recycled cell before stays dead, whether the cell came back from the
-   pool or a cancelled event was revived in place.  A revived event due
+   recycled id before stays dead, whether the id came back from the free
+   list or a cancelled event was revived in place.  A revived event due
    before its new time keeps its place, so it fires early. *)
 let test_rearm_keeps_old_handles_dead () =
   let e = Engine.create () in
@@ -633,7 +687,6 @@ let test_sim_log_level_filtering () =
 let test_prof_counts_dispatches () =
   let e = Engine.create () in
   Engine.enable_prof e;
-  "prof armed" => Engine.prof_enabled e;
   for i = 1 to 10 do
     ignore (Engine.schedule_at e (Time.ms i) (Engine.prof_tag e ~cat:"cm" (fun () -> ())))
   done;
@@ -717,21 +770,331 @@ let prop_engine_order =
       Engine.run e;
       List.rev !out = List.stable_sort Stdlib.compare delays)
 
-let test_pool_shrinks_after_burst () =
+let test_ids_recycle_after_burst () =
   let e = Engine.create () in
-  (* burst: 10k simultaneously-outstanding events *)
+  (* burst: 10k simultaneously-outstanding events, one id each *)
   for i = 1 to 10_000 do
     ignore (Engine.schedule_at e (Time.us i) ignore)
   done;
   Engine.run e;
   Alcotest.(check int) "burst executed" 10_000 (Engine.events_executed e);
-  (* draining the burst must not retain its peak: the free list is capped
-     at max 64 (queued events), and the queue is now empty *)
-  "pool shrank to the floor after the burst" => (Engine.pool_size e <= 64);
-  (* cells still recycle in steady state *)
-  ignore (Engine.schedule_after e (Time.us 1) ignore);
+  Alcotest.(check int) "one id per outstanding event" 10_000 (Engine.pool_hw e);
+  (* a second burst and steady state reuse the released ids *)
+  for i = 1 to 10_000 do
+    Engine.post e (Time.us i) ignore
+  done;
   Engine.run e;
-  "pool still bounded in steady state" => (Engine.pool_size e <= 64)
+  for _ = 1 to 100 do
+    Engine.post e (Time.us 1) ignore;
+    Engine.run e
+  done;
+  Alcotest.(check int) "no id allocated past the high-water" 10_000 (Engine.pool_hw e)
+
+(* ---- Heap (the queue's pure-heap mode) ------------------------------ *)
+
+module Q = Engine.Queue
+
+(* [Q.create ~slots:0] is a single binary heap over (time, seq): the
+   reference the timing wheel is checked against, so it is itself checked
+   against a sorted-list model here. *)
+let heap dummy = Q.create ~slots:0 ~dummy ()
+
+let insert q ~time v =
+  let id = Q.alloc q v in
+  Q.reinsert q id ~time;
+  id
+
+let pop h =
+  if Q.size h = 0 then None
+  else
+    let id = Q.pop_min h in
+    Some (Q.time h id, Q.value h id)
+
+let pop_all h n = List.init n (fun _ -> pop h) |> List.filter_map Fun.id
+
+let test_heap_orders () =
+  let h = heap 0 in
+  List.iter (fun p -> ignore (insert h ~time:p p)) [ 5; 1; 4; 1; 3; 9; 0 ];
+  Alcotest.(check (list (pair int int)))
+    "sorted output"
+    [ (0, 0); (1, 1); (1, 1); (3, 3); (4, 4); (5, 5); (9, 9) ]
+    (pop_all h 7)
+
+let test_heap_fifo_ties () =
+  let h = heap "" in
+  List.iter (fun v -> ignore (insert h ~time:7 v)) [ "first"; "second"; "third" ];
+  Alcotest.(check (list string))
+    "FIFO among equal priorities" [ "first"; "second"; "third" ]
+    (List.map snd (pop_all h 3))
+
+let test_heap_remove () =
+  let h = heap "" in
+  let _a = insert h ~time:1 "a" in
+  let b = insert h ~time:2 "b" in
+  let _c = insert h ~time:3 "c" in
+  "remove succeeds" => Q.remove h b;
+  "second remove fails" => not (Q.remove h b);
+  Alcotest.(check (list string)) "b removed" [ "a"; "c" ] (List.map snd (pop_all h 3))
+
+let test_heap_clear_and_size () =
+  let h = heap 0 in
+  for i = 1 to 100 do
+    ignore (insert h ~time:i i)
+  done;
+  Alcotest.(check int) "size" 100 (Q.size h);
+  Q.filter_in_place h (fun _ -> false);
+  Alcotest.(check int) "cleared" 0 (Q.size h);
+  "pop on empty" => (pop h = None)
+
+let prop_heap_sorts =
+  QCheck.Test.make ~name:"heap extracts in priority order" ~count:200
+    QCheck.(list small_int)
+    (fun prios ->
+      let h = heap 0 in
+      List.iter (fun p -> ignore (insert h ~time:p p)) prios;
+      List.map fst (pop_all h (List.length prios)) = List.sort Stdlib.compare prios)
+
+let prop_heap_removal_consistent =
+  QCheck.Test.make ~name:"heap removal keeps order" ~count:100
+    QCheck.(pair (list small_int) (list bool))
+    (fun (prios, removes) ->
+      let h = heap 0 in
+      let handles = List.map (fun p -> (p, insert h ~time:p p)) prios in
+      let kept =
+        List.filteri
+          (fun i (_, hd) ->
+            let remove = List.nth_opt removes i = Some true in
+            if remove then ignore (Q.remove h hd);
+            not remove)
+          handles
+        |> List.map fst
+      in
+      List.map fst (pop_all h (List.length kept)) = List.sort Stdlib.compare kept)
+
+let test_heap_update_prio () =
+  let h = heap "" in
+  let a = insert h ~time:10 "a" in
+  let _b = insert h ~time:20 "b" in
+  let c = insert h ~time:30 "c" in
+  "decrease-key succeeds" => Q.update h c ~time:5;
+  "increase-key succeeds" => Q.update h a ~time:40;
+  Alcotest.(check (list (pair int string)))
+    "re-keyed order" [ (5, "c"); (20, "b"); (40, "a") ] (pop_all h 3);
+  "update after extraction fails" => not (Q.update h c ~time:1)
+
+let test_heap_update_prio_refreshes_fifo () =
+  (* a re-keyed element behaves like a fresh insert among equal priorities *)
+  let h = heap "" in
+  let a = insert h ~time:7 "rekeyed" in
+  ignore (insert h ~time:7 "second");
+  "same-prio update" => Q.update h a ~time:7;
+  Alcotest.(check (list string))
+    "re-keyed element moved behind" [ "second"; "rekeyed" ]
+    (List.map snd (pop_all h 2))
+
+let test_heap_reinsert () =
+  (* an extracted entry can be recycled: same value, fresh key, and FIFO
+     behaviour identical to a fresh insert among equal priorities *)
+  let h = heap "" in
+  let a = insert h ~time:10 "recycled" in
+  ignore (pop h);
+  "extracted handle is dead" => not (Q.mem h a);
+  ignore (insert h ~time:7 "tie-first");
+  Q.reinsert h a ~time:7;
+  "reinserted handle is live" => Q.mem h a;
+  Alcotest.(check (list (pair int string)))
+    "reinserted entry behaves like a fresh insert"
+    [ (7, "tie-first"); (7, "recycled") ]
+    (pop_all h 2);
+  (try
+     Q.reinsert h (insert h ~time:1 "live") ~time:2;
+     Alcotest.fail "reinsert of a live handle must raise"
+   with Invalid_argument _ -> ())
+
+(* A seq taken early keys an entry as if it had been queued then: it pops
+   ahead of every entry queued after the reservation, in both modes and
+   on both sides of the wheel horizon, whether [rekey] moves a queued
+   entry or queues a detached one. *)
+let test_reserved_seq_orders_at_reservation () =
+  List.iter
+    (fun (slots, time) ->
+      let w = Q.create ~slots ~dummy:"" () in
+      let early = Q.reserve_seq w in
+      ignore (insert w ~time "queued after the reservation");
+      let moved = insert w ~time:(time + 1) "moved" in
+      Q.rekey w (Q.alloc w "reserved") ~time ~seq:early;
+      Q.rekey w moved ~time ~seq:(Q.reserve_seq w);
+      ignore (insert w ~time "queued last");
+      Alcotest.(check (list string))
+        (Printf.sprintf "slots %d, time %d" slots time)
+        [ "reserved"; "queued after the reservation"; "moved"; "queued last" ]
+        (List.map snd (pop_all w 4)))
+    [ (0, 7); (1024, 7); (1024, 1_000_000_000) ]
+
+(* Model-based randomized test: drive the heap and a sorted-list reference
+   with the same operation stream (insert / pop_min / remove / update) and
+   require identical observable behaviour, including the FIFO tie-break
+   among equal priorities.  The reference mirrors the heap's sequence
+   numbering: one fresh seq per insert *and* per update. *)
+let prop_heap_model =
+  let open QCheck in
+  let op = triple (int_bound 3) (int_bound 20) (int_bound 100) in
+  Test.make ~name:"heap matches reference model (insert/pop_min/remove/update, FIFO)"
+    ~count:300 (list op)
+    (fun ops ->
+      let h = heap 0 in
+      let seq = ref 0 in
+      let next_id = ref 0 in
+      (* model: association list id -> (prio, seq); handles: id -> handle *)
+      let model = ref [] in
+      let handles = Hashtbl.create 16 in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let expected_min () =
+        List.fold_left
+          (fun acc (id, (p, s)) ->
+            match acc with
+            | Some (_, (bp, bs)) when (bp, bs) <= (p, s) -> acc
+            | _ -> Some (id, (p, s)))
+          None !model
+      in
+      let pick_id k =
+        (* any id ever created: lets us hit stale handles too *)
+        if !next_id = 0 then None else Some (k mod !next_id)
+      in
+      List.iter
+        (fun (kind, prio, k) ->
+          match kind with
+          | 0 ->
+              let id = !next_id in
+              incr next_id;
+              Hashtbl.replace handles id (insert h ~time:prio id);
+              model := (id, (prio, !seq)) :: !model;
+              incr seq
+          | 1 -> (
+              match expected_min () with
+              | None -> check (pop h = None)
+              | Some (id, (p, _)) ->
+                  model := List.remove_assoc id !model;
+                  check (pop h = Some (p, id)))
+          | 2 -> (
+              match pick_id k with
+              | None -> ()
+              | Some id ->
+                  let live = List.mem_assoc id !model in
+                  let r = Q.remove h (Hashtbl.find handles id) in
+                  check (r = live);
+                  if live then model := List.remove_assoc id !model)
+          | _ -> (
+              match pick_id k with
+              | None -> ()
+              | Some id ->
+                  let live = List.mem_assoc id !model in
+                  let r = Q.update h (Hashtbl.find handles id) ~time:prio in
+                  check (r = live);
+                  if live then begin
+                    model := (id, (prio, !seq)) :: List.remove_assoc id !model;
+                    incr seq
+                  end))
+        ops;
+      (* drain: remaining elements must come out in (prio, seq) order *)
+      check (Q.size h = List.length !model);
+      let rec drain () =
+        match expected_min () with
+        | None -> check (pop h = None)
+        | Some (id, (p, _)) ->
+            model := List.remove_assoc id !model;
+            check (pop h = Some (p, id));
+            drain ()
+      in
+      drain ();
+      !ok)
+
+(* ---- Wheel (the queue's default mode) ------------------------------- *)
+
+(* [Q.ntz] (de Bruijn multiply + table) against the halving loop it
+   replaced, on every single-bit word and 10,000 random non-zero 32-bit
+   words. *)
+let test_wheel_ntz () =
+  let reference x =
+    let x = x land -x in
+    let n = ref 0 in
+    let x = if x land 0xFFFF = 0 then (n := !n + 16; x lsr 16) else x in
+    let x = if x land 0xFF = 0 then (n := !n + 8; x lsr 8) else x in
+    let x = if x land 0xF = 0 then (n := !n + 4; x lsr 4) else x in
+    let x = if x land 0x3 = 0 then (n := !n + 2; x lsr 2) else x in
+    if x land 0x1 = 0 then !n + 1 else !n
+  in
+  for b = 0 to 31 do
+    Alcotest.(check int) (Printf.sprintf "ntz (1 lsl %d)" b) b (Q.ntz (1 lsl b))
+  done;
+  let st = Random.State.make [| 42 |] in
+  let n = ref 0 in
+  while !n < 10_000 do
+    let x = ((Random.State.bits st lsl 2) lxor Random.State.bits st) land 0xFFFF_FFFF in
+    if x <> 0 then begin
+      if Q.ntz x <> reference x then
+        Alcotest.failf "ntz 0x%x: %d, loop %d" x (Q.ntz x) (reference x);
+      incr n
+    end
+  done
+
+(* The timing wheel must be observationally identical to its pure-heap
+   mode: drive both through one randomized program — inserts and
+   re-keys up to ~60 ms ahead (3.6x the default ~16.8 ms horizon, so
+   entries land in the current slot, wheel slots and the overflow heap,
+   and migrate on cursor advance), ties at the current time, re-queued
+   entries, removals, filters and pops — and require the same pop
+   sequence, the same return values and the same sizes throughout. *)
+let prop_wheel_matches_heap =
+  QCheck.Test.make ~name:"wheel pop sequence = pure-heap pop sequence" ~count:200
+    QCheck.(list (triple (int_bound 6) (int_bound 3_000) small_nat))
+    (fun ops ->
+      let w = Q.create ~dummy:0 () and h = heap 0 in
+      let now = ref 0 and next_id = ref 0 and hs = ref [] in
+      let nth k =
+        match !hs with
+        | [] -> None
+        | l -> Option.map (fun (_, ew, eh) -> (ew, eh)) (List.nth_opt l (k mod List.length l))
+      in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let at t = !now + if t mod 7 = 0 then 0 else t * 20_000 in
+      let pop_both () =
+        let pw = pop w and ph = pop h in
+        check (pw = ph);
+        Option.iter (fun (t, _) -> now := t) pw
+      in
+      List.iter
+        (fun (op, t, k) ->
+          (match (op, nth k) with
+          | (0 | 1), _ ->
+              let id = !next_id in
+              incr next_id;
+              hs := (id, insert w ~time:(at t) id, insert h ~time:(at t) id) :: !hs
+          | 2, Some (ew, eh) ->
+              check (Q.mem w ew = Q.mem h eh);
+              if not (Q.mem w ew) then begin
+                Q.reinsert w ew ~time:(at t);
+                Q.reinsert h eh ~time:(at t)
+              end
+          | 3, Some (ew, eh) -> check (Q.remove w ew = Q.remove h eh)
+          | 4, Some (ew, eh) ->
+              check (Q.update w ew ~time:(at t) = Q.update h eh ~time:(at t))
+          | 5, _ -> pop_both ()
+          | 6, _ when k mod 8 = 0 ->
+              let keep v = v mod 5 <> t mod 5 in
+              Q.filter_in_place w keep;
+              Q.filter_in_place h keep;
+              (* the filter released the ids it dropped *)
+              hs := List.filter (fun (v, _, _) -> keep v) !hs
+          | _ -> ());
+          check (Q.size w = Q.size h))
+        ops;
+      while Q.size w > 0 || Q.size h > 0 do
+        pop_both ()
+      done;
+      !ok)
 
 let () =
   Alcotest.run "eventsim"
@@ -748,11 +1111,14 @@ let () =
           Alcotest.test_case "step and counters" `Quick test_step_and_counters;
           Alcotest.test_case "stale handle after cell reuse" `Quick
             test_stale_handle_after_reuse;
-          Alcotest.test_case "clamped counter" `Quick test_clamped_counter;
+          Alcotest.test_case "negative delays run now" `Quick test_negative_delays_run_now;
+          Alcotest.test_case "clock and stamp fields" `Quick test_clock_and_stamp_fields;
+          Alcotest.test_case "released id keeps old handle dead" `Quick
+            test_released_id_keeps_old_handle_dead;
           Alcotest.test_case "lazy cancel pending" `Quick test_lazy_cancel_pending;
           Alcotest.test_case "run_for windows" `Quick test_run_for;
           QCheck_alcotest.to_alcotest prop_engine_order;
-          Alcotest.test_case "pool shrinks after burst" `Quick test_pool_shrinks_after_burst;
+          Alcotest.test_case "ids recycle after a burst" `Quick test_ids_recycle_after_burst;
         ] );
       ( "timer",
         [
@@ -787,6 +1153,27 @@ let () =
           Alcotest.test_case "escape hook fires and reraises" `Quick
             test_escape_hook_fires_and_reraises;
           Alcotest.test_case "pool and wheel occupancy stats" `Quick test_pool_and_queue_stats;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "orders by priority" `Quick test_heap_orders;
+          Alcotest.test_case "fifo among ties" `Quick test_heap_fifo_ties;
+          Alcotest.test_case "removal" `Quick test_heap_remove;
+          Alcotest.test_case "clear and size" `Quick test_heap_clear_and_size;
+          Alcotest.test_case "update_prio re-keys" `Quick test_heap_update_prio;
+          Alcotest.test_case "update_prio refreshes FIFO rank" `Quick
+            test_heap_update_prio_refreshes_fifo;
+          Alcotest.test_case "reinsert recycles an extracted entry" `Quick test_heap_reinsert;
+          Alcotest.test_case "a reserved seq orders at its reservation" `Quick
+            test_reserved_seq_orders_at_reservation;
+          QCheck_alcotest.to_alcotest prop_heap_sorts;
+          QCheck_alcotest.to_alcotest prop_heap_removal_consistent;
+          QCheck_alcotest.to_alcotest prop_heap_model;
+        ] );
+      ( "wheel",
+        [
+          QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
+          Alcotest.test_case "ntz matches the halving loop" `Quick test_wheel_ntz;
         ] );
       ( "stress",
         [ Alcotest.test_case "a million events" `Slow test_engine_million_events ]);

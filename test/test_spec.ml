@@ -931,8 +931,8 @@ let prop_next_hop_table =
       true)
 
 (* Route agreement: one data packet per group, each way, must be
-   delivered by exactly the links of Check.route's path, and no router
-   may lack a route for it. *)
+   delivered by exactly the links of Check.route's path (a router that
+   lacked a route would leave the rest of the path unused). *)
 let check_route_agreement what spec =
   let ir = Check.elaborate_exn spec in
   let engine = Eventsim.Engine.create () in
@@ -974,15 +974,7 @@ let check_route_agreement what spec =
     (fun (g : Check.group) ->
       send ~src:g.Check.g_srcs.(0) ~dst:g.Check.g_dst;
       send ~src:g.Check.g_dst ~dst:g.Check.g_srcs.(0))
-    ir.Check.ir_groups;
-  Array.iter
-    (function
-      | Build.Router_impl r ->
-          Alcotest.(check int)
-            (what ^ ": no router lacks a route")
-            0 (Netsim.Router.no_route_drops r)
-      | Build.Host_impl _ -> ())
-    b.Build.impls
+    ir.Check.ir_groups
 
 let test_route_agreement () =
   check_route_agreement "detour" detour_spec;

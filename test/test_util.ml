@@ -1,4 +1,4 @@
-(* Tests for cm_util: time, json, rng, wheel, stats, ewma, timeline,
+(* Tests for cm_util: time, json, rng, stats, ewma, timeline,
    byte_queue. *)
 
 open Cm_util
@@ -11,7 +11,6 @@ let test_time_units () =
   Alcotest.(check int) "us" 1_000 (Time.us 1);
   Alcotest.(check int) "ms" 1_000_000 (Time.ms 1);
   Alcotest.(check int) "sec" 1_000_000_000 (Time.sec 1.);
-  Alcotest.(check int) "minutes" (60 * 1_000_000_000) (Time.minutes 1.);
   Alcotest.(check (float 1e-9)) "to_float_s" 1.5 (Time.to_float_s (Time.sec 1.5));
   Alcotest.(check (float 1e-9)) "to_float_ms" 2. (Time.to_float_ms (Time.ms 2))
 
@@ -111,315 +110,12 @@ let test_rng_bernoulli_frequency () =
   let freq = float_of_int !hits /. float_of_int n in
   "bernoulli(0.3) frequency within 1%" => (Float.abs (freq -. 0.3) < 0.01)
 
-let test_rng_exponential_mean () =
-  let r = Rng.create ~seed:5 in
-  let sum = ref 0. in
-  let n = 100_000 in
-  for _ = 1 to n do
-    sum := !sum +. Rng.exponential r ~mean:4.0
-  done;
-  let mean = !sum /. float_of_int n in
-  "exponential mean within 3%" => (Float.abs (mean -. 4.0) < 0.12)
-
 let test_rng_split_independent () =
   let r = Rng.create ~seed:6 in
   let a = Rng.split r and b = Rng.split r in
   let xs = List.init 20 (fun _ -> Rng.int a 1000) in
   let ys = List.init 20 (fun _ -> Rng.int b 1000) in
   "split streams differ" => (xs <> ys)
-
-(* ---- Heap (the wheel's pure-heap mode) ------------------------------ *)
-
-(* [Wheel.create ~slots:0] is a single binary heap over (time, seq): the
-   reference the timing wheel is checked against, so it is itself checked
-   against a sorted-list model here. *)
-let heap dummy = Wheel.create ~slots:0 ~dummy ()
-
-let pop h =
-  if Wheel.is_empty h then None
-  else
-    let e = Wheel.pop_min h in
-    Some (Wheel.handle_time e, Wheel.handle_value e)
-
-let pop_all h n = List.init n (fun _ -> pop h) |> List.filter_map Fun.id
-
-let test_heap_orders () =
-  let h = heap 0 in
-  List.iter (fun p -> ignore (Wheel.insert h ~time:p p)) [ 5; 1; 4; 1; 3; 9; 0 ];
-  Alcotest.(check (list (pair int int)))
-    "sorted output"
-    [ (0, 0); (1, 1); (1, 1); (3, 3); (4, 4); (5, 5); (9, 9) ]
-    (pop_all h 7)
-
-let test_heap_fifo_ties () =
-  let h = heap "" in
-  List.iter (fun v -> ignore (Wheel.insert h ~time:7 v)) [ "first"; "second"; "third" ];
-  Alcotest.(check (list string))
-    "FIFO among equal priorities" [ "first"; "second"; "third" ]
-    (List.map snd (pop_all h 3))
-
-let test_heap_remove () =
-  let h = heap "" in
-  let _a = Wheel.insert h ~time:1 "a" in
-  let b = Wheel.insert h ~time:2 "b" in
-  let _c = Wheel.insert h ~time:3 "c" in
-  "remove succeeds" => Wheel.remove h b;
-  "second remove fails" => not (Wheel.remove h b);
-  Alcotest.(check (list string)) "b removed" [ "a"; "c" ] (List.map snd (pop_all h 3))
-
-let test_heap_clear_and_size () =
-  let h = heap 0 in
-  for i = 1 to 100 do
-    ignore (Wheel.insert h ~time:i i)
-  done;
-  Alcotest.(check int) "size" 100 (Wheel.size h);
-  Wheel.filter_in_place h (fun _ -> false);
-  Alcotest.(check int) "cleared" 0 (Wheel.size h);
-  "pop on empty" => (pop h = None)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap extracts in priority order" ~count:200
-    QCheck.(list small_int)
-    (fun prios ->
-      let h = heap 0 in
-      List.iter (fun p -> ignore (Wheel.insert h ~time:p p)) prios;
-      List.map fst (pop_all h (List.length prios)) = List.sort Stdlib.compare prios)
-
-let prop_heap_removal_consistent =
-  QCheck.Test.make ~name:"heap removal keeps order" ~count:100
-    QCheck.(pair (list small_int) (list bool))
-    (fun (prios, removes) ->
-      let h = heap 0 in
-      let handles = List.map (fun p -> (p, Wheel.insert h ~time:p p)) prios in
-      let kept =
-        List.filteri
-          (fun i (_, hd) ->
-            let remove = List.nth_opt removes i = Some true in
-            if remove then ignore (Wheel.remove h hd);
-            not remove)
-          handles
-        |> List.map fst
-      in
-      List.map fst (pop_all h (List.length kept)) = List.sort Stdlib.compare kept)
-
-let test_heap_update_prio () =
-  let h = heap "" in
-  let a = Wheel.insert h ~time:10 "a" in
-  let _b = Wheel.insert h ~time:20 "b" in
-  let c = Wheel.insert h ~time:30 "c" in
-  "decrease-key succeeds" => Wheel.update h c ~time:5;
-  "increase-key succeeds" => Wheel.update h a ~time:40;
-  Alcotest.(check (list (pair int string)))
-    "re-keyed order" [ (5, "c"); (20, "b"); (40, "a") ] (pop_all h 3);
-  "update after extraction fails" => not (Wheel.update h c ~time:1)
-
-let test_heap_update_prio_refreshes_fifo () =
-  (* a re-keyed element behaves like a fresh insert among equal priorities *)
-  let h = heap "" in
-  let a = Wheel.insert h ~time:7 "rekeyed" in
-  ignore (Wheel.insert h ~time:7 "second");
-  "same-prio update" => Wheel.update h a ~time:7;
-  Alcotest.(check (list string))
-    "re-keyed element moved behind" [ "second"; "rekeyed" ]
-    (List.map snd (pop_all h 2))
-
-let test_heap_reinsert () =
-  (* an extracted entry can be recycled: same value, fresh key, and FIFO
-     behaviour identical to a fresh insert among equal priorities *)
-  let h = heap "" in
-  let a = Wheel.insert h ~time:10 "recycled" in
-  ignore (pop h);
-  "extracted handle is dead" => not (Wheel.mem h a);
-  ignore (Wheel.insert h ~time:7 "tie-first");
-  Wheel.reinsert h a ~time:7;
-  "reinserted handle is live" => Wheel.mem h a;
-  Alcotest.(check (list (pair int string)))
-    "reinserted entry behaves like a fresh insert"
-    [ (7, "tie-first"); (7, "recycled") ]
-    (pop_all h 2);
-  (try
-     Wheel.reinsert h (Wheel.insert h ~time:1 "live") ~time:2;
-     Alcotest.fail "reinsert of a live handle must raise"
-   with Invalid_argument _ -> ())
-
-(* A seq taken early keys an entry as if it had been queued then: it pops
-   ahead of every entry queued after the reservation, in both modes and
-   on both sides of the wheel horizon, whether [rekey] moves a queued
-   entry or queues a detached one. *)
-let test_reserved_seq_orders_at_reservation () =
-  List.iter
-    (fun (slots, time) ->
-      let w = Wheel.create ~slots ~dummy:"" () in
-      let early = Wheel.reserve_seq w in
-      ignore (Wheel.insert w ~time "queued after the reservation");
-      let moved = Wheel.insert w ~time:(time + 1) "moved" in
-      Wheel.rekey w (Wheel.detached "reserved") ~time ~seq:early;
-      Wheel.rekey w moved ~time ~seq:(Wheel.reserve_seq w);
-      ignore (Wheel.insert w ~time "queued last");
-      Alcotest.(check (list string))
-        (Printf.sprintf "slots %d, time %d" slots time)
-        [ "reserved"; "queued after the reservation"; "moved"; "queued last" ]
-        (List.map snd (pop_all w 4)))
-    [ (0, 7); (1024, 7); (1024, 1_000_000_000) ]
-
-(* Model-based randomized test: drive the heap and a sorted-list reference
-   with the same operation stream (insert / pop_min / remove / update) and
-   require identical observable behaviour, including the FIFO tie-break
-   among equal priorities.  The reference mirrors the heap's sequence
-   numbering: one fresh seq per insert *and* per update. *)
-let prop_heap_model =
-  let open QCheck in
-  let op = triple (int_bound 3) (int_bound 20) (int_bound 100) in
-  Test.make ~name:"heap matches reference model (insert/pop_min/remove/update, FIFO)"
-    ~count:300 (list op)
-    (fun ops ->
-      let h = heap 0 in
-      let seq = ref 0 in
-      let next_id = ref 0 in
-      (* model: association list id -> (prio, seq); handles: id -> handle *)
-      let model = ref [] in
-      let handles = Hashtbl.create 16 in
-      let ok = ref true in
-      let check b = if not b then ok := false in
-      let expected_min () =
-        List.fold_left
-          (fun acc (id, (p, s)) ->
-            match acc with
-            | Some (_, (bp, bs)) when (bp, bs) <= (p, s) -> acc
-            | _ -> Some (id, (p, s)))
-          None !model
-      in
-      let pick_id k =
-        (* any id ever created: lets us hit stale handles too *)
-        if !next_id = 0 then None else Some (k mod !next_id)
-      in
-      List.iter
-        (fun (kind, prio, k) ->
-          match kind with
-          | 0 ->
-              let id = !next_id in
-              incr next_id;
-              Hashtbl.replace handles id (Wheel.insert h ~time:prio id);
-              model := (id, (prio, !seq)) :: !model;
-              incr seq
-          | 1 -> (
-              match expected_min () with
-              | None -> check (pop h = None)
-              | Some (id, (p, _)) ->
-                  model := List.remove_assoc id !model;
-                  check (pop h = Some (p, id)))
-          | 2 -> (
-              match pick_id k with
-              | None -> ()
-              | Some id ->
-                  let live = List.mem_assoc id !model in
-                  let r = Wheel.remove h (Hashtbl.find handles id) in
-                  check (r = live);
-                  if live then model := List.remove_assoc id !model)
-          | _ -> (
-              match pick_id k with
-              | None -> ()
-              | Some id ->
-                  let live = List.mem_assoc id !model in
-                  let r = Wheel.update h (Hashtbl.find handles id) ~time:prio in
-                  check (r = live);
-                  if live then begin
-                    model := (id, (prio, !seq)) :: List.remove_assoc id !model;
-                    incr seq
-                  end))
-        ops;
-      (* drain: remaining elements must come out in (prio, seq) order *)
-      check (Wheel.size h = List.length !model);
-      let rec drain () =
-        match expected_min () with
-        | None -> check (pop h = None)
-        | Some (id, (p, _)) ->
-            model := List.remove_assoc id !model;
-            check (pop h = Some (p, id));
-            drain ()
-      in
-      drain ();
-      !ok)
-
-(* ---- Wheel ----------------------------------------------------------- *)
-
-(* [Wheel.ntz] (de Bruijn multiply + table) against the halving loop it
-   replaced, on every single-bit word and 10,000 random non-zero 32-bit
-   words. *)
-let test_wheel_ntz () =
-  let reference x =
-    let x = x land -x in
-    let n = ref 0 in
-    let x = if x land 0xFFFF = 0 then (n := !n + 16; x lsr 16) else x in
-    let x = if x land 0xFF = 0 then (n := !n + 8; x lsr 8) else x in
-    let x = if x land 0xF = 0 then (n := !n + 4; x lsr 4) else x in
-    let x = if x land 0x3 = 0 then (n := !n + 2; x lsr 2) else x in
-    if x land 0x1 = 0 then !n + 1 else !n
-  in
-  for b = 0 to 31 do
-    Alcotest.(check int) (Printf.sprintf "ntz (1 lsl %d)" b) b (Wheel.ntz (1 lsl b))
-  done;
-  let st = Random.State.make [| 42 |] in
-  let n = ref 0 in
-  while !n < 10_000 do
-    let x = ((Random.State.bits st lsl 2) lxor Random.State.bits st) land 0xFFFF_FFFF in
-    if x <> 0 then begin
-      if Wheel.ntz x <> reference x then
-        Alcotest.failf "ntz 0x%x: %d, loop %d" x (Wheel.ntz x) (reference x);
-      incr n
-    end
-  done
-
-(* The timing wheel must be observationally identical to its pure-heap
-   mode: drive both through one randomized program — inserts and
-   re-keys up to ~60 ms ahead (3.6x the default ~16.8 ms horizon, so
-   entries land in the current slot, wheel slots and the overflow heap,
-   and migrate on cursor advance), ties at the current time, recycled
-   entries, removals, filters and pops — and require the same pop
-   sequence, the same return values and the same sizes throughout. *)
-let prop_wheel_matches_heap =
-  QCheck.Test.make ~name:"wheel pop sequence = pure-heap pop sequence" ~count:200
-    QCheck.(list (triple (int_bound 6) (int_bound 3_000) small_nat))
-    (fun ops ->
-      let w = Wheel.create ~dummy:0 () and h = heap 0 in
-      let now = ref 0 and next_id = ref 0 and hs = ref [] in
-      let nth k = match !hs with [] -> None | l -> List.nth_opt l (k mod List.length l) in
-      let ok = ref true in
-      let check b = if not b then ok := false in
-      let at t = !now + if t mod 7 = 0 then 0 else t * 20_000 in
-      let pop_both () =
-        let pw = pop w and ph = pop h in
-        check (pw = ph);
-        Option.iter (fun (t, _) -> now := t) pw
-      in
-      List.iter
-        (fun (op, t, k) ->
-          (match (op, nth k) with
-          | (0 | 1), _ ->
-              let id = !next_id in
-              incr next_id;
-              hs := (Wheel.insert w ~time:(at t) id, Wheel.insert h ~time:(at t) id) :: !hs
-          | 2, Some (ew, eh) ->
-              check (Wheel.mem w ew = Wheel.mem h eh);
-              if not (Wheel.mem w ew) then begin
-                Wheel.reinsert w ew ~time:(at t);
-                Wheel.reinsert h eh ~time:(at t)
-              end
-          | 3, Some (ew, eh) -> check (Wheel.remove w ew = Wheel.remove h eh)
-          | 4, Some (ew, eh) ->
-              check (Wheel.update w ew ~time:(at t) = Wheel.update h eh ~time:(at t))
-          | 5, _ -> pop_both ()
-          | 6, _ when k mod 8 = 0 ->
-              let keep v = v mod 5 <> t mod 5 in
-              Wheel.filter_in_place w keep;
-              Wheel.filter_in_place h keep
-          | _ -> ());
-          check (Wheel.size w = Wheel.size h))
-        ops;
-      while not (Wheel.is_empty w && Wheel.is_empty h) do
-        pop_both ()
-      done;
-      !ok)
 
 (* ---- Stats ----------------------------------------------------------- *)
 
@@ -515,8 +211,7 @@ let test_timeline_basics () =
   Alcotest.(check int) "one point" 1 (Timeline.length tl);
   (match Timeline.last tl with
   | Some p -> Alcotest.(check (float 1e-9)) "last value" 42. p.Timeline.value
-  | None -> Alcotest.fail "expected last");
-  Alcotest.(check (float 1e-9)) "mean" 42. (Timeline.mean_value tl)
+  | None -> Alcotest.fail "expected last")
 
 (* ---- Int_table ---------------------------------------------------------- *)
 
@@ -741,29 +436,7 @@ let () =
           Alcotest.test_case "seeds diverge" `Quick test_rng_seed_matters;
           Alcotest.test_case "bounds respected" `Quick test_rng_bounds;
           Alcotest.test_case "bernoulli frequency" `Quick test_rng_bernoulli_frequency;
-          Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "orders by priority" `Quick test_heap_orders;
-          Alcotest.test_case "fifo among ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "removal" `Quick test_heap_remove;
-          Alcotest.test_case "clear and size" `Quick test_heap_clear_and_size;
-          Alcotest.test_case "update_prio re-keys" `Quick test_heap_update_prio;
-          Alcotest.test_case "update_prio refreshes FIFO rank" `Quick
-            test_heap_update_prio_refreshes_fifo;
-          Alcotest.test_case "reinsert recycles an extracted entry" `Quick test_heap_reinsert;
-          Alcotest.test_case "a reserved seq orders at its reservation" `Quick
-            test_reserved_seq_orders_at_reservation;
-          QCheck_alcotest.to_alcotest prop_heap_sorts;
-          QCheck_alcotest.to_alcotest prop_heap_removal_consistent;
-          QCheck_alcotest.to_alcotest prop_heap_model;
-        ] );
-      ( "wheel",
-        [
-          QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
-          Alcotest.test_case "ntz matches the halving loop" `Quick test_wheel_ntz;
         ] );
       ( "stats",
         [
