@@ -1,5 +1,6 @@
 (* Tests for cm_util: time, json, rng, stats, ewma, timeline,
-   byte_queue. *)
+   byte_queue; and the event queue's heap and wheel modes
+   (Eventsim.Engine.Queue, which grew out of cm_util's wheel). *)
 
 open Cm_util
 
@@ -116,6 +117,312 @@ let test_rng_split_independent () =
   let xs = List.init 20 (fun _ -> Rng.int a 1000) in
   let ys = List.init 20 (fun _ -> Rng.int b 1000) in
   "split streams differ" => (xs <> ys)
+
+(* ---- Heap (the queue's pure-heap mode) ------------------------------ *)
+
+module Q = Eventsim.Engine.Queue
+
+(* [Q.create ~slots:0] is a single binary heap over (time, seq): the
+   reference the timing wheel is checked against, so it is itself checked
+   against a sorted-list model here. *)
+let heap dummy = Q.create ~slots:0 ~dummy ()
+
+let insert q ~time v =
+  let id = Q.alloc q v in
+  Q.reinsert q id ~time;
+  id
+
+let pop h =
+  if Q.size h = 0 then None
+  else
+    let id = Q.pop_min h in
+    Some (Q.time h id, Q.value h id)
+
+let pop_all h n = List.init n (fun _ -> pop h) |> List.filter_map Fun.id
+
+let test_heap_orders () =
+  let h = heap 0 in
+  List.iter (fun p -> ignore (insert h ~time:p p)) [ 5; 1; 4; 1; 3; 9; 0 ];
+  Alcotest.(check (list (pair int int)))
+    "sorted output"
+    [ (0, 0); (1, 1); (1, 1); (3, 3); (4, 4); (5, 5); (9, 9) ]
+    (pop_all h 7)
+
+let test_heap_fifo_ties () =
+  let h = heap "" in
+  List.iter (fun v -> ignore (insert h ~time:7 v)) [ "first"; "second"; "third" ];
+  Alcotest.(check (list string))
+    "FIFO among equal priorities" [ "first"; "second"; "third" ]
+    (List.map snd (pop_all h 3))
+
+let test_heap_remove () =
+  let h = heap "" in
+  let _a = insert h ~time:1 "a" in
+  let b = insert h ~time:2 "b" in
+  let _c = insert h ~time:3 "c" in
+  "remove succeeds" => Q.remove h b;
+  "second remove fails" => not (Q.remove h b);
+  Alcotest.(check (list string)) "b removed" [ "a"; "c" ] (List.map snd (pop_all h 3))
+
+let test_heap_clear_and_size () =
+  let h = heap 0 in
+  for i = 1 to 100 do
+    ignore (insert h ~time:i i)
+  done;
+  Alcotest.(check int) "size" 100 (Q.size h);
+  Q.filter_in_place h (fun _ -> false);
+  Alcotest.(check int) "cleared" 0 (Q.size h);
+  "pop on empty" => (pop h = None)
+
+let prop_heap_sorts =
+  QCheck.Test.make ~name:"heap extracts in priority order" ~count:200
+    QCheck.(list small_int)
+    (fun prios ->
+      let h = heap 0 in
+      List.iter (fun p -> ignore (insert h ~time:p p)) prios;
+      List.map fst (pop_all h (List.length prios)) = List.sort Stdlib.compare prios)
+
+let prop_heap_removal_consistent =
+  QCheck.Test.make ~name:"heap removal keeps order" ~count:100
+    QCheck.(pair (list small_int) (list bool))
+    (fun (prios, removes) ->
+      let h = heap 0 in
+      let handles = List.map (fun p -> (p, insert h ~time:p p)) prios in
+      let kept =
+        List.filteri
+          (fun i (_, hd) ->
+            let remove = List.nth_opt removes i = Some true in
+            if remove then ignore (Q.remove h hd);
+            not remove)
+          handles
+        |> List.map fst
+      in
+      List.map fst (pop_all h (List.length kept)) = List.sort Stdlib.compare kept)
+
+let test_heap_update_prio () =
+  let h = heap "" in
+  let a = insert h ~time:10 "a" in
+  let _b = insert h ~time:20 "b" in
+  let c = insert h ~time:30 "c" in
+  "decrease-key succeeds" => Q.update h c ~time:5;
+  "increase-key succeeds" => Q.update h a ~time:40;
+  Alcotest.(check (list (pair int string)))
+    "re-keyed order" [ (5, "c"); (20, "b"); (40, "a") ] (pop_all h 3);
+  "update after extraction fails" => not (Q.update h c ~time:1)
+
+let test_heap_update_prio_refreshes_fifo () =
+  (* a re-keyed element behaves like a fresh insert among equal priorities *)
+  let h = heap "" in
+  let a = insert h ~time:7 "rekeyed" in
+  ignore (insert h ~time:7 "second");
+  "same-prio update" => Q.update h a ~time:7;
+  Alcotest.(check (list string))
+    "re-keyed element moved behind" [ "second"; "rekeyed" ]
+    (List.map snd (pop_all h 2))
+
+let test_heap_reinsert () =
+  (* an extracted entry can be recycled: same value, fresh key, and FIFO
+     behaviour identical to a fresh insert among equal priorities *)
+  let h = heap "" in
+  let a = insert h ~time:10 "recycled" in
+  ignore (pop h);
+  "extracted handle is dead" => not (Q.mem h a);
+  ignore (insert h ~time:7 "tie-first");
+  Q.reinsert h a ~time:7;
+  "reinserted handle is live" => Q.mem h a;
+  Alcotest.(check (list (pair int string)))
+    "reinserted entry behaves like a fresh insert"
+    [ (7, "tie-first"); (7, "recycled") ]
+    (pop_all h 2);
+  (try
+     Q.reinsert h (insert h ~time:1 "live") ~time:2;
+     Alcotest.fail "reinsert of a live handle must raise"
+   with Invalid_argument _ -> ())
+
+(* A seq taken early keys an entry as if it had been queued then: it pops
+   ahead of every entry queued after the reservation, in both modes and
+   on both sides of the wheel horizon, whether [rekey] moves a queued
+   entry or queues a detached one. *)
+let test_reserved_seq_orders_at_reservation () =
+  List.iter
+    (fun (slots, time) ->
+      let w = Q.create ~slots ~dummy:"" () in
+      let early = Q.reserve_seq w in
+      ignore (insert w ~time "queued after the reservation");
+      let moved = insert w ~time:(time + 1) "moved" in
+      Q.rekey w (Q.alloc w "reserved") ~time ~seq:early;
+      Q.rekey w moved ~time ~seq:(Q.reserve_seq w);
+      ignore (insert w ~time "queued last");
+      Alcotest.(check (list string))
+        (Printf.sprintf "slots %d, time %d" slots time)
+        [ "reserved"; "queued after the reservation"; "moved"; "queued last" ]
+        (List.map snd (pop_all w 4)))
+    [ (0, 7); (1024, 7); (1024, 1_000_000_000) ]
+
+(* Model-based randomized test: drive the heap and a sorted-list reference
+   with the same operation stream (insert / pop_min / remove / update) and
+   require identical observable behaviour, including the FIFO tie-break
+   among equal priorities.  The reference mirrors the heap's sequence
+   numbering: one fresh seq per insert *and* per update. *)
+let prop_heap_model =
+  let open QCheck in
+  let op = triple (int_bound 3) (int_bound 20) (int_bound 100) in
+  Test.make ~name:"heap matches reference model (insert/pop_min/remove/update, FIFO)"
+    ~count:300 (list op)
+    (fun ops ->
+      let h = heap 0 in
+      let seq = ref 0 in
+      let next_id = ref 0 in
+      (* model: association list id -> (prio, seq); handles: id -> handle *)
+      let model = ref [] in
+      let handles = Hashtbl.create 16 in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let expected_min () =
+        List.fold_left
+          (fun acc (id, (p, s)) ->
+            match acc with
+            | Some (_, (bp, bs)) when (bp, bs) <= (p, s) -> acc
+            | _ -> Some (id, (p, s)))
+          None !model
+      in
+      let pick_id k =
+        (* any id ever created: lets us hit stale handles too *)
+        if !next_id = 0 then None else Some (k mod !next_id)
+      in
+      List.iter
+        (fun (kind, prio, k) ->
+          match kind with
+          | 0 ->
+              let id = !next_id in
+              incr next_id;
+              Hashtbl.replace handles id (insert h ~time:prio id);
+              model := (id, (prio, !seq)) :: !model;
+              incr seq
+          | 1 -> (
+              match expected_min () with
+              | None -> check (pop h = None)
+              | Some (id, (p, _)) ->
+                  model := List.remove_assoc id !model;
+                  check (pop h = Some (p, id)))
+          | 2 -> (
+              match pick_id k with
+              | None -> ()
+              | Some id ->
+                  let live = List.mem_assoc id !model in
+                  let r = Q.remove h (Hashtbl.find handles id) in
+                  check (r = live);
+                  if live then model := List.remove_assoc id !model)
+          | _ -> (
+              match pick_id k with
+              | None -> ()
+              | Some id ->
+                  let live = List.mem_assoc id !model in
+                  let r = Q.update h (Hashtbl.find handles id) ~time:prio in
+                  check (r = live);
+                  if live then begin
+                    model := (id, (prio, !seq)) :: List.remove_assoc id !model;
+                    incr seq
+                  end))
+        ops;
+      (* drain: remaining elements must come out in (prio, seq) order *)
+      check (Q.size h = List.length !model);
+      let rec drain () =
+        match expected_min () with
+        | None -> check (pop h = None)
+        | Some (id, (p, _)) ->
+            model := List.remove_assoc id !model;
+            check (pop h = Some (p, id));
+            drain ()
+      in
+      drain ();
+      !ok)
+
+(* ---- Wheel (the queue's default mode) ------------------------------- *)
+
+(* [Q.ntz] (de Bruijn multiply + table) against the halving loop it
+   replaced, on every single-bit word and 10,000 random non-zero 32-bit
+   words. *)
+let test_wheel_ntz () =
+  let reference x =
+    let x = x land -x in
+    let n = ref 0 in
+    let x = if x land 0xFFFF = 0 then (n := !n + 16; x lsr 16) else x in
+    let x = if x land 0xFF = 0 then (n := !n + 8; x lsr 8) else x in
+    let x = if x land 0xF = 0 then (n := !n + 4; x lsr 4) else x in
+    let x = if x land 0x3 = 0 then (n := !n + 2; x lsr 2) else x in
+    if x land 0x1 = 0 then !n + 1 else !n
+  in
+  for b = 0 to 31 do
+    Alcotest.(check int) (Printf.sprintf "ntz (1 lsl %d)" b) b (Q.ntz (1 lsl b))
+  done;
+  let st = Random.State.make [| 42 |] in
+  let n = ref 0 in
+  while !n < 10_000 do
+    let x = ((Random.State.bits st lsl 2) lxor Random.State.bits st) land 0xFFFF_FFFF in
+    if x <> 0 then begin
+      if Q.ntz x <> reference x then
+        Alcotest.failf "ntz 0x%x: %d, loop %d" x (Q.ntz x) (reference x);
+      incr n
+    end
+  done
+
+(* The timing wheel must be observationally identical to its pure-heap
+   mode: drive both through one randomized program — inserts and
+   re-keys up to ~60 ms ahead (3.6x the default ~16.8 ms horizon, so
+   entries land in the current slot, wheel slots and the overflow heap,
+   and migrate on cursor advance), ties at the current time, re-queued
+   entries, removals, filters and pops — and require the same pop
+   sequence, the same return values and the same sizes throughout. *)
+let prop_wheel_matches_heap =
+  QCheck.Test.make ~name:"wheel pop sequence = pure-heap pop sequence" ~count:200
+    QCheck.(list (triple (int_bound 6) (int_bound 3_000) small_nat))
+    (fun ops ->
+      let w = Q.create ~dummy:0 () and h = heap 0 in
+      let now = ref 0 and next_id = ref 0 and hs = ref [] in
+      let nth k =
+        match !hs with
+        | [] -> None
+        | l -> Option.map (fun (_, ew, eh) -> (ew, eh)) (List.nth_opt l (k mod List.length l))
+      in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let at t = !now + if t mod 7 = 0 then 0 else t * 20_000 in
+      let pop_both () =
+        let pw = pop w and ph = pop h in
+        check (pw = ph);
+        Option.iter (fun (t, _) -> now := t) pw
+      in
+      List.iter
+        (fun (op, t, k) ->
+          (match (op, nth k) with
+          | (0 | 1), _ ->
+              let id = !next_id in
+              incr next_id;
+              hs := (id, insert w ~time:(at t) id, insert h ~time:(at t) id) :: !hs
+          | 2, Some (ew, eh) ->
+              check (Q.mem w ew = Q.mem h eh);
+              if not (Q.mem w ew) then begin
+                Q.reinsert w ew ~time:(at t);
+                Q.reinsert h eh ~time:(at t)
+              end
+          | 3, Some (ew, eh) -> check (Q.remove w ew = Q.remove h eh)
+          | 4, Some (ew, eh) ->
+              check (Q.update w ew ~time:(at t) = Q.update h eh ~time:(at t))
+          | 5, _ -> pop_both ()
+          | 6, _ when k mod 8 = 0 ->
+              let keep v = v mod 5 <> t mod 5 in
+              Q.filter_in_place w keep;
+              Q.filter_in_place h keep;
+              (* the filter released the ids it dropped *)
+              hs := List.filter (fun (v, _, _) -> keep v) !hs
+          | _ -> ());
+          check (Q.size w = Q.size h))
+        ops;
+      while Q.size w > 0 || Q.size h > 0 do
+        pop_both ()
+      done;
+      !ok)
 
 (* ---- Stats ----------------------------------------------------------- *)
 
@@ -437,6 +744,27 @@ let () =
           Alcotest.test_case "bounds respected" `Quick test_rng_bounds;
           Alcotest.test_case "bernoulli frequency" `Quick test_rng_bernoulli_frequency;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "orders by priority" `Quick test_heap_orders;
+          Alcotest.test_case "fifo among ties" `Quick test_heap_fifo_ties;
+          Alcotest.test_case "removal" `Quick test_heap_remove;
+          Alcotest.test_case "clear and size" `Quick test_heap_clear_and_size;
+          Alcotest.test_case "update_prio re-keys" `Quick test_heap_update_prio;
+          Alcotest.test_case "update_prio refreshes FIFO rank" `Quick
+            test_heap_update_prio_refreshes_fifo;
+          Alcotest.test_case "reinsert recycles an extracted entry" `Quick test_heap_reinsert;
+          Alcotest.test_case "a reserved seq orders at its reservation" `Quick
+            test_reserved_seq_orders_at_reservation;
+          QCheck_alcotest.to_alcotest prop_heap_sorts;
+          QCheck_alcotest.to_alcotest prop_heap_removal_consistent;
+          QCheck_alcotest.to_alcotest prop_heap_model;
+        ] );
+      ( "wheel",
+        [
+          QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
+          Alcotest.test_case "ntz matches the halving loop" `Quick test_wheel_ntz;
         ] );
       ( "stats",
         [
